@@ -25,7 +25,7 @@ from .errors import (
     InvalidInputError,
     VerificationError,
 )
-from .graph_core import LabeledGraph, build_graph
+from .graph_core import LabeledGraph, bfs_tree, build_graph, components, propagate
 
 #: Iterated covers refuse to build more vertices than this by default.
 COVER_VERTEX_CAP = 1 << 20
@@ -130,23 +130,10 @@ def homology_cover(g: LabeledGraph) -> CoveringMap:
     if not g.is_connected:
         raise DisconnectedGraphError("homology cover needs a connected base")
     n = g.vertex_count
-    tree_edge = [False] * g.edge_count
-    seen = [False] * n
-    seen[0] = True
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for d in g.out_darts(u):
-            w = g.dart_target(d)
-            if not seen[w]:
-                seen[w] = True
-                tree_edge[LabeledGraph.dart_edge(d)] = True
-                queue.append(w)
+    tree_edges = {LabeledGraph.dart_edge(d) for d in bfs_tree(g, 0).values() if d >= 0}
     bit_of_edge: dict[int, int] = {}
     for k in range(g.edge_count):
-        if not tree_edge[k]:
+        if k not in tree_edges:
             bit_of_edge[k] = len(bit_of_edge)
     r = len(bit_of_edge)
     if r != g.edge_count - n + 1:
@@ -278,33 +265,18 @@ def verify_covering(cm: CoveringMap, deck_cap: int = DECK_ENUM_CAP) -> CoverVeri
         if len(fib) != expected_fiber:
             raise VerificationError(f"fiber over {v} has size {len(fib)}, expected {expected_fiber}")
 
-    # unique dart over a given base dart at a given cover vertex
+    # the end of the unique dart over a given base dart at a given cover vertex
     star_index: list[dict[int, int]] = []
     for u in range(cover.vertex_count):
-        star_index.append({cm.dart_map[d]: d for d in cover.out_darts(u)})
+        star_index.append({cm.dart_map[d]: cover.dart_target(d) for d in cover.out_darts(u)})
 
     def lift_map(b0: int, t: int) -> tuple[int, ...]:
-        img = [-1] * cover.vertex_count
-        img[b0] = t
-        queue = [b0]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for d in cover.out_darts(u):
-                w = cover.dart_target(d)
-                d2 = star_index[img[u]].get(cm.dart_map[d])
-                if d2 is None:
-                    raise VerificationError("deck lift hit a missing dart; covering not regular")
-                w2 = cover.dart_target(d2)
-                if img[w] < 0:
-                    img[w] = w2
-                    queue.append(w)
-                elif img[w] != w2:
-                    raise VerificationError("path lifting is inconsistent; covering not regular")
-        if -1 in img:
+        img = propagate(cover, b0, t, lambda d, x: star_index[x].get(cm.dart_map[d]))
+        if img is None:
+            raise VerificationError("path lifting failed; covering not regular")
+        if len(img) != cover.vertex_count:
             raise VerificationError("deck lift did not reach the whole cover")
-        return tuple(img)
+        return tuple(img[v] for v in range(cover.vertex_count))
 
     base_fiber = fibers[0]
     b0 = min(base_fiber)
@@ -359,29 +331,8 @@ class WallDecomposition:
         return np.array(self.side_assignment, dtype=np.uint8)
 
 
-def _components_without(g: LabeledGraph, removed: frozenset[int]) -> list[int]:
-    comp = [-1] * g.vertex_count
-    nxt = 0
-    for s in range(g.vertex_count):
-        if comp[s] >= 0:
-            continue
-        comp[s] = nxt
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for d in g.out_darts(u):
-                if LabeledGraph.dart_edge(d) in removed:
-                    continue
-                w = g.dart_target(d)
-                if comp[w] < 0:
-                    comp[w] = nxt
-                    stack.append(w)
-        nxt += 1
-    return comp
-
-
 def _two_side_split(g: LabeledGraph, wall: frozenset[int]) -> tuple[int, ...]:
-    comp = _components_without(g, wall)
+    comp = components(g, wall)
     k = max(comp) + 1
     if k != 2:
         raise VerificationError(
@@ -436,7 +387,7 @@ def validate_walls(g: LabeledGraph, w: WallDecomposition) -> None:
         sides = w.side_assignment[i]
         if len(sides) != g.vertex_count or any(s not in (0, 1) for s in sides):
             raise InvalidInputError(f"side assignment {i} is not a two-coloring")
-        comp = _components_without(g, wall)
+        comp = components(g, wall)
         if max(comp) + 1 != 2:
             raise InvalidInputError(f"wall {i} does not split the graph into two components")
         # the two-coloring must be constant on components and split them
@@ -494,26 +445,9 @@ def label_automorphism(g: LabeledGraph, src: int, dst: int) -> Optional[tuple[in
             lab = g.dart_label(d)
             if lab is None or lab in table:
                 raise InvalidInputError("graph is not deterministically labeled")
-            table[lab] = d
+            table[lab] = g.dart_target(d)
         star.append(table)
-    img = [-1] * g.vertex_count
-    img[src] = dst
-    queue = [src]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for d in g.out_darts(u):
-            w = g.dart_target(d)
-            d2 = star[img[u]].get(g.dart_label(d))
-            if d2 is None:
-                return None
-            w2 = g.dart_target(d2)
-            if img[w] < 0:
-                img[w] = w2
-                queue.append(w)
-            elif img[w] != w2:
-                return None
-    if sorted(img) != list(range(g.vertex_count)):
+    img = propagate(g, src, dst, lambda d, x: star[x].get(g.dart_label(d)))
+    if img is None or sorted(img.values()) != list(range(g.vertex_count)):
         return None
-    return tuple(img)
+    return tuple(img[v] for v in range(g.vertex_count))

@@ -21,7 +21,7 @@ from .errors import CapExceededError, InvalidInputError
 from .graph_core import (
     LabeledGraph,
     adjacency_spectrum,
-    bfs_distances,
+    bfs_tree,
     build_graph,
     diameter,
     girth,
@@ -106,7 +106,7 @@ class FiniteGroupTable:
         # an empty generator list is allowed for tables used only for
         # arithmetic; cayley_graph insists on a nonempty one
         if gens:
-            reached = self._generated_set(gens)
+            reached = self.generated_set(gens)
             if len(reached) != n:
                 raise InvalidInputError(
                     f"generators only reach {len(reached)} of {n} elements"
@@ -131,7 +131,9 @@ class FiniteGroupTable:
                 if table[table[a, b], c] != table[a, table[b, c]]:
                     raise InvalidInputError("multiplication table is not associative")
 
-    def _generated_set(self, gens: tuple[int, ...]) -> set[int]:
+    def generated_set(self, gens: Sequence[int]) -> set[int]:
+        """The subgroup generated by ``gens``: every element reached from
+        the identity by right multiplication with them."""
         reached = {self.identity}
         frontier = [self.identity]
         while frontier:
@@ -313,25 +315,14 @@ def cayley_graph(
 
 
 def is_bipartite(g: LabeledGraph) -> bool:
-    """Two-colorability by breadth-first search, per component."""
+    """Two-colorability: color each breadth-first tree by depth parity,
+    then no edge may join two vertices of the same color."""
     color = [-1] * g.vertex_count
     for s in range(g.vertex_count):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for d in g.out_darts(u):
-                w = g.dart_target(d)
-                if color[w] < 0:
-                    color[w] = color[u] ^ 1
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
+        if color[s] < 0:
+            for v, d in bfs_tree(g, s).items():
+                color[v] = 0 if d < 0 else color[g.dart_source(d)] ^ 1
+    return all(color[u] != color[v] for u, v, _ in g.edges())
 
 
 # -- LPS graphs ------------------------------------------------------------

@@ -127,7 +127,8 @@ class LabeledGraph:
                 raise InvalidInputError(f"dart {d} endpoint out of range")
             out[u].append(d)
         self._out = tuple(tuple(ds) for ds in out)
-        self._component_ids, self._component_count = self._compute_components()
+        self._component_ids = tuple(components(self))
+        self._component_count = max(self._component_ids) + 1
 
     # -- basic accessors -------------------------------------------------
 
@@ -176,24 +177,6 @@ class LabeledGraph:
         return len(degs) == 1
 
     # -- connectivity ----------------------------------------------------
-
-    def _compute_components(self) -> tuple[tuple[int, ...], int]:
-        comp = [-1] * self.vertex_count
-        nxt = 0
-        for s in range(self.vertex_count):
-            if comp[s] >= 0:
-                continue
-            comp[s] = nxt
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for d in self._out[u]:
-                    w = self._dst[d]
-                    if comp[w] < 0:
-                        comp[w] = nxt
-                        stack.append(w)
-            nxt += 1
-        return tuple(comp), nxt
 
     @property
     def component_ids(self) -> tuple[int, ...]:
@@ -337,6 +320,76 @@ def split_components(g: LabeledGraph) -> GraphFamily:
     return GraphFamily(tuple(comps), tuple(origins))
 
 
+# -- traversal -----------------------------------------------------------
+
+
+def bfs_tree(g: LabeledGraph, root: int, removed: frozenset[int] = frozenset()) -> dict[int, int]:
+    """Breadth-first spanning tree of the component of ``root``.
+
+    Maps each reached vertex, in visiting order, to the dart that first
+    reached it (-1 for the root).  Darts are scanned in ``out_darts``
+    order and no edge in ``removed`` is crossed, so the tree, and every
+    numbering read off it, is fixed by the dart order alone.
+    """
+    parent = {root: -1}
+    order = [root]
+    for u in order:
+        for d in g._out[u]:
+            w = g._dst[d]
+            if w not in parent and d >> 1 not in removed:
+                parent[w] = d
+                order.append(w)
+    return parent
+
+
+def tree_path(g: LabeledGraph, parent: dict[int, int], v: int) -> list[int]:
+    """Darts of the tree path from the root of ``parent`` to ``v``."""
+    path = []
+    while parent[v] >= 0:
+        path.append(parent[v])
+        v = g._src[parent[v]]
+    path.reverse()
+    return path
+
+
+def components(g: LabeledGraph, removed: frozenset[int] = frozenset()) -> list[int]:
+    """Component id of every vertex once the edges in ``removed`` are
+    deleted; components are numbered in order of their smallest vertex."""
+    comp = [-1] * g.vertex_count
+    count = 0
+    for s in range(g.vertex_count):
+        if comp[s] < 0:
+            for v in bfs_tree(g, s, removed):
+                comp[v] = count
+            count += 1
+    return comp
+
+
+def propagate(g: LabeledGraph, root: int, image: int, step) -> Optional[dict[int, int]]:
+    """Grow the vertex map ``root -> image`` breadth-first along darts.
+
+    ``step(d, x)`` names the image of the target of dart ``d`` when its
+    source maps to ``x``, or None when there is none.  Returns the map
+    on the component of ``root``, in visiting order, or None when some
+    step has no image or two darts disagree on a vertex's image.
+    """
+    img = {root: image}
+    order = [root]
+    for u in order:
+        x = img[u]
+        for d in g._out[u]:
+            y = step(d, x)
+            if y is None:
+                return None
+            w = g._dst[d]
+            if w not in img:
+                img[w] = y
+                order.append(w)
+            elif img[w] != y:
+                return None
+    return img
+
+
 # -- distances -----------------------------------------------------------
 
 
@@ -345,17 +398,8 @@ def bfs_distances(g: LabeledGraph, source: int) -> list[int]:
     if not (0 <= source < g.vertex_count):
         raise InvalidInputError("bfs source out of range")
     dist = [-1] * g.vertex_count
-    dist[source] = 0
-    queue = [source]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for d in g.out_darts(u):
-            w = g.dart_target(d)
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
+    for v, d in bfs_tree(g, source).items():
+        dist[v] = 0 if d < 0 else dist[g._src[d]] + 1
     return dist
 
 

@@ -28,9 +28,12 @@ from .expander_zoo import FiniteGroupTable
 from .graph_core import (
     GraphFamily,
     LabeledGraph,
+    bfs_tree,
     build_graph,
     girth,
     inverse_label,
+    propagate,
+    tree_path,
 )
 
 #: enumerate_pieces refuses families with more darts than this
@@ -175,27 +178,15 @@ def _pointed_spread(
 ) -> Optional[tuple[int, ...]]:
     """Label-preserving isomorphism component(a) -> component(b) with
     a -> b, grown by anchored breadth-first search; None if impossible."""
-    img = {a: b}
-    queue = [a]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        if len(maps_a[u]) != len(maps_b[img[u]]):
-            return None
-        for lab, d in maps_a[u].items():
-            d2 = maps_b[img[u]].get(lab)
-            if d2 is None:
-                return None
-            w, w2 = ga.dart_target(d), gb.dart_target(d2)
-            if w in img:
-                if img[w] != w2:
-                    return None
-            else:
-                img[w] = w2
-                queue.append(w)
-    targets = list(img.values())
-    if len(set(targets)) != len(targets):
+
+    def step(d: int, x: int) -> Optional[int]:
+        d2 = maps_b[x].get(ga.dart_label(d))
+        return None if d2 is None else gb.dart_target(d2)
+
+    img = propagate(ga, a, b, step)
+    if img is None or any(len(maps_a[u]) != len(maps_b[x]) for u, x in img.items()):
+        return None
+    if len(set(img.values())) != len(img):
         return None
     return tuple(sorted(img.items()))
 
@@ -321,43 +312,21 @@ def _build_pair_graph(
     )
 
 
-def _find_simple_cycle(g: LabeledGraph, allowed: set[int]) -> list[int]:
-    """Darts of some simple cycle inside the vertex set ``allowed``."""
-    root = min(allowed)
-    parent_dart = {root: -1}
-    order = [root]
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
+def _find_simple_cycle(g: LabeledGraph, root: int) -> list[int]:
+    """Darts of some simple cycle in the component of ``root``: the first
+    non-tree dart in breadth-first order closes it through the tree."""
+    parent = bfs_tree(g, root)
+    for u, entry in parent.items():
         for d in g.out_darts(u):
-            if g.dart_target(d) not in allowed:
-                continue
             w = g.dart_target(d)
-            if w == u:
-                return [d]
-            if w not in parent_dart:
-                parent_dart[w] = d
-                order.append(w)
-            elif d != LabeledGraph.dart_reverse(parent_dart[u]) and parent_dart.get(w) != d:
-                # non-tree dart closes a cycle through the tree
-                path_u = []
-                x = u
-                while parent_dart[x] != -1:
-                    path_u.append(parent_dart[x])
-                    x = g.dart_source(parent_dart[x])
-                path_w = []
-                x = w
-                while parent_dart[x] != -1:
-                    path_w.append(parent_dart[x])
-                    x = g.dart_source(parent_dart[x])
-                # strip the common tail toward the root to cut at the
-                # last common ancestor, leaving a simple cycle
-                while path_u and path_w and path_u[-1] == path_w[-1]:
-                    path_u.pop()
-                    path_w.pop()
-                cycle = list(reversed(path_u)) + [d] + [LabeledGraph.dart_reverse(e) for e in path_w]
-                return cycle
+            if parent[w] == d or entry == LabeledGraph.dart_reverse(d):
+                continue
+            path_u, path_w = tree_path(g, parent, u), tree_path(g, parent, w)
+            # cut at the last common ancestor, leaving a simple cycle
+            i = 0
+            while i < min(len(path_u), len(path_w)) and path_u[i] == path_w[i]:
+                i += 1
+            return path_u[i:] + [d] + [LabeledGraph.dart_reverse(e) for e in reversed(path_w[i:])]
     raise VerificationError("no cycle found in a component declared cyclic")
 
 
@@ -369,26 +338,8 @@ def _tree_paths(g: LabeledGraph, comp_vertices: list[int]) -> list[list[int]]:
         return []
     paths = []
     for a in leaves:
-        parent = {a: -1}
-        order = [a]
-        head = 0
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for d in g.out_darts(u):
-                w = g.dart_target(d)
-                if w not in parent:
-                    parent[w] = d
-                    order.append(w)
-        for b in leaves:
-            if b <= a:
-                continue
-            darts = []
-            x = b
-            while parent[x] != -1:
-                darts.append(parent[x])
-                x = g.dart_source(parent[x])
-            paths.append([LabeledGraph.dart_reverse(dd) for dd in darts])
+        parent = bfs_tree(g, a)
+        paths.extend(tree_path(g, parent, b) for b in leaves if b > a)
     return paths
 
 
@@ -417,11 +368,10 @@ def _piece_analysis(fam: GraphFamily, cap: int) -> tuple[list[Piece], list[float
     finite_words: set[tuple[str, ...]] = set()
     infinite_words: set[tuple[str, ...]] = set()
     for nodes in comp_nodes.values():
-        node_set = set(nodes)
         edge_count = sum(pg.degree(v) for v in nodes) // 2
         touched = {pair_graph.pairs[nodes[0]][0][0], pair_graph.pairs[nodes[0]][1][0]}
         if edge_count >= len(nodes):
-            cycle = _find_simple_cycle(pg, node_set)
+            cycle = _find_simple_cycle(pg, nodes[0])
             infinite_words.add(canonical_word(_word_of(pg, cycle)))
             for ci in touched:
                 per_comp_max[ci] = math.inf
@@ -632,38 +582,16 @@ class Presentation:
 
 def _component_relators(g: LabeledGraph, maps: list[dict[str, int]]) -> list[tuple[str, ...]]:
     """Fundamental-cycle relators of the BFS spanning tree rooted at 0."""
-    parent_dart = [-1] * g.vertex_count
-    order = [0]
-    seen = [False] * g.vertex_count
-    seen[0] = True
-    tree = [False] * g.edge_count
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for d in g.out_darts(u):
-            w = g.dart_target(d)
-            if not seen[w]:
-                seen[w] = True
-                parent_dart[w] = d
-                tree[LabeledGraph.dart_edge(d)] = True
-                order.append(w)
-
-    def path_from_root(v: int) -> list[int]:
-        darts = []
-        while parent_dart[v] != -1:
-            darts.append(parent_dart[v])
-            v = g.dart_source(parent_dart[v])
-        return list(reversed(darts))
-
+    parent = bfs_tree(g, 0)
+    tree = {LabeledGraph.dart_edge(d) for d in parent.values() if d >= 0}
     relators = []
     for k in range(g.edge_count):
-        if tree[k]:
+        if k in tree:
             continue
         d = 2 * k
         u, v = g.dart_source(d), g.dart_target(d)
-        darts = path_from_root(u) + [d] + [LabeledGraph.dart_reverse(x) for x in reversed(path_from_root(v))]
-        relators.append(free_reduce(_word_of(g, darts)))
+        back = [LabeledGraph.dart_reverse(x) for x in reversed(tree_path(g, parent, v))]
+        relators.append(free_reduce(_word_of(g, tree_path(g, parent, u) + [d] + back)))
     return relators
 
 

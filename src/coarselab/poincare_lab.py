@@ -272,23 +272,6 @@ def _form_matrix(table, members) -> np.ndarray:
     return M
 
 
-def _sigma_connected(table, members) -> bool:
-    seen = np.zeros(table.order, dtype=bool)
-    seen[table.identity] = True
-    frontier = [table.identity]
-    moves = {int(y) for y in members} | {table.inverse(int(y)) for y in members}
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in moves:
-                z = table.mul(x, y)
-                if not seen[z]:
-                    seen[z] = True
-                    nxt.append(z)
-        frontier = nxt
-    return bool(seen.all())
-
-
 @dataclass(frozen=True, eq=False)
 class PoincareResult:
     """The optimal constant, a witness function attaining it, and the
@@ -321,7 +304,7 @@ def relative_poincare_constant(
     if n < 2:
         raise InvalidInputError("the trivial group admits no nonconstant functions")
     sigma_idx, x_idx = _canonical_subsets(group, sigma, x_set, table, widx)
-    if not _sigma_connected(table, sigma_idx):
+    if len(table.generated_set(sigma_idx)) != n:
         raise DisconnectedGraphError(
             "the generating set does not connect the group; the rhs form is degenerate"
         )

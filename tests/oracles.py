@@ -87,6 +87,59 @@ def random_graph(rng, n: int, edge_count: int) -> LabeledGraph:
     return build_graph(n, edges)
 
 
+
+def random_multigraph(rng, n: int, edge_count: int, bipartite: bool = False) -> LabeledGraph:
+    """Random multigraph with one of its edges doubled and, unless it is
+    drawn bipartite (edges only between even and odd vertices, so n >= 2),
+    a loop."""
+    edges = []
+    while len(edges) < edge_count:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if not bipartite or (u + v) % 2:
+            edges.append((u, v))
+    if edges:
+        edges.append(rng.choice(edges))
+    if not bipartite:
+        v = rng.randrange(n)
+        edges.append((v, v))
+    rng.shuffle(edges)
+    return build_graph(n, edges)
+
+
+def scipy_components(g: LabeledGraph, removed=frozenset()) -> list[int]:
+    """Component labels from scipy after deleting the edges in ``removed``."""
+    import numpy as np
+    import scipy.sparse
+    import scipy.sparse.csgraph
+
+    kept = [(u, v) for k, (u, v, _) in enumerate(g.edges()) if k not in removed]
+    rows = np.array([u for u, _ in kept], dtype=np.int64)
+    cols = np.array([v for _, v in kept], dtype=np.int64)
+    n = g.vertex_count
+    adj = scipy.sparse.coo_matrix((np.ones(len(kept)), (rows, cols)), shape=(n, n))
+    _, labels = scipy.sparse.csgraph.connected_components(adj, directed=False)
+    return [int(x) for x in labels]
+
+
+def naive_is_bipartite(g: LabeledGraph) -> bool:
+    """Try every 2-coloring; a loop makes every coloring fail."""
+    edges = [(u, v) for u, v, _ in g.edges()]
+    return any(
+        all((mask >> u & 1) != (mask >> v & 1) for u, v in edges)
+        for mask in range(1 << g.vertex_count)
+    )
+
+
+def is_simple_cycle(g: LabeledGraph, darts: list[int]) -> bool:
+    """True iff ``darts`` is a nonempty closed walk visiting no vertex twice."""
+    if not darts:
+        return False
+    for d, nxt in zip(darts, darts[1:] + darts[:1]):
+        if g.dart_target(d) != g.dart_source(nxt):
+            return False
+    starts = [g.dart_source(d) for d in darts]
+    return len(set(starts)) == len(starts)
+
 # -- naive piece reference --------------------------------------------------
 #
 # Pointed isomorphism goes through networkx VF2 on labeled multidigraphs,
