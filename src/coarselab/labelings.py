@@ -580,7 +580,7 @@ class Presentation:
     relators: tuple[tuple[str, ...], ...]
 
 
-def _component_relators(g: LabeledGraph, maps: list[dict[str, int]]) -> list[tuple[str, ...]]:
+def _component_relators(g: LabeledGraph) -> list[tuple[str, ...]]:
     """Fundamental-cycle relators of the BFS spanning tree rooted at 0."""
     parent = bfs_tree(g, 0)
     tree = {LabeledGraph.dart_edge(d) for d in parent.values() if d >= 0}
@@ -662,8 +662,8 @@ def graphical_presentation(
             raise CapExceededError(
                 f"component {ci} has cycle rank {rank}, above the cap {rank_cap}"
             )
-        maps = _out_maps(g)
-        rel = _component_relators(g, maps)
+        _out_maps(g)  # raises unless the labeling is reduced
+        rel = _component_relators(g)
         per_component.append(rel)
         relators.extend(rel)
 

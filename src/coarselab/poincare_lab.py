@@ -40,7 +40,7 @@ from .errors import (
 )
 from .expander_zoo import FiniteGroupTable
 from .graph_core import LabeledGraph, laplacian_lambda2
-from .wreath import RelativeSubset, WreathElement, WreathGroup, wreath_mul, x_subset
+from .wreath import RelativeSubset, WreathElement, WreathGroup, x_subset
 
 #: largest group order the dense eigensolver path will accept
 POINCARE_ORDER_CAP = 2048
@@ -61,32 +61,33 @@ def wreath_indexed_group(W: WreathGroup) -> tuple[FiniteGroupTable, tuple[Wreath
     Elements are sorted by (sorted support, base index), so position 0
     is the identity.  The table's generator set is delta followed by
     the base-group generators, and element names read ``support|b``.
+
+    The table is computed on integer codes: a support is a lamp mask
+    (bit q set iff q is lit), ``rank[mask]`` is its position in the
+    support order, and element ``rank[mask] * |B| + b`` is (mask, b).
+    The law of :func:`~coarselab.wreath.wreath_mul` then reads
+    ``(m1, b1)(m2, b2) = (m1 ^ shifted[proj[b1], m2], b1 b2)``, which
+    is computed for all pairs at once.
     """
     if W.order > POINCARE_ORDER_CAP:
         raise CapExceededError(
             f"wreath group of order {W.order} exceeds the table cap {POINCARE_ORDER_CAP}"
         )
-    elems = sorted(
-        (
-            WreathElement(frozenset(q for q in range(W.Q.order) if mask >> q & 1), b)
-            for mask in range(1 << W.Q.order)
-            for b in range(W.B.order)
-        ),
-        key=WreathElement.key,
-    )
-    index = {x: i for i, x in enumerate(elems)}
-    n = len(elems)
-    mul = np.empty((n, n), dtype=np.int64)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            mul[i, j] = index[wreath_mul(W, x, y)]
-    names = [
-        "{" + ",".join(str(q) for q in sorted(x.config)) + "}|" + W.B.name(x.b)
-        for x in elems
-    ]
-    gens = tuple(index[g] for g in W.generators)
+    nq, nb = W.Q.order, W.B.order
+    supports = sorted(tuple(q for q in range(nq) if m >> q & 1) for m in range(1 << nq))
+    masks = np.array([sum(1 << q for q in s) for s in supports], dtype=np.int64)
+    rank = np.argsort(masks)  # masks is a permutation of 0..2^nq - 1
+    # shifted[s, m]: the support m moved by left multiplication with s
+    bits = np.arange(masks.size)[None, :] >> np.arange(nq)[:, None] & 1
+    shifted = np.bitwise_or.reduce(bits[None] << W.Q.mul_table[:, :, None], axis=1)
+    # code[i, b1, j]: lamp part of (supports[i], b1)(supports[j], -) as rank * |B|
+    code = rank[masks[:, None, None] ^ shifted[np.asarray(W.proj)][:, masks][None]] * nb
+    mul = (code[:, :, :, None] + W.B.mul_table[None, :, None, :]).reshape(W.order, W.order)
+    elems = tuple(WreathElement(frozenset(s), b) for s in supports for b in range(nb))
+    names = ["{" + ",".join(map(str, s)) + "}|" + W.B.name(b) for s in supports for b in range(nb)]
+    gens = tuple(int(rank[sum(1 << q for q in g.config)]) * nb + g.b for g in W.generators)
     table = FiniteGroupTable(mul, generators=gens, element_names=names)
-    return table, tuple(elems)
+    return table, elems
 
 
 def _resolve(group: GroupLike) -> tuple[FiniteGroupTable, Optional[dict[WreathElement, int]]]:

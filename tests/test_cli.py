@@ -143,38 +143,31 @@ class TestGraphCommands:
         assert doc["report"] == "girth" and doc["girth"] == 6
 
 
-class TestLabelingCommands:
-    def labeled_family(self, capsys, tmp_path, seed=7):
-        edges = [(i, (i + 1) % 8) for i in range(8)]
-        edges += [(8 + i, 8 + (i + 1) % 8) for i in range(8)]
-        path = tmp_path / "two_c8.json"
-        path.write_text(serialize_graph(build_graph(16, edges)))
-        out_path = tmp_path / f"labeled{seed}.json"
-        code, out = run(
-            capsys,
-            [
-                "label",
-                str(path),
-                "--random",
-                "--alphabet",
-                "3",
-                "--lambda",
-                "1/4",
-                "--seed",
-                str(seed),
-                "--out",
-                str(out_path),
-            ],
-        )
-        return code, out, out_path
+LABEL_TWO_C8 = ["--random", "--alphabet", "3", "--lambda", "1/4", "--seed", "7"]
 
-    def test_label_succeeds_and_is_deterministic(self, capsys, tmp_path):
-        code, out, artifact = self.labeled_family(capsys, tmp_path)
+
+@pytest.fixture(scope="class")
+def two_c8(tmp_path_factory):
+    """The 2xC8 input and one seed-7 labeling of it, shared by the class:
+    the search takes several seconds."""
+    work = tmp_path_factory.mktemp("label")
+    edges = [(i, (i + 1) % 8) for i in range(8)]
+    edges += [(8 + i, 8 + (i + 1) % 8) for i in range(8)]
+    path = work / "two_c8.json"
+    path.write_text(serialize_graph(build_graph(16, edges)))
+    labeled = work / "labeled.json"
+    code = cli.main(["label", str(path), *LABEL_TWO_C8, "--out", str(labeled)])
+    return path, code, labeled
+
+
+class TestLabelingCommands:
+    def test_label_succeeds_and_is_deterministic(self, capsys, tmp_path, two_c8):
+        path, code, first = two_c8
+        assert code == 0
+        again = tmp_path / "again.json"
+        code, out = run(capsys, ["label", str(path), *LABEL_TWO_C8, "--out", str(again)])
         assert code == 0 and "success" in out
-        first = artifact.read_text()
-        code2, _, artifact2 = self.labeled_family(capsys, tmp_path)
-        assert code2 == 0
-        assert artifact2.read_text() == first
+        assert again.read_text() == first.read_text()
 
     def test_label_seed_is_mandatory(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -189,8 +182,8 @@ class TestLabelingCommands:
         capsys.readouterr()
         assert code == 2
 
-    def test_pieces_and_present_consume_label_output(self, capsys, tmp_path):
-        code, _, artifact = self.labeled_family(capsys, tmp_path)
+    def test_pieces_and_present_consume_label_output(self, capsys, tmp_path, two_c8):
+        _, code, artifact = two_c8
         assert code == 0
         pieces_path = tmp_path / "pieces.json"
         code, out = run(capsys, ["pieces", str(artifact), "--out", str(pieces_path)])

@@ -5,8 +5,10 @@ Every subcommand below runs in one child process at
 sha256 must match the digest recorded when the test was written.  The
 inputs include loops and parallel edges, so the spanning trees behind
 cover numberings, relators and piece words are pinned down to the choice
-among parallel darts.  ``spectrum`` is left out: its eigenvalues still
-differ in the last ulp between thread counts.
+among parallel darts.  The ``poincare`` witnesses list one value per
+element in the order of the wreath multiplication table, so they pin
+that order and that table.  ``spectrum`` is left out: its eigenvalues
+still differ in the last ulp between thread counts.
 """
 
 import hashlib
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from coarselab.expander_zoo import cyclic_group
+from coarselab.expander_zoo import cyclic_group, symmetric_group
 from coarselab.graph_core import build_graph
 from coarselab.jsonio import serialize_graph, serialize_group_table
 
@@ -55,6 +57,9 @@ GOLDEN = {
     "present_multi.json": "0e3edd5360342058862cc9cac0b1e57e7ec07b3dddb9e8955133c1bd4354b5da",
     "wreath.json": "0600cd492612b1142cfcf3e199d40becaf98d969297d43688fc247f1869c3882",
     "lps.json": "9098504eb631f4bce347eb07a2008d4136336d3b17773ceb5193f93127156d49",
+    "poincare_z4.json": "3e65d62468698e8a09a5947e1af30707ed98b6abfffdc082849f358c5dde77e8",
+    "poincare_s3.json": "99767361c0da867ebaebd9701845b31b4cd976675a007a51e4ac396e3068c774",
+    "poincare_z3_trials.json": "f3020400af3538f7a3c210cb87efdb2e2db2add5c4ccbe99ea7e7f472c6ee926",
 }
 
 
@@ -65,6 +70,8 @@ def artifacts(tmp_path_factory):
     (work / "labeled_multi.json").write_text(serialize_graph(build_graph(7, LABELED_EDGES)))
     (work / "two_c8.json").write_text(serialize_graph(build_graph(16, TWO_C8_EDGES)))
     (work / "z3.json").write_text(serialize_group_table(cyclic_group(3)))
+    (work / "z4.json").write_text(serialize_group_table(cyclic_group(4)))
+    (work / "s3.json").write_text(serialize_group_table(symmetric_group(3)))
     commands = [
         ["cover", "multi.json", "--out", "cover.json"],
         ["walls", "multi.json", "--out", "walls.json"],
@@ -79,6 +86,13 @@ def artifacts(tmp_path_factory):
         ["wreath", "--q-table", "z3.json", "--b-table", "z3.json", "--proj", "0,1,2",
          "--out", "wreath.json"],
         ["lps", "--p", "13", "--q", "5", "--out", "lps.json"],
+        ["poincare", "--relative", "--q-table", "z4.json", "--b-table", "z4.json",
+         "--proj", "0,1,2,3", "--out", "poincare_z4.json"],
+        # non-abelian Q, so the lamp shift must act from the left
+        ["poincare", "--relative", "--q-table", "s3.json", "--b-table", "s3.json",
+         "--proj", "0,1,2,3,4,5", "--out", "poincare_s3.json"],
+        ["poincare", "--relative", "--q-table", "z3.json", "--b-table", "z3.json",
+         "--proj", "0,1,2", "--trials", "6", "--seed", "5", "--out", "poincare_z3_trials.json"],
     ]
     env = dict(os.environ, COARSE_LAB_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))

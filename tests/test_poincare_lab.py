@@ -1,5 +1,6 @@
 """Tests for the relative Poincare forms, kernels, and spectral gap."""
 
+import itertools
 import math
 import random
 
@@ -11,9 +12,16 @@ from coarselab.errors import (
     DisconnectedGraphError,
     InvalidInputError,
 )
-from coarselab.expander_zoo import FiniteGroupTable, cayley_graph, cyclic_group, lps_graph
+from coarselab.expander_zoo import (
+    FiniteGroupTable,
+    cayley_graph,
+    cyclic_group,
+    lps_graph,
+    symmetric_group,
+)
 from coarselab.graph_core import build_graph
 from coarselab.poincare_lab import (
+    POINCARE_ORDER_CAP,
     GroupFunction,
     KernelFunction,
     cnd_from_function,
@@ -28,7 +36,7 @@ from coarselab.poincare_lab import (
     verify_relative_inequality,
     wreath_indexed_group,
 )
-from coarselab.wreath import WreathGroup, x_subset
+from coarselab.wreath import WreathGroup, wreath_mul, x_subset
 
 from oracles import naive_poincare_constant, naive_wreath_table
 
@@ -82,6 +90,46 @@ def test_wreath_table_cap():
     big = WreathGroup(Q=cyclic_group(9), B=cyclic_group(9), proj=tuple(range(9)))
     with pytest.raises(CapExceededError, match="cap"):
         wreath_indexed_group(big)
+
+
+def s3_sign():
+    """The sign of each element of symmetric_group(3), in its order."""
+    perms = sorted(itertools.permutations(range(3)))
+    return tuple(
+        sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)) % 2 for p in perms
+    )
+
+
+@pytest.mark.parametrize(
+    "W",
+    [
+        # a non-injective proj: S3 onto Z/2 by the sign
+        WreathGroup(Q=cyclic_group(2), B=symmetric_group(3), proj=s3_sign()),
+        # non-abelian Q: a right shift in place of the left one fails here
+        WreathGroup(Q=symmetric_group(3), B=symmetric_group(3), proj=tuple(range(6))),
+        WreathGroup(Q=cyclic_group(2), B=cyclic_group(4), proj=(0, 1, 0, 1)),
+    ],
+    ids=["s3_sign", "s3_wr_s3", "z4_to_z2"],
+)
+def test_wreath_table_matches_naive_law(W):
+    table, elems = wreath_indexed_group(W)
+    n_elems, _, n_mul = naive_wreath_table(W)
+    assert elems == tuple(n_elems)
+    assert table.mul_table.tolist() == n_mul
+    assert list(table.element_names) == [
+        "{" + ",".join(map(str, sorted(x.config))) + "}|" + W.B.name(x.b) for x in n_elems
+    ]
+
+
+def test_wreath_table_at_the_cap_matches_wreath_mul():
+    W = w_instance(8)
+    table, elems = wreath_indexed_group(W)
+    assert table.order == POINCARE_ORDER_CAP
+    index = {x: i for i, x in enumerate(elems)}
+    rng = random.Random(2048)
+    for _ in range(2000):
+        i, j = rng.randrange(table.order), rng.randrange(table.order)
+        assert table.mul(i, j) == index[wreath_mul(W, elems[i], elems[j])]
 
 
 # -- function and kernel containers ------------------------------------------
