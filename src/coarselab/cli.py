@@ -257,7 +257,6 @@ def _cmd_wallmetric(args):
     g = _single_graph(args)
     cm = homology_cover(g)
     walls = walls_from_cover(cm)
-    validate_walls(cm.cover, walls)
     d_wall = wall_pseudometric(cm.cover, walls)
     d_graph = distance_matrix(cm.cover)
     if np.any(d_wall > d_graph + 1e-9):

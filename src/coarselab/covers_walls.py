@@ -13,9 +13,8 @@ a pseudo-metric with an exact half-integer embedding into l2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -427,27 +426,3 @@ def wall_hilbert_embedding(g: LabeledGraph, w: WallDecomposition, basepoint: int
     sides = w.side_matrix()
     rel = sides != sides[:, basepoint][:, None]
     return np.where(rel, 0.5, -0.5).T.astype(np.float64)
-
-
-def label_automorphism(g: LabeledGraph, src: int, dst: int) -> Optional[tuple[int, ...]]:
-    """The unique label-respecting automorphism sending src to dst, if any.
-
-    Requires a deterministic labeling: at every vertex the outgoing
-    dart labels are pairwise distinct and not None.  Returns None when
-    the partial map cannot be extended to an automorphism.
-    """
-    if not g.is_connected:
-        raise DisconnectedGraphError("automorphism propagation needs a connected graph")
-    star: list[dict[str, int]] = []
-    for u in range(g.vertex_count):
-        table = {}
-        for d in g.out_darts(u):
-            lab = g.dart_label(d)
-            if lab is None or lab in table:
-                raise InvalidInputError("graph is not deterministically labeled")
-            table[lab] = g.dart_target(d)
-        star.append(table)
-    img = propagate(g, src, dst, lambda d, x: star[x].get(g.dart_label(d)))
-    if img is None or sorted(img.values()) != list(range(g.vertex_count)):
-        return None
-    return tuple(img[v] for v in range(g.vertex_count))

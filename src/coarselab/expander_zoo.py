@@ -162,6 +162,16 @@ class FiniteGroupTable:
         return f"FiniteGroupTable(order={self.order}, generators={len(self.generators)})"
 
 
+def homomorphism_defect(
+    f: Sequence[int] | np.ndarray, source: FiniteGroupTable, target: FiniteGroupTable
+) -> Optional[tuple[int, int]]:
+    """The first (a, b) in row-major order with f(ab) != f(a) f(b), or
+    None when ``f`` (source element -> target element) is a homomorphism."""
+    f = np.asarray(f, dtype=np.int64)
+    bad = np.flatnonzero(f[source.mul_table] != target.mul_table[f[:, None], f[None, :]])
+    return None if bad.size == 0 else divmod(int(bad[0]), source.order)
+
+
 # -- small group constructors ---------------------------------------------
 
 
@@ -204,43 +214,6 @@ def symmetric_group(n: int, generators: Optional[Sequence[tuple[int, ...]]] = No
         gen_idx.append(index[inverse])
     names = ["".join(map(str, p)) for p in elements]
     return FiniteGroupTable(mul, dict.fromkeys(gen_idx), names)
-
-
-def dihedral_group(n: int) -> FiniteGroupTable:
-    """Dihedral group of order 2n; element (i, f) is rotation^i * flip^f."""
-    if n < 1:
-        raise InvalidInputError("dihedral parameter must be >= 1")
-    order = 2 * n
-
-    def combine(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-        i, f = x
-        j, g = y
-        return ((i + (j if f == 0 else -j)) % n, f ^ g)
-
-    elements = [(i, f) for f in (0, 1) for i in range(n)]
-    index = {e: k for k, e in enumerate(elements)}
-    mul = [[index[combine(x, y)] for y in elements] for x in elements]
-    gens = [index[(1, 0)], index[((-1) % n, 0)], index[(0, 1)]]
-    names = [f"r{i}" if f == 0 else f"r{i}s" for (i, f) in elements]
-    return FiniteGroupTable(mul, dict.fromkeys(gens), names)
-
-
-def direct_product(a: FiniteGroupTable, b: FiniteGroupTable) -> FiniteGroupTable:
-    """Componentwise product; generators are gens(a) x {e} union {e} x gens(b)."""
-    na, nb = a.order, b.order
-
-    def pack(x: int, y: int) -> int:
-        return x * nb + y
-
-    mul = np.zeros((na * nb, na * nb), dtype=np.int64)
-    for xa in range(na):
-        for ya in range(nb):
-            row = pack(xa, ya)
-            mul[row] = (a.mul_table[xa][:, None] * nb + b.mul_table[ya][None, :]).reshape(-1)
-    gens = [pack(s, b.identity) for s in a.generators]
-    gens += [pack(a.identity, s) for s in b.generators]
-    names = [f"({a.name(x)},{b.name(y)})" for x in range(na) for y in range(nb)]
-    return FiniteGroupTable(mul, gens, names)
 
 
 # -- Cayley graphs ---------------------------------------------------------
@@ -512,8 +485,7 @@ def lps_graph(p: int, q: int, allow_large: bool = False) -> tuple[LabeledGraph, 
         )
     if len(set(gen_indices)) != p + 1:
         raise InvalidInputError("generator quadruples collapsed in PGL2(q)")
-    names = [f"[[{a},{b}],[{c},{d}]]" for (a, b, c, d) in pgl.elements]
-    group = FiniteGroupTable(pgl.mul_table(), gen_indices, names)
+    group = pgl2_table(q, gen_indices)
     graph = cayley_graph(group)
     graph.annotations["construction"] = f"lps p={p} q={q}"
     graph.annotations["legendre"] = params.legendre

@@ -14,7 +14,7 @@ into downstream certificates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -280,24 +280,6 @@ class GraphFamily:
 
     def __len__(self) -> int:
         return len(self.components)
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(g.vertex_count for g in self.components)
-
-    def metadata(self) -> tuple[dict, ...]:
-        """Recomputed per-component summary; never cached, so it cannot drift."""
-        out = []
-        for g in self.components:
-            out.append(
-                {
-                    "vertices": g.vertex_count,
-                    "edges": g.edge_count,
-                    "max_degree": g.max_degree(),
-                    "girth": girth(g),
-                    "diameter": diameter(g),
-                }
-            )
-        return tuple(out)
 
 
 def split_components(g: LabeledGraph) -> GraphFamily:
@@ -683,141 +665,3 @@ def laplacian_lambda2(g: LabeledGraph, dense_cap: int = DENSE_SPECTRUM_CAP, seed
     vals, vecs = scipy.sparse.linalg.eigsh(lap, k=2, which="SA", v0=rng.standard_normal(n))
     _verify_eigenpairs(lap, vals, vecs)
     return float(sorted(vals)[1])
-
-
-def cheeger_bounds(g: LabeledGraph) -> tuple[float, float]:
-    """Spectral sandwich gap/2 <= h <= sqrt(2 * max_degree * gap)."""
-    gap = laplacian_lambda2(g)
-    gap = max(gap, 0.0)
-    return gap / 2.0, math.sqrt(2.0 * g.max_degree() * gap)
-
-
-# -- expander certification ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComponentCheck:
-    vertices: int
-    max_degree: int
-    cheeger_value: float
-    exact: bool
-
-
-@dataclass(frozen=True)
-class ExpanderReport:
-    """Outcome of certifying a family as a c-expander sequence."""
-
-    passed: bool
-    constant: float
-    degree_bound: int
-    sizes: tuple[int, ...]
-    checks: tuple[ComponentCheck, ...]
-    failures: tuple[str, ...] = field(default_factory=tuple)
-
-
-def expander_certify(
-    family: GraphFamily,
-    constant: float,
-    cheeger_cap: int = CHEEGER_ENUM_CAP,
-    allow_spectral: bool = True,
-) -> ExpanderReport:
-    """Certify ``family`` as an expander sequence with Cheeger constant >= ``constant``.
-
-    Checks three things: vertex counts strictly increase along the
-    family, degrees are uniformly bounded (the bound is reported), and
-    each component has Cheeger constant at least ``constant``.  Small
-    components are checked exactly; larger ones fall back to the
-    spectral lower bound gap/2 when ``allow_spectral`` is set, else the
-    call raises :class:`CapExceededError`.
-
-    A failed certificate is a normal return with ``passed=False`` and
-    human-readable reasons; only out-of-contract inputs raise.
-    """
-    if constant <= 0:
-        raise InvalidInputError("expander constant must be positive")
-    failures: list[str] = []
-    sizes = family.sizes()
-    for i in range(1, len(sizes)):
-        if sizes[i] <= sizes[i - 1]:
-            failures.append(f"sizes do not strictly increase at position {i}: {sizes[i - 1]} -> {sizes[i]}")
-    checks = []
-    degree_bound = 0
-    for i, g in enumerate(family.components):
-        degree_bound = max(degree_bound, g.max_degree())
-        if g.vertex_count <= cheeger_cap:
-            res = cheeger_exact(g, cap=cheeger_cap)
-            h = float(res.value)
-            exact = True
-        elif allow_spectral:
-            h = cheeger_bounds(g)[0]
-            exact = False
-        else:
-            raise CapExceededError(
-                f"component {i} has {g.vertex_count} vertices, above the exact cap {cheeger_cap}"
-            )
-        checks.append(ComponentCheck(g.vertex_count, g.max_degree(), h, exact))
-        if h < constant:
-            kind = "exact value" if exact else "spectral lower bound"
-            failures.append(f"component {i}: {kind} {h:.6g} < required {constant:.6g}")
-    return ExpanderReport(
-        passed=not failures,
-        constant=constant,
-        degree_bound=degree_bound,
-        sizes=sizes,
-        checks=tuple(checks),
-        failures=tuple(failures),
-    )
-
-
-# -- combined report -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    """One-stop invariant bundle for a single connected graph.
-
-    ``cheeger_value``/``witness_subset`` are None above the enumeration
-    cap; then only ``cheeger_lower``/``cheeger_upper`` (spectral) apply.
-    ``dg_ratio`` is None for acyclic graphs.
-    """
-
-    vertices: int
-    edges: int
-    eigenvalues: tuple[float, ...]
-    cheeger_value: Optional[Fraction]
-    witness_subset: Optional[tuple[int, ...]]
-    dg_ratio: Optional[float]
-    degree_bounds: tuple[int, int]
-    girth: object
-    diameter: int
-    cheeger_lower: float
-    cheeger_upper: float
-    spectrum_complete: bool
-
-
-def spectral_report(g: LabeledGraph, cheeger_cap: int = CHEEGER_ENUM_CAP) -> SpectralReport:
-    """Compute the standard invariant bundle for a connected graph."""
-    if not g.is_connected:
-        raise DisconnectedGraphError("spectral report requires a connected graph")
-    cheeger = None
-    if 2 <= g.vertex_count <= cheeger_cap:
-        cheeger = cheeger_exact(g, cap=cheeger_cap)
-    lower, upper = cheeger_bounds(g) if g.vertex_count >= 2 else (0.0, 0.0)
-    gr = girth(g)
-    dia = diameter(g)
-    degs = [g.degree(v) for v in range(g.vertex_count)]
-    spectrum = adjacency_spectrum(g)
-    return SpectralReport(
-        vertices=g.vertex_count,
-        edges=g.edge_count,
-        eigenvalues=spectrum.eigenvalues,
-        cheeger_value=cheeger.value if cheeger else None,
-        witness_subset=cheeger.witness if cheeger else None,
-        dg_ratio=None if gr is math.inf else dia / gr,
-        degree_bounds=(min(degs), max(degs)),
-        girth=gr,
-        diameter=dia,
-        cheeger_lower=lower,
-        cheeger_upper=upper,
-        spectrum_complete=spectrum.complete,
-    )

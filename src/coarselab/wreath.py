@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapExceededError, InvalidInputError, VerificationError
-from .expander_zoo import FiniteGroupTable
+from .expander_zoo import FiniteGroupTable, homomorphism_defect
 from .graph_core import LabeledGraph, build_graph
 
 #: largest full Cayley graph wreath_cayley will materialize
@@ -53,12 +53,9 @@ class WreathGroup:
         for q in self.proj:
             if not (0 <= q < self.Q.order):
                 raise InvalidInputError(f"proj value {q} outside Q")
-        for a in range(self.B.order):
-            for b in range(self.B.order):
-                if self.proj[self.B.mul(a, b)] != self.Q.mul(self.proj[a], self.proj[b]):
-                    raise InvalidInputError(
-                        f"proj is not a homomorphism at ({a}, {b})"
-                    )
+        defect = homomorphism_defect(self.proj, self.B, self.Q)
+        if defect is not None:
+            raise InvalidInputError(f"proj is not a homomorphism at {defect}")
         if len(set(self.proj)) != self.Q.order:
             raise InvalidInputError("proj is not surjective onto Q")
         if not self.B.generators:
@@ -294,10 +291,8 @@ def subwreath_embed(
     for v in incl.values():
         if not (0 <= v < K.order):
             raise InvalidInputError(f"inclusion value {v} outside K")
-    for a in range(L.order):
-        for b in range(L.order):
-            if incl[L.mul(a, b)] != K.mul(incl[a], incl[b]):
-                raise InvalidInputError("vertex inclusion is not a homomorphism")
+    if homomorphism_defect([incl[l] for l in range(L.order)], L, K) is not None:
+        raise InvalidInputError("vertex inclusion is not a homomorphism")
     big_gens = set(K.generators)
     for u in L.generators:
         if incl[u] not in big_gens:

@@ -1,0 +1,55 @@
+"""The benchmark's span wrappers (perfbench/spans.py) name coarselab
+functions by module and function name; these checks fail as soon as a
+rename or removal in src/ would break them, without running a workload."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_every_wrapped_layer_resolves(spans):
+    for module_name, functions in spans.LAYERS.items():
+        module = importlib.import_module(f"coarselab.{module_name}")
+        for fn_name in functions:
+            assert callable(getattr(module, fn_name, None)), f"coarselab.{module_name}.{fn_name}"
+
+
+def test_labelings_calls_the_wrapped_girth():
+    # girth spans on labeling workloads come from this from-import
+    import coarselab.graph_core
+    import coarselab.labelings
+
+    assert coarselab.labelings.girth is coarselab.graph_core.girth
+
+
+def test_install_wraps_each_layer_and_restore_undoes_it(spans):
+    homes = {
+        (m, f): getattr(importlib.import_module(f"coarselab.{m}"), f)
+        for m, functions in spans.LAYERS.items()
+        for f in functions
+    }
+    restore = spans.install(spans.Recorder("guard"))
+    try:
+        for (m, f), original in homes.items():
+            assert getattr(importlib.import_module(f"coarselab.{m}"), f) is not original
+    finally:
+        restore()
+    for (m, f), original in homes.items():
+        assert getattr(importlib.import_module(f"coarselab.{m}"), f) is original

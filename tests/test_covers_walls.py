@@ -11,7 +11,6 @@ from coarselab.covers_walls import (
     homology_cover,
     is_two_connected,
     iterate_homology_cover,
-    label_automorphism,
     validate_walls,
     verify_covering,
     wall_hilbert_embedding,
@@ -26,6 +25,7 @@ from coarselab.errors import (
 )
 from coarselab.expander_zoo import cayley_graph, cyclic_group
 from coarselab.graph_core import build_graph, distance_matrix, girth
+from coarselab.labelings import _out_maps, _pointed_spread
 
 from oracles import naive_girth
 
@@ -157,8 +157,9 @@ class TestIteratedCover:
     def test_cayley_base_cover_stays_vertex_transitive(self):
         base = cayley_graph(cyclic_group(6))
         cm = iterate_homology_cover(base, 1)
+        maps = _out_maps(cm.cover)
         for t in range(cm.cover.vertex_count):
-            assert label_automorphism(cm.cover, 0, t) is not None
+            assert _pointed_spread(cm.cover, maps, 0, cm.cover, maps, t) is not None
 
     def test_composition_maps_chain(self):
         first = homology_cover(triangle())

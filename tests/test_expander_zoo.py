@@ -10,8 +10,7 @@ from coarselab.expander_zoo import (
     LpsParams,
     cayley_graph,
     cyclic_group,
-    dihedral_group,
-    direct_product,
+    homomorphism_defect,
     is_bipartite,
     is_prime,
     legendre_symbol,
@@ -22,7 +21,7 @@ from coarselab.expander_zoo import (
     symmetric_group,
     verify_lps,
 )
-from coarselab.graph_core import adjacency_spectrum, build_graph, diameter, girth
+from coarselab.graph_core import adjacency_spectrum, build_graph, girth
 
 
 @pytest.fixture(scope="module")
@@ -74,17 +73,11 @@ class TestFiniteGroupTable:
         # adjacent transpositions generate
         assert len(s4.generators) == 3
 
-    def test_dihedral(self):
-        d4 = dihedral_group(4)
-        assert d4.order == 8
-        g = cayley_graph(d4)
-        assert g.is_regular() and g.degree(0) == 3
-
-    def test_direct_product_klein_four(self):
-        k4 = direct_product(cyclic_group(2), cyclic_group(2))
-        assert k4.order == 4
-        for x in range(4):
-            assert k4.inverse(x) == x
+    def test_homomorphism_defect_is_first_failing_pair(self):
+        z4, z2 = cyclic_group(4), cyclic_group(2)
+        assert homomorphism_defect((0, 1, 0, 1), z4, z2) is None
+        assert homomorphism_defect((0, 1, 0, 0), z4, z2) == (1, 2)
+        assert homomorphism_defect((0, 0, 0, 0), z4, z2) is None
 
 
 class TestCayleyGraph:
@@ -94,6 +87,11 @@ class TestCayleyGraph:
         assert girth(g) == 4
         vals = adjacency_spectrum(g).eigenvalues
         assert np.allclose(vals, [2, 0, 0, -2], atol=1e-9)
+
+    def test_involution_and_inverse_pair_give_three_regular(self):
+        g = cayley_graph(cyclic_group(6, generators=(1, 3)))
+        assert g.vertex_count == 6 and g.edge_count == 9
+        assert g.is_regular() and g.degree(0) == 3
 
     def test_z2_involutive_generator_single_edge(self):
         g = cayley_graph(cyclic_group(2))

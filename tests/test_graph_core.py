@@ -17,16 +17,13 @@ from coarselab.graph_core import (
     bfs_distances,
     boundary_size,
     build_graph,
-    cheeger_bounds,
     cheeger_exact,
     dg_ratio,
     diameter,
     distance_matrix,
-    expander_certify,
     girth,
     inverse_label,
     laplacian_lambda2,
-    spectral_report,
     split_components,
 )
 
@@ -165,6 +162,7 @@ class TestCheeger:
         rk4 = cheeger_exact(complete(4))
         assert rk4.value == 2
         assert len(rk4.witness) == 2
+        assert cheeger_exact(cycle(16)).value == Fraction(1, 4)
 
     def test_witness_attains_value(self):
         rng = random.Random(5)
@@ -233,12 +231,15 @@ class TestSpectra:
         for _ in range(40):
             n = rng.randrange(2, 11)
             g = random_connected_graph(rng, n, rng.randrange(0, 10))
-            lower, upper = cheeger_bounds(g)
+            # gap/2 <= h <= sqrt(2 * max_degree * gap)
+            gap = max(laplacian_lambda2(g), 0.0)
+            lower, upper = gap / 2.0, math.sqrt(2.0 * g.max_degree() * gap)
             h = float(cheeger_exact(g).value)
             assert lower - 1e-9 <= h <= upper + 1e-9
 
     def test_lambda2_positive_iff_connected(self):
         assert laplacian_lambda2(cycle(5)) > 1e-9
+        assert laplacian_lambda2(complete(30)) == pytest.approx(30.0)
         with pytest.raises(DisconnectedGraphError):
             laplacian_lambda2(build_graph(3, [(0, 1)]))
 
@@ -247,7 +248,7 @@ class TestFamilies:
     def test_split_components(self):
         g = build_graph(5, [(0, 1), (3, 4), (1, 2)])
         fam = split_components(g)
-        assert fam.sizes() == (3, 2)
+        assert tuple(c.vertex_count for c in fam.components) == (3, 2)
         assert fam.origin_vertices == ((0, 1, 2), (3, 4))
 
     def test_family_rejects_disconnected_component(self):
@@ -256,6 +257,7 @@ class TestFamilies:
 
     def test_dg_ratio_examples(self):
         assert dg_ratio(GraphFamily((cycle(6),))).ratios == (0.5,)
+        assert dg_ratio(GraphFamily((cycle(4),))).ratios == (0.5,)
         rep = dg_ratio(GraphFamily((complete(4), cycle(6))))
         assert rep.ratios == pytest.approx((1 / 3, 0.5))
         assert rep.maximum == 0.5
@@ -263,52 +265,3 @@ class TestFamilies:
     def test_dg_ratio_rejects_acyclic(self):
         with pytest.raises(InvalidInputError):
             dg_ratio(GraphFamily((path(4),)))
-
-    def test_metadata_matches_direct_invariants(self):
-        fam = GraphFamily((cycle(6), complete(4)))
-        meta = fam.metadata()
-        assert meta[0]["girth"] == 6 and meta[0]["diameter"] == 3
-        assert meta[1]["girth"] == 3 and meta[1]["diameter"] == 1
-
-
-class TestExpanderCertify:
-    def test_growing_cycles_fail_cheeger(self):
-        fam = GraphFamily((cycle(4), cycle(8), cycle(16)))
-        rep = expander_certify(fam, 0.3)
-        assert not rep.passed
-        assert any("component 2" in f for f in rep.failures)
-        # h(C16) = 2/8
-        assert rep.checks[2].cheeger_value == pytest.approx(0.25)
-
-    def test_single_k4_passes(self):
-        rep = expander_certify(GraphFamily((complete(4),)), 1.0)
-        assert rep.passed
-        assert rep.degree_bound == 3
-
-    def test_repeated_size_fails(self):
-        rep = expander_certify(GraphFamily((cycle(6), cycle(6))), 0.01)
-        assert not rep.passed
-        assert any("strictly increase" in f for f in rep.failures)
-
-    def test_spectral_fallback_above_cap(self):
-        fam = GraphFamily((complete(4), complete(30)))
-        rep = expander_certify(fam, 0.5, cheeger_cap=20)
-        assert rep.passed
-        assert rep.checks[0].exact and not rep.checks[1].exact
-        with pytest.raises(CapExceededError):
-            expander_certify(fam, 0.5, cheeger_cap=20, allow_spectral=False)
-
-
-class TestSpectralReport:
-    def test_report_fields(self):
-        rep = spectral_report(cycle(4))
-        assert rep.cheeger_value == 1
-        assert rep.witness_subset == (0, 1)
-        assert rep.degree_bounds == (2, 2)
-        assert rep.dg_ratio == 0.5
-        assert rep.eigenvalues == pytest.approx((2.0, 0.0, 0.0, -2.0), abs=1e-9)
-
-    def test_tree_report_has_no_ratio(self):
-        rep = spectral_report(path(3))
-        assert rep.dg_ratio is None
-        assert rep.girth is math.inf

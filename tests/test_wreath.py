@@ -54,7 +54,7 @@ def test_generators_symmetric():
 
 
 def test_proj_must_be_homomorphism():
-    with pytest.raises(InvalidInputError, match="homomorphism"):
+    with pytest.raises(InvalidInputError, match=r"proj is not a homomorphism at \(1, 2\)"):
         WreathGroup(Q=cyclic_group(2), B=cyclic_group(4), proj=(0, 1, 0, 0))
 
 
