@@ -21,10 +21,11 @@ from .errors import CapExceededError, InvalidInputError
 from .graph_core import (
     LabeledGraph,
     adjacency_spectrum,
-    bfs_tree,
     build_graph,
+    dart_endpoints,
     diameter,
     girth,
+    two_coloring,
 )
 
 #: PGL2(q) has q(q^2 - 1) elements; q above this needs an explicit override.
@@ -44,7 +45,8 @@ class FiniteGroupTable:
     element_names : optional list of display strings
 
     The constructor locates the identity, derives inverses, and checks
-    group axioms: full associativity when order <= 256, else 1000
+    group axioms: associativity by Light's test on the generators (on
+    every element when there are none) when order <= 256, else on 1000
     seeded random triples.
     """
 
@@ -85,8 +87,6 @@ class FiniteGroupTable:
             inv[x] = hits[0]
         self.inv = inv
 
-        self._check_associativity()
-
         gens = tuple(dict.fromkeys(int(s) for s in generators))
         for s in gens:
             if not (0 <= s < n):
@@ -96,6 +96,7 @@ class FiniteGroupTable:
             if int(inv[s]) not in gens:
                 raise InvalidInputError(f"generator set not closed under inverse (element {s})")
         self.generators = gens
+        self._check_associativity()
         if element_names is not None:
             if len(element_names) != n:
                 raise InvalidInputError("element_names length mismatch")
@@ -116,11 +117,11 @@ class FiniteGroupTable:
         table = self.mul_table
         n = self.order
         if n <= 256:
-            rows = np.arange(n)
-            for c in range(n):
-                lhs = table[table, c]
-                rhs = table[rows[:, None], table[:, c][None, :]]
-                if not np.array_equal(lhs, rhs):
+            # Light's test: the elements s with (xs)y = x(sy) for all x, y
+            # are closed under products, so checking a generating set (the
+            # constructor then checks that it generates) proves the rest
+            for s in self.generators or range(n):
+                if not np.array_equal(table[table[:, s]], table[:, table[s]]):
                     raise InvalidInputError("multiplication table is not associative")
         else:
             rng = random.Random(12345)
@@ -288,14 +289,25 @@ def cayley_graph(
 
 
 def is_bipartite(g: LabeledGraph) -> bool:
-    """Two-colorability: color each breadth-first tree by depth parity,
-    then no edge may join two vertices of the same color."""
-    color = [-1] * g.vertex_count
-    for s in range(g.vertex_count):
-        if color[s] < 0:
-            for v, d in bfs_tree(g, s).items():
-                color[v] = 0 if d < 0 else color[g.dart_source(d)] ^ 1
-    return all(color[u] != color[v] for u, v, _ in g.edges())
+    """Two-colorability (see :func:`graph_core.two_coloring`)."""
+    return two_coloring(g) is not None
+
+
+def _is_cayley_graph_of(g: LabeledGraph, group: FiniteGroupTable) -> bool:
+    """True when the darts out of every vertex x lead exactly to the
+    products x s, s over the group's generators, counted with
+    multiplicity.  Then every left translation x -> hx is an
+    automorphism of ``g``, so ``g`` is vertex-transitive."""
+    gens = np.asarray(group.generators, dtype=np.int64)
+    n = group.order
+    if g.vertex_count != n or g.dart_count != n * gens.size:
+        return False
+    src, dst = dart_endpoints(g)
+    by_source = np.lexsort((dst, src))
+    if not np.array_equal(src[by_source], np.repeat(np.arange(n), gens.size)):
+        return False
+    want = np.sort(group.mul_table[:, gens], axis=1).reshape(-1)
+    return bool(np.array_equal(dst[by_source], want))
 
 
 # -- LPS graphs ------------------------------------------------------------
@@ -510,14 +522,24 @@ class LpsReport:
     bottom_eigenvalue: float
     max_interior_abs: float
     ramanujan_bound: float
+    spectrum_complete: bool
     passed: bool
     failures: tuple[str, ...]
 
 
-def verify_lps(g: LabeledGraph, params: LpsParams) -> LpsReport:
+def verify_lps(g: LabeledGraph, params: LpsParams, group: FiniteGroupTable) -> LpsReport:
     """Check regularity, order, connectivity, girth bound, bipartiteness,
     and the Ramanujan eigenvalue window |lambda| <= 2 sqrt(p) for all
-    eigenvalues other than +-(p + 1)."""
+    eigenvalues other than +-(p + 1).
+
+    ``group`` is the table ``lps_graph`` returned with ``g``.  When ``g``
+    is its Cayley graph, left translations make it vertex-transitive,
+    so girth and diameter are read from breadth-first searches out of
+    the identity alone; otherwise that is a failure and both are
+    computed from every vertex.  Above the dense spectrum cap the
+    eigenvalue window comes from residual-checked Lanczos extremes and
+    ``spectrum_complete`` is False: the window is then not certified.
+    """
     p, q = params.p, params.q
     failures = []
     expect_n = q * (q * q - 1)
@@ -533,13 +555,17 @@ def verify_lps(g: LabeledGraph, params: LpsParams) -> LpsReport:
     bip = is_bipartite(g)
     if not bip:
         failures.append("Legendre -1 case must be bipartite")
+    # one breadth-first search from the identity sees what every vertex sees
+    sources = (group.identity,) if _is_cayley_graph_of(g, group) else None
+    if sources is None:
+        failures.append("not the Cayley graph of its table")
 
-    gr = girth(g)
+    gr = girth(g, sources)
     bound = 4 * math.log(q, p) - math.log(4, p)
     if not gr >= bound:
         failures.append(f"girth {gr} below bound {bound:.4f}")
 
-    dia = diameter(g) if connected else -1
+    dia = diameter(g, sources) if connected else -1
     spectrum = adjacency_spectrum(g)
     vals = np.array(spectrum.eigenvalues)
     top = float(vals[0])
@@ -569,6 +595,7 @@ def verify_lps(g: LabeledGraph, params: LpsParams) -> LpsReport:
         bottom_eigenvalue=bottom,
         max_interior_abs=max_interior,
         ramanujan_bound=ram,
+        spectrum_complete=spectrum.complete,
         passed=not failures,
         failures=tuple(failures),
     )

@@ -385,10 +385,29 @@ def bfs_distances(g: LabeledGraph, source: int) -> list[int]:
     return dist
 
 
+def dart_endpoints(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Source and target of every dart, as int64 arrays indexed by dart."""
+    src = np.fromiter(g._src, dtype=np.int64, count=g.dart_count)
+    dst = np.fromiter(g._dst, dtype=np.int64, count=g.dart_count)
+    return src, dst
+
+
+def two_coloring(g: LabeledGraph) -> Optional[np.ndarray]:
+    """A proper 2-coloring (0/1 per vertex), or None when the graph is
+    not bipartite.  Each breadth-first tree is colored by depth parity,
+    its root 0; then no dart may join two vertices of one color."""
+    color = np.full(g.vertex_count, -1, dtype=np.int8)
+    for s in range(g.vertex_count):
+        if color[s] < 0:
+            for v, d in bfs_tree(g, s).items():
+                color[v] = 0 if d < 0 else color[g._src[d]] ^ 1
+    src, dst = dart_endpoints(g)
+    return None if np.any(color[src] == color[dst]) else color
+
+
 def _adjacency_csr(g: LabeledGraph) -> scipy.sparse.csr_matrix:
     n = g.vertex_count
-    rows = np.fromiter(g._src, dtype=np.int64, count=g.dart_count)
-    cols = np.fromiter(g._dst, dtype=np.int64, count=g.dart_count)
+    rows, cols = dart_endpoints(g)
     data = np.ones(g.dart_count, dtype=np.float64)
     # each undirected edge appears as both darts; summing duplicates keeps
     # multiplicities, and a loop contributes 2 on the diagonal
@@ -396,31 +415,42 @@ def _adjacency_csr(g: LabeledGraph) -> scipy.sparse.csr_matrix:
     return mat.tocsr()
 
 
-def distance_matrix(g: LabeledGraph) -> np.ndarray:
-    """All-pairs unweighted distances; ``inf`` between components."""
+def distance_matrix(g: LabeledGraph, sources: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Unweighted distances from each of ``sources`` (default: every
+    vertex, in order) to every vertex; ``inf`` between components."""
     adj = _adjacency_csr(g)
-    dist = scipy.sparse.csgraph.shortest_path(adj, method="D", unweighted=True, directed=False)
+    dist = scipy.sparse.csgraph.shortest_path(
+        adj, method="D", unweighted=True, directed=False, indices=sources
+    )
     return dist
 
 
-def diameter(g: LabeledGraph) -> int:
-    """Largest pairwise distance; requires a connected graph."""
+def diameter(g: LabeledGraph, sources: Optional[Sequence[int]] = None) -> int:
+    """Largest distance from a vertex of ``sources`` (default: every
+    vertex, which gives the diameter); requires a connected graph.
+
+    On a vertex-transitive graph one source already gives the diameter.
+    """
     if not g.is_connected:
         raise DisconnectedGraphError("diameter requires a connected graph")
-    if g.vertex_count <= 4096:
-        return int(distance_matrix(g).max())
+    if sources is not None or g.vertex_count <= 4096:
+        return int(distance_matrix(g, sources).max())
     worst = 0
     for s in range(g.vertex_count):
         worst = max(worst, max(bfs_distances(g, s)))
     return worst
 
 
-def girth(g: LabeledGraph):
+def girth(g: LabeledGraph, sources: Optional[Sequence[int]] = None):
     """Length of a shortest cycle; ``math.inf`` for forests.
 
     Loops count as 1-cycles and a parallel pair as a 2-cycle.  Uses a
-    truncated breadth-first search from every vertex; a search stops
-    expanding once it can no longer beat the best cycle found so far.
+    truncated breadth-first search from every vertex of ``sources``
+    (default: every vertex); a search stops expanding once it can no
+    longer beat the best cycle found so far.  A search from a vertex of
+    a shortest cycle finds that cycle, so on a vertex-transitive graph
+    one source is exact; in general a subset of sources gives an upper
+    bound.
     """
     for d in range(0, g.dart_count, 2):
         if g.dart_source(d) == g.dart_target(d):
@@ -436,7 +466,7 @@ def girth(g: LabeledGraph):
     n = g.vertex_count
     dist = [-1] * n
     entry = [-1] * n
-    for s in range(n):
+    for s in range(n) if sources is None else sources:
         if best == 3:
             break
         touched = [s]
@@ -569,10 +599,12 @@ def cheeger_exact(g: LabeledGraph, cap: int = CHEEGER_ENUM_CAP) -> CheegerResult
 
 @dataclass(frozen=True)
 class SpectrumSummary:
-    """Eigenvalues in descending order, with residual bookkeeping.
+    """Eigenvalues in descending order, with multiplicity, and residual
+    bookkeeping.
 
     ``complete`` is False when only the extreme eigenvalues were
-    computed (iterative route for large graphs).
+    computed (iterative route for large graphs): their eigenpairs are
+    residual-checked, but nothing proves they are the true extremes.
     """
 
     eigenvalues: tuple[float, ...]
@@ -581,13 +613,9 @@ class SpectrumSummary:
     residual: float
 
 
-def adjacency_matrix(g: LabeledGraph) -> np.ndarray:
-    """Dense adjacency matrix with multiplicities; loops add 2 on the diagonal."""
-    return _adjacency_csr(g).toarray()
-
-
 def _verify_eigenpairs(op, eigvals: np.ndarray, eigvecs: np.ndarray, tol: float = 1e-8) -> float:
-    """Residual max_i ||A v_i - lambda_i v_i|| over unit eigenvectors."""
+    """Residual max_i ||A v_i - lambda_i v_i|| / ||v_i||; ``op`` is the
+    sparse operator, so the check costs one sparse product per vector."""
     av = op @ eigvecs
     resid = av - eigvecs * eigvals[np.newaxis, :]
     norms = np.linalg.norm(resid, axis=0) / np.maximum(np.linalg.norm(eigvecs, axis=0), 1e-300)
@@ -595,6 +623,30 @@ def _verify_eigenpairs(op, eigvals: np.ndarray, eigvecs: np.ndarray, tol: float 
     if worst > tol:
         raise VerificationError(f"eigenpair residual {worst:.3e} exceeds {tol:.1e}")
     return worst
+
+
+def _bipartite_eigenpairs(adj: np.ndarray, color: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues and eigenvectors of a bipartite adjacency
+    matrix, from the SVD of its biadjacency block B = A[L][:, R].
+
+    Each singular triple (sigma, u, v) gives the eigenvalues +-sigma with
+    eigenvectors (u, +-v)/sqrt(2) on (L, R); the singular vectors beyond
+    min(|L|, |R|) of the larger part are eigenvectors for 0.
+    """
+    left = np.flatnonzero(color == 0)
+    right = np.flatnonzero(color == 1)
+    u, sigma, vh = scipy.linalg.svd(adj[np.ix_(left, right)])
+    n, a, k = adj.shape[0], left.size, sigma.size
+    half = math.sqrt(0.5)
+    vecs = np.zeros((n, n))
+    vecs[left, :k] = u[:, :k] * half
+    vecs[right, :k] = vh[:k].T * half
+    vecs[left, k:a] = u[:, k:]
+    vecs[right, a : n - k] = vh[k:].T
+    vecs[left, n - k :] = u[:, :k][:, ::-1] * half
+    vecs[right, n - k :] = vh[:k][::-1].T * -half
+    vals = np.concatenate([sigma, np.zeros(n - 2 * k), -sigma[::-1]])
+    return vals, vecs
 
 
 def _extreme_eigs(mat: scipy.sparse.csr_matrix, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -616,36 +668,37 @@ def adjacency_spectrum(
     extremes: int = 6,
     seed: int = 0,
 ) -> SpectrumSummary:
-    """Adjacency eigenvalues, descending.
+    """Adjacency eigenvalues, descending, with multiplicity.
 
-    Up to ``dense_cap`` vertices the full symmetric eigensolve runs and
-    every eigenpair is residual-checked.  Above the cap only the
-    ``extremes`` largest and smallest eigenvalues are computed with a
-    Lanczos iteration seeded deterministically.
+    Up to ``dense_cap`` vertices the whole spectrum is computed: by the
+    SVD of the biadjacency block when the graph is bipartite, else by a
+    symmetric eigensolve; every eigenpair is residual-checked.  Above
+    the cap only the ``extremes`` largest and smallest eigenvalues (at
+    most half the vertices each, so the two never overlap) are computed
+    with a Lanczos iteration seeded deterministically.
     """
     n = g.vertex_count
+    adj = _adjacency_csr(g)
     if n <= dense_cap:
-        mat = adjacency_matrix(g)
-        vals, vecs = scipy.linalg.eigh(mat)
-        worst = _verify_eigenpairs(mat, vals, vecs)
-        return SpectrumSummary(
-            eigenvalues=tuple(float(x) for x in vals[::-1]),
-            complete=True,
-            matrix="adjacency",
-            residual=worst,
-        )
-    k = min(extremes, n - 1)
-    top, bot, worst = _extreme_eigs(_adjacency_csr(g), k, seed)
-    vals = sorted(set(float(x) for x in top) | set(float(x) for x in bot), reverse=True)
+        color = two_coloring(g)
+        if color is None:
+            vals, vecs = scipy.linalg.eigh(adj.toarray())
+            vals, vecs = vals[::-1], vecs[:, ::-1]
+        else:
+            vals, vecs = _bipartite_eigenpairs(adj.toarray(), color)
+        worst = _verify_eigenpairs(adj, vals, vecs)
+        complete = True
+    else:
+        top, bot, worst = _extreme_eigs(adj, min(extremes, n // 2), seed)
+        vals = np.sort(np.concatenate([top, bot]))[::-1]
+        complete = False
+    # adding +0.0 turns a -0.0 (the negated zero singular value) into 0.0
     return SpectrumSummary(
-        eigenvalues=tuple(vals), complete=False, matrix="adjacency", residual=worst
+        eigenvalues=tuple(float(x) for x in vals + 0.0),
+        complete=complete,
+        matrix="adjacency",
+        residual=worst,
     )
-
-
-def laplacian_matrix(g: LabeledGraph) -> np.ndarray:
-    adj = adjacency_matrix(g)
-    deg = np.array([g.degree(v) for v in range(g.vertex_count)], dtype=np.float64)
-    return np.diag(deg) - adj
 
 
 def laplacian_lambda2(g: LabeledGraph, dense_cap: int = DENSE_SPECTRUM_CAP, seed: int = 0) -> float:
@@ -655,12 +708,12 @@ def laplacian_lambda2(g: LabeledGraph, dense_cap: int = DENSE_SPECTRUM_CAP, seed
     n = g.vertex_count
     if n < 2:
         raise InvalidInputError("spectral gap needs at least two vertices")
+    # loops cancel out of D - A, and csgraph drops the diagonal
+    lap = scipy.sparse.csgraph.laplacian(_adjacency_csr(g)).tocsr()
     if n <= dense_cap:
-        lap = laplacian_matrix(g)
-        vals, vecs = scipy.linalg.eigh(lap)
+        vals, vecs = scipy.linalg.eigh(lap.toarray())
         _verify_eigenpairs(lap, vals, vecs)
         return float(vals[1])
-    lap = scipy.sparse.csgraph.laplacian(_adjacency_csr(g)).tocsr()
     rng = np.random.default_rng(seed)
     vals, vecs = scipy.sparse.linalg.eigsh(lap, k=2, which="SA", v0=rng.standard_normal(n))
     _verify_eigenpairs(lap, vals, vecs)

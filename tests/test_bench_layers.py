@@ -53,3 +53,27 @@ def test_install_wraps_each_layer_and_restore_undoes_it(spans):
         restore()
     for (m, f), original in homes.items():
         assert getattr(importlib.import_module(f"coarselab.{m}"), f) is original
+
+
+def test_expander_layers_fire_on_lps_then_spectrum(spans, tmp_path, capsys):
+    # the benchmark's self-test asks these metrics to fire on its
+    # expander_lamplighter workload; lps | spectrum on the 120-vertex
+    # instance reaches every one of them in well under a second
+    from coarselab import cli
+
+    rec = spans.Recorder("expander")
+    restore = spans.install(rec)
+    try:
+        lps = tmp_path / "lps.json"
+        assert cli.main(["lps", "--p", "13", "--q", "5", "--out", str(lps)]) == 0
+        assert cli.main(["spectrum", str(lps), "--out", str(tmp_path / "spectrum.json")]) == 0
+    finally:
+        restore()
+    fired = set(spans.layer_values(rec))
+    wanted = [
+        m.name
+        for m in spans.METRICS
+        if m.workload == "expander_lamplighter" and m.name.startswith(("graph_core.", "expander_zoo."))
+    ]
+    assert "graph_core.distance_matrix.calls" in wanted
+    assert [name for name in wanted if name not in fired] == []

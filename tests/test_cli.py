@@ -1,5 +1,6 @@
 """Tests for the command-line frontend: flags, exit codes, artifacts."""
 
+import functools
 import json
 import math
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import coarselab.cli as cli
+import coarselab.expander_zoo as expander_zoo
 from coarselab.covers_walls import homology_cover
 from coarselab.errors import CapExceededError, InvalidInputError, VerificationError
 from coarselab.expander_zoo import cayley_graph, cyclic_group
@@ -59,8 +61,19 @@ class TestGraphCommands:
         assert "vertices: 120" in out
         assert "regular degree: 14" in out
         assert "verification: passed" in out
+        assert "not certified" not in out
         g = parse_graph(out_path.read_text())
         assert g.vertex_count == 120
+
+    def test_lps_says_when_the_window_is_not_certified(self, capsys, monkeypatch):
+        # with the dense cap at 100 vertices the 120-vertex LPS(13, 5)
+        # takes the Lanczos route
+        lanczos = functools.partial(expander_zoo.adjacency_spectrum, dense_cap=100)
+        monkeypatch.setattr(expander_zoo, "adjacency_spectrum", lanczos)
+        code, out = run(capsys, ["lps", "--p", "13", "--q", "5"])
+        assert code == 0
+        assert "not certified" in out
+        assert "verification: passed" in out
 
     def test_girth_and_diameter(self, capsys, tmp_path):
         out_path = tmp_path / "girth.json"

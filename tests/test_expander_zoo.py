@@ -21,7 +21,7 @@ from coarselab.expander_zoo import (
     symmetric_group,
     verify_lps,
 )
-from coarselab.graph_core import adjacency_spectrum, build_graph, girth
+from coarselab.graph_core import adjacency_spectrum, build_graph, diameter, girth, two_coloring
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +48,42 @@ class TestFiniteGroupTable:
         bad = [[(a - b) % 3 for b in range(3)] for a in range(3)]
         with pytest.raises(InvalidInputError):
             FiniteGroupTable(bad, ())
+
+    def test_lights_test_agrees_with_every_triple(self):
+        # one corrupted product in a group table; the constructor checks
+        # associativity on the generators only, an oracle on all triples
+        rng = random.Random(19)
+        verdicts = set()
+        for base in (symmetric_group(3), cyclic_group(8), cyclic_group(6, generators=(1, 3))):
+            n = base.order
+            for _ in range(40):
+                mul = base.mul_table.copy()
+                a, b = rng.randrange(n), rng.randrange(n)
+                mul[a, b] = rng.randrange(n)
+                associative = all(
+                    mul[mul[x, y], z] == mul[x, mul[y, z]]
+                    for x in range(n) for y in range(n) for z in range(n)
+                )
+                try:
+                    FiniteGroupTable(mul, base.generators)
+                except InvalidInputError as e:
+                    if "associative" not in str(e):
+                        continue  # an identity, inverse or generation check fired first
+                    assert not associative
+                    verdicts.add(False)
+                else:
+                    assert associative
+                    verdicts.add(True)
+        assert verdicts == {True, False}
+
+    def test_lights_test_checks_every_generator(self):
+        # a non-associative loop of order 5, each element its own inverse,
+        # times Z/2: the first generator (e, 1) is central and associates
+        # with everything, so only the later ones expose the loop
+        loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+        mul = [[2 * loop[x >> 1][y >> 1] + ((x ^ y) & 1) for y in range(10)] for x in range(10)]
+        with pytest.raises(InvalidInputError, match="not associative"):
+            FiniteGroupTable(mul, [1, 2, 4])
 
     def test_no_identity_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -202,21 +238,66 @@ class TestLpsGraphs:
         assert table.order == 2184
 
     def test_x_5_13_report_passes(self, x_5_13):
-        g, _ = x_5_13
-        rep = verify_lps(g, LpsParams.validate(5, 13))
+        g, table = x_5_13
+        rep = verify_lps(g, LpsParams.validate(5, 13), table)
         assert rep.passed, rep.failures
         assert rep.bipartite
         assert rep.girth >= math.ceil(4 * math.log(13, 5) - math.log(4, 5)) == 6
         assert rep.top_eigenvalue == pytest.approx(6.0, abs=1e-9)
         assert rep.bottom_eigenvalue == pytest.approx(-6.0, abs=1e-9)
         assert rep.max_interior_abs <= 2 * math.sqrt(5) + 1e-9
+        assert rep.spectrum_complete
+        assert (rep.girth, rep.diameter) == (8, 7)
 
     def test_x_13_5_shape_and_report(self, x_13_5):
-        g, _ = x_13_5
+        g, table = x_13_5
         assert g.vertex_count == 5 * 24 == 120
         assert g.degree(0) == 14
-        rep = verify_lps(g, LpsParams.validate(13, 5))
+        rep = verify_lps(g, LpsParams.validate(13, 5), table)
         assert rep.passed, rep.failures
+
+    @staticmethod
+    def spy_sources(monkeypatch):
+        """Record the ``sources`` verify_lps passes to girth and diameter."""
+        import coarselab.expander_zoo as expander_zoo
+
+        seen = []
+        for name in ("girth", "diameter"):
+            real = getattr(expander_zoo, name)
+            spy = lambda g, sources=None, real=real, name=name: seen.append((name, sources)) or real(g, sources)
+            monkeypatch.setattr(expander_zoo, name, spy)
+        return seen
+
+    def test_one_source_girth_and_diameter_match_all_sources(self, x_13_5, monkeypatch):
+        g, table = x_13_5
+        seen = self.spy_sources(monkeypatch)
+        rep = verify_lps(g, LpsParams.validate(13, 5), table)
+        assert seen == [("girth", (table.identity,)), ("diameter", (table.identity,))]
+        assert (rep.girth, rep.diameter) == (girth(g), diameter(g)) == (4, 3)
+
+    def test_two_switch_fails_the_cayley_guard(self, x_13_5, monkeypatch):
+        # replace edges a-b and c-d (a, c on one side) by a-d and c-b:
+        # degrees and bipartiteness stay, the Cayley structure does not
+        g, table = x_13_5
+        edges = list(g.edges())
+        neighbours = {frozenset((u, v)) for u, v, _ in edges}
+        color = two_coloring(g)
+        rng = random.Random(11)
+        while True:
+            i, j = rng.sample(range(len(edges)), 2)
+            (a, b, la), (c, d, lc) = edges[i], edges[j]
+            fresh = not {frozenset((a, d)), frozenset((c, b))} & neighbours
+            if len({a, b, c, d}) == 4 and color[a] == color[c] and fresh:
+                break
+        edges[i], edges[j] = (a, d, la), (c, b, lc)
+        mutant = build_graph(g.vertex_count, edges, alphabet=sorted(g.alphabet))
+        assert mutant.is_regular() and is_bipartite(mutant)
+        seen = self.spy_sources(monkeypatch)
+        rep = verify_lps(mutant, LpsParams.validate(13, 5), table)
+        assert seen == [("girth", None), ("diameter", None)]
+        assert not rep.passed
+        assert "not the Cayley graph of its table" in rep.failures
+        assert (rep.girth, rep.diameter) == (girth(mutant), diameter(mutant))
 
     def test_determinism(self, x_13_5):
         g1, t1 = x_13_5
@@ -241,12 +322,12 @@ class TestLpsGraphs:
                 assert labeled[(table.mul(h, x), lab)] == table.mul(h, y)
 
     def test_mutation_breaks_regularity(self, x_13_5):
-        g, _ = x_13_5
+        g, table = x_13_5
         edges = list(g.edges())
         rng = random.Random(3)
         del edges[rng.randrange(len(edges))]
         mutant = build_graph(g.vertex_count, edges, alphabet=sorted(g.alphabet))
-        rep = verify_lps(mutant, LpsParams.validate(13, 5))
+        rep = verify_lps(mutant, LpsParams.validate(13, 5), table)
         assert not rep.passed
         assert any("regular" in f for f in rep.failures)
 

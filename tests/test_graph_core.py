@@ -25,9 +25,16 @@ from coarselab.graph_core import (
     inverse_label,
     laplacian_lambda2,
     split_components,
+    two_coloring,
 )
 
-from oracles import naive_cheeger, naive_girth, random_connected_graph, random_graph
+from oracles import (
+    naive_cheeger,
+    naive_girth,
+    random_connected_graph,
+    random_graph,
+    random_multigraph,
+)
 
 
 def cycle(n: int) -> LabeledGraph:
@@ -225,6 +232,62 @@ class TestSpectra:
         assert not part.complete
         assert part.eigenvalues[0] == pytest.approx(full[0], abs=1e-8)
         assert part.eigenvalues[-1] == pytest.approx(full[-1], abs=1e-8)
+
+    def test_iterative_route_keeps_multiplicities(self):
+        # three disjoint 12-cycles: -2 has multiplicity 3, and the three
+        # bottom Lanczos values agree exactly in the last bit on two of them
+        g = build_graph(36, [(12 * k + i, 12 * k + (i + 1) % 12) for k in range(3) for i in range(12)])
+        part = adjacency_spectrum(g, dense_cap=10, extremes=3, seed=1)
+        assert not part.complete
+        assert len(part.eigenvalues) == 6
+        assert np.allclose(part.eigenvalues, [2.0] * 3 + [-2.0] * 3, atol=1e-9)
+        assert list(part.eigenvalues) == sorted(part.eigenvalues, reverse=True)
+
+    def test_bipartite_svd_path_matches_dense_eigvalsh(self):
+        rng = random.Random(53)
+        graphs = [cycle(4), build_graph(5, []), build_graph(3, [(0, 1), (0, 1), (0, 2)])]
+        for _ in range(60):
+            n = rng.randrange(2, 14)
+            graphs.append(random_multigraph(rng, n, rng.randrange(0, 2 * n), bipartite=True))
+        seen = set()
+        for g in graphs:
+            color = two_coloring(g)
+            assert color is not None
+            assert all(color[u] != color[v] for u, v, _ in g.edges())
+            dense = np.zeros((g.vertex_count, g.vertex_count))
+            for u, v, _ in g.edges():
+                dense[u, v] += 1
+                dense[v, u] += 1
+            spec = adjacency_spectrum(g)
+            vals = np.array(spec.eigenvalues)
+            assert spec.complete and len(vals) == g.vertex_count
+            assert np.allclose(vals, np.linalg.eigvalsh(dense)[::-1], atol=1e-9)
+            assert spec.residual <= 1e-10
+            assert not any(math.copysign(1.0, x) < 0 for x in vals if x == 0.0)
+            left = int((color == 0).sum())
+            if 2 * left != g.vertex_count:
+                seen.add("unequal parts")
+            if any(g.degree(v) == 0 for v in range(g.vertex_count)):
+                seen.add("isolated vertex")
+            if len({tuple(sorted((u, v))) for u, v, _ in g.edges()}) < g.edge_count:
+                seen.add("doubled edge")
+            if g.edge_count == 0:
+                seen.add("no edges")
+        assert seen == {"unequal parts", "isolated vertex", "doubled edge", "no edges"}
+
+    def test_no_negative_zero_reaches_the_spectrum(self):
+        vals = adjacency_spectrum(cycle(4)).eigenvalues
+        assert np.allclose(vals, [2.0, 0.0, 0.0, -2.0], atol=1e-12)
+        # the path 1-0-2 plus the isolated vertex 3 has the biadjacency
+        # block [[1, 1], [0, 0]], whose second singular value is exactly 0
+        vals = adjacency_spectrum(build_graph(4, [(0, 1), (0, 2)])).eigenvalues
+        assert vals[1:3] == (0.0, 0.0)
+        assert all(math.copysign(1.0, x) > 0 for x in vals if x == 0.0)
+
+    def test_odd_cycle_is_not_two_colorable(self):
+        assert two_coloring(cycle(5)) is None
+        assert two_coloring(build_graph(2, [(0, 1), (1, 1)])) is None
+        assert list(two_coloring(cycle(6))) == [0, 1, 0, 1, 0, 1]
 
     def test_spectral_sandwich(self):
         rng = random.Random(31)
