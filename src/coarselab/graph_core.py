@@ -8,7 +8,8 @@ formal inverse label (``"a"`` vs ``"a^-1"``).
 
 Spectral quantities are computed with numpy/scipy and then verified
 against residual bounds, so a silently wrong eigensolve cannot leak
-into downstream certificates.
+into downstream certificates.  scipy is imported inside the functions
+that call it, so commands that never need it never load it.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.csgraph
-import scipy.sparse.linalg
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 from .errors import (
     CapExceededError,
@@ -406,6 +406,8 @@ def two_coloring(g: LabeledGraph) -> Optional[np.ndarray]:
 
 
 def _adjacency_csr(g: LabeledGraph) -> scipy.sparse.csr_matrix:
+    import scipy.sparse
+
     n = g.vertex_count
     rows, cols = dart_endpoints(g)
     data = np.ones(g.dart_count, dtype=np.float64)
@@ -418,6 +420,8 @@ def _adjacency_csr(g: LabeledGraph) -> scipy.sparse.csr_matrix:
 def distance_matrix(g: LabeledGraph, sources: Optional[Sequence[int]] = None) -> np.ndarray:
     """Unweighted distances from each of ``sources`` (default: every
     vertex, in order) to every vertex; ``inf`` between components."""
+    import scipy.sparse.csgraph
+
     adj = _adjacency_csr(g)
     dist = scipy.sparse.csgraph.shortest_path(
         adj, method="D", unweighted=True, directed=False, indices=sources
@@ -633,6 +637,8 @@ def _bipartite_eigenpairs(adj: np.ndarray, color: np.ndarray) -> tuple[np.ndarra
     eigenvectors (u, +-v)/sqrt(2) on (L, R); the singular vectors beyond
     min(|L|, |R|) of the larger part are eigenvectors for 0.
     """
+    import scipy.linalg
+
     left = np.flatnonzero(color == 0)
     right = np.flatnonzero(color == 1)
     u, sigma, vh = scipy.linalg.svd(adj[np.ix_(left, right)])
@@ -650,6 +656,8 @@ def _bipartite_eigenpairs(adj: np.ndarray, color: np.ndarray) -> tuple[np.ndarra
 
 
 def _extreme_eigs(mat: scipy.sparse.csr_matrix, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, float]:
+    import scipy.sparse.linalg
+
     n = mat.shape[0]
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
@@ -677,6 +685,8 @@ def adjacency_spectrum(
     most half the vertices each, so the two never overlap) are computed
     with a Lanczos iteration seeded deterministically.
     """
+    import scipy.linalg
+
     n = g.vertex_count
     adj = _adjacency_csr(g)
     if n <= dense_cap:
@@ -703,6 +713,10 @@ def adjacency_spectrum(
 
 def laplacian_lambda2(g: LabeledGraph, dense_cap: int = DENSE_SPECTRUM_CAP, seed: int = 0) -> float:
     """Second-smallest eigenvalue of the combinatorial Laplacian."""
+    import scipy.linalg
+    import scipy.sparse.csgraph
+    import scipy.sparse.linalg
+
     if not g.is_connected:
         raise DisconnectedGraphError("spectral gap requires a connected graph")
     n = g.vertex_count

@@ -17,10 +17,12 @@ paths), components with a cycle yield arbitrarily long pieces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from random import Random
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .covers_walls import CoveringMap
 from .errors import CapExceededError, InvalidInputError, VerificationError
@@ -41,6 +43,10 @@ PIECE_DART_CAP = 2000
 
 #: graphical_presentation refuses components with larger cycle rank
 PRESENTATION_RANK_CAP = 64
+
+#: random_labeling draws labels and orientations for this many attempts at
+#: once; whole batches are always drawn, so the stream ignores the budget
+LABEL_BATCH = 1024
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -347,14 +353,21 @@ def _word_of(g: LabeledGraph, darts: Iterable[int]) -> tuple[str, ...]:
     return tuple(g.dart_label(d) for d in darts)
 
 
-def _piece_analysis(fam: GraphFamily, cap: int) -> tuple[list[Piece], list[float]]:
+def _pointed_data(
+    fam: GraphFamily, cap: int
+) -> tuple[list[list[dict[str, int]]], dict[tuple[int, int], int]]:
+    """Out-maps and pointed classes of a reduced family within the dart cap."""
     total_darts = sum(g.dart_count for g in fam.components)
     if total_darts > cap:
         raise CapExceededError(
             f"piece enumeration over {total_darts} darts exceeds the cap {cap}"
         )
     maps = [_out_maps(g) for g in fam.components]
-    class_of = _pointed_classes(fam, maps)
+    return maps, _pointed_classes(fam, maps)
+
+
+def _piece_analysis(fam: GraphFamily, cap: int) -> tuple[list[Piece], list[float]]:
+    maps, class_of = _pointed_data(fam, cap)
     per_comp_max: list[float] = [0] * len(fam.components)
     pair_graph = _build_pair_graph(fam, maps, class_of)
     if pair_graph is None:
@@ -437,45 +450,156 @@ def enumerate_pieces(fam: GraphFamily, cap: int = PIECE_DART_CAP) -> tuple[Piece
     return tuple(pieces)
 
 
+def _pair_walk_passes(
+    fam: GraphFamily,
+    maps: list[list[dict[str, int]]],
+    class_of: dict[tuple[int, int], int],
+    limits: Sequence[float],
+) -> bool:
+    """The C'(lambda) verdict read off the inequivalent-pair graph
+    without enumerating a single piece.
+
+    Pointed vertices are numbered across the family and a pair node
+    ``(a, b)`` is the int ``a * P + b``.  Each component of the pair
+    graph is walked breadth-first from one of its nodes: a dart closing
+    onto a reached node other than the tree edge back is a cycle, hence
+    arbitrarily long pieces; a tree fails once it holds a path of length
+    ``limits[ci]`` (the least integer not below lambda*girth) for a
+    graph component ``ci`` it touches.  The walk stops at the first
+    failure, and the mirror ``(b, a)`` of a finished component is never
+    walked again.
+    """
+    moves: list[dict[str, int]] = []
+    cls: list[int] = []
+    comp: list[int] = []
+    for ci, g in enumerate(fam.components):
+        offset = len(moves)
+        for v in range(g.vertex_count):
+            moves.append({lab: offset + g.dart_target(d) for lab, d in maps[ci][v].items()})
+            cls.append(class_of[(ci, v)])
+            comp.append(ci)
+    size = len(moves)
+
+    def step(u: int):
+        """Target node of every dart out of pair node ``u``."""
+        x, y = divmod(u, size)
+        for lab, x2 in moves[x].items():
+            y2 = moves[y].get(lab)
+            if y2 is not None:
+                yield x2 * size + y2
+
+    def tree_walk(root: int, limit: float) -> Optional[list[int]]:
+        """Nodes of the pair component of ``root`` in breadth-first
+        order, or None once the walk closes a cycle or reaches depth
+        ``limit``."""
+        # node -> (parent node, depth); a second edge between a node and
+        # its parent is met, as a cycle, while the parent is expanded, so
+        # the one dart back to the parent is the tree edge
+        tree = {root: (-1, 0)}
+        order = [root]
+        for u in order:
+            up, depth = tree[u]
+            for w in step(u):
+                if w == up:
+                    continue
+                if w in tree or depth + 1 >= limit:
+                    return None
+                x, y = divmod(w, size)
+                if cls[x] == cls[y]:
+                    raise VerificationError(
+                        "simultaneous label move left the inequivalent-pair graph"
+                    )
+                tree[w] = (u, depth + 1)
+                order.append(w)
+        return order
+
+    # every pair node shares a label, so its roots are pairs of holders
+    holders: dict[str, list[int]] = {}
+    for p, m in enumerate(moves):
+        for lab in m:
+            holders.setdefault(lab, []).append(p)
+    done: set[int] = set()
+    for a, b in ((a, b) for group in holders.values() for a in group for b in group):
+        root = a * size + b
+        if cls[a] == cls[b] or root in done:
+            continue
+        limit = min(limits[comp[a]], limits[comp[b]])
+        order = tree_walk(root, limit)
+        # the last node reached is farthest from the root, so a walk from
+        # it runs along a longest path of the tree
+        if order is None or tree_walk(order[-1], limit) is None:
+            return False
+        for u in order:
+            x, y = divmod(u, size)
+            done.add(u)
+            done.add(y * size + x)
+    return True
+
+
 @dataclass(frozen=True)
 class SmallCancellationReport:
-    """Strict C'(lambda) verdict with the per-component evidence."""
+    """Strict C'(lambda) verdict with the per-component evidence.
+
+    ``passed`` is decided when the report is made.  ``max_piece_length``,
+    ``violations`` and ``pieces`` come from the full piece enumeration,
+    run on first access and checked against ``passed``."""
 
     lambda_value: Fraction
     girths: tuple[float, ...]
-    max_piece_length: tuple[float, ...]
     passed: bool
-    violations: tuple[str, ...]
-    pieces: tuple[Piece, ...]
+    family: GraphFamily = field(repr=False, compare=False)
+    cap: int = field(repr=False, compare=False)
+
+    @cached_property
+    def _evidence(self) -> tuple[tuple[float, ...], tuple[str, ...], tuple[Piece, ...]]:
+        pieces, per_comp_max = _piece_analysis(self.family, self.cap)
+        violations = []
+        for ci, longest in enumerate(per_comp_max):
+            if longest == 0:
+                continue
+            bound = math.inf if self.girths[ci] is math.inf else self.lambda_value * self.girths[ci]
+            if not longest < bound:
+                violations.append(
+                    f"component {ci}: piece length {longest} not < lambda*girth = {bound}"
+                )
+        if (not violations) != self.passed:
+            raise VerificationError("piece enumeration disagrees with the pair-graph verdict")
+        return tuple(per_comp_max), tuple(violations), tuple(pieces)
+
+    @property
+    def max_piece_length(self) -> tuple[float, ...]:
+        return self._evidence[0]
+
+    @property
+    def violations(self) -> tuple[str, ...]:
+        return self._evidence[1]
+
+    @property
+    def pieces(self) -> tuple[Piece, ...]:
+        return self._evidence[2]
 
 
 def check_small_cancellation(
     fam: GraphFamily, lam, cap: int = PIECE_DART_CAP
 ) -> SmallCancellationReport:
     """Check that every piece meeting a component is strictly shorter
-    than lambda times that component's girth."""
+    than lambda times that component's girth.
+
+    The verdict comes from a walk of the inequivalent-pair graph that
+    stops at the first violation; the pieces themselves are enumerated
+    only when the report's evidence is read."""
     lam = Fraction(lam)
     if lam <= 0:
         raise InvalidInputError("lambda must be positive")
-    pieces, per_comp_max = _piece_analysis(fam, cap)
+    maps, class_of = _pointed_data(fam, cap)
     girths = tuple(girth(g) for g in fam.components)
-    violations = []
-    for ci, longest in enumerate(per_comp_max):
-        if longest == 0:
-            continue
-        bound = math.inf if girths[ci] is math.inf else lam * girths[ci]
-        ok = longest < bound
-        if not ok:
-            violations.append(
-                f"component {ci}: piece length {longest} not < lambda*girth = {bound}"
-            )
+    limits = [math.inf if gr is math.inf else math.ceil(lam * gr) for gr in girths]
     return SmallCancellationReport(
         lambda_value=lam,
         girths=girths,
-        max_piece_length=tuple(per_comp_max),
-        passed=not violations,
-        violations=tuple(violations),
-        pieces=tuple(pieces),
+        passed=_pair_walk_passes(fam, maps, class_of, limits),
+        family=fam,
+        cap=cap,
     )
 
 
@@ -502,12 +626,18 @@ def random_labeling(
     C'(lambda).
 
     Each attempt draws, for every edge of every component, an
-    independent uniform label and orientation, then tests reducedness
-    and the strict piece bound.  Requires lambda * girth > 1 on every
-    component; below that no labeling can work, so the search is
-    refused.  The outcome reports the attempts used; failure after
-    ``max_attempts`` claims nothing about impossibility.
+    independent uniform label and orientation.  Attempts are drawn
+    ``LABEL_BATCH`` at a time from ``numpy.random.default_rng(seed)``
+    and filtered for reducedness as a whole batch; the survivors then
+    face the strict piece bound in attempt order.  Requires lambda *
+    girth > 1 on every component; below that no labeling can work, so
+    the search is refused.  The outcome reports the attempts used;
+    failure after ``max_attempts`` claims nothing about impossibility.
     """
+    if seed < 0:
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
+    if max_attempts < 1:
+        raise InvalidInputError(f"max_attempts must be at least 1, got {max_attempts}")
     lam = Fraction(lam)
     alphabet = Alphabet.letters(alphabet_size)
     for ci, g in enumerate(fam.components):
@@ -518,52 +648,56 @@ def random_labeling(
                 f"component {ci}: lambda*girth = {bound} is not > 1, no reduced "
                 "small-cancellation labeling can exist"
             )
-    rng = Random(seed)
     symbols = alphabet.symbols
-    structures = []
-    for g in fam.components:
-        structures.append(
-            (g.vertex_count, [(g.dart_source(2 * k), g.dart_target(2 * k)) for k in range(g.edge_count)])
-        )
+    # every edge of the family in one row: its component and local ends,
+    # and its ends numbered across the family
+    ends: list[tuple[int, int, int]] = []
+    src: list[int] = []
+    dst: list[int] = []
+    offset = 0
+    for ci, g in enumerate(fam.components):
+        for k in range(g.edge_count):
+            u, v = g.dart_source(2 * k), g.dart_target(2 * k)
+            ends.append((ci, u, v))
+            src.append(offset + u)
+            dst.append(offset + v)
+        offset += g.vertex_count
+    width = 2 * alphabet_size
+    src_keys = np.array(src, dtype=np.int64) * width
+    dst_keys = np.array(dst, dtype=np.int64) * width
+    rng = np.random.default_rng(seed)
 
-    for attempt in range(1, max_attempts + 1):
-        sampled = []
-        for _, pairs in structures:
-            labels = [symbols[rng.randrange(alphabet_size)] for _ in pairs]
-            flips = [rng.randrange(2) for _ in pairs]
-            sampled.append((labels, flips))
-        # cheap reducedness test before building graphs
-        ok = True
-        for (n, pairs), (labels, flips) in zip(structures, sampled):
-            out: list[set] = [set() for _ in range(n)]
-            for (u, v), lab, flip in zip(pairs, labels, flips):
-                a, b = (v, u) if flip else (u, v)
-                fwd, bwd = lab, inverse_label(lab)
-                if fwd in out[a] or bwd in out[b]:
-                    ok = False
-                    break
-                out[a].add(fwd)
-                out[b].add(bwd)
-            if not ok:
-                break
-        if not ok:
-            continue
-        relabeled = []
-        for (n, pairs), (labels, flips) in zip(structures, sampled):
-            edges = []
-            for (u, v), lab, flip in zip(pairs, labels, flips):
-                edges.append((v, u, lab) if flip else (u, v, lab))
-            relabeled.append(build_graph(n, edges, alphabet=symbols))
-        candidate = GraphFamily(tuple(relabeled))
-        report = check_small_cancellation(candidate, lam)
-        if report.passed:
-            return RandomLabelingOutcome(
-                success=True,
-                attempts=attempt,
-                family=candidate,
-                report=report,
-                alphabet=alphabet,
+    for start in range(0, max_attempts, LABEL_BATCH):
+        # one signed label per edge and attempt: s < k reads symbol s from
+        # the first end to the second, s >= k reads symbol s - k the other
+        # way, so label and orientation are uniform and independent
+        signed = rng.integers(width, size=(LABEL_BATCH, len(ends)))
+        # one key per dart end, vertex * 2k + signed label leaving it; a row
+        # is reduced iff its sorted keys hold no equal neighbours
+        keys = np.concatenate((src_keys + signed, dst_keys + (signed + alphabet_size) % width), axis=1)
+        keys.sort(axis=1)
+        reduced = ~np.any(keys[:, 1:] == keys[:, :-1], axis=1)
+        for row in np.flatnonzero(reduced[: max_attempts - start]):
+            edges: list[list[tuple[int, int, str]]] = [[] for _ in fam.components]
+            for (ci, u, v), s in zip(ends, signed[row].tolist()):
+                edges[ci].append(
+                    (u, v, symbols[s]) if s < alphabet_size else (v, u, symbols[s - alphabet_size])
+                )
+            candidate = GraphFamily(
+                tuple(
+                    build_graph(g.vertex_count, es, alphabet=symbols)
+                    for g, es in zip(fam.components, edges)
+                )
             )
+            report = check_small_cancellation(candidate, lam)
+            if report.passed:
+                return RandomLabelingOutcome(
+                    success=True,
+                    attempts=start + int(row) + 1,
+                    family=candidate,
+                    report=report,
+                    alphabet=alphabet,
+                )
     return RandomLabelingOutcome(
         success=False, attempts=max_attempts, family=None, report=None, alphabet=alphabet
     )

@@ -30,7 +30,6 @@ from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CapExceededError,
@@ -298,6 +297,8 @@ def relative_poincare_constant(
     eigenfunction.  The witness is re-evaluated through the public form
     operations and must reproduce the constant to 1e-9.
     """
+    import scipy.linalg
+
     table, widx = _resolve(group)
     n = table.order
     if n > POINCARE_ORDER_CAP:
@@ -343,6 +344,8 @@ def _kernel_matrix(table, values: np.ndarray) -> np.ndarray:
 def is_positive_definite(phi: KernelFunction, tol: float = EIG_TOL) -> bool:
     """True iff the translation matrix phi(y^-1 x) is symmetric with
     smallest eigenvalue >= -tol."""
+    import scipy.linalg
+
     table, _ = _resolve(phi.group)
     M = _kernel_matrix(table, phi.values)
     scale = max(1.0, float(np.abs(M).max()))
@@ -359,6 +362,8 @@ def is_cnd(psi: KernelFunction, tol: float = EIG_TOL) -> bool:
     Preconditions psi(identity) = 0 and psi(g^-1) = psi(g) are enforced
     up to tol scaled by the kernel magnitude.
     """
+    import scipy.linalg
+
     table, _ = _resolve(psi.group)
     vals = psi.values
     scale = max(1.0, float(np.abs(vals).max()))

@@ -3,8 +3,10 @@
 import functools
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from coarselab.jsonio import (
 from coarselab.metric_diag import MapEntry, MapFamily
 
 DESK_CONSTANT_Z3 = 1.5205176042696106
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def c6_file(tmp_path):
@@ -162,7 +166,7 @@ LABEL_TWO_C8 = ["--random", "--alphabet", "3", "--lambda", "1/4", "--seed", "7"]
 @pytest.fixture(scope="class")
 def two_c8(tmp_path_factory):
     """The 2xC8 input and one seed-7 labeling of it, shared by the class:
-    the search takes several seconds."""
+    the search runs 162,903 attempts, about 5 s on one CPU."""
     work = tmp_path_factory.mktemp("label")
     edges = [(i, (i + 1) % 8) for i in range(8)]
     edges += [(8 + i, 8 + (i + 1) % 8) for i in range(8)]
@@ -194,6 +198,54 @@ class TestLabelingCommands:
         )
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "-1"], ["--seed", "1", "--max-attempts", "0"],
+                  ["--seed", "1", "--max-attempts", "-5"]]
+    )
+    def test_label_rejects_negative_seed_and_empty_budget(self, capsys, tmp_path, flags):
+        code = cli.main(
+            ["label", c6_file(tmp_path), "--random", "--alphabet", "3", "--lambda", "1/4", *flags]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    def test_scipy_stays_unloaded(self, tmp_path, two_c8):
+        # importing the CLI, and every command below, must not load scipy
+        _, _, labeled = two_c8
+        (tmp_path / "z3.json").write_text(serialize_group_table(cyclic_group(3)))
+        (tmp_path / "points.json").write_text(serialize_points(np.eye(3)))
+        commands = [
+            ["label", c6_file(tmp_path), *LABEL_TWO_C8, "--max-attempts", "2000", "--out", "-"],
+            ["pieces", str(labeled), "--out", "-"],
+            ["present", str(labeled), "--out", "-"],
+            ["cover", k4_file(tmp_path), "--out", "-"],
+            ["walls", k4_file(tmp_path), "--out", "-"],
+            ["concentrate", "points.json", "--radius", "1.0", "--out", "-"],
+            ["wreath", "--q-table", "z3.json", "--b-table", "z3.json", "--proj", "0,1,2",
+             "--out", "-"],
+        ]
+        script = (
+            "import json, sys\n"
+            "import coarselab.cli as cli\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "report = [scipy_modules()]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    report.append(scipy_modules())\n"
+            "print(json.dumps(report), file=sys.stderr)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert report == [[]] * (len(commands) + 1)
 
     def test_pieces_and_present_consume_label_output(self, capsys, tmp_path, two_c8):
         _, code, artifact = two_c8

@@ -50,9 +50,9 @@ GOLDEN = {
     "walls.json": "e6176e040e0a5b766ad39d7547bfcd1f8a73e6ba03d31a877e2ee63e06d79e20",
     "wallmetric.csv": "704d0835830bb46c88a86312f6a54b940dd76708c9e281035985bcddbfa5815a",
     "girth.json": "7b346176699c2a5495fd273411116ab838364bd6e18e0e7fd6449b4802c115f9",
-    "labeled.json": "2c554c6018676added5e5f937cb5f6af515ce934def328d652f4b05ad6c6b6ef",
-    "pieces_labeled.json": "5f2ed21ef1815fbbb36611130d982d47181be42ffbe0d7ce98656fc18573f6dd",
-    "present_labeled.json": "8bee8eb22c83dddfc3edcce99f662b64805265e4f4061d9e92d5e534b995e062",
+    "labeled.json": "ff139bb1e202f33fc91fa33cef3e3dc2b5dbbf6c30eba04657e8c67c0e5066ef",
+    "pieces_labeled.json": "62738e5cc10a87aef441f5de6958095e70024dc808c59464129c9fb631244d16",
+    "present_labeled.json": "7ff29aca9f08605ab248a34aac521eddf3cd3eca6e79820d957c3e02e8f733d0",
     "pieces_multi.json": "725a4ddde914486612a6e68817a7331800f100e64893c0e42498155aeb8772c1",
     "present_multi.json": "0e3edd5360342058862cc9cac0b1e57e7ec07b3dddb9e8955133c1bd4354b5da",
     "wreath.json": "0600cd492612b1142cfcf3e199d40becaf98d969297d43688fc247f1869c3882",

@@ -8,12 +8,16 @@ from random import Random
 import pytest
 
 from coarselab.covers_walls import CoveringMap, homology_cover, iterate_homology_cover
-from coarselab.errors import CapExceededError, InvalidInputError
+from coarselab.errors import CapExceededError, InvalidInputError, VerificationError
 from coarselab.expander_zoo import FiniteGroupTable, cayley_graph, cyclic_group
-from coarselab.graph_core import GraphFamily, build_graph
+from coarselab.graph_core import GraphFamily, build_graph, girth, split_components
 from coarselab.labelings import (
+    LABEL_BATCH,
+    PIECE_DART_CAP,
     Alphabet,
     Presentation,
+    SmallCancellationReport,
+    _piece_analysis,
     canonical_word,
     check_label_preserving_cover,
     check_reduced,
@@ -32,6 +36,7 @@ from oracles import (
     naive_pointed_classes,
     naive_pointed_equivalent,
     naive_word_starts,
+    random_multigraph,
     random_reduced_family,
 )
 
@@ -169,6 +174,61 @@ def test_piece_enumeration_cap():
     fam = GraphFamily((labeled_cycle("aaab"),))
     with pytest.raises(CapExceededError):
         enumerate_pieces(fam, cap=7)
+    # the verdict needs no enumeration, but the cap still holds up front
+    with pytest.raises(CapExceededError):
+        check_small_cancellation(fam, Fraction(1, 2), cap=7)
+
+
+def test_report_evidence_must_agree_with_verdict():
+    fam = GraphFamily((labeled_cycle("aaab"),))
+    forged = SmallCancellationReport(
+        lambda_value=Fraction(1, 2), girths=(4,), passed=True, family=fam, cap=PIECE_DART_CAP
+    )
+    with pytest.raises(VerificationError, match="disagrees"):
+        forged.violations
+
+
+def _random_reduced_multigraph_family(rng):
+    """Components of a random multigraph (a loop, a doubled edge, often
+    trees and isolated vertices) under a random reduced labeling, or
+    None when ten labelings in a row were not reduced."""
+    n = rng.randrange(2, 8)
+    base = random_multigraph(rng, n, rng.randrange(1, n + 3))
+    symbols = ["a", "b", "c"][: rng.randrange(2, 4)]
+    for _ in range(10):
+        edges = []
+        for u, v, _ in base.edges():
+            if rng.randrange(2):
+                u, v = v, u
+            edges.append((u, v, rng.choice(symbols)))
+        fam = split_components(build_graph(n, edges, alphabet=symbols))
+        if all(check_reduced(g).ok for g in fam.components):
+            return fam
+    return None
+
+
+def test_pair_walk_verdict_matches_piece_enumeration():
+    rng = Random(61)
+    verdicts = []
+    while len(verdicts) < 600:
+        fam = _random_reduced_multigraph_family(rng)
+        if fam is None:
+            continue
+        girths = [girth(g) for g in fam.components]
+        finite = [gr for gr in girths if gr is not math.inf]
+        # lambda*girth integral on some component puts a piece exactly at
+        # the bound there; a second, arbitrary lambda covers the rest
+        lams = [Fraction(rng.randrange(1, 2 * gr + 1), gr) for gr in finite[:1]]
+        lams.append(Fraction(rng.randrange(1, 12), rng.randrange(1, 8)))
+        _, per_comp_max = _piece_analysis(fam, PIECE_DART_CAP)
+        for lam in lams:
+            expected = all(
+                longest == 0 or longest < (math.inf if gr is math.inf else lam * gr)
+                for longest, gr in zip(per_comp_max, girths)
+            )
+            assert check_small_cancellation(fam, lam).passed == expected
+            verdicts.append(expected)
+    assert 100 < sum(verdicts) < 500
 
 
 def test_pieces_require_reduced_labeling():
@@ -307,6 +367,25 @@ def test_random_labeling_precondition():
     tri = build_graph(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(InvalidInputError, match="not > 1"):
         random_labeling(GraphFamily((tri,)), 1, Fraction(1, 6), seed=0)
+
+
+def test_random_labeling_stream_ignores_the_budget():
+    cycle = build_graph(8, [(i, (i + 1) % 8) for i in range(8)])
+    fam = GraphFamily((cycle, cycle))
+    first = random_labeling(fam, 4, Fraction(1, 4), seed=0, max_attempts=3 * LABEL_BATCH)
+    assert first.success
+    win = first.attempts
+    assert win % LABEL_BATCH not in (0, 1)
+    for budget in (win, 2 * win, 10 * LABEL_BATCH):
+        again = random_labeling(fam, 4, Fraction(1, 4), seed=0, max_attempts=budget)
+        assert again.attempts == win
+        assert [list(g.edges()) for g in again.family.components] == [
+            list(g.edges()) for g in first.family.components
+        ]
+    # one short of the winner, in the winner's batch: the search stops at
+    # exactly the budget and never looks at the rest of the batch
+    short = random_labeling(fam, 4, Fraction(1, 4), seed=0, max_attempts=win - 1)
+    assert not short.success and short.attempts == win - 1
 
 
 def test_random_labeling_reports_failure_budget():
