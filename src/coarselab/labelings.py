@@ -17,10 +17,11 @@ paths), components with a cycle yield arbitrarily long pieces.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +39,8 @@ from .graph_core import (
     tree_path,
 )
 
-#: enumerate_pieces refuses families with more darts than this
+#: enumerate_pieces and check_small_cancellation refuse families with more
+#: darts than this
 PIECE_DART_CAP = 2000
 
 #: graphical_presentation refuses components with larger cycle rank
@@ -268,91 +270,6 @@ class Piece:
     infinite: bool = False
 
 
-@dataclass(frozen=True)
-class _PairGraph:
-    graph: LabeledGraph
-    pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-
-
-def _build_pair_graph(
-    fam: GraphFamily,
-    maps: list[list[dict[str, int]]],
-    class_of: dict[tuple[int, int], int],
-) -> Optional[_PairGraph]:
-    """Product graph of simultaneous label moves between inequivalent
-    pointed starts.  A move by a common label from an inequivalent pair
-    always lands on an inequivalent pair (equivalence of the shifted
-    pair would propagate back along the unique incoming path), which is
-    asserted below."""
-    pointed = [(ci, v) for ci, g in enumerate(fam.components) for v in range(g.vertex_count)]
-    nodes: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    index: dict[tuple, int] = {}
-    for a in pointed:
-        for b in pointed:
-            if a == b or class_of[a] == class_of[b]:
-                continue
-            common = set(maps[a[0]][a[1]]) & set(maps[b[0]][b[1]])
-            if common:
-                index[(a, b)] = len(nodes)
-                nodes.append((a, b))
-    if not nodes:
-        return None
-    edges = []
-    for i, (a, b) in enumerate(nodes):
-        ca, va = a
-        cb, vb = b
-        for lab in set(maps[ca][va]) & set(maps[cb][vb]):
-            a2 = (ca, fam.components[ca].dart_target(maps[ca][va][lab]))
-            b2 = (cb, fam.components[cb].dart_target(maps[cb][vb][lab]))
-            j = index.get((a2, b2))
-            if j is None:
-                raise VerificationError(
-                    "simultaneous label move left the inequivalent-pair graph"
-                )
-            if i < j or (i == j and lab < inverse_label(lab)):
-                edges.append((i, j, lab))
-    alphabet = sorted({s for g in fam.components for s in g.alphabet})
-    return _PairGraph(
-        graph=build_graph(len(nodes), edges, alphabet=alphabet),
-        pairs=tuple(nodes),
-    )
-
-
-def _find_simple_cycle(g: LabeledGraph, root: int) -> list[int]:
-    """Darts of some simple cycle in the component of ``root``: the first
-    non-tree dart in breadth-first order closes it through the tree."""
-    parent = bfs_tree(g, root)
-    for u, entry in parent.items():
-        for d in g.out_darts(u):
-            w = g.dart_target(d)
-            if parent[w] == d or entry == LabeledGraph.dart_reverse(d):
-                continue
-            path_u, path_w = tree_path(g, parent, u), tree_path(g, parent, w)
-            # cut at the last common ancestor, leaving a simple cycle
-            i = 0
-            while i < min(len(path_u), len(path_w)) and path_u[i] == path_w[i]:
-                i += 1
-            return path_u[i:] + [d] + [LabeledGraph.dart_reverse(e) for e in reversed(path_w[i:])]
-    raise VerificationError("no cycle found in a component declared cyclic")
-
-
-def _tree_paths(g: LabeledGraph, comp_vertices: list[int]) -> list[list[int]]:
-    """All maximal simple paths (leaf to leaf) of a tree component,
-    each returned once as a dart list."""
-    leaves = [v for v in comp_vertices if g.degree(v) == 1]
-    if len(comp_vertices) == 1:
-        return []
-    paths = []
-    for a in leaves:
-        parent = bfs_tree(g, a)
-        paths.extend(tree_path(g, parent, b) for b in leaves if b > a)
-    return paths
-
-
-def _word_of(g: LabeledGraph, darts: Iterable[int]) -> tuple[str, ...]:
-    return tuple(g.dart_label(d) for d in darts)
-
-
 def _pointed_data(
     fam: GraphFamily, cap: int
 ) -> tuple[list[list[dict[str, int]]], dict[tuple[int, int], int]]:
@@ -366,39 +283,146 @@ def _pointed_data(
     return maps, _pointed_classes(fam, maps)
 
 
+#: a breadth-first tree of pair nodes: node -> (parent node, move label)
+_PairTree = dict[int, tuple[int, str]]
+
+
+def _pair_components(
+    fam: GraphFamily,
+    maps: list[list[dict[str, int]]],
+    class_of: dict[tuple[int, int], int],
+) -> Iterator[tuple[tuple[int, int], _PairTree, Optional[tuple[int, str, int]]]]:
+    """Components of the graph of simultaneous label moves between
+    inequivalent pointed starts, each walked once.
+
+    Pointed vertices are numbered across the family and the pair of
+    starts ``(a, b)`` is the node ``a * P + b``.  Nodes are tried as
+    roots in increasing order, so a component is entered at its smallest
+    node, and walked breadth-first taking moves in out-map order.  A move
+    by a common label from an inequivalent pair always lands on an
+    inequivalent pair (equivalence of the shifted pair would propagate
+    back along the unique incoming path), which is asserted.  The mirror
+    ``(b, a)`` of a walked component reads the same words and is skipped.
+
+    Yields the graph components ``(ca, cb)`` the pair component touches,
+    its breadth-first tree as node -> (parent node, label of the move
+    from the parent), the root's parent being -1, and the first move
+    ``(u, label, w)`` that closes a cycle, or None for a tree.
+    """
+    moves: list[dict[str, int]] = []
+    cls: list[int] = []
+    comp: list[int] = []
+    for ci, g in enumerate(fam.components):
+        offset = len(moves)
+        for v in range(g.vertex_count):
+            moves.append({lab: offset + g.dart_target(d) for lab, d in maps[ci][v].items()})
+            cls.append(class_of[(ci, v)])
+            comp.append(ci)
+    size = len(moves)
+    # a pair node shares a label, so its starts are holders of one label
+    holders: dict[str, list[int]] = {}
+    for p, m in enumerate(moves):
+        for lab in m:
+            holders.setdefault(lab, []).append(p)
+    done: set[int] = set()
+    for a, m in enumerate(moves):
+        for b in sorted({b for lab in m for b in holders[lab]}):
+            root = a * size + b
+            if cls[a] == cls[b] or root in done:
+                continue
+            tree = {root: (-1, "")}
+            order = [root]
+            closing = None
+            for u in order:
+                x, y = divmod(u, size)
+                # a second move between a node and its parent is met, as a
+                # cycle, while the parent is expanded, so every move back
+                # to the parent can be passed over
+                up = tree[u][0]
+                for lab, x2 in moves[x].items():
+                    y2 = moves[y].get(lab)
+                    if y2 is None:
+                        continue
+                    w = x2 * size + y2
+                    if w in tree:
+                        if w != up and closing is None:
+                            closing = (u, lab, w)
+                        continue
+                    if cls[x2] == cls[y2]:
+                        raise VerificationError(
+                            "simultaneous label move left the inequivalent-pair graph"
+                        )
+                    tree[w] = (u, lab)
+                    order.append(w)
+            for u in order:
+                x, y = divmod(u, size)
+                done.add(u)
+                done.add(y * size + x)
+            yield (comp[a], comp[b]), tree, closing
+
+
+def _longest_path(tree: _PairTree) -> int:
+    """Length of a longest path of a breadth-first tree, from one
+    reverse sweep of subtree heights."""
+    height = dict.fromkeys(tree, 0)
+    longest = 0
+    for u in reversed(tree):
+        up = tree[u][0]
+        if up >= 0:
+            longest = max(longest, height[up] + height[u] + 1)
+            height[up] = max(height[up], height[u] + 1)
+    return longest
+
+
+def _root_word(tree: _PairTree, v: int) -> tuple[str, ...]:
+    """Labels read along the tree path from the root to ``v``."""
+    word = []
+    while tree[v][0] >= 0:
+        v, lab = tree[v]
+        word.append(lab)
+    return tuple(reversed(word))
+
+
+def _legs(wx: tuple[str, ...], wy: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Two root words cut at the last common node of their ends: the
+    moves out of a node carry distinct labels, so the words share
+    exactly the prefix read up to that node."""
+    k = 0
+    while k < min(len(wx), len(wy)) and wx[k] == wy[k]:
+        k += 1
+    return wx[k:], wy[k:]
+
+
 def _piece_analysis(fam: GraphFamily, cap: int) -> tuple[list[Piece], list[float]]:
     maps, class_of = _pointed_data(fam, cap)
     per_comp_max: list[float] = [0] * len(fam.components)
-    pair_graph = _build_pair_graph(fam, maps, class_of)
-    if pair_graph is None:
-        return [], per_comp_max
-
-    pg = pair_graph.graph
-    comp_nodes: dict[int, list[int]] = {}
-    for node in range(pg.vertex_count):
-        comp_nodes.setdefault(pg.component_ids[node], []).append(node)
-
     finite_words: set[tuple[str, ...]] = set()
     infinite_words: set[tuple[str, ...]] = set()
-    for nodes in comp_nodes.values():
-        edge_count = sum(pg.degree(v) for v in nodes) // 2
-        touched = {pair_graph.pairs[nodes[0]][0][0], pair_graph.pairs[nodes[0]][1][0]}
-        if edge_count >= len(nodes):
-            cycle = _find_simple_cycle(pg, nodes[0])
-            infinite_words.add(canonical_word(_word_of(pg, cycle)))
-            for ci in touched:
-                per_comp_max[ci] = math.inf
+    for touched, tree, closing in _pair_components(fam, maps, class_of):
+        if closing is not None:
+            # one period: down the tree to the closing move, across it,
+            # and back up to the last common node of its two ends
+            u, lab, w = closing
+            to_u, to_w = _legs(_root_word(tree, u), _root_word(tree, w))
+            infinite_words.add(canonical_word(to_u + (lab,) + word_inverse(to_w)))
+            best = math.inf
         else:
-            best = 0
-            for darts in _tree_paths(pg, nodes):
-                finite_words.add(canonical_word(_word_of(pg, darts)))
-                best = max(best, len(darts))
-            for ci in touched:
-                per_comp_max[ci] = max(per_comp_max[ci], best)
+            children = Counter(up for up, _ in tree.values())
+            leaves = [
+                _root_word(tree, u) for u, (up, _) in tree.items() if children[u] + (up >= 0) == 1
+            ]
+            for i, x in enumerate(leaves):
+                for y in leaves[i + 1 :]:
+                    to_x, to_y = _legs(x, y)
+                    finite_words.add(canonical_word(word_inverse(to_x) + to_y))
+            best = _longest_path(tree)
+        for ci in touched:
+            per_comp_max[ci] = max(per_comp_max[ci], best)
 
+    # a word that is also a period is listed once, as infinite
     keep = [
         w
-        for w in finite_words
+        for w in finite_words - infinite_words
         if not any(len(w) < len(other) and _is_subword(w, other) for other in finite_words)
     ]
 
@@ -442,98 +466,14 @@ def enumerate_pieces(fam: GraphFamily, cap: int = PIECE_DART_CAP) -> tuple[Piece
     A piece is a labeled path readable from two starts not related by
     any label-preserving isomorphism between their components; maximal
     means not a proper subword (in either orientation) of another
-    piece.  Components of the simultaneous-move product graph that
-    contain a cycle witness arbitrarily long pieces and are reported as
-    a single infinite piece carrying one period.
+    piece.  A component of the simultaneous-move product graph that
+    contains a cycle witnesses arbitrarily long pieces; it and its
+    mirror, the same starts swapped, are reported as one infinite piece
+    carrying one period.  A word that is also such a period is listed
+    once, as infinite.
     """
     pieces, _ = _piece_analysis(fam, cap)
     return tuple(pieces)
-
-
-def _pair_walk_passes(
-    fam: GraphFamily,
-    maps: list[list[dict[str, int]]],
-    class_of: dict[tuple[int, int], int],
-    limits: Sequence[float],
-) -> bool:
-    """The C'(lambda) verdict read off the inequivalent-pair graph
-    without enumerating a single piece.
-
-    Pointed vertices are numbered across the family and a pair node
-    ``(a, b)`` is the int ``a * P + b``.  Each component of the pair
-    graph is walked breadth-first from one of its nodes: a dart closing
-    onto a reached node other than the tree edge back is a cycle, hence
-    arbitrarily long pieces; a tree fails once it holds a path of length
-    ``limits[ci]`` (the least integer not below lambda*girth) for a
-    graph component ``ci`` it touches.  The walk stops at the first
-    failure, and the mirror ``(b, a)`` of a finished component is never
-    walked again.
-    """
-    moves: list[dict[str, int]] = []
-    cls: list[int] = []
-    comp: list[int] = []
-    for ci, g in enumerate(fam.components):
-        offset = len(moves)
-        for v in range(g.vertex_count):
-            moves.append({lab: offset + g.dart_target(d) for lab, d in maps[ci][v].items()})
-            cls.append(class_of[(ci, v)])
-            comp.append(ci)
-    size = len(moves)
-
-    def step(u: int):
-        """Target node of every dart out of pair node ``u``."""
-        x, y = divmod(u, size)
-        for lab, x2 in moves[x].items():
-            y2 = moves[y].get(lab)
-            if y2 is not None:
-                yield x2 * size + y2
-
-    def tree_walk(root: int, limit: float) -> Optional[list[int]]:
-        """Nodes of the pair component of ``root`` in breadth-first
-        order, or None once the walk closes a cycle or reaches depth
-        ``limit``."""
-        # node -> (parent node, depth); a second edge between a node and
-        # its parent is met, as a cycle, while the parent is expanded, so
-        # the one dart back to the parent is the tree edge
-        tree = {root: (-1, 0)}
-        order = [root]
-        for u in order:
-            up, depth = tree[u]
-            for w in step(u):
-                if w == up:
-                    continue
-                if w in tree or depth + 1 >= limit:
-                    return None
-                x, y = divmod(w, size)
-                if cls[x] == cls[y]:
-                    raise VerificationError(
-                        "simultaneous label move left the inequivalent-pair graph"
-                    )
-                tree[w] = (u, depth + 1)
-                order.append(w)
-        return order
-
-    # every pair node shares a label, so its roots are pairs of holders
-    holders: dict[str, list[int]] = {}
-    for p, m in enumerate(moves):
-        for lab in m:
-            holders.setdefault(lab, []).append(p)
-    done: set[int] = set()
-    for a, b in ((a, b) for group in holders.values() for a in group for b in group):
-        root = a * size + b
-        if cls[a] == cls[b] or root in done:
-            continue
-        limit = min(limits[comp[a]], limits[comp[b]])
-        order = tree_walk(root, limit)
-        # the last node reached is farthest from the root, so a walk from
-        # it runs along a longest path of the tree
-        if order is None or tree_walk(order[-1], limit) is None:
-            return False
-        for u in order:
-            x, y = divmod(u, size)
-            done.add(u)
-            done.add(y * size + x)
-    return True
 
 
 @dataclass(frozen=True)
@@ -585,9 +525,10 @@ def check_small_cancellation(
     """Check that every piece meeting a component is strictly shorter
     than lambda times that component's girth.
 
-    The verdict comes from a walk of the inequivalent-pair graph that
-    stops at the first violation; the pieces themselves are enumerated
-    only when the report's evidence is read."""
+    The verdict reads the pair walk behind the piece enumeration, one
+    component at a time, and stops at the first component with a cycle
+    or a path as long as lambda*girth; the pieces themselves are
+    enumerated only when the report's evidence is read."""
     lam = Fraction(lam)
     if lam <= 0:
         raise InvalidInputError("lambda must be positive")
@@ -597,7 +538,10 @@ def check_small_cancellation(
     return SmallCancellationReport(
         lambda_value=lam,
         girths=girths,
-        passed=_pair_walk_passes(fam, maps, class_of, limits),
+        passed=all(
+            closing is None and _longest_path(tree) < min(limits[ca], limits[cb])
+            for (ca, cb), tree, closing in _pair_components(fam, maps, class_of)
+        ),
         family=fam,
         cap=cap,
     )
@@ -712,6 +656,10 @@ class Presentation:
 
     alphabet: tuple[str, ...]
     relators: tuple[tuple[str, ...], ...]
+
+
+def _word_of(g: LabeledGraph, darts: Iterable[int]) -> tuple[str, ...]:
+    return tuple(g.dart_label(d) for d in darts)
 
 
 def _component_relators(g: LabeledGraph) -> list[tuple[str, ...]]:

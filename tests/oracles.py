@@ -130,16 +130,6 @@ def naive_is_bipartite(g: LabeledGraph) -> bool:
     )
 
 
-def is_simple_cycle(g: LabeledGraph, darts: list[int]) -> bool:
-    """True iff ``darts`` is a nonempty closed walk visiting no vertex twice."""
-    if not darts:
-        return False
-    for d, nxt in zip(darts, darts[1:] + darts[:1]):
-        if g.dart_target(d) != g.dart_source(nxt):
-            return False
-    starts = [g.dart_source(d) for d in darts]
-    return len(set(starts)) == len(starts)
-
 # -- naive piece reference --------------------------------------------------
 #
 # Pointed isomorphism goes through networkx VF2 on labeled multidigraphs,

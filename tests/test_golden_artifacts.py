@@ -8,7 +8,9 @@ cover numberings, relators and piece words are pinned down to the choice
 among parallel darts.  The ``poincare`` witnesses list one value per
 element in the order of the wreath multiplication table, so they pin
 that order and that table.  ``spectrum`` is left out: its eigenvalues
-still differ in the last ulp between thread counts.
+still differ in the last ulp between thread counts.  The pieces of a
+family whose pair walk holds several cycles are also run under eight
+``PYTHONHASHSEED`` values, which must not change a byte.
 """
 
 import hashlib
@@ -43,6 +45,14 @@ LABELED_EDGES = [
     (3, 4, "a"), (4, 5, "a"), (5, 6, "a"), (6, 3, "a"), (6, 6, "b"),
 ]
 
+# two triangles whose pair walk holds more than one cycle; a walk that
+# takes its moves in the order of a set of label strings prints a
+# different period under a different PYTHONHASHSEED
+HASH_SENSITIVE_EDGES = [
+    (0, 1, "c"), (1, 2, "a"), (2, 0, "c"),
+    (3, 4, "a"), (4, 5, "c"), (5, 3, "a"), (4, 5, "a"), (3, 3, "c"),
+]
+
 TWO_C8_EDGES = [(i, (i + 1) % 8) for i in range(8)] + [(8 + i, 8 + (i + 1) % 8) for i in range(8)]
 
 GOLDEN = {
@@ -55,6 +65,7 @@ GOLDEN = {
     "present_labeled.json": "7ff29aca9f08605ab248a34aac521eddf3cd3eca6e79820d957c3e02e8f733d0",
     "pieces_multi.json": "725a4ddde914486612a6e68817a7331800f100e64893c0e42498155aeb8772c1",
     "present_multi.json": "0e3edd5360342058862cc9cac0b1e57e7ec07b3dddb9e8955133c1bd4354b5da",
+    "pieces_hash.json": "951ec3bcd2f8d78d5ccdf2a8b360909884afe2abb06d22f2bc8623389d476fa4",
     "wreath.json": "0600cd492612b1142cfcf3e199d40becaf98d969297d43688fc247f1869c3882",
     "lps.json": "9098504eb631f4bce347eb07a2008d4136336d3b17773ceb5193f93127156d49",
     "poincare_z4.json": "3e65d62468698e8a09a5947e1af30707ed98b6abfffdc082849f358c5dde77e8",
@@ -68,6 +79,7 @@ def artifacts(tmp_path_factory):
     work = tmp_path_factory.mktemp("golden")
     (work / "multi.json").write_text(serialize_graph(build_graph(4, MULTI_EDGES)))
     (work / "labeled_multi.json").write_text(serialize_graph(build_graph(7, LABELED_EDGES)))
+    (work / "hash_sensitive.json").write_text(serialize_graph(build_graph(6, HASH_SENSITIVE_EDGES)))
     (work / "two_c8.json").write_text(serialize_graph(build_graph(16, TWO_C8_EDGES)))
     (work / "z3.json").write_text(serialize_group_table(cyclic_group(3)))
     (work / "z4.json").write_text(serialize_group_table(cyclic_group(4)))
@@ -83,6 +95,7 @@ def artifacts(tmp_path_factory):
         ["present", "labeled.json", "--out", "present_labeled.json"],
         ["pieces", "labeled_multi.json", "--out", "pieces_multi.json"],
         ["present", "labeled_multi.json", "--out", "present_multi.json"],
+        ["pieces", "hash_sensitive.json", "--out", "pieces_hash.json"],
         ["wreath", "--q-table", "z3.json", "--b-table", "z3.json", "--proj", "0,1,2",
          "--out", "wreath.json"],
         ["lps", "--p", "13", "--q", "5", "--out", "lps.json"],
@@ -94,7 +107,13 @@ def artifacts(tmp_path_factory):
         ["poincare", "--relative", "--q-table", "z3.json", "--b-table", "z3.json",
          "--proj", "0,1,2", "--trials", "6", "--seed", "5", "--out", "poincare_z3_trials.json"],
     ]
-    env = dict(os.environ, COARSE_LAB_THREADS="1")
+    run_commands(work, commands)
+    return work
+
+
+def run_commands(work, commands, **env_extra):
+    """Run CLI argument lists in one child process; all must exit 0."""
+    env = dict(os.environ, COARSE_LAB_THREADS="1", **env_extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", DRIVER, json.dumps(commands)],
@@ -103,10 +122,20 @@ def artifacts(tmp_path_factory):
     assert done.returncode == 0, done.stderr
     codes = json.loads(done.stdout.strip().splitlines()[-1])
     assert codes == [0] * len(commands), list(zip(codes, commands))
-    return work
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifact_bytes_match_recorded_digest(artifacts, name):
     digest = hashlib.sha256((artifacts / name).read_bytes()).hexdigest()
     assert digest == GOLDEN[name]
+
+
+def test_pieces_bytes_ignore_the_hash_seed(tmp_path):
+    (tmp_path / "family.json").write_text(serialize_graph(build_graph(6, HASH_SENSITIVE_EDGES)))
+    for seed in range(8):
+        run_commands(
+            tmp_path, [["pieces", "family.json", "--out", f"pieces_{seed}.json"]],
+            PYTHONHASHSEED=str(seed),
+        )
+    artifacts = {(tmp_path / f"pieces_{seed}.json").read_bytes() for seed in range(8)}
+    assert len(artifacts) == 1

@@ -210,6 +210,7 @@ def _random_reduced_multigraph_family(rng):
 def test_pair_walk_verdict_matches_piece_enumeration():
     rng = Random(61)
     verdicts = []
+    oracle_checked = 0
     while len(verdicts) < 600:
         fam = _random_reduced_multigraph_family(rng)
         if fam is None:
@@ -221,14 +222,77 @@ def test_pair_walk_verdict_matches_piece_enumeration():
         lams = [Fraction(rng.randrange(1, 2 * gr + 1), gr) for gr in finite[:1]]
         lams.append(Fraction(rng.randrange(1, 12), rng.randrange(1, 8)))
         _, per_comp_max = _piece_analysis(fam, PIECE_DART_CAP)
+        # the verdict and the enumeration read one pair walk, so small
+        # families are also held against the independent oracle
+        references = [per_comp_max]
+        if sum(g.edge_count for g in fam.components) <= 10:
+            references.append(naive_piece_summary(fam)["per_comp_max"])
+            oracle_checked += 1
         for lam in lams:
-            expected = all(
-                longest == 0 or longest < (math.inf if gr is math.inf else lam * gr)
-                for longest, gr in zip(per_comp_max, girths)
-            )
-            assert check_small_cancellation(fam, lam).passed == expected
-            verdicts.append(expected)
+            passed = check_small_cancellation(fam, lam).passed
+            for reference in references:
+                expected = all(
+                    longest == 0 or longest < (math.inf if gr is math.inf else lam * gr)
+                    for longest, gr in zip(reference, girths)
+                )
+                assert passed == expected
+            verdicts.append(passed)
     assert 100 < sum(verdicts) < 500
+    assert oracle_checked > 250
+
+
+def test_infinite_pieces_are_cyclically_reduced_closed_walks():
+    rng = Random(62)
+    checked = 0
+    while checked < 150:
+        fam = _random_reduced_multigraph_family(rng)
+        if fam is None:
+            continue
+        for piece in enumerate_pieces(fam):
+            if not piece.infinite:
+                continue
+            w = piece.word
+            assert free_reduce(w) == w and free_reduce(w[-1:] + w[:1]) == w[-1:] + w[:1]
+            closed = [
+                (ci, v)
+                for ci, g in enumerate(fam.components)
+                for v in range(g.vertex_count)
+                if (darts := follow_word(g, v, w)) is not None and g.dart_target(darts[-1]) == v
+            ]
+            assert any(
+                not naive_pointed_equivalent(fam, p, q)
+                for i, p in enumerate(closed)
+                for q in closed[i + 1 :]
+            ), (w, closed)
+            checked += 1
+
+
+def test_each_piece_word_listed_once():
+    # a is read along a tree path of the pair walk from the 2-vertex
+    # component to a loop, and as a period around the two a-loops; it is
+    # listed once, as infinite
+    fam = GraphFamily(
+        (
+            build_graph(2, [(1, 0, "a"), (0, 1, "b")]),
+            build_graph(1, [(0, 0, "a")]),
+            build_graph(1, [(0, 0, "a"), (0, 0, "b")]),
+        )
+    )
+    pieces = enumerate_pieces(fam)
+    words = [p.word for p in pieces]
+    assert len(words) == len(set(words))
+    assert [p.infinite for p in pieces if p.word == ("a",)] == [True]
+
+
+def test_mirror_pair_components_give_one_period():
+    # the pair walk from (a, b) and its mirror from (b, a) read the same
+    # cycle, as [a^-1, b] and as [a, b^-1], a rotation of its inverse;
+    # only the component entered at the smallest pair node is read
+    g = build_graph(
+        4, [(3, 0, "b"), (0, 2, "b"), (0, 2, "a"), (1, 2, "c"), (3, 0, "a"), (1, 1, "a")]
+    )
+    pieces = enumerate_pieces(GraphFamily((g,)))
+    assert [p.word for p in pieces if p.infinite] == [("a^-1", "b")]
 
 
 def test_pieces_require_reduced_labeling():

@@ -6,9 +6,8 @@ import random
 
 from coarselab.expander_zoo import is_bipartite
 from coarselab.graph_core import bfs_distances, components, distance_matrix
-from coarselab.labelings import _find_simple_cycle
 
-from oracles import is_simple_cycle, naive_is_bipartite, random_multigraph, scipy_components
+from oracles import naive_is_bipartite, random_multigraph, scipy_components
 
 
 def multigraphs(seed, count=40):
@@ -41,15 +40,3 @@ def test_is_bipartite_matches_brute_force_colorings():
         assert is_bipartite(g) == naive_is_bipartite(g)
     assert verdicts == {True, False}
 
-
-def test_find_simple_cycle_returns_a_simple_closed_walk():
-    checked = 0
-    for _, g in multigraphs(4, count=80):
-        comp = components(g)
-        for c in set(comp):
-            members = [v for v in range(g.vertex_count) if comp[v] == c]
-            edges = sum(g.degree(v) for v in members) // 2
-            if edges >= len(members):
-                assert is_simple_cycle(g, _find_simple_cycle(g, members[0]))
-                checked += 1
-    assert checked > 40
