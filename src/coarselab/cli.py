@@ -266,10 +266,16 @@ def _cmd_wallmetric(args):
     if np.any(d_wall > d_graph + 1e-9):
         raise VerificationError("wall distance exceeds graph distance somewhere")
     n = cm.cover.vertex_count
+    # the cover is connected, so both distances are integers
+    d_graph = d_graph.astype(np.int64)
     rows = ["u,v,wall_distance,graph_distance"]
     for u in range(n):
-        for v in range(u + 1, n):
-            rows.append(f"{u},{v},{_fmt(d_wall[u, v])},{_fmt(d_graph[u, v])}")
+        rows += [
+            f"{u},{v},{w},{d}"
+            for v, w, d in zip(
+                range(u + 1, n), d_wall[u, u + 1 :].tolist(), d_graph[u, u + 1 :].tolist()
+            )
+        ]
     lines = [
         f"homology cover: {n} vertices, {len(walls.walls)} walls",
         f"pairs: {n * (n - 1) // 2}, max wall distance: {_fmt(d_wall.max())}",

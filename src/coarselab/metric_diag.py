@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import DisconnectedGraphError, InvalidInputError
 from .graph_core import LabeledGraph, distance_matrix
-from .poincare_lab import GroupFunction, resolve_group, subset_indices
-from .wreath import WreathGroup, x_subset
+from .poincare_lab import GroupFunction, _default_x, resolve_group, subset_indices
 
 SourceSpace = Union[LabeledGraph, np.ndarray]
 TargetSpace = Union[LabeledGraph, np.ndarray]
@@ -92,45 +91,52 @@ def _target_size(target: TargetSpace) -> int:
     return pts.shape[0]
 
 
-def _source_distances(source: SourceSpace) -> np.ndarray:
-    if isinstance(source, LabeledGraph):
-        dist = distance_matrix(source)
-        if not np.all(np.isfinite(dist)):
-            raise DisconnectedGraphError("source graph metric needs a connected graph")
-        return dist
-    mat = np.asarray(source, dtype=np.float64)
-    if not np.all(np.isfinite(mat)):
-        raise InvalidInputError("distance matrix entries must be finite")
-    if np.abs(mat - mat.T).max() > 1e-9 or np.abs(np.diag(mat)).max() > 1e-9:
-        raise InvalidInputError("distance matrix must be symmetric with zero diagonal")
-    if mat.min() < 0:
-        raise InvalidInputError("distances must be nonnegative")
-    return mat
+def _graph_metric(g: LabeledGraph, role: str) -> np.ndarray:
+    dist = distance_matrix(g)
+    if not np.all(np.isfinite(dist)):
+        raise DisconnectedGraphError(f"{role} graph metric needs a connected graph")
+    return dist
 
 
-def _target_distance_table(target: TargetSpace) -> np.ndarray:
-    """Distance matrix between target points (graph metric or Euclidean)."""
-    if isinstance(target, LabeledGraph):
-        dist = distance_matrix(target)
-        if not np.all(np.isfinite(dist)):
-            raise DisconnectedGraphError("target graph metric needs a connected graph")
-        return dist
-    pts = np.asarray(target, dtype=np.float64)
+def _row_distances(pts: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean distance between the rows ``pts[x[k]]`` and ``pts[y[k]]``."""
+    diff = pts[x] - pts[y]
+    return np.sqrt(np.sum(diff * diff, axis=-1))
+
+
+def _pair_distances(entry: MapEntry) -> tuple[np.ndarray, np.ndarray]:
+    """Source and target distance of every pair x < y of an entry, in
+    ``np.triu_indices`` order."""
+    if isinstance(entry.source, LabeledGraph):
+        src = _graph_metric(entry.source, "source")
+    else:
+        src = np.asarray(entry.source, dtype=np.float64)
+        if not np.all(np.isfinite(src)):
+            raise InvalidInputError("distance matrix entries must be finite")
+        if np.abs(src - src.T).max() > 1e-9 or np.abs(np.diag(src)).max() > 1e-9:
+            raise InvalidInputError("distance matrix must be symmetric with zero diagonal")
+        if src.min() < 0:
+            raise InvalidInputError("distances must be nonnegative")
+    x, y = np.triu_indices(entry.size, 1)
+    image = np.asarray(entry.mapping, dtype=np.intp)
+    if isinstance(entry.target, LabeledGraph):
+        return src[x, y], _graph_metric(entry.target, "target")[image[x], image[y]]
+    pts = np.asarray(entry.target, dtype=np.float64)
     if not np.all(np.isfinite(pts)):
         raise InvalidInputError("target points must be finite")
-    diff = pts[:, np.newaxis, :] - pts[np.newaxis, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    return src[x, y], _row_distances(pts, image[x], image[y])
 
 
-def _image_keys(entry: MapEntry) -> list:
-    """Hashable identities of the image points, for fiber counting.
+def _fiber_sizes(entry: MapEntry) -> np.ndarray:
+    """Number of source points over each image point.
 
-    Distinct target rows holding identical coordinates are one point.
+    Distinct target rows holding identical coordinate bytes are one point.
     """
+    image = np.asarray(entry.mapping, dtype=np.intp)
     if isinstance(entry.target, LabeledGraph):
-        return [("v", v) for v in entry.mapping]
-    pts = np.asarray(entry.target, dtype=np.float64)
-    return [("p", pts[v].tobytes()) for v in entry.mapping]
+        return np.unique(image, return_counts=True)[1]
+    rows = np.asarray(entry.target, dtype=np.float64)[image]
+    return np.unique(rows.view(np.uint64), axis=0, return_counts=True)[1]
 
 
 # -- compression moduli --------------------------------------------------------
@@ -160,35 +166,27 @@ class ModuliReport:
 def compression_moduli(mf: MapFamily) -> ModuliReport:
     """Observed lower and upper moduli over every vertex pair of every
     family index, bucketed by source distance."""
-    classes: dict[float, list[float]] = {}
-    for entry in mf.entries:
-        src = _source_distances(entry.source)
-        tgt = _target_distance_table(entry.target)
-        n = entry.size
-        for x in range(n):
-            for y in range(x + 1, n):
-                t = float(src[x, y])
-                dy = float(tgt[entry.mapping[x], entry.mapping[y]])
-                classes.setdefault(t, []).append(dy)
-    if not classes:
+    pairs = [_pair_distances(entry) for entry in mf.entries]
+    src = np.concatenate([s for s, _ in pairs])
+    tgt = np.concatenate([t for _, t in pairs])
+    if src.size == 0:
         raise InvalidInputError("the family contains no vertex pairs")
-    ts = sorted(classes)
-    rho = [min(classes[t]) for t in ts]
-    gamma = [max(classes[t]) for t in ts]
-    counts = [len(classes[t]) for t in ts]
-    rho_env = rho.copy()
-    for i in range(len(ts) - 2, -1, -1):
-        rho_env[i] = min(rho_env[i], rho_env[i + 1])
-    gamma_env = gamma.copy()
-    for i in range(1, len(ts)):
-        gamma_env[i] = max(gamma_env[i], gamma_env[i - 1])
+    # return_index sorts stably, so a class of zeros keeps the sign of
+    # its first pair
+    ts, _, cls, counts = np.unique(
+        src, return_index=True, return_inverse=True, return_counts=True
+    )
+    rho = np.full(ts.size, np.inf)
+    np.minimum.at(rho, cls, tgt)
+    gamma = np.full(ts.size, -np.inf)
+    np.maximum.at(gamma, cls, tgt)
     return ModuliReport(
-        distances=tuple(ts),
-        rho=tuple(rho),
-        gamma=tuple(gamma),
-        rho_envelope=tuple(rho_env),
-        gamma_envelope=tuple(gamma_env),
-        counts=tuple(counts),
+        distances=tuple(ts.tolist()),
+        rho=tuple(rho.tolist()),
+        gamma=tuple(gamma.tolist()),
+        rho_envelope=tuple(np.minimum.accumulate(rho[::-1])[::-1].tolist()),
+        gamma_envelope=tuple(np.maximum.accumulate(gamma).tolist()),
+        counts=tuple(counts.tolist()),
     )
 
 
@@ -214,25 +212,15 @@ def is_weak_embedding(mf: MapFamily, lipschitz_bound: float) -> WeakEmbeddingRep
     decrease strictly along the family."""
     if len(mf) < 2:
         raise InvalidInputError("a weak-embedding trend needs at least two indices")
+    if not (np.isfinite(lipschitz_bound) and lipschitz_bound >= 0):
+        raise InvalidInputError("the Lipschitz bound must be finite and nonnegative")
     lips = []
     fracs = []
     for entry in mf.entries:
-        src = _source_distances(entry.source)
-        tgt = _target_distance_table(entry.target)
-        n = entry.size
-        worst = 0.0
-        for x in range(n):
-            for y in range(x + 1, n):
-                t = float(src[x, y])
-                if t <= 0:
-                    continue
-                worst = max(worst, float(tgt[entry.mapping[x], entry.mapping[y]]) / t)
-        lips.append(worst)
-        keys = _image_keys(entry)
-        sizes: dict = {}
-        for k in keys:
-            sizes[k] = sizes.get(k, 0) + 1
-        fracs.append(max(sizes.values()) / n)
+        src, tgt = _pair_distances(entry)
+        apart = src > 0
+        lips.append(float(np.max(tgt[apart] / src[apart], initial=0.0)))
+        fracs.append(int(_fiber_sizes(entry).max()) / entry.size)
     lipschitz_ok = all(c <= lipschitz_bound + 1e-12 for c in lips)
     decreasing = all(fracs[i + 1] < fracs[i] for i in range(len(fracs) - 1))
     return WeakEmbeddingReport(
@@ -256,25 +244,18 @@ def distortion(mf: Union[MapFamily, MapEntry]) -> float:
         entry = mf.entries[0]
     else:
         entry = mf
-    if len(set(_image_keys(entry))) != entry.size:
+    if _fiber_sizes(entry).size != entry.size:
         raise InvalidInputError("distortion needs an injective map")
-    src = _source_distances(entry.source)
-    tgt = _target_distance_table(entry.target)
-    n = entry.size
-    expansion = 0.0
-    contraction = 0.0
-    for x in range(n):
-        for y in range(x + 1, n):
-            t = float(src[x, y])
-            if t <= 0:
-                raise InvalidInputError(
-                    "source has distinct points at zero distance; not a metric"
-                )
-            dy = float(tgt[entry.mapping[x], entry.mapping[y]])
-            if dy <= 0:
-                raise InvalidInputError("distinct source points at zero target distance")
-            expansion = max(expansion, dy / t)
-            contraction = max(contraction, t / dy)
+    src, tgt = _pair_distances(entry)
+    bad = np.flatnonzero((src <= 0) | (tgt <= 0))
+    if bad.size:
+        if src[bad[0]] <= 0:
+            raise InvalidInputError(
+                "source has distinct points at zero distance; not a metric"
+            )
+        raise InvalidInputError("distinct source points at zero target distance")
+    expansion = float(np.max(tgt / src, initial=0.0))
+    contraction = float(np.max(src / tgt, initial=0.0))
     if expansion == 0.0:
         raise InvalidInputError("no separated pairs to measure")
     return expansion * contraction
@@ -297,12 +278,14 @@ def ball_concentration(points: np.ndarray, radius: float) -> int:
         raise InvalidInputError("points must form a nonempty (n, d) array")
     if not np.all(np.isfinite(pts)):
         raise InvalidInputError("points must be finite")
-    if not (radius >= 0):
-        raise InvalidInputError("radius must be nonnegative")
-    diff = pts[:, np.newaxis, :] - pts[np.newaxis, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    within = dist <= radius + 1e-12
-    return int(within.sum(axis=1).max())
+    if not (np.isfinite(radius) and radius >= 0):
+        raise InvalidInputError("radius must be finite and nonnegative")
+    n = pts.shape[0]
+    x, y = np.triu_indices(n, 1)
+    close = _row_distances(pts, x, y) <= radius + 1e-12
+    counts = np.bincount(x[close], minlength=n) + np.bincount(y[close], minlength=n)
+    # every point lies in its own ball
+    return int(counts.max()) + 1
 
 
 @dataclass(frozen=True)
@@ -333,29 +316,16 @@ def coset_ball_replay(
     at least half its coset.
     """
     table = resolve_group(group)
-    if x_set is None:
-        if isinstance(group, WreathGroup):
-            x_set = x_subset(group)
-        else:
-            raise InvalidInputError("an explicit X subset is required for a table group")
-    members = subset_indices(group, x_set)
+    members = subset_indices(group, _default_x(group) if x_set is None else x_set)
     if not (radius >= 0):
         raise InvalidInputError("radius must be nonnegative")
     vals = f.values
     if vals.shape[0] != table.order:
         raise InvalidInputError("function and group dimensions do not match")
-    best_x = 0
-    best = -1
-    for x in range(table.order):
-        center = vals[x]
-        hits = 0
-        for y in members:
-            img = vals[table.mul(x, y)]
-            if float(np.linalg.norm(img - center)) <= radius + 1e-12:
-                hits += 1
-        if hits > best:
-            best = hits
-            best_x = x
+    images = vals[table.mul_table[:, list(members)]]
+    offsets = np.linalg.norm(images - vals[:, np.newaxis, :], axis=-1)
+    hits = np.sum(offsets <= radius + 1e-12, axis=1)
+    best_x = int(np.argmax(hits))
     return CosetConcentrationReport(
-        base_index=best_x, captured=best, coset_size=len(members), radius=radius
+        base_index=best_x, captured=int(hits[best_x]), coset_size=len(members), radius=radius
     )

@@ -479,6 +479,10 @@ def verify_relative_inequality(
     """
     if not (constant > 0):
         raise InvalidInputError("the constant must be positive")
+    if trials < 0:
+        raise InvalidInputError(f"trials must be nonnegative, got {trials}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
     table, widx = _resolve(group)
     n = table.order
     sigma_idx, x_idx = _canonical_subsets(group, sigma, x_set, table, widx)

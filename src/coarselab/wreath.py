@@ -174,6 +174,8 @@ def wreath_cayley(
     numbering is deterministic.  Building the full graph requires
     2^|Q| * |B| <= cap.
     """
+    if radius is not None and radius < 0:
+        raise InvalidInputError(f"radius must be nonnegative, got {radius}")
     if radius is None and W.order > cap:
         raise CapExceededError(
             f"full wreath Cayley graph has {W.order} vertices, above the cap {cap}"

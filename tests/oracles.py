@@ -393,3 +393,174 @@ def naive_wreath_table(W):
     index = {x: i for i, x in enumerate(elems)}
     mul = [[index[wreath_mul(W, x, y)] for y in elems] for x in elems]
     return elems, index, mul
+
+
+# -- metric diagnostics oracle -----------------------------------------------
+#
+# The per-pair loops the library's diagnostics replaced with one gather of
+# the pair distances: distance tables built whole, then every pair x < y
+# visited in order.
+
+
+def _naive_distance_table(space, role):
+    import numpy as np
+
+    from coarselab.errors import DisconnectedGraphError, InvalidInputError
+    from coarselab.graph_core import distance_matrix
+
+    if isinstance(space, LabeledGraph):
+        dist = distance_matrix(space)
+        if not np.all(np.isfinite(dist)):
+            raise DisconnectedGraphError(f"{role} graph metric needs a connected graph")
+        return dist
+    if role == "source":
+        mat = np.asarray(space, dtype=np.float64)
+        if not np.all(np.isfinite(mat)):
+            raise InvalidInputError("distance matrix entries must be finite")
+        if np.abs(mat - mat.T).max() > 1e-9 or np.abs(np.diag(mat)).max() > 1e-9:
+            raise InvalidInputError("distance matrix must be symmetric with zero diagonal")
+        if mat.min() < 0:
+            raise InvalidInputError("distances must be nonnegative")
+        return mat
+    pts = np.asarray(space, dtype=np.float64)
+    if not np.all(np.isfinite(pts)):
+        raise InvalidInputError("target points must be finite")
+    diff = pts[:, np.newaxis, :] - pts[np.newaxis, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def _naive_image_keys(entry) -> list:
+    import numpy as np
+
+    if isinstance(entry.target, LabeledGraph):
+        return [("v", v) for v in entry.mapping]
+    pts = np.asarray(entry.target, dtype=np.float64)
+    return [("p", pts[v].tobytes()) for v in entry.mapping]
+
+
+def naive_compression_moduli(mf):
+    from coarselab.errors import InvalidInputError
+    from coarselab.metric_diag import ModuliReport
+
+    classes: dict[float, list[float]] = {}
+    for entry in mf.entries:
+        src = _naive_distance_table(entry.source, "source")
+        tgt = _naive_distance_table(entry.target, "target")
+        n = entry.size
+        for x in range(n):
+            for y in range(x + 1, n):
+                t = float(src[x, y])
+                dy = float(tgt[entry.mapping[x], entry.mapping[y]])
+                classes.setdefault(t, []).append(dy)
+    if not classes:
+        raise InvalidInputError("the family contains no vertex pairs")
+    ts = sorted(classes)
+    rho = [min(classes[t]) for t in ts]
+    gamma = [max(classes[t]) for t in ts]
+    counts = [len(classes[t]) for t in ts]
+    rho_env = rho.copy()
+    for i in range(len(ts) - 2, -1, -1):
+        rho_env[i] = min(rho_env[i], rho_env[i + 1])
+    gamma_env = gamma.copy()
+    for i in range(1, len(ts)):
+        gamma_env[i] = max(gamma_env[i], gamma_env[i - 1])
+    return ModuliReport(
+        distances=tuple(ts),
+        rho=tuple(rho),
+        gamma=tuple(gamma),
+        rho_envelope=tuple(rho_env),
+        gamma_envelope=tuple(gamma_env),
+        counts=tuple(counts),
+    )
+
+
+def naive_is_weak_embedding(mf, lipschitz_bound):
+    from coarselab.errors import InvalidInputError
+    from coarselab.metric_diag import WeakEmbeddingReport
+
+    if len(mf) < 2:
+        raise InvalidInputError("a weak-embedding trend needs at least two indices")
+    lips = []
+    fracs = []
+    for entry in mf.entries:
+        src = _naive_distance_table(entry.source, "source")
+        tgt = _naive_distance_table(entry.target, "target")
+        n = entry.size
+        worst = 0.0
+        for x in range(n):
+            for y in range(x + 1, n):
+                t = float(src[x, y])
+                if t <= 0:
+                    continue
+                worst = max(worst, float(tgt[entry.mapping[x], entry.mapping[y]]) / t)
+        lips.append(worst)
+        sizes: dict = {}
+        for k in _naive_image_keys(entry):
+            sizes[k] = sizes.get(k, 0) + 1
+        fracs.append(max(sizes.values()) / n)
+    lipschitz_ok = all(c <= lipschitz_bound + 1e-12 for c in lips)
+    decreasing = all(fracs[i + 1] < fracs[i] for i in range(len(fracs) - 1))
+    return WeakEmbeddingReport(
+        lipschitz_constants=tuple(lips),
+        fiber_fractions=tuple(fracs),
+        lipschitz_ok=lipschitz_ok,
+        fractions_decreasing=decreasing,
+        passed=lipschitz_ok and decreasing,
+    )
+
+
+def naive_distortion(entry):
+    from coarselab.errors import InvalidInputError
+
+    if len(set(_naive_image_keys(entry))) != entry.size:
+        raise InvalidInputError("distortion needs an injective map")
+    src = _naive_distance_table(entry.source, "source")
+    tgt = _naive_distance_table(entry.target, "target")
+    n = entry.size
+    expansion = 0.0
+    contraction = 0.0
+    for x in range(n):
+        for y in range(x + 1, n):
+            t = float(src[x, y])
+            if t <= 0:
+                raise InvalidInputError(
+                    "source has distinct points at zero distance; not a metric"
+                )
+            dy = float(tgt[entry.mapping[x], entry.mapping[y]])
+            if dy <= 0:
+                raise InvalidInputError("distinct source points at zero target distance")
+            expansion = max(expansion, dy / t)
+            contraction = max(contraction, t / dy)
+    if expansion == 0.0:
+        raise InvalidInputError("no separated pairs to measure")
+    return expansion * contraction
+
+
+def naive_ball_concentration(points, radius) -> int:
+    import numpy as np
+
+    pts = np.asarray(points, dtype=np.float64)
+    diff = pts[:, np.newaxis, :] - pts[np.newaxis, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    within = dist <= radius + 1e-12
+    return int(within.sum(axis=1).max())
+
+
+def naive_coset_ball_replay(table, members, values, radius) -> tuple[int, int]:
+    """(base_index, captured): the first x whose coset points x y (y in
+    X) land most often within ``radius`` of the image of x."""
+    import numpy as np
+
+    best_x = 0
+    best = -1
+    for x in range(table.order):
+        center = values[x]
+        hits = 0
+        for y in members:
+            img = values[table.mul(x, y)]
+            if float(np.linalg.norm(img - center)) <= radius + 1e-12:
+                hits += 1
+        if hits > best:
+            best = hits
+            best_x = x
+    return best_x, best

@@ -323,6 +323,30 @@ class TestGroupCommands:
             )
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--trials", "-3", "--seed", "1"], ["--trials", "2", "--seed", "-4"]]
+    )
+    def test_poincare_rejects_negative_trials_and_seed(self, capsys, tmp_path, flags):
+        z3 = z3_file(tmp_path)
+        out_path = tmp_path / "poincare.json"
+        code = cli.main(
+            ["poincare", "--relative", "--q-table", z3, "--b-table", z3, "--proj", "0,1,2",
+             *flags, "--out", str(out_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert not out_path.exists()
+
+    def test_wreath_rejects_negative_radius(self, capsys, tmp_path):
+        z3 = z3_file(tmp_path)
+        code = cli.main(
+            ["wreath", "--q-table", z3, "--b-table", z3, "--proj", "0,1,2", "--radius", "-1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("error:")
+
     def test_bad_proj_list(self, capsys, tmp_path):
         z3 = z3_file(tmp_path)
         code = cli.main(
@@ -386,6 +410,24 @@ class TestDiagnosticsCommands:
         )
         assert code == 0
         assert json.loads(out_path.read_text())["count"] == 3
+
+    @pytest.mark.parametrize("bound", ["nan", "inf", "-1"])
+    def test_weakembed_rejects_a_bound_that_is_not_finite_and_nonnegative(
+        self, capsys, tmp_path, bound
+    ):
+        code = cli.main(["weakembed", self.family_doc(tmp_path), "--lipschitz", bound])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("radius", ["inf", "-inf", "nan"])
+    def test_concentrate_rejects_a_radius_that_is_not_finite(self, capsys, tmp_path, radius):
+        path = tmp_path / "points.json"
+        path.write_text(serialize_points(np.eye(3)))
+        code = cli.main(["concentrate", str(path), f"--radius={radius}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("error:")
 
 
 class TestExitCodes:

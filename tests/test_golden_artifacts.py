@@ -7,7 +7,10 @@ inputs include loops and parallel edges, so the spanning trees behind
 cover numberings, relators and piece words are pinned down to the choice
 among parallel darts.  The ``poincare`` witnesses list one value per
 element in the order of the wreath multiplication table, so they pin
-that order and that table.  ``spectrum`` is left out: its eigenvalues
+that order and that table.  The map family of ``moduli`` and
+``weakembed`` sends the homology covers of K4 and the 3-prism onto
+their bases and onto their wall coordinates, and ``concentrate`` reads
+the wall coordinates of the K4 cover.  ``spectrum`` is left out: its eigenvalues
 still differ in the last ulp between thread counts.  The pieces of a
 family whose pair walk holds several cycles are also run under eight
 ``PYTHONHASHSEED`` values, which must not change a byte.
@@ -22,9 +25,16 @@ from pathlib import Path
 
 import pytest
 
+from coarselab.covers_walls import homology_cover, wall_hilbert_embedding, walls_from_cover
 from coarselab.expander_zoo import cyclic_group, symmetric_group
 from coarselab.graph_core import build_graph
-from coarselab.jsonio import serialize_graph, serialize_group_table
+from coarselab.jsonio import (
+    serialize_graph,
+    serialize_group_table,
+    serialize_map_family,
+    serialize_points,
+)
+from coarselab.metric_diag import MapEntry, MapFamily
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -53,6 +63,9 @@ HASH_SENSITIVE_EDGES = [
     (3, 4, "a"), (4, 5, "c"), (5, 3, "a"), (4, 5, "a"), (3, 3, "c"),
 ]
 
+K4_EDGES = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+PRISM3_EDGES = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+
 TWO_C8_EDGES = [(i, (i + 1) % 8) for i in range(8)] + [(8 + i, 8 + (i + 1) % 8) for i in range(8)]
 
 GOLDEN = {
@@ -71,7 +84,20 @@ GOLDEN = {
     "poincare_z4.json": "3e65d62468698e8a09a5947e1af30707ed98b6abfffdc082849f358c5dde77e8",
     "poincare_s3.json": "99767361c0da867ebaebd9701845b31b4cd976675a007a51e4ac396e3068c774",
     "poincare_z3_trials.json": "f3020400af3538f7a3c210cb87efdb2e2db2add5c4ccbe99ea7e7f472c6ee926",
+    "moduli.csv": "3965abad660644a2603636bcdc85a5c21861ddfedbd9706ea2a81be00781a6dc",
+    "weakembed.json": "d7004c39d04916acc54e39c232f567f6620d95cffc598b44c504d748c75a5f2c",
+    "concentrate.json": "0f713f947163da770b4584cf853ecfc859194ab82ac0a682c75d53f2513507b1",
 }
+
+
+def cover_maps(n, edges):
+    """The homology cover of a base graph mapped onto the base and onto
+    its wall coordinates, and those coordinates."""
+    cm = homology_cover(build_graph(n, edges))
+    points = wall_hilbert_embedding(cm.cover, walls_from_cover(cm))
+    onto_base = MapEntry(cm.cover, cm.base, cm.vertex_map)
+    onto_walls = MapEntry(cm.cover, points, tuple(range(cm.cover.vertex_count)))
+    return (onto_base, onto_walls), points
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +110,10 @@ def artifacts(tmp_path_factory):
     (work / "z3.json").write_text(serialize_group_table(cyclic_group(3)))
     (work / "z4.json").write_text(serialize_group_table(cyclic_group(4)))
     (work / "s3.json").write_text(serialize_group_table(symmetric_group(3)))
+    k4_maps, k4_points = cover_maps(4, K4_EDGES)
+    prism3_maps, _ = cover_maps(6, PRISM3_EDGES)
+    (work / "family.json").write_text(serialize_map_family(MapFamily(k4_maps + prism3_maps)))
+    (work / "points.json").write_text(serialize_points(k4_points))
     commands = [
         ["cover", "multi.json", "--out", "cover.json"],
         ["walls", "multi.json", "--out", "walls.json"],
@@ -106,6 +136,9 @@ def artifacts(tmp_path_factory):
          "--proj", "0,1,2,3,4,5", "--out", "poincare_s3.json"],
         ["poincare", "--relative", "--q-table", "z3.json", "--b-table", "z3.json",
          "--proj", "0,1,2", "--trials", "6", "--seed", "5", "--out", "poincare_z3_trials.json"],
+        ["moduli", "family.json", "--out", "moduli.csv"],
+        ["weakembed", "family.json", "--lipschitz", "1.0", "--out", "weakembed.json"],
+        ["concentrate", "points.json", "--radius", "1.0", "--out", "concentrate.json"],
     ]
     run_commands(work, commands)
     return work

@@ -2,6 +2,7 @@
 ball-concentration diagnostics."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -19,14 +20,23 @@ from coarselab.metric_diag import (
     CosetConcentrationReport,
     MapEntry,
     MapFamily,
+    ModuliReport,
     ball_concentration,
     compression_moduli,
     coset_ball_replay,
     distortion,
     is_weak_embedding,
 )
-from coarselab.poincare_lab import GroupFunction, resolve_group
-from coarselab.wreath import WreathGroup
+from coarselab.poincare_lab import GroupFunction, resolve_group, subset_indices
+from coarselab.wreath import WreathGroup, x_subset
+from oracles import (
+    naive_ball_concentration,
+    naive_compression_moduli,
+    naive_coset_ball_replay,
+    naive_distortion,
+    naive_is_weak_embedding,
+    random_connected_graph,
+)
 
 # frozen output of the sampling oracle on the lamp group over Z/3; see
 # test_poincare_lab for the derivation
@@ -353,6 +363,89 @@ class TestBallConcentration:
             ball_concentration(np.zeros((2, 2)), -1.0)
 
 
+# -- agreement with the per-pair loops ---------------------------------------------
+
+# halves make some distances land exactly on a radius, a third makes
+# sums that round, and -0.0 sits next to 0.0
+COORDINATES = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1 / 3)
+
+# each distance d below also appears as d - 1e-12, whose ball reaches
+# exactly d through the 1e-12 tolerance
+BALL_RADII = [r for d in (0.5, 1.0, math.sqrt(2.0), 1.5) for r in (d, d - 1e-12)] + [0.0]
+
+
+def random_points(rng, m, d):
+    pts = np.array([[rng.choice(COORDINATES) for _ in range(d)] for _ in range(m)])
+    for _ in range(rng.randrange(3)):
+        pts[rng.randrange(m)] = pts[rng.randrange(m)]
+    return pts
+
+
+def random_source(rng, n):
+    """A connected graph, or a pseudometric matrix from a line whose
+    zero distances are partly written as -0.0."""
+    if rng.randrange(2):
+        return random_connected_graph(rng, n, rng.randrange(3))
+    line = np.array([rng.randrange(4) * 0.5 for _ in range(n)])
+    mat = np.abs(line[:, None] - line[None, :])
+    for x in range(n):
+        for y in range(x + 1, n):
+            if mat[x, y] == 0 and rng.randrange(2):
+                mat[x, y] = mat[y, x] = -0.0
+    return mat
+
+
+def random_entry(rng):
+    n = rng.choice((1, 2, 3, 5, 8))
+    m = rng.randrange(1, 10)
+    if rng.randrange(2):
+        target = random_connected_graph(rng, m, rng.randrange(3))
+    else:
+        target = random_points(rng, m, rng.randrange(1, 4))
+    if m >= n and rng.randrange(2):
+        mapping = rng.sample(range(m), n)
+    else:
+        mapping = [rng.randrange(m) for _ in range(n)]
+    return MapEntry(random_source(rng, n), target, tuple(mapping))
+
+
+def outcome(fn, *args):
+    """The value of a call, or the class and message of its error."""
+    try:
+        return fn(*args)
+    except InvalidInputError as e:
+        return type(e), str(e)
+
+
+class TestAgreementWithPairLoops:
+    def test_diagnostics_equal_the_loops_on_random_families(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            mf = MapFamily(tuple(random_entry(rng) for _ in range(rng.randrange(1, 4))))
+            moduli = outcome(compression_moduli, mf)
+            assert moduli == outcome(naive_compression_moduli, mf)
+            if isinstance(moduli, ModuliReport):
+                # the zero class keeps the sign its first pair had
+                assert moduli.to_csv() == naive_compression_moduli(mf).to_csv()
+            bound = rng.choice((0.0, 0.5, 1.0, 2.0))
+            assert outcome(is_weak_embedding, mf, bound) == outcome(
+                naive_is_weak_embedding, mf, bound
+            )
+            for entry in mf.entries:
+                assert outcome(distortion, entry) == outcome(naive_distortion, entry)
+            pts = random_points(rng, rng.randrange(1, 12), rng.randrange(1, 4))
+            for radius in BALL_RADII:
+                assert ball_concentration(pts, radius) == naive_ball_concentration(pts, radius)
+
+    def test_distortion_reports_the_first_bad_pair(self):
+        # pair (0, 1) has target distance -0.0 - 0.0, pair (1, 2) source
+        # distance 0; the first of them names the error
+        source = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        entry = MapEntry(source, np.array([[0.0], [-0.0], [1.0]]), (0, 1, 2))
+        assert outcome(distortion, entry) == outcome(naive_distortion, entry)
+        assert "zero target distance" in outcome(distortion, entry)[1]
+
+
 # -- coset concentration replay ------------------------------------------------
 
 
@@ -393,6 +486,19 @@ class TestCosetBallReplay:
         rep = coset_ball_replay(W, None, f, 0.0)
         assert rep.captured == rep.coset_size == 2
         assert rep.passed
+
+    def test_equals_the_loop(self):
+        rng = np.random.default_rng(11)
+        for W in (lamp_group(2), lamp_group(3)):
+            table = resolve_group(W)
+            members = subset_indices(W, x_subset(W))
+            for dim in (1, 2, 3):
+                f = lipschitz_function(W, rng, dim)
+                for radius in (0.0, 0.5, 1.0, 2.0):
+                    rep = coset_ball_replay(W, None, f, radius)
+                    assert (rep.base_index, rep.captured) == naive_coset_ball_replay(
+                        table, members, f.values, radius
+                    )
 
     def test_table_group_with_explicit_subset(self):
         G = cyclic_group(6)
