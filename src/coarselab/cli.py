@@ -58,7 +58,7 @@ from .labelings import (
     random_labeling,
 )
 from .metric_diag import ball_concentration, compression_moduli, is_weak_embedding
-from .poincare_lab import relative_poincare_constant, verify_relative_inequality
+from .poincare_lab import check_replay, relative_poincare_constant, verify_relative_inequality
 from .wreath import WREATH_VERTEX_CAP, WreathGroup, wreath_cayley
 
 THREADS_HELP = (
@@ -383,6 +383,8 @@ def _cmd_poincare(args):
     if not args.relative:
         raise InvalidInputError("only the relative inequality is implemented; pass --relative")
     W = _wreath_group(args)
+    if args.trials:
+        check_replay(args.trials, args.seed)
     result = relative_poincare_constant(W)
     doc = {
         "format_version": jsonio.FORMAT_VERSION,

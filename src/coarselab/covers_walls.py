@@ -24,7 +24,7 @@ from .errors import (
     InvalidInputError,
     VerificationError,
 )
-from .graph_core import LabeledGraph, bfs_tree, build_graph, components, propagate
+from .graph_core import LabeledGraph, bfs_tree, build_graph, components, propagate, tree_path
 
 #: Iterated covers refuse to build more vertices than this by default.
 COVER_VERTEX_CAP = 1 << 20
@@ -36,47 +36,22 @@ DECK_ENUM_CAP = 4096
 def is_two_connected(g: LabeledGraph) -> bool:
     """True iff the connected graph ``g`` has no bridge.
 
-    A loop is never a bridge; one edge of a parallel pair is not a
-    bridge either, so the theta graph passes.
+    A connected graph is bridgeless iff every edge of a spanning tree
+    lies on the fundamental cycle of some non-tree edge; the tree edges
+    of that cycle are the symmetric difference of the tree paths to its
+    two ends.  A loop is never a bridge; one edge of a parallel pair is
+    not a bridge either, so the theta graph passes.
     """
     if not g.is_connected:
         raise DisconnectedGraphError("two-connectivity is defined for connected graphs")
-    n = g.vertex_count
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
-    # iterative lowlink search; the entry dart (not the whole edge) is
-    # skipped so parallel edges still provide a second route
-    for root in range(n):
-        if disc[root] >= 0:
-            continue
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            u, entry, i = stack.pop()
-            darts = g.out_darts(u)
-            advanced = False
-            while i < len(darts):
-                d = darts[i]
-                i += 1
-                if entry >= 0 and d == LabeledGraph.dart_reverse(entry):
-                    continue
-                w = g.dart_target(d)
-                if disc[w] < 0:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((u, entry, i))
-                    stack.append((w, d, 0))
-                    advanced = True
-                    break
-                low[u] = min(low[u], disc[w])
-            if not advanced and stack:
-                pu, pentry, _ = stack[-1]
-                low[pu] = min(low[pu], low[u])
-                if low[u] > disc[pu]:
-                    return False
-    return True
+    parent = bfs_tree(g, 0)
+    tree = {d >> 1 for d in parent.values() if d >= 0}
+    covered = set()
+    for e, (u, v, _) in enumerate(g.edges()):
+        if e not in tree:
+            ends = [{d >> 1 for d in tree_path(g, parent, w)} for w in (u, v)]
+            covered |= ends[0] ^ ends[1]
+    return covered == tree
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,9 @@ DENSE_SPECTRUM_CAP = 4096
 #: Largest vertex count for which all 2^n - 1 cuts are enumerated.
 CHEEGER_ENUM_CAP = 20
 
+#: Sources per block of distance rows read by ``diameter``.
+DIAMETER_BLOCK = 512
+
 
 def is_inverse_symbol(label: str) -> bool:
     """Return True if ``label`` is the formal inverse of a base symbol."""
@@ -434,14 +437,15 @@ def diameter(g: LabeledGraph, sources: Optional[Sequence[int]] = None) -> int:
     vertex, which gives the diameter); requires a connected graph.
 
     On a vertex-transitive graph one source already gives the diameter.
+    Distance rows are read ``DIAMETER_BLOCK`` sources at a time, so no
+    more than that many rows are held at once.
     """
     if not g.is_connected:
         raise DisconnectedGraphError("diameter requires a connected graph")
-    if sources is not None or g.vertex_count <= 4096:
-        return int(distance_matrix(g, sources).max())
+    rows = range(g.vertex_count) if sources is None else sources
     worst = 0
-    for s in range(g.vertex_count):
-        worst = max(worst, max(bfs_distances(g, s)))
+    for k in range(0, len(rows), DIAMETER_BLOCK):
+        worst = max(worst, int(distance_matrix(g, rows[k : k + DIAMETER_BLOCK]).max()))
     return worst
 
 

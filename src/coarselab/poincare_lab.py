@@ -39,7 +39,7 @@ from .errors import (
 )
 from .expander_zoo import FiniteGroupTable
 from .graph_core import LabeledGraph, laplacian_lambda2
-from .wreath import RelativeSubset, WreathElement, WreathGroup, x_subset
+from .wreath import RelativeSubset, WreathElement, WreathGroup, lamp_support, x_subset
 
 #: largest group order the dense eigensolver path will accept
 POINCARE_ORDER_CAP = 2048
@@ -73,8 +73,8 @@ def wreath_indexed_group(W: WreathGroup) -> tuple[FiniteGroupTable, tuple[Wreath
             f"wreath group of order {W.order} exceeds the table cap {POINCARE_ORDER_CAP}"
         )
     nq, nb = W.Q.order, W.B.order
-    supports = sorted(tuple(q for q in range(nq) if m >> q & 1) for m in range(1 << nq))
-    masks = np.array([sum(1 << q for q in s) for s in supports], dtype=np.int64)
+    masks = np.array(sorted(range(1 << nq), key=lamp_support), dtype=np.int64)
+    supports = [lamp_support(m) for m in masks.tolist()]
     rank = np.argsort(masks)  # masks is a permutation of 0..2^nq - 1
     # shifted[s, m]: the support m moved by left multiplication with s
     bits = np.arange(masks.size)[None, :] >> np.arange(nq)[:, None] & 1
@@ -460,6 +460,14 @@ class RelativeInequalityReport:
         }
 
 
+def check_replay(trials: int, seed: int) -> None:
+    """Reject a replay that :func:`verify_relative_inequality` cannot run."""
+    if trials < 0:
+        raise InvalidInputError(f"trials must be nonnegative, got {trials}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
+
+
 def verify_relative_inequality(
     group: GroupLike,
     sigma,
@@ -479,10 +487,7 @@ def verify_relative_inequality(
     """
     if not (constant > 0):
         raise InvalidInputError("the constant must be positive")
-    if trials < 0:
-        raise InvalidInputError(f"trials must be nonnegative, got {trials}")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
+    check_replay(trials, seed)
     table, widx = _resolve(group)
     n = table.order
     sigma_idx, x_idx = _canonical_subsets(group, sigma, x_set, table, widx)

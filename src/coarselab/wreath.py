@@ -98,9 +98,11 @@ class WreathElement:
     config: frozenset[int]
     b: int
 
-    def key(self) -> tuple:
-        """Canonical sort key: sorted support, then the B-index."""
-        return (tuple(sorted(self.config)), self.b)
+
+def lamp_support(mask: int) -> tuple[int, ...]:
+    """The lit lamps of a lamp mask (bit q set iff lamp q is lit), ascending.
+    Elements (mask, b) are enumerated in the order of (lamp_support(mask), b)."""
+    return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
 
 
 def wreath_mul(W: WreathGroup, x: WreathElement, y: WreathElement) -> WreathElement:
@@ -173,6 +175,11 @@ def wreath_cayley(
     BFS level elements are sorted by (sorted support, B-index), so the
     numbering is deterministic.  Building the full graph requires
     2^|Q| * |B| <= cap.
+
+    The walk runs on integer codes (mask, b), bit q of ``mask`` set iff
+    lamp q is lit.  Right multiplication by a generator needs no general
+    law: delta flips the lamp at proj[b], and a base generator t sends b
+    to b t.  Masks are Python ints, so a ball accepts any |Q|.
     """
     if radius is not None and radius < 0:
         raise InvalidInputError(f"radius must be nonnegative, got {radius}")
@@ -181,69 +188,57 @@ def wreath_cayley(
             f"full wreath Cayley graph has {W.order} vertices, above the cap {cap}"
         )
     pairs = _generator_pairs(W)
-    moves = [(W.delta(), DELTA_LABEL)]
-    for t, base in pairs:
-        moves.append((WreathElement(frozenset(), t), base))
-        s = W.B.inverse(t)
-        if s != t:
-            moves.append((WreathElement(frozenset(), s), base))
+    lamp = [1 << q for q in W.proj]
+    right = W.B.mul_table.T.tolist()  # right[t][b] = b t
+    steps = [right[t] for t in W.B.generators]
 
-    index: dict[WreathElement, int] = {W.identity(): 0}
-    order: list[WreathElement] = [W.identity()]
-    frontier = [W.identity()]
+    index = {(0, W.B.identity): 0}
+    supports: list[tuple[int, ...]] = [()]
+    frontier = list(index)
     depth = 0
     while frontier and (radius is None or depth < radius):
-        found = set()
-        for x in frontier:
-            for move, _ in moves:
-                y = wreath_mul(W, x, move)
-                if y not in index:
-                    found.add(y)
-        for y in sorted(found, key=WreathElement.key):
-            index[y] = len(order)
-            order.append(y)
-        if len(order) > cap:
+        found = {(mask ^ lamp[b], b) for mask, b in frontier}
+        found.update((mask, step[b]) for mask, b in frontier for step in steps)
+        # a support fixes its mask, so the mask never breaks a tie
+        level = sorted((lamp_support(mask), b, mask) for mask, b in found - index.keys())
+        frontier = [(mask, b) for _, b, mask in level]
+        for code in frontier:
+            index[code] = len(index)
+        supports.extend(support for support, _, _ in level)
+        if len(index) > cap:
             raise CapExceededError(f"ball enumeration passed the cap {cap}")
-        frontier = sorted(found, key=WreathElement.key)
         depth += 1
 
     complete = radius is None
-    if complete and len(order) != W.order:
+    if complete and len(index) != W.order:
         raise VerificationError(
-            f"enumerated {len(order)} elements, expected {W.order}; "
+            f"enumerated {len(index)} elements, expected {W.order}; "
             "the generating set failed to generate"
         )
 
+    moves = [(right[t], base, W.B.inverse(t) == t) for t, base in pairs]
     edges = []
-    for i, x in enumerate(order):
-        y = wreath_mul(W, x, W.delta())
-        j = index.get(y)
+    for i, (mask, b) in enumerate(index):
+        j = index.get((mask ^ lamp[b], b))
         # delta is an involution: one edge per unordered vertex pair
         if j is not None and i < j:
             edges.append((i, j, DELTA_LABEL))
-        for t, base in pairs:
-            s = W.B.inverse(t)
-            y = wreath_mul(W, x, WreathElement(frozenset(), t))
-            j = index.get(y)
-            if j is None:
-                continue
-            if s == t:
-                if i < j:
-                    edges.append((i, j, base))
-            else:
+        for step, base, involution in moves:
+            j = index.get((mask, step[b]))
+            if j is not None and (i < j or not involution):
                 edges.append((i, j, base))
-    alphabet = [DELTA_LABEL] + [base for _, base in pairs]
     graph = build_graph(
-        len(order),
+        len(index),
         edges,
-        alphabet=alphabet,
+        alphabet=[DELTA_LABEL] + [base for _, base in pairs],
         annotations={
             "construction": f"wreath Z/2 over Q of order {W.Q.order}, base order {W.B.order}",
-            "vertex_supports": tuple(tuple(sorted(x.config)) for x in order),
-            "vertex_b_names": tuple(W.B.name(x.b) for x in order),
+            "vertex_supports": tuple(supports),
+            "vertex_b_names": tuple(W.B.name(b) for _, b in index),
         },
     )
-    return WreathBall(graph=graph, elements=tuple(order), radius=radius, complete=complete)
+    elements = tuple(WreathElement(frozenset(s), b) for s, (_, b) in zip(supports, index))
+    return WreathBall(graph=graph, elements=elements, radius=radius, complete=complete)
 
 
 # -- the relative subset X --------------------------------------------------
@@ -324,8 +319,7 @@ def subwreath_embed(
     if W_small.order > WREATH_VERTEX_CAP:
         raise CapExceededError("small wreath group too large to enumerate")
     mapping: dict[WreathElement, WreathElement] = {}
-    configs = [frozenset(q for q in range(W_small.Q.order) if mask >> q & 1)
-               for mask in range(1 << W_small.Q.order)]
+    configs = [frozenset(lamp_support(mask)) for mask in range(1 << W_small.Q.order)]
     for cfg in configs:
         big_cfg = frozenset(f_inv[q] for q in cfg)
         for b in range(L.order):

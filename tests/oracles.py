@@ -377,6 +377,11 @@ def naive_poincare_constant(mul, x_members, sigma_members, samples=100000, seed=
     return float((u @ Ac @ u) / (u @ Bc @ u))
 
 
+def _wreath_key(x):
+    """Sorted support, then the B-index."""
+    return (tuple(sorted(x.config)), x.b)
+
+
 def naive_wreath_table(W):
     """Multiplication table over the sorted element list, by direct
     evaluation of the group law."""
@@ -388,12 +393,59 @@ def naive_wreath_table(W):
             for m in range(1 << W.Q.order)
             for b in range(W.B.order)
         ),
-        key=WreathElement.key,
+        key=_wreath_key,
     )
     index = {x: i for i, x in enumerate(elems)}
     mul = [[index[wreath_mul(W, x, y)] for y in elems] for x in elems]
     return elems, index, mul
 
+
+
+def naive_wreath_cayley(W, radius=None):
+    """The wreath Cayley graph (or ball) by breadth-first search on
+    frozenset elements, every product by the group law ``wreath_mul``;
+    levels are sorted by (sorted support, B-index)."""
+    from coarselab.wreath import DELTA_LABEL, WreathBall, WreathElement, wreath_mul
+
+    pairs = []
+    for t in W.B.generators:
+        canon = min(t, W.B.inverse(t))
+        if all(canon != c for c, _ in pairs):
+            pairs.append((canon, W.B.name(canon)))
+    moves = [W.delta()] + [WreathElement(frozenset(), t) for t in W.B.generators]
+
+    index = {W.identity(): 0}
+    order = [W.identity()]
+    frontier = [W.identity()]
+    depth = 0
+    while frontier and (radius is None or depth < radius):
+        found = {wreath_mul(W, x, m) for x in frontier for m in moves} - index.keys()
+        frontier = sorted(found, key=_wreath_key)
+        for y in frontier:
+            index[y] = len(order)
+            order.append(y)
+        depth += 1
+
+    edges = []
+    for i, x in enumerate(order):
+        j = index.get(wreath_mul(W, x, W.delta()))
+        if j is not None and i < j:
+            edges.append((i, j, DELTA_LABEL))
+        for t, base in pairs:
+            j = index.get(wreath_mul(W, x, WreathElement(frozenset(), t)))
+            if j is not None and (i < j or W.B.inverse(t) != t):
+                edges.append((i, j, base))
+    graph = build_graph(
+        len(order),
+        edges,
+        alphabet=[DELTA_LABEL] + [base for _, base in pairs],
+        annotations={
+            "construction": f"wreath Z/2 over Q of order {W.Q.order}, base order {W.B.order}",
+            "vertex_supports": tuple(tuple(sorted(x.config)) for x in order),
+            "vertex_b_names": tuple(W.B.name(x.b) for x in order),
+        },
+    )
+    return WreathBall(graph=graph, elements=tuple(order), radius=radius, complete=radius is None)
 
 # -- metric diagnostics oracle -----------------------------------------------
 #

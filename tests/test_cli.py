@@ -338,6 +338,25 @@ class TestGroupCommands:
         assert captured.out == "" and captured.err.startswith("error:")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "flags", [["--trials", "-3", "--seed", "1"], ["--trials", "2", "--seed", "-4"]]
+    )
+    def test_poincare_checks_trials_and_seed_before_the_solve(
+        self, capsys, tmp_path, monkeypatch, flags
+    ):
+        def solve(*args, **kwargs):
+            raise AssertionError("the constant was solved before the flags were checked")
+
+        monkeypatch.setattr(cli, "relative_poincare_constant", solve)
+        z3 = z3_file(tmp_path)
+        code = cli.main(
+            ["poincare", "--relative", "--q-table", z3, "--b-table", z3, "--proj", "0,1,2",
+             *flags]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("error:")
+
     def test_wreath_rejects_negative_radius(self, capsys, tmp_path):
         z3 = z3_file(tmp_path)
         code = cli.main(

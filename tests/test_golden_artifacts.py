@@ -80,6 +80,9 @@ GOLDEN = {
     "present_multi.json": "0e3edd5360342058862cc9cac0b1e57e7ec07b3dddb9e8955133c1bd4354b5da",
     "pieces_hash.json": "951ec3bcd2f8d78d5ccdf2a8b360909884afe2abb06d22f2bc8623389d476fa4",
     "wreath.json": "0600cd492612b1142cfcf3e199d40becaf98d969297d43688fc247f1869c3882",
+    "wreath_s3.json": "0930ecbf6249f08a9211e4dabf9ade24fa53f864f6a296cec62220e96fb450c4",
+    "wreath_sign.json": "f559c583fdb541cd3064b6a9d73247fa750a42c7abf447af3e1c16accafd6808",
+    "wreath_z40_ball.json": "188681c0711696b0d66586cd713a6f06febfc009b1c2123e8b0e04fc1bf56ae0",
     "lps.json": "9098504eb631f4bce347eb07a2008d4136336d3b17773ceb5193f93127156d49",
     "poincare_z4.json": "3e65d62468698e8a09a5947e1af30707ed98b6abfffdc082849f358c5dde77e8",
     "poincare_s3.json": "99767361c0da867ebaebd9701845b31b4cd976675a007a51e4ac396e3068c774",
@@ -110,6 +113,8 @@ def artifacts(tmp_path_factory):
     (work / "z3.json").write_text(serialize_group_table(cyclic_group(3)))
     (work / "z4.json").write_text(serialize_group_table(cyclic_group(4)))
     (work / "s3.json").write_text(serialize_group_table(symmetric_group(3)))
+    (work / "z2.json").write_text(serialize_group_table(cyclic_group(2)))
+    (work / "z40.json").write_text(serialize_group_table(cyclic_group(40)))
     k4_maps, k4_points = cover_maps(4, K4_EDGES)
     prism3_maps, _ = cover_maps(6, PRISM3_EDGES)
     (work / "family.json").write_text(serialize_map_family(MapFamily(k4_maps + prism3_maps)))
@@ -128,6 +133,14 @@ def artifacts(tmp_path_factory):
         ["pieces", "hash_sensitive.json", "--out", "pieces_hash.json"],
         ["wreath", "--q-table", "z3.json", "--b-table", "z3.json", "--proj", "0,1,2",
          "--out", "wreath.json"],
+        # non-abelian Q, and a quotient map S3 -> Z/2 by sign
+        ["wreath", "--q-table", "s3.json", "--b-table", "s3.json", "--proj", "0,1,2,3,4,5",
+         "--out", "wreath_s3.json"],
+        ["wreath", "--q-table", "z2.json", "--b-table", "s3.json", "--proj", "0,1,1,0,0,1",
+         "--out", "wreath_sign.json"],
+        # a ball whose lamp masks do not fit in 32 bits
+        ["wreath", "--q-table", "z40.json", "--b-table", "z40.json",
+         "--proj", ",".join(map(str, range(40))), "--radius", "5", "--out", "wreath_z40_ball.json"],
         ["lps", "--p", "13", "--q", "5", "--out", "lps.json"],
         ["poincare", "--relative", "--q-table", "z4.json", "--b-table", "z4.json",
          "--proj", "0,1,2,3", "--out", "poincare_z4.json"],

@@ -11,6 +11,7 @@ from coarselab.errors import (
     InvalidInputError,
 )
 from coarselab.graph_core import (
+    DIAMETER_BLOCK,
     GraphFamily,
     LabeledGraph,
     adjacency_spectrum,
@@ -138,6 +139,18 @@ class TestDistances:
         assert diameter(cycle(6)) == 3
         assert diameter(complete(4)) == 1
         assert diameter(path(5)) == 4
+
+    def test_diameter_over_several_blocks_of_sources(self):
+        n = 4200
+        assert n > 4096 and n > 8 * DIAMETER_BLOCK
+        assert diameter(cycle(n)) == n // 2
+        # a path from n-1 through 0, 1, ... to n-2: both of its ends, the
+        # only vertices of eccentricity n-1, lie in the last partial block
+        order = [n - 1] + list(range(n - 1))
+        g = build_graph(n, list(zip(order, order[1:])))
+        assert diameter(g) == n - 1
+        assert diameter(g, list(range(n - 1, 0, -1))) == n - 1
+        assert diameter(g, [2000]) == n - 2002
 
     def test_diameter_rejects_disconnected(self):
         g = build_graph(4, [(0, 1), (2, 3)])

@@ -1,11 +1,13 @@
 """Tests for wreath product arithmetic, Cayley graphs, and embeddings."""
 
+import itertools
 import random
+from functools import lru_cache
 
 import pytest
 
 from coarselab.errors import CapExceededError, InvalidInputError
-from coarselab.expander_zoo import FiniteGroupTable, cyclic_group
+from coarselab.expander_zoo import FiniteGroupTable, cyclic_group, symmetric_group
 from coarselab.wreath import (
     DELTA_LABEL,
     RelativeSubset,
@@ -18,6 +20,7 @@ from coarselab.wreath import (
     wreath_mul,
     x_subset,
 )
+from oracles import naive_wreath_cayley
 
 
 def w22():
@@ -289,6 +292,93 @@ def test_edge_labels_encode_generators():
         else:
             assert lab == "1"
             assert index[wreath_mul(W, x, t)] == v
+
+
+@lru_cache(maxsize=None)
+def cyclic(n, gens):
+    return cyclic_group(n, generators=gens)
+
+
+@lru_cache(maxsize=None)
+def symmetric(n, gens):
+    return symmetric_group(n, generators=gens)
+
+
+def units(n):
+    return [u for u in range(1, n) if all(u * k % n for k in range(1, n))]
+
+
+def random_cyclic_gens(rng, n):
+    """A generating set of Z/n: a unit, sometimes with one more element."""
+    gens = [rng.choice(units(n))]
+    if n > 2 and rng.random() < 0.4:
+        gens.append(rng.randrange(1, n))
+    return tuple(gens)
+
+
+def random_symmetric_gens(rng, n):
+    """Adjacent transpositions, or an n-cycle with one transposition."""
+    if rng.random() < 0.5:
+        return None
+    cycle = tuple(range(1, n)) + (0,)
+    swap = (1, 0) + tuple(range(2, n))
+    return (cycle, swap)
+
+
+def sign_of(perm):
+    return sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+
+
+def random_wreath_group(rng, full):
+    """A random Z/2 wr_Q B, small enough to enumerate when ``full``.
+
+    The kinds: B = Q cyclic through a unit automorphism, the quotient
+    Z/2k -> Z/k, S_n through a conjugation, and S_n -> Z/2 by sign.
+    Balls take cyclic Q of order up to 90, so lamp masks outgrow int64.
+    """
+    kind = rng.choice(["cyclic", "quotient", "symmetric", "sign"])
+    if kind == "cyclic":
+        k = rng.randrange(2, 7) if full else rng.randrange(2, 91)
+        unit = rng.choice(units(k))
+        return WreathGroup(
+            Q=cyclic(k, (1,)), B=cyclic(k, random_cyclic_gens(rng, k)),
+            proj=tuple(b * unit % k for b in range(k)),
+        )
+    if kind == "quotient":
+        k = rng.randrange(1, 6) if full else rng.randrange(2, 46)
+        return WreathGroup(
+            Q=cyclic(k, (1,)), B=cyclic(2 * k, random_cyclic_gens(rng, 2 * k)),
+            proj=tuple(b % k for b in range(2 * k)),
+        )
+    n = 3 if full or rng.random() < 0.5 else 4
+    B = symmetric(n, random_symmetric_gens(rng, n))
+    perms = sorted(itertools.permutations(range(n)))
+    if kind == "sign":
+        return WreathGroup(Q=cyclic(2, (1,)), B=B, proj=tuple(sign_of(p) for p in perms))
+    index = {p: i for i, p in enumerate(perms)}
+    g = rng.choice(perms)
+    g_inv = tuple(g.index(i) for i in range(n))
+    conj = [index[tuple(g[p[g_inv[i]]] for i in range(n))] for p in perms]
+    return WreathGroup(Q=symmetric(n, None), B=B, proj=tuple(conj))
+
+
+def test_cayley_equals_the_group_law_walk():
+    """The generator-step walk on lamp codes matches the frozenset walk
+    that takes every product by the group law: same elements in the same
+    order, same edge triples, same annotations."""
+    rng = random.Random(2019)
+    wide_masks = 0
+    for trial in range(240):
+        full = trial % 3 == 0
+        W = random_wreath_group(rng, full)
+        radius = None if full else rng.randrange(0, 6)
+        fast, slow = wreath_cayley(W, radius=radius), naive_wreath_cayley(W, radius=radius)
+        assert fast.elements == slow.elements
+        assert list(fast.graph.edges()) == list(slow.graph.edges())
+        assert fast.graph.annotations == slow.graph.annotations
+        assert (fast.radius, fast.complete) == (slow.radius, slow.complete)
+        wide_masks += W.Q.order >= 64
+    assert wide_masks >= 5
 
 
 # -- the subset X -----------------------------------------------------------
