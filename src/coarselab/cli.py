@@ -31,6 +31,7 @@ import numpy as np
 from . import jsonio
 from .covers_walls import (
     COVER_VERTEX_CAP,
+    cover_girth,
     homology_cover,
     iterate_homology_cover,
     validate_walls,
@@ -230,7 +231,7 @@ def _cmd_cover(args):
         f"base: {cm.base.vertex_count} vertices, {cm.base.edge_count} edges",
         f"cover: {cm.cover.vertex_count} vertices, {cm.cover.edge_count} edges",
         f"deck rank: {cm.deck_rank} (fibers of size {2 ** cm.deck_rank})",
-        f"cover girth: {girth(cm.cover)}",
+        f"cover girth: {cover_girth(cm)}",
     ]
     return lines, jsonio.serialize_graph(cm.cover)
 

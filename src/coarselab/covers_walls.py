@@ -24,7 +24,7 @@ from .errors import (
     InvalidInputError,
     VerificationError,
 )
-from .graph_core import LabeledGraph, bfs_tree, build_graph, components, propagate, tree_path
+from .graph_core import LabeledGraph, bfs_tree, build_graph, components, girth, propagate, tree_path
 
 #: Iterated covers refuse to build more vertices than this by default.
 COVER_VERTEX_CAP = 1 << 20
@@ -160,6 +160,19 @@ def compose_covers(outer: CoveringMap, inner: CoveringMap) -> CoveringMap:
         deck_rank=inner.deck_rank + outer.deck_rank,
         single_step=False,
     )
+
+
+def cover_girth(cm: CoveringMap):
+    """Girth of ``cm.cover`` from one source per fiber: the smallest
+    vertex over each base vertex.
+
+    Exact for homology covers and their iterates.  Each is a regular
+    covering (every kernel is characteristic in the one below, hence
+    normal in the base), so the deck group is transitive on each fiber
+    and carries any shortest cycle onto one through a chosen source.
+    """
+    heads = np.unique(np.asarray(cm.vertex_map), return_index=True)[1]
+    return girth(cm.cover, heads.tolist())
 
 
 def iterate_homology_cover(g: LabeledGraph, k: int, vertex_cap: int = COVER_VERTEX_CAP) -> CoveringMap:

@@ -336,6 +336,12 @@ def legendre_symbol(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
+def _primitive_root(q: int) -> int:
+    """The smallest generator of the units mod the prime q."""
+    factors = [f for f in range(2, q) if (q - 1) % f == 0 and is_prime(f)]
+    return next(g for g in range(1, q) if all(pow(g, (q - 1) // f, q) != 1 for f in factors))
+
+
 def sqrt_minus_one(q: int) -> int:
     """A square root of -1 mod q (q prime, q = 1 mod 4), via the
     smallest quadratic non-residue; deterministic."""
@@ -439,25 +445,46 @@ class _Pgl2:
             raise InvalidInputError("canonicalization failed")
         return i
 
-    def mul_table(self) -> np.ndarray:
+    def left_products(self, a1: int, b1: int, c1: int, d1: int) -> np.ndarray:
+        """Index of the product [[a1, b1], [c1, d1]] y for every element y."""
         q = self.q
-        n = len(self.elements)
         arr = np.array(self.elements, dtype=np.int64)
         a2, b2, c2, d2 = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-        table = np.zeros((n, n), dtype=np.int64)
-        for x in range(n):
-            a1, b1, c1, d1 = self.elements[x]
-            pa = (a1 * a2 + b1 * c2) % q
-            pb = (a1 * b2 + b1 * d2) % q
-            pc = (c1 * a2 + d1 * c2) % q
-            pd = (c1 * b2 + d1 * d2) % q
-            # scale by the inverse of the first nonzero entry
-            e = np.where(pa != 0, pa, np.where(pb != 0, pb, np.where(pc != 0, pc, pd)))
-            s = self.modinv[e]
-            pa, pb, pc, pd = (pa * s) % q, (pb * s) % q, (pc * s) % q, (pd * s) % q
-            table[x] = self.lookup[((pa * q + pb) * q + pc) * q + pd]
-        if table.min() < 0:
+        pa = (a1 * a2 + b1 * c2) % q
+        pb = (a1 * b2 + b1 * d2) % q
+        pc = (c1 * a2 + d1 * c2) % q
+        pd = (c1 * b2 + d1 * d2) % q
+        # scale by the inverse of the first nonzero entry
+        e = np.where(pa != 0, pa, np.where(pb != 0, pb, np.where(pc != 0, pc, pd)))
+        s = self.modinv[e]
+        pa, pb, pc, pd = (pa * s) % q, (pb * s) % q, (pc * s) % q, (pd * s) % q
+        row = self.lookup[((pa * q + pb) * q + pc) * q + pd]
+        if row.min() < 0:
             raise InvalidInputError("product escaped the canonical element list")
+        return row
+
+    def mul_table(self) -> np.ndarray:
+        """The table by generator steps: with the left products of
+        [[1, 1], [0, 1]], [[0, 1], [1, 0]] and [[g, 0], [0, 1]] (g a
+        primitive root mod q), row s u of the table is ``left[s][row u]``,
+        so a walk from the identity fills each row with one gather."""
+        q = self.q
+        n = len(self.elements)
+        g = _primitive_root(q)
+        left = [self.left_products(*m) for m in ((1, 1, 0, 1), (0, 1, 1, 0), (g, 0, 0, 1))]
+        table = np.full((n, n), -1, dtype=np.int64)
+        frontier = np.array([self.canonical_index(1, 0, 0, 1)])
+        table[frontier[0]] = np.arange(n)
+        while frontier.size:
+            reached = []
+            for step in left:
+                w = step[frontier]
+                new = table[w, 0] < 0
+                table[w[new]] = step[table[frontier[new]]]
+                reached.append(w[new])
+            frontier = np.concatenate(reached)
+        if table[:, 0].min() < 0:
+            raise InvalidInputError(f"generator steps do not reach all of PGL2({q})")
         return table
 
 

@@ -33,7 +33,8 @@ from .errors import (
 
 INVERSE_SUFFIX = "^-1"
 
-#: Largest vertex count for which full dense eigensolves are attempted.
+#: Largest vertex count for which the full spectrum is computed (from
+#: character blocks or a dense eigensolve).
 DENSE_SPECTRUM_CAP = 4096
 
 #: Largest vertex count for which all 2^n - 1 cuts are enumerated.
@@ -659,6 +660,96 @@ def _bipartite_eigenpairs(adj: np.ndarray, color: np.ndarray) -> tuple[np.ndarra
     return vals, vecs
 
 
+def _cyclic_symmetry(g: LabeledGraph, adj: scipy.sparse.csr_matrix) -> Optional[np.ndarray]:
+    """The powers h^0 .. h^(m-1), as an (m, n) array, of an automorphism
+    h of ``g`` whose cycles all have one length m >= 2; None when the
+    labels do not give one.
+
+    The labels must give every vertex exactly one out-dart per signed
+    label, as on a Cayley graph of generators that are not involutions.
+    Then each target t names the label-preserving map h_t with 0 -> t,
+    read along ``bfs_tree(g, 0)``: h_t(x) follows the tree path of x
+    from t.  The smallest t of largest order is taken, and used only if
+    it is a permutation, commutes with the adjacency and has all cycles
+    of length m.
+    """
+    n = g.vertex_count
+    if not g._lab or None in g._lab:
+        return None
+    code = {lab: i for i, lab in enumerate(sorted(set(g._lab)))}
+    if g.dart_count != n * len(code):
+        return None
+    src, dst = dart_endpoints(g)
+    lab = np.fromiter((code[x] for x in g._lab), dtype=np.int64, count=g.dart_count)
+    step = np.full((len(code), n), -1, dtype=np.int32)
+    step[lab, src] = dst
+    tree = bfs_tree(g, 0)
+    if step.min() < 0 or len(tree) < n:
+        return None
+    # images[x, t] = h_t(x), one gather per entry along the tree
+    images = np.empty((n, n), dtype=np.int32)
+    for x, d in tree.items():
+        images[x] = np.arange(n) if d < 0 else step[lab[d], images[src[d]]]
+    # the order of h_t is the length of the orbit of 0, for all t at once
+    order = np.zeros(n, dtype=np.int64)
+    cand, pos = np.arange(n), images[0].astype(np.intp)
+    for k in range(1, n + 1):
+        back = pos == 0
+        order[cand[back]] = k
+        cand, pos = cand[~back], pos[~back]
+        if not cand.size:
+            break
+        pos = images[pos, cand]
+    m = int(order.max())
+    h = images[:, int(np.argmax(order == m))].astype(np.intp)
+    del images
+    ident = np.arange(n)
+    if m < 2 or not np.array_equal(np.sort(h), ident) or (adj[h][:, h] != adj).nnz:
+        return None
+    powers = np.empty((m + 1, n), dtype=np.int32)
+    powers[0] = ident
+    for k in range(m):
+        powers[k + 1] = h[powers[k]]
+    if np.any(powers[1:m] == ident) or not np.array_equal(powers[m], ident):
+        return None
+    return powers[:m]
+
+
+def _character_eigenpairs(g: LabeledGraph, adj: scipy.sparse.csr_matrix) -> Optional[tuple[np.ndarray, float]]:
+    """All adjacency eigenvalues from the characters of the cyclic group
+    of :func:`_cyclic_symmetry`, with the worst residual; None when there
+    is no such group.
+
+    With r_j the smallest vertex of cycle j and x = h^k(r_j), J[x] = j
+    and K[x] = k, block c adds w^(cK[y]) to entry (J[y], j) for every
+    dart r_j -> y, where w = exp(2 pi i / m).  An eigenvector u of block c
+    lifts to v[x] = w^(-cK[x]) u[J[x]] / sqrt(m), and each block's lifts
+    are residual-checked against the sparse matrix.
+    """
+    powers = _cyclic_symmetry(g, adj)
+    if powers is None:
+        return None
+    m, n = powers.shape
+    rep = powers.min(axis=0)
+    heads = np.flatnonzero(rep == np.arange(n))
+    J = np.searchsorted(heads, rep)
+    K = np.empty(n, dtype=np.int64)
+    K[powers[:, heads]] = np.arange(m)[:, np.newaxis]
+    src, dst = dart_endpoints(g)
+    out = K[src] == 0
+    rows, cols, ks = J[dst[out]], J[src[out]], K[dst[out]]
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    chars = np.arange(m)[:, np.newaxis]
+    blocks = np.zeros((m, heads.size, heads.size), dtype=np.complex128)
+    np.add.at(blocks, (chars, rows, cols), roots[chars * ks % m])
+    vals, vecs = np.linalg.eigh(blocks)
+    worst = 0.0
+    for c in range(m):
+        lifted = roots[-c * K % m][:, np.newaxis] * vecs[c][J] / math.sqrt(m)
+        worst = max(worst, _verify_eigenpairs(adj, vals[c], lifted))
+    return np.sort(vals.reshape(-1))[::-1], worst
+
+
 def _extreme_eigs(mat: scipy.sparse.csr_matrix, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, float]:
     import scipy.sparse.linalg
 
@@ -682,7 +773,9 @@ def adjacency_spectrum(
 ) -> SpectrumSummary:
     """Adjacency eigenvalues, descending, with multiplicity.
 
-    Up to ``dense_cap`` vertices the whole spectrum is computed: by the
+    Up to ``dense_cap`` vertices the whole spectrum is computed: from
+    one Hermitian block per character of a cyclic automorphism group
+    when the labels give one (see :func:`_cyclic_symmetry`), else by the
     SVD of the biadjacency block when the graph is bipartite, else by a
     symmetric eigensolve; every eigenpair is residual-checked.  Above
     the cap only the ``extremes`` largest and smallest eigenvalues (at
@@ -693,7 +786,11 @@ def adjacency_spectrum(
 
     n = g.vertex_count
     adj = _adjacency_csr(g)
-    if n <= dense_cap:
+    blocks = _character_eigenpairs(g, adj) if n <= dense_cap else None
+    if blocks is not None:
+        vals, worst = blocks
+        complete = True
+    elif n <= dense_cap:
         color = two_coloring(g)
         if color is None:
             vals, vecs = scipy.linalg.eigh(adj.toarray())

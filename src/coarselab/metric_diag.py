@@ -25,6 +25,9 @@ from .errors import DisconnectedGraphError, InvalidInputError
 from .graph_core import LabeledGraph, distance_matrix
 from .poincare_lab import GroupFunction, _default_x, resolve_group, subset_indices
 
+#: Centers per block of distance rows read by ``ball_concentration``.
+BALL_BLOCK = 32
+
 SourceSpace = Union[LabeledGraph, np.ndarray]
 TargetSpace = Union[LabeledGraph, np.ndarray]
 
@@ -281,11 +284,16 @@ def ball_concentration(points: np.ndarray, radius: float) -> int:
     if not (np.isfinite(radius) and radius >= 0):
         raise InvalidInputError("radius must be finite and nonnegative")
     n = pts.shape[0]
-    x, y = np.triu_indices(n, 1)
-    close = _row_distances(pts, x, y) <= radius + 1e-12
-    counts = np.bincount(x[close], minlength=n) + np.bincount(y[close], minlength=n)
-    # every point lies in its own ball
-    return int(counts.max()) + 1
+    counts = np.zeros(n, dtype=np.int64)
+    for k in range(0, n, BALL_BLOCK):
+        # a block of centers against every point from the block on, the
+        # centers themselves included; a later point counts for both ends
+        stop = min(k + BALL_BLOCK, n)
+        rows = np.arange(k, stop)[:, np.newaxis]
+        inside = _row_distances(pts, rows, np.arange(k, n)[np.newaxis, :]) <= radius + 1e-12
+        counts[k:stop] += inside.sum(axis=1)
+        counts[stop:] += inside[:, stop - k :].sum(axis=0)
+    return int(counts.max())
 
 
 @dataclass(frozen=True)

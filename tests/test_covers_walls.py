@@ -8,6 +8,7 @@ from coarselab.covers_walls import (
     CoveringMap,
     WallDecomposition,
     compose_covers,
+    cover_girth,
     homology_cover,
     is_two_connected,
     iterate_homology_cover,
@@ -27,7 +28,7 @@ from coarselab.expander_zoo import cayley_graph, cyclic_group
 from coarselab.graph_core import build_graph, distance_matrix, girth
 from coarselab.labelings import _out_maps, _pointed_spread
 
-from oracles import naive_girth
+from oracles import naive_girth, random_multigraph
 
 
 def triangle():
@@ -160,6 +161,25 @@ class TestIteratedCover:
         maps = _out_maps(cm.cover)
         for t in range(cm.cover.vertex_count):
             assert _pointed_spread(cm.cover, maps, 0, cm.cover, maps, t) is not None
+
+    def test_cover_girth_from_one_source_per_fiber(self):
+        rng = random.Random(73)
+        seen = set()
+        for _ in range(120):
+            n = rng.randrange(2, 8)
+            base = random_multigraph(rng, n, rng.randrange(n - 1, n + 4), bipartite=rng.random() < 0.8)
+            if not base.is_connected:
+                continue
+            for k in (1, 2):
+                try:
+                    cm = iterate_homology_cover(base, k, vertex_cap=1024)
+                except CapExceededError:
+                    break
+                value = girth(cm.cover)
+                assert cover_girth(cm) == value
+                seen.add((k, value))
+        # both depths, and girths no parallel pair or loop decides
+        assert {k for k, value in seen if value > 2} == {1, 2}
 
     def test_composition_maps_chain(self):
         first = homology_cover(triangle())

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from coarselab import expander_zoo
 from coarselab.errors import CapExceededError, InvalidInputError
 from coarselab.expander_zoo import (
     FiniteGroupTable,
@@ -22,6 +23,8 @@ from coarselab.expander_zoo import (
     verify_lps,
 )
 from coarselab.graph_core import adjacency_spectrum, build_graph, diameter, girth, two_coloring
+
+from oracles import naive_pgl2_mul_table
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +223,20 @@ class TestPgl2:
     def test_order(self):
         table = pgl2_table(5)
         assert table.order == 120
+
+    @pytest.mark.parametrize("q", [5, 13])
+    def test_generator_steps_equal_the_row_loop(self, q):
+        pgl = expander_zoo._Pgl2(q)
+        assert np.array_equal(pgl.mul_table(), naive_pgl2_mul_table(pgl))
+
+    def test_primitive_roots(self):
+        assert [expander_zoo._primitive_root(q) for q in (2, 3, 5, 7, 13, 17, 29, 61)] == [1, 2, 2, 3, 2, 3, 2, 2]
+
+    def test_steps_that_miss_elements_are_rejected(self, monkeypatch):
+        # 4 is a square mod 5, as is det [[0, 1], [1, 0]] = -1: the steps stay in PSL2(5)
+        monkeypatch.setattr(expander_zoo, "_primitive_root", lambda q: 4)
+        with pytest.raises(InvalidInputError, match="do not reach"):
+            pgl2_table(5)
 
     def test_lps_generators_distinct_and_inverse_closed(self, x_13_5):
         _, table = x_13_5

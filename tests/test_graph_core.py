@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from coarselab import graph_core, jsonio
 from coarselab.errors import (
     CapExceededError,
     DisconnectedGraphError,
@@ -28,6 +30,7 @@ from coarselab.graph_core import (
     split_components,
     two_coloring,
 )
+from coarselab.expander_zoo import cayley_graph, cyclic_group, lps_graph, symmetric_group
 
 from oracles import (
     naive_cheeger,
@@ -318,6 +321,126 @@ class TestSpectra:
         assert laplacian_lambda2(complete(30)) == pytest.approx(30.0)
         with pytest.raises(DisconnectedGraphError):
             laplacian_lambda2(build_graph(3, [(0, 1)]))
+
+
+def dense_eigvalsh(g: LabeledGraph) -> np.ndarray:
+    dense = np.zeros((g.vertex_count, g.vertex_count))
+    for u, v, _ in g.edges():
+        dense[u, v] += 1
+        dense[v, u] += 1
+    return np.linalg.eigvalsh(dense)[::-1]
+
+
+def cluster_sizes(vals, gap: float = 1e-8) -> list[int]:
+    """Sizes of the runs of a sorted list whose neighbors lie within ``gap``."""
+    breaks = np.flatnonzero(np.abs(np.diff(vals)) > gap)
+    return np.diff(np.concatenate([[-1], breaks, [len(vals) - 1]])).tolist()
+
+
+def labeled_cayley_graphs() -> list[LabeledGraph]:
+    """Seeded Cayley graphs whose generators are not involutions: cyclic
+    groups, S4 and S5, and two LPS graphs.  (S3 is generated by no set
+    of non-involutions: its 3-cycles only reach A3.)"""
+    rng = random.Random(67)
+    graphs = []
+    while len(graphs) < 70:
+        n = rng.randrange(3, 41)
+        gens = [s for s in rng.sample(range(1, n), min(n - 1, rng.randrange(1, 4))) if 2 * s % n]
+        if gens and math.gcd(n, *gens) == 1:
+            graphs.append(cayley_graph(cyclic_group(n, gens)))
+    for degree, count in ((4, 20), (5, 12)):
+        perms = [p for p in itertools.permutations(range(degree)) if any(p[p[i]] != i for i in range(degree))]
+        while count:
+            try:
+                group = symmetric_group(degree, rng.sample(perms, rng.randrange(2, 4)))
+            except InvalidInputError:  # the sample does not generate
+                continue
+            graphs.append(cayley_graph(group))
+            count -= 1
+    return graphs + [lps_graph(13, 5)[0], lps_graph(5, 13)[0]]
+
+
+class TestCharacterBlocks:
+    """The spectrum of a graph whose labels give every vertex one out-dart
+    per signed label comes from the characters of a cyclic automorphism
+    group read off its breadth-first tree; every other graph keeps the
+    dense routes."""
+
+    def test_labeled_cayley_spectra_match_dense_eigvalsh(self, monkeypatch):
+        import scipy.linalg
+
+        graphs = labeled_cayley_graphs()
+        lps = graphs[-2]
+        graphs.append(jsonio.parse_graph(jsonio.serialize_graph(lps)))
+        expected = [dense_eigvalsh(g) for g in graphs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense route ran")
+
+        monkeypatch.setattr(scipy.linalg, "svd", refuse)
+        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        orders = set()
+        for g, want in zip(graphs, expected):
+            spec = adjacency_spectrum(g)
+            vals = np.array(spec.eigenvalues)
+            assert spec.complete and vals.size == g.vertex_count
+            assert np.abs(vals - want).max() <= 1e-10
+            assert cluster_sizes(vals) == cluster_sizes(want)
+            assert spec.residual <= 1e-10
+            assert not any(math.copysign(1.0, x) < 0 for x in vals if x == 0.0)
+            orders.add(len(graph_core._cyclic_symmetry(g, graph_core._adjacency_csr(g))))
+        # PGL2(13) has elements of order q + 1 = 14, and none larger
+        assert 14 in orders and len(graphs) >= 100
+
+    def test_fallbacks_equal_the_dense_route(self, monkeypatch):
+        z6 = list(cayley_graph(cyclic_group(6, [1])).edges())
+        rng = random.Random(71)
+        cases = {
+            "unlabeled": [petersen(), cycle(6)]
+            + [random_multigraph(rng, n, 2 * n) for n in range(3, 9)],
+            "missing label": [build_graph(6, [(0, 1, "t")] + z6[1:])],
+            "doubled label": [build_graph(6, [(1, 0, "s0")] + z6[1:])],
+            "involution labels": [
+                cayley_graph(cyclic_group(6, [1, 3])),
+                cayley_graph(symmetric_group(3)),
+                cayley_graph(symmetric_group(4)),
+            ],
+            # label-regular; the tree map of largest order is a 3-cycle
+            # that is not an automorphism
+            "not an automorphism": [
+                build_graph(3, [(0, 1, "a"), (1, 2, "a"), (2, 0, "a"),
+                                (0, 1, "b"), (1, 0, "b"), (2, 2, "b")]),
+            ],
+            # K7 as three directed 2-factors; the tree map of largest order
+            # is an automorphism (every permutation of K7 is) with cycles of
+            # lengths 3 and 4
+            "unequal cycles": [
+                build_graph(7, [(x, y, lab) for lab, perm in (
+                    ("a", (6, 0, 4, 2, 1, 3, 5)),
+                    ("b", (5, 3, 6, 4, 0, 2, 1)),
+                    ("c", (3, 2, 0, 6, 5, 1, 4)),
+                ) for x, y in enumerate(perm)]),
+            ],
+        }
+        for name, graphs in cases.items():
+            for g in graphs:
+                assert graph_core._cyclic_symmetry(g, graph_core._adjacency_csr(g)) is None, name
+                got = adjacency_spectrum(g)
+                with monkeypatch.context() as patch:
+                    patch.setattr(graph_core, "_character_eigenpairs", lambda g, adj: None)
+                    assert got == adjacency_spectrum(g), name
+                assert np.allclose(got.eigenvalues, dense_eigvalsh(g), atol=1e-9), name
+
+    def test_the_symmetry_is_chosen_from_the_graph_alone(self):
+        g, _ = lps_graph(13, 5)
+        powers = graph_core._cyclic_symmetry(g, graph_core._adjacency_csr(g))
+        again = jsonio.parse_graph(jsonio.serialize_graph(g))
+        assert np.array_equal(powers, graph_core._cyclic_symmetry(again, graph_core._adjacency_csr(again)))
+        # PGL2(5) has elements of order 6 and none larger; h^k moves every
+        # vertex for 0 < k < 6, and h^6 is the identity
+        h = powers[1]
+        assert len(powers) == 6 and np.all(powers[1:] != np.arange(g.vertex_count))
+        assert np.array_equal(h[powers[-1]], np.arange(g.vertex_count))
 
 
 class TestFamilies:
