@@ -402,7 +402,8 @@ def _cmd_poincare(args):
     ]
     if args.trials:
         report = verify_relative_inequality(
-            W, None, None, result.constant, trials=args.trials, seed=args.seed
+            W, None, None, result.constant, trials=args.trials, seed=args.seed,
+            witness=result.witness,
         )
         doc["verification"] = report.to_json_dict()
         lines.append(

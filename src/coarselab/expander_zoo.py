@@ -180,7 +180,7 @@ def cyclic_group(n: int, generators: Iterable[int] = (1,)) -> FiniteGroupTable:
     """Z/n with addition; generator list is symmetrized automatically."""
     if n < 1:
         raise InvalidInputError("cyclic group order must be >= 1")
-    mul = [[(a + b) % n for b in range(n)] for a in range(n)]
+    mul = (np.arange(n)[:, None] + np.arange(n)) % n
     gens: list[int] = []
     for s in generators:
         s %= n

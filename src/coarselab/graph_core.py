@@ -379,16 +379,6 @@ def propagate(g: LabeledGraph, root: int, image: int, step) -> Optional[dict[int
 # -- distances -----------------------------------------------------------
 
 
-def bfs_distances(g: LabeledGraph, source: int) -> list[int]:
-    """Unweighted distances from ``source``; -1 marks unreachable vertices."""
-    if not (0 <= source < g.vertex_count):
-        raise InvalidInputError("bfs source out of range")
-    dist = [-1] * g.vertex_count
-    for v, d in bfs_tree(g, source).items():
-        dist[v] = 0 if d < 0 else dist[g._src[d]] + 1
-    return dist
-
-
 def dart_endpoints(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
     """Source and target of every dart, as int64 arrays indexed by dart."""
     src = np.fromiter(g._src, dtype=np.int64, count=g.dart_count)
@@ -509,30 +499,6 @@ def girth(g: LabeledGraph, sources: Optional[Sequence[int]] = None):
     return best
 
 
-@dataclass(frozen=True)
-class DgReport:
-    """Per-component diameter/girth ratios and their maximum."""
-
-    ratios: tuple[float, ...]
-    maximum: float
-
-
-def dg_ratio(family: GraphFamily) -> DgReport:
-    """Diameter/girth ratio of each component plus the family maximum.
-
-    Every component must be connected (enforced by :class:`GraphFamily`)
-    and contain a cycle; an acyclic component has no finite ratio and is
-    rejected.
-    """
-    ratios = []
-    for i, g in enumerate(family.components):
-        gr = girth(g)
-        if gr is math.inf:
-            raise InvalidInputError(f"family component {i} is acyclic; ratio undefined")
-        ratios.append(diameter(g) / gr)
-    return DgReport(ratios=tuple(ratios), maximum=max(ratios))
-
-
 # -- isoperimetry --------------------------------------------------------
 
 
@@ -622,10 +588,9 @@ class SpectrumSummary:
     residual: float
 
 
-def _verify_eigenpairs(op, eigvals: np.ndarray, eigvecs: np.ndarray, tol: float = 1e-8) -> float:
-    """Residual max_i ||A v_i - lambda_i v_i|| / ||v_i||; ``op`` is the
-    sparse operator, so the check costs one sparse product per vector."""
-    av = op @ eigvecs
+def _verify_eigenpairs(av: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray, tol: float = 1e-8) -> float:
+    """Residual max_i ||A v_i - lambda_i v_i|| / ||v_i||, given the
+    products ``av`` = A V from a sparse operator or a neighbour table."""
     resid = av - eigvecs * eigvals[np.newaxis, :]
     norms = np.linalg.norm(resid, axis=0) / np.maximum(np.linalg.norm(eigvecs, axis=0), 1e-300)
     worst = float(norms.max()) if norms.size else 0.0
@@ -660,7 +625,7 @@ def _bipartite_eigenpairs(adj: np.ndarray, color: np.ndarray) -> tuple[np.ndarra
     return vals, vecs
 
 
-def _cyclic_symmetry(g: LabeledGraph, adj: scipy.sparse.csr_matrix) -> Optional[np.ndarray]:
+def _cyclic_symmetry(g: LabeledGraph) -> Optional[np.ndarray]:
     """The powers h^0 .. h^(m-1), as an (m, n) array, of an automorphism
     h of ``g`` whose cycles all have one length m >= 2; None when the
     labels do not give one.
@@ -670,8 +635,9 @@ def _cyclic_symmetry(g: LabeledGraph, adj: scipy.sparse.csr_matrix) -> Optional[
     Then each target t names the label-preserving map h_t with 0 -> t,
     read along ``bfs_tree(g, 0)``: h_t(x) follows the tree path of x
     from t.  The smallest t of largest order is taken, and used only if
-    it is a permutation, commutes with the adjacency and has all cycles
-    of length m.
+    it is a permutation, maps the darts onto the darts (compared as
+    sorted codes src * n + dst, so multiplicities and loops count) and
+    has all cycles of length m.
     """
     n = g.vertex_count
     if not g._lab or None in g._lab:
@@ -704,7 +670,9 @@ def _cyclic_symmetry(g: LabeledGraph, adj: scipy.sparse.csr_matrix) -> Optional[
     h = images[:, int(np.argmax(order == m))].astype(np.intp)
     del images
     ident = np.arange(n)
-    if m < 2 or not np.array_equal(np.sort(h), ident) or (adj[h][:, h] != adj).nnz:
+    if m < 2 or not np.array_equal(np.sort(h), ident):
+        return None
+    if not np.array_equal(np.sort(h[src] * n + h[dst]), np.sort(src * n + dst)):
         return None
     powers = np.empty((m + 1, n), dtype=np.int32)
     powers[0] = ident
@@ -715,7 +683,7 @@ def _cyclic_symmetry(g: LabeledGraph, adj: scipy.sparse.csr_matrix) -> Optional[
     return powers[:m]
 
 
-def _character_eigenpairs(g: LabeledGraph, adj: scipy.sparse.csr_matrix) -> Optional[tuple[np.ndarray, float]]:
+def _character_eigenpairs(g: LabeledGraph) -> Optional[tuple[np.ndarray, float]]:
     """All adjacency eigenvalues from the characters of the cyclic group
     of :func:`_cyclic_symmetry`, with the worst residual; None when there
     is no such group.
@@ -724,9 +692,11 @@ def _character_eigenpairs(g: LabeledGraph, adj: scipy.sparse.csr_matrix) -> Opti
     and K[x] = k, block c adds w^(cK[y]) to entry (J[y], j) for every
     dart r_j -> y, where w = exp(2 pi i / m).  An eigenvector u of block c
     lifts to v[x] = w^(-cK[x]) u[J[x]] / sqrt(m), and each block's lifts
-    are residual-checked against the sparse matrix.
+    are residual-checked through the neighbour table: A v sums v over
+    each vertex's distinct neighbours in ascending order, weighted by
+    multiplicity, as a sparse product would.
     """
-    powers = _cyclic_symmetry(g, adj)
+    powers = _cyclic_symmetry(g)
     if powers is None:
         return None
     m, n = powers.shape
@@ -743,11 +713,35 @@ def _character_eigenpairs(g: LabeledGraph, adj: scipy.sparse.csr_matrix) -> Opti
     blocks = np.zeros((m, heads.size, heads.size), dtype=np.complex128)
     np.add.at(blocks, (chars, rows, cols), roots[chars * ks % m])
     vals, vecs = np.linalg.eigh(blocks)
+    # every vertex has the same number of out-darts (one per signed label)
+    nbrs = np.sort(dst[np.argsort(src, kind="stable")].reshape(n, -1), axis=1)
+    first = np.ones(nbrs.shape, dtype=bool)
+    first[:, 1:] = nbrs[:, 1:] != nbrs[:, :-1]
+    weight = np.zeros(nbrs.shape)
+    weight[first] = np.diff(np.append(np.flatnonzero(first.reshape(-1)), nbrs.size))
     worst = 0.0
     for c in range(m):
         lifted = roots[-c * K % m][:, np.newaxis] * vecs[c][J] / math.sqrt(m)
-        worst = max(worst, _verify_eigenpairs(adj, vals[c], lifted))
+        av = _neighbour_product(nbrs, weight, lifted)
+        worst = max(worst, _verify_eigenpairs(av, vals[c], lifted))
     return np.sort(vals.reshape(-1))[::-1], worst
+
+
+def _neighbour_product(nbrs: np.ndarray, weight: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for the adjacency whose row v lists the sorted neighbours
+    ``nbrs[v]`` with multiplicity ``weight[v]`` on the first copy (0 on
+    repeats), summed in the order of a sparse matrix product.  Rows go
+    in blocks of 128, so each block's terms stay in cache."""
+    rows = 128
+    ax = np.zeros_like(x)
+    for a in range(0, x.shape[0], rows):
+        out, cols, w = ax[a : a + rows], nbrs[a : a + rows], weight[a : a + rows]
+        for j in range(cols.shape[1]):
+            term = x[cols[:, j]]
+            if np.any(w[:, j] != 1.0):
+                term *= w[:, j, np.newaxis]
+            out += term
+    return ax
 
 
 def _extreme_eigs(mat: scipy.sparse.csr_matrix, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -759,8 +753,8 @@ def _extreme_eigs(mat: scipy.sparse.csr_matrix, k: int, seed: int) -> tuple[np.n
     top_vals, top_vecs = scipy.sparse.linalg.eigsh(mat, k=k, which="LA", v0=v0)
     bot_vals, bot_vecs = scipy.sparse.linalg.eigsh(mat, k=k, which="SA", v0=v0)
     worst = max(
-        _verify_eigenpairs(mat, top_vals, top_vecs),
-        _verify_eigenpairs(mat, bot_vals, bot_vecs),
+        _verify_eigenpairs(mat @ top_vecs, top_vals, top_vecs),
+        _verify_eigenpairs(mat @ bot_vecs, bot_vals, bot_vecs),
     )
     return top_vals, bot_vals, worst
 
@@ -780,27 +774,28 @@ def adjacency_spectrum(
     symmetric eigensolve; every eigenpair is residual-checked.  Above
     the cap only the ``extremes`` largest and smallest eigenvalues (at
     most half the vertices each, so the two never overlap) are computed
-    with a Lanczos iteration seeded deterministically.
+    with a Lanczos iteration seeded deterministically.  Only the SVD,
+    ``eigh`` and Lanczos routes load scipy.
     """
-    import scipy.linalg
-
     n = g.vertex_count
-    adj = _adjacency_csr(g)
-    blocks = _character_eigenpairs(g, adj) if n <= dense_cap else None
+    blocks = _character_eigenpairs(g) if n <= dense_cap else None
     if blocks is not None:
         vals, worst = blocks
         complete = True
     elif n <= dense_cap:
+        import scipy.linalg
+
+        adj = _adjacency_csr(g)
         color = two_coloring(g)
         if color is None:
             vals, vecs = scipy.linalg.eigh(adj.toarray())
             vals, vecs = vals[::-1], vecs[:, ::-1]
         else:
             vals, vecs = _bipartite_eigenpairs(adj.toarray(), color)
-        worst = _verify_eigenpairs(adj, vals, vecs)
+        worst = _verify_eigenpairs(adj @ vecs, vals, vecs)
         complete = True
     else:
-        top, bot, worst = _extreme_eigs(adj, min(extremes, n // 2), seed)
+        top, bot, worst = _extreme_eigs(_adjacency_csr(g), min(extremes, n // 2), seed)
         vals = np.sort(np.concatenate([top, bot]))[::-1]
         complete = False
     # adding +0.0 turns a -0.0 (the negated zero singular value) into 0.0
@@ -827,9 +822,9 @@ def laplacian_lambda2(g: LabeledGraph, dense_cap: int = DENSE_SPECTRUM_CAP, seed
     lap = scipy.sparse.csgraph.laplacian(_adjacency_csr(g)).tocsr()
     if n <= dense_cap:
         vals, vecs = scipy.linalg.eigh(lap.toarray())
-        _verify_eigenpairs(lap, vals, vecs)
+        _verify_eigenpairs(lap @ vecs, vals, vecs)
         return float(vals[1])
     rng = np.random.default_rng(seed)
     vals, vecs = scipy.sparse.linalg.eigsh(lap, k=2, which="SA", v0=rng.standard_normal(n))
-    _verify_eigenpairs(lap, vals, vecs)
+    _verify_eigenpairs(lap @ vecs, vals, vecs)
     return float(sorted(vals)[1])

@@ -221,25 +221,6 @@ def parse_graph(
     return graph_from_document(doc, strict=strict)
 
 
-def graphs_equal(a: LabeledGraph, b: LabeledGraph) -> bool:
-    """Structural identity: vertex count, dart triples, alphabet.
-
-    Annotations are metadata and deliberately ignored.
-    """
-    if a.vertex_count != b.vertex_count or a.dart_count != b.dart_count:
-        return False
-    if a.alphabet != b.alphabet:
-        return False
-    for d in range(a.dart_count):
-        if (a.dart_source(d), a.dart_target(d), a.dart_label(d)) != (
-            b.dart_source(d),
-            b.dart_target(d),
-            b.dart_label(d),
-        ):
-            return False
-    return True
-
-
 # -- group table documents ------------------------------------------------------
 
 

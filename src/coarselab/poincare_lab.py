@@ -14,9 +14,13 @@ coordinatewise, so the vector-valued supremum equals the scalar one,
 and on the orthogonal complement of the constants the rhs form is
 positive definite whenever Sigma generates.
 
-Groups enter either as a FiniteGroupTable or as a WreathGroup; wreath
-groups are enumerated once into an indexed table, elements sorted by
-(sorted lamp support, base element index).
+For a wreath group Z/2 wr_Q B the forms are solved per lamp character
+(see :func:`relative_poincare_constant`), reading only the Q and B
+tables.  Elements are numbered as in :func:`wreath_indexed_group`:
+sorted by (sorted lamp support, base element index), so element
+``rank[mask] * |B| + b`` is (mask, b), bit q of ``mask`` set iff lamp q
+is lit.  The kernels of the randomized replay still read the indexed
+table of the group.
 
 Tolerance policy: eigenvalue comparisons use 1e-9 absolute margins;
 kernel preconditions scale the margin by the magnitude of the kernel.
@@ -41,16 +45,39 @@ from .expander_zoo import FiniteGroupTable
 from .graph_core import LabeledGraph, laplacian_lambda2
 from .wreath import RelativeSubset, WreathElement, WreathGroup, lamp_support, x_subset
 
-#: largest group order the dense eigensolver path will accept
+#: largest group order whose indexed table is built (kernels and replay)
 POINCARE_ORDER_CAP = 2048
+
+#: largest block storage 2^|Q| * |B|^2 (entries per form) of the
+#: character-block solve of the relative Poincare constant
+POINCARE_BLOCK_CAP = 1 << 21
 
 #: absolute eigenvalue tolerance (see module docstring)
 EIG_TOL = 1e-9
+
+#: largest number of function entries gathered at once by cnd_from_function
+GATHER_CAP = 1 << 22
 
 GroupLike = Union[FiniteGroupTable, WreathGroup]
 
 
 # -- groups as indexed tables ------------------------------------------------
+
+
+@lru_cache(maxsize=16)
+def _lamp_order(nq: int) -> tuple[np.ndarray, np.ndarray]:
+    """``masks[r]``, the lamp mask at position r of the support order,
+    and its inverse ``rank[mask]``; both read-only."""
+    masks = np.array(sorted(range(1 << nq), key=lamp_support), dtype=np.int64)
+    rank = np.argsort(masks)  # masks is a permutation of 0..2^nq - 1
+    masks.flags.writeable = rank.flags.writeable = False
+    return masks, rank
+
+
+def _lamp_shifts(Q: FiniteGroupTable, mask: int) -> np.ndarray:
+    """shift(s, mask) for every s in Q: the support of ``mask`` moved by
+    left multiplication with s, as a lamp mask."""
+    return np.bitwise_or.reduce(1 << Q.mul_table[:, list(lamp_support(mask))], axis=1)
 
 
 @lru_cache(maxsize=16)
@@ -61,10 +88,9 @@ def wreath_indexed_group(W: WreathGroup) -> tuple[FiniteGroupTable, tuple[Wreath
     is the identity.  The table's generator set is delta followed by
     the base-group generators, and element names read ``support|b``.
 
-    The table is computed on integer codes: a support is a lamp mask
-    (bit q set iff q is lit), ``rank[mask]`` is its position in the
-    support order, and element ``rank[mask] * |B| + b`` is (mask, b).
-    The law of :func:`~coarselab.wreath.wreath_mul` then reads
+    The table is computed on integer codes: element
+    ``rank[mask] * |B| + b`` is (mask, b).  The law of
+    :func:`~coarselab.wreath.wreath_mul` then reads
     ``(m1, b1)(m2, b2) = (m1 ^ shifted[proj[b1], m2], b1 b2)``, which
     is computed for all pairs at once.
     """
@@ -73,9 +99,8 @@ def wreath_indexed_group(W: WreathGroup) -> tuple[FiniteGroupTable, tuple[Wreath
             f"wreath group of order {W.order} exceeds the table cap {POINCARE_ORDER_CAP}"
         )
     nq, nb = W.Q.order, W.B.order
-    masks = np.array(sorted(range(1 << nq), key=lamp_support), dtype=np.int64)
+    masks, rank = _lamp_order(nq)
     supports = [lamp_support(m) for m in masks.tolist()]
-    rank = np.argsort(masks)  # masks is a permutation of 0..2^nq - 1
     # shifted[s, m]: the support m moved by left multiplication with s
     bits = np.arange(masks.size)[None, :] >> np.arange(nq)[:, None] & 1
     shifted = np.bitwise_or.reduce(bits[None] << W.Q.mul_table[:, :, None], axis=1)
@@ -89,28 +114,27 @@ def wreath_indexed_group(W: WreathGroup) -> tuple[FiniteGroupTable, tuple[Wreath
     return table, elems
 
 
-def _resolve(group: GroupLike) -> tuple[FiniteGroupTable, Optional[dict[WreathElement, int]]]:
-    if isinstance(group, FiniteGroupTable):
-        return group, None
-    if isinstance(group, WreathGroup):
-        table, elems = wreath_indexed_group(group)
-        return table, {x: i for i, x in enumerate(elems)}
-    raise InvalidInputError(f"not a group object: {type(group).__name__}")
+def _wreath_index(W: WreathGroup, x: WreathElement) -> int:
+    nq, nb = W.Q.order, W.B.order
+    if not (0 <= x.b < nb) or any(not (0 <= q < nq) for q in x.config):
+        raise InvalidInputError(f"{x} is not an element of the group")
+    return int(_lamp_order(nq)[1][sum(1 << q for q in x.config)]) * nb + x.b
 
 
-def _member_indices(table, wreath_index, members) -> tuple[int, ...]:
+def subset_indices(group: GroupLike, members) -> tuple[int, ...]:
+    """Element indices of the given members (element indices, wreath
+    elements, or a RelativeSubset), in the order of the indexed table."""
     if isinstance(members, RelativeSubset):
         members = members.elements
+    n = _order(group)
     out = []
     for m in members:
         if isinstance(m, WreathElement):
-            if wreath_index is None:
+            if not isinstance(group, WreathGroup):
                 raise InvalidInputError("wreath elements given for a plain table group")
-            if m not in wreath_index:
-                raise InvalidInputError(f"{m} is not an element of the group")
-            out.append(wreath_index[m])
+            out.append(_wreath_index(group, m))
         elif isinstance(m, (int, np.integer)):
-            if not (0 <= int(m) < table.order):
+            if not (0 <= int(m) < n):
                 raise InvalidInputError(f"element index {m} out of range")
             out.append(int(m))
         else:
@@ -120,12 +144,10 @@ def _member_indices(table, wreath_index, members) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _default_sigma(group: GroupLike, table):
-    if isinstance(group, WreathGroup):
-        return group.generators
-    if not table.generators:
+def _default_sigma(group: GroupLike):
+    if not group.generators:
         raise InvalidInputError("group table carries no generating set")
-    return table.generators
+    return group.generators
 
 
 def _default_x(group: GroupLike):
@@ -137,27 +159,34 @@ def _default_x(group: GroupLike):
 def resolve_group(group: GroupLike) -> FiniteGroupTable:
     """The canonical indexed multiplication table of a group given
     either as a table or as a wreath product."""
-    return _resolve(group)[0]
+    if isinstance(group, WreathGroup):
+        return wreath_indexed_group(group)[0]
+    if isinstance(group, FiniteGroupTable):
+        return group
+    raise InvalidInputError(f"not a group object: {type(group).__name__}")
 
 
-def subset_indices(group: GroupLike, members) -> tuple[int, ...]:
-    """Table indices of the given members (element indices, wreath
-    elements, or a RelativeSubset)."""
-    table, widx = _resolve(group)
-    return _member_indices(table, widx, members)
-
-
-def _canonical_subsets(group: GroupLike, sigma, x_set, table, wreath_index):
+def _canonical_subsets(group: GroupLike, sigma, x_set):
     """Index forms of Sigma (default: stored generators) and X (default:
     the single-lamp subset of a wreath group)."""
     if sigma is None:
-        sigma = _default_sigma(group, table)
+        sigma = _default_sigma(group)
     if x_set is None:
         x_set = _default_x(group)
-    return (
-        _member_indices(table, wreath_index, sigma),
-        _member_indices(table, wreath_index, x_set),
-    )
+    return subset_indices(group, sigma), subset_indices(group, x_set)
+
+
+def _right_translation(group: GroupLike, y: int) -> np.ndarray:
+    """The permutation x -> index of x y.  A wreath group reads it from
+    lamp codes, (m, b)(m_y, b_y) = (m ^ shift(proj b, m_y), b b_y), with
+    no table."""
+    if isinstance(group, FiniteGroupTable):
+        return group.mul_table[:, y]
+    nb = group.B.order
+    masks, rank = _lamp_order(group.Q.order)
+    lamp = _lamp_shifts(group.Q, int(masks[y // nb]))[np.asarray(group.proj)]
+    perm = rank[masks[:, None] ^ lamp[None, :]] * nb + group.B.mul_table[:, y % nb][None, :]
+    return perm.reshape(-1)
 
 
 # -- functions and kernels ---------------------------------------------------
@@ -227,22 +256,19 @@ def _function_on(group: GroupLike, f: GroupFunction) -> np.ndarray:
 # -- the two energy forms ----------------------------------------------------
 
 
-def _displacement_sum(table, vals: np.ndarray, members) -> float:
+def _displacement_sum(group: GroupLike, vals: np.ndarray, members) -> float:
     total = 0.0
     for y in members:
-        diff = vals - vals[table.mul_table[:, y]]
+        diff = vals - vals[_right_translation(group, y)]
         total += float(np.sum(diff * diff))
     return total
 
 
 def relative_form_lhs(group: GroupLike, x_set, f: GroupFunction) -> float:
     """(1/|X|) * sum over (x, y) in W x X of ||f(x) - f(xy)||^2."""
-    table, widx = _resolve(group)
-    if x_set is None:
-        x_set = _default_x(group)
-    members = _member_indices(table, widx, x_set)
     vals = _function_on(group, f)
-    return _displacement_sum(table, vals, members) / len(members)
+    members = subset_indices(group, _default_x(group) if x_set is None else x_set)
+    return _displacement_sum(group, vals, members) / len(members)
 
 
 def relative_form_rhs(group: GroupLike, sigma, f: GroupFunction) -> float:
@@ -251,31 +277,56 @@ def relative_form_rhs(group: GroupLike, sigma, f: GroupFunction) -> float:
     Sigma is used exactly as given: s and s^-1 are counted separately
     when both are listed, and no normalization is applied.
     """
-    table, widx = _resolve(group)
-    if sigma is None:
-        sigma = _default_sigma(group, table)
-    members = _member_indices(table, widx, sigma)
     vals = _function_on(group, f)
-    return _displacement_sum(table, vals, members)
+    members = subset_indices(group, _default_sigma(group) if sigma is None else sigma)
+    return _displacement_sum(group, vals, members)
 
 
-def _form_matrix(table, members) -> np.ndarray:
-    """Matrix of u -> sum over members y of ||u - u(.y)||^2 (PSD)."""
-    n = table.order
-    M = np.zeros((n, n))
-    rows = np.arange(n)
+def _generates(group: GroupLike, members) -> bool:
+    """True iff right multiplication by ``members`` reaches every element
+    from the first one, i.e. the members generate the group."""
+    steps = np.stack([_right_translation(group, y) for y in members])
+    seen = np.zeros(_order(group), dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        reached = steps[:, frontier].reshape(-1)
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
+    return bool(seen.all())
+
+
+def _character_blocks(W: WreathGroup, members) -> np.ndarray:
+    """Block S, for every lamp mask S, of the form sum over members y of
+    ||u - u(. y)||^2 on the functions chi_S(m) g(b), as a
+    (2^|Q|, |B|, |B|) stack: sum over y of 2I - T_y - T_y^T with
+    T_y[b, b b_y] = (-1)^popcount(S & shift(proj b, m_y)).
+    """
+    nq, nb = W.Q.order, W.B.order
+    masks = _lamp_order(nq)[0]
+    chars = np.arange(1 << nq)
+    parity = np.bitwise_count(chars) & 1
+    proj = np.asarray(W.proj)
+    rows = np.arange(nb)
+    blocks = np.zeros((1 << nq, nb, nb))
     for y in members:
-        perm = table.mul_table[:, y]
-        M[rows, rows] += 2.0
-        np.add.at(M, (rows, perm), -1.0)
-        np.add.at(M, (perm, rows), -1.0)
-    return M
+        lamp = _lamp_shifts(W.Q, int(masks[y // nb]))[proj]
+        sign = 1.0 - 2.0 * parity[chars[:, None] & lamp[None, :]]
+        cols = W.B.mul_table[:, y % nb]
+        blocks[:, rows, rows] += 2.0
+        blocks[:, rows, cols] -= sign
+        blocks[:, cols, rows] -= sign
+    return blocks
 
 
 @dataclass(frozen=True, eq=False)
 class PoincareResult:
     """The optimal constant, a witness function attaining it, and the
-    two scalar quadratic-form matrices (lhs normalized by |X|)."""
+    character blocks of the two scalar forms (lhs normalized by |X|).
+
+    ``lhs_form`` and ``rhs_form`` stack block S in rows S*|B| to
+    (S+1)*|B| - 1, so each has one row per group element.
+    """
 
     constant: float
     witness: GroupFunction
@@ -283,44 +334,68 @@ class PoincareResult:
     rhs_form: np.ndarray
 
 
-def relative_poincare_constant(
-    group: GroupLike, sigma=None, x_set=None
-) -> PoincareResult:
+def relative_poincare_constant(group: WreathGroup, sigma=None, x_set=None) -> PoincareResult:
     """The minimal C with lhs(f) <= C * rhs(f) for every f into any
-    Hilbert space.
+    Hilbert space, on a wreath group Z/2 wr_Q B.
 
-    Computed as the largest generalized Rayleigh quotient of the two
-    form matrices over the orthogonal complement of the constants,
-    where the rhs form is positive definite as soon as Sigma connects
-    the group.  Scalar functions suffice: both forms act coordinatewise
-    on vector values, so the vector supremum is attained at a scalar
-    eigenfunction.  The witness is re-evaluated through the public form
-    operations and must reproduce the constant to 1e-9.
+    Right translations commute with the left action of the lamp group
+    (Z/2)^Q, so both forms split over its characters: the functions
+    chi_S(m) g(b), chi_S(m) = (-1)^popcount(S & m), span one invariant
+    subspace per lamp mask S, where both forms are |B| x |B| blocks (see
+    :func:`_character_blocks`).  C is the largest generalized eigenvalue
+    over all blocks, with block 0 restricted to the complement of the
+    constants: the projector J onto the constants is subtracted from its
+    lhs and added to its rhs, which moves the constants to eigenvalue -1.
+    Every block goes through one batched Cholesky reduction and one
+    batched symmetric eigensolve.
+
+    Scalar functions suffice: both forms act coordinatewise on vector
+    values.  The witness is the top eigenvector of the first mask, in
+    integer order, whose top eigenvalue is within EIG_TOL of C, with its
+    first entry above EIG_TOL made positive, lifted to chi_S(m) g(b) with
+    unit norm.  It is re-evaluated through the public form operations and
+    must reproduce the constant to 1e-9.
     """
-    import scipy.linalg
-
-    table, widx = _resolve(group)
-    n = table.order
-    if n > POINCARE_ORDER_CAP:
-        raise CapExceededError(f"group order {n} exceeds the eigensolver cap")
-    if n < 2:
-        raise InvalidInputError("the trivial group admits no nonconstant functions")
-    sigma_idx, x_idx = _canonical_subsets(group, sigma, x_set, table, widx)
-    if len(table.generated_set(sigma_idx)) != n:
+    if not isinstance(group, WreathGroup):
+        raise InvalidInputError(
+            "the relative Poincare constant is solved for wreath groups only"
+        )
+    nq, nb = group.Q.order, group.B.order
+    storage = (1 << nq) * nb * nb
+    if storage > POINCARE_BLOCK_CAP:
+        raise CapExceededError(
+            f"character blocks of {storage} entries exceed the block cap {POINCARE_BLOCK_CAP}"
+        )
+    sigma_idx, x_idx = _canonical_subsets(group, sigma, x_set)
+    if not _generates(group, sigma_idx):
         raise DisconnectedGraphError(
             "the generating set does not connect the group; the rhs form is degenerate"
         )
 
-    A = _form_matrix(table, x_idx) / len(x_idx)
-    B = _form_matrix(table, sigma_idx)
-    V = scipy.linalg.null_space(np.ones((1, n)))
-    eigvals, eigvecs = scipy.linalg.eigh(V.T @ A @ V, V.T @ B @ V)
-    constant = float(eigvals[-1])
-    u = V @ eigvecs[:, -1]
-    u /= np.linalg.norm(u)
+    A = _character_blocks(group, x_idx) / len(x_idx)
+    B = _character_blocks(group, sigma_idx)
+    J = np.full((nb, nb), 1.0 / nb)
+    A0, B0 = A[0].copy(), B[0].copy()
+    A[0] -= J
+    B[0] += J
+    # B = L L^T, and the pencil (A, B) has the eigenvalues of L^-1 A L^-T
+    Linv = np.linalg.inv(np.linalg.cholesky(B))
+    pencil = np.einsum("sik,slk->sil", np.einsum("sij,sjk->sik", Linv, A), Linv)
+    vals, vecs = np.linalg.eigh(pencil)
+    A[0], B[0] = A0, B0
+    top = vals[:, -1]
+    constant = float(top.max())
+    S = int(np.flatnonzero(top >= constant - EIG_TOL)[0])
+    g = vecs[S, :, -1] @ Linv[S]
+    g /= np.linalg.norm(g)
+    if g[np.flatnonzero(np.abs(g) > EIG_TOL)[0]] < 0:
+        g = -g
+    masks = _lamp_order(nq)[0]
+    chi = 1.0 - 2.0 * (np.bitwise_count(masks & S) & 1)
+    u = np.outer(chi, g).reshape(-1) / math.sqrt(1 << nq)
     witness = GroupFunction(group, u)
 
-    if abs(float(u.sum())) > 1e-9 * math.sqrt(n):
+    if abs(float(u.sum())) > 1e-9 * math.sqrt(u.size):
         raise VerificationError("witness is not orthogonal to constants")
     lhs = relative_form_lhs(group, x_idx, witness)
     rhs = relative_form_rhs(group, sigma_idx, witness)
@@ -329,7 +404,12 @@ def relative_poincare_constant(
             f"witness reproduces {lhs / rhs if rhs else math.nan:.12g}, "
             f"eigensolver reported {constant:.12g}"
         )
-    return PoincareResult(constant=constant, witness=witness, lhs_form=A, rhs_form=B)
+    return PoincareResult(
+        constant=constant,
+        witness=witness,
+        lhs_form=A.reshape(-1, nb),
+        rhs_form=B.reshape(-1, nb),
+    )
 
 
 # -- positive definite and conditionally negative definite kernels ----------
@@ -344,14 +424,12 @@ def _kernel_matrix(table, values: np.ndarray) -> np.ndarray:
 def is_positive_definite(phi: KernelFunction, tol: float = EIG_TOL) -> bool:
     """True iff the translation matrix phi(y^-1 x) is symmetric with
     smallest eigenvalue >= -tol."""
-    import scipy.linalg
-
-    table, _ = _resolve(phi.group)
+    table = resolve_group(phi.group)
     M = _kernel_matrix(table, phi.values)
     scale = max(1.0, float(np.abs(M).max()))
     if float(np.abs(M - M.T).max()) > tol * scale:
         return False
-    return float(scipy.linalg.eigvalsh((M + M.T) / 2.0)[0]) >= -tol * scale
+    return float(np.linalg.eigvalsh((M + M.T) / 2.0)[0]) >= -tol * scale
 
 
 def is_cnd(psi: KernelFunction, tol: float = EIG_TOL) -> bool:
@@ -359,12 +437,15 @@ def is_cnd(psi: KernelFunction, tol: float = EIG_TOL) -> bool:
     mean-zero vector c, sum of c_x c_y psi(y^-1 x) <= tol, tested as
     negative semidefiniteness on the mean-zero subspace.
 
+    The test reads the top eigenvalue of the double-centred matrix
+    P M P, P = I - J the projector onto mean-zero vectors: its spectrum
+    is that of M on the mean-zero subspace plus a 0 for the constants,
+    which never decides the comparison with tol >= 0.
+
     Preconditions psi(identity) = 0 and psi(g^-1) = psi(g) are enforced
     up to tol scaled by the kernel magnitude.
     """
-    import scipy.linalg
-
-    table, _ = _resolve(psi.group)
+    table = resolve_group(psi.group)
     vals = psi.values
     scale = max(1.0, float(np.abs(vals).max()))
     if abs(float(vals[table.identity])) > tol * scale:
@@ -373,8 +454,9 @@ def is_cnd(psi: KernelFunction, tol: float = EIG_TOL) -> bool:
         raise InvalidInputError("kernel is not symmetric under inversion")
     M = _kernel_matrix(table, vals)
     M = (M + M.T) / 2.0
-    V = scipy.linalg.null_space(np.ones((1, table.order)))
-    top = float(scipy.linalg.eigvalsh(V.T @ M @ V)[-1])
+    M -= M.mean(axis=0)[np.newaxis, :]
+    M -= M.mean(axis=1)[:, np.newaxis]
+    top = float(np.linalg.eigvalsh(M)[-1])
     return top <= tol * scale
 
 
@@ -383,14 +465,19 @@ def cnd_from_function(group: GroupLike, f: GroupFunction) -> KernelFunction:
 
     This is the squared displacement of f under the right regular
     action, hence always conditionally negative definite; the output is
-    verified by is_cnd before it is returned.
+    verified by is_cnd before it is returned.  The translates f(. w) are
+    gathered for as many w at once as GATHER_CAP entries allow.
     """
-    table, _ = _resolve(group)
+    table = resolve_group(group)
     vals = _function_on(group, f)
-    psi = np.empty(table.order)
-    for w in range(table.order):
-        diff = vals - vals[table.mul_table[:, w]]
-        psi[w] = float(np.sum(diff * diff))
+    n = table.order
+    right = table.mul_table.T  # right[w] is x -> x w
+    psi = np.empty(n)
+    step = max(1, GATHER_CAP // vals.size)
+    for w in range(0, n, step):
+        diff = np.subtract(vals[np.newaxis], vals[right[w : w + step]], order="C")
+        # one contiguous row per w sums in the order of the per-w loop
+        psi[w : w + step] = np.sum((diff * diff).reshape(-1, vals.size), axis=1)
     kern = KernelFunction(group, psi)
     if not is_cnd(kern, tol=1e-8):
         raise VerificationError("displacement kernel failed the negativity test")
@@ -476,26 +563,30 @@ def verify_relative_inequality(
     trials: int = 200,
     seed: int = 0,
     include_witness: bool = True,
+    witness: Optional[GroupFunction] = None,
 ) -> RelativeInequalityReport:
     """Replay the inequality on random functions.
 
     Probes are a constant function (reported degenerate, its ratio is
     0/0), the indicator of the identity, optionally the eigensolver
-    witness, and ``trials`` random functions of dimension cycling
+    witness (``witness`` when the caller already holds it, else solved
+    for here), and ``trials`` random functions of dimension cycling
     through 1, 2, 3.  For each probe the displacement kernel is also
     formed and the sup-over-X / sup-over-Sigma ratio recorded.
     """
     if not (constant > 0):
         raise InvalidInputError("the constant must be positive")
     check_replay(trials, seed)
-    table, widx = _resolve(group)
+    table = resolve_group(group)
     n = table.order
-    sigma_idx, x_idx = _canonical_subsets(group, sigma, x_set, table, widx)
+    sigma_idx, x_idx = _canonical_subsets(group, sigma, x_set)
 
     probes: list[np.ndarray] = [np.ones((n, 1)), np.zeros((n, 1))]
     probes[1][table.identity, 0] = 1.0
-    if include_witness and n <= POINCARE_ORDER_CAP:
-        probes.append(relative_poincare_constant(group, sigma_idx, x_idx).witness.values)
+    if include_witness:
+        if witness is None:
+            witness = relative_poincare_constant(group, sigma_idx, x_idx).witness
+        probes.append(_function_on(group, witness))
     rng = np.random.default_rng(seed)
     for k in range(trials):
         probes.append(rng.standard_normal((n, 1 + k % 3)))

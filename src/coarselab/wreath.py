@@ -113,16 +113,6 @@ def wreath_mul(W: WreathGroup, x: WreathElement, y: WreathElement) -> WreathElem
     return WreathElement(x.config ^ moved, W.B.mul(x.b, y.b))
 
 
-def wreath_inv(W: WreathGroup, x: WreathElement) -> WreathElement:
-    W.validate(x)
-    binv = W.B.inverse(x.b)
-    shift = W.proj[binv]
-    inv = WreathElement(frozenset(W.Q.mul(shift, q) for q in x.config), binv)
-    if wreath_mul(W, x, inv) != W.identity():
-        raise VerificationError("inverse failed its defining identity")
-    return inv
-
-
 # -- Cayley graphs ----------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from coarselab.graph_core import LabeledGraph, build_graph
@@ -639,3 +640,101 @@ def naive_pgl2_mul_table(pgl):
         pa, pb, pc, pd = (pa * s) % q, (pb * s) % q, (pc * s) % q, (pd * s) % q
         table[x] = pgl.lookup[((pa * q + pb) * q + pc) * q + pd]
     return table
+
+
+# -- dense relative Poincare reference ---------------------------------------
+
+
+def dense_form_matrix(table, members):
+    """Matrix of u -> sum over members y of ||u - u(.y)||^2 (PSD), one
+    row per element of the group table."""
+    import numpy as np
+
+    n = table.order
+    M = np.zeros((n, n))
+    rows = np.arange(n)
+    for y in members:
+        perm = table.mul_table[:, y]
+        M[rows, rows] += 2.0
+        np.add.at(M, (rows, perm), -1.0)
+        np.add.at(M, (perm, rows), -1.0)
+    return M
+
+
+def dense_poincare_constant(table, sigma_members, x_members):
+    """The optimal relative constant and a unit witness, from one dense
+    generalized eigensolve of the two form matrices on the orthogonal
+    complement of the constants (scipy's null space)."""
+    import numpy as np
+    import scipy.linalg
+
+    n = table.order
+    A = dense_form_matrix(table, x_members) / len(x_members)
+    B = dense_form_matrix(table, sigma_members)
+    V = scipy.linalg.null_space(np.ones((1, n)))
+    eigvals, eigvecs = scipy.linalg.eigh(V.T @ A @ V, V.T @ B @ V)
+    u = V @ eigvecs[:, -1]
+    return float(eigvals[-1]), u / np.linalg.norm(u)
+
+
+# -- names the library no longer needs ---------------------------------------
+
+
+def bfs_distances(g: LabeledGraph, source: int) -> list[int]:
+    """Unweighted distances from ``source``; -1 marks unreachable vertices."""
+    from coarselab.graph_core import bfs_tree
+
+    dist = [-1] * g.vertex_count
+    for v, d in bfs_tree(g, source).items():
+        dist[v] = 0 if d < 0 else dist[g.dart_source(d)] + 1
+    return dist
+
+
+@dataclass(frozen=True)
+class DgReport:
+    """Per-component diameter/girth ratios and their maximum."""
+
+    ratios: tuple[float, ...]
+    maximum: float
+
+
+def dg_ratio(family) -> DgReport:
+    """Diameter/girth ratio of each component of a GraphFamily plus the
+    maximum; an acyclic component has no finite ratio and is rejected."""
+    from coarselab.errors import InvalidInputError
+    from coarselab.graph_core import diameter, girth
+
+    ratios = []
+    for i, g in enumerate(family.components):
+        gr = girth(g)
+        if gr is math.inf:
+            raise InvalidInputError(f"family component {i} is acyclic; ratio undefined")
+        ratios.append(diameter(g) / gr)
+    return DgReport(ratios=tuple(ratios), maximum=max(ratios))
+
+
+def graphs_equal(a: LabeledGraph, b: LabeledGraph) -> bool:
+    """Structural identity: vertex count, dart triples, alphabet.
+    Annotations are metadata and deliberately ignored."""
+    if a.vertex_count != b.vertex_count or a.dart_count != b.dart_count:
+        return False
+    if a.alphabet != b.alphabet:
+        return False
+    return all(
+        (a.dart_source(d), a.dart_target(d), a.dart_label(d))
+        == (b.dart_source(d), b.dart_target(d), b.dart_label(d))
+        for d in range(a.dart_count)
+    )
+
+
+def wreath_inv(W, x):
+    """The inverse of a wreath element by the law: (m, b)^-1 is
+    (proj(b^-1) . m, b^-1), checked against ``wreath_mul``."""
+    from coarselab.wreath import WreathElement, wreath_mul
+
+    W.validate(x)
+    binv = W.B.inverse(x.b)
+    shift = W.proj[binv]
+    inv = WreathElement(frozenset(W.Q.mul(shift, q) for q in x.config), binv)
+    assert wreath_mul(W, x, inv) == W.identity()
+    return inv

@@ -28,7 +28,6 @@ from coarselab.graph_core import (
     girth,
 )
 from coarselab.jsonio import (
-    graphs_equal,
     parse_graph,
     serialize_graph,
     serialize_group_table,
@@ -58,6 +57,7 @@ from coarselab.wreath import (
 )
 
 from oracles import (
+    graphs_equal,
     naive_piece_summary,
     naive_poincare_constant,
     naive_wreath_table,

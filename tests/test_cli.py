@@ -15,7 +15,7 @@ import coarselab.cli as cli
 import coarselab.expander_zoo as expander_zoo
 from coarselab.covers_walls import homology_cover
 from coarselab.errors import CapExceededError, InvalidInputError, VerificationError
-from coarselab.expander_zoo import cayley_graph, cyclic_group
+from coarselab.expander_zoo import cayley_graph, cyclic_group, lps_graph
 from coarselab.graph_core import build_graph
 from coarselab.jsonio import (
     parse_graph,
@@ -212,10 +212,12 @@ class TestLabelingCommands:
         assert captured.out == "" and captured.err.startswith("error:")
 
     def test_scipy_stays_unloaded(self, tmp_path, two_c8):
-        # importing the CLI, and every command below, must not load scipy
+        # importing the CLI, and every command below, must not load scipy;
+        # `lps` is absent because distance_matrix still loads it
         _, _, labeled = two_c8
         (tmp_path / "z3.json").write_text(serialize_group_table(cyclic_group(3)))
         (tmp_path / "points.json").write_text(serialize_points(np.eye(3)))
+        (tmp_path / "lps.json").write_text(serialize_graph(lps_graph(13, 5)[0]))
         commands = [
             ["label", c6_file(tmp_path), *LABEL_TWO_C8, "--max-attempts", "2000", "--out", "-"],
             ["pieces", str(labeled), "--out", "-"],
@@ -225,6 +227,11 @@ class TestLabelingCommands:
             ["concentrate", "points.json", "--radius", "1.0", "--out", "-"],
             ["wreath", "--q-table", "z3.json", "--b-table", "z3.json", "--proj", "0,1,2",
              "--out", "-"],
+            ["spectrum", "lps.json", "--out", "-"],
+            ["poincare", "--relative", "--q-table", "z3.json", "--b-table", "z3.json",
+             "--proj", "0,1,2", "--out", "-"],
+            ["poincare", "--relative", "--q-table", "z3.json", "--b-table", "z3.json",
+             "--proj", "0,1,2", "--trials", "4", "--seed", "1", "--out", "-"],
         ]
         script = (
             "import json, sys\n"
@@ -356,6 +363,61 @@ class TestGroupCommands:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == "" and captured.err.startswith("error:")
+
+    def test_poincare_replay_solves_once(self, capsys, tmp_path, monkeypatch):
+        import coarselab.poincare_lab as poincare_lab
+
+        calls = []
+        solve = poincare_lab.relative_poincare_constant
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "relative_poincare_constant", counted)
+        monkeypatch.setattr(poincare_lab, "relative_poincare_constant", counted)
+        z3 = z3_file(tmp_path)
+        code, _ = run(
+            capsys,
+            ["poincare", "--relative", "--q-table", z3, "--b-table", z3, "--proj", "0,1,2",
+             "--trials", "6", "--seed", "5", "--out", str(tmp_path / "p.json")],
+        )
+        assert code == 0 and len(calls) == 1
+
+    @pytest.mark.parametrize("k, constant", [(10, 4.938458210977815), (12, 6.516021774228905)])
+    def test_poincare_above_the_table_cap(self, capsys, tmp_path, k, constant):
+        zk = tmp_path / f"z{k}.json"
+        zk.write_text(serialize_group_table(cyclic_group(k)))
+        out_path = tmp_path / "poincare.json"
+        code, out = run(
+            capsys,
+            ["poincare", "--relative", "--q-table", str(zk), "--b-table", str(zk),
+             "--proj", ",".join(map(str, range(k))), "--out", str(out_path)],
+        )
+        assert code == 0
+        doc = json.loads(out_path.read_text())
+        assert doc["group_order"] == k << k
+        assert doc["constant"] == pytest.approx(constant, abs=1e-9)
+        assert len(doc["witness"]) == k << k
+
+    def test_poincare_exits_3_above_the_block_cap(self, capsys, tmp_path, monkeypatch):
+        import coarselab.poincare_lab as poincare_lab
+
+        def refuse(*args):
+            raise AssertionError("blocks were built above the cap")
+
+        monkeypatch.setattr(poincare_lab, "_character_blocks", refuse)
+        z14 = tmp_path / "z14.json"
+        z14.write_text(serialize_group_table(cyclic_group(14)))
+        out_path = tmp_path / "poincare.json"
+        code = cli.main(
+            ["poincare", "--relative", "--q-table", str(z14), "--b-table", str(z14),
+             "--proj", ",".join(map(str, range(14))), "--out", str(out_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "block cap" in captured.err and captured.out == ""
+        assert not out_path.exists()
 
     def test_wreath_rejects_negative_radius(self, capsys, tmp_path):
         z3 = z3_file(tmp_path)
@@ -493,3 +555,42 @@ class TestExitCodes:
         code, out = run(capsys, ["girth", str(path), "--lax"])
         assert code == 0
         assert "girth: 4" in out
+
+
+def test_artifact_bytes_ignore_the_thread_count(tmp_path):
+    """Artifacts are byte-identical at COARSE_LAB_THREADS=1 and =2:
+    `poincare --relative` on Z/7 wr Z/7, with and without a replay, and
+    `wallmetric` on the 6-prism.  `spectrum` is left out until its
+    eigenvalues are written in a clustered format: a dense eigensolve
+    still moves last digits with the thread count."""
+    (tmp_path / "z7.json").write_text(serialize_group_table(cyclic_group(7)))
+    rims = [(i, (i + 1) % 6) for i in range(6)] + [(6 + i, 6 + (i + 1) % 6) for i in range(6)]
+    prism = build_graph(12, rims + [(i, 6 + i) for i in range(6)])
+    (tmp_path / "prism6.json").write_text(serialize_graph(prism))
+    z7 = ["--relative", "--q-table", "z7.json", "--b-table", "z7.json", "--proj", "0,1,2,3,4,5,6"]
+    commands = {
+        "poincare.json": ["poincare", *z7],
+        "poincare_trials.json": ["poincare", *z7, "--trials", "6", "--seed", "1"],
+        "wallmetric.csv": ["wallmetric", "prism6.json"],
+    }
+    script = (
+        "import json, sys\n"
+        "import coarselab.cli as cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+    )
+    artifacts = {}
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["COARSE_LAB_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        argvs = [argv + ["--out", f"t{threads}_{name}"] for name, argv in commands.items()]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        artifacts[threads] = {name: (tmp_path / f"t{threads}_{name}").read_bytes() for name in commands}
+    for name in commands:
+        assert artifacts["1"][name] == artifacts["2"][name], name

@@ -46,6 +46,13 @@ class TestFiniteGroupTable:
         assert g.inverse(1) == 3
         assert set(g.generators) == {1, 3}
 
+    def test_cyclic_table_equals_the_list_version(self):
+        for n in range(1, 65):
+            rows = [[(a + b) % n for b in range(n)] for a in range(n)]
+            g = cyclic_group(n, [1, 5])
+            assert g.mul_table.tolist() == rows
+            assert g.mul_table.dtype == np.int64
+
     def test_not_associative_rejected(self):
         # subtraction mod 3 has an identity-like column but no associativity
         bad = [[(a - b) % 3 for b in range(3)] for a in range(3)]

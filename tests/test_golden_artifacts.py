@@ -7,7 +7,7 @@ inputs include loops and parallel edges, so the spanning trees behind
 cover numberings, relators and piece words are pinned down to the choice
 among parallel darts.  The ``poincare`` witnesses list one value per
 element in the order of the wreath multiplication table, so they pin
-that order and that table.  The map family of ``moduli`` and
+that order and the choice of the canonical witness.  The map family of ``moduli`` and
 ``weakembed`` sends the homology covers of K4 and the 3-prism onto
 their bases and onto their wall coordinates, and ``concentrate`` reads
 the wall coordinates of the K4 cover.  ``spectrum`` is left out: its eigenvalues
@@ -84,9 +84,9 @@ GOLDEN = {
     "wreath_sign.json": "f559c583fdb541cd3064b6a9d73247fa750a42c7abf447af3e1c16accafd6808",
     "wreath_z40_ball.json": "188681c0711696b0d66586cd713a6f06febfc009b1c2123e8b0e04fc1bf56ae0",
     "lps.json": "9098504eb631f4bce347eb07a2008d4136336d3b17773ceb5193f93127156d49",
-    "poincare_z4.json": "3e65d62468698e8a09a5947e1af30707ed98b6abfffdc082849f358c5dde77e8",
-    "poincare_s3.json": "99767361c0da867ebaebd9701845b31b4cd976675a007a51e4ac396e3068c774",
-    "poincare_z3_trials.json": "f3020400af3538f7a3c210cb87efdb2e2db2add5c4ccbe99ea7e7f472c6ee926",
+    "poincare_z4.json": "032669263f76573daf97c4f56a679ed8b6847c7e4b0380038952e3679e63ab36",
+    "poincare_s3.json": "a522436a7308c779ea85cfe63b38cdf23c94a69a340fc8688439ae240b259a66",
+    "poincare_z3_trials.json": "1a2b1064a442a63ff6ab5391e6beb02f661dd43381805d86ef9dffde923eeb1b",
     "moduli.csv": "3965abad660644a2603636bcdc85a5c21861ddfedbd9706ea2a81be00781a6dc",
     "weakembed.json": "d7004c39d04916acc54e39c232f567f6620d95cffc598b44c504d748c75a5f2c",
     "concentrate.json": "0f713f947163da770b4584cf853ecfc859194ab82ac0a682c75d53f2513507b1",

@@ -17,11 +17,9 @@ from coarselab.graph_core import (
     GraphFamily,
     LabeledGraph,
     adjacency_spectrum,
-    bfs_distances,
     boundary_size,
     build_graph,
     cheeger_exact,
-    dg_ratio,
     diameter,
     distance_matrix,
     girth,
@@ -33,6 +31,8 @@ from coarselab.graph_core import (
 from coarselab.expander_zoo import cayley_graph, cyclic_group, lps_graph, symmetric_group
 
 from oracles import (
+    bfs_distances,
+    dg_ratio,
     naive_cheeger,
     naive_girth,
     random_connected_graph,
@@ -388,9 +388,36 @@ class TestCharacterBlocks:
             assert cluster_sizes(vals) == cluster_sizes(want)
             assert spec.residual <= 1e-10
             assert not any(math.copysign(1.0, x) < 0 for x in vals if x == 0.0)
-            orders.add(len(graph_core._cyclic_symmetry(g, graph_core._adjacency_csr(g))))
+            orders.add(len(graph_core._cyclic_symmetry(g)))
         # PGL2(13) has elements of order q + 1 = 14, and none larger
         assert 14 in orders and len(graphs) >= 100
+
+    def test_neighbour_table_products_equal_the_sparse_product(self, monkeypatch):
+        # parallel darts and loops weight a neighbour by its multiplicity,
+        # and the residual products must equal the sparse ones bit for bit
+        n = 7
+        doubled = build_graph(n, [(x, (x + 1) % n, lab) for lab in ("a", "b") for x in range(n)])
+        looped = build_graph(
+            n, [(x, (x + 1) % n, "a") for x in range(n)] + [(x, x, "b") for x in range(n)]
+        )
+        graphs = [doubled, looped, lps_graph(13, 5)[0]] + labeled_cayley_graphs()[:12]
+        seen = []
+        verify = graph_core._verify_eigenpairs
+
+        def record(av, vals, vecs, tol=1e-8):
+            seen.append((av, vecs))
+            return verify(av, vals, vecs, tol)
+
+        monkeypatch.setattr(graph_core, "_verify_eigenpairs", record)
+        for g in graphs:
+            assert graph_core._cyclic_symmetry(g) is not None
+            seen.clear()
+            spec = adjacency_spectrum(g)
+            adj = graph_core._adjacency_csr(g)
+            assert spec.complete and seen
+            for av, vecs in seen:
+                assert np.array_equal(av, adj @ vecs)
+            assert np.allclose(spec.eigenvalues, dense_eigvalsh(g), atol=1e-10)
 
     def test_fallbacks_equal_the_dense_route(self, monkeypatch):
         z6 = list(cayley_graph(cyclic_group(6, [1])).edges())
@@ -424,18 +451,18 @@ class TestCharacterBlocks:
         }
         for name, graphs in cases.items():
             for g in graphs:
-                assert graph_core._cyclic_symmetry(g, graph_core._adjacency_csr(g)) is None, name
+                assert graph_core._cyclic_symmetry(g) is None, name
                 got = adjacency_spectrum(g)
                 with monkeypatch.context() as patch:
-                    patch.setattr(graph_core, "_character_eigenpairs", lambda g, adj: None)
+                    patch.setattr(graph_core, "_character_eigenpairs", lambda g: None)
                     assert got == adjacency_spectrum(g), name
                 assert np.allclose(got.eigenvalues, dense_eigvalsh(g), atol=1e-9), name
 
     def test_the_symmetry_is_chosen_from_the_graph_alone(self):
         g, _ = lps_graph(13, 5)
-        powers = graph_core._cyclic_symmetry(g, graph_core._adjacency_csr(g))
+        powers = graph_core._cyclic_symmetry(g)
         again = jsonio.parse_graph(jsonio.serialize_graph(g))
-        assert np.array_equal(powers, graph_core._cyclic_symmetry(again, graph_core._adjacency_csr(again)))
+        assert np.array_equal(powers, graph_core._cyclic_symmetry(again))
         # PGL2(5) has elements of order 6 and none larger; h^k moves every
         # vertex for 0 < k < 6, and h^6 is the identity
         h = powers[1]

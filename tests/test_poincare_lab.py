@@ -21,6 +21,7 @@ from coarselab.expander_zoo import (
 )
 from coarselab.graph_core import build_graph
 from coarselab.poincare_lab import (
+    POINCARE_BLOCK_CAP,
     POINCARE_ORDER_CAP,
     GroupFunction,
     KernelFunction,
@@ -30,15 +31,22 @@ from coarselab.poincare_lab import (
     relative_form_lhs,
     relative_form_rhs,
     relative_poincare_constant,
+    resolve_group,
     schoenberg_bound,
     schoenberg_transform,
     spectral_gap,
+    subset_indices,
     verify_relative_inequality,
     wreath_indexed_group,
 )
 from coarselab.wreath import WreathGroup, wreath_mul, x_subset
 
-from oracles import naive_poincare_constant, naive_wreath_table
+from oracles import (
+    dense_form_matrix,
+    dense_poincare_constant,
+    naive_poincare_constant,
+    naive_wreath_table,
+)
 
 # frozen outputs of naive_poincare_constant (sampling + power-iteration
 # ascent) on the two desk instances; the library must agree to 1e-9
@@ -289,13 +297,17 @@ def test_random_vector_functions_never_violate():
 
 
 def test_table_group_path_agrees_with_wreath_path():
+    # the dense solve on the indexed table is the oracle; the library
+    # solves wreath groups only
     W = w_instance(2)
     table, elems = wreath_indexed_group(W)
     index = {x: i for i, x in enumerate(elems)}
     X = [index[d] for d in x_subset(W).elements]
     res_w = relative_poincare_constant(W)
-    res_t = relative_poincare_constant(table, sigma=None, x_set=X)
-    assert res_t.constant == pytest.approx(res_w.constant, abs=1e-12)
+    res_t, _ = dense_poincare_constant(table, table.generators, X)
+    assert res_t == pytest.approx(res_w.constant, abs=1e-12)
+    with pytest.raises(InvalidInputError, match="wreath groups only"):
+        relative_poincare_constant(table, sigma=None, x_set=X)
 
 
 def test_degenerate_lamp_free_instance():
@@ -315,13 +327,167 @@ def test_disconnected_sigma_rejected():
 
 
 def test_trivial_group_rejected():
-    with pytest.raises(InvalidInputError, match="trivial"):
+    # every wreath group has order at least 2; the trivial group can only
+    # come as a table, which the solver rejects
+    with pytest.raises(InvalidInputError, match="wreath groups only"):
         relative_poincare_constant(FiniteGroupTable([[0]]), sigma=[0], x_set=[0])
 
 
 def test_table_group_requires_explicit_x():
+    G = cyclic_group(4)
     with pytest.raises(InvalidInputError, match="explicit X"):
-        relative_poincare_constant(cyclic_group(4))
+        relative_form_lhs(G, None, GroupFunction(G, np.arange(4.0)))
+    with pytest.raises(InvalidInputError, match="wreath groups only"):
+        relative_poincare_constant(G)
+
+
+# -- character blocks against the dense oracle --------------------------------
+
+# constants of the dense generalized eigensolve the character blocks
+# replaced, on Z/k wr Z/k and on S3 wr S3
+DENSE_CONSTANTS = {
+    3: 1.520517604269611,
+    4: 1.7198404615157419,
+    5: 2.0944271909999186,
+    6: 2.4880338717125894,
+    7: 3.0020281863250764,
+    8: 3.5827783006909772,
+    "s3": 2.4880338717125907,
+}
+
+
+def block_groups():
+    """Cyclic and symmetric Q and B, non-identity proj, S3 -> Z/2 by
+    sign, and trivial Q."""
+    trivial = FiniteGroupTable([[0]])
+    return {
+        "z3": w_instance(3),
+        "z4": w_instance(4),
+        "s3_wr_s3": WreathGroup(Q=symmetric_group(3), B=symmetric_group(3), proj=tuple(range(6))),
+        "z4_to_z2": WreathGroup(Q=cyclic_group(2), B=cyclic_group(4), proj=(0, 1, 0, 1)),
+        "z6_to_z3": WreathGroup(Q=cyclic_group(3), B=cyclic_group(6), proj=(0, 1, 2, 0, 1, 2)),
+        "s3_sign": WreathGroup(Q=cyclic_group(2), B=symmetric_group(3), proj=s3_sign()),
+        "trivial_q": WreathGroup(Q=trivial, B=cyclic_group(3), proj=(0, 0, 0)),
+        "trivial_q_s3": WreathGroup(Q=trivial, B=symmetric_group(3), proj=(0,) * 6),
+    }
+
+
+def character_basis(W, elems):
+    """Columns chi_S(m) e_b / sqrt(2^|Q|), S-major, in element order."""
+    nq, nb = W.Q.order, W.B.order
+    masks = [sum(1 << q for q in elems[r * nb].config) for r in range(1 << nq)]
+    chi = np.array([[(-1.0) ** bin(m & S).count("1") for S in range(1 << nq)] for m in masks])
+    return np.kron(chi, np.eye(nb)) / math.sqrt(1 << nq)
+
+
+@pytest.mark.parametrize("name", sorted(block_groups()))
+def test_blocks_equal_the_dense_oracle(name):
+    import scipy.linalg
+
+    W = block_groups()[name]
+    table, elems = wreath_indexed_group(W)
+    n, nb = table.order, W.B.order
+    E = character_basis(W, elems)
+    rng = random.Random(f"blocks:{name}")
+    cases = [(None, None)]
+    for _ in range(8):
+        sigma = rng.sample(range(1, n), rng.randint(1, 3))
+        if rng.random() < 0.5:
+            sigma += table.generators
+        x_set = rng.sample(range(n), rng.randint(1, 4))
+        # members given as wreath elements and as indices
+        cases.append(([elems[i] for i in sigma], x_set))
+        cases.append((sigma, [elems[i] for i in x_set]))
+    connected = disconnected = 0
+    for sigma, x_set in cases:
+        sig_idx = list(table.generators) if sigma is None else subset_indices(W, sigma)
+        x_idx = subset_indices(W, x_subset(W) if x_set is None else x_set)
+        if len(table.generated_set(sig_idx)) < n:
+            with pytest.raises(DisconnectedGraphError):
+                relative_poincare_constant(W, sigma, x_set)
+            disconnected += 1
+            continue
+        connected += 1
+        want, _ = dense_poincare_constant(table, sig_idx, x_idx)
+        res = relative_poincare_constant(W, sigma, x_set)
+        assert abs(res.constant - want) <= 1e-12 * max(1.0, want)
+        A = dense_form_matrix(table, x_idx) / len(x_idx)
+        B = dense_form_matrix(table, sig_idx)
+        u = res.witness.values[:, 0]
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-12 and abs(u.sum()) <= 1e-12
+        assert abs(u @ A @ u - want * (u @ B @ u)) <= 1e-12 * max(1.0, want)
+        # the stacked blocks are the dense forms in the character basis
+        for form, dense in ((res.lhs_form, A), (res.rhs_form, B)):
+            assert form.shape == (n, nb)
+            diag = scipy.linalg.block_diag(*form.reshape(-1, nb, nb))
+            assert np.abs(E.T @ dense @ E - diag).max() <= 1e-12
+    assert connected >= 3 and connected + disconnected == len(cases)
+
+
+@pytest.mark.parametrize("key", sorted(DENSE_CONSTANTS, key=str))
+def test_constants_equal_the_dense_solve(key):
+    if key == "s3":
+        W = WreathGroup(Q=symmetric_group(3), B=symmetric_group(3), proj=tuple(range(6)))
+    else:
+        W = w_instance(key)
+    assert abs(relative_poincare_constant(W).constant - DENSE_CONSTANTS[key]) <= 1e-12
+
+
+def test_witness_is_the_canonical_character_lift():
+    import scipy.linalg
+
+    groups = [w_instance(5), w_instance(7), block_groups()["s3_wr_s3"], block_groups()["s3_sign"]]
+    attaining = []
+    for W in groups:
+        res = relative_poincare_constant(W)
+        nq, nb = W.Q.order, W.B.order
+        _, elems = wreath_indexed_group(W)
+        A = res.lhs_form.reshape(-1, nb, nb)
+        B = res.rhs_form.reshape(-1, nb, nb)
+        # top eigenvalue per mask; block 0 on the complement of the constants
+        V = scipy.linalg.null_space(np.ones((1, nb)))
+        top = [scipy.linalg.eigh(V.T @ A[0] @ V, V.T @ B[0] @ V, eigvals_only=True)[-1]]
+        top += [scipy.linalg.eigh(A[S], B[S], eigvals_only=True)[-1] for S in range(1, 1 << nq)]
+        attaining.append([S for S, t in enumerate(top) if t >= res.constant - 1e-9])
+        S = attaining[-1][0]
+        u = res.witness.values[:, 0].reshape(1 << nq, nb)
+        g = u[0] * math.sqrt(1 << nq)  # mask 0 comes first, where chi_S is 1
+        masks = [sum(1 << q for q in elems[r * nb].config) for r in range(1 << nq)]
+        chi = np.array([(-1.0) ** bin(m & S).count("1") for m in masks])
+        assert np.array_equal(u, np.outer(chi, g) / math.sqrt(1 << nq))
+        assert g[np.flatnonzero(np.abs(g) > 1e-9)[0]] > 0
+        assert np.abs(A[S] @ g - res.constant * (B[S] @ g)).max() <= 1e-12
+    # on Z/7 wr Z/7 the top eigenvalue is shared by the 7 rotations of a mask
+    assert len(attaining[1]) == 7
+
+
+def test_the_solve_reads_no_table_and_passes_the_table_cap(monkeypatch):
+    import coarselab.poincare_lab as poincare_lab
+
+    def refuse(W):
+        raise AssertionError("the indexed table was built")
+
+    monkeypatch.setattr(poincare_lab, "wreath_indexed_group", refuse)
+    assert relative_poincare_constant(w_instance(8)).constant == pytest.approx(
+        DENSE_CONSTANTS[8], abs=1e-12
+    )
+    big = relative_poincare_constant(w_instance(9))
+    assert big.witness.values.shape == (9 << 9, 1) and 9 << 9 > POINCARE_ORDER_CAP
+    assert big.lhs_form.shape == (9 << 9, 9)
+
+
+def test_block_cap_refuses_before_allocating(monkeypatch):
+    import coarselab.poincare_lab as poincare_lab
+
+    assert (1 << 13) * 13 * 13 <= POINCARE_BLOCK_CAP < (1 << 14) * 14 * 14
+
+    def refuse(*args):
+        raise AssertionError("work started above the block cap")
+
+    for name in ("_lamp_order", "_character_blocks", "_generates", "subset_indices"):
+        monkeypatch.setattr(poincare_lab, name, refuse)
+    with pytest.raises(CapExceededError, match="block cap"):
+        relative_poincare_constant(w_instance(14))
 
 
 # -- kernels -----------------------------------------------------------------
@@ -395,6 +561,35 @@ def test_cnd_from_random_functions():
         psi = cnd_from_function(G, f)
         assert is_cnd(psi, tol=1e-8)
         assert np.allclose(psi.values, psi.values[G.inv])
+
+
+def test_displacement_kernel_equals_the_per_element_loop():
+    rng = np.random.default_rng(37)
+    for G in (cyclic_group(6), w_instance(3), w_instance(8)):
+        table = resolve_group(G)
+        for d in (1, 2, 3):
+            vals = rng.standard_normal((G.order, d))
+            loop = [float(np.sum((vals - vals[table.mul_table[:, w]]) ** 2)) for w in range(G.order)]
+            assert np.array_equal(cnd_from_function(G, GroupFunction(G, vals)).values, loop)
+
+
+def test_double_centring_decides_like_the_mean_zero_basis():
+    import scipy.linalg
+
+    rng = np.random.default_rng(41)
+    verdicts = set()
+    for trial in range(60):
+        G = cyclic_group(2 + trial % 9)
+        vals = np.zeros(G.order)
+        for g in range(1, G.order):
+            vals[g] = vals[G.inverse(g)] if G.inverse(g) < g else rng.uniform(-0.3, 1.5)
+        M = vals[G.mul_table[G.inv]].T
+        V = scipy.linalg.null_space(np.ones((1, G.order)))
+        top = scipy.linalg.eigvalsh(V.T @ ((M + M.T) / 2) @ V)[-1]
+        expected = top <= 1e-8 * max(1.0, np.abs(vals).max())
+        assert is_cnd(KernelFunction(G, vals), tol=1e-8) == expected
+        verdicts.add(bool(expected))
+    assert verdicts == {True, False}
 
 
 def test_cnd_from_function_on_wreath():
@@ -547,6 +742,24 @@ def test_sup_ratio_diagnostic_exceeds_constant():
     assert rep.worst_sup_ratio > C
     assert rep.sup_ratio_violations > 0
     assert rep.ok
+
+
+def test_verify_reuses_a_given_witness(monkeypatch):
+    import coarselab.poincare_lab as poincare_lab
+
+    W = w_instance(3)
+    res = relative_poincare_constant(W)
+    solved = verify_relative_inequality(W, None, None, res.constant, trials=5, seed=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the constant was solved a second time")
+
+    monkeypatch.setattr(poincare_lab, "relative_poincare_constant", refuse)
+    given = verify_relative_inequality(
+        W, None, None, res.constant, trials=5, seed=2, witness=res.witness
+    )
+    assert given.to_json_dict() == solved.to_json_dict()
+    assert given.checked + given.degenerate == 5 + 3
 
 
 def test_verify_rejects_bad_constant():

@@ -5,9 +5,9 @@ import math
 import random
 
 from coarselab.expander_zoo import is_bipartite
-from coarselab.graph_core import bfs_distances, components, distance_matrix
+from coarselab.graph_core import components, distance_matrix
 
-from oracles import naive_is_bipartite, random_multigraph, scipy_components
+from oracles import bfs_distances, naive_is_bipartite, random_multigraph, scipy_components
 
 
 def multigraphs(seed, count=40):

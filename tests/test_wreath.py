@@ -16,11 +16,10 @@ from coarselab.wreath import (
     subwreath_embed,
     verify_subgraph_embedding,
     wreath_cayley,
-    wreath_inv,
     wreath_mul,
     x_subset,
 )
-from oracles import naive_wreath_cayley
+from oracles import naive_wreath_cayley, wreath_inv
 
 
 def w22():
