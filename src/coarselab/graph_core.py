@@ -6,10 +6,14 @@ edges, and edge labelings with orientations are all first class.  Dart
 ``k``.  A dart may carry a label; the reverse dart then carries the
 formal inverse label (``"a"`` vs ``"a^-1"``).
 
-Spectral quantities are computed with numpy/scipy and then verified
-against residual bounds, so a silently wrong eigensolve cannot leak
-into downstream certificates.  scipy is imported inside the functions
-that call it, so commands that never need it never load it.
+Distances come from one numpy breadth-first walk over all (source,
+vertex) pairs at once (:func:`distance_matrix`).  Spectral quantities
+are computed with numpy/scipy and then verified against residual
+bounds, so a silently wrong eigensolve cannot leak into downstream
+certificates.  scipy is imported inside the functions that call it
+(the SVD, ``eigh`` and Lanczos routes of :func:`adjacency_spectrum`, and
+:func:`laplacian_lambda2`), so commands that never need it never load
+it.
 """
 
 from __future__ import annotations
@@ -411,16 +415,56 @@ def _adjacency_csr(g: LabeledGraph) -> scipy.sparse.csr_matrix:
     return mat.tocsr()
 
 
+def _stamp_dtype(stamps: int) -> np.dtype:
+    """int32, or int64 when the stamps -1 .. -``stamps`` do not fit it."""
+    return np.promote_types(np.int32, np.min_scalar_type(-stamps))
+
+
 def distance_matrix(g: LabeledGraph, sources: Optional[Sequence[int]] = None) -> np.ndarray:
     """Unweighted distances from each of ``sources`` (default: every
-    vertex, in order) to every vertex; ``inf`` between components."""
-    import scipy.sparse.csgraph
+    vertex, in order) to every vertex, as float64; ``inf`` between
+    components.
 
-    adj = _adjacency_csr(g)
-    dist = scipy.sparse.csgraph.shortest_path(
-        adj, method="D", unweighted=True, directed=False, indices=sources
-    )
-    return dist
+    One level-synchronous breadth-first walk runs over all (row, vertex)
+    pairs at once, each coded row * n + vertex.  Row v of the neighbour
+    table lists the dart targets of v, padded to the largest degree with
+    v itself, which the visited test drops.  A level's candidates are
+    deduplicated without sorting: each writes its own negative stamp
+    into its cell, and the ones whose stamp survived are the distinct
+    new pairs.
+
+    Raises
+    ------
+    InvalidInputError
+        If a source is not a vertex (negative indices included), before
+        any distance is computed.
+    """
+    n = g.vertex_count
+    rows = np.arange(n) if sources is None else np.asarray(sources, dtype=np.int64)
+    if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= n)):
+        raise InvalidInputError(f"distance sources must be vertices in [0, {n})")
+    src, dst = dart_endpoints(g)
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    width = int(np.bincount(src, minlength=n).max(initial=0))
+    table = np.repeat(np.arange(n, dtype=np.int64)[:, np.newaxis], width, axis=1)
+    table[src, np.arange(src.size) - np.searchsorted(src, src)] = dst
+    dist = np.full(rows.size * n, -1, dtype=_stamp_dtype(rows.size * n * width))
+    frontier = np.arange(rows.size, dtype=np.int64) * n + rows
+    dist[frontier] = 0
+    level = 0
+    while frontier.size:
+        level += 1
+        v = frontier % n
+        cand = ((frontier - v)[:, np.newaxis] + np.take(table, v, axis=0)).reshape(-1)
+        cand = cand.compress(np.take(dist, cand) < 0)
+        stamps = -1 - np.arange(cand.size, dtype=dist.dtype)
+        dist[cand] = stamps
+        frontier = cand.compress(np.take(dist, cand) == stamps)
+        dist[frontier] = level
+    out = dist.reshape(rows.size, n).astype(np.float64)
+    out[out < 0] = math.inf
+    return out
 
 
 def diameter(g: LabeledGraph, sources: Optional[Sequence[int]] = None) -> int:
@@ -429,7 +473,8 @@ def diameter(g: LabeledGraph, sources: Optional[Sequence[int]] = None) -> int:
 
     On a vertex-transitive graph one source already gives the diameter.
     Distance rows are read ``DIAMETER_BLOCK`` sources at a time, so no
-    more than that many rows are held at once.
+    more than that many rows are held at once.  A source that is not a
+    vertex raises :class:`InvalidInputError`, as in :func:`distance_matrix`.
     """
     if not g.is_connected:
         raise DisconnectedGraphError("diameter requires a connected graph")

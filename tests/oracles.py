@@ -122,6 +122,23 @@ def scipy_components(g: LabeledGraph, removed=frozenset()) -> list[int]:
     return [int(x) for x in labels]
 
 
+def scipy_distance_matrix(g: LabeledGraph, sources=None):
+    """Unweighted distances from each of ``sources`` (default: every
+    vertex) by scipy's breadth-first ``shortest_path``; ``inf`` between
+    components."""
+    import numpy as np
+    import scipy.sparse
+    import scipy.sparse.csgraph
+
+    rows = np.array([u for u, _, _ in g.edges()], dtype=np.int64)
+    cols = np.array([v for _, v, _ in g.edges()], dtype=np.int64)
+    n = g.vertex_count
+    adj = scipy.sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    return scipy.sparse.csgraph.shortest_path(
+        adj.tocsr(), method="D", unweighted=True, directed=False, indices=sources
+    )
+
+
 def naive_is_bipartite(g: LabeledGraph) -> bool:
     """Try every 2-coloring; a loop makes every coloring fail."""
     edges = [(u, v) for u, v, _ in g.edges()]

@@ -44,6 +44,17 @@ def k4_file(tmp_path):
     return str(path)
 
 
+def family_file(tmp_path):
+    """The homology covers of C3, C4 and C5 mapped onto their bases."""
+    entries = []
+    for n in (3, 4, 5):
+        cm = homology_cover(cayley_graph(cyclic_group(n)))
+        entries.append(MapEntry(cm.cover, cm.base, tuple(cm.vertex_map)))
+    path = tmp_path / "family.json"
+    path.write_text(serialize_map_family(MapFamily(tuple(entries))))
+    return str(path)
+
+
 def z3_file(tmp_path):
     path = tmp_path / "z3.json"
     path.write_text(serialize_group_table(cyclic_group(3)))
@@ -213,7 +224,8 @@ class TestLabelingCommands:
 
     def test_scipy_stays_unloaded(self, tmp_path, two_c8):
         # importing the CLI, and every command below, must not load scipy;
-        # `lps` is absent because distance_matrix still loads it
+        # `spectrum` above DENSE_SPECTRUM_CAP or off the character-block
+        # route, and `laplacian_lambda2`, still do
         _, _, labeled = two_c8
         (tmp_path / "z3.json").write_text(serialize_group_table(cyclic_group(3)))
         (tmp_path / "points.json").write_text(serialize_points(np.eye(3)))
@@ -224,6 +236,11 @@ class TestLabelingCommands:
             ["present", str(labeled), "--out", "-"],
             ["cover", k4_file(tmp_path), "--out", "-"],
             ["walls", k4_file(tmp_path), "--out", "-"],
+            ["wallmetric", k4_file(tmp_path), "--out", "-"],
+            ["girth", k4_file(tmp_path), "--out", "-"],
+            ["moduli", family_file(tmp_path), "--out", "-"],
+            ["weakembed", family_file(tmp_path), "--lipschitz", "1.0", "--out", "-"],
+            ["lps", "--p", "13", "--q", "5", "--out", "-"],
             ["concentrate", "points.json", "--radius", "1.0", "--out", "-"],
             ["wreath", "--q-table", "z3.json", "--b-table", "z3.json", "--proj", "0,1,2",
              "--out", "-"],
@@ -438,20 +455,11 @@ class TestGroupCommands:
 
 
 class TestDiagnosticsCommands:
-    def family_doc(self, tmp_path):
-        entries = []
-        for n in (3, 4, 5):
-            cm = homology_cover(cayley_graph(cyclic_group(n)))
-            entries.append(MapEntry(cm.cover, cm.base, tuple(cm.vertex_map)))
-        path = tmp_path / "family.json"
-        path.write_text(serialize_map_family(MapFamily(tuple(entries))))
-        return str(path)
-
     def test_weakembed(self, capsys, tmp_path):
         out_path = tmp_path / "weak.json"
         code, out = run(
             capsys,
-            ["weakembed", self.family_doc(tmp_path), "--lipschitz", "1.0",
+            ["weakembed", family_file(tmp_path), "--lipschitz", "1.0",
              "--out", str(out_path)],
         )
         assert code == 0
@@ -463,7 +471,7 @@ class TestDiagnosticsCommands:
         # a negative diagnostic is a successful diagnosis, not an error
         code, out = run(
             capsys,
-            ["weakembed", self.family_doc(tmp_path), "--lipschitz", "0.1",
+            ["weakembed", family_file(tmp_path), "--lipschitz", "0.1",
              "--out", "-"],
         )
         assert code == 0
@@ -472,7 +480,7 @@ class TestDiagnosticsCommands:
     def test_moduli_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "moduli.csv"
         code, out = run(
-            capsys, ["moduli", self.family_doc(tmp_path), "--out", str(csv_path)]
+            capsys, ["moduli", family_file(tmp_path), "--out", str(csv_path)]
         )
         assert code == 0
         rows = csv_path.read_text().strip().split("\n")
@@ -496,7 +504,7 @@ class TestDiagnosticsCommands:
     def test_weakembed_rejects_a_bound_that_is_not_finite_and_nonnegative(
         self, capsys, tmp_path, bound
     ):
-        code = cli.main(["weakembed", self.family_doc(tmp_path), "--lipschitz", bound])
+        code = cli.main(["weakembed", family_file(tmp_path), "--lipschitz", bound])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == "" and captured.err.startswith("error:")

@@ -28,6 +28,7 @@ from coarselab.graph_core import (
     split_components,
     two_coloring,
 )
+from coarselab.covers_walls import homology_cover
 from coarselab.expander_zoo import cayley_graph, cyclic_group, lps_graph, symmetric_group
 
 from oracles import (
@@ -38,6 +39,7 @@ from oracles import (
     random_connected_graph,
     random_graph,
     random_multigraph,
+    scipy_distance_matrix,
 )
 
 
@@ -58,6 +60,11 @@ def petersen() -> LabeledGraph:
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return build_graph(10, outer + inner + spokes)
+
+
+def prism(n: int) -> LabeledGraph:
+    rims = [(i, (i + 1) % n) for i in range(n)] + [(n + i, n + (i + 1) % n) for i in range(n)]
+    return build_graph(2 * n, rims + [(i, n + i) for i in range(n)])
 
 
 class TestBuildGraph:
@@ -137,6 +144,73 @@ class TestDistances:
                 for t in range(n):
                     expect = math.inf if row[t] < 0 else row[t]
                     assert mat[s][t] == expect
+
+    @staticmethod
+    def assert_equals_scipy(g, sources=None):
+        got = distance_matrix(g, sources)
+        want = scipy_distance_matrix(g, sources)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_distance_matrix_equals_scipy_on_multigraphs(self):
+        rng = random.Random(12)
+        kinds = set()
+        for i in range(200):
+            n = rng.randrange(1, 16)
+            bipartite = n > 1 and i % 3 == 0
+            g = random_multigraph(rng, n, rng.randrange(0, 2 * n), bipartite)
+            kinds.add(("components", g.component_count > 1))
+            kinds.add(("isolated", min(g.degree(v) for v in range(n)) == 0))
+            picks = [rng.randrange(n) for _ in range(rng.randrange(1, 6))]
+            for sources in (None, [], picks, picks + picks, picks[::-1], tuple(picks), np.array(picks)):
+                self.assert_equals_scipy(g, sources)
+        assert kinds == {(k, b) for k in ("components", "isolated") for b in (False, True)}
+
+    def test_distance_matrix_equals_scipy_on_benchmark_covers(self):
+        for base in (prism(4), complete(5), petersen(), prism(6)):
+            self.assert_equals_scipy(homology_cover(base).cover)
+
+    def test_distance_matrix_equals_scipy_on_lps_from_its_identity(self):
+        g, table = lps_graph(13, 5)
+        self.assert_equals_scipy(g, [table.identity])
+
+    def test_sources_that_are_not_vertices_are_rejected(self):
+        g = path(4)
+        for bad in ([-1], [4], [0, 7], np.array([-2]), [[0]]):
+            with pytest.raises(InvalidInputError):
+                distance_matrix(g, bad)
+        with pytest.raises(InvalidInputError):
+            diameter(g, [4])
+
+    def test_stamp_dtype_holds_every_stamp(self):
+        # the stamps of one level run from -1 down to -(their count)
+        assert graph_core._stamp_dtype(0) == np.int32
+        assert graph_core._stamp_dtype(2**31) == np.int32
+        assert graph_core._stamp_dtype(2**31 + 1) == np.int64
+
+    def test_stamp_bound_is_rows_times_vertices_times_table_width(self, monkeypatch):
+        seen = []
+        real = graph_core._stamp_dtype
+        monkeypatch.setattr(graph_core, "_stamp_dtype", lambda count: seen.append(count) or real(count))
+        # vertex 0 has the most darts, four; the loop gives vertex 4 two
+        g = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 3), (4, 4)])
+        distance_matrix(g, [1, 2, 2])
+        assert seen == [3 * 5 * 4]
+
+    def test_each_level_holds_each_new_pair_once(self):
+        # every edge of a path tripled: without the dedupe, level k of the
+        # walk from 0 would hold 3^k copies of vertex k
+        import tracemalloc
+
+        g = build_graph(12, [(i, i + 1) for i in range(11) for _ in range(3)])
+        tracemalloc.start()
+        try:
+            dist = distance_matrix(g, [0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist.tolist() == [list(range(12))]
+        assert peak < 2**16
 
     def test_diameter_examples(self):
         assert diameter(cycle(6)) == 3
