@@ -426,12 +426,14 @@ def distance_matrix(g: LabeledGraph, sources: Optional[Sequence[int]] = None) ->
     components.
 
     One level-synchronous breadth-first walk runs over all (row, vertex)
-    pairs at once, each coded row * n + vertex.  Row v of the neighbour
-    table lists the dart targets of v, padded to the largest degree with
-    v itself, which the visited test drops.  A level's candidates are
-    deduplicated without sorting: each writes its own negative stamp
-    into its cell, and the ones whose stamp survived are the distinct
-    new pairs.
+    pairs at once, each coded row * n + vertex.  The dart targets are
+    sorted by source once, so the darts of v are one run; a level
+    expands each frontier pair (row, v) into the run of v, and its work
+    is the frontier's degree sum, whatever the largest degree.  A
+    level's candidates are deduplicated without sorting: each writes its
+    own negative stamp into its cell, and the ones whose stamp survived
+    are the distinct new pairs.  A row meets each vertex at most once as
+    a frontier pair, so a level holds at most rows * dart_count stamps.
 
     Raises
     ------
@@ -444,19 +446,22 @@ def distance_matrix(g: LabeledGraph, sources: Optional[Sequence[int]] = None) ->
     if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= n)):
         raise InvalidInputError(f"distance sources must be vertices in [0, {n})")
     src, dst = dart_endpoints(g)
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    width = int(np.bincount(src, minlength=n).max(initial=0))
-    table = np.repeat(np.arange(n, dtype=np.int64)[:, np.newaxis], width, axis=1)
-    table[src, np.arange(src.size) - np.searchsorted(src, src)] = dst
-    dist = np.full(rows.size * n, -1, dtype=_stamp_dtype(rows.size * n * width))
+    dst = dst[np.argsort(src, kind="stable")]
+    degree = np.bincount(src, minlength=n)
+    first = np.cumsum(degree) - degree
+    dist = np.full(rows.size * n, -1, dtype=_stamp_dtype(rows.size * g.dart_count))
     frontier = np.arange(rows.size, dtype=np.int64) * n + rows
     dist[frontier] = 0
     level = 0
     while frontier.size:
         level += 1
         v = frontier % n
-        cand = ((frontier - v)[:, np.newaxis] + np.take(table, v, axis=0)).reshape(-1)
+        d = degree[v]
+        ends = np.cumsum(d)
+        darts = np.repeat(first[v] - ends + d, d)
+        darts += np.arange(darts.size)
+        cand = np.repeat(frontier - v, d)
+        cand += dst[darts]
         cand = cand.compress(np.take(dist, cand) < 0)
         stamps = -1 - np.arange(cand.size, dtype=dist.dtype)
         dist[cand] = stamps

@@ -188,14 +188,14 @@ class TestDistances:
         assert graph_core._stamp_dtype(2**31) == np.int32
         assert graph_core._stamp_dtype(2**31 + 1) == np.int64
 
-    def test_stamp_bound_is_rows_times_vertices_times_table_width(self, monkeypatch):
+    def test_stamp_bound_is_rows_times_darts(self, monkeypatch):
         seen = []
         real = graph_core._stamp_dtype
         monkeypatch.setattr(graph_core, "_stamp_dtype", lambda count: seen.append(count) or real(count))
-        # vertex 0 has the most darts, four; the loop gives vertex 4 two
+        # five edges, a loop at vertex 4 among them, give ten darts
         g = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 3), (4, 4)])
         distance_matrix(g, [1, 2, 2])
-        assert seen == [3 * 5 * 4]
+        assert seen == [3 * 10]
 
     def test_each_level_holds_each_new_pair_once(self):
         # every edge of a path tripled: without the dedupe, level k of the
@@ -211,6 +211,24 @@ class TestDistances:
             tracemalloc.stop()
         assert dist.tolist() == [list(range(12))]
         assert peak < 2**16
+
+    def test_memory_follows_darts_not_the_largest_degree(self):
+        # a star: at level 2 each leaf row expands the hub's 300 darts, so a
+        # level holds up to rows * dart_count / 2 candidates, in a few int64
+        # arrays; rows padded to the largest degree would give level 3
+        # rows * 299 * 300 candidates, about 215 MB per int64 array
+        import tracemalloc
+
+        leaves = 300
+        g = build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+        tracemalloc.start()
+        try:
+            top = diameter(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert top == 2
+        assert peak < 64 * g.vertex_count * g.dart_count
 
     def test_diameter_examples(self):
         assert diameter(cycle(6)) == 3
