@@ -14,7 +14,7 @@ a pseudo-metric with an exact half-integer embedding into l2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,17 @@ from .errors import (
     InvalidInputError,
     VerificationError,
 )
-from .graph_core import LabeledGraph, bfs_tree, build_graph, components, girth, propagate, tree_path
+from .graph_core import (
+    LabeledGraph,
+    bfs_tree,
+    build_graph,
+    components,
+    dart_endpoints,
+    girth,
+    propagate,
+    source_rows,
+    tree_path,
+)
 
 #: Iterated covers refuse to build more vertices than this by default.
 COVER_VERTEX_CAP = 1 << 20
@@ -173,6 +183,56 @@ def cover_girth(cm: CoveringMap):
     """
     heads = np.unique(np.asarray(cm.vertex_map), return_index=True)[1]
     return girth(cm.cover, heads.tolist())
+
+
+def xor_fiber_heads(cm: CoveringMap) -> np.ndarray:
+    """The cover vertices (v, 0), one per base vertex, after checking that
+    the deck group (Z/2)^r of ``cm`` acts by x -> x XOR t on the numbering
+    v * 2^r + x of :func:`homology_cover`.
+
+    The check is O(E) numpy over the darts: ``cm`` is a single step, the
+    vertex map is v >> r, the dart map sends edge fiber k onto base edge k,
+    and cover edge k * 2^r + x runs from u_k * 2^r + x to
+    v_k * 2^r + (x XOR f_k), one flip f_k per base edge (u_k, v_k).  Each
+    XOR map is then an automorphism fixing every edge fiber, hence every
+    wall of :func:`walls_from_cover`, so graph and wall distances satisfy
+    d((u, x), (v, y)) = d((u, 0), (v, x XOR y)), which
+    :func:`xor_deck_gather` reads off the rows of these heads.
+
+    Raises
+    ------
+    VerificationError
+        If any part of the check fails.
+    """
+    base, cover, r = cm.base, cm.cover, cm.deck_rank
+    if not cm.single_step:
+        raise VerificationError("a composed covering carries no XOR deck action")
+    fiber = 1 << r
+    if cover.vertex_count != base.vertex_count * fiber or cover.edge_count != base.edge_count * fiber:
+        raise VerificationError("cover is not 2^deck_rank copies of the base")
+    if not np.array_equal(np.asarray(cm.vertex_map, dtype=np.int64), np.arange(cover.vertex_count) >> r):
+        raise VerificationError("vertex map is not v >> deck_rank")
+    darts = np.arange(cover.dart_count)
+    if not np.array_equal(np.asarray(cm.dart_map, dtype=np.int64), (darts >> (r + 1) << 1) | (darts & 1)):
+        raise VerificationError("dart map does not send edge fiber k onto base edge k")
+    src, dst = dart_endpoints(cover)
+    base_src, base_dst = dart_endpoints(base)
+    lift = np.arange(cover.edge_count)
+    k, x = lift >> r, lift & (fiber - 1)
+    flip = dst[0 :: 2 * fiber] & (fiber - 1)
+    if not (
+        np.array_equal(src[0::2], (base_src[2 * k] << r) | x)
+        and np.array_equal(dst[0::2], (base_dst[2 * k] << r) | (x ^ flip[k]))
+    ):
+        raise VerificationError("a lifted edge is not its base edge with one flip per fiber")
+    return np.arange(base.vertex_count) << r
+
+
+def xor_deck_gather(head_rows: np.ndarray, deck_rank: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Entries (u, v) of a matrix invariant under the XOR deck action,
+    read from its rows at the heads of :func:`xor_fiber_heads` (row b
+    belongs to vertex (b, 0)): entry ((a, x), w) is row a at w XOR x."""
+    return head_rows[u >> deck_rank, v ^ (u & ((1 << deck_rank) - 1))]
 
 
 def iterate_homology_cover(g: LabeledGraph, k: int, vertex_cap: int = COVER_VERTEX_CAP) -> CoveringMap:
@@ -393,14 +453,25 @@ def validate_walls(g: LabeledGraph, w: WallDecomposition) -> None:
                 raise InvalidInputError(f"edge {k} of wall {i} does not cross the wall")
 
 
-def wall_pseudometric(g: LabeledGraph, w: WallDecomposition) -> np.ndarray:
-    """Matrix of wall distances: the number of walls separating x from y."""
+def wall_pseudometric(
+    g: LabeledGraph, w: WallDecomposition, sources: Optional[Sequence[int]] = None
+) -> np.ndarray:
+    """Wall distances from each of ``sources`` (default: every vertex, in
+    order) to every vertex: the number of walls separating the two.
+
+    Raises
+    ------
+    InvalidInputError
+        If a source is not a vertex, as in
+        :func:`~coarselab.graph_core.distance_matrix`, or ``w`` fails
+        :func:`validate_walls`.
+    """
+    rows = source_rows(g, sources)
     validate_walls(g, w)
-    sides = w.side_matrix()
-    n = g.vertex_count
-    dist = np.zeros((n, n), dtype=np.int64)
-    for row in sides:
-        dist += row[:, None] != row[None, :]
+    sides = w.side_matrix().reshape(len(w.walls), g.vertex_count)
+    dist = np.zeros((rows.size, g.vertex_count), dtype=np.int64)
+    for side in sides:
+        dist += side[rows, None] != side[None, :]
     return dist
 
 

@@ -420,6 +420,22 @@ def _stamp_dtype(stamps: int) -> np.dtype:
     return np.promote_types(np.int32, np.min_scalar_type(-stamps))
 
 
+def source_rows(g: LabeledGraph, sources: Optional[Sequence[int]] = None) -> np.ndarray:
+    """``sources`` as an int64 vector (default: every vertex, in order),
+    for functions that return one row per source.
+
+    Raises
+    ------
+    InvalidInputError
+        If a source is not a vertex (negative indices included).
+    """
+    n = g.vertex_count
+    rows = np.arange(n) if sources is None else np.asarray(sources, dtype=np.int64)
+    if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= n)):
+        raise InvalidInputError(f"distance sources must be vertices in [0, {n})")
+    return rows
+
+
 def distance_matrix(g: LabeledGraph, sources: Optional[Sequence[int]] = None) -> np.ndarray:
     """Unweighted distances from each of ``sources`` (default: every
     vertex, in order) to every vertex, as float64; ``inf`` between
@@ -442,9 +458,7 @@ def distance_matrix(g: LabeledGraph, sources: Optional[Sequence[int]] = None) ->
         any distance is computed.
     """
     n = g.vertex_count
-    rows = np.arange(n) if sources is None else np.asarray(sources, dtype=np.int64)
-    if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= n)):
-        raise InvalidInputError(f"distance sources must be vertices in [0, {n})")
+    rows = source_rows(g, sources)
     src, dst = dart_endpoints(g)
     dst = dst[np.argsort(src, kind="stable")]
     degree = np.bincount(src, minlength=n)

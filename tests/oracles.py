@@ -70,6 +70,28 @@ def naive_cheeger(g: LabeledGraph) -> tuple[Fraction, tuple[int, ...]]:
     return best, best_set
 
 
+def complete(n: int) -> LabeledGraph:
+    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def petersen() -> LabeledGraph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return build_graph(10, outer + inner + spokes)
+
+
+def prism(n: int) -> LabeledGraph:
+    rims = [(i, (i + 1) % n) for i in range(n)] + [(n + i, n + (i + 1) % n) for i in range(n)]
+    return build_graph(2 * n, rims + [(i, n + i) for i in range(n)])
+
+
+def multi_k4() -> LabeledGraph:
+    """K4 with a doubled edge on the root's first tree edge and a loop,
+    the base of the golden artifacts."""
+    return build_graph(4, [(0, 1), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 3)])
+
+
 def random_connected_graph(rng, n: int, extra_edges: int) -> LabeledGraph:
     """Random tree plus ``extra_edges`` uniform chords (repeats allowed)."""
     edges = []
@@ -137,6 +159,22 @@ def scipy_distance_matrix(g: LabeledGraph, sources=None):
     return scipy.sparse.csgraph.shortest_path(
         adj.tocsr(), method="D", unweighted=True, directed=False, indices=sources
     )
+
+
+def wallmetric_csv(d_wall, d_graph) -> str:
+    """The ``wallmetric`` artifact from full wall and graph distance
+    matrices, one f-string per pair u < v in row order."""
+    n = len(d_wall)
+    d_graph = d_graph.astype("int64")
+    rows = ["u,v,wall_distance,graph_distance"]
+    for u in range(n):
+        rows += [
+            f"{u},{v},{w},{d}"
+            for v, w, d in zip(
+                range(u + 1, n), d_wall[u, u + 1 :].tolist(), d_graph[u, u + 1 :].tolist()
+            )
+        ]
+    return "\n".join(rows) + "\n"
 
 
 def naive_is_bipartite(g: LabeledGraph) -> bool:

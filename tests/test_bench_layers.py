@@ -4,12 +4,16 @@ rename or removal in src/ would break them, without running a workload."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +33,21 @@ def test_every_wrapped_layer_resolves(spans):
         module = importlib.import_module(f"coarselab.{module_name}")
         for fn_name in functions:
             assert callable(getattr(module, fn_name, None)), f"coarselab.{module_name}.{fn_name}"
+
+
+def test_importing_the_cli_loads_every_wrapped_layer(spans):
+    # spans.install imports coarselab.cli and then reads
+    # sys.modules["coarselab.<name>"] for each layer, so a module that
+    # the CLI imported lazily would fail the traced run with a KeyError
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    script = "import json, sys\nimport coarselab.cli\nprint(json.dumps(sorted(sys.modules)))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert [m for m in spans.LAYERS if f"coarselab.{m}" not in loaded] == []
 
 
 def test_labelings_calls_the_wrapped_girth():

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,10 @@ import pytest
 
 import coarselab.cli as cli
 import coarselab.expander_zoo as expander_zoo
-from coarselab.covers_walls import homology_cover
+from coarselab.covers_walls import homology_cover, wall_pseudometric, walls_from_cover
 from coarselab.errors import CapExceededError, InvalidInputError, VerificationError
 from coarselab.expander_zoo import cayley_graph, cyclic_group, lps_graph
-from coarselab.graph_core import build_graph
+from coarselab.graph_core import build_graph, distance_matrix
 from coarselab.jsonio import (
     parse_graph,
     serialize_graph,
@@ -26,9 +27,21 @@ from coarselab.jsonio import (
 )
 from coarselab.metric_diag import MapEntry, MapFamily
 
+from oracles import multi_k4, prism, wallmetric_csv
+
 DESK_CONSTANT_Z3 = 1.5205176042696106
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+# the 6-prism cover has 1,536 vertices, so u and v reach four digits; the
+# one-vertex base has a one-vertex cover and no pairs
+WALLMETRIC_BASES = {
+    "prism6": prism(6),
+    "multi_k4": multi_k4(),
+    "theta": build_graph(2, [(0, 1, "a"), (0, 1, "b"), (0, 1, "c")]),
+    "one_vertex": build_graph(1, []),
+}
 
 
 def c6_file(tmp_path):
@@ -152,6 +165,28 @@ class TestGraphCommands:
         for row in rows[1:]:
             _, _, dw, dg = row.split(",")
             assert float(dw) <= float(dg) + 1e-9
+
+    @pytest.mark.parametrize("name", list(WALLMETRIC_BASES))
+    def test_wallmetric_bytes_equal_the_per_pair_writer(self, capsys, tmp_path, name):
+        base = WALLMETRIC_BASES[name]
+        (tmp_path / "base.json").write_text(serialize_graph(base))
+        code, _ = run(capsys, ["wallmetric", str(tmp_path / "base.json"), "--out", str(tmp_path / "wm.csv")])
+        assert code == 0
+        cm = homology_cover(base)
+        want = wallmetric_csv(wall_pseudometric(cm.cover, walls_from_cover(cm)), distance_matrix(cm.cover))
+        assert (tmp_path / "wm.csv").read_bytes() == want.encode("ascii")
+
+    def test_wallmetric_peak_memory_is_a_few_artifacts(self, tmp_path):
+        (tmp_path / "prism6.json").write_text(serialize_graph(prism(6)))
+        args = cli.build_parser().parse_args(["wallmetric", str(tmp_path / "prism6.json")])
+        tracemalloc.start()
+        try:
+            _, artifact = cli._cmd_wallmetric(args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(artifact) == 15_967_863
+        assert peak <= 4 * len(artifact)
 
     def test_stdin_pipe(self, tmp_path):
         text = serialize_graph(cayley_graph(cyclic_group(6)))
@@ -572,9 +607,7 @@ def test_artifact_bytes_ignore_the_thread_count(tmp_path):
     eigenvalues are written in a clustered format: a dense eigensolve
     still moves last digits with the thread count."""
     (tmp_path / "z7.json").write_text(serialize_group_table(cyclic_group(7)))
-    rims = [(i, (i + 1) % 6) for i in range(6)] + [(6 + i, 6 + (i + 1) % 6) for i in range(6)]
-    prism = build_graph(12, rims + [(i, 6 + i) for i in range(6)])
-    (tmp_path / "prism6.json").write_text(serialize_graph(prism))
+    (tmp_path / "prism6.json").write_text(serialize_graph(prism(6)))
     z7 = ["--relative", "--q-table", "z7.json", "--b-table", "z7.json", "--proj", "0,1,2,3,4,5,6"]
     commands = {
         "poincare.json": ["poincare", *z7],

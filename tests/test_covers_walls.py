@@ -17,6 +17,8 @@ from coarselab.covers_walls import (
     wall_hilbert_embedding,
     wall_pseudometric,
     walls_from_cover,
+    xor_deck_gather,
+    xor_fiber_heads,
 )
 from coarselab.errors import (
     CapExceededError,
@@ -28,7 +30,7 @@ from coarselab.expander_zoo import cayley_graph, cyclic_group
 from coarselab.graph_core import build_graph, distance_matrix, girth
 from coarselab.labelings import _out_maps, _pointed_spread
 
-from oracles import naive_girth, random_multigraph
+from oracles import complete, multi_k4, naive_girth, petersen, prism, random_multigraph
 
 
 def triangle():
@@ -412,3 +414,74 @@ class TestDeckVerificationCatchesDamage:
         bad = CoveringMap(cm.base, cm.cover, cm.vertex_map, tuple(dm), cm.deck_rank)
         with pytest.raises(VerificationError):
             verify_covering(bad)
+
+
+def separating_walls(w):
+    """Wall distances over all pairs, one comparison per wall and pair."""
+    return sum(np.not_equal.outer(side, side).astype(np.int64) for side in w.side_assignment)
+
+
+class TestXorDeckAction:
+    @pytest.mark.parametrize(
+        "base", [prism(4), complete(5), petersen(), prism(6), multi_k4()],
+        ids=["prism4", "k5", "petersen", "prism6", "multi_k4"],
+    )
+    def test_head_rows_and_gather_give_the_full_matrices(self, base):
+        cm = homology_cover(base)
+        heads = xor_fiber_heads(cm)
+        assert heads.tolist() == [min(cm.fiber(b)) for b in range(base.vertex_count)]
+        walls = walls_from_cover(cm)
+        n = cm.cover.vertex_count
+        u, v = np.divmod(np.arange(n * n), n)
+        graph = xor_deck_gather(distance_matrix(cm.cover, heads), cm.deck_rank, u, v)
+        wall = xor_deck_gather(wall_pseudometric(cm.cover, walls, heads), cm.deck_rank, u, v)
+        assert np.array_equal(graph.reshape(n, n), distance_matrix(cm.cover))
+        assert np.array_equal(wall.reshape(n, n), wall_pseudometric(cm.cover, walls))
+
+    def test_wall_rows_from_sources_are_rows_of_the_full_matrix(self):
+        cm = homology_cover(multi_k4())
+        w = walls_from_cover(cm)
+        full = wall_pseudometric(cm.cover, w)
+        assert full.dtype == np.int64
+        assert np.array_equal(full, separating_walls(w))
+        picks = [7, 0, 31, 7]
+        for sources in (None, [], picks, picks + picks, tuple(picks), np.array(picks)):
+            rows = np.arange(cm.cover.vertex_count) if sources is None else np.array(sources, dtype=np.int64)
+            got = wall_pseudometric(cm.cover, w, sources)
+            assert got.dtype == np.int64 and np.array_equal(got, full[rows])
+
+    def test_wall_sources_that_are_not_vertices_are_rejected(self):
+        cm = homology_cover(triangle())
+        w = walls_from_cover(cm)
+        for bad in ([-1], [6], [0, 9], np.array([-2]), [[0]]):
+            with pytest.raises(InvalidInputError):
+                wall_pseudometric(cm.cover, w, bad)
+
+    def test_rewired_lift_is_rejected(self):
+        cm = homology_cover(prism(4))
+        edges = list(cm.cover.edges())
+        u, v, label = edges[3]
+        edges[3] = (u, v ^ 1, label)  # the same fibers, but a second flip in fiber 0
+        rewired = build_graph(cm.cover.vertex_count, edges)
+        bad = CoveringMap(cm.base, rewired, cm.vertex_map, cm.dart_map, cm.deck_rank)
+        with pytest.raises(VerificationError):
+            xor_fiber_heads(bad)
+
+    def test_shuffled_maps_are_rejected(self):
+        cm = homology_cover(prism(4))
+        vm = list(cm.vertex_map)
+        vm[0], vm[40] = vm[40], vm[0]
+        dm = list(cm.dart_map)
+        dm[0], dm[2 * 32] = dm[2 * 32], dm[0]
+        for bad in (
+            CoveringMap(cm.base, cm.cover, tuple(vm), cm.dart_map, cm.deck_rank),
+            CoveringMap(cm.base, cm.cover, cm.vertex_map, tuple(dm), cm.deck_rank),
+        ):
+            with pytest.raises(VerificationError):
+                xor_fiber_heads(bad)
+
+    def test_composed_cover_is_rejected(self):
+        cm = iterate_homology_cover(triangle(), 2)
+        assert not cm.single_step
+        with pytest.raises(VerificationError):
+            xor_fiber_heads(cm)

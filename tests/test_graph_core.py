@@ -33,9 +33,12 @@ from coarselab.expander_zoo import cayley_graph, cyclic_group, lps_graph, symmet
 
 from oracles import (
     bfs_distances,
+    complete,
     dg_ratio,
     naive_cheeger,
     naive_girth,
+    petersen,
+    prism,
     random_connected_graph,
     random_graph,
     random_multigraph,
@@ -47,24 +50,8 @@ def cycle(n: int) -> LabeledGraph:
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def complete(n: int) -> LabeledGraph:
-    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
 def path(n: int) -> LabeledGraph:
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def petersen() -> LabeledGraph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    return build_graph(10, outer + inner + spokes)
-
-
-def prism(n: int) -> LabeledGraph:
-    rims = [(i, (i + 1) % n) for i in range(n)] + [(n + i, n + (i + 1) % n) for i in range(n)]
-    return build_graph(2 * n, rims + [(i, n + i) for i in range(n)])
 
 
 class TestBuildGraph:
