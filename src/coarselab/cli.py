@@ -47,6 +47,7 @@ from .graph_core import (
     GraphFamily,
     LabeledGraph,
     adjacency_spectrum,
+    annotated_xor_lift,
     cheeger_exact,
     diameter,
     distance_matrix,
@@ -203,13 +204,18 @@ def _cmd_cheeger(args):
 
 def _cmd_girth(args):
     g = _single_graph(args)
-    value = girth(g)
+    # the XOR deck maps of a checked single-step cover are automorphisms
+    # moving (v, 0) onto its whole fiber, so the fiber heads see every
+    # shortest cycle and every eccentricity
+    lift = annotated_xor_lift(g)
+    sources = None if lift is None else lift.fiber_heads()
+    value = girth(g, sources)
     finite = value is not math.inf
     doc = {
         "format_version": jsonio.FORMAT_VERSION,
         "report": "girth",
         "girth": int(value) if finite else None,
-        "diameter": diameter(g) if g.is_connected else None,
+        "diameter": diameter(g, sources) if g.is_connected else None,
     }
     lines = [f"girth: {int(value) if finite else 'infinite (no cycle)'}"]
     if g.is_connected:

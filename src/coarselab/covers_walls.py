@@ -34,6 +34,7 @@ from .graph_core import (
     propagate,
     source_rows,
     tree_path,
+    xor_lift,
 )
 
 #: Iterated covers refuse to build more vertices than this by default.
@@ -191,13 +192,15 @@ def xor_fiber_heads(cm: CoveringMap) -> np.ndarray:
     v * 2^r + x of :func:`homology_cover`.
 
     The check is O(E) numpy over the darts: ``cm`` is a single step, the
-    vertex map is v >> r, the dart map sends edge fiber k onto base edge k,
-    and cover edge k * 2^r + x runs from u_k * 2^r + x to
-    v_k * 2^r + (x XOR f_k), one flip f_k per base edge (u_k, v_k).  Each
-    XOR map is then an automorphism fixing every edge fiber, hence every
-    wall of :func:`walls_from_cover`, so graph and wall distances satisfy
-    d((u, x), (v, y)) = d((u, 0), (v, x XOR y)), which
-    :func:`xor_deck_gather` reads off the rows of these heads.
+    cover passes :func:`~coarselab.graph_core.xor_lift` at rank r over
+    the edges of ``cm.base`` (cover edge k * 2^r + x runs from
+    u_k * 2^r + x to v_k * 2^r + (x XOR f_k), one flip f_k per base edge
+    (u_k, v_k)), the vertex map is v >> r, and the dart map sends edge
+    fiber k onto base edge k.  Each XOR map is then an automorphism fixing
+    every edge fiber, hence every wall of :func:`walls_from_cover`, so
+    graph and wall distances satisfy d((u, x), (v, y)) = d((u, 0),
+    (v, x XOR y)), which :func:`xor_deck_gather` reads off the rows of
+    these heads.
 
     Raises
     ------
@@ -207,25 +210,21 @@ def xor_fiber_heads(cm: CoveringMap) -> np.ndarray:
     base, cover, r = cm.base, cm.cover, cm.deck_rank
     if not cm.single_step:
         raise VerificationError("a composed covering carries no XOR deck action")
-    fiber = 1 << r
-    if cover.vertex_count != base.vertex_count * fiber or cover.edge_count != base.edge_count * fiber:
-        raise VerificationError("cover is not 2^deck_rank copies of the base")
+    lift = xor_lift(cover, r)
+    base_src, base_dst = dart_endpoints(base)
+    if not (
+        lift is not None
+        and lift.base_vertices == base.vertex_count
+        and np.array_equal(lift.base_src, base_src[0::2])
+        and np.array_equal(lift.base_dst, base_dst[0::2])
+    ):
+        raise VerificationError("a lifted edge is not its base edge with one flip per fiber")
     if not np.array_equal(np.asarray(cm.vertex_map, dtype=np.int64), np.arange(cover.vertex_count) >> r):
         raise VerificationError("vertex map is not v >> deck_rank")
     darts = np.arange(cover.dart_count)
     if not np.array_equal(np.asarray(cm.dart_map, dtype=np.int64), (darts >> (r + 1) << 1) | (darts & 1)):
         raise VerificationError("dart map does not send edge fiber k onto base edge k")
-    src, dst = dart_endpoints(cover)
-    base_src, base_dst = dart_endpoints(base)
-    lift = np.arange(cover.edge_count)
-    k, x = lift >> r, lift & (fiber - 1)
-    flip = dst[0 :: 2 * fiber] & (fiber - 1)
-    if not (
-        np.array_equal(src[0::2], (base_src[2 * k] << r) | x)
-        and np.array_equal(dst[0::2], (base_dst[2 * k] << r) | (x ^ flip[k]))
-    ):
-        raise VerificationError("a lifted edge is not its base edge with one flip per fiber")
-    return np.arange(base.vertex_count) << r
+    return lift.fiber_heads()
 
 
 def xor_deck_gather(head_rows: np.ndarray, deck_rank: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -10,7 +10,9 @@ Distances come from one numpy breadth-first walk over all (source,
 vertex) pairs at once (:func:`distance_matrix`).  Spectral quantities
 are computed with numpy/scipy and then verified against residual
 bounds, so a silently wrong eigensolve cannot leak into downstream
-certificates.  scipy is imported inside the functions that call it
+certificates; a verified symmetry (a cyclic automorphism group, or the
+XOR deck action of a homology cover) splits the eigensolve into blocks.
+scipy is imported inside the functions that call it
 (the SVD, ``eigh`` and Lanczos routes of :func:`adjacency_spectrum`, and
 :func:`laplacian_lambda2`), so commands that never need it never load
 it.
@@ -38,7 +40,8 @@ from .errors import (
 INVERSE_SUFFIX = "^-1"
 
 #: Largest vertex count for which the full spectrum is computed (from
-#: character blocks or a dense eigensolve).
+#: character blocks or a dense eigensolve); for a checked homology cover,
+#: the largest base vertex count of its signed twist blocks.
 DENSE_SPECTRUM_CAP = 4096
 
 #: Largest vertex count for which all 2^n - 1 cuts are enumerated.
@@ -388,6 +391,65 @@ def dart_endpoints(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
     src = np.fromiter(g._src, dtype=np.int64, count=g.dart_count)
     dst = np.fromiter(g._dst, dtype=np.int64, count=g.dart_count)
     return src, dst
+
+
+@dataclass(frozen=True)
+class XorLift:
+    """A graph read as the 2^r-fold lift of a base graph whose deck group
+    (Z/2)^r acts by (v, x) -> (v, x XOR t), vertex (v, x) numbered
+    v * 2^r + x: base edge k runs from ``base_src[k]`` to ``base_dst[k]``
+    and lifts with the flip ``flips[k]``."""
+
+    deck_rank: int
+    base_vertices: int
+    base_src: np.ndarray
+    base_dst: np.ndarray
+    flips: np.ndarray
+
+    def fiber_heads(self) -> np.ndarray:
+        """The vertices (v, 0), one per base vertex."""
+        return np.arange(self.base_vertices) << self.deck_rank
+
+
+def xor_lift(g: LabeledGraph, deck_rank: int) -> Optional[XorLift]:
+    """``g`` as an XOR lift of rank ``deck_rank``, or None when it is not
+    one.
+
+    Checked in O(E) numpy from the darts alone: with fiber = 2^r, cover
+    edge k * fiber + x must run from u_k * fiber + x to
+    v_k * fiber + (x XOR f_k), one flip f_k per edge fiber, the base ends
+    u_k, v_k and flip f_k read off the lift x = 0.  Every XOR map is then
+    an automorphism of ``g`` that fixes every edge fiber.
+    """
+    r = deck_rank
+    if type(r) is not int or not 0 <= r < g.vertex_count.bit_length():
+        return None
+    fiber = 1 << r
+    if g.vertex_count % fiber or g.edge_count % fiber:
+        return None
+    src, dst = dart_endpoints(g)
+    first_src, first_dst = src[0 :: 2 * fiber], dst[0 :: 2 * fiber]
+    if np.any(first_src & (fiber - 1)):
+        return None
+    u, v, flip = first_src >> r, first_dst >> r, first_dst & (fiber - 1)
+    lift = np.arange(g.edge_count)
+    k, x = lift >> r, lift & (fiber - 1)
+    if not (
+        np.array_equal(src[0::2], (u[k] << r) | x)
+        and np.array_equal(dst[0::2], (v[k] << r) | (x ^ flip[k]))
+    ):
+        return None
+    return XorLift(r, g.vertex_count >> r, u, v, flip)
+
+
+def annotated_xor_lift(g: LabeledGraph) -> Optional[XorLift]:
+    """:func:`xor_lift` at the deck rank of a ``covering`` annotation that
+    names a single homology step (as ``coarselab cover`` writes); None
+    without one, or when the darts fail the check."""
+    covering = g.annotations.get("covering")
+    if not isinstance(covering, dict) or covering.get("single_step") is not True:
+        return None
+    return xor_lift(g, covering.get("deck_rank"))
 
 
 def two_coloring(g: LabeledGraph) -> Optional[np.ndarray]:
@@ -759,6 +821,12 @@ def _character_eigenpairs(g: LabeledGraph) -> Optional[tuple[np.ndarray, float]]
     are residual-checked through the neighbour table: A v sums v over
     each vertex's distinct neighbours in ascending order, weighted by
     multiplicity, as a sparse product would.
+
+    Only the blocks c = 0 .. floor(m/2) are solved.  Block m - c is the
+    entrywise conjugate of block c, since w^((m-c)k) = conj(w^(ck)): it
+    has the same eigenvalues, its lifts are the conjugates of block c's,
+    and, A being real, so are their residuals, so checking the solved
+    blocks checks every lifted eigenpair.
     """
     powers = _cyclic_symmetry(g)
     if powers is None:
@@ -773,8 +841,9 @@ def _character_eigenpairs(g: LabeledGraph) -> Optional[tuple[np.ndarray, float]]
     out = K[src] == 0
     rows, cols, ks = J[dst[out]], J[src[out]], K[dst[out]]
     roots = np.exp(2j * np.pi * np.arange(m) / m)
-    chars = np.arange(m)[:, np.newaxis]
-    blocks = np.zeros((m, heads.size, heads.size), dtype=np.complex128)
+    solved = m // 2 + 1
+    chars = np.arange(solved)[:, np.newaxis]
+    blocks = np.zeros((solved, heads.size, heads.size), dtype=np.complex128)
     np.add.at(blocks, (chars, rows, cols), roots[chars * ks % m])
     vals, vecs = np.linalg.eigh(blocks)
     # every vertex has the same number of out-darts (one per signed label)
@@ -784,11 +853,53 @@ def _character_eigenpairs(g: LabeledGraph) -> Optional[tuple[np.ndarray, float]]
     weight = np.zeros(nbrs.shape)
     weight[first] = np.diff(np.append(np.flatnonzero(first.reshape(-1)), nbrs.size))
     worst = 0.0
-    for c in range(m):
+    for c in range(solved):
         lifted = roots[-c * K % m][:, np.newaxis] * vecs[c][J] / math.sqrt(m)
         av = _neighbour_product(nbrs, weight, lifted)
         worst = max(worst, _verify_eigenpairs(av, vals[c], lifted))
-    return np.sort(vals.reshape(-1))[::-1], worst
+    # blocks c and m - c (0 < c < m/2) are conjugate, so each such block's
+    # eigenvalues appear twice
+    vals = np.concatenate([vals.reshape(-1), vals[1 : (m + 1) // 2].reshape(-1)])
+    return np.sort(vals)[::-1], worst
+
+
+def _twist_eigenpairs(g: LabeledGraph, dense_cap: int) -> Optional[tuple[np.ndarray, float]]:
+    """All adjacency eigenvalues of an annotated single-step homology
+    cover from its 2^r signed base blocks, with the worst residual; None
+    when :func:`annotated_xor_lift` finds no XOR lift or its base has
+    more than ``dense_cap`` vertices.
+
+    Block chi is A_chi[u, v] = sum over base darts u -> v of
+    (-1)^popcount(chi & f), a loop counted twice as in
+    :func:`_adjacency_csr` (the r-fold form of Bilu-Linial 2-lifts).  The
+    lift check proves A L_chi = L_chi A_chi exactly for the isometry
+    L_chi w[(u, x)] = (-1)^popcount(chi & x) w[u] / sqrt(2^r), and the
+    ranges of the L_chi are orthogonal and span the whole space, so the
+    blocks hold every eigenvalue and each block residual equals the
+    residual of its lifts.  The blocks are solved ``dense_cap^2 // base^2`` at a
+    time, so no more entries are held than by one dense solve at the cap.
+    """
+    lift = annotated_xor_lift(g)
+    if lift is None or lift.base_vertices > dense_cap:
+        return None
+    b = lift.base_vertices
+    rows = np.concatenate([lift.base_src, lift.base_dst])
+    cols = np.concatenate([lift.base_dst, lift.base_src])
+    flips = np.concatenate([lift.flips, lift.flips])
+    step = max(1, dense_cap * dense_cap // (b * b))
+    vals, worst = [], 0.0
+    for lo in range(0, 1 << lift.deck_rank, step):
+        chars = np.arange(lo, min(lo + step, 1 << lift.deck_rank))[:, np.newaxis]
+        signs = 1.0 - 2.0 * (np.bitwise_count(chars & flips) & 1)
+        blocks = np.zeros((chars.size, b, b))
+        np.add.at(blocks, (chars - lo, rows, cols), signs)
+        w, vecs = np.linalg.eigh(blocks)
+        # one column per eigenpair: (base vertex, block * b + index)
+        worst = max(worst, _verify_eigenpairs(
+            np.concatenate(blocks @ vecs, axis=1), w.reshape(-1), np.concatenate(vecs, axis=1)
+        ))
+        vals.append(w.reshape(-1))
+    return np.sort(np.concatenate(vals))[::-1], worst
 
 
 def _neighbour_product(nbrs: np.ndarray, weight: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -831,18 +942,25 @@ def adjacency_spectrum(
 ) -> SpectrumSummary:
     """Adjacency eigenvalues, descending, with multiplicity.
 
-    Up to ``dense_cap`` vertices the whole spectrum is computed: from
-    one Hermitian block per character of a cyclic automorphism group
-    when the labels give one (see :func:`_cyclic_symmetry`), else by the
-    SVD of the biadjacency block when the graph is bipartite, else by a
-    symmetric eigensolve; every eigenpair is residual-checked.  Above
-    the cap only the ``extremes`` largest and smallest eigenvalues (at
-    most half the vertices each, so the two never overlap) are computed
-    with a Lanczos iteration seeded deterministically.  Only the SVD,
-    ``eigh`` and Lanczos routes load scipy.
+    A single-step homology cover whose annotation and darts pass
+    :func:`annotated_xor_lift`, on at most ``dense_cap`` base vertices,
+    gets its whole spectrum from one signed base block per deck
+    character (:func:`_twist_eigenpairs`), whatever its own size.  Else,
+    up to ``dense_cap`` vertices the whole spectrum is computed: from
+    one Hermitian block per conjugate pair of characters of a cyclic
+    automorphism group when the labels give one (see
+    :func:`_cyclic_symmetry`), else by the SVD of the biadjacency block
+    when the graph is bipartite, else by a symmetric eigensolve; every
+    eigenpair is residual-checked.  Above the cap only the ``extremes``
+    largest and smallest eigenvalues (at most half the vertices each, so
+    the two never overlap) are computed with a Lanczos iteration seeded
+    deterministically.  Only the SVD, ``eigh`` and Lanczos routes load
+    scipy.
     """
     n = g.vertex_count
-    blocks = _character_eigenpairs(g) if n <= dense_cap else None
+    blocks = _twist_eigenpairs(g, dense_cap)
+    if blocks is None and n <= dense_cap:
+        blocks = _character_eigenpairs(g)
     if blocks is not None:
         vals, worst = blocks
         complete = True

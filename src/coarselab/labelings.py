@@ -520,7 +520,7 @@ class SmallCancellationReport:
 
 
 def check_small_cancellation(
-    fam: GraphFamily, lam, cap: int = PIECE_DART_CAP
+    fam: GraphFamily, lam, cap: int = PIECE_DART_CAP, girths: Optional[Sequence] = None
 ) -> SmallCancellationReport:
     """Check that every piece meeting a component is strictly shorter
     than lambda times that component's girth.
@@ -528,12 +528,16 @@ def check_small_cancellation(
     The verdict reads the pair walk behind the piece enumeration, one
     component at a time, and stops at the first component with a cycle
     or a path as long as lambda*girth; the pieces themselves are
-    enumerated only when the report's evidence is read."""
+    enumerated only when the report's evidence is read.  Girths do not
+    depend on the labels, so a caller that checks many labelings of one
+    unlabeled family passes its component ``girths`` in once computed."""
     lam = Fraction(lam)
     if lam <= 0:
         raise InvalidInputError("lambda must be positive")
     maps, class_of = _pointed_data(fam, cap)
-    girths = tuple(girth(g) for g in fam.components)
+    girths = tuple(girth(g) for g in fam.components) if girths is None else tuple(girths)
+    if len(girths) != len(fam):
+        raise InvalidInputError(f"{len(girths)} girths given for {len(fam)} components")
     limits = [math.inf if gr is math.inf else math.ceil(lam * gr) for gr in girths]
     return SmallCancellationReport(
         lambda_value=lam,
@@ -584,8 +588,8 @@ def random_labeling(
         raise InvalidInputError(f"max_attempts must be at least 1, got {max_attempts}")
     lam = Fraction(lam)
     alphabet = Alphabet.letters(alphabet_size)
-    for ci, g in enumerate(fam.components):
-        gr = girth(g)
+    girths = tuple(girth(g) for g in fam.components)
+    for ci, gr in enumerate(girths):
         bound = math.inf if gr is math.inf else lam * gr
         if not bound > 1:
             raise InvalidInputError(
@@ -633,7 +637,7 @@ def random_labeling(
                     for g, es in zip(fam.components, edges)
                 )
             )
-            report = check_small_cancellation(candidate, lam)
+            report = check_small_cancellation(candidate, lam, girths=girths)
             if report.passed:
                 return RandomLabelingOutcome(
                     success=True,

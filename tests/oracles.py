@@ -177,6 +177,47 @@ def wallmetric_csv(d_wall, d_graph) -> str:
     return "\n".join(rows) + "\n"
 
 
+def dense_eigvalsh(g: LabeledGraph):
+    """Adjacency eigenvalues, descending, of the dense matrix built edge by
+    edge (a loop adds 2 on the diagonal)."""
+    import numpy as np
+
+    dense = np.zeros((g.vertex_count, g.vertex_count))
+    for u, v, _ in g.edges():
+        dense[u, v] += 1
+        dense[v, u] += 1
+    return np.linalg.eigvalsh(dense)[::-1]
+
+
+def all_character_blocks_spectrum(g: LabeledGraph):
+    """Adjacency eigenvalues, descending, from all m character blocks of
+    the cyclic symmetry h that ``graph_core`` picks, conjugate pairs
+    included: block c is the matrix of A on the span of
+    sum_k w^(-ck) e_(h^k r_j) over the cycle heads r_j."""
+    import numpy as np
+
+    from coarselab.graph_core import _cyclic_symmetry
+
+    powers = _cyclic_symmetry(g)
+    m, n = powers.shape
+    heads = sorted({int(min(powers[:, x])) for x in range(n)})
+    where = {}
+    for j, r in enumerate(heads):
+        for k in range(m):
+            where[int(powers[k, r])] = (j, k)
+    w = np.exp(2j * np.pi * np.arange(m) / m)
+    vals = []
+    for c in range(m):
+        block = np.zeros((len(heads), len(heads)), dtype=complex)
+        for u, v, _ in g.edges():
+            for a, b in ((u, v), (v, u)):
+                (ja, ka), (jb, kb) = where[a], where[b]
+                if ka == 0:
+                    block[jb, ja] += w[c * kb % m]
+        vals.extend(np.linalg.eigvalsh(block))
+    return np.sort(vals)[::-1]
+
+
 def naive_is_bipartite(g: LabeledGraph) -> bool:
     """Try every 2-coloring; a loop makes every coloring fail."""
     edges = [(u, v) for u, v, _ in g.edges()]

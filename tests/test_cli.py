@@ -27,7 +27,7 @@ from coarselab.jsonio import (
 )
 from coarselab.metric_diag import MapEntry, MapFamily
 
-from oracles import multi_k4, prism, wallmetric_csv
+from oracles import bfs_distances, dense_eigvalsh, multi_k4, naive_girth, prism, wallmetric_csv
 
 DESK_CONSTANT_Z3 = 1.5205176042696106
 
@@ -166,6 +166,63 @@ class TestGraphCommands:
             _, _, dw, dg = row.split(",")
             assert float(dw) <= float(dg) + 1e-9
 
+    def record_girth_sources(self, monkeypatch) -> list:
+        sources = []
+        for name in ("girth", "diameter"):
+            def wrapped(g, src=None, _inner=getattr(cli, name)):
+                sources.append(None if src is None else list(src))
+                return _inner(g, src)
+
+            monkeypatch.setattr(cli, name, wrapped)
+        return sources
+
+    def test_spectrum_and_girth_of_a_cover_read_its_xor_action(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "base.json").write_text(serialize_graph(multi_k4()))
+        code, _ = run(capsys, ["cover", str(tmp_path / "base.json"), "--out", str(tmp_path / "cover.json")])
+        assert code == 0
+        cover = parse_graph((tmp_path / "cover.json").read_text())
+        code, _ = run(capsys, ["spectrum", str(tmp_path / "cover.json"), "--out", str(tmp_path / "spec.json")])
+        assert code == 0
+        doc = json.loads((tmp_path / "spec.json").read_text())
+        assert doc["complete"] and len(doc["eigenvalues"]) == cover.vertex_count == 128
+        assert np.abs(np.array(doc["eigenvalues"]) - dense_eigvalsh(cover)).max() <= 1e-12
+
+        sources = self.record_girth_sources(monkeypatch)
+        code, _ = run(capsys, ["girth", str(tmp_path / "cover.json"), "--out", str(tmp_path / "girth.json")])
+        assert code == 0
+        heads = [0, 32, 64, 96]
+        assert sources == [heads, heads]
+        doc = json.loads((tmp_path / "girth.json").read_text())
+        assert (doc["girth"], doc["diameter"]) == (naive_girth(cover), max(
+            max(bfs_distances(cover, s)) for s in range(cover.vertex_count)))
+
+        # one edited edge: the lift check fails and every vertex is a source
+        edited = json.loads((tmp_path / "cover.json").read_text())
+        edited["edges"][3]["v"] ^= 1
+        (tmp_path / "edited.json").write_text(json.dumps(edited))
+        sources.clear()
+        code, _ = run(capsys, ["girth", str(tmp_path / "edited.json"), "--out", "-"])
+        assert code == 0 and sources == [None, None]
+
+    def test_an_iterated_cover_keeps_the_other_routes(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "theta.json").write_text(serialize_graph(build_graph(2, [(0, 1), (0, 1), (0, 1)])))
+        code, _ = run(capsys, ["cover", str(tmp_path / "theta.json"), "--iterations", "2",
+                               "--out", str(tmp_path / "cover.json")])
+        assert code == 0
+        doc = json.loads((tmp_path / "cover.json").read_text())
+        assert doc["annotations"]["covering"]["single_step"] is False
+        del doc["annotations"]
+        (tmp_path / "plain.json").write_text(json.dumps(doc))
+        spectra = []
+        for name in ("cover.json", "plain.json"):
+            code, out = run(capsys, ["spectrum", str(tmp_path / name), "--out", "-"])
+            assert code == 0
+            spectra.append(out)
+        assert spectra[0] == spectra[1]
+        sources = self.record_girth_sources(monkeypatch)
+        code, _ = run(capsys, ["girth", str(tmp_path / "cover.json"), "--out", "-"])
+        assert code == 0 and sources == [None, None]
+
     @pytest.mark.parametrize("name", list(WALLMETRIC_BASES))
     def test_wallmetric_bytes_equal_the_per_pair_writer(self, capsys, tmp_path, name):
         base = WALLMETRIC_BASES[name]
@@ -259,8 +316,8 @@ class TestLabelingCommands:
 
     def test_scipy_stays_unloaded(self, tmp_path, two_c8):
         # importing the CLI, and every command below, must not load scipy;
-        # `spectrum` above DENSE_SPECTRUM_CAP or off the character-block
-        # route, and `laplacian_lambda2`, still do
+        # `spectrum` off the twist and character-block routes, and
+        # `laplacian_lambda2`, still do
         _, _, labeled = two_c8
         (tmp_path / "z3.json").write_text(serialize_group_table(cyclic_group(3)))
         (tmp_path / "points.json").write_text(serialize_points(np.eye(3)))
@@ -270,6 +327,9 @@ class TestLabelingCommands:
             ["pieces", str(labeled), "--out", "-"],
             ["present", str(labeled), "--out", "-"],
             ["cover", k4_file(tmp_path), "--out", "-"],
+            ["cover", k4_file(tmp_path), "--out", "k4cover.json"],
+            ["spectrum", "k4cover.json", "--out", "-"],
+            ["girth", "k4cover.json", "--out", "-"],
             ["walls", k4_file(tmp_path), "--out", "-"],
             ["wallmetric", k4_file(tmp_path), "--out", "-"],
             ["girth", k4_file(tmp_path), "--out", "-"],
@@ -602,17 +662,23 @@ class TestExitCodes:
 
 def test_artifact_bytes_ignore_the_thread_count(tmp_path):
     """Artifacts are byte-identical at COARSE_LAB_THREADS=1 and =2:
-    `poincare --relative` on Z/7 wr Z/7, with and without a replay, and
-    `wallmetric` on the 6-prism.  `spectrum` is left out until its
-    eigenvalues are written in a clustered format: a dense eigensolve
-    still moves last digits with the thread count."""
+    `poincare --relative` on Z/7 wr Z/7, with and without a replay,
+    `wallmetric` on the 6-prism, and `spectrum` on LPS(13, 5) (character
+    blocks) and on the K4 homology cover (signed twist blocks).  The
+    dense, SVD and Lanczos spectrum routes are left out until eigenvalues
+    are written in a clustered format: a dense eigensolve still moves
+    last digits with the thread count."""
     (tmp_path / "z7.json").write_text(serialize_group_table(cyclic_group(7)))
     (tmp_path / "prism6.json").write_text(serialize_graph(prism(6)))
+    (tmp_path / "lps.json").write_text(serialize_graph(lps_graph(13, 5)[0]))
+    assert cli.main(["cover", k4_file(tmp_path), "--out", str(tmp_path / "k4cover.json")]) == 0
     z7 = ["--relative", "--q-table", "z7.json", "--b-table", "z7.json", "--proj", "0,1,2,3,4,5,6"]
     commands = {
         "poincare.json": ["poincare", *z7],
         "poincare_trials.json": ["poincare", *z7, "--trials", "6", "--seed", "1"],
         "wallmetric.csv": ["wallmetric", "prism6.json"],
+        "spectrum_lps.json": ["spectrum", "lps.json"],
+        "spectrum_cover.json": ["spectrum", "k4cover.json"],
     }
     script = (
         "import json, sys\n"

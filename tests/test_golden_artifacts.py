@@ -10,8 +10,11 @@ element in the order of the wreath multiplication table, so they pin
 that order and the choice of the canonical witness.  The map family of ``moduli`` and
 ``weakembed`` sends the homology covers of K4 and the 3-prism onto
 their bases and onto their wall coordinates, and ``concentrate`` reads
-the wall coordinates of the K4 cover.  ``spectrum`` is left out: its eigenvalues
-still differ in the last ulp between thread counts.  The pieces of a
+the wall coordinates of the K4 cover.  ``spectrum`` is left out: its
+block routes (character blocks, signed twist blocks) are held
+byte-identical across thread counts by ``test_cli``, but its dense
+routes still move the last ulp between thread counts, and its flat
+eigenvalue list waits for a clustered format.  The pieces of a
 family whose pair walk holds several cycles are also run under eight
 ``PYTHONHASHSEED`` values, which must not change a byte.
 """

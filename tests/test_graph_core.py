@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -28,14 +29,17 @@ from coarselab.graph_core import (
     split_components,
     two_coloring,
 )
-from coarselab.covers_walls import homology_cover
+from coarselab.covers_walls import homology_cover, iterate_homology_cover
 from coarselab.expander_zoo import cayley_graph, cyclic_group, lps_graph, symmetric_group
 
 from oracles import (
+    all_character_blocks_spectrum,
     bfs_distances,
     complete,
+    dense_eigvalsh,
     dg_ratio,
     naive_cheeger,
+    multi_k4,
     naive_girth,
     petersen,
     prism,
@@ -402,14 +406,6 @@ class TestSpectra:
             laplacian_lambda2(build_graph(3, [(0, 1)]))
 
 
-def dense_eigvalsh(g: LabeledGraph) -> np.ndarray:
-    dense = np.zeros((g.vertex_count, g.vertex_count))
-    for u, v, _ in g.edges():
-        dense[u, v] += 1
-        dense[v, u] += 1
-    return np.linalg.eigvalsh(dense)[::-1]
-
-
 def cluster_sizes(vals, gap: float = 1e-8) -> list[int]:
     """Sizes of the runs of a sorted list whose neighbors lie within ``gap``."""
     breaks = np.flatnonzero(np.abs(np.diff(vals)) > gap)
@@ -547,6 +543,196 @@ class TestCharacterBlocks:
         h = powers[1]
         assert len(powers) == 6 and np.all(powers[1:] != np.arange(g.vertex_count))
         assert np.array_equal(h[powers[-1]], np.arange(g.vertex_count))
+
+
+class TestConjugateCharacterBlocks:
+    """The character route solves blocks 0 .. floor(m/2) only and lists
+    the eigenvalues of blocks 1 .. ceil(m/2) - 1 twice: block m - c is the
+    conjugate of block c."""
+
+    @pytest.mark.parametrize(
+        "graph, m",
+        [(lambda: lps_graph(5, 13)[0], 14), (lambda: lps_graph(13, 5)[0], 6),
+         (lambda: cayley_graph(cyclic_group(7, [1, 2])), 7)],
+        ids=["lps_5_13", "lps_13_5", "z7"],
+    )
+    def test_halved_route_equals_the_full_block_solve(self, monkeypatch, graph, m):
+        g = graph()
+        assert len(graph_core._cyclic_symmetry(g)) == m
+        checked = []
+        verify = graph_core._verify_eigenpairs
+
+        def record(av, vals, vecs, tol=1e-8):
+            checked.append(vals.size)
+            return verify(av, vals, vecs, tol)
+
+        monkeypatch.setattr(graph_core, "_verify_eigenpairs", record)
+        spec = adjacency_spectrum(g)
+        full = all_character_blocks_spectrum(g)
+        vals = np.array(spec.eigenvalues)
+        # one residual check per solved block, every one of full size
+        assert checked == [g.vertex_count // m] * (m // 2 + 1)
+        assert spec.complete and vals.size == g.vertex_count
+        assert np.abs(vals - full).max() <= 1e-12
+        assert cluster_sizes(vals) == cluster_sizes(full)
+        assert np.abs(vals - dense_eigvalsh(g)).max() <= 1e-10
+
+
+def xor_lift_graph(base_vertices: int, base_edges, flips, rank: int) -> LabeledGraph:
+    """The XOR lift of rank ``rank`` of the base edges with the given
+    flips, numbered as ``homology_cover`` numbers a cover, annotated as
+    ``coarselab cover`` annotates one."""
+    fiber = 1 << rank
+    edges = [
+        (u * fiber + x, v * fiber + (x ^ f))
+        for (u, v), f in zip(base_edges, flips)
+        for x in range(fiber)
+    ]
+    return build_graph(
+        base_vertices * fiber, edges,
+        annotations={"covering": {"deck_rank": rank, "single_step": True}},
+    )
+
+
+def annotated_cover(base: LabeledGraph) -> LabeledGraph:
+    """The homology cover of ``base`` as a ``coarselab cover`` document
+    reads back."""
+    cm = homology_cover(base)
+    cm.cover.annotations["covering"] = {
+        "base_vertices": base.vertex_count,
+        "deck_rank": cm.deck_rank,
+        "iterations": 1,
+        "single_step": True,
+        "vertex_map": list(cm.vertex_map),
+    }
+    return jsonio.parse_graph(jsonio.serialize_graph(cm.cover))
+
+
+def without_annotations(g: LabeledGraph) -> LabeledGraph:
+    return build_graph(g.vertex_count, list(g.edges()))
+
+
+class TestTwistBlocks:
+    """A single-step homology cover whose annotation and darts pass the
+    XOR lift check gets its spectrum from one signed base block per deck
+    character; anything else keeps the other routes."""
+
+    @pytest.mark.parametrize(
+        "cover",
+        [lambda: annotated_cover(complete(4)), lambda: annotated_cover(petersen()),
+         lambda: annotated_cover(multi_k4()),
+         # parallel edges with equal and unequal flips, and loops with
+         # zero and nonzero flips
+         lambda: xor_lift_graph(3, [(0, 1), (0, 1), (0, 1), (1, 2), (2, 0), (0, 0), (2, 2)],
+                                [1, 1, 2, 0, 3, 0, 2], 2)],
+        ids=["k4", "petersen", "multi_k4", "loops_and_parallels"],
+    )
+    def test_twists_equal_dense_eigvalsh_and_every_lift_is_an_eigenpair(self, monkeypatch, cover):
+        import scipy.linalg
+
+        g = cover()
+        lift = graph_core.annotated_xor_lift(g)
+        r, b, n = lift.deck_rank, lift.base_vertices, g.vertex_count
+        want = dense_eigvalsh(g)
+        seen = []
+        verify = graph_core._verify_eigenpairs
+
+        def record(av, vals, vecs, tol=1e-8):
+            seen.append((vals, vecs))
+            return verify(av, vals, vecs, tol)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("another route ran")
+
+        monkeypatch.setattr(graph_core, "_verify_eigenpairs", record)
+        monkeypatch.setattr(graph_core, "_character_eigenpairs", refuse)
+        monkeypatch.setattr(scipy.linalg, "svd", refuse)
+        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        spec = adjacency_spectrum(g)
+        vals = np.array(spec.eigenvalues)
+        assert spec.complete and vals.size == n and spec.residual <= 1e-12
+        assert np.abs(vals - want).max() <= 1e-12
+        assert cluster_sizes(vals) == cluster_sizes(want)
+        # lift each block eigenvector w of character chi to
+        # v[(u, x)] = (-1)^popcount(chi & x) w[u] / sqrt(2^r)
+        block_vals = np.concatenate([v for v, _ in seen])
+        block_vecs = np.concatenate([w for _, w in seen], axis=1)
+        assert block_vecs.shape == (b, n)
+        chi = np.arange(n) // b
+        x = np.arange(n) & ((1 << r) - 1)
+        signs = 1.0 - 2.0 * (np.bitwise_count(x[:, None] & chi[None, :]) & 1)
+        lifted = signs * block_vecs[np.arange(n) >> r] / math.sqrt(1 << r)
+        adj = graph_core._adjacency_csr(g)
+        resid = np.linalg.norm(adj @ lifted - lifted * block_vals, axis=0)
+        assert resid.max() <= 1e-12
+        assert np.abs(lifted.T @ lifted - np.eye(n)).max() <= 1e-12
+
+    def test_the_k6_cover_spectrum_is_complete(self):
+        g = annotated_cover(complete(6))
+        spec = adjacency_spectrum(g)
+        vals = np.array(spec.eigenvalues)
+        assert spec.complete and vals.size == 6144
+        assert vals[0] == pytest.approx(5.0) and vals[-1] == pytest.approx(-5.0)
+        assert len(cluster_sizes(vals)) == 34
+        top = 1 + 2 * math.sqrt(3)
+        assert np.sum(np.abs(vals - top) <= 1e-9) == 15
+        assert np.sum(np.abs(vals - 1.0) <= 1e-9) == np.sum(np.abs(vals + 1.0) <= 1e-9) == 1005
+
+    def test_an_edited_edge_falls_back(self):
+        cover = annotated_cover(complete(4))
+        doc = json.loads(jsonio.serialize_graph(cover))
+        doc["edges"][3]["v"] ^= 1  # the same fibers, but a second flip in fiber 0
+        edited = jsonio.parse_graph(json.dumps(doc))
+        assert edited.annotations == cover.annotations
+        assert graph_core.xor_lift(cover, 3) is not None
+        assert graph_core.annotated_xor_lift(edited) is None
+        got = adjacency_spectrum(edited)
+        assert got == adjacency_spectrum(without_annotations(edited))
+        assert np.abs(np.array(got.eigenvalues) - dense_eigvalsh(edited)).max() <= 1e-10
+
+    def test_annotations_that_name_no_single_step_fall_back(self):
+        cover = annotated_cover(prism(3))
+        covering = cover.annotations["covering"]
+        plain = adjacency_spectrum(without_annotations(cover))
+        rank = covering["deck_rank"]
+        for bad in ({**covering, "single_step": False}, {**covering, "single_step": 1},
+                    {**covering, "deck_rank": rank + 1},
+                    {**covering, "deck_rank": True}, {**covering, "deck_rank": str(rank)},
+                    {**covering, "deck_rank": -1}, {**covering, "deck_rank": 64},
+                    {"single_step": True}, "covering"):
+            g = build_graph(cover.vertex_count, list(cover.edges()), annotations={"covering": bad})
+            assert graph_core.annotated_xor_lift(g) is None, bad
+            assert adjacency_spectrum(g) == plain, bad
+        assert adjacency_spectrum(cover) != plain
+        # the cover is also an XOR lift of smaller rank, over a larger base,
+        # and those blocks give the same spectrum
+        lower = build_graph(cover.vertex_count, list(cover.edges()),
+                            annotations={"covering": {**covering, "deck_rank": rank - 1}})
+        assert graph_core.annotated_xor_lift(lower).base_vertices == 2 * covering["base_vertices"]
+        assert np.allclose(adjacency_spectrum(lower).eigenvalues, plain.eigenvalues, atol=1e-12)
+
+    def test_iterated_covers_keep_the_other_routes(self):
+        cm = iterate_homology_cover(build_graph(2, [(0, 1), (0, 1), (0, 1)]), 2)
+        cm.cover.annotations["covering"] = {"deck_rank": cm.deck_rank, "single_step": cm.single_step}
+        assert not cm.single_step
+        assert graph_core._twist_eigenpairs(cm.cover, graph_core.DENSE_SPECTRUM_CAP) is None
+        assert adjacency_spectrum(cm.cover) == adjacency_spectrum(without_annotations(cm.cover))
+
+    def test_blocks_are_solved_in_chunks_below_the_cap(self, monkeypatch):
+        g = annotated_cover(petersen())
+        sizes = []
+        verify = graph_core._verify_eigenpairs
+
+        def record(av, vals, vecs, tol=1e-8):
+            sizes.append(vals.size)
+            return verify(av, vals, vecs, tol)
+
+        monkeypatch.setattr(graph_core, "_verify_eigenpairs", record)
+        whole = adjacency_spectrum(g)
+        # dense_cap 30 holds 900 entries: 9 blocks of 10 x 10 at a time
+        chunked = adjacency_spectrum(g, dense_cap=30)
+        assert sizes == [640] + [90] * 7 + [10]
+        assert chunked.complete and chunked.eigenvalues == whole.eigenvalues
 
 
 class TestFamilies:

@@ -452,6 +452,41 @@ def test_random_labeling_stream_ignores_the_budget():
     assert not short.success and short.attempts == win - 1
 
 
+def test_random_labeling_takes_the_girths_once(monkeypatch):
+    # girths do not depend on the labels: the search computes them once per
+    # component, while every reduced candidate still faces the checker
+    import coarselab.labelings as labelings
+
+    cycle = build_graph(8, [(i, (i + 1) % 8) for i in range(8)])
+    fam = GraphFamily((cycle, cycle, build_graph(5, [(i, (i + 1) % 5) for i in range(5)])))
+    girths, checked = [], []
+    inner_girth, inner_check = labelings.girth, labelings.check_small_cancellation
+
+    def count_girth(g, sources=None):
+        girths.append(g.vertex_count)
+        return inner_girth(g, sources)
+
+    def count_check(candidate, lam, cap=labelings.PIECE_DART_CAP, girths=None):
+        report = inner_check(candidate, lam, cap, girths=girths)
+        checked.append(report.girths == tuple(inner_girth(g) for g in candidate.components))
+        return report
+
+    monkeypatch.setattr(labelings, "girth", count_girth)
+    monkeypatch.setattr(labelings, "check_small_cancellation", count_check)
+    out = random_labeling(fam, 3, Fraction(1, 4), seed=0, max_attempts=2000)
+    assert girths == [8, 8, 5]
+    assert len(checked) > 10 and all(checked)
+    assert not out.success and out.attempts == 2000
+
+
+def test_small_cancellation_girths_must_match_the_family():
+    cycle = build_graph(6, [(i, (i + 1) % 6, "a") for i in range(6)])
+    fam = GraphFamily((cycle,))
+    assert check_small_cancellation(fam, Fraction(1, 2), girths=(6,)).girths == (6,)
+    with pytest.raises(InvalidInputError):
+        check_small_cancellation(fam, Fraction(1, 2), girths=(6, 6))
+
+
 def test_random_labeling_reports_failure_budget():
     cycle = build_graph(8, [(i, (i + 1) % 8) for i in range(8)])
     out = random_labeling(GraphFamily((cycle,)), 1, Fraction(3, 8), seed=1, max_attempts=4)
