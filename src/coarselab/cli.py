@@ -34,7 +34,6 @@ from .covers_walls import (
     cover_girth,
     homology_cover,
     iterate_homology_cover,
-    validate_walls,
     wall_pseudometric,
     walls_from_cover,
     xor_deck_gather,
@@ -248,7 +247,6 @@ def _cmd_walls(args):
     g = _single_graph(args)
     cm = homology_cover(g)
     walls = walls_from_cover(cm)
-    validate_walls(cm.cover, walls)
     doc = {
         "format_version": jsonio.FORMAT_VERSION,
         "report": "walls",

@@ -85,11 +85,6 @@ class CoveringMap:
     def fiber(self, base_vertex: int) -> tuple[int, ...]:
         return tuple(v for v in range(self.cover.vertex_count) if self.vertex_map[v] == base_vertex)
 
-    def edge_fiber(self, base_edge: int) -> tuple[int, ...]:
-        return tuple(
-            k for k in range(self.cover.edge_count) if self.dart_map[2 * k] // 2 == base_edge
-        )
-
 
 def _locally_reduced(g: LabeledGraph) -> bool:
     """True when every dart is labeled and no vertex repeats an
@@ -393,7 +388,8 @@ def walls_from_cover(cm: CoveringMap) -> WallDecomposition:
 
     The base must be bridgeless (2-connected in the edge sense); that
     is what makes every fiber separate the cover into exactly two
-    pieces.
+    pieces.  The sides are those pieces, and every wall edge is checked
+    to join them, which is all :func:`validate_walls` would add.
     """
     if not is_two_connected(cm.base):
         raise InvalidInputError("wall construction requires a bridgeless base graph")
@@ -403,6 +399,11 @@ def walls_from_cover(cm: CoveringMap) -> WallDecomposition:
         grouped[cm.dart_map[2 * big_k] // 2].add(big_k)
     walls = tuple(frozenset(grouped[k]) for k in range(cm.base.edge_count))
     sides = tuple(_two_side_split(cover, wall) for wall in walls)
+    wall_of = np.asarray(cm.dart_map[::2], dtype=np.int64) >> 1
+    src, dst = dart_endpoints(cover)
+    side = np.array(sides, dtype=np.uint8).reshape(len(walls), cover.vertex_count)
+    if np.any(side[wall_of, src[::2]] == side[wall_of, dst[::2]]):
+        raise VerificationError("a wall edge does not join the two sides of its wall")
     return WallDecomposition(
         vertex_count=cover.vertex_count,
         edge_count=cover.edge_count,

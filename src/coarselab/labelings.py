@@ -9,9 +9,15 @@ label-preserving isomorphism between pointed components is determined
 by the image of the point, and "the same word readable from two
 essentially distinct starts" becomes a statement about pairs of
 inequivalent pointed vertices.  Piece enumeration therefore works on
-the product graph of simultaneous label moves between inequivalent
-starts: tree components yield finite maximal pieces (their leaf-to-leaf
-paths), components with a cycle yield arbitrarily long pieces.
+the product graph of simultaneous label moves between pointed starts.
+Its components decide equivalence themselves: moves carry the pairs
+(x, phi(x)) of an isomorphism phi onto each other and back, so a
+component holds only equivalent or only inequivalent pairs, and it
+holds equivalent ones exactly when every pair's starts carry the same
+labels and no start repeats in either coordinate (then x -> y is the
+isomorphism).  Of the inequivalent components, trees yield finite
+maximal pieces (their leaf-to-leaf paths) and components with a cycle
+yield arbitrarily long pieces.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .graph_core import (
     build_graph,
     girth,
     inverse_label,
-    propagate,
     tree_path,
 )
 
@@ -173,79 +178,6 @@ def follow_word(
     return tuple(darts)
 
 
-# -- pointed equivalence ---------------------------------------------------
-
-
-def _pointed_spread(
-    ga: LabeledGraph,
-    maps_a: list[dict[str, int]],
-    a: int,
-    gb: LabeledGraph,
-    maps_b: list[dict[str, int]],
-    b: int,
-) -> Optional[tuple[int, ...]]:
-    """Label-preserving isomorphism component(a) -> component(b) with
-    a -> b, grown by anchored breadth-first search; None if impossible."""
-
-    def step(d: int, x: int) -> Optional[int]:
-        d2 = maps_b[x].get(ga.dart_label(d))
-        return None if d2 is None else gb.dart_target(d2)
-
-    img = propagate(ga, a, b, step)
-    if img is None or any(len(maps_a[u]) != len(maps_b[x]) for u, x in img.items()):
-        return None
-    if len(set(img.values())) != len(img):
-        return None
-    return tuple(sorted(img.items()))
-
-
-def _pointed_classes(fam: GraphFamily, maps: list[list[dict[str, int]]]) -> dict[tuple[int, int], int]:
-    """Equivalence classes of pointed vertices (component, vertex) under
-    label-preserving isomorphisms carrying point to point.
-
-    Candidates are grouped by a canonical breadth-first form first and
-    each member is then confirmed against its group representative by
-    the anchored search, so a hash collision cannot silently merge
-    classes.
-    """
-    def form(ci: int, v: int) -> tuple:
-        g = fam.components[ci]
-        order = [v]
-        index = {v: 0}
-        rec = []
-        head = 0
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for lab in sorted(maps[ci][u]):
-                w = g.dart_target(maps[ci][u][lab])
-                if w not in index:
-                    index[w] = len(order)
-                    order.append(w)
-                rec.append((index[u], lab, index[w]))
-        return tuple(rec)
-
-    by_form: dict[tuple, list[tuple[int, int]]] = {}
-    for ci, g in enumerate(fam.components):
-        for v in range(g.vertex_count):
-            by_form.setdefault(form(ci, v), []).append((ci, v))
-    class_of: dict[tuple[int, int], int] = {}
-    next_class = 0
-    for members in by_form.values():
-        rep_ci, rep_v = members[0]
-        cid = next_class
-        next_class += 1
-        class_of[members[0]] = cid
-        for ci, v in members[1:]:
-            spread = _pointed_spread(
-                fam.components[rep_ci], maps[rep_ci], rep_v, fam.components[ci], maps[ci], v
-            )
-            if spread is None:
-                raise VerificationError("canonical form collision without an isomorphism")
-            class_of[(ci, v)] = cid
-    return class_of
-
-
 # -- pieces ----------------------------------------------------------------
 
 
@@ -270,17 +202,14 @@ class Piece:
     infinite: bool = False
 
 
-def _pointed_data(
-    fam: GraphFamily, cap: int
-) -> tuple[list[list[dict[str, int]]], dict[tuple[int, int], int]]:
-    """Out-maps and pointed classes of a reduced family within the dart cap."""
+def _capped_out_maps(fam: GraphFamily, cap: int) -> list[list[dict[str, int]]]:
+    """Out-maps of a reduced family within the dart cap."""
     total_darts = sum(g.dart_count for g in fam.components)
     if total_darts > cap:
         raise CapExceededError(
             f"piece enumeration over {total_darts} darts exceeds the cap {cap}"
         )
-    maps = [_out_maps(g) for g in fam.components]
-    return maps, _pointed_classes(fam, maps)
+    return [_out_maps(g) for g in fam.components]
 
 
 #: a breadth-first tree of pair nodes: node -> (parent node, move label)
@@ -288,35 +217,39 @@ _PairTree = dict[int, tuple[int, str]]
 
 
 def _pair_components(
-    fam: GraphFamily,
-    maps: list[list[dict[str, int]]],
-    class_of: dict[tuple[int, int], int],
-) -> Iterator[tuple[tuple[int, int], _PairTree, Optional[tuple[int, str, int]]]]:
+    fam: GraphFamily, maps: list[list[dict[str, int]]]
+) -> Iterator[tuple[tuple[int, int], _PairTree, Optional[tuple[int, str, int]], bool]]:
     """Components of the graph of simultaneous label moves between
-    inequivalent pointed starts, each walked once.
+    distinct pointed starts, each walked once and flagged when its pairs
+    are equivalent.
 
     Pointed vertices are numbered across the family and the pair of
-    starts ``(a, b)`` is the node ``a * P + b``.  Nodes are tried as
-    roots in increasing order, so a component is entered at its smallest
-    node, and walked breadth-first taking moves in out-map order.  A move
-    by a common label from an inequivalent pair always lands on an
-    inequivalent pair (equivalence of the shifted pair would propagate
-    back along the unique incoming path), which is asserted.  The mirror
-    ``(b, a)`` of a walked component reads the same words and is skipped.
+    starts ``(a, b)`` is the node ``a * P + b``.  Nodes of distinct
+    starts sharing a label are tried as roots in increasing order, so a
+    component is entered at its smallest node, and walked breadth-first
+    taking moves in out-map order.  The mirror ``(b, a)`` of a walked
+    component reads the same words and is skipped.
+
+    Moves by common labels carry the pairs ``(x, phi(x))`` of a
+    label-preserving isomorphism ``phi`` onto each other and back, so a
+    component holds only equivalent or only inequivalent pairs.  It is
+    equivalent exactly when each pair's starts carry the same labels and
+    no start repeats in either coordinate (a uniform C_2n paired with C_n
+    repeats in one only): then ``x -> y`` is such an isomorphism.  Every
+    equivalent pair lies in a walked component or in its mirror.
 
     Yields the graph components ``(ca, cb)`` the pair component touches,
     its breadth-first tree as node -> (parent node, label of the move
-    from the parent), the root's parent being -1, and the first move
-    ``(u, label, w)`` that closes a cycle, or None for a tree.
+    from the parent), the root's parent being -1, the first move
+    ``(u, label, w)`` that closes a cycle, or None for a tree, and the
+    equivalence flag.
     """
     moves: list[dict[str, int]] = []
-    cls: list[int] = []
     comp: list[int] = []
     for ci, g in enumerate(fam.components):
         offset = len(moves)
         for v in range(g.vertex_count):
             moves.append({lab: offset + g.dart_target(d) for lab, d in maps[ci][v].items()})
-            cls.append(class_of[(ci, v)])
             comp.append(ci)
     size = len(moves)
     # a pair node shares a label, so its starts are holders of one label
@@ -328,13 +261,15 @@ def _pair_components(
     for a, m in enumerate(moves):
         for b in sorted({b for lab in m for b in holders[lab]}):
             root = a * size + b
-            if cls[a] == cls[b] or root in done:
+            if a == b or root in done:
                 continue
             tree = {root: (-1, "")}
             order = [root]
             closing = None
+            same_labels = True
             for u in order:
                 x, y = divmod(u, size)
+                same_labels = same_labels and moves[x].keys() == moves[y].keys()
                 # a second move between a node and its parent is met, as a
                 # cycle, while the parent is expanded, so every move back
                 # to the parent can be passed over
@@ -348,17 +283,17 @@ def _pair_components(
                         if w != up and closing is None:
                             closing = (u, lab, w)
                         continue
-                    if cls[x2] == cls[y2]:
-                        raise VerificationError(
-                            "simultaneous label move left the inequivalent-pair graph"
-                        )
                     tree[w] = (u, lab)
                     order.append(w)
+            firsts, seconds = set(), set()
             for u in order:
                 x, y = divmod(u, size)
+                firsts.add(x)
+                seconds.add(y)
                 done.add(u)
                 done.add(y * size + x)
-            yield (comp[a], comp[b]), tree, closing
+            equivalent = same_labels and len(firsts) == len(seconds) == len(order)
+            yield (comp[a], comp[b]), tree, closing, equivalent
 
 
 def _longest_path(tree: _PairTree) -> int:
@@ -394,11 +329,23 @@ def _legs(wx: tuple[str, ...], wy: tuple[str, ...]) -> tuple[tuple[str, ...], tu
 
 
 def _piece_analysis(fam: GraphFamily, cap: int) -> tuple[list[Piece], list[float]]:
-    maps, class_of = _pointed_data(fam, cap)
+    maps = _capped_out_maps(fam, cap)
+    first = [0]
+    for g in fam.components:
+        first.append(first[-1] + g.vertex_count)
+    # a class is named by its smallest start: every equivalent pair of
+    # distinct starts is walked, as itself or as its mirror
+    class_of = list(range(first[-1]))
     per_comp_max: list[float] = [0] * len(fam.components)
     finite_words: set[tuple[str, ...]] = set()
     infinite_words: set[tuple[str, ...]] = set()
-    for touched, tree, closing in _pair_components(fam, maps, class_of):
+    for touched, tree, closing, equivalent in _pair_components(fam, maps):
+        if equivalent:
+            for u in tree:
+                x, y = divmod(u, first[-1])
+                class_of[x] = min(class_of[x], y)
+                class_of[y] = min(class_of[y], x)
+            continue
         if closing is not None:
             # one period: down the tree to the closing move, across it,
             # and back up to the last common node of its two ends
@@ -437,7 +384,7 @@ def _piece_analysis(fam: GraphFamily, cap: int) -> tuple[list[Piece], list[float
                 if darts is None:
                     continue
                 met.add(ci)
-                cls = class_of[(ci, v)]
+                cls = class_of[first[ci] + v]
                 entry = (ci, v, darts)
                 if cls not in starts_by_class or entry < starts_by_class[cls]:
                     starts_by_class[cls] = entry
@@ -534,7 +481,7 @@ def check_small_cancellation(
     lam = Fraction(lam)
     if lam <= 0:
         raise InvalidInputError("lambda must be positive")
-    maps, class_of = _pointed_data(fam, cap)
+    maps = _capped_out_maps(fam, cap)
     girths = tuple(girth(g) for g in fam.components) if girths is None else tuple(girths)
     if len(girths) != len(fam):
         raise InvalidInputError(f"{len(girths)} girths given for {len(fam)} components")
@@ -543,8 +490,8 @@ def check_small_cancellation(
         lambda_value=lam,
         girths=girths,
         passed=all(
-            closing is None and _longest_path(tree) < min(limits[ca], limits[cb])
-            for (ca, cb), tree, closing in _pair_components(fam, maps, class_of)
+            equivalent or (closing is None and _longest_path(tree) < min(limits[ca], limits[cb]))
+            for (ca, cb), tree, closing, equivalent in _pair_components(fam, maps)
         ),
         family=fam,
         cap=cap,

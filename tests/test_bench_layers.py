@@ -96,3 +96,48 @@ def test_expander_layers_fire_on_lps_then_spectrum(spans, tmp_path, capsys):
     ]
     assert "graph_core.distance_matrix.calls" in wanted
     assert [name for name in wanted if name not in fired] == []
+
+
+def test_cancellation_and_walls_layers_fire_on_small_steps(spans, tmp_path, capsys):
+    # the benchmark's self-test asks these metrics to fire on its
+    # cancellation_walls workload; label on two 6-cycles (seed 1 succeeds
+    # after 146 attempts), pieces and present of its labeling, then the
+    # cover and wall steps on K4 reach every one of them in about a second
+    from coarselab import cli
+    from coarselab.graph_core import build_graph
+    from coarselab.jsonio import serialize_graph
+
+    cycles = tmp_path / "cycles.json"
+    two_hexagons = [(i, i - i % 6 + (i + 1) % 6) for i in range(12)]
+    cycles.write_text(serialize_graph(build_graph(12, two_hexagons)))
+    k4 = tmp_path / "k4.json"
+    k4.write_text(serialize_graph(build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])))
+    labeled = tmp_path / "labeled.json"
+    cover = tmp_path / "cover.json"
+    rec = spans.Recorder("cancellation")
+    restore = spans.install(rec)
+    try:
+        label = ["label", str(cycles), "--random", "--alphabet", "3", "--lambda", "1/4", "--seed", "1"]
+        assert cli.main(label + ["--out", str(labeled)]) == 0
+        for cmd in ("pieces", "present"):
+            assert cli.main([cmd, str(labeled), "--out", str(tmp_path / f"{cmd}.json")]) == 0
+        assert cli.main(["cover", str(k4), "--out", str(cover)]) == 0
+        assert cli.main(["walls", str(k4), "--out", str(tmp_path / "walls.json")]) == 0
+        assert cli.main(["wallmetric", str(k4), "--out", str(tmp_path / "wallmetric.csv")]) == 0
+        assert cli.main(["girth", str(cover), "--out", str(tmp_path / "girth.json")]) == 0
+    finally:
+        restore()
+    assert "attempts: 146" in capsys.readouterr().out
+    fired = set(spans.layer_values(rec))
+    wanted = [
+        m.name
+        for m in spans.METRICS
+        if m.workload == "cancellation_walls"
+        and m.name.startswith(("graph_core.", "labelings.", "covers_walls."))
+    ]
+    assert {
+        "labelings.check_small_cancellation.calls",
+        "covers_walls.validate_walls.calls",
+        "covers_walls.walls_from_cover.s",
+    } <= set(wanted)
+    assert [name for name in wanted if name not in fired] == []

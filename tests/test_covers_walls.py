@@ -27,8 +27,8 @@ from coarselab.errors import (
     VerificationError,
 )
 from coarselab.expander_zoo import cayley_graph, cyclic_group
-from coarselab.graph_core import build_graph, distance_matrix, girth
-from coarselab.labelings import _out_maps, _pointed_spread
+from coarselab.graph_core import GraphFamily, build_graph, distance_matrix, girth
+from coarselab.labelings import _out_maps, _pair_components
 
 from oracles import complete, multi_k4, naive_girth, petersen, prism, random_multigraph
 
@@ -159,10 +159,13 @@ class TestIteratedCover:
 
     def test_cayley_base_cover_stays_vertex_transitive(self):
         base = cayley_graph(cyclic_group(6))
-        cm = iterate_homology_cover(base, 1)
-        maps = _out_maps(cm.cover)
-        for t in range(cm.cover.vertex_count):
-            assert _pointed_spread(cm.cover, maps, 0, cm.cover, maps, t) is not None
+        cover = iterate_homology_cover(base, 1).cover
+        n = cover.vertex_count
+        equivalent = set()
+        for _, tree, _, flag in _pair_components(GraphFamily((cover,)), [_out_maps(cover)]):
+            if flag:
+                equivalent.update(divmod(u, n) for u in tree)
+        assert all((0, t) in equivalent or (t, 0) in equivalent for t in range(1, n))
 
     def test_cover_girth_from_one_source_per_fiber(self):
         rng = random.Random(73)
@@ -315,6 +318,32 @@ class TestWalls:
     def test_composite_fibers_are_not_walls(self):
         cm = iterate_homology_cover(triangle(), 2)
         with pytest.raises(VerificationError):
+            walls_from_cover(cm)
+
+    def test_cover_walls_pass_validation(self):
+        # bridgeless multigraphs, each with a loop and a doubled edge
+        rng = random.Random(74)
+        checked = 0
+        while checked < 40:
+            n = rng.randrange(1, 6)
+            base = random_multigraph(rng, n, rng.randrange(n - 1, n + 4))
+            if not base.is_connected or base.edge_count - n + 1 > 7 or not is_two_connected(base):
+                continue
+            cm = homology_cover(base)
+            validate_walls(cm.cover, walls_from_cover(cm))
+            checked += 1
+
+    def test_wall_edge_inside_one_side_rejected(self):
+        # removing both edges leaves two vertices, but the loop joins a
+        # side to itself
+        cm = CoveringMap(
+            base=build_graph(1, [(0, 0)]),
+            cover=build_graph(2, [(0, 1), (0, 0)]),
+            vertex_map=(0, 0),
+            dart_map=(0, 1, 0, 1),
+            deck_rank=1,
+        )
+        with pytest.raises(VerificationError, match="does not join"):
             walls_from_cover(cm)
 
 

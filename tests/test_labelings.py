@@ -17,6 +17,8 @@ from coarselab.labelings import (
     Alphabet,
     Presentation,
     SmallCancellationReport,
+    _out_maps,
+    _pair_components,
     _piece_analysis,
     canonical_word,
     check_label_preserving_cover,
@@ -308,21 +310,87 @@ def test_pieces_deterministic():
         assert enumerate_pieces(fam) == enumerate_pieces(fam)
 
 
-def test_pointed_classes_match_brute_force_isomorphisms():
-    from coarselab.labelings import _out_maps, _pointed_classes
+def _looped_triangle(loop):
+    return build_graph(3, [(0, 1, "a"), (1, 2, "a"), (2, 0, "a"), (0, 0, loop)])
 
+
+def _symmetric_families():
+    """Families with large pointed classes: uniform cycles next to a copy
+    or a double cover of themselves (in both orders), (ab)^k cycles, the
+    homology cover of the Cayley graph of Z/6, and two triangles whose
+    starts carry equally many labels but different ones."""
+    return [
+        GraphFamily(comps)
+        for comps in (
+            (labeled_cycle("aaaaa"), labeled_cycle("aaaaa")),
+            (labeled_cycle("aaaaa"), labeled_cycle("a" * 10)),
+            (labeled_cycle("a" * 10), labeled_cycle("aaaaa")),
+            (labeled_cycle("ab" * 3),),
+            (labeled_cycle("ab" * 2), labeled_cycle("ab" * 4)),
+            (homology_cover(cayley_graph(cyclic_group(6))).cover,),
+            (_looped_triangle("b"), _looped_triangle("c")),
+        )
+    ]
+
+
+def test_pair_walk_flags_exactly_the_equivalent_components():
     rng = Random(500)
-    for _ in range(25):
-        fam = random_reduced_family(rng)
+    seeded = [random_reduced_family(rng) for _ in range(25)]
+    shapes = set()
+    for i, fam in enumerate(seeded + _symmetric_families()):
         maps = [_out_maps(g) for g in fam.components]
-        mine = _pointed_classes(fam, maps)
+        points = [(ci, v) for ci, g in enumerate(fam.components) for v in range(g.vertex_count)]
         naive = naive_pointed_classes(fam)
-        points = list(mine)
-        for i, p in enumerate(points):
-            for q in points[i + 1 :]:
-                assert (mine[p] == mine[q]) == (naive[p] == naive[q])
-        for p in points:
-            assert naive_pointed_equivalent(fam, p, p)
+        flagged = set()
+        for _, tree, closing, equivalent in _pair_components(fam, maps):
+            pairs = [divmod(u, len(points)) for u in tree]
+            for x, y in pairs:
+                assert equivalent == (naive[points[x]] == naive[points[y]])
+            if equivalent:
+                flagged.update(pairs)
+                flagged.update((y, x) for x, y in pairs)
+            if i < len(seeded):
+                shapes.add((equivalent, closing is None))
+        # every start carries a label here, so every equivalent pair of
+        # distinct starts is walked, itself or as a mirror
+        assert flagged == {
+            (x, y)
+            for x, p in enumerate(points)
+            for y, q in enumerate(points)
+            if x != y and naive[p] == naive[q]
+        }
+    assert {flag for flag, _ in shapes} == {True, False}
+    assert {tree for _, tree in shapes} == {True, False}
+
+
+def _assert_pieces_match_oracle(fam):
+    expected = naive_piece_summary(fam)
+    report = check_small_cancellation(fam, Fraction(1, 2))
+    assert list(report.max_piece_length) == expected["per_comp_max"]
+    girths = [girth(g) for g in fam.components]
+    for lam in (Fraction(1, 6), Fraction(1, 3), Fraction(1), Fraction(2)):
+        assert check_small_cancellation(fam, lam).passed == all(
+            longest == 0 or longest < (math.inf if gr is math.inf else lam * gr)
+            for longest, gr in zip(expected["per_comp_max"], girths)
+        )
+    has_infinite = any(p.infinite for p in report.pieces)
+    assert has_infinite == expected["infinite"]
+    if not expected["infinite"]:
+        assert {p.word for p in report.pieces} == expected["maximal_words"]
+    for piece in report.pieces:
+        starts = naive_word_starts(fam, piece.word)
+        assert {s[0] for s in starts} == set(piece.components)
+        classes = []
+        for s in starts:
+            for c in classes:
+                if naive_pointed_equivalent(fam, s, c[0]):
+                    c.append(s)
+                    break
+            else:
+                classes.append([s])
+        assert len(classes) == len(piece.occurrences)
+        occ_points = {(o.component, o.start) for o in piece.occurrences}
+        assert occ_points <= set(starts)
 
 
 def test_pieces_agree_with_naive_oracle():
@@ -330,30 +398,12 @@ def test_pieces_agree_with_naive_oracle():
     # alphabet <= 2, compared against the VF2 + simultaneous-DFS oracle
     rng = Random(20260814)
     for _ in range(200):
-        fam = random_reduced_family(rng)
-        expected = naive_piece_summary(fam)
-        report = check_small_cancellation(fam, Fraction(1, 2))
-        assert list(report.max_piece_length) == expected["per_comp_max"]
-        has_infinite = any(p.infinite for p in report.pieces)
-        assert has_infinite == expected["infinite"]
-        if not expected["infinite"]:
-            assert {p.word for p in report.pieces} == expected["maximal_words"]
-        for piece in report.pieces:
-            if piece.infinite:
-                continue
-            starts = naive_word_starts(fam, piece.word)
-            assert {s[0] for s in starts} == set(piece.components)
-            classes = []
-            for s in starts:
-                for c in classes:
-                    if naive_pointed_equivalent(fam, s, c[0]):
-                        c.append(s)
-                        break
-                else:
-                    classes.append([s])
-            assert len(classes) == len(piece.occurrences)
-            occ_points = {(o.component, o.start) for o in piece.occurrences}
-            assert occ_points <= set(starts)
+        _assert_pieces_match_oracle(random_reduced_family(rng))
+
+
+@pytest.mark.parametrize("index", range(len(_symmetric_families())))
+def test_symmetric_pieces_agree_with_naive_oracle(index):
+    _assert_pieces_match_oracle(_symmetric_families()[index])
 
 
 def test_lambda_monotonicity():
