@@ -13,7 +13,7 @@ bounds, so a silently wrong eigensolve cannot leak into downstream
 certificates; a verified symmetry (a cyclic automorphism group, or the
 XOR deck action of a homology cover) splits the eigensolve into blocks.
 scipy is imported inside the functions that call it
-(the SVD, ``eigh`` and Lanczos routes of :func:`adjacency_spectrum`, and
+(the ``eigh`` and Lanczos routes of :func:`adjacency_spectrum`, and
 :func:`laplacian_lambda2`), so commands that never need it never load
 it.
 """
@@ -358,31 +358,6 @@ def components(g: LabeledGraph, removed: frozenset[int] = frozenset()) -> list[i
     return comp
 
 
-def propagate(g: LabeledGraph, root: int, image: int, step) -> Optional[dict[int, int]]:
-    """Grow the vertex map ``root -> image`` breadth-first along darts.
-
-    ``step(d, x)`` names the image of the target of dart ``d`` when its
-    source maps to ``x``, or None when there is none.  Returns the map
-    on the component of ``root``, in visiting order, or None when some
-    step has no image or two darts disagree on a vertex's image.
-    """
-    img = {root: image}
-    order = [root]
-    for u in order:
-        x = img[u]
-        for d in g._out[u]:
-            y = step(d, x)
-            if y is None:
-                return None
-            w = g._dst[d]
-            if w not in img:
-                img[w] = y
-                order.append(w)
-            elif img[w] != y:
-                return None
-    return img
-
-
 # -- distances -----------------------------------------------------------
 
 
@@ -575,8 +550,10 @@ def girth(g: LabeledGraph, sources: Optional[Sequence[int]] = None):
     longer beat the best cycle found so far.  A search from a vertex of
     a shortest cycle finds that cycle, so on a vertex-transitive graph
     one source is exact; in general a subset of sources gives an upper
-    bound.
+    bound.  A source that is not a vertex raises
+    :class:`InvalidInputError`, as in :func:`distance_matrix`.
     """
+    rows = source_rows(g, sources).tolist()
     for d in range(0, g.dart_count, 2):
         if g.dart_source(d) == g.dart_target(d):
             return 1
@@ -591,7 +568,7 @@ def girth(g: LabeledGraph, sources: Optional[Sequence[int]] = None):
     n = g.vertex_count
     dist = [-1] * n
     entry = [-1] * n
-    for s in range(n) if sources is None else sources:
+    for s in rows:
         if best == 3:
             break
         touched = [s]
@@ -723,32 +700,6 @@ def _verify_eigenpairs(av: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray,
     if worst > tol:
         raise VerificationError(f"eigenpair residual {worst:.3e} exceeds {tol:.1e}")
     return worst
-
-
-def _bipartite_eigenpairs(adj: np.ndarray, color: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigenvalues and eigenvectors of a bipartite adjacency
-    matrix, from the SVD of its biadjacency block B = A[L][:, R].
-
-    Each singular triple (sigma, u, v) gives the eigenvalues +-sigma with
-    eigenvectors (u, +-v)/sqrt(2) on (L, R); the singular vectors beyond
-    min(|L|, |R|) of the larger part are eigenvectors for 0.
-    """
-    import scipy.linalg
-
-    left = np.flatnonzero(color == 0)
-    right = np.flatnonzero(color == 1)
-    u, sigma, vh = scipy.linalg.svd(adj[np.ix_(left, right)])
-    n, a, k = adj.shape[0], left.size, sigma.size
-    half = math.sqrt(0.5)
-    vecs = np.zeros((n, n))
-    vecs[left, :k] = u[:, :k] * half
-    vecs[right, :k] = vh[:k].T * half
-    vecs[left, k:a] = u[:, k:]
-    vecs[right, a : n - k] = vh[k:].T
-    vecs[left, n - k :] = u[:, :k][:, ::-1] * half
-    vecs[right, n - k :] = vh[:k][::-1].T * -half
-    vals = np.concatenate([sigma, np.zeros(n - 2 * k), -sigma[::-1]])
-    return vals, vecs
 
 
 def _cyclic_symmetry(g: LabeledGraph) -> Optional[np.ndarray]:
@@ -949,13 +900,11 @@ def adjacency_spectrum(
     up to ``dense_cap`` vertices the whole spectrum is computed: from
     one Hermitian block per conjugate pair of characters of a cyclic
     automorphism group when the labels give one (see
-    :func:`_cyclic_symmetry`), else by the SVD of the biadjacency block
-    when the graph is bipartite, else by a symmetric eigensolve; every
+    :func:`_cyclic_symmetry`), else by a symmetric eigensolve; every
     eigenpair is residual-checked.  Above the cap only the ``extremes``
     largest and smallest eigenvalues (at most half the vertices each, so
     the two never overlap) are computed with a Lanczos iteration seeded
-    deterministically.  Only the SVD, ``eigh`` and Lanczos routes load
-    scipy.
+    deterministically.  Only the ``eigh`` and Lanczos routes load scipy.
     """
     n = g.vertex_count
     blocks = _twist_eigenpairs(g, dense_cap)
@@ -968,19 +917,15 @@ def adjacency_spectrum(
         import scipy.linalg
 
         adj = _adjacency_csr(g)
-        color = two_coloring(g)
-        if color is None:
-            vals, vecs = scipy.linalg.eigh(adj.toarray())
-            vals, vecs = vals[::-1], vecs[:, ::-1]
-        else:
-            vals, vecs = _bipartite_eigenpairs(adj.toarray(), color)
+        vals, vecs = scipy.linalg.eigh(adj.toarray())
+        vals, vecs = vals[::-1], vecs[:, ::-1]
         worst = _verify_eigenpairs(adj @ vecs, vals, vecs)
         complete = True
     else:
         top, bot, worst = _extreme_eigs(_adjacency_csr(g), min(extremes, n // 2), seed)
         vals = np.sort(np.concatenate([top, bot]))[::-1]
         complete = False
-    # adding +0.0 turns a -0.0 (the negated zero singular value) into 0.0
+    # adding +0.0 turns any -0.0 an eigensolver returns into 0.0
     return SpectrumSummary(
         eigenvalues=tuple(float(x) for x in vals + 0.0),
         complete=complete,

@@ -871,21 +871,6 @@ def coset_enumeration_order(pres: Presentation, max_cosets: int = 20000) -> int:
 # -- covers and quotients ---------------------------------------------------
 
 
-def check_label_preserving_cover(cm: CoveringMap) -> bool:
-    """True iff the covering preserves labels and restricts to a
-    bijection on every vertex star."""
-    if cm.cover.alphabet != cm.base.alphabet:
-        raise InvalidInputError("cover and base use different alphabets")
-    for d in range(cm.cover.dart_count):
-        if cm.cover.dart_label(d) != cm.base.dart_label(cm.dart_map[d]):
-            return False
-    for u in range(cm.cover.vertex_count):
-        image_star = sorted(cm.dart_map[d] for d in cm.cover.out_darts(u))
-        if image_star != sorted(cm.base.out_darts(cm.vertex_map[u])):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class SurjectionReport:
     """Evaluation of cover and base relators in finite quotients.

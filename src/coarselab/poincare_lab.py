@@ -42,7 +42,6 @@ from .errors import (
     VerificationError,
 )
 from .expander_zoo import FiniteGroupTable
-from .graph_core import LabeledGraph, laplacian_lambda2
 from .wreath import RelativeSubset, WreathElement, WreathGroup, lamp_support, x_subset
 
 #: largest group order whose indexed table is built (kernels and replay)
@@ -499,12 +498,6 @@ def schoenberg_bound(eps: float, delta: float) -> float:
     if not (delta > 0.0):
         raise InvalidInputError("delta must be positive")
     return -math.log(eps) / delta
-
-
-def spectral_gap(cayley: LabeledGraph) -> float:
-    """Second-smallest Laplacian eigenvalue of a connected graph, the
-    finite-quotient stand-in for a uniform Kazhdan-type constant."""
-    return laplacian_lambda2(cayley)
 
 
 # -- randomized verification -------------------------------------------------

@@ -773,6 +773,146 @@ def dense_poincare_constant(table, sigma_members, x_members):
     return float(eigvals[-1]), u / np.linalg.norm(u)
 
 
+# -- brute-force covering verification ---------------------------------------
+#
+# The reference that homology_cover, iterate_homology_cover and the O(E)
+# XOR deck check (covers_walls.xor_fiber_heads) are held against: every
+# covering axiom checked dart by dart, and the whole deck group rebuilt by
+# path lifting from one fiber.
+
+#: verify_covering enumerates the whole fiber; cap its size.
+DECK_ENUM_CAP = 4096
+
+
+def propagate(g: LabeledGraph, root: int, image: int, step):
+    """Grow the vertex map ``root -> image`` breadth-first along darts.
+
+    ``step(d, x)`` names the image of the target of dart ``d`` when its
+    source maps to ``x``, or None when there is none.  Returns the map
+    on the component of ``root``, in visiting order, or None when some
+    step has no image or two darts disagree on a vertex's image.
+    """
+    img = {root: image}
+    order = [root]
+    for u in order:
+        x = img[u]
+        for d in g.out_darts(u):
+            y = step(d, x)
+            if y is None:
+                return None
+            w = g.dart_target(d)
+            if w not in img:
+                img[w] = y
+                order.append(w)
+            elif img[w] != y:
+                return None
+    return img
+
+
+@dataclass(frozen=True)
+class CoverVerification:
+    deck_order: int
+    elementary_abelian: bool
+    deck_maps: tuple[tuple[int, ...], ...]
+
+
+def verify_covering(cm, deck_cap: int = DECK_ENUM_CAP) -> CoverVerification:
+    """Check the covering axioms of a ``CoveringMap`` and reconstruct the
+    full deck group.
+
+    Verifies: dart/vertex maps commute with incidence and reversal,
+    labels are preserved, the map is a local isomorphism on every
+    vertex star, all fibers have size 2^deck_rank, and path lifting
+    from every point of one fiber yields a well-defined label-preserving
+    automorphism; the resulting maps must form a group acting freely
+    and transitively on every fiber.  For a single homology step the
+    group must in addition be elementary abelian (every deck map an
+    involution) and consist of coordinate translations.
+
+    Raises
+    ------
+    VerificationError
+        Any failed axiom.
+    CapExceededError
+        Fiber larger than ``deck_cap``.
+    """
+    from coarselab.errors import CapExceededError, VerificationError
+
+    base, cover = cm.base, cm.cover
+    if len(cm.vertex_map) != cover.vertex_count or len(cm.dart_map) != cover.dart_count:
+        raise VerificationError("map arrays have wrong length")
+    for d in range(cover.dart_count):
+        bd = cm.dart_map[d]
+        if cm.dart_map[LabeledGraph.dart_reverse(d)] != LabeledGraph.dart_reverse(bd):
+            raise VerificationError(f"dart_map breaks the reversal involution at dart {d}")
+        if cm.vertex_map[cover.dart_source(d)] != base.dart_source(bd):
+            raise VerificationError(f"dart_map and vertex_map disagree at dart {d}")
+        if cover.dart_label(d) != base.dart_label(bd):
+            raise VerificationError(f"label not preserved at dart {d}")
+    for u in range(cover.vertex_count):
+        image_star = sorted(cm.dart_map[d] for d in cover.out_darts(u))
+        if image_star != sorted(base.out_darts(cm.vertex_map[u])):
+            raise VerificationError(f"not a local isomorphism at cover vertex {u}")
+
+    expected_fiber = 1 << cm.deck_rank
+    if expected_fiber > deck_cap:
+        raise CapExceededError(f"deck group of size {expected_fiber} exceeds cap {deck_cap}")
+    fibers: dict[int, list[int]] = {v: [] for v in range(base.vertex_count)}
+    for v in range(cover.vertex_count):
+        fibers[cm.vertex_map[v]].append(v)
+    for v, fib in fibers.items():
+        if len(fib) != expected_fiber:
+            raise VerificationError(f"fiber over {v} has size {len(fib)}, expected {expected_fiber}")
+
+    # the end of the unique dart over a given base dart at a given cover vertex
+    star_index: list[dict[int, int]] = []
+    for u in range(cover.vertex_count):
+        star_index.append({cm.dart_map[d]: cover.dart_target(d) for d in cover.out_darts(u)})
+
+    def lift_map(b0: int, t: int) -> tuple[int, ...]:
+        img = propagate(cover, b0, t, lambda d, x: star_index[x].get(cm.dart_map[d]))
+        if img is None:
+            raise VerificationError("path lifting failed; covering not regular")
+        if len(img) != cover.vertex_count:
+            raise VerificationError("deck lift did not reach the whole cover")
+        return tuple(img[v] for v in range(cover.vertex_count))
+
+    base_fiber = fibers[0]
+    b0 = min(base_fiber)
+    maps = [lift_map(b0, t) for t in sorted(base_fiber)]
+    seen = set(maps)
+    if len(seen) != len(maps):
+        raise VerificationError("two deck maps coincide; action not free on the fiber")
+    identity = tuple(range(cover.vertex_count))
+    for m in maps:
+        if m != identity and any(m[v] == v for v in range(cover.vertex_count)):
+            raise VerificationError("a nontrivial deck map has a fixed point")
+        if tuple(sorted(m)) != identity:
+            raise VerificationError("a deck map is not a bijection")
+    for m1 in maps:
+        for m2 in maps:
+            if tuple(m1[x] for x in m2) not in seen:
+                raise VerificationError("deck maps are not closed under composition")
+    for fib in fibers.values():
+        anchor = fib[0]
+        if sorted(m[anchor] for m in maps) != sorted(fib):
+            raise VerificationError("deck action is not transitive on some fiber")
+
+    elementary = all(tuple(m[x] for x in m) == identity for m in maps)
+    if cm.single_step:
+        if not elementary:
+            raise VerificationError("single-step deck group must have exponent 2")
+        for m in maps:
+            t = m[b0] ^ b0
+            if t >= expected_fiber or any(m[v] != v ^ t for v in range(cover.vertex_count)):
+                raise VerificationError("single-step deck map is not a coordinate translation")
+    return CoverVerification(
+        deck_order=len(maps),
+        elementary_abelian=elementary,
+        deck_maps=tuple(maps),
+    )
+
+
 # -- names the library no longer needs ---------------------------------------
 
 

@@ -665,7 +665,7 @@ def test_artifact_bytes_ignore_the_thread_count(tmp_path):
     `poincare --relative` on Z/7 wr Z/7, with and without a replay,
     `wallmetric` on the 6-prism, and `spectrum` on LPS(13, 5) (character
     blocks) and on the K4 homology cover (signed twist blocks).  The
-    dense, SVD and Lanczos spectrum routes are left out until eigenvalues
+    dense and Lanczos spectrum routes are left out until eigenvalues
     are written in a clustered format: a dense eigensolve still moves
     last digits with the thread count."""
     (tmp_path / "z7.json").write_text(serialize_group_table(cyclic_group(7)))

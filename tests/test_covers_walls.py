@@ -13,7 +13,6 @@ from coarselab.covers_walls import (
     is_two_connected,
     iterate_homology_cover,
     validate_walls,
-    verify_covering,
     wall_hilbert_embedding,
     wall_pseudometric,
     walls_from_cover,
@@ -30,7 +29,7 @@ from coarselab.expander_zoo import cayley_graph, cyclic_group
 from coarselab.graph_core import GraphFamily, build_graph, distance_matrix, girth
 from coarselab.labelings import _out_maps, _pair_components
 
-from oracles import complete, multi_k4, naive_girth, petersen, prism, random_multigraph
+from oracles import complete, multi_k4, naive_girth, petersen, prism, random_multigraph, verify_covering
 
 
 def triangle():
@@ -452,13 +451,27 @@ def separating_walls(w):
 
 class TestXorDeckAction:
     @pytest.mark.parametrize(
+        "base", [triangle(), theta(), k4(), prism(3), petersen()],
+        ids=["triangle", "theta", "k4", "prism3", "petersen"],
+    )
+    def test_fast_check_agrees_with_the_brute_force_oracle(self, base):
+        # the oracle rebuilds the deck group by path lifting: it must be
+        # exactly the XOR translations that xor_fiber_heads checks in O(E)
+        cm = homology_cover(base)
+        fiber, n = 1 << cm.deck_rank, cm.cover.vertex_count
+        maps = verify_covering(cm).deck_maps
+        assert len(maps) == fiber
+        assert set(maps) == {tuple(v ^ t for v in range(n)) for t in range(fiber)}
+        assert xor_fiber_heads(cm).tolist() == list(range(0, n, fiber))
+
+    @pytest.mark.parametrize(
         "base", [prism(4), complete(5), petersen(), prism(6), multi_k4()],
         ids=["prism4", "k5", "petersen", "prism6", "multi_k4"],
     )
     def test_head_rows_and_gather_give_the_full_matrices(self, base):
         cm = homology_cover(base)
         heads = xor_fiber_heads(cm)
-        assert heads.tolist() == [min(cm.fiber(b)) for b in range(base.vertex_count)]
+        assert heads.tolist() == [cm.vertex_map.index(b) for b in range(base.vertex_count)]
         walls = walls_from_cover(cm)
         n = cm.cover.vertex_count
         u, v = np.divmod(np.arange(n * n), n)
@@ -493,8 +506,9 @@ class TestXorDeckAction:
         edges[3] = (u, v ^ 1, label)  # the same fibers, but a second flip in fiber 0
         rewired = build_graph(cm.cover.vertex_count, edges)
         bad = CoveringMap(cm.base, rewired, cm.vertex_map, cm.dart_map, cm.deck_rank)
-        with pytest.raises(VerificationError):
-            xor_fiber_heads(bad)
+        for check in (xor_fiber_heads, verify_covering):
+            with pytest.raises(VerificationError):
+                check(bad)
 
     def test_shuffled_maps_are_rejected(self):
         cm = homology_cover(prism(4))
@@ -506,8 +520,9 @@ class TestXorDeckAction:
             CoveringMap(cm.base, cm.cover, tuple(vm), cm.dart_map, cm.deck_rank),
             CoveringMap(cm.base, cm.cover, cm.vertex_map, tuple(dm), cm.deck_rank),
         ):
-            with pytest.raises(VerificationError):
-                xor_fiber_heads(bad)
+            for check in (xor_fiber_heads, verify_covering):
+                with pytest.raises(VerificationError):
+                    check(bad)
 
     def test_composed_cover_is_rejected(self):
         cm = iterate_homology_cover(triangle(), 2)

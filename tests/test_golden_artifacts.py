@@ -12,9 +12,9 @@ that order and the choice of the canonical witness.  The map family of ``moduli`
 their bases and onto their wall coordinates, and ``concentrate`` reads
 the wall coordinates of the K4 cover.  ``spectrum`` is left out: its
 block routes (character blocks, signed twist blocks) are held
-byte-identical across thread counts by ``test_cli``, but its dense
-routes still move the last ulp between thread counts, and its flat
-eigenvalue list waits for a clustered format.  The pieces of a
+byte-identical across thread counts by ``test_cli``, but its dense and
+Lanczos routes still move the last ulp between thread counts, and its
+flat eigenvalue list waits for a clustered format.  The pieces of a
 family whose pair walk holds several cycles are also run under eight
 ``PYTHONHASHSEED`` values, which must not change a byte.
 """

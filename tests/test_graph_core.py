@@ -258,6 +258,19 @@ class TestGirth:
             g = random_graph(rng, n, rng.randrange(0, 16))
             assert girth(g) == naive_girth(g)
 
+    def test_sources_that_are_not_vertices_are_rejected(self):
+        # a triangle with a 2-edge tail: the search from vertex 4 only
+        # bounds the girth by 7, which is what -1 used to read
+        g = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+        assert girth(g, [4]) == 7 and girth(g, (4,)) == 7 and girth(g, np.array([0])) == 3
+        for bad in ([-1], [5], [0, 9], np.array([-2]), [[0]]):
+            with pytest.raises(InvalidInputError):
+                girth(g, bad)
+        with pytest.raises(InvalidInputError):
+            girth(cycle(6), [6])
+        with pytest.raises(InvalidInputError):
+            girth(build_graph(2, [(0, 0), (0, 1)]), [2])
+
 
 class TestCheeger:
     def test_examples(self):
@@ -342,7 +355,7 @@ class TestSpectra:
         assert np.allclose(part.eigenvalues, [2.0] * 3 + [-2.0] * 3, atol=1e-9)
         assert list(part.eigenvalues) == sorted(part.eigenvalues, reverse=True)
 
-    def test_bipartite_svd_path_matches_dense_eigvalsh(self):
+    def test_bipartite_spectra_match_dense_eigvalsh(self):
         rng = random.Random(53)
         graphs = [cycle(4), build_graph(5, []), build_graph(3, [(0, 1), (0, 1), (0, 2)])]
         for _ in range(60):
@@ -377,8 +390,8 @@ class TestSpectra:
     def test_no_negative_zero_reaches_the_spectrum(self):
         vals = adjacency_spectrum(cycle(4)).eigenvalues
         assert np.allclose(vals, [2.0, 0.0, 0.0, -2.0], atol=1e-12)
-        # the path 1-0-2 plus the isolated vertex 3 has the biadjacency
-        # block [[1, 1], [0, 0]], whose second singular value is exactly 0
+        # the path 1-0-2 plus the isolated vertex 3 has the eigenvalue 0
+        # twice, and both must print as 0.0
         vals = adjacency_spectrum(build_graph(4, [(0, 1), (0, 2)])).eigenvalues
         assert vals[1:3] == (0.0, 0.0)
         assert all(math.copysign(1.0, x) > 0 for x in vals if x == 0.0)
@@ -404,6 +417,21 @@ class TestSpectra:
         assert laplacian_lambda2(complete(30)) == pytest.approx(30.0)
         with pytest.raises(DisconnectedGraphError):
             laplacian_lambda2(build_graph(3, [(0, 1)]))
+
+    def test_lambda2_lanczos_route_matches_dense(self, monkeypatch):
+        import scipy.linalg
+
+        dense = laplacian_lambda2(cycle(30))
+        assert dense == pytest.approx(2.0 - 2.0 * math.cos(2.0 * math.pi / 30), abs=1e-12)
+        assert dense == pytest.approx(0.0437048, abs=1e-7)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense route ran")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        assert laplacian_lambda2(cycle(30), dense_cap=10) == pytest.approx(dense, abs=1e-9)
+        with pytest.raises(DisconnectedGraphError):
+            laplacian_lambda2(build_graph(30, [(i, i + 1) for i in range(28)]), dense_cap=10)
 
 
 def cluster_sizes(vals, gap: float = 1e-8) -> list[int]:
@@ -452,7 +480,6 @@ class TestCharacterBlocks:
         def refuse(*args, **kwargs):
             raise AssertionError("the dense route ran")
 
-        monkeypatch.setattr(scipy.linalg, "svd", refuse)
         monkeypatch.setattr(scipy.linalg, "eigh", refuse)
         orders = set()
         for g, want in zip(graphs, expected):
@@ -646,7 +673,6 @@ class TestTwistBlocks:
 
         monkeypatch.setattr(graph_core, "_verify_eigenpairs", record)
         monkeypatch.setattr(graph_core, "_character_eigenpairs", refuse)
-        monkeypatch.setattr(scipy.linalg, "svd", refuse)
         monkeypatch.setattr(scipy.linalg, "eigh", refuse)
         spec = adjacency_spectrum(g)
         vals = np.array(spec.eigenvalues)

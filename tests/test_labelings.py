@@ -21,7 +21,6 @@ from coarselab.labelings import (
     _pair_components,
     _piece_analysis,
     canonical_word,
-    check_label_preserving_cover,
     check_reduced,
     check_small_cancellation,
     coset_enumeration_order,
@@ -40,6 +39,7 @@ from oracles import (
     naive_word_starts,
     random_multigraph,
     random_reduced_family,
+    verify_covering,
 )
 
 
@@ -636,7 +636,7 @@ def c3_cover():
 def test_check_label_preserving_cover_accepts_homology_cover():
     cm = c3_cover()
     assert cm.cover.vertex_count == 6
-    assert check_label_preserving_cover(cm)
+    assert verify_covering(cm).deck_order == 2
 
 
 def test_check_label_preserving_cover_identity():
@@ -648,7 +648,7 @@ def test_check_label_preserving_cover_identity():
         dart_map=tuple(range(base.dart_count)),
         deck_rank=0,
     )
-    assert check_label_preserving_cover(ident)
+    assert verify_covering(ident).deck_order == 1
 
 
 def test_check_label_preserving_cover_rejects_relabeled_dart():
@@ -664,21 +664,8 @@ def test_check_label_preserving_cover_rejects_relabeled_dart():
         deck_rank=cm.deck_rank,
         single_step=cm.single_step,
     )
-    assert not check_label_preserving_cover(tampered)
-
-
-def test_check_label_preserving_cover_alphabet_mismatch():
-    cm = c3_cover()
-    edges = [(u, v, "b") for (u, v, _) in cm.cover.edges()]
-    mismatched = CoveringMap(
-        base=cm.base,
-        cover=build_graph(cm.cover.vertex_count, edges),
-        vertex_map=cm.vertex_map,
-        dart_map=cm.dart_map,
-        deck_rank=cm.deck_rank,
-    )
-    with pytest.raises(InvalidInputError, match="alphabet"):
-        check_label_preserving_cover(mismatched)
+    with pytest.raises(VerificationError, match="label not preserved"):
+        verify_covering(tampered)
 
 
 def test_verify_cover_surjection_z3():

@@ -19,7 +19,7 @@ from coarselab.expander_zoo import (
     lps_graph,
     symmetric_group,
 )
-from coarselab.graph_core import build_graph
+from coarselab.graph_core import build_graph, laplacian_lambda2
 from coarselab.poincare_lab import (
     POINCARE_BLOCK_CAP,
     POINCARE_ORDER_CAP,
@@ -34,7 +34,6 @@ from coarselab.poincare_lab import (
     resolve_group,
     schoenberg_bound,
     schoenberg_transform,
-    spectral_gap,
     subset_indices,
     verify_relative_inequality,
     wreath_indexed_group,
@@ -690,23 +689,23 @@ def test_spectral_gap_circulant():
     for n in range(3, 9):
         g = cayley_graph(cyclic_group(n))
         expect = 2.0 - 2.0 * math.cos(2.0 * math.pi / n)
-        assert spectral_gap(g) == pytest.approx(expect, abs=1e-9)
+        assert laplacian_lambda2(g) == pytest.approx(expect, abs=1e-9)
 
 
 def test_spectral_gap_single_edge():
     g = build_graph(2, [(0, 1)])
-    assert spectral_gap(g) == pytest.approx(2.0, abs=1e-12)
+    assert laplacian_lambda2(g) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_spectral_gap_disconnected():
     g = build_graph(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
-        spectral_gap(g)
+        laplacian_lambda2(g)
 
 
 def test_spectral_gap_ramanujan_instance():
     g, _ = lps_graph(5, 13)
-    gap = spectral_gap(g)
+    gap = laplacian_lambda2(g)
     assert gap >= 6.0 - 2.0 * math.sqrt(5.0) - 1e-9
     assert gap < 12.0
 
