@@ -209,7 +209,7 @@ def _cmd_girth(args):
     lift = annotated_xor_lift(g)
     sources = None if lift is None else lift.fiber_heads()
     value = girth(g, sources)
-    finite = value is not math.inf
+    finite = not math.isinf(value)
     doc = {
         "format_version": jsonio.FORMAT_VERSION,
         "report": "girth",

@@ -6,8 +6,9 @@ edges, and edge labelings with orientations are all first class.  Dart
 ``k``.  A dart may carry a label; the reverse dart then carries the
 formal inverse label (``"a"`` vs ``"a^-1"``).
 
-Distances come from one numpy breadth-first walk over all (source,
-vertex) pairs at once (:func:`distance_matrix`).  Spectral quantities
+Distances and girth come from one numpy level-synchronous
+breadth-first walk over all (source, vertex) pairs at once
+(:func:`distance_matrix`, :func:`girth`).  Spectral quantities
 are computed with numpy/scipy and then verified against residual
 bounds, so a silently wrong eigensolve cannot leak into downstream
 certificates; a verified symmetry (a cyclic automorphism group, or the
@@ -47,7 +48,7 @@ DENSE_SPECTRUM_CAP = 4096
 #: Largest vertex count for which all 2^n - 1 cuts are enumerated.
 CHEEGER_ENUM_CAP = 20
 
-#: Sources per block of distance rows read by ``diameter``.
+#: Sources per block of distance rows read by ``diameter`` and ``girth``.
 DIAMETER_BLOCK = 512
 
 
@@ -464,43 +465,40 @@ def source_rows(g: LabeledGraph, sources: Optional[Sequence[int]] = None) -> np.
     Raises
     ------
     InvalidInputError
-        If a source is not a vertex (negative indices included).
+        If a source is not a vertex: negative, too large, or not an
+        integer (a float or a bool is refused, not truncated).
     """
     n = g.vertex_count
-    rows = np.arange(n) if sources is None else np.asarray(sources, dtype=np.int64)
-    if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= n)):
+    rows = np.arange(n) if sources is None else np.asarray(sources)
+    if rows.ndim != 1 or (
+        rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n)
+    ):
         raise InvalidInputError(f"distance sources must be vertices in [0, {n})")
-    return rows
+    return rows.astype(np.int64, copy=False)
 
 
-def distance_matrix(g: LabeledGraph, sources: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Unweighted distances from each of ``sources`` (default: every
-    vertex, in order) to every vertex, as float64; ``inf`` between
-    components.
+def _level_walk(g: LabeledGraph, rows: np.ndarray, dist: np.ndarray):
+    """Fill ``dist`` (rows.size * n cells, all -1) with the distance of
+    each (row, vertex) cell, coded row * n + vertex, from the vertex
+    ``rows[row]``, one breadth-first level at a time; unreached cells
+    stay -1.
 
-    One level-synchronous breadth-first walk runs over all (row, vertex)
-    pairs at once, each coded row * n + vertex.  The dart targets are
-    sorted by source once, so the darts of v are one run; a level
-    expands each frontier pair (row, v) into the run of v, and its work
-    is the frontier's degree sum, whatever the largest degree.  A
-    level's candidates are deduplicated without sorting: each writes its
-    own negative stamp into its cell, and the ones whose stamp survived
-    are the distinct new pairs.  A row meets each vertex at most once as
-    a frontier pair, so a level holds at most rows * dart_count stamps.
-
-    Raises
-    ------
-    InvalidInputError
-        If a source is not a vertex (negative indices included), before
-        any distance is computed.
+    After level k it yields k, the entries that the cells reached by the
+    frontier's darts held before the level (k - 1, k - 2, or -1 for a new
+    cell), and by how many the darts that reached new cells outnumber
+    those cells.  The dart targets are sorted by source once, so
+    the darts of v are one run; a level expands each frontier pair
+    (row, v) into the run of v, and its work is the frontier's degree
+    sum, whatever the largest degree.  A level's candidates are
+    deduplicated without sorting: each writes its own negative stamp into
+    its cell, and the ones whose stamp survived are the distinct new
+    pairs.
     """
     n = g.vertex_count
-    rows = source_rows(g, sources)
     src, dst = dart_endpoints(g)
     dst = dst[np.argsort(src, kind="stable")]
     degree = np.bincount(src, minlength=n)
     first = np.cumsum(degree) - degree
-    dist = np.full(rows.size * n, -1, dtype=_stamp_dtype(rows.size * g.dart_count))
     frontier = np.arange(rows.size, dtype=np.int64) * n + rows
     dist[frontier] = 0
     level = 0
@@ -513,12 +511,41 @@ def distance_matrix(g: LabeledGraph, sources: Optional[Sequence[int]] = None) ->
         darts += np.arange(darts.size)
         cand = np.repeat(frontier - v, d)
         cand += dst[darts]
-        cand = cand.compress(np.take(dist, cand) < 0)
+        earlier = np.take(dist, cand)
+        cand = cand.compress(earlier < 0)
         stamps = -1 - np.arange(cand.size, dtype=dist.dtype)
         dist[cand] = stamps
         frontier = cand.compress(np.take(dist, cand) == stamps)
         dist[frontier] = level
-    out = dist.reshape(rows.size, n).astype(np.float64)
+        yield level, earlier, cand.size - frontier.size
+
+
+def _walk_cells(g: LabeledGraph, rows: np.ndarray) -> np.ndarray:
+    """The -1-filled cells of :func:`_level_walk` from ``rows``.  A row
+    meets each vertex at most once as a frontier pair, so a level holds
+    at most rows * dart_count stamps."""
+    return np.full(rows.size * g.vertex_count, -1, dtype=_stamp_dtype(rows.size * g.dart_count))
+
+
+def distance_matrix(g: LabeledGraph, sources: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Unweighted distances from each of ``sources`` (default: every
+    vertex, in order) to every vertex, as float64; ``inf`` between
+    components.
+
+    One level-synchronous breadth-first walk (:func:`_level_walk`) runs
+    over all (row, vertex) pairs at once, to its last level.
+
+    Raises
+    ------
+    InvalidInputError
+        If a source is not a vertex (negative indices included), before
+        any distance is computed.
+    """
+    rows = source_rows(g, sources)
+    dist = _walk_cells(g, rows)
+    for _ in _level_walk(g, rows, dist):
+        pass
+    out = dist.reshape(rows.size, g.vertex_count).astype(np.float64)
     out[out < 0] = math.inf
     return out
 
@@ -534,9 +561,9 @@ def diameter(g: LabeledGraph, sources: Optional[Sequence[int]] = None) -> int:
     """
     if not g.is_connected:
         raise DisconnectedGraphError("diameter requires a connected graph")
-    rows = range(g.vertex_count) if sources is None else sources
+    rows = source_rows(g, sources)
     worst = 0
-    for k in range(0, len(rows), DIAMETER_BLOCK):
+    for k in range(0, rows.size, DIAMETER_BLOCK):
         worst = max(worst, int(distance_matrix(g, rows[k : k + DIAMETER_BLOCK]).max()))
     return worst
 
@@ -544,61 +571,37 @@ def diameter(g: LabeledGraph, sources: Optional[Sequence[int]] = None) -> int:
 def girth(g: LabeledGraph, sources: Optional[Sequence[int]] = None):
     """Length of a shortest cycle; ``math.inf`` for forests.
 
-    Loops count as 1-cycles and a parallel pair as a 2-cycle.  Uses a
-    truncated breadth-first search from every vertex of ``sources``
-    (default: every vertex); a search stops expanding once it can no
-    longer beat the best cycle found so far.  A search from a vertex of
-    a shortest cycle finds that cycle, so on a vertex-transitive graph
-    one source is exact; in general a subset of sources gives an upper
-    bound.  A source that is not a vertex raises
+    Loops count as 1-cycles and a parallel pair as a 2-cycle.  Otherwise
+    the level walk of :func:`distance_matrix` runs from ``sources``
+    (default: every vertex), ``DIAMETER_BLOCK`` of them at a time, so a
+    block holds that many rows of n cells.  With the frontier at level
+    k - 1, a dart that reaches a cell of level k - 1 closes a cycle of
+    length at most 2k - 1, and a new cell reached by two darts one of
+    length at most 2k (Itai and Rodeh 1978); a block stops at the first
+    level that can no longer close a shorter cycle.  A walk from a
+    vertex of a shortest cycle finds that cycle, so on a vertex-transitive
+    graph one source is exact; in general a subset of sources gives an
+    upper bound.  A source that is not a vertex raises
     :class:`InvalidInputError`, as in :func:`distance_matrix`.
     """
-    rows = source_rows(g, sources).tolist()
-    for d in range(0, g.dart_count, 2):
-        if g.dart_source(d) == g.dart_target(d):
-            return 1
-    seen_pairs = set()
-    for d in range(0, g.dart_count, 2):
-        key = (min(g.dart_source(d), g.dart_target(d)), max(g.dart_source(d), g.dart_target(d)))
-        if key in seen_pairs:
-            return 2
-        seen_pairs.add(key)
-
+    rows = source_rows(g, sources)
+    src, dst = dart_endpoints(g)
+    u, v = src[0::2], dst[0::2]
+    if np.any(u == v):
+        return 1
+    keys = np.sort(np.minimum(u, v) * g.vertex_count + np.maximum(u, v))
+    if np.any(keys[1:] == keys[:-1]):
+        return 2
     best = math.inf
-    n = g.vertex_count
-    dist = [-1] * n
-    entry = [-1] * n
-    for s in rows:
-        if best == 3:
-            break
-        touched = [s]
-        dist[s] = 0
-        entry[s] = -1
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            if 2 * dist[u] + 1 >= best:
+    for k in range(0, rows.size, DIAMETER_BLOCK):
+        block = rows[k : k + DIAMETER_BLOCK]
+        for level, earlier, twice in _level_walk(g, block, _walk_cells(g, block)):
+            if np.any(earlier == level - 1):
+                best = min(best, 2 * level - 1)
+            elif twice:
+                best = min(best, 2 * level)
+            if 2 * level + 1 >= best:
                 break
-            for d in g.out_darts(u):
-                if d == LabeledGraph.dart_reverse(entry[u]):
-                    continue
-                w = g.dart_target(d)
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    entry[w] = d
-                    queue.append(w)
-                    touched.append(w)
-                else:
-                    # closing a non-tree dart yields a closed walk, hence
-                    # an upper bound; minimizing over all sources is exact
-                    cand = dist[u] + dist[w] + 1
-                    if cand < best:
-                        best = cand
-        for v in touched:
-            dist[v] = -1
-            entry[v] = -1
     return best
 
 

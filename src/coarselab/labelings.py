@@ -444,7 +444,7 @@ class SmallCancellationReport:
         for ci, longest in enumerate(per_comp_max):
             if longest == 0:
                 continue
-            bound = math.inf if self.girths[ci] is math.inf else self.lambda_value * self.girths[ci]
+            bound = math.inf if math.isinf(self.girths[ci]) else self.lambda_value * self.girths[ci]
             if not longest < bound:
                 violations.append(
                     f"component {ci}: piece length {longest} not < lambda*girth = {bound}"
@@ -485,7 +485,7 @@ def check_small_cancellation(
     girths = tuple(girth(g) for g in fam.components) if girths is None else tuple(girths)
     if len(girths) != len(fam):
         raise InvalidInputError(f"{len(girths)} girths given for {len(fam)} components")
-    limits = [math.inf if gr is math.inf else math.ceil(lam * gr) for gr in girths]
+    limits = [math.inf if math.isinf(gr) else math.ceil(lam * gr) for gr in girths]
     return SmallCancellationReport(
         lambda_value=lam,
         girths=girths,
@@ -537,7 +537,7 @@ def random_labeling(
     alphabet = Alphabet.letters(alphabet_size)
     girths = tuple(girth(g) for g in fam.components)
     for ci, gr in enumerate(girths):
-        bound = math.inf if gr is math.inf else lam * gr
+        bound = math.inf if math.isinf(gr) else lam * gr
         if not bound > 1:
             raise InvalidInputError(
                 f"component {ci}: lambda*girth = {bound} is not > 1, no reduced "
@@ -628,34 +628,6 @@ def _component_relators(g: LabeledGraph) -> list[tuple[str, ...]]:
     return relators
 
 
-def _enumerate_simple_cycles(g: LabeledGraph) -> list[tuple[str, ...]]:
-    """Words of all simple closed paths, one direction and basepoint each."""
-    cycles = []
-    n = g.vertex_count
-    for root in range(n):
-        stack = [(root, [], {root})]
-        while stack:
-            u, darts, visited = stack.pop()
-            for d in g.out_darts(u):
-                if darts and d == LabeledGraph.dart_reverse(darts[-1]):
-                    continue
-                w = g.dart_target(d)
-                if w == root and darts:
-                    seq = darts + [d]
-                    # dedupe direction: keep the orientation whose first
-                    # dart id is smaller than the reverse reading's first
-                    rev_first = LabeledGraph.dart_reverse(seq[-1])
-                    if seq[0] <= rev_first:
-                        cycles.append(_word_of(g, seq))
-                elif w == root and not darts:
-                    # length-1 loop
-                    if d % 2 == 0:
-                        cycles.append((g.dart_label(d),))
-                elif w not in visited and w > root:
-                    stack.append((w, darts + [d], visited | {w}))
-    return cycles
-
-
 def _evaluate_word(
     table: FiniteGroupTable, assignment: dict[str, int], word: Sequence[str]
 ) -> int:
@@ -671,24 +643,16 @@ def _evaluate_word(
     return x
 
 
-def graphical_presentation(
-    fam: GraphFamily,
-    rank_cap: int = PRESENTATION_RANK_CAP,
-    quotients: Optional[Sequence[tuple[FiniteGroupTable, dict[str, int]]]] = None,
-) -> Presentation:
+def graphical_presentation(fam: GraphFamily, rank_cap: int = PRESENTATION_RANK_CAP) -> Presentation:
     """Presentation whose relators are the fundamental-cycle words of
     every component (BFS tree based at vertex 0).
 
     The normal closure of the fundamental cycles equals that of all
     closed paths, so nothing is lost by skipping the exponentially many
-    simple cycles.  As a cross-check, for components with at most 12
-    edges all simple closed paths are enumerated and, in every supplied
-    finite quotient that kills the basis relators, their words are
-    verified to die as well.
+    simple cycles.
     """
     alphabet = tuple(sorted({s for g in fam.components for s in g.alphabet}))
     relators: list[tuple[str, ...]] = []
-    per_component: list[list[tuple[str, ...]]] = []
     for ci, g in enumerate(fam.components):
         rank = g.edge_count - g.vertex_count + 1
         if rank > rank_cap:
@@ -696,27 +660,7 @@ def graphical_presentation(
                 f"component {ci} has cycle rank {rank}, above the cap {rank_cap}"
             )
         _out_maps(g)  # raises unless the labeling is reduced
-        rel = _component_relators(g)
-        per_component.append(rel)
-        relators.extend(rel)
-
-    if quotients:
-        for ci, g in enumerate(fam.components):
-            if g.edge_count > 12:
-                continue
-            cycle_words = _enumerate_simple_cycles(g)
-            for table, assignment in quotients:
-                if any(
-                    _evaluate_word(table, assignment, r) != table.identity
-                    for r in per_component[ci]
-                ):
-                    continue
-                for w in cycle_words:
-                    if _evaluate_word(table, assignment, w) != table.identity:
-                        raise VerificationError(
-                            f"simple closed path {w} escapes the normal closure "
-                            f"of the basis relators in a quotient of order {table.order}"
-                        )
+        relators.extend(_component_relators(g))
     return Presentation(alphabet=alphabet, relators=tuple(relators))
 
 

@@ -11,8 +11,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional, Sequence
 
-from coarselab.graph_core import LabeledGraph, build_graph
+from coarselab.graph_core import LabeledGraph, build_graph, source_rows
 
 
 def naive_bfs(n: int, adj: list[list[int]], source: int) -> list[int]:
@@ -914,6 +915,97 @@ def verify_covering(cm, deck_cap: int = DECK_ENUM_CAP) -> CoverVerification:
 
 
 # -- names the library no longer needs ---------------------------------------
+
+
+def truncated_girth(g: LabeledGraph, sources: Optional[Sequence[int]] = None):
+    """Length of a shortest cycle; ``math.inf`` for forests.  The
+    per-source Python search that ``graph_core.girth`` replaced with its
+    level walk, kept as the reference that walk is held against.
+
+    Loops count as 1-cycles and a parallel pair as a 2-cycle.  Uses a
+    truncated breadth-first search from every vertex of ``sources``
+    (default: every vertex); a search stops expanding once it can no
+    longer beat the best cycle found so far.  A search from a vertex of
+    a shortest cycle finds that cycle, so on a vertex-transitive graph
+    one source is exact; in general a subset of sources gives an upper
+    bound.  A source that is not a vertex raises
+    :class:`InvalidInputError`, as in :func:`distance_matrix`.
+    """
+    rows = source_rows(g, sources).tolist()
+    for d in range(0, g.dart_count, 2):
+        if g.dart_source(d) == g.dart_target(d):
+            return 1
+    seen_pairs = set()
+    for d in range(0, g.dart_count, 2):
+        key = (min(g.dart_source(d), g.dart_target(d)), max(g.dart_source(d), g.dart_target(d)))
+        if key in seen_pairs:
+            return 2
+        seen_pairs.add(key)
+
+    best = math.inf
+    n = g.vertex_count
+    dist = [-1] * n
+    entry = [-1] * n
+    for s in rows:
+        if best == 3:
+            break
+        touched = [s]
+        dist[s] = 0
+        entry[s] = -1
+        queue = [s]
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            if 2 * dist[u] + 1 >= best:
+                break
+            for d in g.out_darts(u):
+                if d == LabeledGraph.dart_reverse(entry[u]):
+                    continue
+                w = g.dart_target(d)
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    entry[w] = d
+                    queue.append(w)
+                    touched.append(w)
+                else:
+                    # closing a non-tree dart yields a closed walk, hence
+                    # an upper bound; minimizing over all sources is exact
+                    cand = dist[u] + dist[w] + 1
+                    if cand < best:
+                        best = cand
+        for v in touched:
+            dist[v] = -1
+            entry[v] = -1
+    return best
+
+
+def simple_cycle_words(g: LabeledGraph) -> list[tuple[str, ...]]:
+    """Words of all simple closed paths, one direction and basepoint each."""
+    cycles = []
+    n = g.vertex_count
+    for root in range(n):
+        stack = [(root, [], {root})]
+        while stack:
+            u, darts, visited = stack.pop()
+            for d in g.out_darts(u):
+                if darts and d == LabeledGraph.dart_reverse(darts[-1]):
+                    continue
+                w = g.dart_target(d)
+                if w == root and darts:
+                    seq = darts + [d]
+                    # dedupe direction: keep the orientation whose first
+                    # dart id is smaller than the reverse reading's first
+                    rev_first = LabeledGraph.dart_reverse(seq[-1])
+                    if seq[0] <= rev_first:
+                        cycles.append(tuple(g.dart_label(x) for x in seq))
+                elif w == root and not darts:
+                    # length-1 loop
+                    if d % 2 == 0:
+                        cycles.append((g.dart_label(d),))
+                elif w not in visited and w > root:
+                    stack.append((w, darts + [d], visited | {w}))
+    return cycles
 
 
 def bfs_distances(g: LabeledGraph, source: int) -> list[int]:

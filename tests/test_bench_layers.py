@@ -141,3 +141,23 @@ def test_cancellation_and_walls_layers_fire_on_small_steps(spans, tmp_path, caps
         "covers_walls.walls_from_cover.s",
     } <= set(wanted)
     assert [name for name in wanted if name not in fired] == []
+
+
+def test_girth_command_counts_only_the_distance_rows_of_diameter(spans, tmp_path, capsys):
+    # graph_core.distance_matrix.calls is a benchmark metric; girth walks
+    # the levels itself, so on C6 the one distance call is diameter's
+    from coarselab import cli
+    from coarselab.graph_core import build_graph
+    from coarselab.jsonio import serialize_graph
+
+    c6 = tmp_path / "c6.json"
+    c6.write_text(serialize_graph(build_graph(6, [(i, (i + 1) % 6) for i in range(6)])))
+    rec = spans.Recorder("girth")
+    restore = spans.install(rec)
+    try:
+        assert cli.main(["girth", str(c6), "--out", str(tmp_path / "girth.json")]) == 0
+    finally:
+        restore()
+    assert [s.name for s in rec.spans].count("graph_core.girth") == 1
+    (walk,) = [s for s in rec.spans if s.name == "graph_core.distance_matrix"]
+    assert rec.spans[walk.parent].name == "graph_core.diameter"

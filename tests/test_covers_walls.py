@@ -29,7 +29,16 @@ from coarselab.expander_zoo import cayley_graph, cyclic_group
 from coarselab.graph_core import GraphFamily, build_graph, distance_matrix, girth
 from coarselab.labelings import _out_maps, _pair_components
 
-from oracles import complete, multi_k4, naive_girth, petersen, prism, random_multigraph, verify_covering
+from oracles import (
+    complete,
+    multi_k4,
+    naive_girth,
+    petersen,
+    prism,
+    random_multigraph,
+    truncated_girth,
+    verify_covering,
+)
 
 
 def triangle():
@@ -180,7 +189,7 @@ class TestIteratedCover:
                 except CapExceededError:
                     break
                 value = girth(cm.cover)
-                assert cover_girth(cm) == value
+                assert cover_girth(cm) == value == truncated_girth(cm.cover)
                 seen.add((k, value))
         # both depths, and girths no parallel pair or loop decides
         assert {k for k, value in seen if value > 2} == {1, 2}

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -270,6 +271,36 @@ class TestGirth:
             girth(cycle(6), [6])
         with pytest.raises(InvalidInputError):
             girth(build_graph(2, [(0, 0), (0, 1)]), [2])
+
+    def test_sources_that_are_not_integers_are_rejected(self):
+        # 1.9 and True used to be truncated to vertex 1, and 4.5 on the
+        # triangle with a tail to vertex 4, whose bound is 7
+        p = path(5)
+        t = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+        for bad in ([1.9], [True], np.array([1.0]), ["1"], 0):
+            with pytest.raises(InvalidInputError):
+                distance_matrix(p, bad)
+            with pytest.raises(InvalidInputError):
+                diameter(p, bad)
+        with pytest.raises(InvalidInputError):
+            girth(t, [4.5])
+        # no source at all stays valid
+        assert distance_matrix(p, []).shape == (0, 5)
+        assert diameter(p, []) == 0 and girth(t, []) is math.inf
+        assert girth(t, np.array([], dtype=np.uint8)) is math.inf
+
+    def test_cycle_and_path_of_4200_vertices(self):
+        # every vertex a source, in blocks of DIAMETER_BLOCK; the
+        # per-source Python search took 11-12 s on each
+        def timed(g):
+            start = time.perf_counter()
+            value = girth(g)
+            assert time.perf_counter() - start < 6
+            return value
+
+        value = timed(cycle(4200))
+        assert value == 4200 and type(value) is int
+        assert timed(path(4200)) is math.inf
 
 
 class TestCheeger:

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from coarselab.covers_walls import CoveringMap, homology_cover, iterate_homology_cover
@@ -17,6 +18,7 @@ from coarselab.labelings import (
     Alphabet,
     Presentation,
     SmallCancellationReport,
+    _evaluate_word,
     _out_maps,
     _pair_components,
     _piece_analysis,
@@ -39,6 +41,7 @@ from oracles import (
     naive_word_starts,
     random_multigraph,
     random_reduced_family,
+    simple_cycle_words,
     verify_covering,
 )
 
@@ -537,6 +540,17 @@ def test_small_cancellation_girths_must_match_the_family():
         check_small_cancellation(fam, Fraction(1, 2), girths=(6, 6))
 
 
+def test_small_cancellation_reads_any_infinite_girth():
+    # a forest's girth may come in as any float infinity, not only the
+    # math.inf object that girth returns
+    fam = GraphFamily((build_graph(3, [(0, 1, "a"), (1, 2, "b")]),))
+    computed = check_small_cancellation(fam, "1/6")
+    for inf in (float("inf"), np.inf):
+        report = check_small_cancellation(fam, "1/6", girths=[inf])
+        assert report.passed == computed.passed
+        assert report.violations == computed.violations == ()
+
+
 def test_random_labeling_reports_failure_budget():
     cycle = build_graph(8, [(i, (i + 1) % 8) for i in range(8)])
     out = random_labeling(GraphFamily((cycle,)), 1, Fraction(3, 8), seed=1, max_attempts=4)
@@ -564,20 +578,14 @@ def test_presentation_theta():
     assert len(pres.relators) == 2
     for r in pres.relators:
         assert free_reduce(r) == r and len(r) == 2
-    # cross-check against a quotient where all three labels agree
+    # in Z/5 with a = b = c = 1 the relators die, and so does every
+    # simple closed path of the theta graph
     z5 = cyclic_group(5)
-    graphical_presentation(
-        GraphFamily((theta,)), quotients=[(z5, {"a": 1, "b": 1, "c": 1})]
-    )
-
-
-def test_presentation_quotient_crosscheck_skips_nonquotients():
-    # a quotient that does not kill the relators is skipped, not an error
-    theta = build_graph(2, [(0, 1, "a"), (0, 1, "b"), (0, 1, "c")])
-    z5 = cyclic_group(5)
-    graphical_presentation(
-        GraphFamily((theta,)), quotients=[(z5, {"a": 1, "b": 2, "c": 3})]
-    )
+    assignment = {"a": 1, "b": 1, "c": 1}
+    assert all(_evaluate_word(z5, assignment, r) == z5.identity for r in pres.relators)
+    cycles = simple_cycle_words(theta)
+    assert len(cycles) == 3
+    assert all(_evaluate_word(z5, assignment, w) == z5.identity for w in cycles)
 
 
 def test_presentation_cayley_z4_defines_group_of_order_4():

@@ -28,6 +28,7 @@ LIBRARY_ONLY = {
     "jsonio.group_document": "JSON documents for graphs, families, group tables",
     "jsonio.serialize_group_table": "JSON documents for graphs, families, group tables",
     "labelings.SurjectionReport": "cover surjection checks on finite quotients",
+    "labelings._evaluate_word": "cover surjection checks on finite quotients",
     "labelings.verify_cover_surjection": "cover surjection checks on finite quotients",
     "labelings.coset_enumeration_order": "presentation extraction with coset enumeration",
     "metric_diag.CosetConcentrationReport": "the coset-capture replay for 1-Lipschitz maps of wreath groups",

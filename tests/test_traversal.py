@@ -4,10 +4,19 @@ seeded random multigraphs with loops and parallel edges."""
 import math
 import random
 
-from coarselab.expander_zoo import is_bipartite
-from coarselab.graph_core import components, distance_matrix
+import pytest
 
-from oracles import bfs_distances, naive_is_bipartite, random_multigraph, scipy_components
+from coarselab import graph_core
+from coarselab.expander_zoo import is_bipartite
+from coarselab.graph_core import build_graph, components, distance_matrix, girth
+
+from oracles import (
+    bfs_distances,
+    naive_is_bipartite,
+    random_multigraph,
+    scipy_components,
+    truncated_girth,
+)
 
 
 def multigraphs(seed, count=40):
@@ -40,3 +49,25 @@ def test_is_bipartite_matches_brute_force_colorings():
         assert is_bipartite(g) == naive_is_bipartite(g)
     assert verdicts == {True, False}
 
+
+
+@pytest.mark.parametrize("block", [graph_core.DIAMETER_BLOCK, 3])
+def test_girth_matches_the_truncated_search_from_every_source_subset(monkeypatch, block):
+    # each draw as it comes (a loop or a parallel pair decides it) and
+    # its simple part; a block of 3 sources carries the best bound across
+    # blocks of one call
+    monkeypatch.setattr(graph_core, "DIAMETER_BLOCK", block)
+    seen = set()
+    for rng, g in multigraphs(4):
+        simple = {(min(u, v), max(u, v)) for u, v, _ in g.edges() if u != v}
+        for h in (g, build_graph(g.vertex_count, sorted(simple))):
+            order = list(range(h.vertex_count))
+            rng.shuffle(order)
+            for size in range(h.vertex_count + 1):
+                value = girth(h, order[:size])
+                assert value == truncated_girth(h, order[:size])
+                seen.add(value)
+    assert {1, 2, 3, 4, math.inf} <= seen and max(seen - {math.inf}) > 4
+    # a triangle with a 2-edge tail: from the tail's end only the bound 7
+    tail = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+    assert girth(tail, [4]) == truncated_girth(tail, [4]) == 7
