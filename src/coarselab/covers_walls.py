@@ -2,13 +2,15 @@
 and the exact Hilbert-space embedding of a wall space.
 
 The homology cover of a connected graph doubles along every independent
-cycle: a BFS spanning tree is fixed, the r = |E| - |V| + 1 non-tree
-edges index coordinates of (Z/2)^r, tree edges lift preserving the
-coordinate vector and non-tree edge i flips bit i.  Iterating the
-construction composes covering maps.  Walls of the cover are the edge
-fibers of base edges; each wall separates the cover into exactly two
-sides when the base is bridgeless, and counting separating walls gives
-a pseudo-metric with an exact half-integer embedding into l2.
+cycle: the r = |E| - |V| + 1 fundamental cycles of a BFS spanning tree
+index coordinates of (Z/2)^r, tree edges lift preserving the coordinate
+vector and non-tree edge i flips bit i.  Iterating the construction
+composes covering maps.  Walls of the cover are the edge fibers of base
+edges; each wall separates the cover into exactly two sides when the
+base is bridgeless.  The bridge test and the sides are read off the same
+cycle basis; :func:`validate_walls` re-derives the sides by search.
+Counting separating walls gives a pseudo-metric with an exact
+half-integer embedding into l2.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from .graph_core import (
     build_graph,
     components,
     dart_endpoints,
+    fundamental_cycles,
     girth,
     source_rows,
-    tree_path,
     xor_lift,
 )
 
@@ -40,25 +42,25 @@ from .graph_core import (
 COVER_VERTEX_CAP = 1 << 20
 
 
+def _cut_masks(g: LabeledGraph) -> list[int]:
+    """Bit i of entry e is set when edge e lies an odd number of times on
+    fundamental cycle i; Python ints, so any cycle rank fits."""
+    masks = [0] * g.edge_count
+    for i, (_, darts) in enumerate(fundamental_cycles(g)):
+        for d in darts:
+            masks[d >> 1] ^= 1 << i
+    return masks
+
+
 def is_two_connected(g: LabeledGraph) -> bool:
     """True iff the connected graph ``g`` has no bridge.
 
-    A connected graph is bridgeless iff every edge of a spanning tree
-    lies on the fundamental cycle of some non-tree edge; the tree edges
-    of that cycle are the symmetric difference of the tree paths to its
-    two ends.  A loop is never a bridge; one edge of a parallel pair is
-    not a bridge either, so the theta graph passes.
+    An edge is a bridge iff it lies on no cycle, iff its cut mask is 0,
+    since the fundamental cycles span the cycle space.  A loop is never a
+    bridge; one edge of a parallel pair is not a bridge either, so the
+    theta graph passes.
     """
-    if not g.is_connected:
-        raise DisconnectedGraphError("two-connectivity is defined for connected graphs")
-    parent = bfs_tree(g, 0)
-    tree = {d >> 1 for d in parent.values() if d >= 0}
-    covered = set()
-    for e, (u, v, _) in enumerate(g.edges()):
-        if e not in tree:
-            ends = [{d >> 1 for d in tree_path(g, parent, w)} for w in (u, v)]
-            covered |= ends[0] ^ ends[1]
-    return covered == tree
+    return all(_cut_masks(g))
 
 
 @dataclass(frozen=True)
@@ -92,51 +94,50 @@ def _locally_reduced(g: LabeledGraph) -> bool:
     return True
 
 
+def _xor_maps(cover_vertices: int, cover_darts: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex map v >> r and the dart map that sends edge fiber k
+    onto base edge k, of an XOR lift of rank r."""
+    darts = np.arange(cover_darts)
+    return np.arange(cover_vertices) >> r, (darts >> (r + 1) << 1) | (darts & 1)
+
+
 def homology_cover(g: LabeledGraph) -> CoveringMap:
     """The mod-2 homology covering of a connected graph.
 
     Cover vertex (v, x) is numbered v * 2^r + x, where x runs over
     (Z/2)^r and r counts non-tree edges of the BFS spanning tree rooted
     at vertex 0.  Non-tree edges are assigned bits in increasing edge
-    index order, which fixes the numbering completely.
+    index order, which fixes the numbering completely: cover edge
+    k * 2^r + x runs from (u_k, x) to (v_k, x XOR f_k), f_k the bit of
+    edge k (0 on the tree), the lift that :func:`xor_fiber_heads` checks.
     """
     if not g.is_connected:
         raise DisconnectedGraphError("homology cover needs a connected base")
-    n = g.vertex_count
-    tree_edges = {LabeledGraph.dart_edge(d) for d in bfs_tree(g, 0).values() if d >= 0}
-    bit_of_edge: dict[int, int] = {}
-    for k in range(g.edge_count):
-        if k not in tree_edges:
-            bit_of_edge[k] = len(bit_of_edge)
-    r = len(bit_of_edge)
-    if r != g.edge_count - n + 1:
+    non_tree = [k for k, _ in fundamental_cycles(g)]
+    r = len(non_tree)
+    if r != g.edge_count - g.vertex_count + 1:
         raise VerificationError("non-tree edge count disagrees with the cycle rank")
-    size = 1 << r
-    edges = []
-    for k in range(g.edge_count):
-        u = g.dart_source(2 * k)
-        v = g.dart_target(2 * k)
-        lab = g.dart_label(2 * k)
-        flip = 1 << bit_of_edge[k] if k in bit_of_edge else 0
-        for x in range(size):
-            edges.append((u * size + x, v * size + (x ^ flip), lab))
-    cover = build_graph(n * size, edges, alphabet=g.alphabet or None)
+    flips = np.zeros(g.edge_count, dtype=np.int64)
+    flips[non_tree] = 1 << np.arange(r)
+    lift = np.arange(g.edge_count << r)
+    k, x = lift >> r, lift & ((1 << r) - 1)
+    src, dst = dart_endpoints(g)
+    ends = (src[0::2][k] << r) | x, (dst[0::2][k] << r) | (x ^ flips[k])
+    labels = [lab for _, _, lab in g.edges() for _ in range(1 << r)]
+    edges = zip(ends[0].tolist(), ends[1].tolist(), labels)
+    cover = build_graph(g.vertex_count << r, edges, alphabet=g.alphabet or None)
     if not cover.is_connected:
         raise VerificationError("homology cover came out disconnected")
     if _locally_reduced(g):
         # a labeling induced from a reduced base labeling stays reduced
         if not _locally_reduced(cover):
             raise VerificationError("induced labeling on the cover is not reduced")
-    vertex_map = tuple(v >> r for v in range(cover.vertex_count))
-    dart_map = []
-    for big_k in range(cover.edge_count):
-        k = big_k // size
-        dart_map.extend((2 * k, 2 * k + 1))
+    vertex_map, dart_map = _xor_maps(cover.vertex_count, cover.dart_count, r)
     return CoveringMap(
         base=g,
         cover=cover,
-        vertex_map=vertex_map,
-        dart_map=tuple(dart_map),
+        vertex_map=tuple(vertex_map.tolist()),
+        dart_map=tuple(dart_map.tolist()),
         deck_rank=r,
         single_step=True,
     )
@@ -207,10 +208,10 @@ def xor_fiber_heads(cm: CoveringMap) -> np.ndarray:
         and np.array_equal(lift.base_dst, base_dst[0::2])
     ):
         raise VerificationError("a lifted edge is not its base edge with one flip per fiber")
-    if not np.array_equal(np.asarray(cm.vertex_map, dtype=np.int64), np.arange(cover.vertex_count) >> r):
+    vertex_map, dart_map = _xor_maps(cover.vertex_count, cover.dart_count, r)
+    if not np.array_equal(np.asarray(cm.vertex_map, dtype=np.int64), vertex_map):
         raise VerificationError("vertex map is not v >> deck_rank")
-    darts = np.arange(cover.dart_count)
-    if not np.array_equal(np.asarray(cm.dart_map, dtype=np.int64), (darts >> (r + 1) << 1) | (darts & 1)):
+    if not np.array_equal(np.asarray(cm.dart_map, dtype=np.int64), dart_map):
         raise VerificationError("dart map does not send edge fiber k onto base edge k")
     return lift.fiber_heads()
 
@@ -264,48 +265,48 @@ class WallDecomposition:
         return np.array(self.side_assignment, dtype=np.uint8)
 
 
-def _two_side_split(g: LabeledGraph, wall: frozenset[int]) -> tuple[int, ...]:
-    comp = components(g, wall)
-    k = max(comp) + 1
-    if k != 2:
-        raise VerificationError(
-            f"removing a wall must leave exactly two components, got {k}"
-        )
-    # side 0 is the component of vertex 0, for reproducibility
-    return tuple(comp)
-
-
 def walls_from_cover(cm: CoveringMap) -> WallDecomposition:
-    """One wall per base edge: its full edge fiber in the cover.
+    """One wall per base edge e: its full edge fiber in the cover.
 
-    The base must be bridgeless (2-connected in the edge sense); that
-    is what makes every fiber separate the cover into exactly two
-    pieces.  The sides are those pieces, and every wall edge is checked
-    to join them, which is all :func:`validate_walls` would add.
+    ``cm`` must pass :func:`xor_fiber_heads` (else VerificationError) and
+    its base must be bridgeless (else InvalidInputError).  With bit i of
+    the cut mask m_e set when e lies an odd number of times on fundamental
+    cycle i, cover vertex (v, x) lies on side [e is on the tree path to v]
+    XOR parity(x & m_e) of wall e, so (0, 0) is on side 0.  The side
+    changes along a lifted edge exactly when its base edge is e, which one
+    numpy check confirms for every wall (VerificationError if not).  Each
+    side is connected: the base minus e is connected, and the flips of the
+    cycles that avoid e span the index-2 stabilizer
+    {t : parity(t & m_e) = 0}, which is how far closed walks avoiding e
+    move x within a fiber.
     """
-    if not is_two_connected(cm.base):
+    base, cover, r = cm.base, cm.cover, cm.deck_rank
+    masks = _cut_masks(base)
+    if not all(masks):
         raise InvalidInputError("wall construction requires a bridgeless base graph")
-    cover = cm.cover
-    grouped: dict[int, set[int]] = {k: set() for k in range(cm.base.edge_count)}
-    for big_k in range(cover.edge_count):
-        grouped[cm.dart_map[2 * big_k] // 2].add(big_k)
-    walls = tuple(frozenset(grouped[k]) for k in range(cm.base.edge_count))
-    sides = tuple(_two_side_split(cover, wall) for wall in walls)
-    wall_of = np.asarray(cm.dart_map[::2], dtype=np.int64) >> 1
+    xor_fiber_heads(cm)
+    on_path = np.zeros((base.edge_count, base.vertex_count), dtype=np.uint8)
+    for v, d in bfs_tree(base, 0).items():  # parents first
+        if d >= 0:
+            on_path[:, v] = on_path[:, base.dart_source(d)]
+            on_path[d >> 1, v] ^= 1
+    parity = np.bitwise_count(np.array(masks, dtype=np.int64)[:, None] & np.arange(1 << r)) & 1
+    side = (on_path[:, :, None] ^ parity[:, None, :]).reshape(base.edge_count, cover.vertex_count)
     src, dst = dart_endpoints(cover)
-    side = np.array(sides, dtype=np.uint8).reshape(len(walls), cover.vertex_count)
-    if np.any(side[wall_of, src[::2]] == side[wall_of, dst[::2]]):
-        raise VerificationError("a wall edge does not join the two sides of its wall")
+    own_fiber = np.arange(cover.edge_count) >> r == np.arange(base.edge_count)[:, None]
+    if not np.array_equal(side[:, src[0::2]] != side[:, dst[0::2]], own_fiber):
+        raise VerificationError("the cover edges crossing a wall's sides are not its edge fiber")
     return WallDecomposition(
         vertex_count=cover.vertex_count,
         edge_count=cover.edge_count,
-        walls=walls,
-        side_assignment=sides,
+        walls=tuple(frozenset(range(k << r, (k + 1) << r)) for k in range(base.edge_count)),
+        side_assignment=tuple(map(tuple, side.tolist())),
     )
 
 
 def validate_walls(g: LabeledGraph, w: WallDecomposition) -> None:
-    """Check a wall decomposition against a graph; raises on any defect."""
+    """Check a wall decomposition against a graph by a breadth-first
+    search of each wall's complement; raises on any defect."""
     if w.vertex_count != g.vertex_count or w.edge_count != g.edge_count:
         raise InvalidInputError("wall decomposition sized for a different graph")
     seen: dict[int, int] = {}
@@ -322,27 +323,25 @@ def validate_walls(g: LabeledGraph, w: WallDecomposition) -> None:
         raise InvalidInputError("some edge lies in no wall")
     if len(w.side_assignment) != len(w.walls):
         raise InvalidInputError("one side assignment required per wall")
+    src, dst = dart_endpoints(g)
     for i, wall in enumerate(w.walls):
         sides = w.side_assignment[i]
         if len(sides) != g.vertex_count or any(s not in (0, 1) for s in sides):
             raise InvalidInputError(f"side assignment {i} is not a two-coloring")
-        comp = components(g, wall)
-        if max(comp) + 1 != 2:
+        comp = np.array(components(g, wall))
+        if comp.max() != 1:
             raise InvalidInputError(f"wall {i} does not split the graph into two components")
         # the two-coloring must be constant on components and split them
-        observed = {}
-        for v in range(g.vertex_count):
-            if comp[v] in observed:
-                if observed[comp[v]] != sides[v]:
-                    raise InvalidInputError(f"side assignment {i} cuts across a component")
-            else:
-                observed[comp[v]] = sides[v]
-        if observed[0] == observed[1]:
+        side = np.array(sides)
+        first = side[[0, np.argmax(comp)]]  # the side of each component's smallest vertex
+        if np.any(side != first[comp]):
+            raise InvalidInputError(f"side assignment {i} cuts across a component")
+        if first[0] == first[1]:
             raise InvalidInputError(f"side assignment {i} gives both components the same side")
-        for k in wall:
-            u, v = g.dart_source(2 * k), g.dart_target(2 * k)
-            if sides[u] == sides[v]:
-                raise InvalidInputError(f"edge {k} of wall {i} does not cross the wall")
+        edges = np.array(sorted(wall))
+        inside = side[src[2 * edges]] == side[dst[2 * edges]]
+        if np.any(inside):
+            raise InvalidInputError(f"edge {edges[np.argmax(inside)]} of wall {i} does not cross the wall")
 
 
 def wall_pseudometric(
@@ -370,10 +369,10 @@ def wall_pseudometric(
 def wall_hilbert_embedding(g: LabeledGraph, w: WallDecomposition, basepoint: int = 0) -> np.ndarray:
     """One coordinate per wall, +-1/2 according to the side relative to
     ``basepoint``; then ||F(x) - F(y)||^2 equals the wall distance
-    bit-exactly (half-integers are exact in binary floating point)."""
+    bit-exactly (half-integers are exact in binary floating point).
+    ``basepoint`` is checked as a source of ``distance_matrix``."""
     validate_walls(g, w)
-    if not (0 <= basepoint < g.vertex_count):
-        raise InvalidInputError("basepoint out of range")
-    sides = w.side_matrix()
+    (basepoint,) = source_rows(g, [basepoint])
+    sides = w.side_matrix().reshape(len(w.walls), g.vertex_count)
     rel = sides != sides[:, basepoint][:, None]
     return np.where(rel, 0.5, -0.5).T.astype(np.float64)

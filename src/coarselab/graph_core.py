@@ -346,6 +346,24 @@ def tree_path(g: LabeledGraph, parent: dict[int, int], v: int) -> list[int]:
     return path
 
 
+def fundamental_cycles(g: LabeledGraph) -> list[tuple[int, list[int]]]:
+    """The non-tree edges of ``bfs_tree(g, 0)`` of a connected ``g``, in
+    increasing order, each with the darts of its cycle: the tree path to
+    its first end, the edge, and the tree path back from its second end.
+    This basis of the cycle space is the one that covers, bridge tests,
+    walls and relators read."""
+    if not g.is_connected:
+        raise DisconnectedGraphError("fundamental cycles need a connected graph")
+    parent = bfs_tree(g, 0)
+    tree = {d >> 1 for d in parent.values() if d >= 0}
+    cycles = []
+    for k in range(g.edge_count):
+        if k not in tree:
+            back = [d ^ 1 for d in reversed(tree_path(g, parent, g._dst[2 * k]))]
+            cycles.append((k, tree_path(g, parent, g._src[2 * k]) + [2 * k] + back))
+    return cycles
+
+
 def components(g: LabeledGraph, removed: frozenset[int] = frozenset()) -> list[int]:
     """Component id of every vertex once the edges in ``removed`` are
     deleted; components are numbered in order of their smallest vertex."""
@@ -466,12 +484,16 @@ def source_rows(g: LabeledGraph, sources: Optional[Sequence[int]] = None) -> np.
     ------
     InvalidInputError
         If a source is not a vertex: negative, too large, or not an
-        integer (a float or a bool is refused, not truncated).
+        integer (a float or a bool, even among integers, is refused).
     """
     n = g.vertex_count
     rows = np.arange(n) if sources is None else np.asarray(sources)
+    # numpy casts a bool among integers to an integer, so look at the elements
     if rows.ndim != 1 or (
         rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n)
+    ) or (
+        not isinstance(sources, (np.ndarray, type(None)))
+        and any(isinstance(s, (bool, np.bool_)) for s in sources)
     ):
         raise InvalidInputError(f"distance sources must be vertices in [0, {n})")
     return rows.astype(np.int64, copy=False)

@@ -37,11 +37,10 @@ from .expander_zoo import FiniteGroupTable
 from .graph_core import (
     GraphFamily,
     LabeledGraph,
-    bfs_tree,
     build_graph,
+    fundamental_cycles,
     girth,
     inverse_label,
-    tree_path,
 )
 
 #: enumerate_pieces and check_small_cancellation refuse families with more
@@ -615,17 +614,7 @@ def _word_of(g: LabeledGraph, darts: Iterable[int]) -> tuple[str, ...]:
 
 def _component_relators(g: LabeledGraph) -> list[tuple[str, ...]]:
     """Fundamental-cycle relators of the BFS spanning tree rooted at 0."""
-    parent = bfs_tree(g, 0)
-    tree = {LabeledGraph.dart_edge(d) for d in parent.values() if d >= 0}
-    relators = []
-    for k in range(g.edge_count):
-        if k in tree:
-            continue
-        d = 2 * k
-        u, v = g.dart_source(d), g.dart_target(d)
-        back = [LabeledGraph.dart_reverse(x) for x in reversed(tree_path(g, parent, v))]
-        relators.append(free_reduce(_word_of(g, tree_path(g, parent, u) + [d] + back)))
-    return relators
+    return [free_reduce(_word_of(g, darts)) for _, darts in fundamental_cycles(g)]
 
 
 def _evaluate_word(

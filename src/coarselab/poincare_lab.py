@@ -29,7 +29,7 @@ kernel preconditions scale the margin by the magnitude of the kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -526,18 +526,7 @@ class RelativeInequalityReport:
     worst_sup_ratio: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "constant": self.constant,
-            "trials": self.trials,
-            "seed": self.seed,
-            "checked": self.checked,
-            "degenerate": self.degenerate,
-            "violations": self.violations,
-            "worst_ratio": self.worst_ratio,
-            "sup_ratio_violations": self.sup_ratio_violations,
-            "worst_sup_ratio": self.worst_sup_ratio,
-        }
+        return asdict(self)
 
 
 def check_replay(trials: int, seed: int) -> None:

@@ -917,6 +917,25 @@ def verify_covering(cm, deck_cap: int = DECK_ENUM_CAP) -> CoverVerification:
 # -- names the library no longer needs ---------------------------------------
 
 
+def searched_wall_sides(cm):
+    """The side matrix of the walls of a homology cover found by search,
+    as ``covers_walls.walls_from_cover`` found it before it read the sides
+    off the cut masks: wall k is the edge fiber of base edge k, and its
+    sides are the components of the cover without it, side 0 that of
+    vertex 0.  Kept as the reference the computed sides are held against."""
+    import numpy as np
+
+    from coarselab.graph_core import components
+
+    rows = []
+    for k in range(cm.base.edge_count):
+        wall = frozenset(e for e in range(cm.cover.edge_count) if cm.dart_map[2 * e] // 2 == k)
+        comp = components(cm.cover, wall)
+        assert max(comp) == 1, f"removing wall {k} leaves {max(comp) + 1} components"
+        rows.append(comp)
+    return np.array(rows, dtype=np.uint8).reshape(cm.base.edge_count, cm.cover.vertex_count)
+
+
 def truncated_girth(g: LabeledGraph, sources: Optional[Sequence[int]] = None):
     """Length of a shortest cycle; ``math.inf`` for forests.  The
     per-source Python search that ``graph_core.girth`` replaced with its

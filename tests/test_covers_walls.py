@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from coarselab import covers_walls, graph_core
 from coarselab.covers_walls import (
     CoveringMap,
     WallDecomposition,
@@ -26,7 +27,7 @@ from coarselab.errors import (
     VerificationError,
 )
 from coarselab.expander_zoo import cayley_graph, cyclic_group
-from coarselab.graph_core import GraphFamily, build_graph, distance_matrix, girth
+from coarselab.graph_core import GraphFamily, build_graph, components, distance_matrix, girth
 from coarselab.labelings import _out_maps, _pair_components
 
 from oracles import (
@@ -36,6 +37,7 @@ from oracles import (
     petersen,
     prism,
     random_multigraph,
+    searched_wall_sides,
     truncated_girth,
     verify_covering,
 )
@@ -65,6 +67,12 @@ class TestTwoConnected:
 
     def test_loop_is_not_a_bridge(self):
         assert is_two_connected(build_graph(1, [(0, 0)]))
+
+    def test_cycle_rank_beyond_64_bits(self):
+        # K13 has cycle rank 66, past any int64 cut mask
+        k13 = complete(13)
+        assert is_two_connected(k13)
+        assert not is_two_connected(build_graph(14, list(k13.edges()) + [(0, 13)]))
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
@@ -329,21 +337,58 @@ class TestWalls:
             walls_from_cover(cm)
 
     def test_cover_walls_pass_validation(self):
-        # bridgeless multigraphs, each with a loop and a doubled edge
+        # bridgeless multigraphs, each with a loop and a doubled edge: the
+        # computed sides are the searched ones
         rng = random.Random(74)
         checked = 0
-        while checked < 40:
+        while checked < 200:
             n = rng.randrange(1, 6)
             base = random_multigraph(rng, n, rng.randrange(n - 1, n + 4))
             if not base.is_connected or base.edge_count - n + 1 > 7 or not is_two_connected(base):
                 continue
             cm = homology_cover(base)
-            validate_walls(cm.cover, walls_from_cover(cm))
+            walls = walls_from_cover(cm)
+            assert np.array_equal(walls.side_matrix(), searched_wall_sides(cm))
+            validate_walls(cm.cover, walls)
             checked += 1
+
+    @pytest.mark.parametrize(
+        "base", [triangle(), theta(), k4(), complete(6), prism(6)],
+        ids=["triangle", "theta", "k4", "k6", "prism6"],
+    )
+    def test_sides_are_the_searched_sides(self, base):
+        cm = homology_cover(base)
+        assert np.array_equal(walls_from_cover(cm).side_matrix(), searched_wall_sides(cm))
+
+    def test_corrupt_cut_mask_fails_the_cut_check(self, monkeypatch):
+        # K4's masks are distinct and nonzero, so reversed they still pass
+        # the bridge test but put vertices on the wrong sides
+        cm = homology_cover(k4())
+        cut_masks = covers_walls._cut_masks
+        monkeypatch.setattr(covers_walls, "_cut_masks", lambda g: cut_masks(g)[::-1])
+        with pytest.raises(VerificationError, match="not its edge fiber"):
+            walls_from_cover(cm)
+
+    def test_walls_make_no_component_search(self, monkeypatch):
+        cm = homology_cover(complete(6))
+        calls = []
+
+        def counted(g, removed=frozenset()):
+            calls.append(len(removed))
+            return components(g, removed)
+
+        monkeypatch.setattr(covers_walls, "components", counted)
+        monkeypatch.setattr(graph_core, "components", counted)
+        walls = walls_from_cover(cm)
+        assert calls == []
+        # the independent guard still searches once per wall
+        validate_walls(cm.cover, walls)
+        assert calls == [1 << cm.deck_rank] * cm.base.edge_count
 
     def test_wall_edge_inside_one_side_rejected(self):
         # removing both edges leaves two vertices, but the loop joins a
-        # side to itself
+        # side to itself; the loop is no XOR lift of the base loop, so
+        # the lift check refuses the cover first
         cm = CoveringMap(
             base=build_graph(1, [(0, 0)]),
             cover=build_graph(2, [(0, 1), (0, 0)]),
@@ -351,7 +396,7 @@ class TestWalls:
             dart_map=(0, 1, 0, 1),
             deck_rank=1,
         )
-        with pytest.raises(VerificationError, match="does not join"):
+        with pytest.raises(VerificationError, match="not its base edge with one flip per fiber"):
             walls_from_cover(cm)
 
 
@@ -507,6 +552,14 @@ class TestXorDeckAction:
         for bad in ([-1], [6], [0, 9], np.array([-2]), [[0]]):
             with pytest.raises(InvalidInputError):
                 wall_pseudometric(cm.cover, w, bad)
+        # a bool basepoint used to index by mask, and 1.5 to raise IndexError
+        for bad in (True, np.bool_(False), 1.5, -1, 6):
+            with pytest.raises(InvalidInputError):
+                wall_hilbert_embedding(cm.cover, w, basepoint=bad)
+        assert np.array_equal(wall_hilbert_embedding(cm.cover, w, np.int64(2)), wall_hilbert_embedding(cm.cover, w, 2))
+        # a graph with no edge has no wall: one point in R^0
+        cm = homology_cover(build_graph(1, []))
+        assert wall_hilbert_embedding(cm.cover, walls_from_cover(cm)).shape == (1, 0)
 
     def test_rewired_lift_is_rejected(self):
         cm = homology_cover(prism(4))

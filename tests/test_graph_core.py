@@ -274,18 +274,21 @@ class TestGirth:
 
     def test_sources_that_are_not_integers_are_rejected(self):
         # 1.9 and True used to be truncated to vertex 1, and 4.5 on the
-        # triangle with a tail to vertex 4, whose bound is 7
+        # triangle with a tail to vertex 4, whose bound is 7; numpy casts
+        # a bool among integers to an integer, which read vertex 1 too
         p = path(5)
         t = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
-        for bad in ([1.9], [True], np.array([1.0]), ["1"], 0):
+        for bad in ([1.9], [True], np.array([1.0]), ["1"], 0, [0, True], (2, np.bool_(True))):
             with pytest.raises(InvalidInputError):
                 distance_matrix(p, bad)
             with pytest.raises(InvalidInputError):
                 diameter(p, bad)
         with pytest.raises(InvalidInputError):
             girth(t, [4.5])
-        # no source at all stays valid
+        # no source at all stays valid, and so do numpy integers
         assert distance_matrix(p, []).shape == (0, 5)
+        for good in (np.array([0, 1], dtype=np.uint8), [np.int64(0), 1]):
+            assert np.array_equal(distance_matrix(p, good), distance_matrix(p)[:2])
         assert diameter(p, []) == 0 and girth(t, []) is math.inf
         assert girth(t, np.array([], dtype=np.uint8)) is math.inf
 

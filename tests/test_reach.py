@@ -22,6 +22,7 @@ PACKAGE = ROOT / "src" / "coarselab"
 
 #: Names no command reaches, each with the README clause it serves.
 LIBRARY_ONLY = {
+    "covers_walls.is_two_connected": "the bridge test (`is_two_connected`",
     "expander_zoo.cyclic_group": "Finite group tables",
     "expander_zoo.symmetric_group": "Finite group tables",
     "graph_core.laplacian_lambda2": "the spectral gap (`laplacian_lambda2`",
