@@ -231,6 +231,8 @@ def iterate_homology_cover(g: LabeledGraph, k: int, vertex_cap: int = COVER_VERT
     """
     if k < 1:
         raise InvalidInputError("iteration count must be >= 1")
+    if vertex_cap < 0:
+        raise InvalidInputError(f"the vertex cap must be nonnegative, got {vertex_cap}")
     cm: Optional[CoveringMap] = None
     current = g
     for _ in range(k):

@@ -661,12 +661,16 @@ def cheeger_exact(g: LabeledGraph, cap: int = CHEEGER_ENUM_CAP) -> CheegerResult
 
     Raises
     ------
+    InvalidInputError
+        If ``cap`` is negative.
     CapExceededError
         If ``vertex_count > cap``.
     DisconnectedGraphError
         Disconnected graphs have h = 0 with any union of components as
         witness; that degenerate case is rejected instead.
     """
+    if cap < 0:
+        raise InvalidInputError(f"the vertex cap must be nonnegative, got {cap}")
     n = g.vertex_count
     if n > cap:
         raise CapExceededError(f"cheeger_exact enumerates 2^n cuts; n={n} exceeds cap={cap}")

@@ -9,7 +9,8 @@ label-preserving isomorphism between pointed components is determined
 by the image of the point, and "the same word readable from two
 essentially distinct starts" becomes a statement about pairs of
 inequivalent pointed vertices.  Piece enumeration therefore works on
-the product graph of simultaneous label moves between pointed starts.
+the graph of pointed pairs, the simultaneous label moves from two
+distinct starts (Stallings' pullback of the labeling with itself).
 Its components decide equivalence themselves: moves carry the pairs
 (x, phi(x)) of an isomorphism phi onto each other and back, so a
 component holds only equivalent or only inequivalent pairs, and it
@@ -18,12 +19,21 @@ labels and no start repeats in either coordinate (then x -> y is the
 isomorphism).  Of the inequivalent components, trees yield finite
 maximal pieces (their leaf-to-leaf paths) and components with a cycle
 yield arbitrarily long pieces.
+
+The small-cancellation verdict walks the pair components breadth-first
+one at a time and stops at the first that breaks the bound.  The pieces
+are read off the whole pair graph at once with numpy: every move from
+an out-table, components by root hooking, equivalence and tree shape by
+array reductions, the leaf-to-leaf words of every tree from a lockstep
+walk out of all leaves, and the occurrences of every word by following
+it from all starts at once.  Only cyclic components take the
+breadth-first walk, for one period.  A report checks its pieces against
+its verdict, so the two routes hold each other to account.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -111,15 +121,6 @@ def canonical_word(word: Sequence[str]) -> tuple[str, ...]:
     return min(w, word_inverse(w))
 
 
-def _is_subword(w: tuple[str, ...], big: tuple[str, ...]) -> bool:
-    for candidate in (big, word_inverse(big)):
-        if len(w) <= len(candidate):
-            for i in range(len(candidate) - len(w) + 1):
-                if candidate[i : i + len(w)] == w:
-                    return True
-    return False
-
-
 # -- reduced labelings -----------------------------------------------------
 
 
@@ -161,22 +162,6 @@ def _out_maps(g: LabeledGraph) -> list[dict[str, int]]:
     ]
 
 
-def follow_word(
-    g: LabeledGraph, start: int, word: Sequence[str], out_map: Optional[list[dict[str, int]]] = None
-) -> Optional[tuple[int, ...]]:
-    """Darts of the unique path reading ``word`` from ``start``, or None."""
-    maps = out_map if out_map is not None else _out_maps(g)
-    u = start
-    darts = []
-    for s in word:
-        d = maps[u].get(s)
-        if d is None:
-            return None
-        darts.append(d)
-        u = g.dart_target(d)
-    return tuple(darts)
-
-
 # -- pieces ----------------------------------------------------------------
 
 
@@ -203,6 +188,8 @@ class Piece:
 
 def _capped_out_maps(fam: GraphFamily, cap: int) -> list[list[dict[str, int]]]:
     """Out-maps of a reduced family within the dart cap."""
+    if cap < 0:
+        raise InvalidInputError(f"the dart cap must be nonnegative, got {cap}")
     total_darts = sum(g.dart_count for g in fam.components)
     if total_darts > cap:
         raise CapExceededError(
@@ -211,38 +198,11 @@ def _capped_out_maps(fam: GraphFamily, cap: int) -> list[list[dict[str, int]]]:
     return [_out_maps(g) for g in fam.components]
 
 
-#: a breadth-first tree of pair nodes: node -> (parent node, move label)
-_PairTree = dict[int, tuple[int, str]]
-
-
-def _pair_components(
+def _family_moves(
     fam: GraphFamily, maps: list[list[dict[str, int]]]
-) -> Iterator[tuple[tuple[int, int], _PairTree, Optional[tuple[int, str, int]], bool]]:
-    """Components of the graph of simultaneous label moves between
-    distinct pointed starts, each walked once and flagged when its pairs
-    are equivalent.
-
-    Pointed vertices are numbered across the family and the pair of
-    starts ``(a, b)`` is the node ``a * P + b``.  Nodes of distinct
-    starts sharing a label are tried as roots in increasing order, so a
-    component is entered at its smallest node, and walked breadth-first
-    taking moves in out-map order.  The mirror ``(b, a)`` of a walked
-    component reads the same words and is skipped.
-
-    Moves by common labels carry the pairs ``(x, phi(x))`` of a
-    label-preserving isomorphism ``phi`` onto each other and back, so a
-    component holds only equivalent or only inequivalent pairs.  It is
-    equivalent exactly when each pair's starts carry the same labels and
-    no start repeats in either coordinate (a uniform C_2n paired with C_n
-    repeats in one only): then ``x -> y`` is such an isomorphism.  Every
-    equivalent pair lies in a walked component or in its mirror.
-
-    Yields the graph components ``(ca, cb)`` the pair component touches,
-    its breadth-first tree as node -> (parent node, label of the move
-    from the parent), the root's parent being -1, the first move
-    ``(u, label, w)`` that closes a cycle, or None for a tree, and the
-    equivalence flag.
-    """
+) -> tuple[list[dict[str, int]], list[int]]:
+    """The moves of every pointed vertex, numbered across the family, as
+    label -> target in out-map order, and the component of each."""
     moves: list[dict[str, int]] = []
     comp: list[int] = []
     for ci, g in enumerate(fam.components):
@@ -250,6 +210,71 @@ def _pair_components(
         for v in range(g.vertex_count):
             moves.append({lab: offset + g.dart_target(d) for lab, d in maps[ci][v].items()})
             comp.append(ci)
+    return moves, comp
+
+
+#: a breadth-first tree of pair nodes: node -> (parent node, move label)
+_PairTree = dict[int, tuple[int, str]]
+
+
+def _walk_pair_component(
+    moves: list[dict[str, int]], root: int
+) -> tuple[_PairTree, Optional[tuple[int, str, int]], bool]:
+    """Breadth-first walk of the component of the pair node ``root``,
+    taking moves in out-map order.
+
+    The pair of starts ``(a, b)`` is the node ``a * P + b`` for ``P``
+    pointed vertices.  Returns the breadth-first tree as node -> (parent
+    node, label of the move from the parent), the root's parent being
+    -1; the first move ``(u, label, w)`` that closes a cycle, or None for
+    a tree; and whether the component's pairs are equivalent: each
+    pair's starts carry the same labels and no start repeats in either
+    coordinate (a uniform C_2n paired with C_n repeats in one only).
+    """
+    size = len(moves)
+    tree = {root: (-1, "")}
+    order = [root]
+    closing = None
+    same_labels = True
+    for u in order:
+        x, y = divmod(u, size)
+        same_labels = same_labels and moves[x].keys() == moves[y].keys()
+        # a second move between a node and its parent is met, as a
+        # cycle, while the parent is expanded, so every move back
+        # to the parent can be passed over
+        up = tree[u][0]
+        for lab, x2 in moves[x].items():
+            y2 = moves[y].get(lab)
+            if y2 is None:
+                continue
+            w = x2 * size + y2
+            if w in tree:
+                if w != up and closing is None:
+                    closing = (u, lab, w)
+                continue
+            tree[w] = (u, lab)
+            order.append(w)
+    firsts = {u // size for u in order}
+    seconds = {u % size for u in order}
+    return tree, closing, same_labels and len(firsts) == len(seconds) == len(order)
+
+
+def _pair_components(
+    fam: GraphFamily, maps: list[list[dict[str, int]]]
+) -> Iterator[tuple[tuple[int, int], _PairTree, Optional[tuple[int, str, int]], bool]]:
+    """Components of the graph of simultaneous label moves between
+    distinct pointed starts, each walked once by
+    :func:`_walk_pair_component`.
+
+    Nodes of distinct starts sharing a label are tried as roots in
+    increasing order, so a component is entered at its smallest node.
+    The mirror ``(b, a)`` of a walked component reads the same words and
+    is skipped.  Every equivalent pair lies in a walked component or in
+    its mirror.  Yields the graph components ``(ca, cb)`` the pair
+    component touches and the walk's tree, closing move and equivalence
+    flag.
+    """
+    moves, comp = _family_moves(fam, maps)
     size = len(moves)
     # a pair node shares a label, so its starts are holders of one label
     holders: dict[str, list[int]] = {}
@@ -262,36 +287,11 @@ def _pair_components(
             root = a * size + b
             if a == b or root in done:
                 continue
-            tree = {root: (-1, "")}
-            order = [root]
-            closing = None
-            same_labels = True
-            for u in order:
+            tree, closing, equivalent = _walk_pair_component(moves, root)
+            for u in tree:
                 x, y = divmod(u, size)
-                same_labels = same_labels and moves[x].keys() == moves[y].keys()
-                # a second move between a node and its parent is met, as a
-                # cycle, while the parent is expanded, so every move back
-                # to the parent can be passed over
-                up = tree[u][0]
-                for lab, x2 in moves[x].items():
-                    y2 = moves[y].get(lab)
-                    if y2 is None:
-                        continue
-                    w = x2 * size + y2
-                    if w in tree:
-                        if w != up and closing is None:
-                            closing = (u, lab, w)
-                        continue
-                    tree[w] = (u, lab)
-                    order.append(w)
-            firsts, seconds = set(), set()
-            for u in order:
-                x, y = divmod(u, size)
-                firsts.add(x)
-                seconds.add(y)
                 done.add(u)
                 done.add(y * size + x)
-            equivalent = same_labels and len(firsts) == len(seconds) == len(order)
             yield (comp[a], comp[b]), tree, closing, equivalent
 
 
@@ -327,79 +327,203 @@ def _legs(wx: tuple[str, ...], wy: tuple[str, ...]) -> tuple[tuple[str, ...], tu
     return wx[k:], wy[k:]
 
 
-def _piece_analysis(fam: GraphFamily, cap: int) -> tuple[list[Piece], list[float]]:
-    maps = _capped_out_maps(fam, cap)
-    first = [0]
-    for g in fam.components:
-        first.append(first[-1] + g.vertex_count)
-    # a class is named by its smallest start: every equivalent pair of
-    # distinct starts is walked, as itself or as its mirror
-    class_of = list(range(first[-1]))
-    per_comp_max: list[float] = [0] * len(fam.components)
-    finite_words: set[tuple[str, ...]] = set()
-    infinite_words: set[tuple[str, ...]] = set()
-    for touched, tree, closing, equivalent in _pair_components(fam, maps):
-        if equivalent:
-            for u in tree:
-                x, y = divmod(u, first[-1])
-                class_of[x] = min(class_of[x], y)
-                class_of[y] = min(class_of[y], x)
-            continue
-        if closing is not None:
-            # one period: down the tree to the closing move, across it,
-            # and back up to the last common node of its two ends
-            u, lab, w = closing
-            to_u, to_w = _legs(_root_word(tree, u), _root_word(tree, w))
-            infinite_words.add(canonical_word(to_u + (lab,) + word_inverse(to_w)))
-            best = math.inf
-        else:
-            children = Counter(up for up, _ in tree.values())
-            leaves = [
-                _root_word(tree, u) for u, (up, _) in tree.items() if children[u] + (up >= 0) == 1
-            ]
-            for i, x in enumerate(leaves):
-                for y in leaves[i + 1 :]:
-                    to_x, to_y = _legs(x, y)
-                    finite_words.add(canonical_word(word_inverse(to_x) + to_y))
-            best = _longest_path(tree)
-        for ci in touched:
-            per_comp_max[ci] = max(per_comp_max[ci], best)
+def _pair_darts(step: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The graph of pointed pairs of the out-table ``step`` (P + 1 rows,
+    the last one the sink): every label pairs every two distinct holders
+    x != y into the move (x, y) -> (step[x, l], step[y, l]).  Returns
+    the pair nodes as keys x * P + y in increasing order, and the source
+    node, target node and label of every move; a move back by the
+    inverse label makes every target a node."""
+    size = len(step) - 1
+    holders = [np.flatnonzero(column[:size] < size).astype(np.int32) for column in step.T]
+    x = np.concatenate([np.repeat(h, len(h)) for h in holders])
+    y = np.concatenate([np.tile(h, len(h)) for h in holders])
+    move = np.repeat(np.arange(len(holders), dtype=np.int32), [len(h) * len(h) for h in holders])
+    apart = x != y
+    x, y, move = x[apart], y[apart], move[apart]
+    nodes, src = np.unique(x.astype(np.int64) * size + y, return_inverse=True)
+    dst = np.searchsorted(nodes, step[x, move] * size + step[y, move])
+    index = np.promote_types(np.int32, np.min_scalar_type(len(nodes)))
+    return nodes, src.astype(index), dst.astype(index), move
 
-    # a word that is also a period is listed once, as infinite
-    keep = [
-        w
-        for w in finite_words - infinite_words
-        if not any(len(w) < len(other) and _is_subword(w, other) for other in finite_words)
-    ]
+
+def _component_roots(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """The smallest node of the component of every node of a graph on
+    ``n`` nodes with the given darts.
+
+    Each round hooks the larger of the two roots a dart joins onto the
+    smaller, then jumps every pointer to its root.  A node's pointer
+    never exceeds the node and stays in its component, so a settled root
+    is the component's smallest node; every root that meets another
+    hooks or is hooked, so the roots at least halve each round."""
+    root = np.arange(n, dtype=src.dtype)
+    while True:
+        a, b = root[src], root[dst]
+        apart = a != b
+        if not apart.any():
+            return root
+        np.minimum.at(root, a[apart], b[apart])
+        np.minimum.at(root, b[apart], a[apart])
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+
+
+def _leaf_paths(
+    src: np.ndarray, dst: np.ndarray, move: np.ndarray, trees: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The leaf-to-leaf paths of the tree components marked in ``trees``,
+    walked in lockstep from every leaf at once.
+
+    A state is a start leaf, a node, the node it came from and the labels
+    read so far, and each step extends it by every move but the one
+    back.  Yields, for each length k that some path has, the end nodes
+    of the paths of length k, each leaf pair once (from its smaller
+    leaf), and their label rows."""
+    in_trees = trees[src]
+    src, dst, move = src[in_trees], dst[in_trees], move[in_trees]
+    out_degree = np.bincount(src, minlength=len(trees))
+    by_source = np.argsort(src, kind="stable")
+    out_start = np.cumsum(out_degree) - out_degree
+    heads, labels = dst[by_source], move[by_source]
+    leaf = out_degree == 1
+    node = np.flatnonzero(trees & leaf)
+    origin, prev, words = node, np.full(len(node), -1), np.empty((len(node), 0), dtype=move.dtype)
+    while len(node):
+        count = out_degree[node]
+        parent = np.repeat(np.arange(len(node)), count)
+        dart = np.repeat(out_start[node] - (np.cumsum(count) - count), count) + np.arange(len(parent))
+        forward = heads[dart] != prev[parent]
+        parent, dart = parent[forward], dart[forward]
+        reached, start = heads[dart], origin[parent]
+        words = np.column_stack((words[parent], labels[dart]))
+        ends = leaf[reached]
+        done = ends & (start < reached)
+        if done.any():
+            yield words.shape[1], reached[done], words[done]
+        going = ~ends
+        origin, prev, node, words = start[going], node[parent[going]], reached[going], words[going]
+
+
+def _piece_analysis(fam: GraphFamily, cap: int) -> tuple[list[Piece], list[float]]:
+    """Pieces and the longest piece meeting each component, read in bulk
+    off the graph of pointed pairs.
+
+    Pointed vertices are numbered across the family, P of them, in an
+    out-table ``step`` of (vertex, signed label) -> target, the sink row
+    P for no move.  The pair nodes (:func:`_pair_darts`) are numbered in
+    the order of their keys x * P + y and split into components by root
+    hooking.  A component is read when its smallest node is at most its
+    mirror's (the same starts swapped, reading the same words) and its
+    pairs are inequivalent; equivalent components only name the classes
+    of starts.  A component with as many darts as a tree, 2 * (nodes -
+    1), gives its leaf-to-leaf words (:func:`_leaf_paths`), the last of
+    which is its longest path.  Only cyclic components take the
+    breadth-first walk, from their smallest node, for one period.  Every
+    word is then followed from all starts at once, and the smallest
+    start of each class it is readable from is its occurrence there.
+    """
+    maps = _capped_out_maps(fam, cap)
+    moves, comp = _family_moves(fam, maps)
+    size = len(moves)
+    comp_of = np.array(comp)
+    local = np.arange(size) - np.cumsum([0] + [g.vertex_count for g in fam.components])[comp_of]
+    labels = sorted({lab for m in moves for lab in m})
+    column = {lab: c for c, lab in enumerate(labels)}
+    step = np.full((size + 1, len(labels)), size, dtype=np.int64)
+    dart_of = np.full((size + 1, len(labels)), -1, dtype=np.int64)
+    outs = [out for per in maps for out in per]
+    for p, out in enumerate(outs):
+        for lab, d in out.items():
+            step[p, column[lab]] = moves[p][lab]
+            dart_of[p, column[lab]] = d
+    per_comp_max: list[float] = [0] * len(fam)
+    if not (np.count_nonzero(step[:size] < size, axis=0) > 1).any():
+        # no two starts share a label, so there is no pair node
+        return [], per_comp_max
+
+    nodes, src, dst, move = _pair_darts(step)
+    n = len(nodes)
+    nx, ny = np.divmod(nodes, size)
+    root = _component_roots(src, dst, n)
+    kept = root <= root[np.searchsorted(nodes, ny * size + nx)]
+    # a component is equivalent when every pair's starts carry the same
+    # labels and no start repeats in either coordinate
+    signature: dict[frozenset, int] = {}
+    carried = np.array([signature.setdefault(frozenset(m), len(signature)) for m in moves])
+    inequivalent = np.zeros(n, dtype=bool)
+    inequivalent[root[carried[nx] != carried[ny]]] = True
+    for coord in (nx, ny):
+        keys = np.sort(coord * n + root)
+        inequivalent[keys[1:][keys[1:] == keys[:-1]] % n] = True
+    # a class is named by its smallest start
+    class_of = np.arange(size)
+    same = ~inequivalent[root]
+    np.minimum.at(class_of, nx[same], ny[same])
+    read = kept & inequivalent[root]
+    is_tree = np.bincount(root[src], minlength=n) == 2 * (np.bincount(root, minlength=n) - 1)
+
+    infinite_words: set[tuple[str, ...]] = set()
+    cyclic = np.flatnonzero(read & ~is_tree & (root == np.arange(n)))
+    for r in cyclic.tolist():
+        # one period: down the tree to the closing move, across it, and
+        # back up to the last common node of its two ends
+        tree, (u, lab, w), _ = _walk_pair_component(moves, int(nodes[r]))
+        to_u, to_w = _legs(_root_word(tree, u), _root_word(tree, w))
+        infinite_words.add(canonical_word(to_u + (lab,) + word_inverse(to_w)))
+    finite_words: set[tuple[str, ...]] = set()
+    longest = np.zeros(len(fam))
+    # the paths come in increasing length, so the last length set is the longest
+    for k, ends, rows in _leaf_paths(src, dst, move, read & is_tree[root]):
+        longest[comp_of[nx[ends]]] = longest[comp_of[ny[ends]]] = k
+        finite_words.update(
+            canonical_word([labels[c] for c in row]) for row in np.unique(rows, axis=0).tolist()
+        )
+    longest[comp_of[nx[cyclic]]] = longest[comp_of[ny[cyclic]]] = math.inf
+    per_comp_max = [x if math.isinf(x) else int(x) for x in longest.tolist()]
+
+    # a word that is also a period is listed once, as infinite; a finite
+    # word inside a longer one, either way round, is not maximal
+    lengths = {len(w) for w in finite_words}
+    inside = {
+        form[i : i + k]
+        for other in finite_words
+        for form in (other, word_inverse(other))
+        for k in lengths
+        if k < len(other)
+        for i in range(len(other) - k + 1)
+    }
+    keep = [w for w in finite_words - infinite_words if w not in inside]
 
     pieces = []
     for w in sorted(keep) + sorted(infinite_words):
-        infinite = w in infinite_words
-        starts_by_class: dict[int, tuple[int, int, tuple[int, ...]]] = {}
-        met = set()
-        for ci, g in enumerate(fam.components):
-            for v in range(g.vertex_count):
-                darts = follow_word(g, v, w, maps[ci])
-                if darts is None:
-                    continue
-                met.add(ci)
-                cls = class_of[first[ci] + v]
-                entry = (ci, v, darts)
-                if cls not in starts_by_class or entry < starts_by_class[cls]:
-                    starts_by_class[cls] = entry
-        if len(starts_by_class) < 2:
+        codes = [column[s] for s in w]
+        at = np.arange(size)
+        for c in codes:
+            at = step[at, c]
+        starts = np.flatnonzero(at < size)
+        _, firsts = np.unique(class_of[starts], return_index=True)
+        if len(firsts) < 2:
             raise VerificationError("piece word lost its inequivalent occurrences")
-        occs = tuple(
-            PieceOccurrence(component=ci, start=v, darts=darts)
-            for ci, v, darts in sorted(starts_by_class.values())
-        )
+        # the starts ascend, so each class's first is its smallest
+        reps = np.sort(starts[firsts])
+        at, walked = reps, []
+        for c in codes:
+            walked.append(dart_of[at, c])
+            at = step[at, c]
+        infinite_word = w in infinite_words
         pieces.append(
             Piece(
                 word=w,
-                length=math.inf if infinite else len(w),
-                occurrences=occs,
-                components=tuple(sorted(met)),
-                infinite=infinite,
+                length=math.inf if infinite_word else len(w),
+                occurrences=tuple(
+                    PieceOccurrence(component=comp[p], start=int(local[p]), darts=tuple(ds))
+                    for p, ds in zip(reps.tolist(), np.stack(walked, axis=1).tolist())
+                ),
+                components=tuple(np.unique(comp_of[starts]).tolist()),
+                infinite=infinite_word,
             )
         )
     pieces.sort(key=lambda p: (p.occurrences[0].component, p.occurrences[0].start, p.word))
@@ -471,10 +595,10 @@ def check_small_cancellation(
     """Check that every piece meeting a component is strictly shorter
     than lambda times that component's girth.
 
-    The verdict reads the pair walk behind the piece enumeration, one
-    component at a time, and stops at the first component with a cycle
-    or a path as long as lambda*girth; the pieces themselves are
-    enumerated only when the report's evidence is read.  Girths do not
+    The verdict walks the pair graph one component at a time and stops
+    at the first component with a cycle or a path as long as
+    lambda*girth; the pieces themselves are read in bulk only when the
+    report's evidence is read, and checked against the verdict.  Girths do not
     depend on the labels, so a caller that checks many labelings of one
     unlabeled family passes its component ``girths`` in once computed."""
     lam = Fraction(lam)
@@ -640,6 +764,8 @@ def graphical_presentation(fam: GraphFamily, rank_cap: int = PRESENTATION_RANK_C
     closed paths, so nothing is lost by skipping the exponentially many
     simple cycles.
     """
+    if rank_cap < 0:
+        raise InvalidInputError(f"the rank cap must be nonnegative, got {rank_cap}")
     alphabet = tuple(sorted({s for g in fam.components for s in g.alphabet}))
     relators: list[tuple[str, ...]] = []
     for ci, g in enumerate(fam.components):

@@ -173,6 +173,8 @@ def wreath_cayley(
     """
     if radius is not None and radius < 0:
         raise InvalidInputError(f"radius must be nonnegative, got {radius}")
+    if cap < 0:
+        raise InvalidInputError(f"the vertex cap must be nonnegative, got {cap}")
     if radius is None and W.order > cap:
         raise CapExceededError(
             f"full wreath Cayley graph has {W.order} vertices, above the cap {cap}"

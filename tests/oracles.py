@@ -384,6 +384,121 @@ def naive_word_starts(fam, word) -> list:
     return hits
 
 
+def follow_word(g, start, word):
+    """Darts of the unique path reading ``word`` from ``start`` in a
+    reduced labeling, or None."""
+    u = start
+    darts = []
+    for s in word:
+        d = next((d for d in g.out_darts(u) if g.dart_label(d) == s), None)
+        if d is None:
+            return None
+        darts.append(d)
+        u = g.dart_target(d)
+    return tuple(darts)
+
+
+def walked_pieces(fam, cap):
+    """Pieces and per-component longest piece from the breadth-first walk
+    of every pair component, one dict step at a time: the leaf-to-leaf
+    words of every tree read off its root words, one period per cyclic
+    component, maximality by a scan over every pair of words, and each
+    word followed from each start in turn."""
+    from collections import Counter
+
+    from coarselab.errors import VerificationError
+    from coarselab.labelings import (
+        Piece,
+        PieceOccurrence,
+        _capped_out_maps,
+        _legs,
+        _longest_path,
+        _pair_components,
+        _root_word,
+        canonical_word,
+        word_inverse,
+    )
+
+    def is_subword(w, big):
+        for candidate in (big, word_inverse(big)):
+            if len(w) <= len(candidate):
+                for i in range(len(candidate) - len(w) + 1):
+                    if candidate[i : i + len(w)] == w:
+                        return True
+        return False
+
+    maps = _capped_out_maps(fam, cap)
+    first = [0]
+    for g in fam.components:
+        first.append(first[-1] + g.vertex_count)
+    class_of = list(range(first[-1]))
+    per_comp_max = [0] * len(fam.components)
+    finite_words: set = set()
+    infinite_words: set = set()
+    for touched, tree, closing, equivalent in _pair_components(fam, maps):
+        if equivalent:
+            for u in tree:
+                x, y = divmod(u, first[-1])
+                class_of[x] = min(class_of[x], y)
+                class_of[y] = min(class_of[y], x)
+            continue
+        if closing is not None:
+            u, lab, w = closing
+            to_u, to_w = _legs(_root_word(tree, u), _root_word(tree, w))
+            infinite_words.add(canonical_word(to_u + (lab,) + word_inverse(to_w)))
+            best = math.inf
+        else:
+            children = Counter(up for up, _ in tree.values())
+            leaves = [
+                _root_word(tree, u) for u, (up, _) in tree.items() if children[u] + (up >= 0) == 1
+            ]
+            for i, x in enumerate(leaves):
+                for y in leaves[i + 1 :]:
+                    to_x, to_y = _legs(x, y)
+                    finite_words.add(canonical_word(word_inverse(to_x) + to_y))
+            best = _longest_path(tree)
+        for ci in touched:
+            per_comp_max[ci] = max(per_comp_max[ci], best)
+
+    keep = [
+        w
+        for w in finite_words - infinite_words
+        if not any(len(w) < len(other) and is_subword(w, other) for other in finite_words)
+    ]
+    pieces = []
+    for w in sorted(keep) + sorted(infinite_words):
+        infinite = w in infinite_words
+        starts_by_class: dict = {}
+        met = set()
+        for ci, g in enumerate(fam.components):
+            for v in range(g.vertex_count):
+                darts = follow_word(g, v, w)
+                if darts is None:
+                    continue
+                met.add(ci)
+                cls = class_of[first[ci] + v]
+                entry = (ci, v, darts)
+                if cls not in starts_by_class or entry < starts_by_class[cls]:
+                    starts_by_class[cls] = entry
+        if len(starts_by_class) < 2:
+            raise VerificationError("piece word lost its inequivalent occurrences")
+        occs = tuple(
+            PieceOccurrence(component=ci, start=v, darts=darts)
+            for ci, v, darts in sorted(starts_by_class.values())
+        )
+        pieces.append(
+            Piece(
+                word=w,
+                length=math.inf if infinite else len(w),
+                occurrences=occs,
+                components=tuple(sorted(met)),
+                infinite=infinite,
+            )
+        )
+    pieces.sort(key=lambda p: (p.occurrences[0].component, p.occurrences[0].start, p.word))
+    return pieces, per_comp_max
+
+
 def random_reduced_family(rng, max_components=2):
     """Random small connected graphs with a random reduced labeling over
     an alphabet of at most two symbols; used for oracle comparisons."""

@@ -632,6 +632,31 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "command, flag, at_zero",
+        [
+            ("cheeger", "--cap", 3),
+            ("cover", "--vertex-cap", 3),
+            ("pieces", "--cap", 3),
+            ("present", "--rank-cap", 0),
+            ("wreath", "--cap", 3),
+        ],
+    )
+    def test_a_negative_cap_is_invalid_input(self, capsys, tmp_path, command, flag, at_zero):
+        # a cap counts vertices, darts or cycle rank, so -1 is refused as
+        # input before any work, while 0 is a cap like any other
+        path = tmp_path / "path.json"
+        path.write_text(serialize_graph(build_graph(3, [(0, 1, "a"), (1, 2, "b")])))
+        z3 = z3_file(tmp_path)
+        inputs = ["--q-table", z3, "--b-table", z3, "--proj", "0,1,2"] if command == "wreath" else [str(path)]
+        code = cli.main([command, *inputs, flag, "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("error: the ")
+        assert "cap must be nonnegative, got -1" in captured.err
+        assert cli.main([command, *inputs, flag, "0", "--out", "-"]) == at_zero
+        capsys.readouterr()
+
     def test_exit_codes_map_error_classes(self, capsys, tmp_path, monkeypatch):
         table = {
             InvalidInputError: 2,

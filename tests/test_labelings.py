@@ -8,10 +8,11 @@ from random import Random
 import numpy as np
 import pytest
 
+import coarselab.labelings as labelings
 from coarselab.covers_walls import CoveringMap, homology_cover, iterate_homology_cover
 from coarselab.errors import CapExceededError, InvalidInputError, VerificationError
 from coarselab.expander_zoo import FiniteGroupTable, cayley_graph, cyclic_group
-from coarselab.graph_core import GraphFamily, build_graph, girth, split_components
+from coarselab.graph_core import GraphFamily, build_graph, girth, inverse_label, split_components
 from coarselab.labelings import (
     LABEL_BATCH,
     PIECE_DART_CAP,
@@ -27,7 +28,6 @@ from coarselab.labelings import (
     check_small_cancellation,
     coset_enumeration_order,
     enumerate_pieces,
-    follow_word,
     free_reduce,
     graphical_presentation,
     random_labeling,
@@ -35,6 +35,7 @@ from coarselab.labelings import (
     word_inverse,
 )
 from oracles import (
+    follow_word,
     naive_piece_summary,
     naive_pointed_classes,
     naive_pointed_equivalent,
@@ -43,7 +44,9 @@ from oracles import (
     random_reduced_family,
     simple_cycle_words,
     verify_covering,
+    walked_pieces,
 )
+from test_golden_artifacts import HASH_SENSITIVE_EDGES, LABELED_EDGES
 
 
 def labeled_cycle(word):
@@ -227,8 +230,8 @@ def test_pair_walk_verdict_matches_piece_enumeration():
         lams = [Fraction(rng.randrange(1, 2 * gr + 1), gr) for gr in finite[:1]]
         lams.append(Fraction(rng.randrange(1, 12), rng.randrange(1, 8)))
         _, per_comp_max = _piece_analysis(fam, PIECE_DART_CAP)
-        # the verdict and the enumeration read one pair walk, so small
-        # families are also held against the independent oracle
+        # the verdict walks the pair graph and the enumeration reads it in
+        # bulk; small families are also held against the independent oracle
         references = [per_comp_max]
         if sum(g.edge_count for g in fam.components) <= 10:
             references.append(naive_piece_summary(fam)["per_comp_max"])
@@ -409,6 +412,160 @@ def test_symmetric_pieces_agree_with_naive_oracle(index):
     _assert_pieces_match_oracle(_symmetric_families()[index])
 
 
+def _reduced_labeling(g, symbols, rng):
+    """A seeded reduced labeling of ``g``: each edge in turn takes a
+    random symbol and orientation that no dart at either end carries yet,
+    and the draw starts over when some edge has none left."""
+    while True:
+        carried = [set() for _ in range(g.vertex_count)]
+        edges = []
+        for u, v, _ in g.edges():
+            options = [
+                (a, b, s)
+                for s in symbols
+                for a, b in ((u, v), (v, u))
+                if s not in carried[a] and inverse_label(s) not in carried[b]
+            ]
+            if not options:
+                break
+            a, b, s = rng.choice(options)
+            carried[a].add(s)
+            carried[b].add(inverse_label(s))
+            edges.append((a, b, s))
+        else:
+            return build_graph(g.vertex_count, edges, alphabet=symbols)
+
+
+def _cyclic_word(rng, length):
+    """A uniformly drawn cyclically reduced word over a, b, c."""
+    symbols = [s for x in "abc" for s in (x, inverse_label(x))]
+    while True:
+        word = [rng.choice(symbols)]
+        while len(word) < length:
+            s = rng.choice(symbols)
+            if s != inverse_label(word[-1]):
+                word.append(s)
+        if word[0] != inverse_label(word[-1]):
+            return word
+
+
+def _labeled_cycles(seed, count, length):
+    """``count`` cycles of ``length`` reading seeded cyclically reduced
+    words over three symbols."""
+    rng = Random(seed)
+    return GraphFamily(
+        tuple(
+            build_graph(length, [(i, (i + 1) % length, s) for i, s in enumerate(_cyclic_word(rng, length))])
+            for _ in range(count)
+        )
+    )
+
+
+def _complete(n):
+    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def _cover_labelings():
+    """Seeded reduced labelings of the K4 homology cover over three
+    symbols and of K6 over six and eight, whose pair nodes carry three or
+    more common labels.  (The K6 homology cover has 30,720 darts, fifteen
+    times the dart cap.)"""
+    k4_cover = homology_cover(_complete(4)).cover
+    families = []
+    for seed in range(4):
+        families.append(GraphFamily((_reduced_labeling(k4_cover, "abc", Random(seed)),)))
+        for symbols in ("abcdef", "abcdefgh"):
+            families.append(GraphFamily((_reduced_labeling(_complete(6), symbols, Random(seed)),)))
+    return families
+
+
+def _assert_bulk_equals_walk(fam, cap=PIECE_DART_CAP):
+    pieces, per_comp_max = _piece_analysis(fam, cap)
+    assert (pieces, per_comp_max) == walked_pieces(fam, cap)
+    assert all(type(x) is int or x == math.inf for x in per_comp_max)
+    for p in pieces:
+        assert all(type(v) is int for o in p.occurrences for v in (o.component, o.start, *o.darts))
+    return pieces
+
+
+def test_bulk_pieces_equal_the_walked_pieces_on_small_families():
+    rng = Random(1907)
+    for fam in [random_reduced_family(rng) for _ in range(200)] + _symmetric_families():
+        _assert_bulk_equals_walk(fam)
+
+
+def test_bulk_pieces_equal_the_walked_pieces_on_labeled_covers():
+    leaves = set()
+    for fam in _cover_labelings():
+        assert _assert_bulk_equals_walk(fam)
+        for _, tree, closing, equivalent in _pair_components(fam, [_out_maps(fam.components[0])]):
+            if closing is None and not equivalent:
+                ups = [up for up, _ in tree.values()]
+                leaves.add(sum(1 for u in tree if ups.count(u) + (tree[u][0] >= 0) == 1))
+    # trees with more than two leaves, whose leaf-to-leaf words branch
+    assert max(leaves) > 3
+
+
+@pytest.mark.parametrize("edges", [LABELED_EDGES, HASH_SENSITIVE_EDGES])
+def test_bulk_pieces_equal_the_walked_pieces_on_cyclic_components(edges):
+    fam = split_components(build_graph(max(max(u, v) for u, v, _ in edges) + 1, edges))
+    assert any(p.infinite for p in _assert_bulk_equals_walk(fam))
+
+
+def test_bulk_pieces_equal_the_walked_pieces_on_long_cycles():
+    _assert_bulk_equals_walk(_labeled_cycles(3, 8, 60))
+    # 10 x C100 has exactly the cap's 2,000 darts
+    near_cap = _labeled_cycles(4, 10, 100)
+    assert sum(g.dart_count for g in near_cap.components) == PIECE_DART_CAP
+    _assert_bulk_equals_walk(near_cap)
+
+
+def test_only_cyclic_components_take_the_breadth_first_walk(monkeypatch):
+    entered = []
+    inner = labelings._walk_pair_component
+
+    def counted(moves, root):
+        entered.append(root)
+        return inner(moves, root)
+
+    # on these cycles every inequivalent component is a tree
+    trees = _labeled_cycles(3, 8, 60)
+    cyclic = split_components(build_graph(7, LABELED_EDGES))
+    expected = [
+        tree for fam in (trees, cyclic)
+        for _, tree, closing, equivalent in _pair_components(fam, [_out_maps(g) for g in fam.components])
+        if closing is not None and not equivalent
+    ]
+    monkeypatch.setattr(labelings, "_walk_pair_component", counted)
+    assert not any(p.infinite for p in enumerate_pieces(trees))
+    assert entered == []
+    assert any(p.infinite for p in enumerate_pieces(cyclic))
+    assert sorted(entered) == sorted(min(tree) for tree in expected) and entered
+
+
+@pytest.mark.parametrize(
+    "comps, empty",
+    [
+        ((build_graph(1, []),), True),
+        ((build_graph(1, [(0, 0, "a")]),), True),
+        ((labeled_cycle("aaaaa"),), True),
+        ((build_graph(1, []), labeled_cycle("aaaa")), True),
+        ((build_graph(1, []), labeled_cycle("aab")), False),
+    ],
+    ids=["edgeless", "lone_loop", "uniform_cycle", "isolated_beside_uniform_cycle", "isolated_beside_cycle"],
+)
+def test_families_with_few_or_no_pair_nodes(comps, empty):
+    # no two starts share a label, or only equivalent ones do, or a start
+    # that carries no label sits beside the pairs
+    fam = GraphFamily(comps)
+    pieces = _assert_bulk_equals_walk(fam)
+    report = check_small_cancellation(fam, Fraction(1, 2))
+    assert report.pieces == tuple(pieces)
+    assert (pieces == []) == empty
+    if empty:
+        assert report.max_piece_length == (0,) * len(comps) and report.passed
+
+
 def test_lambda_monotonicity():
     rng = Random(77)
     ladder = [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1, 1)]
@@ -508,7 +665,6 @@ def test_random_labeling_stream_ignores_the_budget():
 def test_random_labeling_takes_the_girths_once(monkeypatch):
     # girths do not depend on the labels: the search computes them once per
     # component, while every reduced candidate still faces the checker
-    import coarselab.labelings as labelings
 
     cycle = build_graph(8, [(i, (i + 1) % 8) for i in range(8)])
     fam = GraphFamily((cycle, cycle, build_graph(5, [(i, (i + 1) % 5) for i in range(5)])))
