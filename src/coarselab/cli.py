@@ -28,19 +28,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import jsonio
-from .covers_walls import (
+from . import covers_walls, expander_zoo, jsonio, labelings, metric_diag, poincare_lab, wreath
+from .errors import (
     COVER_VERTEX_CAP,
-    cover_girth,
-    homology_cover,
-    iterate_homology_cover,
-    wall_pseudometric,
-    walls_from_cover,
-    xor_deck_gather,
-    xor_fiber_heads,
+    PIECE_DART_CAP,
+    PRESENTATION_RANK_CAP,
+    WREATH_VERTEX_CAP,
+    CapExceededError,
+    InvalidInputError,
+    VerificationError,
 )
-from .errors import CapExceededError, InvalidInputError, VerificationError
-from .expander_zoo import LpsParams, lps_graph, verify_lps
 from .graph_core import (
     CHEEGER_ENUM_CAP,
     GraphFamily,
@@ -53,16 +50,6 @@ from .graph_core import (
     girth,
     split_components,
 )
-from .labelings import (
-    PIECE_DART_CAP,
-    PRESENTATION_RANK_CAP,
-    enumerate_pieces,
-    graphical_presentation,
-    random_labeling,
-)
-from .metric_diag import ball_concentration, compression_moduli, is_weak_embedding
-from .poincare_lab import check_replay, relative_poincare_constant, verify_relative_inequality
-from .wreath import WREATH_VERTEX_CAP, WreathGroup, wreath_cayley
 
 THREADS_HELP = (
     "The environment variable COARSE_LAB_THREADS bounds internal "
@@ -84,6 +71,14 @@ def _read_source(path: str) -> bytes:
         raise InvalidInputError(f"cannot read {path}: {e.strerror}") from e
 
 
+def _write_artifact(path: str, artifact: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(artifact)
+    except OSError as e:
+        raise InvalidInputError(f"cannot write {path}: {e.strerror}") from e
+
+
 def _single_graph(args) -> LabeledGraph:
     parsed = jsonio.parse_graph(_read_source(args.input), strict=not args.lax)
     if isinstance(parsed, GraphFamily):
@@ -98,22 +93,22 @@ def _graph_family(args) -> GraphFamily:
     return split_components(parsed)
 
 
-def _wreath_group(args) -> WreathGroup:
+def _wreath_group(args) -> wreath.WreathGroup:
     q_table = jsonio.parse_group_table(_read_source(args.q_table), strict=not args.lax)
     b_table = jsonio.parse_group_table(_read_source(args.b_table), strict=not args.lax)
     try:
         proj = tuple(int(part) for part in args.proj.split(","))
     except ValueError as e:
         raise InvalidInputError(f"--proj must be a comma list of integers: {args.proj!r}") from e
-    return WreathGroup(Q=q_table, B=b_table, proj=proj)
+    return wreath.WreathGroup(Q=q_table, B=b_table, proj=proj)
 
 
 # -- subcommand handlers ------------------------------------------------------
 
 
 def _cmd_lps(args):
-    graph, group = lps_graph(args.p, args.q, allow_large=args.allow_large)
-    report = verify_lps(graph, LpsParams.validate(args.p, args.q), group)
+    graph, group = expander_zoo.lps_graph(args.p, args.q, allow_large=args.allow_large)
+    report = expander_zoo.verify_lps(graph, expander_zoo.LpsParams.validate(args.p, args.q), group)
     lines = [
         f"lps graph p={args.p} q={args.q}",
         f"vertices: {report.vertices}",
@@ -226,7 +221,7 @@ def _cmd_girth(args):
 
 def _cmd_cover(args):
     g = _single_graph(args)
-    cm = iterate_homology_cover(g, args.iterations, vertex_cap=args.vertex_cap)
+    cm = covers_walls.iterate_homology_cover(g, args.iterations, vertex_cap=args.vertex_cap)
     cm.cover.annotations["covering"] = {
         "base_vertices": cm.base.vertex_count,
         "deck_rank": cm.deck_rank,
@@ -238,15 +233,15 @@ def _cmd_cover(args):
         f"base: {cm.base.vertex_count} vertices, {cm.base.edge_count} edges",
         f"cover: {cm.cover.vertex_count} vertices, {cm.cover.edge_count} edges",
         f"deck rank: {cm.deck_rank} (fibers of size {2 ** cm.deck_rank})",
-        f"cover girth: {cover_girth(cm)}",
+        f"cover girth: {covers_walls.cover_girth(cm)}",
     ]
     return lines, jsonio.serialize_graph(cm.cover)
 
 
 def _cmd_walls(args):
     g = _single_graph(args)
-    cm = homology_cover(g)
-    walls = walls_from_cover(cm)
+    cm = covers_walls.homology_cover(g)
+    walls = covers_walls.walls_from_cover(cm)
     doc = {
         "format_version": jsonio.FORMAT_VERSION,
         "report": "walls",
@@ -300,10 +295,10 @@ def _pairs_from(lo: int, hi: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _cmd_wallmetric(args):
     g = _single_graph(args)
-    cm = homology_cover(g)
-    heads = xor_fiber_heads(cm)
-    walls = walls_from_cover(cm)
-    wall_rows = wall_pseudometric(cm.cover, walls, heads)
+    cm = covers_walls.homology_cover(g)
+    heads = covers_walls.xor_fiber_heads(cm)
+    walls = covers_walls.walls_from_cover(cm)
+    wall_rows = covers_walls.wall_pseudometric(cm.cover, walls, heads)
     # the cover is connected, so graph distances are integers below n
     graph_rows = distance_matrix(cm.cover, heads).astype(np.int64)
     n = cm.cover.vertex_count
@@ -316,8 +311,8 @@ def _cmd_wallmetric(args):
     block = math.isqrt(n)
     for lo in range(0, n, block):
         u, v = _pairs_from(lo, min(lo + block, n), n)
-        wall = xor_deck_gather(wall_rows, cm.deck_rank, u, v)
-        graph = xor_deck_gather(graph_rows, cm.deck_rank, u, v)
+        wall = covers_walls.xor_deck_gather(wall_rows, cm.deck_rank, u, v)
+        graph = covers_walls.xor_deck_gather(graph_rows, cm.deck_rank, u, v)
         if np.any(wall > graph):
             raise VerificationError("wall distance exceeds graph distance somewhere")
         chunks.append(
@@ -337,7 +332,7 @@ def _cmd_label(args):
         lam = Fraction(args.lam)
     except (ValueError, ZeroDivisionError) as e:
         raise InvalidInputError(f"--lambda must be a fraction like 1/6: {args.lam!r}") from e
-    outcome = random_labeling(
+    outcome = labelings.random_labeling(
         fam, args.alphabet, lam, args.seed, max_attempts=args.max_attempts
     )
     lines = [
@@ -367,7 +362,7 @@ def _cmd_label(args):
 
 def _cmd_pieces(args):
     fam = _graph_family(args)
-    pieces = enumerate_pieces(fam, cap=args.cap)
+    pieces = labelings.enumerate_pieces(fam, cap=args.cap)
     doc_pieces = []
     for p in pieces:
         doc_pieces.append(
@@ -397,7 +392,7 @@ def _cmd_pieces(args):
 
 def _cmd_present(args):
     fam = _graph_family(args)
-    pres = graphical_presentation(fam, rank_cap=args.rank_cap)
+    pres = labelings.graphical_presentation(fam, rank_cap=args.rank_cap)
     doc = {
         "format_version": jsonio.FORMAT_VERSION,
         "report": "presentation",
@@ -414,7 +409,7 @@ def _cmd_present(args):
 
 def _cmd_wreath(args):
     W = _wreath_group(args)
-    ball = wreath_cayley(W, radius=args.radius, cap=args.cap)
+    ball = wreath.wreath_cayley(W, radius=args.radius, cap=args.cap)
     lines = [
         f"wreath group order: {W.order} "
         f"(2^{W.Q.order} lamp configurations x {W.B.order} base elements)",
@@ -431,8 +426,8 @@ def _cmd_poincare(args):
         raise InvalidInputError("only the relative inequality is implemented; pass --relative")
     W = _wreath_group(args)
     if args.trials:
-        check_replay(args.trials, args.seed)
-    result = relative_poincare_constant(W)
+        poincare_lab.check_replay(args.trials, args.seed)
+    result = poincare_lab.relative_poincare_constant(W)
     doc = {
         "format_version": jsonio.FORMAT_VERSION,
         "report": "relative_poincare",
@@ -447,7 +442,7 @@ def _cmd_poincare(args):
         f"relative poincare constant: {_fmt(result.constant)}",
     ]
     if args.trials:
-        report = verify_relative_inequality(
+        report = poincare_lab.verify_relative_inequality(
             W, None, None, result.constant, trials=args.trials, seed=args.seed,
             witness=result.witness,
         )
@@ -466,7 +461,7 @@ def _cmd_poincare(args):
 
 def _cmd_weakembed(args):
     mf = jsonio.parse_map_family(_read_source(args.input), strict=not args.lax)
-    report = is_weak_embedding(mf, args.lipschitz)
+    report = metric_diag.is_weak_embedding(mf, args.lipschitz)
     doc = {
         "format_version": jsonio.FORMAT_VERSION,
         "report": "weak_embedding",
@@ -490,7 +485,7 @@ def _cmd_weakembed(args):
 
 def _cmd_moduli(args):
     mf = jsonio.parse_map_family(_read_source(args.input), strict=not args.lax)
-    report = compression_moduli(mf)
+    report = metric_diag.compression_moduli(mf)
     csv = report.to_csv()
     lines = [f"distance classes: {len(report.distances)}"] + csv.strip().split("\n")
     return lines, csv
@@ -498,7 +493,7 @@ def _cmd_moduli(args):
 
 def _cmd_concentrate(args):
     points = jsonio.parse_points(_read_source(args.input), strict=not args.lax)
-    count = ball_concentration(points, args.radius)
+    count = metric_diag.ball_concentration(points, args.radius)
     doc = {
         "format_version": jsonio.FORMAT_VERSION,
         "report": "ball_concentration",
@@ -718,6 +713,8 @@ def main(argv=None) -> int:
         parser.error("--trials is randomized and requires an explicit --seed")
     try:
         lines, artifact = args.handler(args)
+        if artifact is not None and args.out and args.out != "-":
+            _write_artifact(args.out, artifact)
     except InvalidInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -732,9 +729,6 @@ def main(argv=None) -> int:
             if artifact is not None:
                 sys.stdout.write(artifact)
         else:
-            if artifact is not None and args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(artifact)
             for line in lines:
                 print(line)
     except BrokenPipeError:

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    COVER_VERTEX_CAP,
     CapExceededError,
     DisconnectedGraphError,
     InvalidInputError,
@@ -37,9 +38,6 @@ from .graph_core import (
     source_rows,
     xor_lift,
 )
-
-#: Iterated covers refuse to build more vertices than this by default.
-COVER_VERTEX_CAP = 1 << 20
 
 
 def _cut_masks(g: LabeledGraph) -> list[int]:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types and default size caps shared across the package.
 
 Exit-code mapping used by the command line driver:
 
@@ -26,6 +26,20 @@ class CapExceededError(CoarseLabError):
     Callers can retry with a larger cap or switch to an approximate
     route where one exists.
     """
+
+
+#: Iterated covers refuse to build more vertices than this by default.
+COVER_VERTEX_CAP = 1 << 20
+
+#: enumerate_pieces and check_small_cancellation refuse families with more
+#: darts than this
+PIECE_DART_CAP = 2000
+
+#: graphical_presentation refuses components with larger cycle rank
+PRESENTATION_RANK_CAP = 64
+
+#: largest full Cayley graph wreath_cayley will materialize
+WREATH_VERTEX_CAP = 1 << 20
 
 
 class VerificationError(CoarseLabError):

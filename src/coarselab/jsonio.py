@@ -18,10 +18,9 @@ from typing import Union
 
 import numpy as np
 
+from . import expander_zoo, metric_diag
 from .errors import InvalidInputError
-from .expander_zoo import FiniteGroupTable
 from .graph_core import GraphFamily, LabeledGraph, base_symbol, build_graph
-from .metric_diag import MapEntry, MapFamily
 
 FORMAT_VERSION = "1"
 
@@ -224,7 +223,7 @@ def parse_graph(
 # -- group table documents ------------------------------------------------------
 
 
-def group_document(table: FiniteGroupTable) -> dict:
+def group_document(table: expander_zoo.FiniteGroupTable) -> dict:
     n = table.order
     return {
         "format_version": FORMAT_VERSION,
@@ -234,11 +233,11 @@ def group_document(table: FiniteGroupTable) -> dict:
     }
 
 
-def serialize_group_table(table: FiniteGroupTable) -> str:
+def serialize_group_table(table: expander_zoo.FiniteGroupTable) -> str:
     return _dumps(group_document(table))
 
 
-def parse_group_table(data: Union[bytes, str], strict: bool = True) -> FiniteGroupTable:
+def parse_group_table(data: Union[bytes, str], strict: bool = True) -> expander_zoo.FiniteGroupTable:
     obj = _object(_load(data), "document ")
     _fields(
         obj,
@@ -269,7 +268,7 @@ def parse_group_table(data: Union[bytes, str], strict: bool = True) -> FiniteGro
             or not all(isinstance(s, str) for s in names)
         ):
             raise InvalidInputError(f"field 'names' must be a list of {n} strings")
-    return FiniteGroupTable(mul, generators=gens, element_names=names)
+    return expander_zoo.FiniteGroupTable(mul, generators=gens, element_names=names)
 
 
 # -- map family documents ---------------------------------------------------------
@@ -300,7 +299,7 @@ def _space_from(obj, where: str, graph_key: str, array_key: str, strict: bool):
     return _matrix_from(obj[array_key], where)
 
 
-def map_family_document(mf: MapFamily) -> dict:
+def map_family_document(mf: metric_diag.MapFamily) -> dict:
     entries = []
     for entry in mf.entries:
         if isinstance(entry.source, LabeledGraph):
@@ -317,11 +316,11 @@ def map_family_document(mf: MapFamily) -> dict:
     return {"format_version": FORMAT_VERSION, "entries": entries}
 
 
-def serialize_map_family(mf: MapFamily) -> str:
+def serialize_map_family(mf: metric_diag.MapFamily) -> str:
     return _dumps(map_family_document(mf))
 
 
-def parse_map_family(data: Union[bytes, str], strict: bool = True) -> MapFamily:
+def parse_map_family(data: Union[bytes, str], strict: bool = True) -> metric_diag.MapFamily:
     obj = _object(_load(data), "document ")
     _fields(obj, "", required=("format_version", "entries"), optional=(), strict=strict)
     _check_version(obj, "")
@@ -340,10 +339,10 @@ def parse_map_family(data: Union[bytes, str], strict: bool = True) -> MapFamily:
             raise InvalidInputError(f"{ew}field 'mapping' must be a list")
         table = tuple(_int(x, f"{ew}mapping[{j}]: ", "mapping") for j, x in enumerate(mapping))
         try:
-            entries.append(MapEntry(source=source, target=target, mapping=table))
+            entries.append(metric_diag.MapEntry(source=source, target=target, mapping=table))
         except InvalidInputError as err:
             raise InvalidInputError(f"{ew}{err}") from err
-    return MapFamily(entries=tuple(entries))
+    return metric_diag.MapFamily(entries=tuple(entries))
 
 
 # -- point set documents ------------------------------------------------------------

@@ -37,13 +37,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .covers_walls import CoveringMap
+from .errors import PIECE_DART_CAP, PRESENTATION_RANK_CAP
 from .errors import CapExceededError, InvalidInputError, VerificationError
-from .expander_zoo import FiniteGroupTable
 from .graph_core import (
     GraphFamily,
     LabeledGraph,
@@ -53,12 +52,9 @@ from .graph_core import (
     inverse_label,
 )
 
-#: enumerate_pieces and check_small_cancellation refuse families with more
-#: darts than this
-PIECE_DART_CAP = 2000
-
-#: graphical_presentation refuses components with larger cycle rank
-PRESENTATION_RANK_CAP = 64
+if TYPE_CHECKING:
+    from .covers_walls import CoveringMap
+    from .expander_zoo import FiniteGroupTable
 
 #: random_labeling draws labels and orientations for this many attempts at
 #: once; whole batches are always drawn, so the stream ignores the budget

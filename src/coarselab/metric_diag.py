@@ -21,9 +21,9 @@ from typing import Union
 
 import numpy as np
 
+from . import poincare_lab
 from .errors import DisconnectedGraphError, InvalidInputError
 from .graph_core import LabeledGraph, distance_matrix
-from .poincare_lab import GroupFunction, _default_x, resolve_group, subset_indices
 
 #: Centers per block of distance rows read by ``ball_concentration``.
 BALL_BLOCK = 32
@@ -313,7 +313,7 @@ class CosetConcentrationReport:
 
 
 def coset_ball_replay(
-    group, x_set, f: GroupFunction, radius: float
+    group, x_set, f: poincare_lab.GroupFunction, radius: float
 ) -> CosetConcentrationReport:
     """For each group element x, count the coset points x y (y in X)
     whose images lie within ``radius`` of the image of x, and return the
@@ -323,8 +323,9 @@ def coset_ball_replay(
     Poincare constant, the averaging argument guarantees some x captures
     at least half its coset.
     """
-    table = resolve_group(group)
-    members = subset_indices(group, _default_x(group) if x_set is None else x_set)
+    table = poincare_lab.resolve_group(group)
+    x_set = poincare_lab._default_x(group) if x_set is None else x_set
+    members = poincare_lab.subset_indices(group, x_set)
     if not (radius >= 0):
         raise InvalidInputError("radius must be nonnegative")
     vals = f.values

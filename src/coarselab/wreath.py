@@ -20,12 +20,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CapExceededError, InvalidInputError, VerificationError
+from .errors import WREATH_VERTEX_CAP, CapExceededError, InvalidInputError, VerificationError
 from .expander_zoo import FiniteGroupTable, homomorphism_defect
 from .graph_core import LabeledGraph, build_graph
-
-#: largest full Cayley graph wreath_cayley will materialize
-WREATH_VERTEX_CAP = 1 << 20
 
 #: label of the lamp-flip generator
 DELTA_LABEL = "delta"

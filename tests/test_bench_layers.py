@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -37,8 +38,9 @@ def test_every_wrapped_layer_resolves(spans):
 
 def test_importing_the_cli_loads_every_wrapped_layer(spans):
     # spans.install imports coarselab.cli and then reads
-    # sys.modules["coarselab.<name>"] for each layer, so a module that
-    # the CLI imported lazily would fail the traced run with a KeyError
+    # sys.modules["coarselab.<name>"] for each layer, so every layer must
+    # be registered there, though importing the package executes none of
+    # them: a registered layer runs on its first attribute read
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     script = "import json, sys\nimport coarselab.cli\nprint(json.dumps(sorted(sys.modules)))\n"
@@ -48,6 +50,57 @@ def test_importing_the_cli_loads_every_wrapped_layer(spans):
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout))
     assert [m for m in spans.LAYERS if f"coarselab.{m}" not in loaded] == []
+
+
+def test_install_traces_layers_that_no_command_has_run_yet(tmp_path):
+    # every layer test above runs in the pytest process, where each module
+    # has long been executed; here the CLI is imported cold, so install
+    # and the traced commands are the first to read the lazy layers
+    from coarselab.graph_core import build_graph
+    from coarselab.jsonio import serialize_graph
+
+    (tmp_path / "triangle.json").write_text(serialize_graph(build_graph(3, [(0, 1, "a"), (1, 2, "b"), (2, 0, "c")])))
+    (tmp_path / "k4.json").write_text(serialize_graph(build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])))
+    script = textwrap.dedent(
+        """
+        import importlib.util, json, sys, types
+        import coarselab.cli as cli
+
+        def layer(name):
+            return sys.modules[f"coarselab.{name}"]
+
+        ran = [m for m in ("labelings", "covers_walls") if type(layer(m)) is types.ModuleType]
+        spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
+        spans = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = spans
+        spec.loader.exec_module(spans)
+        del sys.modules[spec.name]
+        rec = spans.Recorder("cold")
+        restore = spans.install(rec)
+        traced = {(m, f): getattr(layer(m), f) for m, fs in spans.LAYERS.items() for f in fs}
+        try:
+            assert cli.main(["pieces", "triangle.json", "--out", "pieces.json"]) == 0
+            assert cli.main(["walls", "k4.json", "--out", "walls.json"]) == 0
+        finally:
+            restore()
+        unrestored = [f"{m}.{f}" for (m, f), fn in traced.items() if getattr(layer(m), f) is not fn.__wrapped__]
+        left = [f"{n}.{a}" for n, mod in list(sys.modules.items()) if n.startswith("coarselab.")
+                for a, v in vars(mod).items() if any(v is fn for fn in traced.values())]
+        names = sorted({s.name for s in rec.spans})
+        print(json.dumps([ran, names, unrestored, left]), file=sys.stderr)
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(SPANS_PATH)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ran, names, unrestored, left = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert ran == []
+    assert {"labelings.enumerate_pieces", "covers_walls.walls_from_cover", "jsonio.parse_graph"} <= set(names)
+    assert unrestored == [] and left == []
 
 
 def test_labelings_calls_the_wrapped_girth():

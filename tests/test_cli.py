@@ -463,10 +463,12 @@ class TestGroupCommands:
     def test_poincare_checks_trials_and_seed_before_the_solve(
         self, capsys, tmp_path, monkeypatch, flags
     ):
+        import coarselab.poincare_lab as poincare_lab
+
         def solve(*args, **kwargs):
             raise AssertionError("the constant was solved before the flags were checked")
 
-        monkeypatch.setattr(cli, "relative_poincare_constant", solve)
+        monkeypatch.setattr(poincare_lab, "relative_poincare_constant", solve)
         z3 = z3_file(tmp_path)
         code = cli.main(
             ["poincare", "--relative", "--q-table", z3, "--b-table", z3, "--proj", "0,1,2",
@@ -486,7 +488,6 @@ class TestGroupCommands:
             calls.append(args)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "relative_poincare_constant", counted)
         monkeypatch.setattr(poincare_lab, "relative_poincare_constant", counted)
         z3 = z3_file(tmp_path)
         code, _ = run(
@@ -627,6 +628,19 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [["lps", "--p", "13", "--q", "5"], ["wallmetric", "K4"]], ids=["json", "csv"]
+    )
+    def test_an_unwritable_out_path_is_2(self, capsys, tmp_path, argv):
+        argv = [k4_file(tmp_path) if a == "K4" else a for a in argv]
+        out_path = tmp_path / "missing" / "artifact"
+        code = cli.main([*argv, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out_path}: No such file or directory\n"
+        assert not out_path.parent.exists()
+
     def test_cap_exceeded_is_3(self, capsys, tmp_path):
         code = cli.main(["cheeger", c6_file(tmp_path), "--cap", "4"])
         capsys.readouterr()
@@ -683,6 +697,107 @@ class TestExitCodes:
         code, out = run(capsys, ["girth", str(path), "--lax"])
         assert code == 0
         assert "girth: 4" in out
+
+
+def fresh_python(script, *args, cwd):
+    """Run ``script`` in a new interpreter with the sources on its path;
+    returns the JSON value it prints last on stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.strip().splitlines()[-1])
+
+
+# a package module counts as executed when its type is plain ModuleType: a
+# module that is only registered has the LazyLoader's subclass until the
+# first read of one of its attributes runs it
+EXECUTED = (
+    "import json, sys, types\n"
+    "def executed():\n"
+    "    return sorted(n.split('.', 1)[1] for n, m in sys.modules.items()\n"
+    "                  if n.startswith('coarselab.') and type(m) is types.ModuleType)\n"
+)
+
+#: What every command executes: the CLI, its error types and graph
+#: model, and the JSON reader and writer.
+EVERY_COMMAND = {"cli", "errors", "graph_core", "jsonio"}
+
+
+@pytest.fixture(scope="module")
+def startup_inputs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("startup")
+    for write in (c6_file, k4_file, family_file, z3_file):
+        write(work)
+    (work / "triangle.json").write_text(serialize_graph(build_graph(3, [(0, 1, "a"), (1, 2, "b"), (2, 0, "c")])))
+    (work / "points.json").write_text(serialize_points(np.eye(3)))
+    (work / "lps.json").write_text(serialize_graph(lps_graph(13, 5)[0]))
+    return work
+
+
+Z3_FLAGS = ["--q-table", "z3.json", "--b-table", "z3.json", "--proj", "0,1,2"]
+
+#: Each command, and the package modules it executes beyond EVERY_COMMAND.
+COMMAND_MODULES = [
+    (["lps", "--p", "13", "--q", "5"], {"expander_zoo"}),
+    (["spectrum", "lps.json"], set()),
+    (["girth", "k4.json"], set()),
+    (["cheeger", "c6.json"], set()),
+    (["label", "c6.json", *LABEL_TWO_C8, "--max-attempts", "200"], {"labelings"}),
+    (["pieces", "triangle.json"], {"labelings"}),
+    (["present", "triangle.json"], {"labelings"}),
+    (["cover", "k4.json"], {"covers_walls"}),
+    (["walls", "k4.json"], {"covers_walls"}),
+    (["wallmetric", "k4.json"], {"covers_walls"}),
+    (["moduli", "family.json"], {"metric_diag"}),
+    (["weakembed", "family.json", "--lipschitz", "1.0"], {"metric_diag"}),
+    (["concentrate", "points.json", "--radius", "1.0"], {"metric_diag"}),
+    (["wreath", *Z3_FLAGS], {"expander_zoo", "wreath"}),
+    (["poincare", "--relative", *Z3_FLAGS], {"expander_zoo", "wreath", "poincare_lab"}),
+]
+
+
+class TestStartup:
+    @pytest.mark.parametrize("argv, modules", COMMAND_MODULES, ids=[a[0] for a, _ in COMMAND_MODULES])
+    def test_a_command_executes_only_the_modules_it_uses(self, startup_inputs, argv, modules):
+        script = EXECUTED + (
+            "import coarselab.cli as cli\n"
+            "assert cli.main(json.loads(sys.argv[1])) == 0\n"
+            "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(json.dumps([executed(), scipy]), file=sys.stderr)\n"
+        )
+        executed, scipy = fresh_python(script, json.dumps([*argv, "--out", "artifact"]), cwd=startup_inputs)
+        assert executed == sorted(EVERY_COMMAND | modules)
+        assert scipy == []
+
+    def test_the_parser_executes_no_layer_and_keeps_the_cap_defaults(self, tmp_path):
+        script = EXECUTED + (
+            "import contextlib, io\n"
+            "import coarselab.cli as cli\n"
+            "parser = cli.build_parser()\n"
+            "helps = {}\n"
+            "for command in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        try:\n"
+            "            parser.parse_args([command, '--help'])\n"
+            "        except SystemExit:\n"
+            "            pass\n"
+            "    helps[command] = ' '.join(out.getvalue().split())\n"
+            "defaults = vars(parser.parse_args(['cover']))\n"
+            "print(json.dumps([executed(), helps, defaults['vertex_cap']]), file=sys.stderr)\n"
+        )
+        commands = ["pieces", "present", "cover", "wreath", "cheeger"]
+        executed, helps, vertex_cap = fresh_python(script, *commands, cwd=tmp_path)
+        assert executed == ["cli", "errors", "graph_core"]
+        assert "--cap CAP dart budget for the pair search (default 2000)" in helps["pieces"]
+        assert "--rank-cap RANK_CAP largest total relator rank to accept (default 64)" in helps["present"]
+        assert "--vertex-cap VERTEX_CAP abort when the cover would exceed this many vertices" in helps["cover"]
+        assert vertex_cap == 1 << 20
+        assert "--cap CAP largest vertex count to enumerate (default 1048576)" in helps["wreath"]
+        assert "--cap CAP largest vertex count to sweep (default 20)" in helps["cheeger"]
 
 
 def test_artifact_bytes_ignore_the_thread_count(tmp_path):
