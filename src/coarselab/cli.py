@@ -43,12 +43,13 @@ from .graph_core import (
     GraphFamily,
     LabeledGraph,
     adjacency_spectrum,
-    annotated_xor_lift,
     cheeger_exact,
     diameter,
     distance_matrix,
     girth,
     split_components,
+    xor_deck,
+    xor_deck_gather,
 )
 
 THREADS_HELP = (
@@ -198,10 +199,10 @@ def _cmd_cheeger(args):
 
 def _cmd_girth(args):
     g = _single_graph(args)
-    # the XOR deck maps of a checked single-step cover are automorphisms
-    # moving (v, 0) onto its whole fiber, so the fiber heads see every
-    # shortest cycle and every eccentricity
-    lift = annotated_xor_lift(g)
+    # the XOR deck maps of a graph whose darts pass the lift check, such as
+    # any homology cover, are automorphisms moving (v, 0) onto its whole
+    # fiber, so the fiber heads see every shortest cycle and eccentricity
+    lift = xor_deck(g)
     sources = None if lift is None else lift.fiber_heads()
     value = girth(g, sources)
     finite = not math.isinf(value)
@@ -311,8 +312,8 @@ def _cmd_wallmetric(args):
     block = math.isqrt(n)
     for lo in range(0, n, block):
         u, v = _pairs_from(lo, min(lo + block, n), n)
-        wall = covers_walls.xor_deck_gather(wall_rows, cm.deck_rank, u, v)
-        graph = covers_walls.xor_deck_gather(graph_rows, cm.deck_rank, u, v)
+        wall = xor_deck_gather(wall_rows, cm.deck_rank, u, v)
+        graph = xor_deck_gather(graph_rows, cm.deck_rank, u, v)
         if np.any(wall > graph):
             raise VerificationError("wall distance exceeds graph distance somewhere")
         chunks.append(
@@ -712,6 +713,9 @@ def main(argv=None) -> int:
     if args.command == "poincare" and args.trials and args.seed is None:
         parser.error("--trials is randomized and requires an explicit --seed")
     try:
+        # an unset shell variable must not drop the artifact silently
+        if args.out == "":
+            raise InvalidInputError("--out needs a path, or - for standard output")
         lines, artifact = args.handler(args)
         if artifact is not None and args.out and args.out != "-":
             _write_artifact(args.out, artifact)

@@ -186,8 +186,8 @@ def xor_fiber_heads(cm: CoveringMap) -> np.ndarray:
     fiber k onto base edge k.  Each XOR map is then an automorphism fixing
     every edge fiber, hence every wall of :func:`walls_from_cover`, so
     graph and wall distances satisfy d((u, x), (v, y)) = d((u, 0),
-    (v, x XOR y)), which :func:`xor_deck_gather` reads off the rows of
-    these heads.
+    (v, x XOR y)), which :func:`~coarselab.graph_core.xor_deck_gather`
+    reads off the rows of these heads.
 
     Raises
     ------
@@ -212,13 +212,6 @@ def xor_fiber_heads(cm: CoveringMap) -> np.ndarray:
     if not np.array_equal(np.asarray(cm.dart_map, dtype=np.int64), dart_map):
         raise VerificationError("dart map does not send edge fiber k onto base edge k")
     return lift.fiber_heads()
-
-
-def xor_deck_gather(head_rows: np.ndarray, deck_rank: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Entries (u, v) of a matrix invariant under the XOR deck action,
-    read from its rows at the heads of :func:`xor_fiber_heads` (row b
-    belongs to vertex (b, 0)): entry ((a, x), w) is row a at w XOR x."""
-    return head_rows[u >> deck_rank, v ^ (u & ((1 << deck_rank) - 1))]
 
 
 def iterate_homology_cover(g: LabeledGraph, k: int, vertex_cap: int = COVER_VERTEX_CAP) -> CoveringMap:

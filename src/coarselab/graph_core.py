@@ -41,8 +41,8 @@ from .errors import (
 INVERSE_SUFFIX = "^-1"
 
 #: Largest vertex count for which the full spectrum is computed (from
-#: character blocks or a dense eigensolve); for a checked homology cover,
-#: the largest base vertex count of its signed twist blocks.
+#: character blocks or a dense eigensolve); for an XOR lift, such as a
+#: homology cover, the largest base vertex count of its signed twist blocks.
 DENSE_SPECTRUM_CAP = 4096
 
 #: Largest vertex count for which all 2^n - 1 cuts are enumerated.
@@ -421,29 +421,55 @@ def xor_lift(g: LabeledGraph, deck_rank: int) -> Optional[XorLift]:
     fiber = 1 << r
     if g.vertex_count % fiber or g.edge_count % fiber:
         return None
-    src, dst = dart_endpoints(g)
+    return _xor_lift_of(*dart_endpoints(g), g.vertex_count, r)
+
+
+def _xor_lift_of(src: np.ndarray, dst: np.ndarray, n: int, r: int) -> Optional[XorLift]:
+    """:func:`xor_lift` at rank r over the darts ``src`` -> ``dst`` of a
+    graph on n vertices, 2^r dividing n and the edge count."""
+    fiber = 1 << r
     first_src, first_dst = src[0 :: 2 * fiber], dst[0 :: 2 * fiber]
     if np.any(first_src & (fiber - 1)):
         return None
     u, v, flip = first_src >> r, first_dst >> r, first_dst & (fiber - 1)
-    lift = np.arange(g.edge_count)
+    lift = np.arange(src.size >> 1)
     k, x = lift >> r, lift & (fiber - 1)
     if not (
         np.array_equal(src[0::2], (u[k] << r) | x)
         and np.array_equal(dst[0::2], (v[k] << r) | (x ^ flip[k]))
     ):
         return None
-    return XorLift(r, g.vertex_count >> r, u, v, flip)
+    return XorLift(r, n >> r, u, v, flip)
 
 
-def annotated_xor_lift(g: LabeledGraph) -> Optional[XorLift]:
-    """:func:`xor_lift` at the deck rank of a ``covering`` annotation that
-    names a single homology step (as ``coarselab cover`` writes); None
-    without one, or when the darts fail the check."""
-    covering = g.annotations.get("covering")
-    if not isinstance(covering, dict) or covering.get("single_step") is not True:
+def xor_deck(g: LabeledGraph) -> Optional[XorLift]:
+    """``g`` as the XOR lift (:func:`xor_lift`) of largest rank r >= 1,
+    or None when no rank passes; read off the darts, never the
+    annotations.
+
+    Lifts nest: moving the top fiber bit of x into the base vertex reads
+    a rank-r lift as a rank-(r - 1) lift over a base twice as large, so
+    the ranks that pass are 0 .. R.  They are tried from the largest r
+    with 2^r dividing both the vertex and the edge count down.
+    """
+    n = g.vertex_count
+    common = math.gcd(n, g.edge_count)
+    top = (common & -common).bit_length() - 1
+    if top < 1:
         return None
-    return xor_lift(g, covering.get("deck_rank"))
+    src, dst = dart_endpoints(g)
+    for r in range(top, 0, -1):
+        lift = _xor_lift_of(src, dst, n, r)
+        if lift is not None:
+            return lift
+    return None
+
+
+def xor_deck_gather(head_rows: np.ndarray, deck_rank: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Entries (u, v) of a matrix invariant under the XOR deck action of
+    rank ``deck_rank``, read from its rows at the fiber heads (row b
+    belongs to vertex (b, 0)): entry ((a, x), w) is row a at w XOR x."""
+    return head_rows[u >> deck_rank, v ^ (u & ((1 << deck_rank) - 1))]
 
 
 def two_coloring(g: LabeledGraph) -> Optional[np.ndarray]:
@@ -844,10 +870,10 @@ def _character_eigenpairs(g: LabeledGraph) -> Optional[tuple[np.ndarray, float]]
 
 
 def _twist_eigenpairs(g: LabeledGraph, dense_cap: int) -> Optional[tuple[np.ndarray, float]]:
-    """All adjacency eigenvalues of an annotated single-step homology
-    cover from its 2^r signed base blocks, with the worst residual; None
-    when :func:`annotated_xor_lift` finds no XOR lift or its base has
-    more than ``dense_cap`` vertices.
+    """All adjacency eigenvalues of an XOR lift, such as a homology
+    cover, from the 2^r signed base blocks of its largest deck rank r,
+    with the worst residual; None when :func:`xor_deck` finds no lift or
+    its base has more than ``dense_cap`` vertices.
 
     Block chi is A_chi[u, v] = sum over base darts u -> v of
     (-1)^popcount(chi & f), a loop counted twice as in
@@ -859,7 +885,7 @@ def _twist_eigenpairs(g: LabeledGraph, dense_cap: int) -> Optional[tuple[np.ndar
     residual of its lifts.  The blocks are solved ``dense_cap^2 // base^2`` at a
     time, so no more entries are held than by one dense solve at the cap.
     """
-    lift = annotated_xor_lift(g)
+    lift = xor_deck(g)
     if lift is None or lift.base_vertices > dense_cap:
         return None
     b = lift.base_vertices
@@ -922,10 +948,11 @@ def adjacency_spectrum(
 ) -> SpectrumSummary:
     """Adjacency eigenvalues, descending, with multiplicity.
 
-    A single-step homology cover whose annotation and darts pass
-    :func:`annotated_xor_lift`, on at most ``dense_cap`` base vertices,
-    gets its whole spectrum from one signed base block per deck
-    character (:func:`_twist_eigenpairs`), whatever its own size.  Else,
+    A graph whose darts pass :func:`xor_deck`, such as a homology cover
+    or an iterated one, on at most ``dense_cap`` base vertices, gets its
+    whole spectrum from one signed base block per deck character
+    (:func:`_twist_eigenpairs`), whatever its own size; annotations play
+    no part.  Else,
     up to ``dense_cap`` vertices the whole spectrum is computed: from
     one Hermitian block per conjugate pair of characters of a cyclic
     automorphism group when the labels give one (see

@@ -50,6 +50,7 @@ from .graph_core import (
     fundamental_cycles,
     girth,
     inverse_label,
+    is_inverse_symbol,
 )
 
 if TYPE_CHECKING:
@@ -323,24 +324,42 @@ def _legs(wx: tuple[str, ...], wy: tuple[str, ...]) -> tuple[tuple[str, ...], tu
     return wx[k:], wy[k:]
 
 
-def _pair_darts(step: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _index_dtype(count: int) -> type:
+    """int32 when every integer below ``count`` fits it, else int64."""
+    return np.int32 if count <= 1 << 31 else np.int64
+
+
+def _pair_darts(
+    step: np.ndarray, columns: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The graph of pointed pairs of the out-table ``step`` (P + 1 rows,
-    the last one the sink): every label pairs every two distinct holders
-    x != y into the move (x, y) -> (step[x, l], step[y, l]).  Returns
-    the pair nodes as keys x * P + y in increasing order, and the source
-    node, target node and label of every move; a move back by the
-    inverse label makes every target a node."""
+    the last one the sink), one move per edge: every label of
+    ``columns`` pairs every two distinct holders x != y into the move
+    (x, y) -> (step[x, l], step[y, l]), whose way back by the inverse
+    label is left implicit.  Returns the pair nodes, the ends of every
+    move, as keys x * P + y in increasing order, and the source node,
+    target node and label of every move."""
     size = len(step) - 1
-    holders = [np.flatnonzero(column[:size] < size).astype(np.int32) for column in step.T]
-    x = np.concatenate([np.repeat(h, len(h)) for h in holders])
-    y = np.concatenate([np.tile(h, len(h)) for h in holders])
-    move = np.repeat(np.arange(len(holders), dtype=np.int32), [len(h) * len(h) for h in holders])
-    apart = x != y
-    x, y, move = x[apart], y[apart], move[apart]
-    nodes, src = np.unique(x.astype(np.int64) * size + y, return_inverse=True)
-    dst = np.searchsorted(nodes, step[x, move] * size + step[y, move])
-    index = np.promote_types(np.int32, np.min_scalar_type(len(nodes)))
-    return nodes, src.astype(index), dst.astype(index), move
+    # keys and node indices fit int32 at the dart cap, which halves the
+    # largest arrays
+    key = _index_dtype(size * size)
+    ends = []
+    for label in columns:
+        h = np.flatnonzero(step[:size, label] < size).astype(key)
+        x, y = np.repeat(h, len(h)), np.tile(h, len(h))
+        apart = x != y
+        x, y = x[apart], y[apart]
+        ends.append((x * size + y, (step[x, label] * size + step[y, label]).astype(key)))
+    # an in-place sort: np.unique holds several times the keys at once
+    nodes = np.concatenate([k for pair in ends for k in pair])
+    nodes.sort()
+    nodes = nodes[np.concatenate(([True], nodes[1:] != nodes[:-1]))]
+    index = _index_dtype(len(nodes))
+    src = np.concatenate([np.searchsorted(nodes, a).astype(index) for a, _ in ends])
+    dst = np.concatenate([np.searchsorted(nodes, b).astype(index) for _, b in ends])
+    counts = [len(a) for a, _ in ends]
+    move = np.repeat(np.asarray(columns, dtype=np.min_scalar_type(step.shape[1])), counts)
+    return nodes, src, dst, move
 
 
 def _component_roots(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
@@ -351,15 +370,16 @@ def _component_roots(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
     smaller, then jumps every pointer to its root.  A node's pointer
     never exceeds the node and stays in its component, so a settled root
     is the component's smallest node; every root that meets another
-    hooks or is hooked, so the roots at least halve each round."""
+    hooks or is hooked, so the roots at least halve each round.  The
+    pointers are roots at the start of a round, so a dart whose two roots
+    already agree hooks nothing and needs no filtering out."""
     root = np.arange(n, dtype=src.dtype)
     while True:
         a, b = root[src], root[dst]
-        apart = a != b
-        if not apart.any():
+        if np.array_equal(a, b):
             return root
-        np.minimum.at(root, a[apart], b[apart])
-        np.minimum.at(root, b[apart], a[apart])
+        np.minimum.at(root, a, b)
+        np.minimum.at(root, b, a)
         while True:
             jumped = root[root]
             if np.array_equal(jumped, root):
@@ -368,10 +388,11 @@ def _component_roots(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
 
 
 def _leaf_paths(
-    src: np.ndarray, dst: np.ndarray, move: np.ndarray, trees: np.ndarray
+    src: np.ndarray, dst: np.ndarray, move: np.ndarray, inverse: np.ndarray, trees: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The leaf-to-leaf paths of the tree components marked in ``trees``,
-    walked in lockstep from every leaf at once.
+    walked in lockstep from every leaf at once, over the moves of
+    :func:`_pair_darts` and their ways back, labeled ``inverse[move]``.
 
     A state is a start leaf, a node, the node it came from and the labels
     read so far, and each step extends it by every move but the one
@@ -380,6 +401,8 @@ def _leaf_paths(
     leaf), and their label rows."""
     in_trees = trees[src]
     src, dst, move = src[in_trees], dst[in_trees], move[in_trees]
+    src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    move = np.concatenate([move, inverse[move]])
     out_degree = np.bincount(src, minlength=len(trees))
     by_source = np.argsort(src, kind="stable")
     out_start = np.cumsum(out_degree) - out_degree
@@ -440,7 +463,9 @@ def _piece_analysis(fam: GraphFamily, cap: int) -> tuple[list[Piece], list[float
         # no two starts share a label, so there is no pair node
         return [], per_comp_max
 
-    nodes, src, dst, move = _pair_darts(step)
+    inverse = np.array([column[inverse_label(lab)] for lab in labels])
+    forward = [c for c, lab in enumerate(labels) if not is_inverse_symbol(lab)]
+    nodes, src, dst, move = _pair_darts(step, forward)
     n = len(nodes)
     nx, ny = np.divmod(nodes, size)
     root = _component_roots(src, dst, n)
@@ -452,14 +477,17 @@ def _piece_analysis(fam: GraphFamily, cap: int) -> tuple[list[Piece], list[float
     inequivalent = np.zeros(n, dtype=bool)
     inequivalent[root[carried[nx] != carried[ny]]] = True
     for coord in (nx, ny):
-        keys = np.sort(coord * n + root)
+        keys = np.sort(coord * np.int64(n) + root)
         inequivalent[keys[1:][keys[1:] == keys[:-1]] % n] = True
+    del keys  # 8 bytes a node, not held through the tree count below
     # a class is named by its smallest start
     class_of = np.arange(size)
     same = ~inequivalent[root]
     np.minimum.at(class_of, nx[same], ny[same])
     read = kept & inequivalent[root]
-    is_tree = np.bincount(root[src], minlength=n) == 2 * (np.bincount(root, minlength=n) - 1)
+    # each move stands for both darts of an edge, so a tree component has
+    # one move fewer than nodes
+    is_tree = np.bincount(root[src], minlength=n) == np.bincount(root, minlength=n) - 1
 
     infinite_words: set[tuple[str, ...]] = set()
     cyclic = np.flatnonzero(read & ~is_tree & (root == np.arange(n)))
@@ -472,7 +500,7 @@ def _piece_analysis(fam: GraphFamily, cap: int) -> tuple[list[Piece], list[float
     finite_words: set[tuple[str, ...]] = set()
     longest = np.zeros(len(fam))
     # the paths come in increasing length, so the last length set is the longest
-    for k, ends, rows in _leaf_paths(src, dst, move, read & is_tree[root]):
+    for k, ends, rows in _leaf_paths(src, dst, move, inverse, read & is_tree[root]):
         longest[comp_of[nx[ends]]] = longest[comp_of[ny[ends]]] = k
         finite_words.update(
             canonical_word([labels[c] for c in row]) for row in np.unique(rows, axis=0).tolist()

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import poincare_lab
 from .errors import DisconnectedGraphError, InvalidInputError
-from .graph_core import LabeledGraph, distance_matrix
+from .graph_core import LabeledGraph, distance_matrix, xor_deck, xor_deck_gather
 
 #: Centers per block of distance rows read by ``ball_concentration``.
 BALL_BLOCK = 32
@@ -94,11 +94,20 @@ def _target_size(target: TargetSpace) -> int:
     return pts.shape[0]
 
 
-def _graph_metric(g: LabeledGraph, role: str) -> np.ndarray:
-    dist = distance_matrix(g)
+def _graph_metric(g: LabeledGraph, role: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Path distance between ``x[k]`` and ``y[k]`` in a connected graph.
+
+    When the darts pass :func:`~coarselab.graph_core.xor_deck`, the XOR
+    deck maps are automorphisms, so only the rows of the fiber heads
+    (v, 0) are walked and d((a, s), (b, t)) is read as d((a, 0),
+    (b, s XOR t)).  Every other row is a permutation of a head row, so the
+    head rows are finite exactly when the graph is connected.
+    """
+    lift = xor_deck(g)
+    dist = distance_matrix(g, None if lift is None else lift.fiber_heads())
     if not np.all(np.isfinite(dist)):
         raise DisconnectedGraphError(f"{role} graph metric needs a connected graph")
-    return dist
+    return dist[x, y] if lift is None else xor_deck_gather(dist, lift.deck_rank, x, y)
 
 
 def _row_distances(pts: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -110,8 +119,9 @@ def _row_distances(pts: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _pair_distances(entry: MapEntry) -> tuple[np.ndarray, np.ndarray]:
     """Source and target distance of every pair x < y of an entry, in
     ``np.triu_indices`` order."""
+    x, y = np.triu_indices(entry.size, 1)
     if isinstance(entry.source, LabeledGraph):
-        src = _graph_metric(entry.source, "source")
+        src = _graph_metric(entry.source, "source", x, y)
     else:
         src = np.asarray(entry.source, dtype=np.float64)
         if not np.all(np.isfinite(src)):
@@ -120,14 +130,14 @@ def _pair_distances(entry: MapEntry) -> tuple[np.ndarray, np.ndarray]:
             raise InvalidInputError("distance matrix must be symmetric with zero diagonal")
         if src.min() < 0:
             raise InvalidInputError("distances must be nonnegative")
-    x, y = np.triu_indices(entry.size, 1)
+        src = src[x, y]
     image = np.asarray(entry.mapping, dtype=np.intp)
     if isinstance(entry.target, LabeledGraph):
-        return src[x, y], _graph_metric(entry.target, "target")[image[x], image[y]]
+        return src, _graph_metric(entry.target, "target", image[x], image[y])
     pts = np.asarray(entry.target, dtype=np.float64)
     if not np.all(np.isfinite(pts)):
         raise InvalidInputError("target points must be finite")
-    return src[x, y], _row_distances(pts, image[x], image[y])
+    return src, _row_distances(pts, image[x], image[y])
 
 
 def _fiber_sizes(entry: MapEntry) -> np.ndarray:

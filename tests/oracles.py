@@ -1029,6 +1029,30 @@ def verify_covering(cm, deck_cap: int = DECK_ENUM_CAP) -> CoverVerification:
     )
 
 
+def naive_xor_rank(g: LabeledGraph) -> Optional[int]:
+    """The largest r >= 1 at which ``g`` reads as an XOR lift
+    (``graph_core.xor_deck``), or None; straight from the definition.
+
+    With the vertices numbered v * 2^r + x and the edges k * 2^r + x, each
+    basis bit t of the fiber must give an automorphism: the map x -> x XOR t
+    on vertex and on edge numbers carries every edge (a, b) onto the edge
+    (a XOR t, b XOR t), so it permutes the darts and fixes every edge fiber
+    k.  The edge k * 2^r + x must also start at a vertex (u, x) of its own
+    slot x, as an XOR lift numbers its edges."""
+    n, edges = g.vertex_count, list(g.edges())
+    for r in range(n.bit_length() - 1, 0, -1):
+        fiber = 1 << r
+        if n % fiber or len(edges) % fiber:
+            continue
+        if all(a % fiber == e % fiber for e, (a, _, _) in enumerate(edges)) and all(
+            edges[e ^ t][:2] == (a ^ t, b ^ t)
+            for t in (1 << i for i in range(r))
+            for e, (a, b, _) in enumerate(edges)
+        ):
+            return r
+    return None
+
+
 # -- names the library no longer needs ---------------------------------------
 
 

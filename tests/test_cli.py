@@ -17,6 +17,7 @@ import coarselab.expander_zoo as expander_zoo
 from coarselab.covers_walls import homology_cover, wall_pseudometric, walls_from_cover
 from coarselab.errors import CapExceededError, InvalidInputError, VerificationError
 from coarselab.expander_zoo import cayley_graph, cyclic_group, lps_graph
+from coarselab import graph_core
 from coarselab.graph_core import build_graph, distance_matrix
 from coarselab.jsonio import (
     parse_graph,
@@ -27,7 +28,15 @@ from coarselab.jsonio import (
 )
 from coarselab.metric_diag import MapEntry, MapFamily
 
-from oracles import bfs_distances, dense_eigvalsh, multi_k4, naive_girth, prism, wallmetric_csv
+from oracles import (
+    bfs_distances,
+    dense_eigvalsh,
+    multi_k4,
+    naive_girth,
+    naive_xor_rank,
+    prism,
+    wallmetric_csv,
+)
 
 DESK_CONSTANT_Z3 = 1.5205176042696106
 
@@ -204,24 +213,38 @@ class TestGraphCommands:
         code, _ = run(capsys, ["girth", str(tmp_path / "edited.json"), "--out", "-"])
         assert code == 0 and sources == [None, None]
 
-    def test_an_iterated_cover_keeps_the_other_routes(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("iterations", [1, 2])
+    def test_covers_take_the_twist_route_with_any_annotation(self, capsys, tmp_path, monkeypatch, iterations):
         (tmp_path / "theta.json").write_text(serialize_graph(build_graph(2, [(0, 1), (0, 1), (0, 1)])))
-        code, _ = run(capsys, ["cover", str(tmp_path / "theta.json"), "--iterations", "2",
+        code, _ = run(capsys, ["cover", str(tmp_path / "theta.json"), "--iterations", str(iterations),
                                "--out", str(tmp_path / "cover.json")])
         assert code == 0
         doc = json.loads((tmp_path / "cover.json").read_text())
-        assert doc["annotations"]["covering"]["single_step"] is False
+        assert doc["annotations"]["covering"]["single_step"] is (iterations == 1)
+        cover = parse_graph(json.dumps(doc))
+        lift = graph_core.xor_deck(cover)
+        heads = lift.fiber_heads().tolist()
+        assert lift.deck_rank == naive_xor_rank(cover) and len(heads) < cover.vertex_count
         del doc["annotations"]
         (tmp_path / "plain.json").write_text(json.dumps(doc))
-        spectra = []
-        for name in ("cover.json", "plain.json"):
-            code, out = run(capsys, ["spectrum", str(tmp_path / name), "--out", "-"])
-            assert code == 0
-            spectra.append(out)
-        assert spectra[0] == spectra[1]
+        doc["annotations"] = {"covering": {"deck_rank": 64, "single_step": "no"}}
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
         sources = self.record_girth_sources(monkeypatch)
-        code, _ = run(capsys, ["girth", str(tmp_path / "cover.json"), "--out", "-"])
-        assert code == 0 and sources == [None, None]
+        outputs = []
+        for name in ("cover.json", "plain.json", "bad.json"):
+            sources.clear()
+            code, spectrum = run(capsys, ["spectrum", str(tmp_path / name), "--out", "-"])
+            assert code == 0
+            code, girth_doc = run(capsys, ["girth", str(tmp_path / name), "--out", "-"])
+            assert code == 0 and sources == [heads, heads]
+            outputs.append((spectrum, girth_doc))
+        assert outputs[0] == outputs[1] == outputs[2]
+        spec = json.loads(outputs[0][0])
+        assert spec["complete"] and len(spec["eigenvalues"]) == cover.vertex_count
+        assert np.abs(np.array(spec["eigenvalues"]) - dense_eigvalsh(cover)).max() <= 1e-12
+        girth_doc = json.loads(outputs[0][1])
+        assert (girth_doc["girth"], girth_doc["diameter"]) == (naive_girth(cover), max(
+            max(bfs_distances(cover, s)) for s in range(cover.vertex_count)))
 
     @pytest.mark.parametrize("name", list(WALLMETRIC_BASES))
     def test_wallmetric_bytes_equal_the_per_pair_writer(self, capsys, tmp_path, name):
@@ -641,6 +664,15 @@ class TestExitCodes:
         assert captured.err == f"error: cannot write {out_path}: No such file or directory\n"
         assert not out_path.parent.exists()
 
+    def test_an_empty_out_path_is_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["lps", "--p", "13", "--q", "5", "--out", ""])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --out needs a path, or - for standard output\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_cap_exceeded_is_3(self, capsys, tmp_path):
         code = cli.main(["cheeger", c6_file(tmp_path), "--cap", "4"])
         capsys.readouterr()
@@ -803,15 +835,23 @@ class TestStartup:
 def test_artifact_bytes_ignore_the_thread_count(tmp_path):
     """Artifacts are byte-identical at COARSE_LAB_THREADS=1 and =2:
     `poincare --relative` on Z/7 wr Z/7, with and without a replay,
-    `wallmetric` on the 6-prism, and `spectrum` on LPS(13, 5) (character
-    blocks) and on the K4 homology cover (signed twist blocks).  The
-    dense and Lanczos spectrum routes are left out until eigenvalues
-    are written in a clustered format: a dense eigensolve still moves
-    last digits with the thread count."""
+    `wallmetric` on the 6-prism, `spectrum` on LPS(13, 5) (character
+    blocks), and `spectrum` and `girth` on the K4 homology cover, on the
+    same cover with its annotation removed, and on the twice iterated
+    theta cover (signed twist blocks and fiber heads, read off the
+    darts).  The dense and Lanczos spectrum routes are left out until
+    eigenvalues are written in a clustered format: a dense eigensolve
+    still moves last digits with the thread count."""
     (tmp_path / "z7.json").write_text(serialize_group_table(cyclic_group(7)))
     (tmp_path / "prism6.json").write_text(serialize_graph(prism(6)))
     (tmp_path / "lps.json").write_text(serialize_graph(lps_graph(13, 5)[0]))
+    (tmp_path / "theta.json").write_text(serialize_graph(build_graph(2, [(0, 1), (0, 1), (0, 1)])))
     assert cli.main(["cover", k4_file(tmp_path), "--out", str(tmp_path / "k4cover.json")]) == 0
+    iterate = ["cover", str(tmp_path / "theta.json"), "--iterations", "2"]
+    assert cli.main([*iterate, "--out", str(tmp_path / "iterated.json")]) == 0
+    plain = json.loads((tmp_path / "k4cover.json").read_text())
+    del plain["annotations"]
+    (tmp_path / "k4plain.json").write_text(json.dumps(plain))
     z7 = ["--relative", "--q-table", "z7.json", "--b-table", "z7.json", "--proj", "0,1,2,3,4,5,6"]
     commands = {
         "poincare.json": ["poincare", *z7],
@@ -819,6 +859,11 @@ def test_artifact_bytes_ignore_the_thread_count(tmp_path):
         "wallmetric.csv": ["wallmetric", "prism6.json"],
         "spectrum_lps.json": ["spectrum", "lps.json"],
         "spectrum_cover.json": ["spectrum", "k4cover.json"],
+        "girth_cover.json": ["girth", "k4cover.json"],
+        "spectrum_plain.json": ["spectrum", "k4plain.json"],
+        "girth_plain.json": ["girth", "k4plain.json"],
+        "spectrum_iterated.json": ["spectrum", "iterated.json"],
+        "girth_iterated.json": ["girth", "iterated.json"],
     }
     script = (
         "import json, sys\n"

@@ -17,7 +17,6 @@ from coarselab.covers_walls import (
     wall_hilbert_embedding,
     wall_pseudometric,
     walls_from_cover,
-    xor_deck_gather,
     xor_fiber_heads,
 )
 from coarselab.errors import (
@@ -27,7 +26,14 @@ from coarselab.errors import (
     VerificationError,
 )
 from coarselab.expander_zoo import cayley_graph, cyclic_group
-from coarselab.graph_core import GraphFamily, build_graph, components, distance_matrix, girth
+from coarselab.graph_core import (
+    GraphFamily,
+    build_graph,
+    components,
+    distance_matrix,
+    girth,
+    xor_deck_gather,
+)
 from coarselab.labelings import _out_maps, _pair_components
 
 from oracles import (

@@ -42,6 +42,7 @@ from oracles import (
     naive_cheeger,
     multi_k4,
     naive_girth,
+    naive_xor_rank,
     petersen,
     prism,
     random_connected_graph,
@@ -641,18 +642,14 @@ class TestConjugateCharacterBlocks:
 
 def xor_lift_graph(base_vertices: int, base_edges, flips, rank: int) -> LabeledGraph:
     """The XOR lift of rank ``rank`` of the base edges with the given
-    flips, numbered as ``homology_cover`` numbers a cover, annotated as
-    ``coarselab cover`` annotates one."""
+    flips, numbered as ``homology_cover`` numbers a cover."""
     fiber = 1 << rank
     edges = [
         (u * fiber + x, v * fiber + (x ^ f))
         for (u, v), f in zip(base_edges, flips)
         for x in range(fiber)
     ]
-    return build_graph(
-        base_vertices * fiber, edges,
-        annotations={"covering": {"deck_rank": rank, "single_step": True}},
-    )
+    return build_graph(base_vertices * fiber, edges)
 
 
 def annotated_cover(base: LabeledGraph) -> LabeledGraph:
@@ -674,9 +671,10 @@ def without_annotations(g: LabeledGraph) -> LabeledGraph:
 
 
 class TestTwistBlocks:
-    """A single-step homology cover whose annotation and darts pass the
-    XOR lift check gets its spectrum from one signed base block per deck
-    character; anything else keeps the other routes."""
+    """A graph whose darts pass the XOR lift check at some rank, such as
+    a homology cover or an iterated one, gets its spectrum from one signed
+    base block per deck character of its largest rank; anything else
+    keeps the other routes, and annotations play no part."""
 
     @pytest.mark.parametrize(
         "cover",
@@ -692,7 +690,7 @@ class TestTwistBlocks:
         import scipy.linalg
 
         g = cover()
-        lift = graph_core.annotated_xor_lift(g)
+        lift = graph_core.xor_deck(g)
         r, b, n = lift.deck_rank, lift.base_vertices, g.vertex_count
         want = dense_eigvalsh(g)
         seen = []
@@ -745,38 +743,51 @@ class TestTwistBlocks:
         edited = jsonio.parse_graph(json.dumps(doc))
         assert edited.annotations == cover.annotations
         assert graph_core.xor_lift(cover, 3) is not None
-        assert graph_core.annotated_xor_lift(edited) is None
+        assert graph_core.xor_deck(edited) is None
         got = adjacency_spectrum(edited)
         assert got == adjacency_spectrum(without_annotations(edited))
         assert np.abs(np.array(got.eigenvalues) - dense_eigvalsh(edited)).max() <= 1e-10
 
-    def test_annotations_that_name_no_single_step_fall_back(self):
+    def test_annotations_change_neither_the_route_nor_any_byte(self, monkeypatch):
         cover = annotated_cover(prism(3))
         covering = cover.annotations["covering"]
-        plain = adjacency_spectrum(without_annotations(cover))
         rank = covering["deck_rank"]
+        plain = without_annotations(cover)
+        want = adjacency_spectrum(plain)
+        lift = graph_core.xor_deck(plain)
+        assert (lift.deck_rank, lift.base_vertices) == (rank, covering["base_vertices"])
+        assert graph_core._twist_eigenpairs(plain, graph_core.DENSE_SPECTRUM_CAP) is not None
         for bad in ({**covering, "single_step": False}, {**covering, "single_step": 1},
                     {**covering, "deck_rank": rank + 1},
                     {**covering, "deck_rank": True}, {**covering, "deck_rank": str(rank)},
                     {**covering, "deck_rank": -1}, {**covering, "deck_rank": 64},
-                    {"single_step": True}, "covering"):
+                    {"single_step": True}, "covering", covering):
             g = build_graph(cover.vertex_count, list(cover.edges()), annotations={"covering": bad})
-            assert graph_core.annotated_xor_lift(g) is None, bad
-            assert adjacency_spectrum(g) == plain, bad
-        assert adjacency_spectrum(cover) != plain
+            assert graph_core.xor_deck(g).deck_rank == rank, bad
+            assert adjacency_spectrum(g) == want, bad
+        assert adjacency_spectrum(cover) == want
+        assert np.abs(np.array(want.eigenvalues) - dense_eigvalsh(plain)).max() <= 1e-12
         # the cover is also an XOR lift of smaller rank, over a larger base,
         # and those blocks give the same spectrum
-        lower = build_graph(cover.vertex_count, list(cover.edges()),
-                            annotations={"covering": {**covering, "deck_rank": rank - 1}})
-        assert graph_core.annotated_xor_lift(lower).base_vertices == 2 * covering["base_vertices"]
-        assert np.allclose(adjacency_spectrum(lower).eigenvalues, plain.eigenvalues, atol=1e-12)
+        lower = graph_core.xor_lift(plain, rank - 1)
+        assert lower.base_vertices == 2 * covering["base_vertices"]
+        monkeypatch.setattr(graph_core, "xor_deck", lambda g: lower)
+        assert np.allclose(adjacency_spectrum(plain).eigenvalues, want.eigenvalues, atol=1e-12)
 
-    def test_iterated_covers_keep_the_other_routes(self):
-        cm = iterate_homology_cover(build_graph(2, [(0, 1), (0, 1), (0, 1)]), 2)
-        cm.cover.annotations["covering"] = {"deck_rank": cm.deck_rank, "single_step": cm.single_step}
+    def test_iterated_covers_take_the_twist_route_of_their_top_step(self):
+        theta = build_graph(2, [(0, 1), (0, 1), (0, 1)])
+        cm = iterate_homology_cover(theta, 2)
+        top = homology_cover(homology_cover(theta).cover)
         assert not cm.single_step
-        assert graph_core._twist_eigenpairs(cm.cover, graph_core.DENSE_SPECTRUM_CAP) is None
-        assert adjacency_spectrum(cm.cover) == adjacency_spectrum(without_annotations(cm.cover))
+        lift = graph_core.xor_deck(cm.cover)
+        assert lift.deck_rank == naive_xor_rank(cm.cover) == top.deck_rank
+        assert lift.base_vertices == top.base.vertex_count
+        assert graph_core._twist_eigenpairs(cm.cover, graph_core.DENSE_SPECTRUM_CAP) is not None
+        spec = adjacency_spectrum(cm.cover)
+        assert spec.complete and len(spec.eigenvalues) == cm.cover.vertex_count
+        assert np.abs(np.array(spec.eigenvalues) - dense_eigvalsh(cm.cover)).max() <= 1e-12
+        cm.cover.annotations["covering"] = {"deck_rank": cm.deck_rank, "single_step": cm.single_step}
+        assert adjacency_spectrum(cm.cover) == spec
 
     def test_blocks_are_solved_in_chunks_below_the_cap(self, monkeypatch):
         g = annotated_cover(petersen())
@@ -793,6 +804,73 @@ class TestTwistBlocks:
         chunked = adjacency_spectrum(g, dense_cap=30)
         assert sizes == [640] + [90] * 7 + [10]
         assert chunked.complete and chunked.eigenvalues == whole.eigenvalues
+
+
+def seeded_covers():
+    """Homology covers of seeded connected multigraphs (loops and
+    parallel edges included), with their deck ranks."""
+    rng = random.Random(2111)
+    covers = []
+    for _ in range(10):
+        cm = homology_cover(random_connected_graph(rng, rng.randint(2, 8), rng.randint(1, 5)))
+        covers.append((cm.cover, cm.deck_rank))
+    return covers
+
+
+def relabeled(g: LabeledGraph, perm) -> LabeledGraph:
+    return build_graph(g.vertex_count, [(perm[a], perm[b]) for a, b, _ in g.edges()])
+
+
+class TestXorDeck:
+    """``xor_deck`` finds the largest rank at which the darts read as an
+    XOR lift, held equal to the definition in ``naive_xor_rank``."""
+
+    def test_seeded_covers_pass_at_their_own_rank_at_least(self):
+        for cover, rank in seeded_covers():
+            lift = graph_core.xor_deck(cover)
+            assert lift.deck_rank == naive_xor_rank(cover) >= rank
+            assert lift.base_vertices == cover.vertex_count >> lift.deck_rank
+            assert lift.fiber_heads().tolist() == list(range(0, cover.vertex_count, 1 << lift.deck_rank))
+
+    def test_iterated_covers(self):
+        bases = (build_graph(2, [(0, 1), (0, 1), (0, 1)]), build_graph(1, [(0, 0), (0, 0)]), cycle(3),
+                 build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]))
+        for base in bases:
+            cm = iterate_homology_cover(base, 2)
+            top = homology_cover(homology_cover(base).cover).deck_rank
+            assert graph_core.xor_deck(cm.cover).deck_rank == naive_xor_rank(cm.cover) >= top
+
+    def test_relabeled_covers_lose_rank(self):
+        rng = random.Random(7)
+        for cover, rank in seeded_covers():
+            perm = list(range(cover.vertex_count))
+            rng.shuffle(perm)
+            # and one that moves the fiber slot of base vertex 0 only
+            shifted = [w ^ 1 if w >> rank == 0 else w for w in range(cover.vertex_count)]
+            for g in (relabeled(cover, perm), relabeled(cover, shifted)):
+                want = naive_xor_rank(g)
+                assert want is None or want < rank
+                lift = graph_core.xor_deck(g)
+                assert (None if lift is None else lift.deck_rank) == want
+
+    def test_lps_13_5(self):
+        g = lps_graph(13, 5)[0]
+        lift = graph_core.xor_deck(g)
+        assert (None if lift is None else lift.deck_rank) == naive_xor_rank(g)
+
+    def test_no_rank_above_zero_is_none(self):
+        for g in (cycle(3), cycle(4), path(8), build_graph(1, [(0, 0)])):
+            assert graph_core.xor_deck(g) is None and naive_xor_rank(g) is None
+        # a graph with no edges is an XOR lift of every rank its size allows
+        assert graph_core.xor_deck(build_graph(12, [])).deck_rank == naive_xor_rank(build_graph(12, [])) == 2
+
+    def test_lifts_nest(self):
+        for cover, _ in seeded_covers():
+            top = graph_core.xor_deck(cover).deck_rank
+            for r in range(top + 1):
+                lift = graph_core.xor_lift(cover, r)
+                assert lift is not None and lift.base_vertices == cover.vertex_count >> r
+            assert graph_core.xor_lift(cover, top + 1) is None
 
 
 class TestFamilies:

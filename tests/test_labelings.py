@@ -2,7 +2,11 @@
 cover-induced surjection checks."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -47,6 +51,8 @@ from oracles import (
     walked_pieces,
 )
 from test_golden_artifacts import HASH_SENSITIVE_EDGES, LABELED_EDGES
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def labeled_cycle(word):
@@ -518,6 +524,27 @@ def test_bulk_pieces_equal_the_walked_pieces_on_long_cycles():
     near_cap = _labeled_cycles(4, 10, 100)
     assert sum(g.dart_count for g in near_cap.components) == PIECE_DART_CAP
     _assert_bulk_equals_walk(near_cap)
+
+
+def test_bulk_pieces_peak_memory_at_the_dart_cap():
+    """A uniformly labeled C_1000 holds the cap's 2,000 darts, and every
+    two of its starts pair: 999,000 pair nodes.  The resident set of a
+    fresh process grows by at most 64 MB while its pieces are read."""
+    script = (
+        "import resource\n"
+        "from coarselab.graph_core import GraphFamily, build_graph\n"
+        "from coarselab.labelings import enumerate_pieces\n"
+        "fam = GraphFamily((build_graph(1000, [(i, (i + 1) % 1000, 'a') for i in range(1000)]),))\n"
+        "enumerate_pieces(GraphFamily((build_graph(4, [(i, (i + 1) % 4, 'a') for i in range(4)]),)))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "assert enumerate_pieces(fam) == ()\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) // 1024)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 64
 
 
 def test_only_cyclic_components_take_the_breadth_first_walk(monkeypatch):

@@ -7,15 +7,17 @@ import random
 import numpy as np
 import pytest
 
+from coarselab import metric_diag
 from coarselab.covers_walls import (
     homology_cover,
+    iterate_homology_cover,
     wall_hilbert_embedding,
     wall_pseudometric,
     walls_from_cover,
 )
 from coarselab.errors import DisconnectedGraphError, InvalidInputError
 from coarselab.expander_zoo import cayley_graph, cyclic_group
-from coarselab.graph_core import build_graph, distance_matrix
+from coarselab.graph_core import build_graph, distance_matrix, xor_deck
 from coarselab.metric_diag import (
     CosetConcentrationReport,
     MapEntry,
@@ -35,6 +37,8 @@ from oracles import (
     naive_coset_ball_replay,
     naive_distortion,
     naive_is_weak_embedding,
+    multi_k4,
+    prism,
     random_connected_graph,
 )
 
@@ -415,6 +419,53 @@ def outcome(fn, *args):
         return fn(*args)
     except InvalidInputError as e:
         return type(e), str(e)
+
+
+class TestXorDeckPairs:
+    """A graph whose darts pass ``xor_deck`` is walked from its fiber
+    heads only, and its pairs are read through the deck action."""
+
+    def cover_family(self):
+        entries = []
+        for base in (k4(), cycle(5), prism(3), multi_k4()):
+            cm, _, embedded = wall_entry(base)
+            entries += [MapEntry(cm.cover, base, cm.vertex_map), embedded, identity_entry(cm.cover)]
+        rng = random.Random(31)
+        for _ in range(3):
+            cm = homology_cover(random_connected_graph(rng, rng.randint(3, 6), 3))
+            entries.append(MapEntry(cm.cover, cm.base, cm.vertex_map))
+        theta = iterate_homology_cover(build_graph(2, [(0, 1), (0, 1), (0, 1)]), 2)
+        entries.append(MapEntry(theta.cover, theta.base, theta.vertex_map))
+        return MapFamily(tuple(entries))
+
+    def test_cover_pairs_equal_the_loops_and_walk_only_the_heads(self, monkeypatch):
+        mf = self.cover_family()
+        walked = []
+
+        def recorded(g, sources=None):
+            walked.append((g.vertex_count, None if sources is None else list(sources)))
+            return distance_matrix(g, sources)
+
+        monkeypatch.setattr(metric_diag, "distance_matrix", recorded)
+        assert compression_moduli(mf) == naive_compression_moduli(mf)
+        assert is_weak_embedding(mf, 1.0) == naive_is_weak_embedding(mf, 1.0)
+        graphs = [g for e in mf.entries for g in (e.source, e.target) if not isinstance(g, np.ndarray)]
+        heads = {}
+        for g in graphs:
+            lift = xor_deck(g)
+            heads[g.vertex_count] = None if lift is None else lift.fiber_heads().tolist()
+        assert sum(h is not None for h in heads.values()) >= 6
+        assert walked and all(sources == heads[n] for n, sources in walked)
+
+    @pytest.mark.parametrize("role", ["source", "target"])
+    def test_a_disconnected_lift_is_rejected(self, role):
+        # two copies of a triangle: the XOR lift of rank 1 with no flip
+        g = build_graph(6, [(2 * u + x, 2 * v + x) for u, v in ((0, 1), (1, 2), (2, 0)) for x in (0, 1)])
+        assert xor_deck(g).deck_rank == 1
+        spaces = (g, cycle(6)) if role == "source" else (cycle(6), g)
+        entry = MapEntry(*spaces, tuple(range(6)))
+        with pytest.raises(DisconnectedGraphError, match=role):
+            compression_moduli(MapFamily((entry,)))
 
 
 class TestAgreementWithPairLoops:
