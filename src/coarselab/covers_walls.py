@@ -50,17 +50,6 @@ def _cut_masks(g: LabeledGraph) -> list[int]:
     return masks
 
 
-def is_two_connected(g: LabeledGraph) -> bool:
-    """True iff the connected graph ``g`` has no bridge.
-
-    An edge is a bridge iff it lies on no cycle, iff its cut mask is 0,
-    since the fundamental cycles span the cycle space.  A loop is never a
-    bridge; one edge of a parallel pair is not a bridge either, so the
-    theta graph passes.
-    """
-    return all(_cut_masks(g))
-
-
 @dataclass(frozen=True)
 class CoveringMap:
     """A covering projection ``cover -> base`` with explicit fiber data.

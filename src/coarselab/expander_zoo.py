@@ -9,7 +9,6 @@ PGL2(q).  The residue/PSL2 branch is rejected.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -107,11 +106,9 @@ class FiniteGroupTable:
         # an empty generator list is allowed for tables used only for
         # arithmetic; cayley_graph insists on a nonempty one
         if gens:
-            reached = self.generated_set(gens)
-            if len(reached) != n:
-                raise InvalidInputError(
-                    f"generators only reach {len(reached)} of {n} elements"
-                )
+            reached = int(right_orbit(table[:, list(gens)].T, identity).sum())
+            if reached != n:
+                raise InvalidInputError(f"generators only reach {reached} of {n} elements")
 
     def _check_associativity(self) -> None:
         table = self.mul_table
@@ -132,22 +129,6 @@ class FiniteGroupTable:
                 if table[table[a, b], c] != table[a, table[b, c]]:
                     raise InvalidInputError("multiplication table is not associative")
 
-    def generated_set(self, gens: Sequence[int]) -> set[int]:
-        """The subgroup generated by ``gens``: every element reached from
-        the identity by right multiplication with them."""
-        reached = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in gens:
-                    y = int(self.mul_table[x, s])
-                    if y not in reached:
-                        reached.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return reached
-
     # -- accessors ---------------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
@@ -163,6 +144,21 @@ class FiniteGroupTable:
         return f"FiniteGroupTable(order={self.order}, generators={len(self.generators)})"
 
 
+def right_orbit(steps: np.ndarray, start: int) -> np.ndarray:
+    """Which elements right multiplication reaches from ``start``, as a
+    boolean mask: row k of ``steps`` is the permutation x -> x s_k.  The
+    orbit is start.<s_k>, so it covers the group exactly when the s_k
+    generate it."""
+    seen = np.zeros(steps.shape[1], dtype=bool)
+    seen[start] = True
+    frontier = np.array([start])
+    while frontier.size:
+        reached = steps[:, frontier].reshape(-1)
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
+    return seen
+
+
 def homomorphism_defect(
     f: Sequence[int] | np.ndarray, source: FiniteGroupTable, target: FiniteGroupTable
 ) -> Optional[tuple[int, int]]:
@@ -171,50 +167,6 @@ def homomorphism_defect(
     f = np.asarray(f, dtype=np.int64)
     bad = np.flatnonzero(f[source.mul_table] != target.mul_table[f[:, None], f[None, :]])
     return None if bad.size == 0 else divmod(int(bad[0]), source.order)
-
-
-# -- small group constructors ---------------------------------------------
-
-
-def cyclic_group(n: int, generators: Iterable[int] = (1,)) -> FiniteGroupTable:
-    """Z/n with addition; generator list is symmetrized automatically."""
-    if n < 1:
-        raise InvalidInputError("cyclic group order must be >= 1")
-    mul = (np.arange(n)[:, None] + np.arange(n)) % n
-    gens: list[int] = []
-    for s in generators:
-        s %= n
-        for t in (s, (-s) % n):
-            if t != 0 and t not in gens:
-                gens.append(t)
-    return FiniteGroupTable(mul, gens, [str(i) for i in range(n)])
-
-
-def symmetric_group(n: int, generators: Optional[Sequence[tuple[int, ...]]] = None) -> FiniteGroupTable:
-    """S_n on tuples, product (fg)(i) = f(g(i)); default gens: adjacent transpositions."""
-    if not (1 <= n <= 6):
-        raise InvalidInputError("symmetric_group supports 1 <= n <= 6")
-    elements = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(elements)}
-    mul = [
-        [index[tuple(f[g[i]] for i in range(n))] for g in elements]
-        for f in elements
-    ]
-    if generators is None:
-        generators = [
-            tuple(range(k)) + (k + 1, k) + tuple(range(k + 2, n))
-            for k in range(n - 1)
-        ]
-    gen_idx = []
-    for perm in generators:
-        p = tuple(perm)
-        if p not in index:
-            raise InvalidInputError(f"{perm} is not a permutation of 0..{n - 1}")
-        gen_idx.append(index[p])
-        inverse = tuple(p.index(i) for i in range(n))
-        gen_idx.append(index[inverse])
-    names = ["".join(map(str, p)) for p in elements]
-    return FiniteGroupTable(mul, dict.fromkeys(gen_idx), names)
 
 
 # -- Cayley graphs ---------------------------------------------------------

@@ -13,10 +13,9 @@ are computed with numpy/scipy and then verified against residual
 bounds, so a silently wrong eigensolve cannot leak into downstream
 certificates; a verified symmetry (a cyclic automorphism group, or the
 XOR deck action of a homology cover) splits the eigensolve into blocks.
-scipy is imported inside the functions that call it
-(the ``eigh`` and Lanczos routes of :func:`adjacency_spectrum`, and
-:func:`laplacian_lambda2`), so commands that never need it never load
-it.
+scipy is imported inside the only routes that call it (the ``eigh``
+and Lanczos routes of :func:`adjacency_spectrum`), so commands that never
+need it never load it.
 """
 
 from __future__ import annotations
@@ -988,26 +987,3 @@ def adjacency_spectrum(
         matrix="adjacency",
         residual=worst,
     )
-
-
-def laplacian_lambda2(g: LabeledGraph, dense_cap: int = DENSE_SPECTRUM_CAP, seed: int = 0) -> float:
-    """Second-smallest eigenvalue of the combinatorial Laplacian."""
-    import scipy.linalg
-    import scipy.sparse.csgraph
-    import scipy.sparse.linalg
-
-    if not g.is_connected:
-        raise DisconnectedGraphError("spectral gap requires a connected graph")
-    n = g.vertex_count
-    if n < 2:
-        raise InvalidInputError("spectral gap needs at least two vertices")
-    # loops cancel out of D - A, and csgraph drops the diagonal
-    lap = scipy.sparse.csgraph.laplacian(_adjacency_csr(g)).tocsr()
-    if n <= dense_cap:
-        vals, vecs = scipy.linalg.eigh(lap.toarray())
-        _verify_eigenpairs(lap @ vecs, vals, vecs)
-        return float(vals[1])
-    rng = np.random.default_rng(seed)
-    vals, vecs = scipy.sparse.linalg.eigsh(lap, k=2, which="SA", v0=rng.standard_normal(n))
-    _verify_eigenpairs(lap @ vecs, vals, vecs)
-    return float(sorted(vals)[1])

@@ -97,8 +97,6 @@ def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
-_dumps = canonical_json
-
 
 # -- graph documents ----------------------------------------------------------
 
@@ -177,7 +175,7 @@ def graph_from_document(doc, strict: bool = True, where: str = "") -> LabeledGra
 
 
 def serialize_graph(g: LabeledGraph) -> str:
-    return _dumps(graph_document(g))
+    return canonical_json(graph_document(g))
 
 
 def family_document(fam: GraphFamily, annotations: dict = None) -> dict:
@@ -191,7 +189,7 @@ def family_document(fam: GraphFamily, annotations: dict = None) -> dict:
 
 
 def serialize_graph_family(fam: GraphFamily, annotations: dict = None) -> str:
-    return _dumps(family_document(fam, annotations))
+    return canonical_json(family_document(fam, annotations))
 
 
 def parse_graph(
@@ -221,20 +219,6 @@ def parse_graph(
 
 
 # -- group table documents ------------------------------------------------------
-
-
-def group_document(table: expander_zoo.FiniteGroupTable) -> dict:
-    n = table.order
-    return {
-        "format_version": FORMAT_VERSION,
-        "mul": [[table.mul(a, b) for b in range(n)] for a in range(n)],
-        "generators": sorted(table.generators),
-        "names": [table.name(i) for i in range(n)],
-    }
-
-
-def serialize_group_table(table: expander_zoo.FiniteGroupTable) -> str:
-    return _dumps(group_document(table))
 
 
 def parse_group_table(data: Union[bytes, str], strict: bool = True) -> expander_zoo.FiniteGroupTable:
@@ -317,7 +301,7 @@ def map_family_document(mf: metric_diag.MapFamily) -> dict:
 
 
 def serialize_map_family(mf: metric_diag.MapFamily) -> str:
-    return _dumps(map_family_document(mf))
+    return canonical_json(map_family_document(mf))
 
 
 def parse_map_family(data: Union[bytes, str], strict: bool = True) -> metric_diag.MapFamily:
@@ -356,7 +340,7 @@ def points_document(points: np.ndarray) -> dict:
 
 
 def serialize_points(points: np.ndarray) -> str:
-    return _dumps(points_document(points))
+    return canonical_json(points_document(points))
 
 
 def parse_points(data: Union[bytes, str], strict: bool = True) -> np.ndarray:

@@ -1,6 +1,5 @@
 """Reduced labelings, piece enumeration, C'(lambda) small-cancellation
-checking, random labeling search, graphical presentations, and
-covering-induced surjection checks on finite quotients.
+checking, random labeling search, and graphical presentations.
 
 A labeling is reduced when at every vertex the outgoing darts carry
 pairwise distinct labels.  That makes label-following deterministic,
@@ -37,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -52,10 +51,6 @@ from .graph_core import (
     inverse_label,
     is_inverse_symbol,
 )
-
-if TYPE_CHECKING:
-    from .covers_walls import CoveringMap
-    from .expander_zoo import FiniteGroupTable
 
 #: random_labeling draws labels and orientations for this many attempts at
 #: once; whole batches are always drawn, so the stream ignores the budget
@@ -765,21 +760,6 @@ def _component_relators(g: LabeledGraph) -> list[tuple[str, ...]]:
     return [free_reduce(_word_of(g, darts)) for _, darts in fundamental_cycles(g)]
 
 
-def _evaluate_word(
-    table: FiniteGroupTable, assignment: dict[str, int], word: Sequence[str]
-) -> int:
-    x = table.identity
-    for s in word:
-        base = s[:-3] if s.endswith("^-1") else s
-        if base not in assignment:
-            raise InvalidInputError(f"symbol {base!r} has no interpretation in the quotient")
-        g = assignment[base]
-        if s.endswith("^-1"):
-            g = table.inverse(g)
-        x = table.mul(x, g)
-    return x
-
-
 def graphical_presentation(fam: GraphFamily, rank_cap: int = PRESENTATION_RANK_CAP) -> Presentation:
     """Presentation whose relators are the fundamental-cycle words of
     every component (BFS tree based at vertex 0).
@@ -801,202 +781,3 @@ def graphical_presentation(fam: GraphFamily, rank_cap: int = PRESENTATION_RANK_C
         _out_maps(g)  # raises unless the labeling is reduced
         relators.extend(_component_relators(g))
     return Presentation(alphabet=alphabet, relators=tuple(relators))
-
-
-# -- coset enumeration -----------------------------------------------------
-
-
-def coset_enumeration_order(pres: Presentation, max_cosets: int = 20000) -> int:
-    """Order of the presented group by coset enumeration over the
-    trivial subgroup.
-
-    Runs a relator-scanning strategy with coincidence handling; the
-    final table is complete, closed under every relator at every live
-    coset, and transitive, so the live-coset count is the group order.
-
-    Raises
-    ------
-    CapExceededError
-        More than ``max_cosets`` cosets were defined; the group may be
-        infinite or just large.
-    """
-    sym_id: dict[str, int] = {}
-    for i, s in enumerate(pres.alphabet):
-        sym_id[s] = 2 * i
-        sym_id[inverse_label(s)] = 2 * i + 1
-    width = 2 * len(pres.alphabet)
-    rel_ids = []
-    for r in pres.relators:
-        reduced = free_reduce(r)
-        if not reduced:
-            continue
-        try:
-            rel_ids.append([sym_id[s] for s in reduced])
-        except KeyError as exc:
-            raise InvalidInputError(f"relator symbol {exc} outside the alphabet") from exc
-
-    table: list[list[int]] = [[-1] * width]
-    parent = [0]
-
-    def rep(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    def define(c: int, x: int) -> int:
-        if len(table) >= max_cosets:
-            raise CapExceededError(
-                f"coset enumeration exceeded {max_cosets} cosets; group may be infinite"
-            )
-        n = len(table)
-        table.append([-1] * width)
-        parent.append(n)
-        table[c][x] = n
-        table[n][x ^ 1] = c
-        return n
-
-    def merge(a: int, b: int, queue: list[int]) -> None:
-        a, b = rep(a), rep(b)
-        if a == b:
-            return
-        if a > b:
-            a, b = b, a
-        parent[b] = a
-        queue.append(b)
-
-    def coincide(a: int, b: int) -> None:
-        queue: list[int] = []
-        merge(a, b, queue)
-        while queue:
-            dead = queue.pop()
-            for x in range(width):
-                d = table[dead][x]
-                if d == -1:
-                    continue
-                table[d][x ^ 1] = -1 if table[d][x ^ 1] == dead else table[d][x ^ 1]
-                mu, nu = rep(dead), rep(d)
-                if table[mu][x] != -1:
-                    merge(nu, table[mu][x], queue)
-                elif table[nu][x ^ 1] != -1:
-                    merge(mu, table[nu][x ^ 1], queue)
-                else:
-                    table[mu][x] = nu
-                    table[nu][x ^ 1] = mu
-
-    def scan(c: int, r: list[int], fill: bool) -> bool:
-        """Scan relator r at coset c; returns True if anything changed."""
-        changed = False
-        while True:
-            f, i = c, 0
-            while i < len(r) and table[f][r[i]] != -1:
-                f = rep(table[f][r[i]])
-                i += 1
-            if i == len(r):
-                if f != c:
-                    coincide(f, c)
-                    return True
-                return changed
-            b, j = c, len(r) - 1
-            while j >= i and table[b][r[j] ^ 1] != -1:
-                b = rep(table[b][r[j] ^ 1])
-                j -= 1
-            if j < i:
-                coincide(f, b)
-                return True
-            if j == i:
-                table[f][r[i]] = b
-                table[b][r[i] ^ 1] = f
-                changed = True
-                continue
-            if not fill:
-                return changed
-            define(f, r[i])
-            changed = True
-
-    while True:
-        changed = False
-        c = 0
-        while c < len(table):
-            if rep(c) != c:
-                c += 1
-                continue
-            for r in rel_ids:
-                if rep(c) != c:
-                    break
-                if scan(c, r, fill=True):
-                    changed = True
-            if rep(c) == c:
-                for x in range(width):
-                    if table[c][x] == -1:
-                        define(c, x)
-                        changed = True
-            c += 1
-        if not changed:
-            break
-
-    live = [c for c in range(len(table)) if rep(c) == c]
-    for c in live:
-        for x in range(width):
-            if table[c][x] == -1 or rep(table[c][x]) != table[c][x]:
-                table[c][x] = rep(table[c][x]) if table[c][x] != -1 else -1
-        if any(table[c][x] == -1 for x in range(width)):
-            raise VerificationError("coset table incomplete after closure")
-        for r in rel_ids:
-            f = c
-            for x in r:
-                f = rep(table[f][x])
-            if f != c:
-                raise VerificationError("relator fails to close on the final table")
-    return len(live)
-
-
-# -- covers and quotients ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SurjectionReport:
-    """Evaluation of cover and base relators in finite quotients.
-
-    Truthy exactly when every cover relator dies in every quotient."""
-
-    ok: bool
-    cover_failures: tuple[tuple[int, tuple[str, ...], int], ...]
-    base_quotient_ok: tuple[bool, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_cover_surjection(
-    cm: CoveringMap,
-    quotients: Sequence[tuple[FiniteGroupTable, dict[str, int]]],
-) -> SurjectionReport:
-    """Check the finite shadow of the induced surjection on presented
-    groups: every relator of the cover's presentation must die in every
-    supplied quotient of the base group.
-
-    Quotients that fail to kill even the base relators are reported via
-    ``base_quotient_ok`` (and any cover-relator failures they cause are
-    listed like the rest).
-    """
-    base_pres = graphical_presentation(GraphFamily((cm.base,)))
-    cover_pres = graphical_presentation(GraphFamily((cm.cover,)))
-    failures = []
-    base_flags = []
-    for qi, (table, assignment) in enumerate(quotients):
-        base_flags.append(
-            all(
-                _evaluate_word(table, assignment, r) == table.identity
-                for r in base_pres.relators
-            )
-        )
-        for r in cover_pres.relators:
-            value = _evaluate_word(table, assignment, r)
-            if value != table.identity:
-                failures.append((qi, r, value))
-    return SurjectionReport(
-        ok=not failures,
-        cover_failures=tuple(failures),
-        base_quotient_ok=tuple(base_flags),
-    )

@@ -6,8 +6,7 @@ graph with its path metric, or an explicit distance matrix), a target
 and the map itself as a vertex table.  The diagnostics are the
 per-distance compression moduli (the finite shadow of the proper
 functions rho and gamma bounding a coarse embedding), weak-embedding
-fiber statistics, bi-Lipschitz distortion, and ball concentration
-counts.
+fiber statistics, and ball concentration counts.
 
 Properness is a limit statement, so no operation here ever returns a
 verdict "coarsely embeddable"; finite data only supports envelopes and
@@ -21,12 +20,14 @@ from typing import Union
 
 import numpy as np
 
-from . import poincare_lab
 from .errors import DisconnectedGraphError, InvalidInputError
 from .graph_core import LabeledGraph, distance_matrix, xor_deck, xor_deck_gather
 
 #: Centers per block of distance rows read by ``ball_concentration``.
 BALL_BLOCK = 32
+
+#: Coordinates per block of point-target pairs read by ``_pair_distances``.
+PAIR_BLOCK = 1 << 18
 
 SourceSpace = Union[LabeledGraph, np.ndarray]
 TargetSpace = Union[LabeledGraph, np.ndarray]
@@ -137,7 +138,11 @@ def _pair_distances(entry: MapEntry) -> tuple[np.ndarray, np.ndarray]:
     pts = np.asarray(entry.target, dtype=np.float64)
     if not np.all(np.isfinite(pts)):
         raise InvalidInputError("target points must be finite")
-    return src, _row_distances(pts, image[x], image[y])
+    tgt = np.empty(x.size)
+    step = max(1, PAIR_BLOCK // max(1, pts.shape[1]))
+    for k in range(0, x.size, step):
+        tgt[k : k + step] = _row_distances(pts, image[x[k : k + step]], image[y[k : k + step]])
+    return src, tgt
 
 
 def _fiber_sizes(entry: MapEntry) -> np.ndarray:
@@ -245,35 +250,6 @@ def is_weak_embedding(mf: MapFamily, lipschitz_bound: float) -> WeakEmbeddingRep
     )
 
 
-# -- distortion ------------------------------------------------------------------
-
-
-def distortion(mf: Union[MapFamily, MapEntry]) -> float:
-    """(max expansion) * (max contraction) over all vertex pairs of an
-    injective single-index map; 1 for an isometry."""
-    if isinstance(mf, MapFamily):
-        if len(mf) != 1:
-            raise InvalidInputError("distortion takes a single-index family")
-        entry = mf.entries[0]
-    else:
-        entry = mf
-    if _fiber_sizes(entry).size != entry.size:
-        raise InvalidInputError("distortion needs an injective map")
-    src, tgt = _pair_distances(entry)
-    bad = np.flatnonzero((src <= 0) | (tgt <= 0))
-    if bad.size:
-        if src[bad[0]] <= 0:
-            raise InvalidInputError(
-                "source has distinct points at zero distance; not a metric"
-            )
-        raise InvalidInputError("distinct source points at zero target distance")
-    expansion = float(np.max(tgt / src, initial=0.0))
-    contraction = float(np.max(src / tgt, initial=0.0))
-    if expansion == 0.0:
-        raise InvalidInputError("no separated pairs to measure")
-    return expansion * contraction
-
-
 # -- ball concentration -----------------------------------------------------------
 
 
@@ -304,47 +280,3 @@ def ball_concentration(points: np.ndarray, radius: float) -> int:
         counts[k:stop] += inside.sum(axis=1)
         counts[stop:] += inside[:, stop - k :].sum(axis=0)
     return int(counts.max())
-
-
-@dataclass(frozen=True)
-class CosetConcentrationReport:
-    """Outcome of replaying the averaging argument: the base point whose
-    X-coset concentrates best, how many of its coset points landed in
-    the radius ball around its image, and the |X|/2 threshold."""
-
-    base_index: int
-    captured: int
-    coset_size: int
-    radius: float
-
-    @property
-    def passed(self) -> bool:
-        return 2 * self.captured >= self.coset_size
-
-
-def coset_ball_replay(
-    group, x_set, f: poincare_lab.GroupFunction, radius: float
-) -> CosetConcentrationReport:
-    """For each group element x, count the coset points x y (y in X)
-    whose images lie within ``radius`` of the image of x, and return the
-    best x.
-
-    For a 1-Lipschitz f and radius sqrt(2 C |Sigma|) with C a valid
-    Poincare constant, the averaging argument guarantees some x captures
-    at least half its coset.
-    """
-    table = poincare_lab.resolve_group(group)
-    x_set = poincare_lab._default_x(group) if x_set is None else x_set
-    members = poincare_lab.subset_indices(group, x_set)
-    if not (radius >= 0):
-        raise InvalidInputError("radius must be nonnegative")
-    vals = f.values
-    if vals.shape[0] != table.order:
-        raise InvalidInputError("function and group dimensions do not match")
-    images = vals[table.mul_table[:, list(members)]]
-    offsets = np.linalg.norm(images - vals[:, np.newaxis, :], axis=-1)
-    hits = np.sum(offsets <= radius + 1e-12, axis=1)
-    best_x = int(np.argmax(hits))
-    return CosetConcentrationReport(
-        base_index=best_x, captured=int(hits[best_x]), coset_size=len(members), radius=radius
-    )

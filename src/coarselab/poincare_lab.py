@@ -1,5 +1,5 @@
 """Quadratic forms on finite groups, the optimal relative Poincare
-constant, and positive / conditionally negative definite kernels.
+constant, and conditionally negative definite kernels.
 
 The central object is the pair of energy forms attached to a finite
 group W with a distinguished subset X and a symmetric generating set
@@ -41,7 +41,7 @@ from .errors import (
     InvalidInputError,
     VerificationError,
 )
-from .expander_zoo import FiniteGroupTable
+from .expander_zoo import FiniteGroupTable, right_orbit
 from .wreath import RelativeSubset, WreathElement, WreathGroup, lamp_support, x_subset
 
 #: largest group order whose indexed table is built (kernels and replay)
@@ -88,8 +88,8 @@ def wreath_indexed_group(W: WreathGroup) -> tuple[FiniteGroupTable, tuple[Wreath
     the base-group generators, and element names read ``support|b``.
 
     The table is computed on integer codes: element
-    ``rank[mask] * |B| + b`` is (mask, b).  The law of
-    :func:`~coarselab.wreath.wreath_mul` then reads
+    ``rank[mask] * |B| + b`` is (mask, b).  The group law of
+    :mod:`~coarselab.wreath` then reads
     ``(m1, b1)(m2, b2) = (m1 ^ shifted[proj[b1], m2], b1 b2)``, which
     is computed for all pairs at once.
     """
@@ -281,20 +281,6 @@ def relative_form_rhs(group: GroupLike, sigma, f: GroupFunction) -> float:
     return _displacement_sum(group, vals, members)
 
 
-def _generates(group: GroupLike, members) -> bool:
-    """True iff right multiplication by ``members`` reaches every element
-    from the first one, i.e. the members generate the group."""
-    steps = np.stack([_right_translation(group, y) for y in members])
-    seen = np.zeros(_order(group), dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        reached = steps[:, frontier].reshape(-1)
-        frontier = np.unique(reached[~seen[reached]])
-        seen[frontier] = True
-    return bool(seen.all())
-
-
 def _character_blocks(W: WreathGroup, members) -> np.ndarray:
     """Block S, for every lamp mask S, of the form sum over members y of
     ||u - u(. y)||^2 on the functions chi_S(m) g(b), as a
@@ -366,7 +352,7 @@ def relative_poincare_constant(group: WreathGroup, sigma=None, x_set=None) -> Po
             f"character blocks of {storage} entries exceed the block cap {POINCARE_BLOCK_CAP}"
         )
     sigma_idx, x_idx = _canonical_subsets(group, sigma, x_set)
-    if not _generates(group, sigma_idx):
+    if not right_orbit(np.stack([_right_translation(group, y) for y in sigma_idx]), 0).all():
         raise DisconnectedGraphError(
             "the generating set does not connect the group; the rhs form is degenerate"
         )
@@ -411,24 +397,13 @@ def relative_poincare_constant(group: WreathGroup, sigma=None, x_set=None) -> Po
     )
 
 
-# -- positive definite and conditionally negative definite kernels ----------
+# -- conditionally negative definite kernels --------------------------------
 
 
 def _kernel_matrix(table, values: np.ndarray) -> np.ndarray:
     # row y of mul_table[inv] is x -> inv(y) x, so transposing puts
     # phi(inv(y) x) at position (x, y)
     return values[table.mul_table[table.inv]].T
-
-
-def is_positive_definite(phi: KernelFunction, tol: float = EIG_TOL) -> bool:
-    """True iff the translation matrix phi(y^-1 x) is symmetric with
-    smallest eigenvalue >= -tol."""
-    table = resolve_group(phi.group)
-    M = _kernel_matrix(table, phi.values)
-    scale = max(1.0, float(np.abs(M).max()))
-    if float(np.abs(M - M.T).max()) > tol * scale:
-        return False
-    return float(np.linalg.eigvalsh((M + M.T) / 2.0)[0]) >= -tol * scale
 
 
 def is_cnd(psi: KernelFunction, tol: float = EIG_TOL) -> bool:
@@ -483,23 +458,6 @@ def cnd_from_function(group: GroupLike, f: GroupFunction) -> KernelFunction:
     return kern
 
 
-def schoenberg_transform(psi: KernelFunction, t: float) -> KernelFunction:
-    """The pointwise exponential transform exp(-t * psi), t >= 0."""
-    if not (t >= 0):
-        raise InvalidInputError("transform parameter must be nonnegative")
-    return KernelFunction(psi.group, np.exp(-t * psi.values))
-
-
-def schoenberg_bound(eps: float, delta: float) -> float:
-    """The constant -log(eps) / delta valid in the sup-over-X bound
-    for conditionally negative definite kernels (0 < eps <= 1, delta > 0)."""
-    if not (0.0 < eps <= 1.0):
-        raise InvalidInputError("eps must lie in (0, 1]")
-    if not (delta > 0.0):
-        raise InvalidInputError("delta must be positive")
-    return -math.log(eps) / delta
-
-
 # -- randomized verification -------------------------------------------------
 
 
@@ -544,13 +502,12 @@ def verify_relative_inequality(
     constant: float,
     trials: int = 200,
     seed: int = 0,
-    include_witness: bool = True,
     witness: Optional[GroupFunction] = None,
 ) -> RelativeInequalityReport:
     """Replay the inequality on random functions.
 
     Probes are a constant function (reported degenerate, its ratio is
-    0/0), the indicator of the identity, optionally the eigensolver
+    0/0), the indicator of the identity, the eigensolver
     witness (``witness`` when the caller already holds it, else solved
     for here), and ``trials`` random functions of dimension cycling
     through 1, 2, 3.  For each probe the displacement kernel is also
@@ -565,10 +522,9 @@ def verify_relative_inequality(
 
     probes: list[np.ndarray] = [np.ones((n, 1)), np.zeros((n, 1))]
     probes[1][table.identity, 0] = 1.0
-    if include_witness:
-        if witness is None:
-            witness = relative_poincare_constant(group, sigma_idx, x_idx).witness
-        probes.append(_function_on(group, witness))
+    if witness is None:
+        witness = relative_poincare_constant(group, sigma_idx, x_idx).witness
+    probes.append(_function_on(group, witness))
     rng = np.random.default_rng(seed)
     for k in range(trials):
         probes.append(rng.standard_normal((n, 1 + k % 3)))

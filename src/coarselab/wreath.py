@@ -16,7 +16,6 @@ generators of B.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -100,14 +99,6 @@ def lamp_support(mask: int) -> tuple[int, ...]:
     """The lit lamps of a lamp mask (bit q set iff lamp q is lit), ascending.
     Elements (mask, b) are enumerated in the order of (lamp_support(mask), b)."""
     return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
-
-
-def wreath_mul(W: WreathGroup, x: WreathElement, y: WreathElement) -> WreathElement:
-    W.validate(x)
-    W.validate(y)
-    shift = W.proj[x.b]
-    moved = frozenset(W.Q.mul(shift, q) for q in y.config)
-    return WreathElement(x.config ^ moved, W.B.mul(x.b, y.b))
 
 
 # -- Cayley graphs ----------------------------------------------------------
@@ -245,107 +236,3 @@ class RelativeSubset:
 
 def x_subset(W: WreathGroup) -> RelativeSubset:
     return RelativeSubset(tuple(W.delta(g) for g in range(W.Q.order)))
-
-
-# -- subwreath embedding ----------------------------------------------------
-
-
-def subwreath_embed(
-    W_small: WreathGroup,
-    W_big: WreathGroup,
-    vertex_inclusion: dict[int, int],
-    quotient_bijection: dict[int, int],
-) -> dict[WreathElement, WreathElement]:
-    """The embedding (phi, l) -> (Phi, l) of Z/2 wr_{L'} L into
-    Z/2 wr_{K'} K: Phi agrees with phi on the image of L's quotient
-    (transported by the bijection) and vanishes elsewhere.
-
-    ``vertex_inclusion`` maps B-elements of W_small into B-elements of
-    W_big; it must be an injective homomorphism carrying generators to
-    generators (that makes Cay(L, U) a subgraph of Cay(K, V)).
-    ``quotient_bijection`` maps Q-elements of W_big back to Q-elements
-    of W_small; composed with W_big's projection it must reproduce
-    W_small's projection.  Both hypotheses are checked exhaustively, and
-    the returned map is verified to be an injective homomorphism.
-    """
-    L, K = W_small.B, W_big.B
-    incl = vertex_inclusion
-    if sorted(incl) != list(range(L.order)):
-        raise InvalidInputError("vertex inclusion must be defined on all of L")
-    if len(set(incl.values())) != L.order:
-        raise InvalidInputError("vertex inclusion is not injective")
-    for v in incl.values():
-        if not (0 <= v < K.order):
-            raise InvalidInputError(f"inclusion value {v} outside K")
-    if homomorphism_defect([incl[l] for l in range(L.order)], L, K) is not None:
-        raise InvalidInputError("vertex inclusion is not a homomorphism")
-    big_gens = set(K.generators)
-    for u in L.generators:
-        if incl[u] not in big_gens:
-            raise InvalidInputError(
-                f"Cay(L, U) is not a subgraph of Cay(K, V): generator {u} "
-                f"maps to {incl[u]}, which is not a K-generator"
-            )
-
-    # the bijection must cover exactly the projected image of L
-    projected = {W_big.proj[incl[l]] for l in range(L.order)}
-    f = quotient_bijection
-    if set(f) != projected:
-        raise InvalidInputError(
-            "quotient bijection must be defined exactly on the projection of L"
-        )
-    if len(set(f.values())) != len(f):
-        raise InvalidInputError("quotient bijection is not injective")
-    for l in range(L.order):
-        if f[W_big.proj[incl[l]]] != W_small.proj[l]:
-            raise InvalidInputError(
-                "quotient bijection does not intertwine the two projections"
-            )
-    f_inv = {v: k for k, v in f.items()}
-    if sorted(f_inv) != list(range(W_small.Q.order)):
-        raise InvalidInputError("quotient bijection does not reach all of L'")
-
-    if W_small.order > WREATH_VERTEX_CAP:
-        raise CapExceededError("small wreath group too large to enumerate")
-    mapping: dict[WreathElement, WreathElement] = {}
-    configs = [frozenset(lamp_support(mask)) for mask in range(1 << W_small.Q.order)]
-    for cfg in configs:
-        big_cfg = frozenset(f_inv[q] for q in cfg)
-        for b in range(L.order):
-            mapping[WreathElement(cfg, b)] = WreathElement(big_cfg, incl[b])
-
-    if len(set(mapping.values())) != len(mapping):
-        raise VerificationError("subwreath embedding is not injective")
-    elems = list(mapping)
-    if len(elems) <= 256:
-        check_pairs = ((x, y) for x in elems for y in elems)
-    else:
-        rng = random.Random(20240817)
-        check_pairs = (
-            (rng.choice(elems), rng.choice(elems)) for _ in range(2000)
-        )
-    for x, y in check_pairs:
-        lhs = mapping[wreath_mul(W_small, x, y)]
-        rhs = wreath_mul(W_big, mapping[x], mapping[y])
-        if lhs != rhs:
-            raise VerificationError("subwreath embedding is not a homomorphism")
-    return mapping
-
-
-def verify_subgraph_embedding(
-    gm: dict[int, int], g_small: LabeledGraph, g_big: LabeledGraph
-) -> bool:
-    """True iff ``gm`` maps g_small injectively into g_big carrying
-    every edge to an edge."""
-    for v in range(g_small.vertex_count):
-        if v not in gm:
-            raise InvalidInputError(f"vertex {v} has no image")
-    if len({gm[v] for v in range(g_small.vertex_count)}) != g_small.vertex_count:
-        return False
-    adjacency = set()
-    for d in range(g_big.dart_count):
-        adjacency.add((g_big.dart_source(d), g_big.dart_target(d)))
-    for u, v, _ in g_small.edges():
-        if (gm[u], gm[v]) not in adjacency:
-            return False
-    return True

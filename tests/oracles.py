@@ -190,6 +190,20 @@ def dense_eigvalsh(g: LabeledGraph):
     return np.linalg.eigvalsh(dense)[::-1]
 
 
+def dense_laplacian_lambda2(g: LabeledGraph) -> float:
+    """Second-smallest eigenvalue of D - A, the dense matrix built edge by
+    edge (a loop cancels out of D - A); 0 for a disconnected graph."""
+    import numpy as np
+
+    lap = np.zeros((g.vertex_count, g.vertex_count))
+    for u, v, _ in g.edges():
+        lap[u, u] += 1
+        lap[v, v] += 1
+        lap[u, v] -= 1
+        lap[v, u] -= 1
+    return float(np.linalg.eigvalsh(lap)[1])
+
+
 def all_character_blocks_spectrum(g: LabeledGraph):
     """Adjacency eigenvalues, descending, from all m character blocks of
     the cyclic symmetry h that ``graph_core`` picks, conjugate pairs
@@ -598,7 +612,8 @@ def _wreath_key(x):
 def naive_wreath_table(W):
     """Multiplication table over the sorted element list, by direct
     evaluation of the group law."""
-    from coarselab.wreath import WreathElement, wreath_mul
+    from coarselab.wreath import WreathElement
+    from groups import wreath_mul
 
     elems = sorted(
         (
@@ -618,7 +633,8 @@ def naive_wreath_cayley(W, radius=None):
     """The wreath Cayley graph (or ball) by breadth-first search on
     frozenset elements, every product by the group law ``wreath_mul``;
     levels are sorted by (sorted support, B-index)."""
-    from coarselab.wreath import DELTA_LABEL, WreathBall, WreathElement, wreath_mul
+    from coarselab.wreath import DELTA_LABEL, WreathBall, WreathElement
+    from groups import wreath_mul
 
     pairs = []
     for t in W.B.generators:
@@ -1216,7 +1232,8 @@ def graphs_equal(a: LabeledGraph, b: LabeledGraph) -> bool:
 def wreath_inv(W, x):
     """The inverse of a wreath element by the law: (m, b)^-1 is
     (proj(b^-1) . m, b^-1), checked against ``wreath_mul``."""
-    from coarselab.wreath import WreathElement, wreath_mul
+    from coarselab.wreath import WreathElement
+    from groups import wreath_mul
 
     W.validate(x)
     binv = W.B.inverse(x.b)

@@ -16,18 +16,18 @@ import coarselab.cli as cli
 import coarselab.expander_zoo as expander_zoo
 from coarselab.covers_walls import homology_cover, wall_pseudometric, walls_from_cover
 from coarselab.errors import CapExceededError, InvalidInputError, VerificationError
-from coarselab.expander_zoo import cayley_graph, cyclic_group, lps_graph
+from coarselab.expander_zoo import cayley_graph, lps_graph
 from coarselab import graph_core
 from coarselab.graph_core import build_graph, distance_matrix
 from coarselab.jsonio import (
     parse_graph,
     serialize_graph,
-    serialize_group_table,
     serialize_map_family,
     serialize_points,
 )
 from coarselab.metric_diag import MapEntry, MapFamily
 
+from groups import cyclic_group, serialize_group_table
 from oracles import (
     bfs_distances,
     dense_eigvalsh,
@@ -339,8 +339,7 @@ class TestLabelingCommands:
 
     def test_scipy_stays_unloaded(self, tmp_path, two_c8):
         # importing the CLI, and every command below, must not load scipy;
-        # `spectrum` off the twist and character-block routes, and
-        # `laplacian_lambda2`, still do
+        # `spectrum` off the twist and character-block routes still does
         _, _, labeled = two_c8
         (tmp_path / "z3.json").write_text(serialize_group_table(cyclic_group(3)))
         (tmp_path / "points.json").write_text(serialize_points(np.eye(3)))

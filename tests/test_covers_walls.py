@@ -11,7 +11,6 @@ from coarselab.covers_walls import (
     compose_covers,
     cover_girth,
     homology_cover,
-    is_two_connected,
     iterate_homology_cover,
     validate_walls,
     wall_hilbert_embedding,
@@ -25,7 +24,7 @@ from coarselab.errors import (
     InvalidInputError,
     VerificationError,
 )
-from coarselab.expander_zoo import cayley_graph, cyclic_group
+from coarselab.expander_zoo import cayley_graph
 from coarselab.graph_core import (
     GraphFamily,
     build_graph,
@@ -36,6 +35,7 @@ from coarselab.graph_core import (
 )
 from coarselab.labelings import _out_maps, _pair_components
 
+from groups import cyclic_group
 from oracles import (
     complete,
     multi_k4,
@@ -61,28 +61,33 @@ def k4():
     return build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 
 
+def bridgeless(g):
+    """The bridge check of ``walls_from_cover``: no edge has cut mask 0."""
+    return all(covers_walls._cut_masks(g))
+
+
 class TestTwoConnected:
     def test_examples(self):
-        assert is_two_connected(triangle())
-        assert not is_two_connected(build_graph(2, [(0, 1)]))
-        assert is_two_connected(theta())
+        assert bridgeless(triangle())
+        assert not bridgeless(build_graph(2, [(0, 1)]))
+        assert bridgeless(theta())
 
     def test_bridge_between_triangles(self):
         edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)]
-        assert not is_two_connected(build_graph(6, edges))
+        assert not bridgeless(build_graph(6, edges))
 
     def test_loop_is_not_a_bridge(self):
-        assert is_two_connected(build_graph(1, [(0, 0)]))
+        assert bridgeless(build_graph(1, [(0, 0)]))
 
     def test_cycle_rank_beyond_64_bits(self):
         # K13 has cycle rank 66, past any int64 cut mask
         k13 = complete(13)
-        assert is_two_connected(k13)
-        assert not is_two_connected(build_graph(14, list(k13.edges()) + [(0, 13)]))
+        assert bridgeless(k13)
+        assert not bridgeless(build_graph(14, list(k13.edges()) + [(0, 13)]))
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
-            is_two_connected(build_graph(3, [(0, 1)]))
+            bridgeless(build_graph(3, [(0, 1)]))
 
     def test_matches_edge_deletion_bruteforce(self):
         rng = random.Random(17)
@@ -92,13 +97,18 @@ class TestTwoConnected:
             g = build_graph(n, edges)
             if not g.is_connected:
                 continue
-            bridgeless = True
+            expected = True
             for skip in range(g.edge_count):
                 kept = [e for i, e in enumerate(g.edges()) if i != skip]
                 if not build_graph(n, kept).is_connected:
-                    bridgeless = False
+                    expected = False
                     break
-            assert is_two_connected(g) == bridgeless
+            assert bridgeless(g) == expected
+            if expected:
+                walls_from_cover(homology_cover(g))
+            else:
+                with pytest.raises(InvalidInputError, match="bridgeless"):
+                    walls_from_cover(homology_cover(g))
 
 
 class TestHomologyCover:
@@ -350,7 +360,7 @@ class TestWalls:
         while checked < 200:
             n = rng.randrange(1, 6)
             base = random_multigraph(rng, n, rng.randrange(n - 1, n + 4))
-            if not base.is_connected or base.edge_count - n + 1 > 7 or not is_two_connected(base):
+            if not base.is_connected or base.edge_count - n + 1 > 7 or not bridgeless(base):
                 continue
             cm = homology_cover(base)
             walls = walls_from_cover(cm)

@@ -29,15 +29,15 @@ from pathlib import Path
 import pytest
 
 from coarselab.covers_walls import homology_cover, wall_hilbert_embedding, walls_from_cover
-from coarselab.expander_zoo import cyclic_group, symmetric_group
 from coarselab.graph_core import build_graph
 from coarselab.jsonio import (
     serialize_graph,
-    serialize_group_table,
     serialize_map_family,
     serialize_points,
 )
 from coarselab.metric_diag import MapEntry, MapFamily
+
+from groups import cyclic_group, serialize_group_table, symmetric_group
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

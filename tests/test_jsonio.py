@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coarselab.errors import InvalidInputError
-from coarselab.expander_zoo import cayley_graph, cyclic_group, symmetric_group
+from coarselab.expander_zoo import cayley_graph
 from coarselab.graph_core import GraphFamily, build_graph, split_components
 from coarselab.jsonio import (
     canonical_json,
@@ -17,13 +17,13 @@ from coarselab.jsonio import (
     parse_points,
     serialize_graph,
     serialize_graph_family,
-    serialize_group_table,
     serialize_map_family,
     serialize_points,
 )
 from coarselab.metric_diag import MapEntry, MapFamily
 from coarselab.wreath import WreathGroup, wreath_cayley
 
+from groups import cyclic_group, serialize_group_table, symmetric_group
 from oracles import graphs_equal
 
 

@@ -15,7 +15,7 @@ import pytest
 import coarselab.labelings as labelings
 from coarselab.covers_walls import CoveringMap, homology_cover, iterate_homology_cover
 from coarselab.errors import CapExceededError, InvalidInputError, VerificationError
-from coarselab.expander_zoo import FiniteGroupTable, cayley_graph, cyclic_group
+from coarselab.expander_zoo import FiniteGroupTable, cayley_graph
 from coarselab.graph_core import GraphFamily, build_graph, girth, inverse_label, split_components
 from coarselab.labelings import (
     LABEL_BATCH,
@@ -23,21 +23,19 @@ from coarselab.labelings import (
     Alphabet,
     Presentation,
     SmallCancellationReport,
-    _evaluate_word,
     _out_maps,
     _pair_components,
     _piece_analysis,
     canonical_word,
     check_reduced,
     check_small_cancellation,
-    coset_enumeration_order,
     enumerate_pieces,
     free_reduce,
     graphical_presentation,
     random_labeling,
-    verify_cover_surjection,
     word_inverse,
 )
+from groups import cyclic_group
 from oracles import (
     follow_word,
     naive_piece_summary,
@@ -50,6 +48,7 @@ from oracles import (
     verify_covering,
     walked_pieces,
 )
+from paper_checks import _evaluate_word, coset_enumeration_order, verify_cover_surjection
 from test_golden_artifacts import HASH_SENSITIVE_EDGES, LABELED_EDGES
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -1,14 +1,13 @@
-"""Every top-level name in ``src/coarselab`` is reached by a CLI command,
-by a benchmark step, or is a library entry point the README promises.
+"""Every top-level name in ``src/coarselab`` is reached by a CLI command
+or by a benchmark step.
 
 The names a command reaches are followed statically with ``ast``: from
 ``cli.build_parser`` and ``cli.main``, from the code every module runs on
 import, and from every ``coarselab`` import in ``perfbench/*.py``.  A name
 reaches every top-level name its definition mentions, directly, through a
 ``from`` import, or as an attribute of an imported module; a class
-reaches everything its body mentions.  What is left must be exactly
-``LIBRARY_ONLY``, so a new dead name fails this test, and so does a
-listed name that a command starts to reach.
+reaches everything its body mentions.  Nothing may be left, so a new
+dead name fails this test; code that only tests call lives in ``tests/``.
 """
 
 from __future__ import annotations
@@ -19,29 +18,6 @@ from typing import Optional
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "coarselab"
-
-#: Names no command reaches, each with the README clause it serves.
-LIBRARY_ONLY = {
-    "covers_walls.is_two_connected": "the bridge test (`is_two_connected`",
-    "expander_zoo.cyclic_group": "Finite group tables",
-    "expander_zoo.symmetric_group": "Finite group tables",
-    "graph_core.laplacian_lambda2": "the spectral gap (`laplacian_lambda2`",
-    "jsonio.group_document": "JSON documents for graphs, families, group tables",
-    "jsonio.serialize_group_table": "JSON documents for graphs, families, group tables",
-    "labelings.SurjectionReport": "cover surjection checks on finite quotients",
-    "labelings._evaluate_word": "cover surjection checks on finite quotients",
-    "labelings.verify_cover_surjection": "cover surjection checks on finite quotients",
-    "labelings.coset_enumeration_order": "presentation extraction with coset enumeration",
-    "metric_diag.CosetConcentrationReport": "the coset-capture replay for 1-Lipschitz maps of wreath groups",
-    "metric_diag.coset_ball_replay": "the coset-capture replay for 1-Lipschitz maps of wreath groups",
-    "metric_diag.distortion": "weak-embedding reports, distortion",
-    "poincare_lab.is_positive_definite": "positive-definite and conditionally-negative-definite tests",
-    "poincare_lab.schoenberg_transform": "the exp(-t psi) transform",
-    "poincare_lab.schoenberg_bound": "Schoenberg kernel machinery",
-    "wreath.subwreath_embed": "subwreath embeddings verified edge by edge",
-    "wreath.verify_subgraph_embedding": "subwreath embeddings verified edge by edge",
-    "wreath.wreath_mul": "exact element arithmetic",
-}
 
 
 class _Module:
@@ -161,19 +137,10 @@ def _unreached(extra: Optional[dict[str, str]] = None) -> set[str]:
     return {f"{m}.{n}" for m, n in every - reached}
 
 
-def test_every_unreached_name_is_a_listed_library_entry():
-    unreached = _unreached()
-    assert sorted(unreached - set(LIBRARY_ONLY)) == [], "dead names in src/coarselab"
-    assert sorted(set(LIBRARY_ONLY) - unreached) == [], "listed names that a command now reaches"
+def test_every_top_level_name_is_reached():
+    assert sorted(_unreached()) == [], "dead names in src/coarselab"
 
 
-def test_every_listed_name_is_a_readme_clause():
-    readme = (ROOT / "README.md").read_text()
-    assert [name for name, clause in LIBRARY_ONLY.items() if clause not in readme] == []
-
-
-def test_a_new_dead_name_and_a_newly_reached_listed_name_are_both_caught():
+def test_a_new_dead_name_is_caught():
     dead = "\n\ndef _never_called(g):\n    return girth(g)\n"
-    assert _unreached({"graph_core": dead}) - _unreached() == {"graph_core._never_called"}
-    wired = "\nfrom . import wreath\nprint(wreath.wreath_mul)\n"
-    assert _unreached() - _unreached({"cli": wired}) == {"wreath.wreath_mul"}
+    assert _unreached({"graph_core": dead}) == {"graph_core._never_called"}

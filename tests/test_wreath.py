@@ -7,19 +7,18 @@ from functools import lru_cache
 import pytest
 
 from coarselab.errors import CapExceededError, InvalidInputError
-from coarselab.expander_zoo import FiniteGroupTable, cyclic_group, symmetric_group
+from coarselab.expander_zoo import FiniteGroupTable
 from coarselab.wreath import (
     DELTA_LABEL,
     RelativeSubset,
     WreathElement,
     WreathGroup,
-    subwreath_embed,
-    verify_subgraph_embedding,
     wreath_cayley,
-    wreath_mul,
     x_subset,
 )
+from groups import cyclic_group, symmetric_group, wreath_mul
 from oracles import naive_wreath_cayley, wreath_inv
+from paper_checks import subwreath_embed, verify_subgraph_embedding
 
 
 def w22():
