@@ -88,9 +88,9 @@ class LabeledGraph:
     ----------
     vertex_count : int
         Number of vertices, named ``0 .. vertex_count - 1``.
-    darts : sequence of (source, target, label) triples
-        Must have even length with darts ``2k`` and ``2k + 1`` mutually
-        reverse and carrying mutually inverse labels.  Use
+    edges : sequence of (source, target, label, inverse label)
+        Edge ``k`` gives dart ``2k`` and its reverse ``2k + 1``, which
+        reads the inverse label.  Nothing here is checked: use
         :func:`build_graph` instead of calling this directly.
     alphabet : frozenset of base symbols
     annotations : dict
@@ -113,31 +113,29 @@ class LabeledGraph:
     def __init__(
         self,
         vertex_count: int,
-        darts: Sequence[tuple[int, int, Optional[str]]],
+        edges: Sequence[tuple[int, int, Optional[str], Optional[str]]],
         alphabet: frozenset[str],
         annotations: Optional[dict] = None,
     ):
         if vertex_count < 1:
             raise InvalidInputError("graph needs at least one vertex")
-        if len(darts) % 2 != 0:
-            raise InvalidInputError("darts must come in reverse pairs")
         self.vertex_count = int(vertex_count)
-        self._src = tuple(d[0] for d in darts)
-        self._dst = tuple(d[1] for d in darts)
-        self._lab = tuple(d[2] for d in darts)
+        heads, tails, labels, inverses = zip(*edges) if edges else ((),) * 4
+        # dart 2k runs along edge k and dart 2k + 1 back, reading the inverse
+        src = [0] * (2 * len(edges))
+        dst = src.copy()
+        lab = [None] * len(src)
+        src[::2] = dst[1::2] = heads
+        src[1::2] = dst[::2] = tails
+        lab[::2] = labels
+        lab[1::2] = inverses
+        self._src, self._dst, self._lab = tuple(src), tuple(dst), tuple(lab)
         self.alphabet = frozenset(alphabet)
         self.annotations = dict(annotations) if annotations else {}
-        for d in range(0, len(darts), 2):
-            u, v, lab = darts[d]
-            ru, rv, rlab = darts[d + 1]
-            if (ru, rv) != (v, u) or rlab != inverse_label(lab):
-                raise InvalidInputError(f"darts {d} and {d + 1} are not mutual reverses")
         out: list[list[int]] = [[] for _ in range(vertex_count)]
-        for d, u in enumerate(self._src):
-            if not (0 <= u < vertex_count) or not (0 <= self._dst[d] < vertex_count):
-                raise InvalidInputError(f"dart {d} endpoint out of range")
+        for d, u in enumerate(src):
             out[u].append(d)
-        self._out = tuple(tuple(ds) for ds in out)
+        self._out = tuple(map(tuple, out))
         self._component_ids = tuple(components(self))
         self._component_count = max(self._component_ids) + 1
 
@@ -240,8 +238,9 @@ def build_graph(
             _check_base_symbol(s)
         declared = frozenset(symbols)
 
-    darts: list[tuple[int, int, Optional[str]]] = []
+    inverses: dict = {None: None}  # each label met so far, checked, to its inverse
     seen_symbols: set[str] = set()
+    rows = []
     for e in edges:
         if len(e) == 2:
             u, v = e
@@ -250,11 +249,13 @@ def build_graph(
             u, v, lab = e
         else:
             raise InvalidInputError(f"edge {e!r} is not a pair or labeled triple")
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if type(u) is not int or type(v) is not int:
             raise InvalidInputError(f"edge {e!r} has non-integer endpoints")
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise InvalidInputError(f"edge {e!r} endpoint out of range [0, {vertex_count})")
-        if lab is not None:
+        try:
+            rows.append((u, v, lab, inverses[lab]))
+        except (KeyError, TypeError):
             if not isinstance(lab, str) or not lab:
                 raise InvalidInputError(f"edge {e!r} label must be None or a nonempty string")
             base = base_symbol(lab)
@@ -262,10 +263,10 @@ def build_graph(
             if declared is not None and base not in declared:
                 raise InvalidInputError(f"label {lab!r} not in declared alphabet")
             seen_symbols.add(base)
-        darts.append((u, v, lab))
-        darts.append((v, u, inverse_label(lab)))
+            inverse = inverses[lab] = inverse_label(lab)
+            rows.append((u, v, lab, inverse))
     final_alphabet = declared if declared is not None else frozenset(seen_symbols)
-    return LabeledGraph(vertex_count, darts, final_alphabet, annotations)
+    return LabeledGraph(vertex_count, rows, final_alphabet, annotations)
 
 
 # -- families ------------------------------------------------------------

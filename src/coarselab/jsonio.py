@@ -2,18 +2,23 @@
 
 Every document is a versioned JSON object.  Parsing is strict by
 default: unknown fields are errors naming the offending location, so a
-typo cannot silently change meaning.  Serialization is canonical
-(sorted keys, two-space indent, one trailing newline), which makes
-repeated runs byte-comparable.
+typo cannot silently change meaning.  A graph's edge list is checked in
+bulk; only when a bulk check fails are its edges walked, to name the
+first bad one.
 
-parse . serialize is the identity on structural content: vertex count,
-dart triples with labels and orientations, and the alphabet.
-Annotations ride along as plain JSON values (tuples become lists).
+Serialization is canonical, so repeated runs are byte-comparable: the
+bytes of ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True)``
+and one trailing newline, written by one template writer that
+``tests/oracles.py`` holds equal to that call.  parse . serialize is the
+identity on vertex count, dart triples with labels and orientations, and
+the alphabet; annotations ride along as plain JSON (tuples become lists).
 """
 
 from __future__ import annotations
 
 import json
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _string
 from typing import Union
 
 import numpy as np
@@ -37,9 +42,7 @@ def _load(data: Union[bytes, str]):
     try:
         return json.loads(data)
     except json.JSONDecodeError as e:
-        raise InvalidInputError(
-            f"not valid JSON: {e.msg} at line {e.lineno} column {e.colno}"
-        ) from e
+        raise InvalidInputError(f"not valid JSON: {e.msg} at line {e.lineno} column {e.colno}") from e
 
 
 def _object(doc, where: str) -> dict:
@@ -67,65 +70,125 @@ def _check_version(obj: dict, where: str) -> None:
 
 def _int(value, where: str, field: str) -> int:
     # bool is an int subclass and must not pass as a count
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise InvalidInputError(f"{where}field {field!r} must be an integer")
     return value
 
 
-def _jsonable(value, where: str):
-    """Convert annotation values to plain JSON types, rejecting the rest."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
+# -- the canonical writer -------------------------------------------------------
+
+
+def _scalar_row(items, sep: str):
+    """``items`` as JSON joined by ``sep`` in one step when they are all
+    strings, all ints or all floats, else None."""
+    kinds = set(map(type, items))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is str:
+        return sep.join(map(_string, items))
+    if kind is int:
+        return sep.join(map(int.__repr__, items))
+    if kind is not None and issubclass(kind, float):
+        text = sep.join(map(float.__repr__, items))
+        # repr spells the non-finite values nan, inf and -inf
+        return sep.join(map(json.dumps, items)) if "n" in text else text
+    return None
+
+
+def _edges_text(g: LabeledGraph, pad: str) -> str:
+    """The edge list of ``g``, one forward record per edge (dart 2k)."""
+    if not g.edge_count:
+        return "[]"
+    inner, field = pad + "  ", pad + "    "
+    record = ("{" + field + '"label": %s,' + field + '"orientation": "forward",'
+              + field + '"u": %d,' + field + '"v": %d' + inner + "}")
+    labels = g._lab[::2]
+    names = {lab: "null" if lab is None else _string(lab) for lab in set(labels)}
+    rows = zip(map(names.__getitem__, labels), g._src[::2], g._dst[::2])
+    return "[" + inner + ("," + inner).join(map(record.__mod__, rows)) + pad + "]"
+
+
+def _text(value, pad: str) -> str:
+    """``value`` as JSON on a line whose indent is ``pad`` (a newline, then spaces)."""
+    inner = pad + "  "
+    sep = "," + inner
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v, where) for v in value]
+        if not value:
+            return "[]"
+        row = _scalar_row(value, sep)
+        if row is None:
+            row = sep.join([_text(v, inner) for v in value])
+        return "[" + inner + row + pad + "]"
     if isinstance(value, dict):
-        out = {}
-        for k, v in value.items():
-            if not isinstance(k, str):
-                raise InvalidInputError(f"{where}annotation keys must be strings")
-            out[k] = _jsonable(v, where)
-        return out
-    raise InvalidInputError(
-        f"{where}annotation value of type {type(value).__name__} is not JSON-serializable"
-    )
+        if not value:
+            return "{}"
+        if not all(map(isinstance, value, repeat(str))):
+            raise InvalidInputError("annotation keys must be strings")
+        fields = [_string(k) + ": " + _text(value[k], inner) for k in sorted(value)]
+        return "{" + inner + sep.join(fields) + pad + "}"
+    if isinstance(value, LabeledGraph):
+        fields = ['"alphabet": ' + _text(sorted(value.alphabet), inner)]
+        if value.annotations:
+            fields.append('"annotations": ' + _text(value.annotations, inner))
+        fields.append('"edges": ' + _edges_text(value, inner))
+        fields.append(f'"format_version": "{FORMAT_VERSION}"')
+        fields.append(f'"vertices": {value.vertex_count}')
+        return "{" + inner + sep.join(fields) + pad + "}"
+    try:  # a scalar, or no JSON value
+        return json.dumps(value)
+    except TypeError:
+        raise InvalidInputError(f"annotation value of type {type(value).__name__} is not JSON-serializable") from None
 
 
-def canonical_json(doc: dict) -> str:
+def canonical_json(doc) -> str:
     """The one JSON encoding every emitter uses: sorted keys, two-space
-    indent, ASCII, one trailing newline.  Canonical bytes make repeated
-    runs comparable with a plain file diff."""
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
-
+    indent, ASCII, one trailing newline.  A :class:`LabeledGraph` anywhere
+    in ``doc`` is written as its graph document."""
+    return _text(doc, "\n") + "\n"
 
 
 # -- graph documents ----------------------------------------------------------
 
 
-def graph_document(g: LabeledGraph) -> dict:
-    """The plain-JSON form of a graph (one object, ready to embed)."""
-    edges = []
-    for u, v, lab in g.edges():
-        edges.append({"u": u, "v": v, "label": lab, "orientation": "forward"})
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "alphabet": sorted(g.alphabet),
-        "vertices": g.vertex_count,
-        "edges": edges,
-    }
-    if g.annotations:
-        doc["annotations"] = _jsonable(g.annotations, "")
-    return doc
+def _edge_columns(raw: list, n: int, declared: set, strict: bool, where: str):
+    """The u, v, label and orientation columns of an edge list, checked in
+    bulk; when a bulk check fails, the edges are walked to name the first bad one."""
+    ok = all(map(isinstance, raw, repeat(dict)))
+    if ok:
+        us, vs, labels = (list(map(dict.get, raw, repeat(k))) for k in ("u", "v", "label"))
+        orients = list(map(dict.get, raw, repeat("orientation"), repeat("forward")))
+        keys = set(map(tuple, raw))
+        try:
+            ok = (
+                all("u" in k and "v" in k for k in keys)
+                and (not strict or set().union(*keys) <= {"u", "v", "label", "orientation"})
+                and set(map(type, us)) | set(map(type, vs)) <= {int}
+                and (not raw or (min(min(us), min(vs)) >= 0 and max(max(us), max(vs)) < n))
+                and all(lab is None or (isinstance(lab, str) and base_symbol(lab) in declared) for lab in set(labels))
+                and set(orients) <= {"forward", "reverse"}
+            )
+        except TypeError:  # an unhashable label or orientation
+            ok = False
+    for i, e in enumerate(() if ok else raw):
+        ew = f"{where}edge {i}: "
+        _object(e, ew)
+        _fields(e, ew, required=("u", "v"), optional=("label", "orientation"), strict=strict)
+        ends = (_int(e["u"], ew, "u"), _int(e["v"], ew, "v"))
+        for name, end in zip("uv", ends):
+            if not (0 <= end < n):
+                raise InvalidInputError(f"{ew}endpoint {name} = {end} out of range [0, {n})")
+        lab = e.get("label")
+        if lab is not None and not isinstance(lab, str):
+            raise InvalidInputError(f"{ew}field 'label' must be a string or null")
+        if lab is not None and base_symbol(lab) not in declared:
+            raise InvalidInputError(f"{ew}label {lab!r} outside the declared alphabet")
+        if e.get("orientation", "forward") not in ("forward", "reverse"):
+            raise InvalidInputError(f"{ew}field 'orientation' must be 'forward' or 'reverse'")
+    return us, vs, labels, orients
 
 
 def graph_from_document(doc, strict: bool = True, where: str = "") -> LabeledGraph:
     obj = _object(doc, where or "graph document ")
-    _fields(
-        obj,
-        where,
-        required=("format_version", "alphabet", "vertices", "edges"),
-        optional=("annotations",),
-        strict=strict,
-    )
+    _fields(obj, where, ("format_version", "alphabet", "vertices", "edges"), ("annotations",), strict)
     _check_version(obj, where)
     alphabet = obj["alphabet"]
     if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
@@ -134,35 +197,11 @@ def graph_from_document(doc, strict: bool = True, where: str = "") -> LabeledGra
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         raise InvalidInputError(f"{where}field 'edges' must be a list")
-    declared = set(alphabet)
-    triples = []
-    for i, e in enumerate(raw_edges):
-        ew = f"{where}edge {i}: "
-        _object(e, ew)
-        _fields(e, ew, required=("u", "v"), optional=("label", "orientation"), strict=strict)
-        u = _int(e["u"], ew, "u")
-        v = _int(e["v"], ew, "v")
-        for name, end in (("u", u), ("v", v)):
-            if not (0 <= end < n):
-                raise InvalidInputError(
-                    f"{ew}endpoint {name} = {end} out of range [0, {n})"
-                )
-        lab = e.get("label")
-        if lab is not None:
-            if not isinstance(lab, str):
-                raise InvalidInputError(f"{ew}field 'label' must be a string or null")
-            if base_symbol(lab) not in declared:
-                raise InvalidInputError(
-                    f"{ew}label {lab!r} outside the declared alphabet"
-                )
-        orient = e.get("orientation", "forward")
-        if orient not in ("forward", "reverse"):
-            raise InvalidInputError(
-                f"{ew}field 'orientation' must be 'forward' or 'reverse'"
-            )
-        if orient == "reverse":
-            u, v = v, u
-        triples.append((u, v, lab))
+    us, vs, labels, orients = _edge_columns(raw_edges, n, set(alphabet), strict, where)
+    triples = zip(us, vs, labels)
+    if "reverse" in orients:
+        triples = [(v, u, lab) if o == "reverse" else (u, v, lab)
+                   for (u, v, lab), o in zip(triples, orients)]
     annotations = obj.get("annotations")
     if annotations is not None:
         _object(annotations, f"{where}annotations: ")
@@ -175,46 +214,29 @@ def graph_from_document(doc, strict: bool = True, where: str = "") -> LabeledGra
 
 
 def serialize_graph(g: LabeledGraph) -> str:
-    return canonical_json(graph_document(g))
-
-
-def family_document(fam: GraphFamily, annotations: dict = None) -> dict:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "graphs": [graph_document(g) for g in fam.components],
-    }
-    if annotations:
-        doc["annotations"] = _jsonable(annotations, "")
-    return doc
+    return canonical_json(g)
 
 
 def serialize_graph_family(fam: GraphFamily, annotations: dict = None) -> str:
-    return canonical_json(family_document(fam, annotations))
+    doc = {"format_version": FORMAT_VERSION, "graphs": fam.components}
+    if annotations:
+        doc["annotations"] = annotations
+    return canonical_json(doc)
 
 
-def parse_graph(
-    data: Union[bytes, str], strict: bool = True
-) -> Union[LabeledGraph, GraphFamily]:
+def parse_graph(data: Union[bytes, str], strict: bool = True) -> Union[LabeledGraph, GraphFamily]:
     """Parse a single-graph document, or a family document holding a
     ``graphs`` list (each member a full graph document)."""
     doc = _object(_load(data), "document ")
     if "graphs" in doc:
-        _fields(
-            doc,
-            "",
-            required=("format_version", "graphs"),
-            optional=("annotations",),
-            strict=strict,
-        )
+        _fields(doc, "", ("format_version", "graphs"), ("annotations",), strict)
         _check_version(doc, "")
         members = doc["graphs"]
         if not isinstance(members, list) or not members:
             raise InvalidInputError("field 'graphs' must be a nonempty list")
-        components = tuple(
-            graph_from_document(m, strict=strict, where=f"graphs[{i}]: ")
-            for i, m in enumerate(members)
-        )
-        return GraphFamily(components=components)
+        return GraphFamily(tuple(
+            graph_from_document(m, strict=strict, where=f"graphs[{i}]: ") for i, m in enumerate(members)
+        ))
     return graph_from_document(doc, strict=strict)
 
 
@@ -223,13 +245,7 @@ def parse_graph(
 
 def parse_group_table(data: Union[bytes, str], strict: bool = True) -> expander_zoo.FiniteGroupTable:
     obj = _object(_load(data), "document ")
-    _fields(
-        obj,
-        "",
-        required=("format_version", "mul"),
-        optional=("generators", "names"),
-        strict=strict,
-    )
+    _fields(obj, "", ("format_version", "mul"), ("generators", "names"), strict)
     _check_version(obj, "")
     mul = obj["mul"]
     if not isinstance(mul, list) or not all(isinstance(row, list) for row in mul):
@@ -245,13 +261,10 @@ def parse_group_table(data: Union[bytes, str], strict: bool = True) -> expander_
         raise InvalidInputError("field 'generators' must be a list")
     gens = tuple(_int(x, f"generators[{i}]: ", "generators") for i, x in enumerate(generators))
     names = obj.get("names")
-    if names is not None:
-        if (
-            not isinstance(names, list)
-            or len(names) != n
-            or not all(isinstance(s, str) for s in names)
-        ):
-            raise InvalidInputError(f"field 'names' must be a list of {n} strings")
+    if names is not None and (
+        not isinstance(names, list) or len(names) != n or not all(isinstance(s, str) for s in names)
+    ):
+        raise InvalidInputError(f"field 'names' must be a list of {n} strings")
     return expander_zoo.FiniteGroupTable(mul, generators=gens, element_names=names)
 
 
@@ -274,34 +287,25 @@ def _space_from(obj, where: str, graph_key: str, array_key: str, strict: bool):
     _object(obj, where)
     keys = [k for k in (graph_key, array_key) if k in obj]
     if len(keys) != 1:
-        raise InvalidInputError(
-            f"{where}needs exactly one of {graph_key!r} or {array_key!r}"
-        )
+        raise InvalidInputError(f"{where}needs exactly one of {graph_key!r} or {array_key!r}")
     _fields(obj, where, required=(keys[0],), optional=(), strict=strict)
     if keys[0] == graph_key:
         return graph_from_document(obj[graph_key], strict=strict, where=where)
     return _matrix_from(obj[array_key], where)
 
 
-def map_family_document(mf: metric_diag.MapFamily) -> dict:
-    entries = []
-    for entry in mf.entries:
-        if isinstance(entry.source, LabeledGraph):
-            source = {"graph": graph_document(entry.source)}
-        else:
-            source = {"matrix": np.asarray(entry.source, dtype=np.float64).tolist()}
-        if isinstance(entry.target, LabeledGraph):
-            target = {"graph": graph_document(entry.target)}
-        else:
-            target = {"points": np.asarray(entry.target, dtype=np.float64).tolist()}
-        entries.append(
-            {"source": source, "target": target, "mapping": list(entry.mapping)}
-        )
-    return {"format_version": FORMAT_VERSION, "entries": entries}
+def _space(value, array_key: str) -> dict:
+    if isinstance(value, LabeledGraph):
+        return {"graph": value}
+    return {array_key: np.asarray(value, dtype=np.float64).tolist()}
 
 
 def serialize_map_family(mf: metric_diag.MapFamily) -> str:
-    return canonical_json(map_family_document(mf))
+    entries = [
+        {"source": _space(e.source, "matrix"), "target": _space(e.target, "points"), "mapping": e.mapping}
+        for e in mf.entries
+    ]
+    return canonical_json({"format_version": FORMAT_VERSION, "entries": entries})
 
 
 def parse_map_family(data: Union[bytes, str], strict: bool = True) -> metric_diag.MapFamily:
@@ -332,15 +336,11 @@ def parse_map_family(data: Union[bytes, str], strict: bool = True) -> metric_dia
 # -- point set documents ------------------------------------------------------------
 
 
-def points_document(points: np.ndarray) -> dict:
+def serialize_points(points: np.ndarray) -> str:
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim != 2:
         raise InvalidInputError("points must form an (n, d) array")
-    return {"format_version": FORMAT_VERSION, "points": arr.tolist()}
-
-
-def serialize_points(points: np.ndarray) -> str:
-    return canonical_json(points_document(points))
+    return canonical_json({"format_version": FORMAT_VERSION, "points": arr.tolist()})
 
 
 def parse_points(data: Union[bytes, str], strict: bool = True) -> np.ndarray:

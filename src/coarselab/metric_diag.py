@@ -181,23 +181,32 @@ class ModuliReport:
         return "\n".join(lines) + "\n"
 
 
+def _merge_classes(t: np.ndarray, lo: np.ndarray, hi: np.ndarray, counts) -> tuple[np.ndarray, ...]:
+    """Rows (t, lo, hi, count) merged by equal t: the least lo, the largest
+    hi and the summed counts.  ``return_index`` sorts stably, so a class of
+    zeros keeps the sign of its first row."""
+    ts, _, cls = np.unique(t, return_index=True, return_inverse=True)
+    rho = np.full(ts.size, np.inf)
+    np.minimum.at(rho, cls, lo)
+    gamma = np.full(ts.size, -np.inf)
+    np.maximum.at(gamma, cls, hi)
+    total = np.zeros(ts.size, dtype=np.int64)
+    np.add.at(total, cls, counts)
+    return ts, rho, gamma, total
+
+
 def compression_moduli(mf: MapFamily) -> ModuliReport:
     """Observed lower and upper moduli over every vertex pair of every
-    family index, bucketed by source distance."""
-    pairs = [_pair_distances(entry) for entry in mf.entries]
-    src = np.concatenate([s for s, _ in pairs])
-    tgt = np.concatenate([t for _, t in pairs])
-    if src.size == 0:
+    family index, bucketed by source distance.  Each entry's pairs are
+    reduced to its own classes before the classes of all entries merge, so
+    only one entry's pairs are held at a time."""
+    classes = []
+    for entry in mf.entries:
+        src, tgt = _pair_distances(entry)
+        classes.append(_merge_classes(src, tgt, tgt, 1))
+    ts, rho, gamma, counts = _merge_classes(*(np.concatenate(col) for col in zip(*classes)))
+    if ts.size == 0:
         raise InvalidInputError("the family contains no vertex pairs")
-    # return_index sorts stably, so a class of zeros keeps the sign of
-    # its first pair
-    ts, _, cls, counts = np.unique(
-        src, return_index=True, return_inverse=True, return_counts=True
-    )
-    rho = np.full(ts.size, np.inf)
-    np.minimum.at(rho, cls, tgt)
-    gamma = np.full(ts.size, -np.inf)
-    np.maximum.at(gamma, cls, tgt)
     return ModuliReport(
         distances=tuple(ts.tolist()),
         rho=tuple(rho.tolist()),

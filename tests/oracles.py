@@ -8,6 +8,7 @@ disagree with.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -1241,3 +1242,88 @@ def wreath_inv(W, x):
     inv = WreathElement(frozenset(W.Q.mul(shift, q) for q in x.config), binv)
     assert wreath_mul(W, x, inv) == W.identity()
     return inv
+
+
+def graph_dict(g: LabeledGraph) -> dict:
+    """The graph document of ``g`` built as plain dicts, one per edge."""
+    doc = {
+        "format_version": "1",
+        "alphabet": sorted(g.alphabet),
+        "vertices": g.vertex_count,
+        "edges": [{"u": u, "v": v, "label": lab, "orientation": "forward"} for u, v, lab in g.edges()],
+    }
+    if g.annotations:
+        doc["annotations"] = g.annotations
+    return doc
+
+
+def reference_json(doc) -> str:
+    """The canonical bytes by definition: ``json.dumps`` with sorted keys,
+    two-space indent and ASCII escapes, and one trailing newline.  Graphs
+    anywhere in ``doc`` are written as their per-edge dict documents."""
+
+    def plain(x):
+        if isinstance(x, LabeledGraph):
+            return plain(graph_dict(x))
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [plain(v) for v in x]
+        return x
+
+    return json.dumps(plain(doc), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+def per_edge_graph_from_document(doc, strict: bool = True, where: str = "") -> LabeledGraph:
+    """A graph document parsed one edge record at a time, each checked in
+    turn; the bulk parse must build the same graph and raise the same
+    first error."""
+    from coarselab.errors import InvalidInputError
+    from coarselab.graph_core import base_symbol
+    from coarselab.jsonio import _check_version, _fields, _object
+
+    def integer(value, ew, field):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InvalidInputError(f"{ew}field {field!r} must be an integer")
+        return value
+
+    obj = _object(doc, where or "graph document ")
+    _fields(obj, where, ("format_version", "alphabet", "vertices", "edges"), ("annotations",), strict)
+    _check_version(obj, where)
+    alphabet = obj["alphabet"]
+    if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
+        raise InvalidInputError(f"{where}field 'alphabet' must be a list of strings")
+    n = integer(obj["vertices"], where, "vertices")
+    raw_edges = obj["edges"]
+    if not isinstance(raw_edges, list):
+        raise InvalidInputError(f"{where}field 'edges' must be a list")
+    declared = set(alphabet)
+    triples = []
+    for i, e in enumerate(raw_edges):
+        ew = f"{where}edge {i}: "
+        _object(e, ew)
+        _fields(e, ew, required=("u", "v"), optional=("label", "orientation"), strict=strict)
+        u = integer(e["u"], ew, "u")
+        v = integer(e["v"], ew, "v")
+        for name, end in (("u", u), ("v", v)):
+            if not (0 <= end < n):
+                raise InvalidInputError(f"{ew}endpoint {name} = {end} out of range [0, {n})")
+        lab = e.get("label")
+        if lab is not None:
+            if not isinstance(lab, str):
+                raise InvalidInputError(f"{ew}field 'label' must be a string or null")
+            if base_symbol(lab) not in declared:
+                raise InvalidInputError(f"{ew}label {lab!r} outside the declared alphabet")
+        orient = e.get("orientation", "forward")
+        if orient not in ("forward", "reverse"):
+            raise InvalidInputError(f"{ew}field 'orientation' must be 'forward' or 'reverse'")
+        triples.append((v, u, lab) if orient == "reverse" else (u, v, lab))
+    annotations = obj.get("annotations")
+    if annotations is not None:
+        _object(annotations, f"{where}annotations: ")
+    try:
+        return build_graph(n, triples, alphabet=alphabet, annotations=annotations)
+    except InvalidInputError as err:
+        if where:
+            raise InvalidInputError(f"{where}{err}") from err
+        raise

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from coarselab import cli, jsonio
 from coarselab.covers_walls import homology_cover, wall_hilbert_embedding, walls_from_cover
 from coarselab.graph_core import build_graph
 from coarselab.jsonio import (
@@ -38,6 +39,7 @@ from coarselab.jsonio import (
 from coarselab.metric_diag import MapEntry, MapFamily
 
 from groups import cyclic_group, serialize_group_table, symmetric_group
+from oracles import reference_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -106,9 +108,8 @@ def cover_maps(n, edges):
     return (onto_base, onto_walls), points
 
 
-@pytest.fixture(scope="module")
-def artifacts(tmp_path_factory):
-    work = tmp_path_factory.mktemp("golden")
+def write_inputs(work):
+    """The input files every golden command reads."""
     (work / "multi.json").write_text(serialize_graph(build_graph(4, MULTI_EDGES)))
     (work / "labeled_multi.json").write_text(serialize_graph(build_graph(7, LABELED_EDGES)))
     (work / "hash_sensitive.json").write_text(serialize_graph(build_graph(6, HASH_SENSITIVE_EDGES)))
@@ -122,41 +123,49 @@ def artifacts(tmp_path_factory):
     prism3_maps, _ = cover_maps(6, PRISM3_EDGES)
     (work / "family.json").write_text(serialize_map_family(MapFamily(k4_maps + prism3_maps)))
     (work / "points.json").write_text(serialize_points(k4_points))
-    commands = [
-        ["cover", "multi.json", "--out", "cover.json"],
-        ["walls", "multi.json", "--out", "walls.json"],
-        ["wallmetric", "multi.json", "--out", "wallmetric.csv"],
-        ["girth", "multi.json", "--out", "girth.json"],
-        ["label", "two_c8.json", "--random", "--alphabet", "4", "--lambda", "1/4",
-         "--seed", "1", "--out", "labeled.json"],
-        ["pieces", "labeled.json", "--out", "pieces_labeled.json"],
-        ["present", "labeled.json", "--out", "present_labeled.json"],
-        ["pieces", "labeled_multi.json", "--out", "pieces_multi.json"],
-        ["present", "labeled_multi.json", "--out", "present_multi.json"],
-        ["pieces", "hash_sensitive.json", "--out", "pieces_hash.json"],
-        ["wreath", "--q-table", "z3.json", "--b-table", "z3.json", "--proj", "0,1,2",
-         "--out", "wreath.json"],
-        # non-abelian Q, and a quotient map S3 -> Z/2 by sign
-        ["wreath", "--q-table", "s3.json", "--b-table", "s3.json", "--proj", "0,1,2,3,4,5",
-         "--out", "wreath_s3.json"],
-        ["wreath", "--q-table", "z2.json", "--b-table", "s3.json", "--proj", "0,1,1,0,0,1",
-         "--out", "wreath_sign.json"],
-        # a ball whose lamp masks do not fit in 32 bits
-        ["wreath", "--q-table", "z40.json", "--b-table", "z40.json",
-         "--proj", ",".join(map(str, range(40))), "--radius", "5", "--out", "wreath_z40_ball.json"],
-        ["lps", "--p", "13", "--q", "5", "--out", "lps.json"],
-        ["poincare", "--relative", "--q-table", "z4.json", "--b-table", "z4.json",
-         "--proj", "0,1,2,3", "--out", "poincare_z4.json"],
-        # non-abelian Q, so the lamp shift must act from the left
-        ["poincare", "--relative", "--q-table", "s3.json", "--b-table", "s3.json",
-         "--proj", "0,1,2,3,4,5", "--out", "poincare_s3.json"],
-        ["poincare", "--relative", "--q-table", "z3.json", "--b-table", "z3.json",
-         "--proj", "0,1,2", "--trials", "6", "--seed", "5", "--out", "poincare_z3_trials.json"],
-        ["moduli", "family.json", "--out", "moduli.csv"],
-        ["weakembed", "family.json", "--lipschitz", "1.0", "--out", "weakembed.json"],
-        ["concentrate", "points.json", "--radius", "1.0", "--out", "concentrate.json"],
-    ]
-    run_commands(work, commands)
+
+
+COMMANDS = [
+    ["cover", "multi.json", "--out", "cover.json"],
+    ["walls", "multi.json", "--out", "walls.json"],
+    ["wallmetric", "multi.json", "--out", "wallmetric.csv"],
+    ["girth", "multi.json", "--out", "girth.json"],
+    ["label", "two_c8.json", "--random", "--alphabet", "4", "--lambda", "1/4",
+     "--seed", "1", "--out", "labeled.json"],
+    ["pieces", "labeled.json", "--out", "pieces_labeled.json"],
+    ["present", "labeled.json", "--out", "present_labeled.json"],
+    ["pieces", "labeled_multi.json", "--out", "pieces_multi.json"],
+    ["present", "labeled_multi.json", "--out", "present_multi.json"],
+    ["pieces", "hash_sensitive.json", "--out", "pieces_hash.json"],
+    ["wreath", "--q-table", "z3.json", "--b-table", "z3.json", "--proj", "0,1,2",
+     "--out", "wreath.json"],
+    # non-abelian Q, and a quotient map S3 -> Z/2 by sign
+    ["wreath", "--q-table", "s3.json", "--b-table", "s3.json", "--proj", "0,1,2,3,4,5",
+     "--out", "wreath_s3.json"],
+    ["wreath", "--q-table", "z2.json", "--b-table", "s3.json", "--proj", "0,1,1,0,0,1",
+     "--out", "wreath_sign.json"],
+    # a ball whose lamp masks do not fit in 32 bits
+    ["wreath", "--q-table", "z40.json", "--b-table", "z40.json",
+     "--proj", ",".join(map(str, range(40))), "--radius", "5", "--out", "wreath_z40_ball.json"],
+    ["lps", "--p", "13", "--q", "5", "--out", "lps.json"],
+    ["poincare", "--relative", "--q-table", "z4.json", "--b-table", "z4.json",
+     "--proj", "0,1,2,3", "--out", "poincare_z4.json"],
+    # non-abelian Q, so the lamp shift must act from the left
+    ["poincare", "--relative", "--q-table", "s3.json", "--b-table", "s3.json",
+     "--proj", "0,1,2,3,4,5", "--out", "poincare_s3.json"],
+    ["poincare", "--relative", "--q-table", "z3.json", "--b-table", "z3.json",
+     "--proj", "0,1,2", "--trials", "6", "--seed", "5", "--out", "poincare_z3_trials.json"],
+    ["moduli", "family.json", "--out", "moduli.csv"],
+    ["weakembed", "family.json", "--lipschitz", "1.0", "--out", "weakembed.json"],
+    ["concentrate", "points.json", "--radius", "1.0", "--out", "concentrate.json"],
+]
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    work = tmp_path_factory.mktemp("golden")
+    write_inputs(work)
+    run_commands(work, COMMANDS)
     return work
 
 
@@ -177,6 +186,31 @@ def run_commands(work, commands, **env_extra):
 def test_artifact_bytes_match_recorded_digest(artifacts, name):
     digest = hashlib.sha256((artifacts / name).read_bytes()).hexdigest()
     assert digest == GOLDEN[name]
+
+
+def test_every_written_document_matches_the_json_dumps_reference(tmp_path, monkeypatch, capsys):
+    """The golden inputs and every command's artifact, run in process: each
+    document handed to the template writer comes out as the bytes of the
+    ``json.dumps`` reference.  ``spectrum`` and ``cheeger`` have no golden
+    digest but write reports too."""
+    written = []
+    writer = jsonio.canonical_json
+
+    def spy(doc):
+        written.append((doc, writer(doc)))
+        return written[-1][1]
+
+    monkeypatch.setattr(jsonio, "canonical_json", spy)
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    reports = [["spectrum", "multi.json", "--out", "spectrum.json"], ["cheeger", "multi.json", "--out", "cheeger.json"]]
+    for argv in COMMANDS + reports:
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    # six inputs, and one document per command that writes JSON
+    assert len(written) == 6 + sum(argv[-1].endswith(".json") for argv in COMMANDS + reports)
+    for doc, text in written:
+        assert text == reference_json(doc)
 
 
 def test_pieces_bytes_ignore_the_hash_seed(tmp_path):

@@ -262,6 +262,30 @@ class TestCompressionModuli:
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) <= 24
 
+    def test_family_peak_memory_is_one_entry(self):
+        """Six entries mapping C_640 onto itself: 1,226,880 pairs in all,
+        204,480 per entry.  Each entry is reduced to its distance classes
+        before the next is read, so the resident set of a fresh process
+        grows by at most 32 MB (holding every pair at once took 95 MB)."""
+        script = (
+            "import resource\n"
+            "from coarselab.graph_core import build_graph\n"
+            "from coarselab.metric_diag import MapEntry, MapFamily, compression_moduli\n"
+            "def family(n, k):\n"
+            "    g = build_graph(n, [(i, (i + 1) % n) for i in range(n)])\n"
+            "    return MapFamily(tuple(MapEntry(g, g, tuple(range(n))) for _ in range(k)))\n"
+            "compression_moduli(family(8, 2))\n"
+            "fam = family(640, 6)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "assert compression_moduli(fam).counts == (3840,) * 319 + (1920,)\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) // 1024)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= 32
+
 # -- weak embeddings ------------------------------------------------------------
 
 
