@@ -513,8 +513,8 @@ def _cmd_concentrate(args):
 # -- parser and dispatch --------------------------------------------------------
 
 
-def _add_common(sp, graph_input=False, family_input=False, doc_input=False):
-    if graph_input or family_input or doc_input:
+def _add_common(sp, reads_input=False):
+    if reads_input:
         sp.add_argument(
             "input",
             nargs="?",
@@ -532,6 +532,16 @@ def _add_common(sp, graph_input=False, family_input=False, doc_input=False):
         help="write the machine artifact (JSON/CSV) here; - for stdout "
         "(suppresses the human summary)",
     )
+
+
+def _add_tables(sp):
+    """The group-table inputs of ``wreath`` and ``poincare``."""
+    sp.add_argument("--q-table", required=True, help="quotient group table (JSON path)")
+    sp.add_argument("--b-table", required=True, help="base group table (JSON path)")
+    sp.add_argument(
+        "--proj", required=True, help="surjection B ->> Q as a comma list, e.g. 0,1,2"
+    )
+    sp.add_argument("--lax", action="store_true", help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -555,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_lps)
 
     sp = sub.add_parser("spectrum", help="adjacency eigenvalues of a graph")
-    _add_common(sp, graph_input=True)
+    _add_common(sp, reads_input=True)
     sp.set_defaults(handler=_cmd_spectrum)
 
     sp = sub.add_parser("cheeger", help="exact Cheeger constant (exponential sweep)")
@@ -565,11 +575,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=CHEEGER_ENUM_CAP,
         help=f"largest vertex count to sweep (default {CHEEGER_ENUM_CAP})",
     )
-    _add_common(sp, graph_input=True)
+    _add_common(sp, reads_input=True)
     sp.set_defaults(handler=_cmd_cheeger)
 
     sp = sub.add_parser("girth", help="girth and diameter of a graph")
-    _add_common(sp, graph_input=True)
+    _add_common(sp, reads_input=True)
     sp.set_defaults(handler=_cmd_girth)
 
     sp = sub.add_parser("cover", help="iterated Z/2-homology cover of a graph")
@@ -580,20 +590,20 @@ def build_parser() -> argparse.ArgumentParser:
         default=COVER_VERTEX_CAP,
         help="abort when the cover would exceed this many vertices",
     )
-    _add_common(sp, graph_input=True)
+    _add_common(sp, reads_input=True)
     sp.set_defaults(handler=_cmd_cover)
 
     sp = sub.add_parser(
         "walls", help="wall decomposition of the homology cover of a graph"
     )
-    _add_common(sp, graph_input=True)
+    _add_common(sp, reads_input=True)
     sp.set_defaults(handler=_cmd_walls)
 
     sp = sub.add_parser(
         "wallmetric",
         help="wall pseudometric of the homology cover, as CSV over all pairs",
     )
-    _add_common(sp, graph_input=True)
+    _add_common(sp, reads_input=True)
     sp.set_defaults(handler=_cmd_wallmetric)
 
     sp = sub.add_parser(
@@ -614,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=200000,
         help="give up after this many rejection samples",
     )
-    _add_common(sp, family_input=True)
+    _add_common(sp, reads_input=True)
     sp.set_defaults(handler=_cmd_label)
 
     sp = sub.add_parser("pieces", help="enumerate the pieces of a labeled family")
@@ -624,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=PIECE_DART_CAP,
         help=f"dart budget for the pair search (default {PIECE_DART_CAP})",
     )
-    _add_common(sp, family_input=True)
+    _add_common(sp, reads_input=True)
     sp.set_defaults(handler=_cmd_pieces)
 
     sp = sub.add_parser(
@@ -636,17 +646,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=PRESENTATION_RANK_CAP,
         help=f"largest total relator rank to accept (default {PRESENTATION_RANK_CAP})",
     )
-    _add_common(sp, family_input=True)
+    _add_common(sp, reads_input=True)
     sp.set_defaults(handler=_cmd_present)
 
     sp = sub.add_parser(
         "wreath", help="Cayley graph of a lamp wreath product from group tables"
     )
-    sp.add_argument("--q-table", required=True, help="quotient group table (JSON path)")
-    sp.add_argument("--b-table", required=True, help="base group table (JSON path)")
-    sp.add_argument(
-        "--proj", required=True, help="surjection B ->> Q as a comma list, e.g. 0,1,2"
-    )
+    _add_tables(sp)
     sp.add_argument(
         "--radius", type=int, default=None, help="enumerate only this metric ball"
     )
@@ -656,7 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=WREATH_VERTEX_CAP,
         help=f"largest vertex count to enumerate (default {WREATH_VERTEX_CAP})",
     )
-    sp.add_argument("--lax", action="store_true", help=argparse.SUPPRESS)
     _add_common(sp)
     sp.set_defaults(handler=_cmd_wreath)
 
@@ -664,11 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
         "poincare", help="relative Poincare constant of a lamp wreath product"
     )
     sp.add_argument("--relative", action="store_true", help="use the relative forms")
-    sp.add_argument("--q-table", required=True, help="quotient group table (JSON path)")
-    sp.add_argument("--b-table", required=True, help="base group table (JSON path)")
-    sp.add_argument(
-        "--proj", required=True, help="surjection B ->> Q as a comma list, e.g. 0,1,2"
-    )
+    _add_tables(sp)
     sp.add_argument(
         "--trials",
         type=int,
@@ -678,7 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--seed", type=int, default=None, help="rng seed (mandatory with --trials)"
     )
-    sp.add_argument("--lax", action="store_true", help=argparse.SUPPRESS)
     _add_common(sp)
     sp.set_defaults(handler=_cmd_poincare)
 
@@ -688,20 +688,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--lipschitz", type=float, required=True, help="uniform Lipschitz bound D"
     )
-    _add_common(sp, doc_input=True)
+    _add_common(sp, reads_input=True)
     sp.set_defaults(handler=_cmd_weakembed)
 
     sp = sub.add_parser(
         "moduli", help="compression moduli of a map family, as CSV per distance class"
     )
-    _add_common(sp, doc_input=True)
+    _add_common(sp, reads_input=True)
     sp.set_defaults(handler=_cmd_moduli)
 
     sp = sub.add_parser(
         "concentrate", help="largest point count in one ball of a given radius"
     )
     sp.add_argument("--radius", type=float, required=True)
-    _add_common(sp, doc_input=True)
+    _add_common(sp, reads_input=True)
     sp.set_defaults(handler=_cmd_concentrate)
 
     return parser

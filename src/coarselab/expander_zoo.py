@@ -4,7 +4,9 @@ expander construction over PGL2(q).
 Only the quadratic-nonresidue branch of the LPS family is implemented:
 p and q must be distinct primes congruent to 1 mod 4 with Legendre
 symbol (p|q) = -1, which makes the graph a bipartite Cayley graph of
-PGL2(q).  The residue/PSL2 branch is rejected.
+PGL2(q).  The residue/PSL2 branch is rejected.  PGL2(q) gets no
+multiplication table: the graph is built from the p + 1 right-product
+columns x -> x s of its generators, and checked against them.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -131,8 +134,9 @@ class FiniteGroupTable:
 
     # -- accessors ---------------------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
+    def right(self, s: int) -> np.ndarray:
+        """x s for every element x: column s of the table."""
+        return self.mul_table[:, s]
 
     def inverse(self, x: int) -> int:
         return int(self.inv[x])
@@ -173,7 +177,7 @@ def homomorphism_defect(
 
 
 def cayley_graph(
-    group: FiniteGroupTable,
+    group: FiniteGroupTable | _Pgl2,
     labels: Optional[dict[int, str]] = None,
 ) -> LabeledGraph:
     """Cayley graph of a group on its stored symmetric generator set.
@@ -183,7 +187,8 @@ def cayley_graph(
     generator pair {s, s^-1} yields one undirected edge per element
     (emitted from the smaller-indexed generator of the pair), and an
     involutive generator yields one undirected edge per unordered pair
-    {g, gs}, never two.
+    {g, gs}, never two.  Each pair's edges come from the one column
+    ``group.right(s)``, checked to be undone by ``group.right(s^-1)``.
 
     Parameters
     ----------
@@ -211,6 +216,8 @@ def cayley_graph(
         base_of[s] = base
         base_of[t] = base  # the pair shares one base symbol; direction disambiguates
 
+    n = group.order
+    every = np.arange(n)
     emitted_pairs = set()
     edges = []
     alphabet = []
@@ -225,19 +232,19 @@ def cayley_graph(
         alphabet.append(base)
         if canon != s and canon != t:
             raise InvalidInputError("generator pairing is inconsistent")
+        col = group.right(canon)
+        if not np.array_equal(group.right(group.inverse(canon))[col], every):
+            raise InvalidInputError(f"right product by generator {canon} is not undone by its inverse")
         if s != t:
-            for g in range(group.order):
-                edges.append((g, group.mul(g, canon), base))
+            edges.extend(zip(range(n), col.tolist(), repeat(base)))
         else:
-            for g in range(group.order):
-                h = group.mul(g, s)
-                if g < h:
-                    edges.append((g, h, base))
-                elif g == h:
-                    raise InvalidInputError("generator fixes an element; table is not a group")
+            if (col == every).any():
+                raise InvalidInputError("generator fixes an element; table is not a group")
+            keep = np.flatnonzero(every < col)
+            edges.extend(zip(keep.tolist(), col[keep].tolist(), repeat(base)))
     if len(set(alphabet)) != len(alphabet):
         raise InvalidInputError("duplicate base symbol across generator pairs")
-    return build_graph(group.order, edges, alphabet=alphabet)
+    return build_graph(n, edges, alphabet=alphabet)
 
 
 def is_bipartite(g: LabeledGraph) -> bool:
@@ -245,11 +252,12 @@ def is_bipartite(g: LabeledGraph) -> bool:
     return two_coloring(g) is not None
 
 
-def _is_cayley_graph_of(g: LabeledGraph, group: FiniteGroupTable) -> bool:
+def _is_cayley_graph_of(g: LabeledGraph, group: FiniteGroupTable | _Pgl2) -> bool:
     """True when the darts out of every vertex x lead exactly to the
     products x s, s over the group's generators, counted with
-    multiplicity.  Then every left translation x -> hx is an
-    automorphism of ``g``, so ``g`` is vertex-transitive."""
+    multiplicity, read from the columns ``group.right(s)``.  Then every
+    left translation x -> hx is an automorphism of ``g``, so ``g`` is
+    vertex-transitive."""
     gens = np.asarray(group.generators, dtype=np.int64)
     n = group.order
     if g.vertex_count != n or g.dart_count != n * gens.size:
@@ -258,7 +266,7 @@ def _is_cayley_graph_of(g: LabeledGraph, group: FiniteGroupTable) -> bool:
     by_source = np.lexsort((dst, src))
     if not np.array_equal(src[by_source], np.repeat(np.arange(n), gens.size)):
         return False
-    want = np.sort(group.mul_table[:, gens], axis=1).reshape(-1)
+    want = np.sort(np.stack([group.right(s) for s in gens], axis=1), axis=1).reshape(-1)
     return bool(np.array_equal(dst[by_source], want))
 
 
@@ -286,12 +294,6 @@ def legendre_symbol(a: int, p: int) -> int:
         return 0
     r = pow(a, (p - 1) // 2, p)
     return 1 if r == 1 else -1
-
-
-def _primitive_root(q: int) -> int:
-    """The smallest generator of the units mod the prime q."""
-    factors = [f for f in range(2, q) if (q - 1) % f == 0 and is_prime(f)]
-    return next(g for g in range(1, q) if all(pow(g, (q - 1) // f, q) != 1 for f in factors))
 
 
 def sqrt_minus_one(q: int) -> int:
@@ -358,10 +360,12 @@ def lps_quadruples(p: int) -> list[tuple[int, int, int, int]]:
 
 
 class _Pgl2:
-    """PGL2(q) with elements canonicalized so the first nonzero matrix
-    entry in row-major order equals 1."""
+    """PGL2(q) on a symmetric generator set, with elements canonicalized
+    so the first nonzero matrix entry in row-major order equals 1 and
+    indexed in sorted order.  No table is built: ``right(s)`` forms the
+    products x s for every x at once from the matrix entries."""
 
-    def __init__(self, q: int):
+    def __init__(self, q: int, generators: Sequence[tuple[int, int, int, int]] = ()):
         self.q = q
         elements: list[tuple[int, int, int, int]] = []
         for c in range(1, q):
@@ -373,81 +377,48 @@ class _Pgl2:
                     if d != (b * c) % q:
                         elements.append((1, b, c, d))
         elements.sort()
-        self.elements = elements
-        lookup = np.full(q ** 4, -1, dtype=np.int64)
-        for i, (a, b, c, d) in enumerate(elements):
-            lookup[((a * q + b) * q + c) * q + d] = i
-        self.lookup = lookup
-        self.modinv = np.zeros(q, dtype=np.int64)
-        for x in range(1, q):
-            self.modinv[x] = pow(x, q - 2, q)
+        self.elements = np.array(elements, dtype=np.int64)
+        self.order = len(elements)
+        a, b, c, d = self.elements.T
+        self.lookup = np.full(q ** 4, -1, dtype=np.int64)
+        self.lookup[((a * q + b) * q + c) * q + d] = np.arange(self.order)
+        self.modinv = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
+        self.identity = self.canonical_index(1, 0, 0, 1)
+        self.generators = tuple(self.canonical_index(*m) for m in generators)
+
+    def _indices(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Element indices of the matrices [[a, b], [c, d]], entries
+        reduced mod q, each scaled by the inverse of its first nonzero
+        entry."""
+        q = self.q
+        s = self.modinv[np.where(a != 0, a, np.where(b != 0, b, np.where(c != 0, c, d)))]
+        idx = self.lookup[((a * s % q * q + b * s % q) * q + c * s % q) * q + d * s % q]
+        if idx.min() < 0:
+            raise InvalidInputError("product escaped the canonical element list")
+        return idx
 
     def canonical_index(self, a: int, b: int, c: int, d: int) -> int:
         q = self.q
-        a, b, c, d = a % q, b % q, c % q, d % q
         if (a * d - b * c) % q == 0:
             raise InvalidInputError("matrix is singular mod q")
-        for e in (a, b, c, d):
-            if e:
-                s = int(self.modinv[e])
-                a, b, c, d = (a * s) % q, (b * s) % q, (c * s) % q, (d * s) % q
-                break
-        i = int(self.lookup[((a * q + b) * q + c) * q + d])
-        if i < 0:
-            raise InvalidInputError("canonicalization failed")
-        return i
+        return int(self._indices(*(np.array([e % q]) for e in (a, b, c, d)))[0])
 
-    def left_products(self, a1: int, b1: int, c1: int, d1: int) -> np.ndarray:
-        """Index of the product [[a1, b1], [c1, d1]] y for every element y."""
+    def inverse(self, x: int) -> int:
+        """The adjugate [[d, -b], [-c, a]] of x, canonicalized."""
+        a, b, c, d = self.elements[x].tolist()
+        return self.canonical_index(d, -b, -c, a)
+
+    def right(self, s: int) -> np.ndarray:
+        """x s for every element x, as one index array."""
         q = self.q
-        arr = np.array(self.elements, dtype=np.int64)
-        a2, b2, c2, d2 = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-        pa = (a1 * a2 + b1 * c2) % q
-        pb = (a1 * b2 + b1 * d2) % q
-        pc = (c1 * a2 + d1 * c2) % q
-        pd = (c1 * b2 + d1 * d2) % q
-        # scale by the inverse of the first nonzero entry
-        e = np.where(pa != 0, pa, np.where(pb != 0, pb, np.where(pc != 0, pc, pd)))
-        s = self.modinv[e]
-        pa, pb, pc, pd = (pa * s) % q, (pb * s) % q, (pc * s) % q, (pd * s) % q
-        row = self.lookup[((pa * q + pb) * q + pc) * q + pd]
-        if row.min() < 0:
-            raise InvalidInputError("product escaped the canonical element list")
-        return row
-
-    def mul_table(self) -> np.ndarray:
-        """The table by generator steps: with the left products of
-        [[1, 1], [0, 1]], [[0, 1], [1, 0]] and [[g, 0], [0, 1]] (g a
-        primitive root mod q), row s u of the table is ``left[s][row u]``,
-        so a walk from the identity fills each row with one gather."""
-        q = self.q
-        n = len(self.elements)
-        g = _primitive_root(q)
-        left = [self.left_products(*m) for m in ((1, 1, 0, 1), (0, 1, 1, 0), (g, 0, 0, 1))]
-        table = np.full((n, n), -1, dtype=np.int64)
-        frontier = np.array([self.canonical_index(1, 0, 0, 1)])
-        table[frontier[0]] = np.arange(n)
-        while frontier.size:
-            reached = []
-            for step in left:
-                w = step[frontier]
-                new = table[w, 0] < 0
-                table[w[new]] = step[table[frontier[new]]]
-                reached.append(w[new])
-            frontier = np.concatenate(reached)
-        if table[:, 0].min() < 0:
-            raise InvalidInputError(f"generator steps do not reach all of PGL2({q})")
-        return table
+        a1, b1, c1, d1 = self.elements.T
+        a2, b2, c2, d2 = self.elements[s].tolist()
+        return self._indices(
+            (a1 * a2 + b1 * c2) % q, (a1 * b2 + b1 * d2) % q, (c1 * a2 + d1 * c2) % q, (c1 * b2 + d1 * d2) % q
+        )
 
 
-def pgl2_table(q: int, generators: Iterable[int] = ()) -> FiniteGroupTable:
-    """Full multiplication table of PGL2(q) with readable matrix names."""
-    pgl = _Pgl2(q)
-    names = [f"[[{a},{b}],[{c},{d}]]" for (a, b, c, d) in pgl.elements]
-    return FiniteGroupTable(pgl.mul_table(), generators, names)
-
-
-def lps_graph(p: int, q: int, allow_large: bool = False) -> tuple[LabeledGraph, FiniteGroupTable]:
+def lps_graph(p: int, q: int, allow_large: bool = False) -> tuple[LabeledGraph, _Pgl2]:
     """The LPS graph X^{p,q}: Cayley graph of PGL2(q) on p + 1
     quaternion-derived generators; (p + 1)-regular on q(q^2 - 1) vertices.
 
@@ -468,15 +439,14 @@ def lps_graph(p: int, q: int, allow_large: bool = False) -> tuple[LabeledGraph, 
             f"q = {q} gives {q * (q * q - 1)} vertices; pass allow_large to proceed"
         )
     i = sqrt_minus_one(q)
-    pgl = _Pgl2(q)
-    gen_indices = []
-    for (a0, a1, a2, a3) in lps_quadruples(p):
-        gen_indices.append(
-            pgl.canonical_index(a0 + i * a1, a2 + i * a3, -a2 + i * a3, a0 - i * a1)
-        )
-    if len(set(gen_indices)) != p + 1:
+    group = _Pgl2(
+        q, [(a0 + i * a1, a2 + i * a3, -a2 + i * a3, a0 - i * a1) for (a0, a1, a2, a3) in lps_quadruples(p)]
+    )
+    gens = set(group.generators)
+    if len(gens) != p + 1:
         raise InvalidInputError("generator quadruples collapsed in PGL2(q)")
-    group = pgl2_table(q, gen_indices)
+    if {group.inverse(s) for s in gens} != gens:
+        raise InvalidInputError("generator set not closed under inverse")
     graph = cayley_graph(group)
     graph.annotations["construction"] = f"lps p={p} q={q}"
     graph.annotations["legendre"] = params.legendre
@@ -506,12 +476,12 @@ class LpsReport:
     failures: tuple[str, ...]
 
 
-def verify_lps(g: LabeledGraph, params: LpsParams, group: FiniteGroupTable) -> LpsReport:
+def verify_lps(g: LabeledGraph, params: LpsParams, group: _Pgl2) -> LpsReport:
     """Check regularity, order, connectivity, girth bound, bipartiteness,
     and the Ramanujan eigenvalue window |lambda| <= 2 sqrt(p) for all
     eigenvalues other than +-(p + 1).
 
-    ``group`` is the table ``lps_graph`` returned with ``g``.  When ``g``
+    ``group`` is the PGL2(q) ``lps_graph`` returned with ``g``.  When ``g``
     is its Cayley graph, left translations make it vertex-transitive,
     so girth and diameter are read from breadth-first searches out of
     the identity alone; otherwise that is a failure and both are

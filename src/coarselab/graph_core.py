@@ -158,14 +158,6 @@ class LabeledGraph:
     def dart_label(self, d: int) -> Optional[str]:
         return self._lab[d]
 
-    @staticmethod
-    def dart_reverse(d: int) -> int:
-        return d ^ 1
-
-    @staticmethod
-    def dart_edge(d: int) -> int:
-        return d // 2
-
     def out_darts(self, v: int) -> tuple[int, ...]:
         return self._out[v]
 
@@ -178,22 +170,11 @@ class LabeledGraph:
         for d in range(0, len(self._src), 2):
             yield self._src[d], self._dst[d], self._lab[d]
 
-    def max_degree(self) -> int:
-        return max(self.degree(v) for v in range(self.vertex_count))
-
-    def is_regular(self) -> bool:
-        degs = {self.degree(v) for v in range(self.vertex_count)}
-        return len(degs) == 1
-
     # -- connectivity ----------------------------------------------------
 
     @property
     def component_ids(self) -> tuple[int, ...]:
         return self._component_ids
-
-    @property
-    def component_count(self) -> int:
-        return self._component_count
 
     @property
     def is_connected(self) -> bool:

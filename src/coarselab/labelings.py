@@ -83,11 +83,6 @@ class Alphabet:
             raise InvalidInputError(f"letter alphabets support 1..{len(LETTERS)} symbols")
         return Alphabet(tuple(LETTERS[:n]))
 
-    @property
-    def signed(self) -> tuple[str, ...]:
-        """S followed by S^-1; the two halves never intersect."""
-        return self.symbols + tuple(inverse_label(s) for s in self.symbols)
-
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -569,9 +564,9 @@ def enumerate_pieces(fam: GraphFamily, cap: int = PIECE_DART_CAP) -> tuple[Piece
 class SmallCancellationReport:
     """Strict C'(lambda) verdict with the per-component evidence.
 
-    ``passed`` is decided when the report is made.  ``max_piece_length``,
-    ``violations`` and ``pieces`` come from the full piece enumeration,
-    run on first access and checked against ``passed``."""
+    ``passed`` is decided when the report is made.  ``max_piece_length``
+    and ``violations`` come from the full piece enumeration, run on first
+    access and checked against ``passed``."""
 
     lambda_value: Fraction
     girths: tuple[float, ...]
@@ -580,8 +575,8 @@ class SmallCancellationReport:
     cap: int = field(repr=False, compare=False)
 
     @cached_property
-    def _evidence(self) -> tuple[tuple[float, ...], tuple[str, ...], tuple[Piece, ...]]:
-        pieces, per_comp_max = _piece_analysis(self.family, self.cap)
+    def _evidence(self) -> tuple[tuple[float, ...], tuple[str, ...]]:
+        _, per_comp_max = _piece_analysis(self.family, self.cap)
         violations = []
         for ci, longest in enumerate(per_comp_max):
             if longest == 0:
@@ -593,7 +588,7 @@ class SmallCancellationReport:
                 )
         if (not violations) != self.passed:
             raise VerificationError("piece enumeration disagrees with the pair-graph verdict")
-        return tuple(per_comp_max), tuple(violations), tuple(pieces)
+        return tuple(per_comp_max), tuple(violations)
 
     @property
     def max_piece_length(self) -> tuple[float, ...]:
@@ -602,10 +597,6 @@ class SmallCancellationReport:
     @property
     def violations(self) -> tuple[str, ...]:
         return self._evidence[1]
-
-    @property
-    def pieces(self) -> tuple[Piece, ...]:
-        return self._evidence[2]
 
 
 def check_small_cancellation(

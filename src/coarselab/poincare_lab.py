@@ -219,10 +219,6 @@ class GroupFunction:
             raise InvalidInputError("function values must be finite")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class KernelFunction:

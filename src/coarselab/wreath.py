@@ -117,12 +117,6 @@ class WreathBall:
     radius: Optional[int]
     complete: bool
 
-    def index_of(self, x: WreathElement) -> int:
-        try:
-            return self.elements.index(x)
-        except ValueError as exc:
-            raise InvalidInputError("element not in the enumerated ball") from exc
-
 
 def _generator_pairs(W: WreathGroup) -> list[tuple[int, str]]:
     """One (canonical element, base label) entry per generator pair of B."""

@@ -62,7 +62,7 @@ def group_document(table: FiniteGroupTable) -> dict:
     n = table.order
     return {
         "format_version": FORMAT_VERSION,
-        "mul": [[table.mul(a, b) for b in range(n)] for a in range(n)],
+        "mul": table.mul_table.tolist(),
         "generators": sorted(table.generators),
         "names": [table.name(i) for i in range(n)],
     }
@@ -76,5 +76,5 @@ def wreath_mul(W: WreathGroup, x: WreathElement, y: WreathElement) -> WreathElem
     W.validate(x)
     W.validate(y)
     shift = W.proj[x.b]
-    moved = frozenset(W.Q.mul(shift, q) for q in y.config)
-    return WreathElement(x.config ^ moved, W.B.mul(x.b, y.b))
+    moved = frozenset(int(W.Q.mul_table[shift, q]) for q in y.config)
+    return WreathElement(x.config ^ moved, int(W.B.mul_table[x.b, y.b]))

@@ -839,7 +839,7 @@ def naive_coset_ball_replay(table, members, values, radius) -> tuple[int, int]:
         center = values[x]
         hits = 0
         for y in members:
-            img = values[table.mul(x, y)]
+            img = values[table.mul_table[x, y]]
             if float(np.linalg.norm(img - center)) <= radius + 1e-12:
                 hits += 1
         if hits > best:
@@ -976,7 +976,7 @@ def verify_covering(cm, deck_cap: int = DECK_ENUM_CAP) -> CoverVerification:
         raise VerificationError("map arrays have wrong length")
     for d in range(cover.dart_count):
         bd = cm.dart_map[d]
-        if cm.dart_map[LabeledGraph.dart_reverse(d)] != LabeledGraph.dart_reverse(bd):
+        if cm.dart_map[d ^ 1] != bd ^ 1:
             raise VerificationError(f"dart_map breaks the reversal involution at dart {d}")
         if cm.vertex_map[cover.dart_source(d)] != base.dart_source(bd):
             raise VerificationError(f"dart_map and vertex_map disagree at dart {d}")
@@ -1135,7 +1135,7 @@ def truncated_girth(g: LabeledGraph, sources: Optional[Sequence[int]] = None):
             if 2 * dist[u] + 1 >= best:
                 break
             for d in g.out_darts(u):
-                if d == LabeledGraph.dart_reverse(entry[u]):
+                if d == entry[u] ^ 1:
                     continue
                 w = g.dart_target(d)
                 if dist[w] < 0:
@@ -1164,14 +1164,14 @@ def simple_cycle_words(g: LabeledGraph) -> list[tuple[str, ...]]:
         while stack:
             u, darts, visited = stack.pop()
             for d in g.out_darts(u):
-                if darts and d == LabeledGraph.dart_reverse(darts[-1]):
+                if darts and d == darts[-1] ^ 1:
                     continue
                 w = g.dart_target(d)
                 if w == root and darts:
                     seq = darts + [d]
                     # dedupe direction: keep the orientation whose first
                     # dart id is smaller than the reverse reading's first
-                    rev_first = LabeledGraph.dart_reverse(seq[-1])
+                    rev_first = seq[-1] ^ 1
                     if seq[0] <= rev_first:
                         cycles.append(tuple(g.dart_label(x) for x in seq))
                 elif w == root and not darts:
@@ -1239,7 +1239,7 @@ def wreath_inv(W, x):
     W.validate(x)
     binv = W.B.inverse(x.b)
     shift = W.proj[binv]
-    inv = WreathElement(frozenset(W.Q.mul(shift, q) for q in x.config), binv)
+    inv = WreathElement(frozenset(int(W.Q.mul_table[shift, q]) for q in x.config), binv)
     assert wreath_mul(W, x, inv) == W.identity()
     return inv
 

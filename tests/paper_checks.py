@@ -190,7 +190,7 @@ def _evaluate_word(
         g = assignment[base]
         if s.endswith("^-1"):
             g = table.inverse(g)
-        x = table.mul(x, g)
+        x = int(table.mul_table[x, g])
     return x
 
 

@@ -233,7 +233,7 @@ class TestCoverPaths:
         u = rng.randrange(g.vertex_count)
         darts = []
         for _ in range(length):
-            options = [d for d in g.out_darts(u) if not darts or d != g.dart_reverse(darts[-1])]
+            options = [d for d in g.out_darts(u) if not darts or d != darts[-1] ^ 1]
             if not options:
                 break
             d = rng.choice(options)
@@ -249,7 +249,7 @@ class TestCoverPaths:
                 path = self.random_reduced_path(rng, cm.cover, rng.randrange(1, 12))
                 projected = [cm.dart_map[d] for d in path]
                 for a, b in zip(projected, projected[1:]):
-                    assert b != cm.base.dart_reverse(a)
+                    assert b != a ^ 1
 
     def lift_is_closed(self, cm, start, walk):
         star = [
@@ -287,7 +287,7 @@ class TestCoverPaths:
                 for walk in walks(start, 8):
                     counts = {}
                     for d in walk:
-                        k = base.dart_edge(d)
+                        k = d // 2
                         counts[k] = counts.get(k, 0) + 1
                     parity_even = all(
                         counts.get(k, 0) % 2 == 0 for k in flip if flip[k] != 0

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from coarselab.expander_zoo import (
     legendre_symbol,
     lps_graph,
     lps_quadruples,
-    pgl2_table,
     sqrt_minus_one,
     verify_lps,
 )
@@ -24,6 +24,10 @@ from coarselab.graph_core import adjacency_spectrum, build_graph, diameter, girt
 
 from groups import cyclic_group, symmetric_group
 from oracles import naive_pgl2_mul_table
+
+
+def is_regular(g):
+    return len({g.degree(v) for v in range(g.vertex_count)}) == 1
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +45,7 @@ class TestFiniteGroupTable:
         g = cyclic_group(4)
         assert g.order == 4
         assert g.identity == 0
-        assert g.mul(3, 2) == 1
+        assert g.right(2)[3] == 1
         assert g.inverse(1) == 3
         assert set(g.generators) == {1, 3}
 
@@ -136,7 +140,7 @@ class TestCayleyGraph:
     def test_involution_and_inverse_pair_give_three_regular(self):
         g = cayley_graph(cyclic_group(6, generators=(1, 3)))
         assert g.vertex_count == 6 and g.edge_count == 9
-        assert g.is_regular() and g.degree(0) == 3
+        assert is_regular(g) and g.degree(0) == 3
 
     def test_z2_involutive_generator_single_edge(self):
         g = cayley_graph(cyclic_group(2))
@@ -155,7 +159,7 @@ class TestCayleyGraph:
         darts = {(g.dart_source(d), g.dart_target(d)) for d in range(g.dart_count)}
         for x in range(6):
             for s in grp.generators:
-                assert (x, grp.mul(x, s)) in darts
+                assert (x, grp.mul_table[x, s]) in darts
 
     def test_custom_labels(self):
         g = cayley_graph(cyclic_group(4), labels={1: "t"})
@@ -227,22 +231,47 @@ class TestLpsParams:
 
 class TestPgl2:
     def test_order(self):
-        table = pgl2_table(5)
-        assert table.order == 120
+        assert expander_zoo._Pgl2(5).order == 120
 
-    @pytest.mark.parametrize("q", [5, 13])
-    def test_generator_steps_equal_the_row_loop(self, q):
-        pgl = expander_zoo._Pgl2(q)
-        assert np.array_equal(pgl.mul_table(), naive_pgl2_mul_table(pgl))
+    @pytest.mark.parametrize("p, q", [(13, 5), (5, 13)], ids=["5", "13"])
+    def test_right_products_and_inverses_equal_the_table(self, p, q):
+        # every element at q = 5, every generator at q = 13
+        _, pgl = lps_graph(p, q)
+        table = naive_pgl2_mul_table(pgl)
+        assert np.array_equal(table[pgl.identity], np.arange(pgl.order))
+        for s in range(pgl.order) if q == 5 else pgl.generators:
+            assert np.array_equal(pgl.right(s), table[:, s])
+            t = pgl.inverse(s)
+            assert table[s, t] == table[t, s] == pgl.identity
 
-    def test_primitive_roots(self):
-        assert [expander_zoo._primitive_root(q) for q in (2, 3, 5, 7, 13, 17, 29, 61)] == [1, 2, 2, 3, 2, 3, 2, 2]
+    def test_escaped_product_is_rejected(self):
+        pgl = expander_zoo._Pgl2(5)
+        pgl.lookup[pgl.lookup == 7] = -1
+        with pytest.raises(InvalidInputError, match="escaped the canonical element list"):
+            pgl.right(1)
 
-    def test_steps_that_miss_elements_are_rejected(self, monkeypatch):
-        # 4 is a square mod 5, as is det [[0, 1], [1, 0]] = -1: the steps stay in PSL2(5)
-        monkeypatch.setattr(expander_zoo, "_primitive_root", lambda q: 4)
-        with pytest.raises(InvalidInputError, match="do not reach"):
-            pgl2_table(5)
+    @staticmethod
+    def true_pairs(p, q):
+        pgl = lps_graph(p, q)[1]
+        return sorted({tuple(sorted((s, pgl.inverse(s)))) for s in pgl.generators})
+
+    def test_generators_not_closed_under_inverse_are_rejected(self, monkeypatch):
+        (a, _), *_ = self.true_pairs(13, 5)
+        real = expander_zoo._Pgl2.inverse
+        outside = next(x for x in range(120) if x not in lps_graph(13, 5)[1].generators)
+        monkeypatch.setattr(expander_zoo._Pgl2, "inverse", lambda pgl, x: outside if x == a else real(pgl, x))
+        with pytest.raises(InvalidInputError, match="not closed under inverse"):
+            lps_graph(13, 5)
+
+    def test_tampered_generator_pair_is_rejected(self, monkeypatch):
+        # pair a with b^-1 and b with a^-1: still closed under the tampered
+        # inverse, but right(b^-1) does not undo right(a)
+        (a, a2), (b, b2), *_ = self.true_pairs(13, 5)
+        swap = {a: b2, b2: a, b: a2, a2: b}
+        real = expander_zoo._Pgl2.inverse
+        monkeypatch.setattr(expander_zoo._Pgl2, "inverse", lambda pgl, x: swap.get(x, real(pgl, x)))
+        with pytest.raises(InvalidInputError, match="not undone by its inverse"):
+            lps_graph(13, 5)
 
     def test_lps_generators_distinct_and_inverse_closed(self, x_13_5):
         _, table = x_13_5
@@ -257,7 +286,7 @@ class TestLpsGraphs:
     def test_x_5_13_shape(self, x_5_13):
         g, table = x_5_13
         assert g.vertex_count == 13 * (13 * 13 - 1) == 2184
-        assert g.is_regular() and g.degree(0) == 6
+        assert is_regular(g) and g.degree(0) == 6
         assert table.order == 2184
 
     def test_x_5_13_report_passes(self, x_5_13):
@@ -314,7 +343,7 @@ class TestLpsGraphs:
                 break
         edges[i], edges[j] = (a, d, la), (c, b, lc)
         mutant = build_graph(g.vertex_count, edges, alphabet=sorted(g.alphabet))
-        assert mutant.is_regular() and is_bipartite(mutant)
+        assert is_regular(mutant) and is_bipartite(mutant)
         seen = self.spy_sources(monkeypatch)
         rep = verify_lps(mutant, LpsParams.validate(13, 5), table)
         assert seen == [("girth", None), ("diameter", None)]
@@ -326,11 +355,12 @@ class TestLpsGraphs:
         g1, t1 = x_13_5
         g2, t2 = lps_graph(13, 5)
         assert list(g1.edges()) == list(g2.edges())
-        assert t1.element_names == t2.element_names
+        assert np.array_equal(t1.elements, t2.elements)
         assert t1.generators == t2.generators
 
     def test_vertex_transitive_via_group_translation(self, x_13_5):
-        g, table = x_13_5
+        g, group = x_13_5
+        table = naive_pgl2_mul_table(group)
         labeled = {}
         for d in range(g.dart_count):
             labeled[(g.dart_source(d), g.dart_label(d))] = g.dart_target(d)
@@ -338,11 +368,22 @@ class TestLpsGraphs:
         for _ in range(20):
             u = rng.randrange(g.vertex_count)
             v = rng.randrange(g.vertex_count)
-            h = table.mul(v, table.inverse(u))
+            h = table[v, group.inverse(u)]
             # left translation x -> hx sends u to v and preserves labeled darts
-            assert table.mul(h, u) == v
+            assert table[h, u] == v
             for (x, lab), y in labeled.items():
-                assert labeled[(table.mul(h, x), lab)] == table.mul(h, y)
+                assert labeled[(table[h, x], lab)] == table[h, y]
+
+    def test_lps_graph_traces_no_table(self):
+        # the PGL2(17) table alone would take 4896^2 int64 entries, 192 MB
+        tracemalloc.start()
+        try:
+            g, _ = lps_graph(5, 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.vertex_count == 4896
+        assert peak < 48e6
 
     def test_mutation_breaks_regularity(self, x_13_5):
         g, table = x_13_5

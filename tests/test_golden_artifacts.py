@@ -89,6 +89,7 @@ GOLDEN = {
     "wreath_sign.json": "f559c583fdb541cd3064b6a9d73247fa750a42c7abf447af3e1c16accafd6808",
     "wreath_z40_ball.json": "188681c0711696b0d66586cd713a6f06febfc009b1c2123e8b0e04fc1bf56ae0",
     "lps.json": "9098504eb631f4bce347eb07a2008d4136336d3b17773ceb5193f93127156d49",
+    "lps_5_13.json": "b08777d28a4cd0d9118f9232ae77fb4c3cb667a3bb0e2a871cbf5758e056002b",
     "poincare_z4.json": "032669263f76573daf97c4f56a679ed8b6847c7e4b0380038952e3679e63ab36",
     "poincare_s3.json": "a522436a7308c779ea85cfe63b38cdf23c94a69a340fc8688439ae240b259a66",
     "poincare_z3_trials.json": "1a2b1064a442a63ff6ab5391e6beb02f661dd43381805d86ef9dffde923eeb1b",
@@ -148,6 +149,8 @@ COMMANDS = [
     ["wreath", "--q-table", "z40.json", "--b-table", "z40.json",
      "--proj", ",".join(map(str, range(40))), "--radius", "5", "--out", "wreath_z40_ball.json"],
     ["lps", "--p", "13", "--q", "5", "--out", "lps.json"],
+    # the benchmark's expander: 2184 vertices of PGL2(13)
+    ["lps", "--p", "5", "--q", "13", "--out", "lps_5_13.json"],
     ["poincare", "--relative", "--q-table", "z4.json", "--b-table", "z4.json",
      "--proj", "0,1,2,3", "--out", "poincare_z4.json"],
     # non-abelian Q, so the lamp shift must act from the left

@@ -65,7 +65,7 @@ def labeled_cycle(word):
 def test_alphabet_letters_and_inverses():
     al = Alphabet.letters(3)
     assert al.symbols == ("a", "b", "c")
-    assert al.signed == ("a", "b", "c", "a^-1", "b^-1", "c^-1")
+    assert [inverse_label(s) for s in al.symbols] == ["a^-1", "b^-1", "c^-1"]
     with pytest.raises(InvalidInputError):
         Alphabet(("a", "a"))
     with pytest.raises(InvalidInputError):
@@ -384,11 +384,12 @@ def _assert_pieces_match_oracle(fam):
             longest == 0 or longest < (math.inf if gr is math.inf else lam * gr)
             for longest, gr in zip(expected["per_comp_max"], girths)
         )
-    has_infinite = any(p.infinite for p in report.pieces)
+    pieces = enumerate_pieces(fam)
+    has_infinite = any(p.infinite for p in pieces)
     assert has_infinite == expected["infinite"]
     if not expected["infinite"]:
-        assert {p.word for p in report.pieces} == expected["maximal_words"]
-    for piece in report.pieces:
+        assert {p.word for p in pieces} == expected["maximal_words"]
+    for piece in pieces:
         starts = naive_word_starts(fam, piece.word)
         assert {s[0] for s in starts} == set(piece.components)
         classes = []
@@ -586,7 +587,7 @@ def test_families_with_few_or_no_pair_nodes(comps, empty):
     fam = GraphFamily(comps)
     pieces = _assert_bulk_equals_walk(fam)
     report = check_small_cancellation(fam, Fraction(1, 2))
-    assert report.pieces == tuple(pieces)
+    assert enumerate_pieces(fam) == tuple(pieces)
     assert (pieces == []) == empty
     if empty:
         assert report.max_piece_length == (0,) * len(comps) and report.passed

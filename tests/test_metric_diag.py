@@ -554,7 +554,7 @@ def lipschitz_function(W, rng, dim):
     table = resolve_group(W)
     raw = rng.normal(size=(table.order, dim))
     worst = max(
-        float(np.linalg.norm(raw[table.mul(x, s)] - raw[x]))
+        float(np.linalg.norm(raw[table.mul_table[x, s]] - raw[x]))
         for x in range(table.order)
         for s in table.generators
     )

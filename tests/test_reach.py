@@ -8,6 +8,11 @@ reaches every top-level name its definition mentions, directly, through a
 ``from`` import, or as an attribute of an imported module; a class
 reaches everything its body mentions.  Nothing may be left, so a new
 dead name fails this test; code that only tests call lives in ``tests/``.
+
+A class can still carry dead methods, so every public method or property
+of a class in ``src/coarselab`` must also be named by some attribute
+access in ``src/`` or ``perfbench/``.  That is read by name alone, which
+is loose (any ``x.name`` counts) but never flags a method that is used.
 """
 
 from __future__ import annotations
@@ -137,6 +142,27 @@ def _unreached(extra: Optional[dict[str, str]] = None) -> set[str]:
     return {f"{m}.{n}" for m, n in every - reached}
 
 
+def _unnamed_members(extra: Optional[dict[str, str]] = None) -> set[str]:
+    """Public methods and properties of the package's classes that no
+    attribute access in the package or in ``perfbench/`` names."""
+    extra = extra or {}
+    trees = {p.stem: ast.parse(p.read_text() + extra.get(p.stem, "")) for p in sorted(PACKAGE.glob("*.py"))}
+    bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    named = {
+        node.attr for tree in [*trees.values(), *bench] for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+    return {
+        f"{module}.{cls.name}.{f.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for f in cls.body
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not f.name.startswith("_")
+        and f.name not in named
+    }
+
+
 def test_every_top_level_name_is_reached():
     assert sorted(_unreached()) == [], "dead names in src/coarselab"
 
@@ -144,3 +170,12 @@ def test_every_top_level_name_is_reached():
 def test_a_new_dead_name_is_caught():
     dead = "\n\ndef _never_called(g):\n    return girth(g)\n"
     assert _unreached({"graph_core": dead}) == {"graph_core._never_called"}
+
+
+def test_every_public_method_is_named():
+    assert sorted(_unnamed_members()) == [], "dead methods or properties in src/coarselab"
+
+
+def test_a_new_dead_method_is_caught():
+    dead = "\n\nclass _Probe:\n    @property\n    def never_read(self):\n        return 0\n"
+    assert _unnamed_members({"graph_core": dead}) == {"graph_core._Probe.never_read"}
