@@ -143,7 +143,7 @@ def _interior_abs(values, degree: float) -> float:
 def _cmd_spectrum(args):
     g = _single_graph(args)
     summary = adjacency_spectrum(g)
-    degrees = {g.degree(v) for v in range(g.vertex_count)}
+    degrees = set(np.diff(g.first).tolist())
     regular = degrees.pop() if len(degrees) == 1 else None
     doc = {
         "format_version": jsonio.FORMAT_VERSION,
@@ -228,7 +228,7 @@ def _cmd_cover(args):
         "deck_rank": cm.deck_rank,
         "iterations": args.iterations,
         "single_step": cm.single_step,
-        "vertex_map": list(cm.vertex_map),
+        "vertex_map": cm.vertex_map.tolist(),
     }
     lines = [
         f"base: {cm.base.vertex_count} vertices, {cm.base.edge_count} edges",

@@ -10,7 +10,8 @@ edges; each wall separates the cover into exactly two sides when the
 base is bridgeless.  The bridge test and the sides are read off the same
 cycle basis; :func:`validate_walls` re-derives the sides by search.
 Counting separating walls gives a pseudo-metric with an exact
-half-integer embedding into l2.
+half-integer embedding into l2.  Covering maps and wall sides are numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ from .errors import (
 from .graph_core import (
     LabeledGraph,
     bfs_tree,
-    build_graph,
     components,
-    dart_endpoints,
     fundamental_cycles,
     girth,
+    label_clash,
     source_rows,
     xor_lift,
 )
@@ -57,28 +57,16 @@ class CoveringMap:
     ``deck_rank`` r means every fiber has 2^r points.  For a single
     homology step the deck group is (Z/2)^r acting by coordinate
     translation; composites are still regular coverings but their deck
-    group is only guaranteed to be a group of order 2^r.
+    group is only guaranteed to be a group of order 2^r.  ``vertex_map``
+    and ``dart_map`` are int64 arrays indexed by cover vertex and dart.
     """
 
     base: LabeledGraph
     cover: LabeledGraph
-    vertex_map: tuple[int, ...]
-    dart_map: tuple[int, ...]
+    vertex_map: np.ndarray
+    dart_map: np.ndarray
     deck_rank: int
     single_step: bool = True
-
-
-def _locally_reduced(g: LabeledGraph) -> bool:
-    """True when every dart is labeled and no vertex repeats an
-    outgoing label; such labelings stay deterministic to follow."""
-    for u in range(g.vertex_count):
-        seen = set()
-        for d in g.out_darts(u):
-            lab = g.dart_label(d)
-            if lab is None or lab in seen:
-                return False
-            seen.add(lab)
-    return True
 
 
 def _xor_maps(cover_vertices: int, cover_darts: int, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +76,7 @@ def _xor_maps(cover_vertices: int, cover_darts: int, r: int) -> tuple[np.ndarray
     return np.arange(cover_vertices) >> r, (darts >> (r + 1) << 1) | (darts & 1)
 
 
-def homology_cover(g: LabeledGraph) -> CoveringMap:
+def homology_cover(g: LabeledGraph, vertex_cap: int = COVER_VERTEX_CAP) -> CoveringMap:
     """The mod-2 homology covering of a connected graph.
 
     Cover vertex (v, x) is numbered v * 2^r + x, where x runs over
@@ -97,34 +85,37 @@ def homology_cover(g: LabeledGraph) -> CoveringMap:
     index order, which fixes the numbering completely: cover edge
     k * 2^r + x runs from (u_k, x) to (v_k, x XOR f_k), f_k the bit of
     edge k (0 on the tree), the lift that :func:`xor_fiber_heads` checks.
+    Its predicted vertex count is checked against ``vertex_cap`` before
+    anything is built.
     """
+    rank = g.edge_count - g.vertex_count + 1
+    if rank >= 0 and g.vertex_count << rank > vertex_cap:
+        raise CapExceededError(
+            f"next homology cover would have {g.vertex_count << rank} vertices (cap {vertex_cap})"
+        )
     if not g.is_connected:
         raise DisconnectedGraphError("homology cover needs a connected base")
     non_tree = [k for k, _ in fundamental_cycles(g)]
     r = len(non_tree)
-    if r != g.edge_count - g.vertex_count + 1:
+    if r != rank:
         raise VerificationError("non-tree edge count disagrees with the cycle rank")
     flips = np.zeros(g.edge_count, dtype=np.int64)
     flips[non_tree] = 1 << np.arange(r)
     lift = np.arange(g.edge_count << r)
     k, x = lift >> r, lift & ((1 << r) - 1)
-    src, dst = dart_endpoints(g)
-    ends = (src[0::2][k] << r) | x, (dst[0::2][k] << r) | (x ^ flips[k])
-    labels = [lab for _, _, lab in g.edges() for _ in range(1 << r)]
-    edges = zip(ends[0].tolist(), ends[1].tolist(), labels)
-    cover = build_graph(g.vertex_count << r, edges, alphabet=g.alphabet or None)
+    heads, tails = (g.src[0::2][k] << r) | x, (g.dst[0::2][k] << r) | (x ^ flips[k])
+    cover = LabeledGraph(g.vertex_count << r, heads, tails, g.codes[0::2][k], g.alphabet)
     if not cover.is_connected:
         raise VerificationError("homology cover came out disconnected")
-    if _locally_reduced(g):
-        # a labeling induced from a reduced base labeling stays reduced
-        if not _locally_reduced(cover):
-            raise VerificationError("induced labeling on the cover is not reduced")
+    # a labeling induced from a reduced base labeling stays reduced
+    if label_clash(g) is None and label_clash(cover) is not None:
+        raise VerificationError("induced labeling on the cover is not reduced")
     vertex_map, dart_map = _xor_maps(cover.vertex_count, cover.dart_count, r)
     return CoveringMap(
         base=g,
         cover=cover,
-        vertex_map=tuple(vertex_map.tolist()),
-        dart_map=tuple(dart_map.tolist()),
+        vertex_map=vertex_map,
+        dart_map=dart_map,
         deck_rank=r,
         single_step=True,
     )
@@ -137,13 +128,11 @@ def compose_covers(outer: CoveringMap, inner: CoveringMap) -> CoveringMap:
         or outer.base.dart_count != inner.cover.dart_count
     ):
         raise InvalidInputError("coverings do not chain: outer base differs from inner cover")
-    vertex_map = tuple(inner.vertex_map[outer.vertex_map[v]] for v in range(outer.cover.vertex_count))
-    dart_map = tuple(inner.dart_map[outer.dart_map[d]] for d in range(outer.cover.dart_count))
     return CoveringMap(
         base=inner.base,
         cover=outer.cover,
-        vertex_map=vertex_map,
-        dart_map=dart_map,
+        vertex_map=inner.vertex_map[outer.vertex_map],
+        dart_map=inner.dart_map[outer.dart_map],
         deck_rank=inner.deck_rank + outer.deck_rank,
         single_step=False,
     )
@@ -158,8 +147,7 @@ def cover_girth(cm: CoveringMap):
     normal in the base), so the deck group is transitive on each fiber
     and carries any shortest cycle onto one through a chosen source.
     """
-    heads = np.unique(np.asarray(cm.vertex_map), return_index=True)[1]
-    return girth(cm.cover, heads.tolist())
+    return girth(cm.cover, np.unique(cm.vertex_map, return_index=True)[1])
 
 
 def xor_fiber_heads(cm: CoveringMap) -> np.ndarray:
@@ -187,18 +175,17 @@ def xor_fiber_heads(cm: CoveringMap) -> np.ndarray:
     if not cm.single_step:
         raise VerificationError("a composed covering carries no XOR deck action")
     lift = xor_lift(cover, r)
-    base_src, base_dst = dart_endpoints(base)
     if not (
         lift is not None
         and lift.base_vertices == base.vertex_count
-        and np.array_equal(lift.base_src, base_src[0::2])
-        and np.array_equal(lift.base_dst, base_dst[0::2])
+        and np.array_equal(lift.base_src, base.src[0::2])
+        and np.array_equal(lift.base_dst, base.dst[0::2])
     ):
         raise VerificationError("a lifted edge is not its base edge with one flip per fiber")
     vertex_map, dart_map = _xor_maps(cover.vertex_count, cover.dart_count, r)
-    if not np.array_equal(np.asarray(cm.vertex_map, dtype=np.int64), vertex_map):
+    if not np.array_equal(cm.vertex_map, vertex_map):
         raise VerificationError("vertex map is not v >> deck_rank")
-    if not np.array_equal(np.asarray(cm.dart_map, dtype=np.int64), dart_map):
+    if not np.array_equal(cm.dart_map, dart_map):
         raise VerificationError("dart map does not send edge fiber k onto base edge k")
     return lift.fiber_heads()
 
@@ -206,8 +193,9 @@ def xor_fiber_heads(cm: CoveringMap) -> np.ndarray:
 def iterate_homology_cover(g: LabeledGraph, k: int, vertex_cap: int = COVER_VERTEX_CAP) -> CoveringMap:
     """k-fold homology cover, composed into a single covering of ``g``.
 
-    Sizes blow up doubly exponentially; the predicted vertex count of
-    each step is checked against ``vertex_cap`` before building.
+    Sizes blow up doubly exponentially; :func:`homology_cover` checks the
+    predicted vertex count of each step against ``vertex_cap`` before
+    building.
     """
     if k < 1:
         raise InvalidInputError("iteration count must be >= 1")
@@ -216,15 +204,9 @@ def iterate_homology_cover(g: LabeledGraph, k: int, vertex_cap: int = COVER_VERT
     cm: Optional[CoveringMap] = None
     current = g
     for _ in range(k):
-        rank = current.edge_count - current.vertex_count + 1
-        if rank < 0:
+        if current.edge_count < current.vertex_count - 1:
             raise DisconnectedGraphError("iterated cover needs a connected base")
-        predicted = current.vertex_count << rank
-        if predicted > vertex_cap:
-            raise CapExceededError(
-                f"next homology cover would have {predicted} vertices (cap {vertex_cap})"
-            )
-        step = homology_cover(current)
+        step = homology_cover(current, vertex_cap)
         cm = step if cm is None else compose_covers(step, cm)
         current = cm.cover
     return cm
@@ -236,15 +218,13 @@ def iterate_homology_cover(g: LabeledGraph, k: int, vertex_cap: int = COVER_VERT
 @dataclass(frozen=True)
 class WallDecomposition:
     """A partition of the edges into walls, each separating the graph
-    into the two sides recorded in ``side_assignment``."""
+    into the two sides recorded in ``side_assignment``: a (walls,
+    vertices) array of 0s and 1s."""
 
     vertex_count: int
     edge_count: int
     walls: tuple[frozenset[int], ...]
-    side_assignment: tuple[tuple[int, ...], ...]
-
-    def side_matrix(self) -> np.ndarray:
-        return np.array(self.side_assignment, dtype=np.uint8)
+    side_assignment: np.ndarray
 
 
 def walls_from_cover(cm: CoveringMap) -> WallDecomposition:
@@ -268,27 +248,28 @@ def walls_from_cover(cm: CoveringMap) -> WallDecomposition:
         raise InvalidInputError("wall construction requires a bridgeless base graph")
     xor_fiber_heads(cm)
     on_path = np.zeros((base.edge_count, base.vertex_count), dtype=np.uint8)
+    base_src = base.src.tolist()
     for v, d in bfs_tree(base, 0).items():  # parents first
         if d >= 0:
-            on_path[:, v] = on_path[:, base.dart_source(d)]
+            on_path[:, v] = on_path[:, base_src[d]]
             on_path[d >> 1, v] ^= 1
     parity = np.bitwise_count(np.array(masks, dtype=np.int64)[:, None] & np.arange(1 << r)) & 1
     side = (on_path[:, :, None] ^ parity[:, None, :]).reshape(base.edge_count, cover.vertex_count)
-    src, dst = dart_endpoints(cover)
     own_fiber = np.arange(cover.edge_count) >> r == np.arange(base.edge_count)[:, None]
-    if not np.array_equal(side[:, src[0::2]] != side[:, dst[0::2]], own_fiber):
+    if not np.array_equal(side[:, cover.src[0::2]] != side[:, cover.dst[0::2]], own_fiber):
         raise VerificationError("the cover edges crossing a wall's sides are not its edge fiber")
     return WallDecomposition(
         vertex_count=cover.vertex_count,
         edge_count=cover.edge_count,
         walls=tuple(frozenset(range(k << r, (k + 1) << r)) for k in range(base.edge_count)),
-        side_assignment=tuple(map(tuple, side.tolist())),
+        side_assignment=side,
     )
 
 
 def validate_walls(g: LabeledGraph, w: WallDecomposition) -> None:
-    """Check a wall decomposition against a graph by a breadth-first
-    search of each wall's complement; raises on any defect."""
+    """Check a wall decomposition against a graph by a search of each
+    wall's complement (:func:`~coarselab.graph_core.components`); raises
+    on any defect."""
     if w.vertex_count != g.vertex_count or w.edge_count != g.edge_count:
         raise InvalidInputError("wall decomposition sized for a different graph")
     seen: dict[int, int] = {}
@@ -303,25 +284,23 @@ def validate_walls(g: LabeledGraph, w: WallDecomposition) -> None:
             seen[k] = i
     if len(seen) != g.edge_count:
         raise InvalidInputError("some edge lies in no wall")
-    if len(w.side_assignment) != len(w.walls):
+    sides = np.asarray(w.side_assignment)
+    if sides.ndim != 2 or len(sides) != len(w.walls):
         raise InvalidInputError("one side assignment required per wall")
-    src, dst = dart_endpoints(g)
-    for i, wall in enumerate(w.walls):
-        sides = w.side_assignment[i]
-        if len(sides) != g.vertex_count or any(s not in (0, 1) for s in sides):
+    for i, (wall, side) in enumerate(zip(w.walls, sides)):
+        if side.size != g.vertex_count or not np.isin(side, (0, 1)).all():
             raise InvalidInputError(f"side assignment {i} is not a two-coloring")
-        comp = np.array(components(g, wall))
+        comp = components(g, wall)
         if comp.max() != 1:
             raise InvalidInputError(f"wall {i} does not split the graph into two components")
         # the two-coloring must be constant on components and split them
-        side = np.array(sides)
         first = side[[0, np.argmax(comp)]]  # the side of each component's smallest vertex
         if np.any(side != first[comp]):
             raise InvalidInputError(f"side assignment {i} cuts across a component")
         if first[0] == first[1]:
             raise InvalidInputError(f"side assignment {i} gives both components the same side")
         edges = np.array(sorted(wall))
-        inside = side[src[2 * edges]] == side[dst[2 * edges]]
+        inside = side[g.src[2 * edges]] == side[g.dst[2 * edges]]
         if np.any(inside):
             raise InvalidInputError(f"edge {edges[np.argmax(inside)]} of wall {i} does not cross the wall")
 
@@ -341,9 +320,8 @@ def wall_pseudometric(
     """
     rows = source_rows(g, sources)
     validate_walls(g, w)
-    sides = w.side_matrix().reshape(len(w.walls), g.vertex_count)
     dist = np.zeros((rows.size, g.vertex_count), dtype=np.int64)
-    for side in sides:
+    for side in w.side_assignment:
         dist += side[rows, None] != side[None, :]
     return dist
 
@@ -355,6 +333,6 @@ def wall_hilbert_embedding(g: LabeledGraph, w: WallDecomposition, basepoint: int
     ``basepoint`` is checked as a source of ``distance_matrix``."""
     validate_walls(g, w)
     (basepoint,) = source_rows(g, [basepoint])
-    sides = w.side_matrix().reshape(len(w.walls), g.vertex_count)
+    sides = w.side_assignment
     rel = sides != sides[:, basepoint][:, None]
     return np.where(rel, 0.5, -0.5).T.astype(np.float64)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -24,7 +23,6 @@ from .graph_core import (
     LabeledGraph,
     adjacency_spectrum,
     build_graph,
-    dart_endpoints,
     diameter,
     girth,
     two_coloring,
@@ -219,8 +217,7 @@ def cayley_graph(
     n = group.order
     every = np.arange(n)
     emitted_pairs = set()
-    edges = []
-    alphabet = []
+    heads, tails, alphabet = [], [], []
     for s in gens:
         t = group.inverse(s)
         pair = (min(s, t), max(s, t))
@@ -235,16 +232,17 @@ def cayley_graph(
         col = group.right(canon)
         if not np.array_equal(group.right(group.inverse(canon))[col], every):
             raise InvalidInputError(f"right product by generator {canon} is not undone by its inverse")
-        if s != t:
-            edges.extend(zip(range(n), col.tolist(), repeat(base)))
-        else:
-            if (col == every).any():
-                raise InvalidInputError("generator fixes an element; table is not a group")
-            keep = np.flatnonzero(every < col)
-            edges.extend(zip(keep.tolist(), col[keep].tolist(), repeat(base)))
+        if s == t and (col == every).any():
+            raise InvalidInputError("generator fixes an element; table is not a group")
+        keep = every if s != t else np.flatnonzero(every < col)
+        heads.append(keep)
+        tails.append(col[keep])
     if len(set(alphabet)) != len(alphabet):
         raise InvalidInputError("duplicate base symbol across generator pairs")
-    return build_graph(n, edges, alphabet=alphabet)
+    labels = [base for base, h in zip(alphabet, heads) for _ in range(h.size)]
+    return build_graph(
+        n, alphabet=alphabet, columns=(np.concatenate(heads).tolist(), np.concatenate(tails).tolist(), labels)
+    )
 
 
 def is_bipartite(g: LabeledGraph) -> bool:
@@ -260,14 +258,10 @@ def _is_cayley_graph_of(g: LabeledGraph, group: FiniteGroupTable | _Pgl2) -> boo
     vertex-transitive."""
     gens = np.asarray(group.generators, dtype=np.int64)
     n = group.order
-    if g.vertex_count != n or g.dart_count != n * gens.size:
+    if g.vertex_count != n or np.any(np.diff(g.first) != gens.size):
         return False
-    src, dst = dart_endpoints(g)
-    by_source = np.lexsort((dst, src))
-    if not np.array_equal(src[by_source], np.repeat(np.arange(n), gens.size)):
-        return False
-    want = np.sort(np.stack([group.right(s) for s in gens], axis=1), axis=1).reshape(-1)
-    return bool(np.array_equal(dst[by_source], want))
+    want = np.sort(np.stack([group.right(s) for s in gens], axis=1), axis=1)
+    return bool(np.array_equal(np.sort(g.dst[g.out].reshape(n, -1), axis=1), want))
 
 
 # -- LPS graphs ------------------------------------------------------------
@@ -363,25 +357,23 @@ class _Pgl2:
     """PGL2(q) on a symmetric generator set, with elements canonicalized
     so the first nonzero matrix entry in row-major order equals 1 and
     indexed in sorted order.  No table is built: ``right(s)`` forms the
-    products x s for every x at once from the matrix entries."""
+    products x s for every x at once from the matrix entries.
+
+    The index of a canonical form is closed: the q(q - 1) forms
+    (0, 1, c, d), c != 0, come first, (0, 1, c, d) at (c - 1) q + d, then
+    (1, b, c, d) with d != bc at q(q - 1) + (bq + c)(q - 1) + d - [d > bc],
+    the bc that d skips taken mod q."""
 
     def __init__(self, q: int, generators: Sequence[tuple[int, int, int, int]] = ()):
         self.q = q
-        elements: list[tuple[int, int, int, int]] = []
-        for c in range(1, q):
-            for d in range(q):
-                elements.append((0, 1, c, d))
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    if d != (b * c) % q:
-                        elements.append((1, b, c, d))
-        elements.sort()
-        self.elements = np.array(elements, dtype=np.int64)
-        self.order = len(elements)
-        a, b, c, d = self.elements.T
-        self.lookup = np.full(q ** 4, -1, dtype=np.int64)
-        self.lookup[((a * q + b) * q + c) * q + d] = np.arange(self.order)
+        c, d = np.divmod(np.arange(q, q * q), q)
+        bcd = np.stack(np.unravel_index(np.arange(q**3), (q, q, q)), axis=1).astype(np.int64)
+        bcd = bcd[bcd[:, 2] != bcd[:, 0] * bcd[:, 1] % q]
+        self.elements = np.concatenate([
+            np.stack([np.zeros_like(c), np.ones_like(c), c, d], axis=1),
+            np.column_stack([np.ones(len(bcd), dtype=np.int64), bcd]),
+        ])
+        self.order = len(self.elements)
         self.modinv = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
         self.identity = self.canonical_index(1, 0, 0, 1)
         self.generators = tuple(self.canonical_index(*m) for m in generators)
@@ -389,13 +381,13 @@ class _Pgl2:
     def _indices(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Element indices of the matrices [[a, b], [c, d]], entries
         reduced mod q, each scaled by the inverse of its first nonzero
-        entry."""
+        entry (b when a = 0, as the determinant ad - bc is nonzero)."""
         q = self.q
-        s = self.modinv[np.where(a != 0, a, np.where(b != 0, b, np.where(c != 0, c, d)))]
-        idx = self.lookup[((a * s % q * q + b * s % q) * q + c * s % q) * q + d * s % q]
-        if idx.min() < 0:
+        if np.any((a * d - b * c) % q == 0):
             raise InvalidInputError("product escaped the canonical element list")
-        return idx
+        s = self.modinv[np.where(a != 0, a, b)]
+        b, c, d = b * s % q, c * s % q, d * s % q
+        return np.where(a == 0, (c - 1) * q + d, q * (q - 1) + (b * q + c) * (q - 1) + d - (d > b * c % q))
 
     def canonical_index(self, a: int, b: int, c: int, d: int) -> int:
         q = self.q
@@ -494,7 +486,7 @@ def verify_lps(g: LabeledGraph, params: LpsParams, group: _Pgl2) -> LpsReport:
     expect_n = q * (q * q - 1)
     if g.vertex_count != expect_n:
         failures.append(f"vertex count {g.vertex_count} != q(q^2-1) = {expect_n}")
-    degs = {g.degree(v) for v in range(g.vertex_count)}
+    degs = set(np.diff(g.first).tolist())
     regular_degree = degs.pop() if len(degs) == 1 else None
     if regular_degree != p + 1:
         failures.append(f"graph is not (p+1)-regular (degrees {regular_degree or 'vary'})")

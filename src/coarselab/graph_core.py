@@ -1,10 +1,13 @@
 """Undirected labeled multigraphs and their basic invariants.
 
-Graphs are stored as dart (half-edge) pairs so that loops, parallel
-edges, and edge labelings with orientations are all first class.  Dart
-``2k`` and dart ``2k + 1`` are mutual reverses and together form edge
-``k``.  A dart may carry a label; the reverse dart then carries the
-formal inverse label (``"a"`` vs ``"a^-1"``).
+A graph is numpy arrays indexed by dart (half-edge), so that loops,
+parallel edges, and edge labelings with orientations are all first
+class.  Dart ``2k`` and dart ``2k + 1`` are mutual reverses and together
+form edge ``k``.  A dart may carry a label, held as a code; the reverse
+dart then carries the formal inverse label (``"a"`` vs ``"a^-1"``).
+:func:`build_graph` checks its edges once, in bulk.  Components come
+from one root-hooking primitive (:func:`component_roots`), and
+reducedness from one sort of (source, label) keys (:func:`labels_apart`).
 
 Distances and girth come from one numpy level-synchronous
 breadth-first walk over all (source, vertex) pairs at once
@@ -82,118 +85,93 @@ def _check_base_symbol(symbol: str) -> None:
 
 
 class LabeledGraph:
-    """Immutable undirected multigraph with optional dart labels.
+    """Immutable undirected multigraph with optional dart labels, held as
+    numpy arrays indexed by dart.
+
+    Dart ``2k`` runs along edge ``k`` from ``src[2k]`` to ``dst[2k]`` and
+    dart ``2k + 1`` back.  ``codes[d]`` is the label of dart d as an index
+    into ``symbols``, the sorted alphabet followed by the inverse of each
+    symbol in the same order, so codes c and c + |alphabet| (mod
+    2|alphabet|) are mutual inverses; -1 marks an unlabeled dart.  ``out``
+    lists the darts by source, those of v being ``out[first[v]:first[v + 1]]``
+    in increasing order.  ``component_ids`` numbers the components in order
+    of their smallest vertex.
 
     Parameters
     ----------
     vertex_count : int
         Number of vertices, named ``0 .. vertex_count - 1``.
-    edges : sequence of (source, target, label, inverse label)
-        Edge ``k`` gives dart ``2k`` and its reverse ``2k + 1``, which
-        reads the inverse label.  Nothing here is checked: use
+    heads, tails, codes : int64 arrays indexed by edge
+        The source, target and label code of every dart ``2k``, over the
+        base symbols ``alphabet``.  Nothing here is checked: use
         :func:`build_graph` instead of calling this directly.
-    alphabet : frozenset of base symbols
     annotations : dict
         Free-form metadata carried through serialization; never part of
         structural identity.
     """
 
-    __slots__ = (
-        "vertex_count",
-        "_src",
-        "_dst",
-        "_lab",
-        "_out",
-        "alphabet",
-        "annotations",
-        "_component_ids",
-        "_component_count",
-    )
+    __slots__ = ("vertex_count", "src", "dst", "out", "first", "component_ids", "is_connected",
+                 "alphabet", "symbols", "codes", "annotations")
 
-    def __init__(
-        self,
-        vertex_count: int,
-        edges: Sequence[tuple[int, int, Optional[str], Optional[str]]],
-        alphabet: frozenset[str],
-        annotations: Optional[dict] = None,
-    ):
+    def __init__(self, vertex_count: int, heads, tails, codes, alphabet, annotations: Optional[dict] = None):
         if vertex_count < 1:
             raise InvalidInputError("graph needs at least one vertex")
         self.vertex_count = int(vertex_count)
-        heads, tails, labels, inverses = zip(*edges) if edges else ((),) * 4
-        # dart 2k runs along edge k and dart 2k + 1 back, reading the inverse
-        src = [0] * (2 * len(edges))
-        dst = src.copy()
-        lab = [None] * len(src)
-        src[::2] = dst[1::2] = heads
-        src[1::2] = dst[::2] = tails
-        lab[::2] = labels
-        lab[1::2] = inverses
-        self._src, self._dst, self._lab = tuple(src), tuple(dst), tuple(lab)
-        self.alphabet = frozenset(alphabet)
+        self.src = np.column_stack((heads, tails)).reshape(-1).astype(np.int64, copy=False)
+        self.dst = np.column_stack((tails, heads)).reshape(-1).astype(np.int64, copy=False)
+        self.out = np.argsort(self.src, kind="stable")
+        self.first = np.searchsorted(self.src[self.out], np.arange(self.vertex_count + 1))
+        self.component_ids = components(self)
+        self.is_connected = not self.component_ids.any()
+        self.alphabet, self.symbols = frozenset(alphabet), _signed(alphabet)
+        codes = np.asarray(codes, dtype=np.int64)
+        back = np.where(codes < 0, -1, (codes + len(self.alphabet)) % max(len(self.symbols), 1))
+        self.codes = np.column_stack((codes, back)).reshape(-1)
         self.annotations = dict(annotations) if annotations else {}
-        out: list[list[int]] = [[] for _ in range(vertex_count)]
-        for d, u in enumerate(src):
-            out[u].append(d)
-        self._out = tuple(map(tuple, out))
-        self._component_ids = tuple(components(self))
-        self._component_count = max(self._component_ids) + 1
 
-    # -- basic accessors -------------------------------------------------
+    def relabel(self, codes: np.ndarray, alphabet) -> LabeledGraph:
+        """This graph with the label code ``codes[d]`` on every dart d, over
+        ``alphabet``, unchecked and without annotations; the dart arrays,
+        the out-order and the components are shared, not rebuilt."""
+        g = object.__new__(LabeledGraph)
+        for name in LabeledGraph.__slots__:
+            setattr(g, name, getattr(self, name))
+        g.alphabet, g.symbols, g.codes, g.annotations = frozenset(alphabet), _signed(alphabet), codes, {}
+        return g
 
     @property
     def dart_count(self) -> int:
-        return len(self._src)
+        return self.src.size
 
     @property
     def edge_count(self) -> int:
-        return len(self._src) // 2
+        return self.src.size // 2
 
-    def dart_source(self, d: int) -> int:
-        return self._src[d]
-
-    def dart_target(self, d: int) -> int:
-        return self._dst[d]
-
-    def dart_label(self, d: int) -> Optional[str]:
-        return self._lab[d]
-
-    def out_darts(self, v: int) -> tuple[int, ...]:
-        return self._out[v]
-
-    def degree(self, v: int) -> int:
-        # loops contribute two darts at their vertex, hence degree 2
-        return len(self._out[v])
-
-    def edges(self) -> Iterable[tuple[int, int, Optional[str]]]:
-        """Yield one (source, target, label) triple per edge (dart 2k)."""
-        for d in range(0, len(self._src), 2):
-            yield self._src[d], self._dst[d], self._lab[d]
-
-    # -- connectivity ----------------------------------------------------
-
-    @property
-    def component_ids(self) -> tuple[int, ...]:
-        return self._component_ids
-
-    @property
-    def is_connected(self) -> bool:
-        return self._component_count == 1
+    def labels(self) -> list[Optional[str]]:
+        """The label of every dart, None for an unlabeled one."""
+        return list(map((*self.symbols, None).__getitem__, self.codes.tolist()))
 
     def __repr__(self) -> str:
-        return (
-            f"LabeledGraph(vertices={self.vertex_count}, edges={self.edge_count}, "
-            f"components={self._component_count})"
-        )
+        parts = self.vertex_count, self.edge_count, int(self.component_ids.max()) + 1
+        return "LabeledGraph(vertices=%d, edges=%d, components=%d)" % parts
+
+
+def _signed(alphabet: Iterable[str]) -> tuple[str, ...]:
+    """The sorted alphabet, then the inverse of each symbol in that order."""
+    bases = sorted(alphabet)
+    return (*bases, *(s + INVERSE_SUFFIX for s in bases))
 
 
 def build_graph(
     vertex_count: int,
-    edges: Iterable[tuple],
+    edges: Iterable[tuple] = (),
     alphabet: Optional[Iterable[str]] = None,
     annotations: Optional[dict] = None,
+    *,
+    columns: Optional[tuple[Sequence, Sequence, Sequence]] = None,
 ) -> LabeledGraph:
-    """Construct a :class:`LabeledGraph` from edge triples.
+    """Construct a :class:`LabeledGraph` from edge rows, or from the
+    ``columns`` (us, vs, labels) of the same rows.
 
     Parameters
     ----------
@@ -206,48 +184,64 @@ def build_graph(
         When given, every labeled edge must use it.  When omitted, the
         alphabet is inferred from the labels present.
 
+    The columns are checked in bulk, each distinct label once; only when
+    a bulk check fails are the edges walked, to raise the first bad one's
+    error.
+
     Raises
     ------
     InvalidInputError
         On out-of-range endpoints, malformed labels, or labels outside
         a declared alphabet.
     """
-    declared: Optional[frozenset[str]] = None
-    if alphabet is not None:
-        symbols = list(alphabet)
-        for s in symbols:
+    symbols = None if alphabet is None else list(alphabet)
+    for s in symbols or ():
+        _check_base_symbol(s)
+    declared = None if symbols is None else frozenset(symbols)
+    if columns is None:
+        edges = list(edges)
+        if set(map(len, edges)) <= {2, 3}:
+            columns = tuple(zip(*((*e, None)[:3] for e in edges))) or ((), (), ())
+    us, vs, labels = columns or ((), (), ())
+    try:
+        named = set(labels) - {None}
+        bases = {base_symbol(lab) for lab in named}
+        ok = (
+            columns is not None
+            and set(map(type, us)) | set(map(type, vs)) <= {int}
+            and (not us or (min(min(us), min(vs)) >= 0 and max(max(us), max(vs)) < vertex_count))
+            and all(isinstance(lab, str) and lab for lab in named)
+            and (declared is None or bases <= declared)
+        )
+        for s in bases:
             _check_base_symbol(s)
-        declared = frozenset(symbols)
-
-    inverses: dict = {None: None}  # each label met so far, checked, to its inverse
-    seen_symbols: set[str] = set()
-    rows = []
-    for e in edges:
-        if len(e) == 2:
-            u, v = e
-            lab: Optional[str] = None
-        elif len(e) == 3:
-            u, v, lab = e
-        else:
+    except (TypeError, AttributeError, InvalidInputError):  # a label that is no string, or a bad symbol
+        ok = False
+    for e in () if ok else edges or zip(us, vs, labels):
+        if len(e) not in (2, 3):
             raise InvalidInputError(f"edge {e!r} is not a pair or labeled triple")
+        u, v, lab = (*e, None)[:3]
         if type(u) is not int or type(v) is not int:
             raise InvalidInputError(f"edge {e!r} has non-integer endpoints")
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise InvalidInputError(f"edge {e!r} endpoint out of range [0, {vertex_count})")
-        try:
-            rows.append((u, v, lab, inverses[lab]))
-        except (KeyError, TypeError):
+        if lab is not None:
             if not isinstance(lab, str) or not lab:
                 raise InvalidInputError(f"edge {e!r} label must be None or a nonempty string")
-            base = base_symbol(lab)
-            _check_base_symbol(base)
-            if declared is not None and base not in declared:
+            _check_base_symbol(base_symbol(lab))
+            if declared is not None and base_symbol(lab) not in declared:
                 raise InvalidInputError(f"label {lab!r} not in declared alphabet")
-            seen_symbols.add(base)
-            inverse = inverses[lab] = inverse_label(lab)
-            rows.append((u, v, lab, inverse))
-    final_alphabet = declared if declared is not None else frozenset(seen_symbols)
-    return LabeledGraph(vertex_count, rows, final_alphabet, annotations)
+    final_alphabet = declared if declared is not None else frozenset(bases)
+    code = {lab: c for c, lab in enumerate(_signed(final_alphabet))}
+    code[None] = -1
+    return LabeledGraph(
+        vertex_count,
+        np.array(us, dtype=np.int64),
+        np.array(vs, dtype=np.int64),
+        np.fromiter(map(code.__getitem__, labels), dtype=np.int64, count=len(labels)),
+        final_alphabet,
+        annotations,
+    )
 
 
 # -- families ------------------------------------------------------------
@@ -277,54 +271,41 @@ class GraphFamily:
 
 def split_components(g: LabeledGraph) -> GraphFamily:
     """Split a graph into its connected components, smallest vertex first."""
-    groups: dict[int, list[int]] = {}
-    for v in range((g.vertex_count)):
-        groups.setdefault(g.component_ids[v], []).append(v)
-    comps = []
-    origins = []
-    for cid in sorted(groups, key=lambda c: min(groups[c])):
-        verts = sorted(groups[cid])
-        index = {v: i for i, v in enumerate(verts)}
-        edges = [
-            (index[u], index[v], lab)
-            for (u, v, lab) in g.edges()
-            if g.component_ids[u] == cid
-        ]
-        comps.append(build_graph(len(verts), edges, alphabet=g.alphabet or None))
-        origins.append(tuple(verts))
-    return GraphFamily(tuple(comps), tuple(origins))
+    ids = g.component_ids
+    sizes = np.bincount(ids)
+    cuts = np.cumsum(sizes)[:-1]
+    verts = np.argsort(ids, kind="stable")
+    local = np.empty(g.vertex_count, dtype=np.int64)
+    local[verts] = np.arange(g.vertex_count) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    heads, tails, codes = g.src[0::2], g.dst[0::2], g.codes[0::2]
+    of_edge = ids[heads]
+    edges = np.split(np.argsort(of_edge, kind="stable"), np.cumsum(np.bincount(of_edge, minlength=sizes.size))[:-1])
+    comps = [LabeledGraph(sizes[i], local[heads[k]], local[tails[k]], codes[k], g.alphabet) for i, k in enumerate(edges)]
+    return GraphFamily(tuple(comps), tuple(tuple(vs.tolist()) for vs in np.split(verts, cuts)))
 
 
 # -- traversal -----------------------------------------------------------
 
 
-def bfs_tree(g: LabeledGraph, root: int, removed: frozenset[int] = frozenset()) -> dict[int, int]:
-    """Breadth-first spanning tree of the component of ``root``.
+def bfs_tree(g: LabeledGraph, *roots: int) -> dict[int, int]:
+    """Breadth-first spanning forest of the components of ``roots``, which
+    lie in distinct components (one root: its breadth-first tree).
 
     Maps each reached vertex, in visiting order, to the dart that first
-    reached it (-1 for the root).  Darts are scanned in ``out_darts``
-    order and no edge in ``removed`` is crossed, so the tree, and every
-    numbering read off it, is fixed by the dart order alone.
+    reached it (-1 for a root).  Darts are scanned in ``out`` order, so
+    the tree, and every numbering read off it, is fixed by the dart
+    order alone.
     """
-    parent = {root: -1}
-    order = [root]
+    out, first, dst = g.out.tolist(), g.first.tolist(), g.dst.tolist()
+    parent = dict.fromkeys(roots, -1)
+    order = list(roots)
     for u in order:
-        for d in g._out[u]:
-            w = g._dst[d]
-            if w not in parent and d >> 1 not in removed:
+        for d in out[first[u] : first[u + 1]]:
+            w = dst[d]
+            if w not in parent:
                 parent[w] = d
                 order.append(w)
     return parent
-
-
-def tree_path(g: LabeledGraph, parent: dict[int, int], v: int) -> list[int]:
-    """Darts of the tree path from the root of ``parent`` to ``v``."""
-    path = []
-    while parent[v] >= 0:
-        path.append(parent[v])
-        v = g._src[parent[v]]
-    path.reverse()
-    return path
 
 
 def fundamental_cycles(g: LabeledGraph) -> list[tuple[int, list[int]]]:
@@ -336,36 +317,83 @@ def fundamental_cycles(g: LabeledGraph) -> list[tuple[int, list[int]]]:
     if not g.is_connected:
         raise DisconnectedGraphError("fundamental cycles need a connected graph")
     parent = bfs_tree(g, 0)
+    src = g.src.tolist()
+
+    def path(v: int) -> list[int]:  # the darts from vertex 0 to v
+        darts = []
+        while parent[v] >= 0:
+            darts.append(parent[v])
+            v = src[parent[v]]
+        return darts[::-1]
+
     tree = {d >> 1 for d in parent.values() if d >= 0}
-    cycles = []
-    for k in range(g.edge_count):
-        if k not in tree:
-            back = [d ^ 1 for d in reversed(tree_path(g, parent, g._dst[2 * k]))]
-            cycles.append((k, tree_path(g, parent, g._src[2 * k]) + [2 * k] + back))
-    return cycles
+    return [
+        (k, path(src[2 * k]) + [2 * k] + [d ^ 1 for d in reversed(path(src[2 * k + 1]))])
+        for k in range(g.edge_count)
+        if k not in tree
+    ]
 
 
-def components(g: LabeledGraph, removed: frozenset[int] = frozenset()) -> list[int]:
+def component_roots(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """The smallest node of the component of every node of a graph on
+    ``n`` nodes with the given darts.
+
+    Each round hooks the larger of the two roots a dart joins onto the
+    smaller, then jumps every pointer to its root.  A node's pointer
+    never exceeds the node and stays in its component, so a settled root
+    is the component's smallest node; every root that meets another
+    hooks or is hooked, so the roots at least halve each round.  The
+    pointers are roots at the start of a round, so a dart whose two roots
+    already agree hooks nothing and needs no filtering out."""
+    root = np.arange(n, dtype=src.dtype)
+    while True:
+        a, b = root[src], root[dst]
+        if np.array_equal(a, b):
+            return root
+        np.minimum.at(root, a, b)
+        np.minimum.at(root, b, a)
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+
+
+def components(g: LabeledGraph, removed: Iterable[int] = ()) -> np.ndarray:
     """Component id of every vertex once the edges in ``removed`` are
     deleted; components are numbered in order of their smallest vertex."""
-    comp = [-1] * g.vertex_count
-    count = 0
-    for s in range(g.vertex_count):
-        if comp[s] < 0:
-            for v in bfs_tree(g, s, removed):
-                comp[v] = count
-            count += 1
-    return comp
+    darts = np.repeat(~np.isin(np.arange(g.edge_count), list(removed)), 2)
+    root = component_roots(g.src[darts], g.dst[darts], g.vertex_count)
+    # the roots are the smallest vertices of their components
+    return (np.cumsum(root == np.arange(g.vertex_count)) - 1)[root]
+
+
+def labels_apart(src: np.ndarray, codes: np.ndarray, width: int) -> np.ndarray:
+    """Whether each row of dart label ``codes``, each in [0, ``width``),
+    gives the out-darts of every vertex of ``src`` distinct codes: equal
+    codes at one vertex are equal keys source * width + code, so a row
+    passes when its sorted keys hold no equal neighbours."""
+    keys = src * width + codes
+    keys.sort(axis=-1)
+    return ~np.any(keys[..., 1:] == keys[..., :-1], axis=-1)
+
+
+def label_clash(g: LabeledGraph) -> Optional[tuple[int, int]]:
+    """The first dart, in ``out`` order, that is unlabeled or repeats the
+    label of an earlier out-dart of its vertex, with that earlier dart (-1
+    for an unlabeled one); None when the labeling is reduced: every dart
+    is labeled and the out-darts of each vertex carry distinct labels."""
+    if g.codes.min(initial=0) >= 0 and labels_apart(g.src, g.codes, len(g.symbols)):
+        return None
+    codes = g.codes[g.out]
+    # the position in out-order of the first dart with the same source and label
+    _, firsts, key = np.unique(g.src[g.out] * (len(g.symbols) + 1) + codes, return_index=True, return_inverse=True)
+    earlier = firsts[key]
+    p = np.flatnonzero((earlier != np.arange(codes.size)) | (codes < 0))[0]
+    return -1 if codes[p] < 0 else int(g.out[earlier[p]]), int(g.out[p])
 
 
 # -- distances -----------------------------------------------------------
-
-
-def dart_endpoints(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Source and target of every dart, as int64 arrays indexed by dart."""
-    src = np.fromiter(g._src, dtype=np.int64, count=g.dart_count)
-    dst = np.fromiter(g._dst, dtype=np.int64, count=g.dart_count)
-    return src, dst
 
 
 @dataclass(frozen=True)
@@ -402,7 +430,7 @@ def xor_lift(g: LabeledGraph, deck_rank: int) -> Optional[XorLift]:
     fiber = 1 << r
     if g.vertex_count % fiber or g.edge_count % fiber:
         return None
-    return _xor_lift_of(*dart_endpoints(g), g.vertex_count, r)
+    return _xor_lift_of(g.src, g.dst, g.vertex_count, r)
 
 
 def _xor_lift_of(src: np.ndarray, dst: np.ndarray, n: int, r: int) -> Optional[XorLift]:
@@ -438,9 +466,8 @@ def xor_deck(g: LabeledGraph) -> Optional[XorLift]:
     top = (common & -common).bit_length() - 1
     if top < 1:
         return None
-    src, dst = dart_endpoints(g)
     for r in range(top, 0, -1):
-        lift = _xor_lift_of(src, dst, n, r)
+        lift = _xor_lift_of(g.src, g.dst, n, r)
         if lift is not None:
             return lift
     return None
@@ -457,24 +484,23 @@ def two_coloring(g: LabeledGraph) -> Optional[np.ndarray]:
     """A proper 2-coloring (0/1 per vertex), or None when the graph is
     not bipartite.  Each breadth-first tree is colored by depth parity,
     its root 0; then no dart may join two vertices of one color."""
-    color = np.full(g.vertex_count, -1, dtype=np.int8)
-    for s in range(g.vertex_count):
-        if color[s] < 0:
-            for v, d in bfs_tree(g, s).items():
-                color[v] = 0 if d < 0 else color[g._src[d]] ^ 1
-    src, dst = dart_endpoints(g)
-    return None if np.any(color[src] == color[dst]) else color
+    color = [0] * g.vertex_count
+    src = g.src.tolist()
+    heads = np.unique(g.component_ids, return_index=True)[1]
+    for v, d in bfs_tree(g, *heads.tolist()).items():
+        color[v] = 0 if d < 0 else color[src[d]] ^ 1
+    color = np.array(color, dtype=np.int8)
+    return None if np.any(color[g.src] == color[g.dst]) else color
 
 
 def _adjacency_csr(g: LabeledGraph) -> scipy.sparse.csr_matrix:
     import scipy.sparse
 
     n = g.vertex_count
-    rows, cols = dart_endpoints(g)
     data = np.ones(g.dart_count, dtype=np.float64)
     # each undirected edge appears as both darts; summing duplicates keeps
     # multiplicities, and a loop contributes 2 on the diagonal
-    mat = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n))
+    mat = scipy.sparse.coo_matrix((data, (g.src, g.dst)), shape=(n, n))
     return mat.tocsr()
 
 
@@ -524,10 +550,9 @@ def _level_walk(g: LabeledGraph, rows: np.ndarray, dist: np.ndarray):
     pairs.
     """
     n = g.vertex_count
-    src, dst = dart_endpoints(g)
-    dst = dst[np.argsort(src, kind="stable")]
-    degree = np.bincount(src, minlength=n)
-    first = np.cumsum(degree) - degree
+    dst = g.dst[g.out]
+    degree = np.diff(g.first)
+    first = g.first[:-1]
     frontier = np.arange(rows.size, dtype=np.int64) * n + rows
     dist[frontier] = 0
     level = 0
@@ -614,8 +639,7 @@ def girth(g: LabeledGraph, sources: Optional[Sequence[int]] = None):
     :class:`InvalidInputError`, as in :func:`distance_matrix`.
     """
     rows = source_rows(g, sources)
-    src, dst = dart_endpoints(g)
-    u, v = src[0::2], dst[0::2]
+    u, v = g.src[0::2], g.dst[0::2]
     if np.any(u == v):
         return 1
     keys = np.sort(np.minimum(u, v) * g.vertex_count + np.maximum(u, v))
@@ -648,15 +672,12 @@ class CheegerResult:
 
 def boundary_size(g: LabeledGraph, subset: Iterable[int]) -> int:
     """Number of edges with exactly one endpoint in ``subset``."""
-    inside = set(subset)
-    for v in inside:
+    inside = np.zeros(g.vertex_count, dtype=bool)
+    for v in set(subset):
         if not (0 <= v < g.vertex_count):
             raise InvalidInputError("subset vertex out of range")
-    count = 0
-    for u, v, _ in g.edges():
-        if (u in inside) != (v in inside):
-            count += 1
-    return count
+        inside[v] = True
+    return int(np.count_nonzero(inside[g.src[0::2]] != inside[g.dst[0::2]]))
 
 
 def cheeger_exact(g: LabeledGraph, cap: int = CHEEGER_ENUM_CAP) -> CheegerResult:
@@ -688,7 +709,7 @@ def cheeger_exact(g: LabeledGraph, cap: int = CHEEGER_ENUM_CAP) -> CheegerResult
     masks = np.arange(1, 1 << n, dtype=np.uint32)
     sizes = np.bitwise_count(masks).astype(np.int64)
     boundary = np.zeros(masks.shape, dtype=np.int64)
-    for u, v, _ in g.edges():
+    for u, v in zip(g.src[0::2].tolist(), g.dst[0::2].tolist()):
         if u != v:
             boundary += ((masks >> np.uint32(u)) ^ (masks >> np.uint32(v))) & 1
     valid = sizes <= n // 2
@@ -753,14 +774,13 @@ def _cyclic_symmetry(g: LabeledGraph) -> Optional[np.ndarray]:
     has all cycles of length m.
     """
     n = g.vertex_count
-    if not g._lab or None in g._lab:
+    if not g.dart_count or g.codes.min() < 0:
         return None
-    code = {lab: i for i, lab in enumerate(sorted(set(g._lab)))}
-    if g.dart_count != n * len(code):
+    used, lab = np.unique(g.codes, return_inverse=True)
+    if g.dart_count != n * used.size:
         return None
-    src, dst = dart_endpoints(g)
-    lab = np.fromiter((code[x] for x in g._lab), dtype=np.int64, count=g.dart_count)
-    step = np.full((len(code), n), -1, dtype=np.int32)
+    src, dst = g.src, g.dst
+    step = np.full((used.size, n), -1, dtype=np.int32)
     step[lab, src] = dst
     tree = bfs_tree(g, 0)
     if step.min() < 0 or len(tree) < n:
@@ -824,7 +844,7 @@ def _character_eigenpairs(g: LabeledGraph) -> Optional[tuple[np.ndarray, float]]
     J = np.searchsorted(heads, rep)
     K = np.empty(n, dtype=np.int64)
     K[powers[:, heads]] = np.arange(m)[:, np.newaxis]
-    src, dst = dart_endpoints(g)
+    src, dst = g.src, g.dst
     out = K[src] == 0
     rows, cols, ks = J[dst[out]], J[src[out]], K[dst[out]]
     roots = np.exp(2j * np.pi * np.arange(m) / m)
@@ -834,7 +854,7 @@ def _character_eigenpairs(g: LabeledGraph) -> Optional[tuple[np.ndarray, float]]
     np.add.at(blocks, (chars, rows, cols), roots[chars * ks % m])
     vals, vecs = np.linalg.eigh(blocks)
     # every vertex has the same number of out-darts (one per signed label)
-    nbrs = np.sort(dst[np.argsort(src, kind="stable")].reshape(n, -1), axis=1)
+    nbrs = np.sort(dst[g.out].reshape(n, -1), axis=1)
     first = np.ones(nbrs.shape, dtype=bool)
     first[:, 1:] = nbrs[:, 1:] != nbrs[:, :-1]
     weight = np.zeros(nbrs.shape)

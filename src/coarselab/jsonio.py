@@ -2,8 +2,9 @@
 
 Every document is a versioned JSON object.  Parsing is strict by
 default: unknown fields are errors naming the offending location, so a
-typo cannot silently change meaning.  A graph's edge list is checked in
-bulk; only when a bulk check fails are its edges walked, to name the
+typo cannot silently change meaning.  A graph's edge records are checked
+for their shape in bulk and handed to ``build_graph`` as columns, which
+checks them once; only when a check fails are they walked, to name the
 first bad one.
 
 Serialization is canonical, so repeated runs are byte-comparable: the
@@ -101,9 +102,8 @@ def _edges_text(g: LabeledGraph, pad: str) -> str:
     inner, field = pad + "  ", pad + "    "
     record = ("{" + field + '"label": %s,' + field + '"orientation": "forward",'
               + field + '"u": %d,' + field + '"v": %d' + inner + "}")
-    labels = g._lab[::2]
-    names = {lab: "null" if lab is None else _string(lab) for lab in set(labels)}
-    rows = zip(map(names.__getitem__, labels), g._src[::2], g._dst[::2])
+    names = [*map(_string, g.symbols), "null"]
+    rows = zip(map(names.__getitem__, g.codes[::2].tolist()), g.src[::2].tolist(), g.dst[::2].tolist())
     return "[" + inner + ("," + inner).join(map(record.__mod__, rows)) + pad + "]"
 
 
@@ -149,44 +149,33 @@ def canonical_json(doc) -> str:
 # -- graph documents ----------------------------------------------------------
 
 
-def _edge_columns(raw: list, n: int, declared: set, strict: bool, where: str):
-    """The u, v, label and orientation columns of an edge list, checked in
-    bulk; when a bulk check fails, the edges are walked to name the first bad one."""
-    ok = all(map(isinstance, raw, repeat(dict)))
-    if ok:
+def _edge_columns(raw: list, strict: bool):
+    """The u, v and label columns of an edge list, each edge written
+    forward, when its records pass the document-shape checks in bulk;
+    else None."""
+    try:
+        keys = set(map(tuple, raw))
         us, vs, labels = (list(map(dict.get, raw, repeat(k))) for k in ("u", "v", "label"))
         orients = list(map(dict.get, raw, repeat("orientation"), repeat("forward")))
-        keys = set(map(tuple, raw))
-        try:
-            ok = (
-                all("u" in k and "v" in k for k in keys)
-                and (not strict or set().union(*keys) <= {"u", "v", "label", "orientation"})
-                and set(map(type, us)) | set(map(type, vs)) <= {int}
-                and (not raw or (min(min(us), min(vs)) >= 0 and max(max(us), max(vs)) < n))
-                and all(lab is None or (isinstance(lab, str) and base_symbol(lab) in declared) for lab in set(labels))
-                and set(orients) <= {"forward", "reverse"}
-            )
-        except TypeError:  # an unhashable label or orientation
-            ok = False
-    for i, e in enumerate(() if ok else raw):
-        ew = f"{where}edge {i}: "
-        _object(e, ew)
-        _fields(e, ew, required=("u", "v"), optional=("label", "orientation"), strict=strict)
-        ends = (_int(e["u"], ew, "u"), _int(e["v"], ew, "v"))
-        for name, end in zip("uv", ends):
-            if not (0 <= end < n):
-                raise InvalidInputError(f"{ew}endpoint {name} = {end} out of range [0, {n})")
-        lab = e.get("label")
-        if lab is not None and not isinstance(lab, str):
-            raise InvalidInputError(f"{ew}field 'label' must be a string or null")
-        if lab is not None and base_symbol(lab) not in declared:
-            raise InvalidInputError(f"{ew}label {lab!r} outside the declared alphabet")
-        if e.get("orientation", "forward") not in ("forward", "reverse"):
-            raise InvalidInputError(f"{ew}field 'orientation' must be 'forward' or 'reverse'")
-    return us, vs, labels, orients
+        if not (
+            all("u" in k and "v" in k for k in keys)
+            and (not strict or set().union(*keys) <= {"u", "v", "label", "orientation"})
+            and set(orients) <= {"forward", "reverse"}
+        ):
+            return None
+    except TypeError:  # a record that is no object, or an unhashable orientation
+        return None
+    if "reverse" in orients:
+        back = [o == "reverse" for o in orients]
+        us, vs = [v if b else u for u, v, b in zip(us, vs, back)], [u if b else v for u, v, b in zip(us, vs, back)]
+    return us, vs, labels
 
 
 def graph_from_document(doc, strict: bool = True, where: str = "") -> LabeledGraph:
+    """A graph document's graph.  The edge records pass the document-shape
+    checks in bulk and :func:`~coarselab.graph_core.build_graph` checks
+    their columns; only when either fails are the records walked, to name
+    the first bad one in document terms."""
     obj = _object(doc, where or "graph document ")
     _fields(obj, where, ("format_version", "alphabet", "vertices", "edges"), ("annotations",), strict)
     _check_version(obj, where)
@@ -197,20 +186,34 @@ def graph_from_document(doc, strict: bool = True, where: str = "") -> LabeledGra
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         raise InvalidInputError(f"{where}field 'edges' must be a list")
-    us, vs, labels, orients = _edge_columns(raw_edges, n, set(alphabet), strict, where)
-    triples = zip(us, vs, labels)
-    if "reverse" in orients:
-        triples = [(v, u, lab) if o == "reverse" else (u, v, lab)
-                   for (u, v, lab), o in zip(triples, orients)]
+    columns = _edge_columns(raw_edges, strict)
+    graph = error = None
+    try:
+        graph = build_graph(n, alphabet=alphabet, columns=columns) if columns else None
+    except InvalidInputError as err:
+        error = err
+    for i, e in enumerate(raw_edges if graph is None else ()):
+        ew = f"{where}edge {i}: "
+        _object(e, ew)
+        _fields(e, ew, required=("u", "v"), optional=("label", "orientation"), strict=strict)
+        ends = (_int(e["u"], ew, "u"), _int(e["v"], ew, "v"))
+        for name, end in zip("uv", ends):
+            if not (0 <= end < n):
+                raise InvalidInputError(f"{ew}endpoint {name} = {end} out of range [0, {n})")
+        lab = e.get("label")
+        if lab is not None and not isinstance(lab, str):
+            raise InvalidInputError(f"{ew}field 'label' must be a string or null")
+        if lab is not None and base_symbol(lab) not in alphabet:
+            raise InvalidInputError(f"{ew}label {lab!r} outside the declared alphabet")
+        if e.get("orientation", "forward") not in ("forward", "reverse"):
+            raise InvalidInputError(f"{ew}field 'orientation' must be 'forward' or 'reverse'")
     annotations = obj.get("annotations")
     if annotations is not None:
         _object(annotations, f"{where}annotations: ")
-    try:
-        return build_graph(n, triples, alphabet=alphabet, annotations=annotations)
-    except InvalidInputError as err:
-        if where:
-            raise InvalidInputError(f"{where}{err}") from err
-        raise
+    if error is not None:
+        raise InvalidInputError(f"{where}{error}") from error
+    graph.annotations.update(annotations or {})
+    return graph
 
 
 def serialize_graph(g: LabeledGraph) -> str:

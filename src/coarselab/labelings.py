@@ -27,16 +27,18 @@ array reductions, the leaf-to-leaf words of every tree from a lockstep
 walk out of all leaves, and the occurrences of every word by following
 it from all starts at once.  Only cyclic components take the
 breadth-first walk, for one period.  A report checks its pieces against
-its verdict, so the two routes hold each other to account.
+its verdict, so the two routes hold each other to account.  The random
+search's candidates share the darts of the unlabeled family and differ
+only in their label codes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -45,11 +47,13 @@ from .errors import CapExceededError, InvalidInputError, VerificationError
 from .graph_core import (
     GraphFamily,
     LabeledGraph,
-    build_graph,
+    component_roots,
     fundamental_cycles,
     girth,
     inverse_label,
     is_inverse_symbol,
+    label_clash,
+    labels_apart,
 )
 
 #: random_labeling draws labels and orientations for this many attempts at
@@ -123,30 +127,27 @@ class ReducedCheck:
 def check_reduced(g: LabeledGraph) -> ReducedCheck:
     """A labeling is reduced iff at every vertex the outgoing darts
     carry pairwise distinct labels; then labels of reduced paths are
-    freely reduced words.  Every dart must be labeled."""
-    for u in range(g.vertex_count):
-        seen: dict[str, int] = {}
-        for d in g.out_darts(u):
-            lab = g.dart_label(d)
-            if lab is None:
-                raise InvalidInputError(f"dart {d} is unlabeled")
-            if lab in seen:
-                return ReducedCheck(ok=False, vertex=u, darts=(seen[lab], d))
-            seen[lab] = d
-    return ReducedCheck(ok=True)
+    freely reduced words.  Every dart must be labeled.  The counterexample
+    is the first clash of :func:`~coarselab.graph_core.label_clash`."""
+    clash = label_clash(g)
+    if clash is None:
+        return ReducedCheck(ok=True)
+    earlier, d = clash
+    if earlier < 0:
+        raise InvalidInputError(f"dart {d} is unlabeled")
+    return ReducedCheck(ok=False, vertex=int(g.src[d]), darts=(earlier, d))
 
 
 def _out_maps(g: LabeledGraph) -> list[dict[str, int]]:
-    """Per-vertex map label -> dart; requires a reduced labeling."""
-    res = check_reduced(g)
-    if not res.ok:
-        raise InvalidInputError(
-            f"labeling is not reduced at vertex {res.vertex} (darts {res.darts})"
-        )
-    return [
-        {g.dart_label(d): d for d in g.out_darts(u)}
-        for u in range(g.vertex_count)
-    ]
+    """Per-vertex map label -> dart; requires a reduced labeling.  The
+    labeling is reduced when every dart is labeled and no map is shorter
+    than its vertex's out-darts; else :func:`check_reduced` names the clash."""
+    labels, out, first = g.labels(), g.out.tolist(), g.first.tolist()
+    maps = [{labels[d]: d for d in out[first[u] : first[u + 1]]} for u in range(g.vertex_count)]
+    if None in labels or sum(map(len, maps)) < g.dart_count:
+        res = check_reduced(g)  # raises on an unlabeled dart
+        raise InvalidInputError(f"labeling is not reduced at vertex {res.vertex} (darts {res.darts})")
+    return maps
 
 
 # -- pieces ----------------------------------------------------------------
@@ -194,9 +195,9 @@ def _family_moves(
     comp: list[int] = []
     for ci, g in enumerate(fam.components):
         offset = len(moves)
-        for v in range(g.vertex_count):
-            moves.append({lab: offset + g.dart_target(d) for lab, d in maps[ci][v].items()})
-            comp.append(ci)
+        dst = g.dst.tolist()
+        moves.extend({lab: offset + dst[d] for lab, d in out.items()} for out in maps[ci])
+        comp.extend([ci] * g.vertex_count)
     return moves, comp
 
 
@@ -352,31 +353,6 @@ def _pair_darts(
     return nodes, src, dst, move
 
 
-def _component_roots(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
-    """The smallest node of the component of every node of a graph on
-    ``n`` nodes with the given darts.
-
-    Each round hooks the larger of the two roots a dart joins onto the
-    smaller, then jumps every pointer to its root.  A node's pointer
-    never exceeds the node and stays in its component, so a settled root
-    is the component's smallest node; every root that meets another
-    hooks or is hooked, so the roots at least halve each round.  The
-    pointers are roots at the start of a round, so a dart whose two roots
-    already agree hooks nothing and needs no filtering out."""
-    root = np.arange(n, dtype=src.dtype)
-    while True:
-        a, b = root[src], root[dst]
-        if np.array_equal(a, b):
-            return root
-        np.minimum.at(root, a, b)
-        np.minimum.at(root, b, a)
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
-
-
 def _leaf_paths(
     src: np.ndarray, dst: np.ndarray, move: np.ndarray, inverse: np.ndarray, trees: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -438,16 +414,16 @@ def _piece_analysis(fam: GraphFamily, cap: int) -> tuple[list[Piece], list[float
     moves, comp = _family_moves(fam, maps)
     size = len(moves)
     comp_of = np.array(comp)
-    local = np.arange(size) - np.cumsum([0] + [g.vertex_count for g in fam.components])[comp_of]
+    offsets = np.cumsum([0] + [g.vertex_count for g in fam.components])
+    local = np.arange(size) - offsets[comp_of]
     labels = sorted({lab for m in moves for lab in m})
     column = {lab: c for c, lab in enumerate(labels)}
     step = np.full((size + 1, len(labels)), size, dtype=np.int64)
     dart_of = np.full((size + 1, len(labels)), -1, dtype=np.int64)
-    outs = [out for per in maps for out in per]
-    for p, out in enumerate(outs):
-        for lab, d in out.items():
-            step[p, column[lab]] = moves[p][lab]
-            dart_of[p, column[lab]] = d
+    for g, offset in zip(fam.components, offsets):
+        cols = [column[lab] for lab in g.labels()]
+        step[offset + g.src, cols] = offset + g.dst
+        dart_of[offset + g.src, cols] = np.arange(g.dart_count)
     per_comp_max: list[float] = [0] * len(fam)
     if not (np.count_nonzero(step[:size] < size, axis=0) > 1).any():
         # no two starts share a label, so there is no pair node
@@ -458,7 +434,7 @@ def _piece_analysis(fam: GraphFamily, cap: int) -> tuple[list[Piece], list[float
     nodes, src, dst, move = _pair_darts(step, forward)
     n = len(nodes)
     nx, ny = np.divmod(nodes, size)
-    root = _component_roots(src, dst, n)
+    root = component_roots(src, dst, n)
     kept = root <= root[np.searchsorted(nodes, ny * size + nx)]
     # a component is equivalent when every pair's starts carry the same
     # labels and no start repeats in either coordinate
@@ -643,6 +619,13 @@ class RandomLabelingOutcome:
     alphabet: Alphabet
 
 
+def _oriented(g: LabeledGraph, signed: np.ndarray, symbols: tuple[str, ...]) -> LabeledGraph:
+    """``g`` labeled by the signed labels of :func:`random_labeling`, each
+    edge written in the direction that reads its symbol."""
+    flip, ends = signed >= len(symbols), (g.src[0::2], g.dst[0::2])
+    return LabeledGraph(g.vertex_count, np.where(flip, *ends[::-1]), np.where(flip, *ends), signed % len(symbols), symbols)
+
+
 def random_labeling(
     fam: GraphFamily,
     alphabet_size: int,
@@ -677,53 +660,35 @@ def random_labeling(
                 "small-cancellation labeling can exist"
             )
     symbols = alphabet.symbols
-    # every edge of the family in one row: its component and local ends,
-    # and its ends numbered across the family
-    ends: list[tuple[int, int, int]] = []
-    src: list[int] = []
-    dst: list[int] = []
-    offset = 0
-    for ci, g in enumerate(fam.components):
-        for k in range(g.edge_count):
-            u, v = g.dart_source(2 * k), g.dart_target(2 * k)
-            ends.append((ci, u, v))
-            src.append(offset + u)
-            dst.append(offset + v)
-        offset += g.vertex_count
     width = 2 * alphabet_size
-    src_keys = np.array(src, dtype=np.int64) * width
-    dst_keys = np.array(dst, dtype=np.int64) * width
+    comps = fam.components
+    # the source of every dart of the family, numbered across the family
+    offsets = np.cumsum([0] + [g.vertex_count for g in comps])
+    src = np.concatenate([g.src + o for g, o in zip(comps, offsets)])
+    dart_cuts = np.cumsum([g.dart_count for g in comps])[:-1]
     rng = np.random.default_rng(seed)
 
     for start in range(0, max_attempts, LABEL_BATCH):
         # one signed label per edge and attempt: s < k reads symbol s from
         # the first end to the second, s >= k reads symbol s - k the other
         # way, so label and orientation are uniform and independent
-        signed = rng.integers(width, size=(LABEL_BATCH, len(ends)))
-        # one key per dart end, vertex * 2k + signed label leaving it; a row
-        # is reduced iff its sorted keys hold no equal neighbours
-        keys = np.concatenate((src_keys + signed, dst_keys + (signed + alphabet_size) % width), axis=1)
-        keys.sort(axis=1)
-        reduced = ~np.any(keys[:, 1:] == keys[:, :-1], axis=1)
-        for row in np.flatnonzero(reduced[: max_attempts - start]):
-            edges: list[list[tuple[int, int, str]]] = [[] for _ in fam.components]
-            for (ci, u, v), s in zip(ends, signed[row].tolist()):
-                edges[ci].append(
-                    (u, v, symbols[s]) if s < alphabet_size else (v, u, symbols[s - alphabet_size])
-                )
-            candidate = GraphFamily(
-                tuple(
-                    build_graph(g.vertex_count, es, alphabet=symbols)
-                    for g, es in zip(fam.components, edges)
-                )
-            )
+        signed = rng.integers(width, size=(LABEL_BATCH, src.size // 2))
+        # as label codes over the symbols and their inverses, dart 2k reads
+        # s and dart 2k + 1 reads s + k mod 2k
+        codes = np.stack((signed, (signed + alphabet_size) % width), axis=2).reshape(LABEL_BATCH, -1)
+        for row in np.flatnonzero(labels_apart(src, codes, width)[: max_attempts - start]):
+            rows = np.split(codes[row], dart_cuts)
+            # each candidate shares the darts of the family and reads edge k
+            # the other way round where s >= k, which is the same labeled graph
+            candidate = GraphFamily(tuple(g.relabel(r, symbols) for g, r in zip(comps, rows)))
             report = check_small_cancellation(candidate, lam, girths=girths)
             if report.passed:
+                family = GraphFamily(tuple(_oriented(g, r[0::2], symbols) for g, r in zip(comps, rows)))
                 return RandomLabelingOutcome(
                     success=True,
                     attempts=start + int(row) + 1,
-                    family=candidate,
-                    report=report,
+                    family=family,
+                    report=replace(report, family=family),
                     alphabet=alphabet,
                 )
     return RandomLabelingOutcome(
@@ -742,13 +707,10 @@ class Presentation:
     relators: tuple[tuple[str, ...], ...]
 
 
-def _word_of(g: LabeledGraph, darts: Iterable[int]) -> tuple[str, ...]:
-    return tuple(g.dart_label(d) for d in darts)
-
-
 def _component_relators(g: LabeledGraph) -> list[tuple[str, ...]]:
     """Fundamental-cycle relators of the BFS spanning tree rooted at 0."""
-    return [free_reduce(_word_of(g, darts)) for _, darts in fundamental_cycles(g)]
+    labels = g.labels()
+    return [free_reduce([labels[d] for d in darts]) for _, darts in fundamental_cycles(g)]
 
 
 def graphical_presentation(fam: GraphFamily, rank_cap: int = PRESENTATION_RANK_CAP) -> Presentation:

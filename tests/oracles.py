@@ -14,7 +14,44 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from coarselab.graph_core import LabeledGraph, build_graph, source_rows
+
+
+def edge_list(g: LabeledGraph) -> list[tuple[int, int, Optional[str]]]:
+    """One (source, target, label) triple per edge, read off dart 2k."""
+    return list(zip(g.src[0::2].tolist(), g.dst[0::2].tolist(), g.labels()[0::2]))
+
+
+def degrees(g: LabeledGraph) -> list[int]:
+    """The out-dart count of every vertex (a loop counts twice)."""
+    return [int(x) for x in g.first[1:] - g.first[:-1]]
+
+
+def out_darts(g: LabeledGraph, v: int) -> list[int]:
+    """The darts out of ``v``, in increasing order."""
+    return g.out[g.first[v] : g.first[v + 1]].tolist()
+
+
+def loop_check_reduced(g: LabeledGraph):
+    """The reducedness check as a loop over the vertices and their
+    out-darts in order: the first vertex, with its first two out-darts,
+    that repeat a label; raises on an unlabeled dart met first."""
+    from coarselab.errors import InvalidInputError
+    from coarselab.labelings import ReducedCheck
+
+    labels = g.labels()
+    for u in range(g.vertex_count):
+        seen: dict[str, int] = {}
+        for d in out_darts(g, u):
+            lab = labels[d]
+            if lab is None:
+                raise InvalidInputError(f"dart {d} is unlabeled")
+            if lab in seen:
+                return ReducedCheck(ok=False, vertex=u, darts=(seen[lab], d))
+            seen[lab] = d
+    return ReducedCheck(ok=True)
 
 
 def naive_bfs(n: int, adj: list[list[int]], source: int) -> list[int]:
@@ -38,7 +75,7 @@ def naive_girth(g: LabeledGraph):
     Any loop is a 1-cycle.  Otherwise, for edge e = (u, v), the shortest
     cycle through e has length 1 + dist(u, v) in the graph minus e.
     """
-    edges = list(g.edges())
+    edges = list(edge_list(g))
     if any(u == v for u, v, _ in edges):
         return 1
     best = math.inf
@@ -58,7 +95,7 @@ def naive_girth(g: LabeledGraph):
 def naive_cheeger(g: LabeledGraph) -> tuple[Fraction, tuple[int, ...]]:
     """Minimum |boundary(A)| / |A| over nonempty A with |A| <= n/2."""
     n = g.vertex_count
-    edges = list(g.edges())
+    edges = list(edge_list(g))
     best = None
     best_set = None
     for size in range(1, n // 2 + 1):
@@ -137,7 +174,7 @@ def scipy_components(g: LabeledGraph, removed=frozenset()) -> list[int]:
     import scipy.sparse
     import scipy.sparse.csgraph
 
-    kept = [(u, v) for k, (u, v, _) in enumerate(g.edges()) if k not in removed]
+    kept = [(u, v) for k, (u, v, _) in enumerate(edge_list(g)) if k not in removed]
     rows = np.array([u for u, _ in kept], dtype=np.int64)
     cols = np.array([v for _, v in kept], dtype=np.int64)
     n = g.vertex_count
@@ -154,8 +191,8 @@ def scipy_distance_matrix(g: LabeledGraph, sources=None):
     import scipy.sparse
     import scipy.sparse.csgraph
 
-    rows = np.array([u for u, _, _ in g.edges()], dtype=np.int64)
-    cols = np.array([v for _, v, _ in g.edges()], dtype=np.int64)
+    rows = np.array([u for u, _, _ in edge_list(g)], dtype=np.int64)
+    cols = np.array([v for _, v, _ in edge_list(g)], dtype=np.int64)
     n = g.vertex_count
     adj = scipy.sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
     return scipy.sparse.csgraph.shortest_path(
@@ -185,7 +222,7 @@ def dense_eigvalsh(g: LabeledGraph):
     import numpy as np
 
     dense = np.zeros((g.vertex_count, g.vertex_count))
-    for u, v, _ in g.edges():
+    for u, v, _ in edge_list(g):
         dense[u, v] += 1
         dense[v, u] += 1
     return np.linalg.eigvalsh(dense)[::-1]
@@ -197,7 +234,7 @@ def dense_laplacian_lambda2(g: LabeledGraph) -> float:
     import numpy as np
 
     lap = np.zeros((g.vertex_count, g.vertex_count))
-    for u, v, _ in g.edges():
+    for u, v, _ in edge_list(g):
         lap[u, u] += 1
         lap[v, v] += 1
         lap[u, v] -= 1
@@ -225,7 +262,7 @@ def all_character_blocks_spectrum(g: LabeledGraph):
     vals = []
     for c in range(m):
         block = np.zeros((len(heads), len(heads)), dtype=complex)
-        for u, v, _ in g.edges():
+        for u, v, _ in edge_list(g):
             for a, b in ((u, v), (v, u)):
                 (ja, ka), (jb, kb) = where[a], where[b]
                 if ka == 0:
@@ -236,7 +273,7 @@ def all_character_blocks_spectrum(g: LabeledGraph):
 
 def naive_is_bipartite(g: LabeledGraph) -> bool:
     """Try every 2-coloring; a loop makes every coloring fail."""
-    edges = [(u, v) for u, v, _ in g.edges()]
+    edges = [(u, v) for u, v, _ in edge_list(g)]
     return any(
         all((mask >> u & 1) != (mask >> v & 1) for u, v in edges)
         for mask in range(1 << g.vertex_count)
@@ -260,8 +297,8 @@ def _inv(sym: str) -> str:
 def _component_digraph(g: LabeledGraph) -> nx.MultiDiGraph:
     dg = nx.MultiDiGraph()
     dg.add_nodes_from(range(g.vertex_count))
-    for d in range(g.dart_count):
-        dg.add_edge(g.dart_source(d), g.dart_target(d), label=g.dart_label(d))
+    for u, v, lab in zip(g.src.tolist(), g.dst.tolist(), g.labels()):
+        dg.add_edge(u, v, label=lab)
     return dg
 
 
@@ -306,12 +343,13 @@ def _naive_out_maps(fam) -> list[dict]:
     maps = []
     for g in fam.components:
         per = []
+        labels, dst = g.labels(), g.dst.tolist()
         for v in range(g.vertex_count):
             labs = {}
-            for d in g.out_darts(v):
-                lab = g.dart_label(d)
+            for d in out_darts(g, v):
+                lab = labels[d]
                 assert lab not in labs, "oracle requires a reduced labeling"
-                labs[lab] = g.dart_target(d)
+                labs[lab] = dst[d]
             per.append(labs)
         maps.append(per)
     return maps
@@ -404,12 +442,13 @@ def follow_word(g, start, word):
     reduced labeling, or None."""
     u = start
     darts = []
+    labels, dst = g.labels(), g.dst.tolist()
     for s in word:
-        d = next((d for d in g.out_darts(u) if g.dart_label(d) == s), None)
+        d = next((d for d in out_darts(g, u) if labels[d] == s), None)
         if d is None:
             return None
         darts.append(d)
-        u = g.dart_target(d)
+        u = dst[d]
     return tuple(darts)
 
 
@@ -531,7 +570,7 @@ def random_reduced_family(rng, max_components=2):
             total_edges += base.edge_count
             symbols = ["a", "b"][: rng.randrange(1, 3)]
             edges = []
-            for u, v, _ in base.edges():
+            for u, v, _ in edge_list(base):
                 lab = symbols[rng.randrange(len(symbols))]
                 if rng.randrange(2):
                     u, v = v, u
@@ -850,12 +889,13 @@ def naive_coset_ball_replay(table, members, values, radius) -> tuple[int, int]:
 
 def naive_pgl2_mul_table(pgl):
     """The PGL2(q) table of a ``_Pgl2``, row by row from the matrix
-    product formulas: about 20 modular operations per entry."""
-    import numpy as np
-
+    product formulas: about 20 modular operations per entry, each
+    canonical product found in a dense q^4 table of the element list."""
     q = pgl.q
     n = len(pgl.elements)
     arr = np.array(pgl.elements, dtype=np.int64)
+    lookup = np.full(q**4, -1, dtype=np.int64)
+    lookup[((arr[:, 0] * q + arr[:, 1]) * q + arr[:, 2]) * q + arr[:, 3]] = np.arange(n)
     a2, b2, c2, d2 = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
     table = np.zeros((n, n), dtype=np.int64)
     for x in range(n):
@@ -867,7 +907,7 @@ def naive_pgl2_mul_table(pgl):
         e = np.where(pa != 0, pa, np.where(pb != 0, pb, np.where(pc != 0, pc, pd)))
         s = pgl.modinv[e]
         pa, pb, pc, pd = (pa * s) % q, (pb * s) % q, (pc * s) % q, (pd * s) % q
-        table[x] = pgl.lookup[((pa * q + pb) * q + pc) * q + pd]
+        table[x] = lookup[((pa * q + pb) * q + pc) * q + pd]
     return table
 
 
@@ -929,11 +969,11 @@ def propagate(g: LabeledGraph, root: int, image: int, step):
     order = [root]
     for u in order:
         x = img[u]
-        for d in g.out_darts(u):
+        for d in out_darts(g, u):
             y = step(d, x)
             if y is None:
                 return None
-            w = g.dart_target(d)
+            w = g.dst[d]
             if w not in img:
                 img[w] = y
                 order.append(w)
@@ -974,17 +1014,18 @@ def verify_covering(cm, deck_cap: int = DECK_ENUM_CAP) -> CoverVerification:
     base, cover = cm.base, cm.cover
     if len(cm.vertex_map) != cover.vertex_count or len(cm.dart_map) != cover.dart_count:
         raise VerificationError("map arrays have wrong length")
+    cover_labels, base_labels = cover.labels(), base.labels()
     for d in range(cover.dart_count):
         bd = cm.dart_map[d]
         if cm.dart_map[d ^ 1] != bd ^ 1:
             raise VerificationError(f"dart_map breaks the reversal involution at dart {d}")
-        if cm.vertex_map[cover.dart_source(d)] != base.dart_source(bd):
+        if cm.vertex_map[cover.src[d]] != base.src[bd]:
             raise VerificationError(f"dart_map and vertex_map disagree at dart {d}")
-        if cover.dart_label(d) != base.dart_label(bd):
+        if cover_labels[d] != base_labels[bd]:
             raise VerificationError(f"label not preserved at dart {d}")
     for u in range(cover.vertex_count):
-        image_star = sorted(cm.dart_map[d] for d in cover.out_darts(u))
-        if image_star != sorted(base.out_darts(cm.vertex_map[u])):
+        image_star = sorted(cm.dart_map[d] for d in out_darts(cover, u))
+        if image_star != sorted(out_darts(base, cm.vertex_map[u])):
             raise VerificationError(f"not a local isomorphism at cover vertex {u}")
 
     expected_fiber = 1 << cm.deck_rank
@@ -1000,7 +1041,7 @@ def verify_covering(cm, deck_cap: int = DECK_ENUM_CAP) -> CoverVerification:
     # the end of the unique dart over a given base dart at a given cover vertex
     star_index: list[dict[int, int]] = []
     for u in range(cover.vertex_count):
-        star_index.append({cm.dart_map[d]: cover.dart_target(d) for d in cover.out_darts(u)})
+        star_index.append({cm.dart_map[d]: cover.dst[d] for d in out_darts(cover, u)})
 
     def lift_map(b0: int, t: int) -> tuple[int, ...]:
         img = propagate(cover, b0, t, lambda d, x: star_index[x].get(cm.dart_map[d]))
@@ -1056,7 +1097,7 @@ def naive_xor_rank(g: LabeledGraph) -> Optional[int]:
     (a XOR t, b XOR t), so it permutes the darts and fixes every edge fiber
     k.  The edge k * 2^r + x must also start at a vertex (u, x) of its own
     slot x, as an XOR lift numbers its edges."""
-    n, edges = g.vertex_count, list(g.edges())
+    n, edges = g.vertex_count, list(edge_list(g))
     for r in range(n.bit_length() - 1, 0, -1):
         fiber = 1 << r
         if n % fiber or len(edges) % fiber:
@@ -1107,12 +1148,13 @@ def truncated_girth(g: LabeledGraph, sources: Optional[Sequence[int]] = None):
     :class:`InvalidInputError`, as in :func:`distance_matrix`.
     """
     rows = source_rows(g, sources).tolist()
+    src, dst = g.src.tolist(), g.dst.tolist()
     for d in range(0, g.dart_count, 2):
-        if g.dart_source(d) == g.dart_target(d):
+        if src[d] == dst[d]:
             return 1
     seen_pairs = set()
     for d in range(0, g.dart_count, 2):
-        key = (min(g.dart_source(d), g.dart_target(d)), max(g.dart_source(d), g.dart_target(d)))
+        key = (min(src[d], dst[d]), max(src[d], dst[d]))
         if key in seen_pairs:
             return 2
         seen_pairs.add(key)
@@ -1134,10 +1176,10 @@ def truncated_girth(g: LabeledGraph, sources: Optional[Sequence[int]] = None):
             head += 1
             if 2 * dist[u] + 1 >= best:
                 break
-            for d in g.out_darts(u):
+            for d in out_darts(g, u):
                 if d == entry[u] ^ 1:
                     continue
-                w = g.dart_target(d)
+                w = g.dst[d]
                 if dist[w] < 0:
                     dist[w] = dist[u] + 1
                     entry[w] = d
@@ -1159,25 +1201,26 @@ def simple_cycle_words(g: LabeledGraph) -> list[tuple[str, ...]]:
     """Words of all simple closed paths, one direction and basepoint each."""
     cycles = []
     n = g.vertex_count
+    labels, dst = g.labels(), g.dst.tolist()
     for root in range(n):
         stack = [(root, [], {root})]
         while stack:
             u, darts, visited = stack.pop()
-            for d in g.out_darts(u):
+            for d in out_darts(g, u):
                 if darts and d == darts[-1] ^ 1:
                     continue
-                w = g.dart_target(d)
+                w = dst[d]
                 if w == root and darts:
                     seq = darts + [d]
                     # dedupe direction: keep the orientation whose first
                     # dart id is smaller than the reverse reading's first
                     rev_first = seq[-1] ^ 1
                     if seq[0] <= rev_first:
-                        cycles.append(tuple(g.dart_label(x) for x in seq))
+                        cycles.append(tuple(labels[x] for x in seq))
                 elif w == root and not darts:
                     # length-1 loop
                     if d % 2 == 0:
-                        cycles.append((g.dart_label(d),))
+                        cycles.append((labels[d],))
                 elif w not in visited and w > root:
                     stack.append((w, darts + [d], visited | {w}))
     return cycles
@@ -1189,7 +1232,7 @@ def bfs_distances(g: LabeledGraph, source: int) -> list[int]:
 
     dist = [-1] * g.vertex_count
     for v, d in bfs_tree(g, source).items():
-        dist[v] = 0 if d < 0 else dist[g.dart_source(d)] + 1
+        dist[v] = 0 if d < 0 else dist[g.src[d]] + 1
     return dist
 
 
@@ -1223,10 +1266,8 @@ def graphs_equal(a: LabeledGraph, b: LabeledGraph) -> bool:
         return False
     if a.alphabet != b.alphabet:
         return False
-    return all(
-        (a.dart_source(d), a.dart_target(d), a.dart_label(d))
-        == (b.dart_source(d), b.dart_target(d), b.dart_label(d))
-        for d in range(a.dart_count)
+    return (
+        np.array_equal(a.src, b.src) and np.array_equal(a.dst, b.dst) and a.labels() == b.labels()
     )
 
 
@@ -1250,7 +1291,7 @@ def graph_dict(g: LabeledGraph) -> dict:
         "format_version": "1",
         "alphabet": sorted(g.alphabet),
         "vertices": g.vertex_count,
-        "edges": [{"u": u, "v": v, "label": lab, "orientation": "forward"} for u, v, lab in g.edges()],
+        "edges": [{"u": u, "v": v, "label": lab, "orientation": "forward"} for u, v, lab in edge_list(g)],
     }
     if g.annotations:
         doc["annotations"] = g.annotations

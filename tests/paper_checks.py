@@ -337,10 +337,8 @@ def verify_subgraph_embedding(
             raise InvalidInputError(f"vertex {v} has no image")
     if len({gm[v] for v in range(g_small.vertex_count)}) != g_small.vertex_count:
         return False
-    adjacency = set()
-    for d in range(g_big.dart_count):
-        adjacency.add((g_big.dart_source(d), g_big.dart_target(d)))
-    for u, v, _ in g_small.edges():
+    adjacency = set(zip(g_big.src.tolist(), g_big.dst.tolist()))
+    for u, v in zip(g_small.src[0::2].tolist(), g_small.dst[0::2].tolist()):
         if (gm[u], gm[v]) not in adjacency:
             return False
     return True

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -214,3 +215,17 @@ def test_girth_command_counts_only_the_distance_rows_of_diameter(spans, tmp_path
     assert [s.name for s in rec.spans].count("graph_core.girth") == 1
     (walk,) = [s for s in rec.spans if s.name == "graph_core.distance_matrix"]
     assert rec.spans[walk.parent].name == "graph_core.diameter"
+
+
+def test_the_benchmark_selftest_passes_on_a_copy(tmp_path):
+    # perfbench/selftest.py fails when a declared span stops firing on its
+    # workload; it runs in a copy, so its scratch directory stays out of
+    # the tree
+    root = SRC.parent
+    for name in ("src", "perfbench"):
+        shutil.copytree(root / name, tmp_path / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(root / "BENCHMARK.json", tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=tmp_path, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]

@@ -30,6 +30,8 @@ from coarselab.metric_diag import MapEntry, MapFamily
 from groups import cyclic_group, serialize_group_table
 from oracles import (
     bfs_distances,
+    complete,
+    degrees,
     dense_eigvalsh,
     multi_k4,
     naive_girth,
@@ -419,7 +421,7 @@ class TestGroupCommands:
         assert "order: 24" in out
         g = parse_graph(out_path.read_text())
         assert g.vertex_count == 24
-        assert all(g.degree(v) == 3 for v in range(24))
+        assert degrees(g) == [3] * 24
 
     def test_wreath_ball_radius(self, capsys, tmp_path):
         z3 = z3_file(tmp_path)
@@ -676,6 +678,17 @@ class TestExitCodes:
         code = cli.main(["cheeger", c6_file(tmp_path), "--cap", "4"])
         capsys.readouterr()
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["cover", "walls", "wallmetric"])
+    def test_every_homology_cover_is_capped_before_it_is_built(self, capsys, tmp_path, command):
+        # K10 has cycle rank 36, so its cover would have 10 * 2^36 vertices
+        path = tmp_path / "k10.json"
+        path.write_text(serialize_graph(complete(10)))
+        code = cli.main([command, str(path), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: next homology cover would have {10 << 36} vertices (cap {1 << 20})\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, flag, at_zero",

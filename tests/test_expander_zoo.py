@@ -23,11 +23,11 @@ from coarselab.expander_zoo import (
 from coarselab.graph_core import adjacency_spectrum, build_graph, diameter, girth, two_coloring
 
 from groups import cyclic_group, symmetric_group
-from oracles import naive_pgl2_mul_table
+from oracles import degrees, edge_list, naive_pgl2_mul_table
 
 
 def is_regular(g):
-    return len({g.degree(v) for v in range(g.vertex_count)}) == 1
+    return len(set(degrees(g))) == 1
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +140,7 @@ class TestCayleyGraph:
     def test_involution_and_inverse_pair_give_three_regular(self):
         g = cayley_graph(cyclic_group(6, generators=(1, 3)))
         assert g.vertex_count == 6 and g.edge_count == 9
-        assert is_regular(g) and g.degree(0) == 3
+        assert is_regular(g) and degrees(g)[0] == 3
 
     def test_z2_involutive_generator_single_edge(self):
         g = cayley_graph(cyclic_group(2))
@@ -156,7 +156,7 @@ class TestCayleyGraph:
     def test_every_group_element_and_generator_has_its_dart(self):
         grp = cyclic_group(6)
         g = cayley_graph(grp)
-        darts = {(g.dart_source(d), g.dart_target(d)) for d in range(g.dart_count)}
+        darts = {(g.src[d], g.dst[d]) for d in range(g.dart_count)}
         for x in range(6):
             for s in grp.generators:
                 assert (x, grp.mul_table[x, s]) in darts
@@ -170,11 +170,11 @@ class TestCayleyGraph:
         grp = cyclic_group(5)
         g = cayley_graph(grp, labels={1: "a"})
         for d in range(g.dart_count):
-            u, v = g.dart_source(d), g.dart_target(d)
+            u, v = g.src[d], g.dst[d]
             if (u + 1) % 5 == v:
-                assert g.dart_label(d) == "a"
+                assert g.labels()[d] == "a"
             else:
-                assert g.dart_label(d) == "a^-1"
+                assert g.labels()[d] == "a^-1"
 
 
 class TestNumberTheory:
@@ -246,9 +246,32 @@ class TestPgl2:
 
     def test_escaped_product_is_rejected(self):
         pgl = expander_zoo._Pgl2(5)
-        pgl.lookup[pgl.lookup == 7] = -1
+        pgl.elements[7] = (1, 2, 1, 2)  # singular, so every product with it is
         with pytest.raises(InvalidInputError, match="escaped the canonical element list"):
-            pgl.right(1)
+            pgl.right(7)
+
+    @pytest.mark.parametrize("q", [5, 13])
+    def test_closed_form_index_is_the_sorted_position(self, q):
+        forms = sorted(
+            [(0, 1, c, d) for c in range(1, q) for d in range(q)]
+            + [(1, b, c, d) for b in range(q) for c in range(q) for d in range(q) if d != b * c % q]
+        )
+        pgl = expander_zoo._Pgl2(q)
+        assert pgl.elements.tolist() == [list(f) for f in forms]
+        assert pgl._indices(*np.array(forms).T).tolist() == list(range(len(forms)))
+        # any nonzero scalar multiple of a form finds the same index
+        scaled = np.array(forms)[:, None, :] * np.arange(1, q)[None, :, None] % q
+        assert np.array_equal(pgl._indices(*scaled.T).T, np.repeat(np.arange(len(forms))[:, None], q - 1, axis=1))
+
+    def test_q61_holds_no_dense_table(self):
+        tracemalloc.start()
+        try:
+            expander_zoo._Pgl2(61)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense q^4 lookup that the closed form replaced traced 139.7 MB
+        assert peak < 32e6
 
     @staticmethod
     def true_pairs(p, q):
@@ -286,7 +309,7 @@ class TestLpsGraphs:
     def test_x_5_13_shape(self, x_5_13):
         g, table = x_5_13
         assert g.vertex_count == 13 * (13 * 13 - 1) == 2184
-        assert is_regular(g) and g.degree(0) == 6
+        assert is_regular(g) and degrees(g)[0] == 6
         assert table.order == 2184
 
     def test_x_5_13_report_passes(self, x_5_13):
@@ -304,7 +327,7 @@ class TestLpsGraphs:
     def test_x_13_5_shape_and_report(self, x_13_5):
         g, table = x_13_5
         assert g.vertex_count == 5 * 24 == 120
-        assert g.degree(0) == 14
+        assert degrees(g)[0] == 14
         rep = verify_lps(g, LpsParams.validate(13, 5), table)
         assert rep.passed, rep.failures
 
@@ -331,7 +354,7 @@ class TestLpsGraphs:
         # replace edges a-b and c-d (a, c on one side) by a-d and c-b:
         # degrees and bipartiteness stay, the Cayley structure does not
         g, table = x_13_5
-        edges = list(g.edges())
+        edges = list(edge_list(g))
         neighbours = {frozenset((u, v)) for u, v, _ in edges}
         color = two_coloring(g)
         rng = random.Random(11)
@@ -354,7 +377,7 @@ class TestLpsGraphs:
     def test_determinism(self, x_13_5):
         g1, t1 = x_13_5
         g2, t2 = lps_graph(13, 5)
-        assert list(g1.edges()) == list(g2.edges())
+        assert list(edge_list(g1)) == list(edge_list(g2))
         assert np.array_equal(t1.elements, t2.elements)
         assert t1.generators == t2.generators
 
@@ -363,7 +386,7 @@ class TestLpsGraphs:
         table = naive_pgl2_mul_table(group)
         labeled = {}
         for d in range(g.dart_count):
-            labeled[(g.dart_source(d), g.dart_label(d))] = g.dart_target(d)
+            labeled[(g.src[d], g.labels()[d])] = g.dst[d]
         rng = random.Random(77)
         for _ in range(20):
             u = rng.randrange(g.vertex_count)
@@ -387,7 +410,7 @@ class TestLpsGraphs:
 
     def test_mutation_breaks_regularity(self, x_13_5):
         g, table = x_13_5
-        edges = list(g.edges())
+        edges = list(edge_list(g))
         rng = random.Random(3)
         del edges[rng.randrange(len(edges))]
         mutant = build_graph(g.vertex_count, edges, alphabet=sorted(g.alphabet))

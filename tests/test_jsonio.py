@@ -52,7 +52,7 @@ class TestGraphRoundTrip:
         assert_round_trip(g)
         back = parse_graph(serialize_graph(g))
         assert back.alphabet == frozenset({"a", "b", "c"})
-        assert back.dart_label(2) == "a^-1"
+        assert back.labels()[2] == "a^-1"
 
     def test_wreath_ball_with_annotations(self):
         W = WreathGroup(Q=cyclic_group(2), B=cyclic_group(2), proj=(0, 1))
@@ -90,7 +90,7 @@ class TestGraphRoundTrip:
             "edges": [{"u": 0, "v": 1, "label": "a", "orientation": "reverse"}],
         }
         g = parse_graph(json.dumps(doc))
-        assert (g.dart_source(0), g.dart_target(0), g.dart_label(0)) == (1, 0, "a")
+        assert (g.src[0], g.dst[0], g.labels()[0]) == (1, 0, "a")
 
     def test_graphs_equal_discriminates(self):
         assert graphs_equal(c4(), c4())
@@ -254,7 +254,8 @@ CORRUPTIONS = [
 
 
 def graph_state(g):
-    return (g._src, g._dst, g._lab, g._out, g.component_ids, g.alphabet, g.annotations)
+    arrays = (g.src, g.dst, g.codes, g.out, g.first, g.component_ids)
+    return (*(a.tolist() for a in arrays), g.symbols, g.is_connected, g.alphabet, g.annotations)
 
 
 def parse_both(doc, strict=True):
@@ -381,7 +382,7 @@ class TestGraphErrors:
             self.parse(doc)
         # formal inverses of declared symbols are fine
         doc["edges"] = [{"u": 0, "v": 1, "label": "a^-1"}]
-        assert self.parse(doc).dart_label(0) == "a^-1"
+        assert self.parse(doc).labels()[0] == "a^-1"
 
     def test_unknown_edge_field(self):
         doc = self.base()

@@ -37,7 +37,9 @@ from coarselab.labelings import (
 )
 from groups import cyclic_group
 from oracles import (
+    edge_list,
     follow_word,
+    loop_check_reduced,
     naive_piece_summary,
     naive_pointed_classes,
     naive_pointed_equivalent,
@@ -93,8 +95,8 @@ def test_check_reduced_rejects_parallel_same_label():
     assert not res.ok
     assert res.vertex == 0
     d1, d2 = res.darts
-    assert g.dart_label(d1) == g.dart_label(d2) == "a"
-    assert g.dart_source(d1) == g.dart_source(d2) == 0
+    assert g.labels()[d1] == g.labels()[d2] == "a"
+    assert g.src[d1] == g.src[d2] == 0
 
 
 def test_check_reduced_loop_is_fine():
@@ -106,6 +108,57 @@ def test_check_reduced_needs_labels():
     g = build_graph(2, [(0, 1)])
     with pytest.raises(InvalidInputError, match="unlabeled"):
         check_reduced(g)
+
+
+def test_check_reduced_matches_the_loop_on_labeled_multigraphs():
+    # seeded multigraphs with a doubled edge and a loop, a few darts left
+    # unlabeled: the verdict, the counterexample and the error all match
+    rng = Random(23)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randrange(1, 8)
+        g = random_multigraph(rng, n, rng.randrange(0, 2 * n))
+        symbols = ["a", "b", "c", "a^-1", "b^-1", "c^-1"] + [None] * (rng.random() < 0.2)
+        labeled = build_graph(n, [(u, v, rng.choice(symbols)) for u, v, _ in edge_list(g)], alphabet="abc")
+        try:
+            want = loop_check_reduced(labeled)
+        except InvalidInputError as err:
+            with pytest.raises(InvalidInputError, match=str(err)):
+                check_reduced(labeled)
+            outcomes.add("unlabeled")
+            continue
+        assert check_reduced(labeled) == want
+        outcomes.add(want.ok)
+    assert outcomes == {True, False, "unlabeled"}
+
+
+def test_relabeled_candidates_read_as_their_built_families():
+    # a candidate of the search shares the darts of the unlabeled family
+    # and reads edge k backwards where its signed label is an inverse; its
+    # reducedness and C'(lambda) verdict are those of the family built
+    # edge by edge, which is the labeling the search returns
+    symbols = ("a", "b", "c")
+    cycle = build_graph(8, [(i, (i + 1) % 8) for i in range(8)])
+    rng = np.random.default_rng(29)
+    verdicts = set()
+    for signed in rng.integers(6, size=(1000, 24)):
+        rows = np.split(signed, 3)
+        built = GraphFamily(tuple(
+            build_graph(8, [(u, v, symbols[s]) if s < 3 else (v, u, symbols[s - 3])
+                            for (u, v, _), s in zip(edge_list(cycle), row.tolist())], alphabet=symbols)
+            for row in rows
+        ))
+        shared = GraphFamily(tuple(
+            cycle.relabel(np.stack((row, (row + 3) % 6), axis=1).reshape(-1), symbols) for row in rows
+        ))
+        for a, b, row in zip(built.components, shared.components, rows):
+            assert check_reduced(a).ok == check_reduced(b).ok
+            assert edge_list(labelings._oriented(cycle, row, symbols)) == edge_list(a)
+        if all(check_reduced(g).ok for g in built.components):
+            verdict = check_small_cancellation(built, Fraction(1, 2)).passed
+            assert check_small_cancellation(shared, Fraction(1, 2)).passed == verdict
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # -- pieces -----------------------------------------------------------------
@@ -127,7 +180,7 @@ def test_aaab_piece():
     assert sorted((o.component, o.start) for o in piece.occurrences) == [(0, 0), (0, 1)]
     for occ in piece.occurrences:
         g = fam.components[occ.component]
-        assert tuple(g.dart_label(d) for d in occ.darts) == piece.word
+        assert tuple(g.labels()[d] for d in occ.darts) == piece.word
 
 
 def test_aaab_small_cancellation_threshold():
@@ -210,7 +263,7 @@ def _random_reduced_multigraph_family(rng):
     symbols = ["a", "b", "c"][: rng.randrange(2, 4)]
     for _ in range(10):
         edges = []
-        for u, v, _ in base.edges():
+        for u, v, _ in edge_list(base):
             if rng.randrange(2):
                 u, v = v, u
             edges.append((u, v, rng.choice(symbols)))
@@ -270,7 +323,7 @@ def test_infinite_pieces_are_cyclically_reduced_closed_walks():
                 (ci, v)
                 for ci, g in enumerate(fam.components)
                 for v in range(g.vertex_count)
-                if (darts := follow_word(g, v, w)) is not None and g.dart_target(darts[-1]) == v
+                if (darts := follow_word(g, v, w)) is not None and g.dst[darts[-1]] == v
             ]
             assert any(
                 not naive_pointed_equivalent(fam, p, q)
@@ -425,7 +478,7 @@ def _reduced_labeling(g, symbols, rng):
     while True:
         carried = [set() for _ in range(g.vertex_count)]
         edges = []
-        for u, v, _ in g.edges():
+        for u, v, _ in edge_list(g):
             options = [
                 (a, b, s)
                 for s in symbols
@@ -618,7 +671,7 @@ def test_cover_pieces_project_to_base():
     for piece in cover_pieces:
         for occ in piece.occurrences:
             projected = tuple(cm.dart_map[d] for d in occ.darts)
-            assert tuple(base.dart_label(d) for d in projected) == piece.word
+            assert tuple(base.labels()[d] for d in projected) == piece.word
             downstairs = follow_word(base, cm.vertex_map[occ.start], piece.word)
             assert downstairs == projected
 
@@ -645,8 +698,8 @@ def test_random_labeling_deterministic():
     assert a.success == b.success
     assert a.attempts == b.attempts
     if a.success:
-        assert [list(g.edges()) for g in a.family.components] == [
-            list(g.edges()) for g in b.family.components
+        assert [list(edge_list(g)) for g in a.family.components] == [
+            list(edge_list(g)) for g in b.family.components
         ]
 
 
@@ -680,8 +733,8 @@ def test_random_labeling_stream_ignores_the_budget():
     for budget in (win, 2 * win, 10 * LABEL_BATCH):
         again = random_labeling(fam, 4, Fraction(1, 4), seed=0, max_attempts=budget)
         assert again.attempts == win
-        assert [list(g.edges()) for g in again.family.components] == [
-            list(g.edges()) for g in first.family.components
+        assert [list(edge_list(g)) for g in again.family.components] == [
+            list(edge_list(g)) for g in first.family.components
         ]
     # one short of the winner, in the winner's batch: the search stops at
     # exactly the budget and never looks at the rest of the batch
@@ -844,7 +897,7 @@ def test_check_label_preserving_cover_identity():
 
 def test_check_label_preserving_cover_rejects_relabeled_dart():
     cm = c3_cover()
-    edges = list(cm.cover.edges())
+    edges = list(edge_list(cm.cover))
     u, v, _ = edges[0]
     edges[0] = (u, v, "a^-1")
     tampered = CoveringMap(

@@ -4,14 +4,16 @@ seeded random multigraphs with loops and parallel edges."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from coarselab import graph_core
 from coarselab.expander_zoo import is_bipartite
-from coarselab.graph_core import build_graph, components, distance_matrix, girth
+from coarselab.graph_core import build_graph, component_roots, components, distance_matrix, girth
 
 from oracles import (
     bfs_distances,
+    edge_list,
     naive_is_bipartite,
     random_multigraph,
     scipy_components,
@@ -30,8 +32,15 @@ def multigraphs(seed, count=40):
 def test_components_match_scipy_after_edge_removal():
     for rng, g in multigraphs(1):
         removed = frozenset(k for k in range(g.edge_count) if rng.random() < 0.3)
-        assert components(g) == scipy_components(g)
-        assert components(g, removed) == scipy_components(g, removed)
+        assert g.component_ids.tolist() == scipy_components(g)
+        assert g.is_connected == (max(scipy_components(g)) == 0)
+        for cut in (frozenset(), removed):
+            want = scipy_components(g, cut)
+            assert components(g, cut).tolist() == want
+            # the root hooking primitive names each component by its smallest vertex
+            kept = np.repeat(np.array([k not in cut for k in range(g.edge_count)], dtype=bool), 2)
+            roots = component_roots(g.src[kept], g.dst[kept], g.vertex_count)
+            assert roots.tolist() == [want.index(c) for c in want]
 
 
 def test_bfs_distances_match_distance_matrix_rows():
@@ -59,7 +68,7 @@ def test_girth_matches_the_truncated_search_from_every_source_subset(monkeypatch
     monkeypatch.setattr(graph_core, "DIAMETER_BLOCK", block)
     seen = set()
     for rng, g in multigraphs(4):
-        simple = {(min(u, v), max(u, v)) for u, v, _ in g.edges() if u != v}
+        simple = {(min(u, v), max(u, v)) for u, v, _ in edge_list(g) if u != v}
         for h in (g, build_graph(g.vertex_count, sorted(simple))):
             order = list(range(h.vertex_count))
             rng.shuffle(order)
