@@ -271,6 +271,38 @@ def all_character_blocks_spectrum(g: LabeledGraph):
     return np.sort(vals)[::-1]
 
 
+def lifted_character_residual(g: LabeledGraph) -> float:
+    """The worst residual ||A v - lambda v|| / ||v|| over the eigenpairs
+    of the character blocks c = 0 .. floor(m/2) of the cyclic symmetry
+    that ``graph_core`` picks, each eigenvector u lifted to n rows as
+    v[x] = w^(-cK[x]) u[J[x]] / sqrt(m), x = h^K[x](r_J[x]), and
+    multiplied by the scipy sparse adjacency.  The blocks are added up
+    dart by dart in dart order, as the character route adds them."""
+    from coarselab.graph_core import _adjacency_csr, _cyclic_symmetry
+
+    powers = _cyclic_symmetry(g)
+    m, n = powers.shape
+    heads = sorted({int(min(powers[:, x])) for x in range(n)})
+    J, K = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for j, r in enumerate(heads):
+        for k in range(m):
+            J[powers[k, r]], K[powers[k, r]] = j, k
+    w = np.exp(2j * np.pi * np.arange(m) / m)
+    blocks = np.zeros((m // 2 + 1, len(heads), len(heads)), dtype=complex)
+    for c in range(len(blocks)):
+        for u, v in zip(g.src.tolist(), g.dst.tolist()):
+            if K[u] == 0:
+                blocks[c, J[v], J[u]] += w[c * K[v] % m]
+    vals, vecs = np.linalg.eigh(blocks)
+    adj = _adjacency_csr(g)
+    worst = 0.0
+    for c in range(len(blocks)):
+        lifted = w[-c * K % m][:, np.newaxis] * vecs[c][J] / math.sqrt(m)
+        resid = np.linalg.norm(adj @ lifted - lifted * vals[c], axis=0)
+        worst = max(worst, float((resid / np.linalg.norm(lifted, axis=0)).max()))
+    return worst
+
+
 def naive_is_bipartite(g: LabeledGraph) -> bool:
     """Try every 2-coloring; a loop makes every coloring fail."""
     edges = [(u, v) for u, v, _ in edge_list(g)]

@@ -847,8 +847,11 @@ class TestStartup:
 def test_artifact_bytes_ignore_the_thread_count(tmp_path):
     """Artifacts are byte-identical at COARSE_LAB_THREADS=1 and =2:
     `poincare --relative` on Z/7 wr Z/7, with and without a replay,
-    `wallmetric` on the 6-prism, `spectrum` on LPS(13, 5) (character
-    blocks), and `spectrum` and `girth` on the K4 homology cover, on the
+    `wallmetric` on the 6-prism, `spectrum` on LPS(13, 5) and on
+    LPS(5, 13) (character blocks: the blocks of LPS(13, 5) have 20 rows,
+    too few for BLAS to thread, those of LPS(5, 13) 156, where a BLAS
+    block product moves the residual's last digits with the thread
+    count), and `spectrum` and `girth` on the K4 homology cover, on the
     same cover with its annotation removed, and on the twice iterated
     theta cover (signed twist blocks and fiber heads, read off the
     darts).  The dense and Lanczos spectrum routes are left out until
@@ -857,6 +860,7 @@ def test_artifact_bytes_ignore_the_thread_count(tmp_path):
     (tmp_path / "z7.json").write_text(serialize_group_table(cyclic_group(7)))
     (tmp_path / "prism6.json").write_text(serialize_graph(prism(6)))
     (tmp_path / "lps.json").write_text(serialize_graph(lps_graph(13, 5)[0]))
+    (tmp_path / "lps_5_13.json").write_text(serialize_graph(lps_graph(5, 13)[0]))
     (tmp_path / "theta.json").write_text(serialize_graph(build_graph(2, [(0, 1), (0, 1), (0, 1)])))
     assert cli.main(["cover", k4_file(tmp_path), "--out", str(tmp_path / "k4cover.json")]) == 0
     iterate = ["cover", str(tmp_path / "theta.json"), "--iterations", "2"]
@@ -870,6 +874,7 @@ def test_artifact_bytes_ignore_the_thread_count(tmp_path):
         "poincare_trials.json": ["poincare", *z7, "--trials", "6", "--seed", "1"],
         "wallmetric.csv": ["wallmetric", "prism6.json"],
         "spectrum_lps.json": ["spectrum", "lps.json"],
+        "spectrum_lps_5_13.json": ["spectrum", "lps_5_13.json"],
         "spectrum_cover.json": ["spectrum", "k4cover.json"],
         "girth_cover.json": ["girth", "k4cover.json"],
         "spectrum_plain.json": ["spectrum", "k4plain.json"],
