@@ -23,6 +23,7 @@ from .graph_core import (
     LabeledGraph,
     adjacency_spectrum,
     build_graph,
+    component_roots,
     diameter,
     girth,
     two_coloring,
@@ -105,9 +106,12 @@ class FiniteGroupTable:
             self.element_names = tuple(str(i) for i in range(n))
 
         # an empty generator list is allowed for tables used only for
-        # arithmetic; cayley_graph insists on a nonempty one
+        # arithmetic; cayley_graph insists on a nonempty one.  In a finite
+        # group the elements x s reach from the identity are the subgroup
+        # the generators span: the identity's component over x -> x s
         if gens:
-            reached = int(right_orbit(table[:, list(gens)].T, identity).sum())
+            root = component_roots(np.tile(idx, len(gens)), table[:, list(gens)].T.reshape(-1), n)
+            reached = int(np.count_nonzero(root == root[identity]))
             if reached != n:
                 raise InvalidInputError(f"generators only reach {reached} of {n} elements")
 
@@ -144,21 +148,6 @@ class FiniteGroupTable:
 
     def __repr__(self) -> str:
         return f"FiniteGroupTable(order={self.order}, generators={len(self.generators)})"
-
-
-def right_orbit(steps: np.ndarray, start: int) -> np.ndarray:
-    """Which elements right multiplication reaches from ``start``, as a
-    boolean mask: row k of ``steps`` is the permutation x -> x s_k.  The
-    orbit is start.<s_k>, so it covers the group exactly when the s_k
-    generate it."""
-    seen = np.zeros(steps.shape[1], dtype=bool)
-    seen[start] = True
-    frontier = np.array([start])
-    while frontier.size:
-        reached = steps[:, frontier].reshape(-1)
-        frontier = np.unique(reached[~seen[reached]])
-        seen[frontier] = True
-    return seen
 
 
 def homomorphism_defect(

@@ -5,9 +5,10 @@ parallel edges, and edge labelings with orientations are all first
 class.  Dart ``2k`` and dart ``2k + 1`` are mutual reverses and together
 form edge ``k``.  A dart may carry a label, held as a code; the reverse
 dart then carries the formal inverse label (``"a"`` vs ``"a^-1"``).
-:func:`build_graph` checks its edges once, in bulk.  Components come
-from one root-hooking primitive (:func:`component_roots`), and
-reducedness from one sort of (source, label) keys (:func:`labels_apart`).
+:func:`build_graph` checks its edges once, in bulk.  Components, and
+2-colorings on the double cover, come from one root-hooking primitive
+(:func:`component_roots`), and reducedness from one sort of (source,
+label) keys (:func:`labels_apart`).
 
 Distances and girth come from one numpy level-synchronous
 breadth-first walk over all (source, vertex) pairs at once
@@ -482,15 +483,19 @@ def xor_deck_gather(head_rows: np.ndarray, deck_rank: int, u: np.ndarray, v: np.
 
 def two_coloring(g: LabeledGraph) -> Optional[np.ndarray]:
     """A proper 2-coloring (0/1 per vertex), or None when the graph is
-    not bipartite.  Each breadth-first tree is colored by depth parity,
-    its root 0; then no dart may join two vertices of one color."""
-    color = [0] * g.vertex_count
-    src = g.src.tolist()
-    heads = np.unique(g.component_ids, return_index=True)[1]
-    for v, d in bfs_tree(g, *heads.tolist()).items():
-        color[v] = 0 if d < 0 else color[src[d]] ^ 1
-    color = np.array(color, dtype=np.int8)
-    return None if np.any(color[g.src] == color[g.dst]) else color
+    not bipartite, read off the components of the bipartite double cover:
+    node 2v + s is vertex v on side s, and dart u -> v joins (u, s) to
+    (v, 1 - s).  The graph is bipartite when no vertex has both its nodes
+    in one component.  Then the smallest vertex h of a component owns the
+    smallest node 2h of the component of (h, 0), so v gets the parity of
+    its distance from h, h colored 0."""
+    src, dst = 2 * g.src, 2 * g.dst
+    root = component_roots(
+        np.concatenate([src, src + 1]), np.concatenate([dst + 1, dst]), 2 * g.vertex_count
+    )
+    if np.any(root[0::2] == root[1::2]):
+        return None
+    return (root[0::2] & 1).astype(np.int8)
 
 
 def _adjacency_csr(g: LabeledGraph) -> scipy.sparse.csr_matrix:

@@ -27,9 +27,10 @@ array reductions, the leaf-to-leaf words of every tree from a lockstep
 walk out of all leaves, and the occurrences of every word by following
 it from all starts at once.  Only cyclic components take the
 breadth-first walk, for one period.  A report checks its pieces against
-its verdict, so the two routes hold each other to account.  The random
-search's candidates share the darts of the unlabeled family and differ
-only in their label codes.
+its verdict, so the two routes hold each other to account.  Moves are
+label codes over the family's signed symbols; a word is spelled out only
+to be canonicalised or reported.  The random search's candidates share
+the darts of the unlabeled family and differ only in their label codes.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .graph_core import (
     fundamental_cycles,
     girth,
     inverse_label,
-    is_inverse_symbol,
     label_clash,
     labels_apart,
 )
@@ -63,32 +63,7 @@ LABEL_BATCH = 1024
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-# -- alphabets and words ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """An ordered set of base symbols together with formal inverses."""
-
-    symbols: tuple[str, ...]
-
-    def __post_init__(self):
-        seen = set()
-        for s in self.symbols:
-            if not s or s.endswith("^-1"):
-                raise InvalidInputError(f"bad base symbol {s!r}")
-            if s in seen:
-                raise InvalidInputError(f"duplicate symbol {s!r}")
-            seen.add(s)
-
-    @staticmethod
-    def letters(n: int) -> "Alphabet":
-        if not (1 <= n <= len(LETTERS)):
-            raise InvalidInputError(f"letter alphabets support 1..{len(LETTERS)} symbols")
-        return Alphabet(tuple(LETTERS[:n]))
-
-    def __len__(self) -> int:
-        return len(self.symbols)
+# -- words -----------------------------------------------------------------
 
 
 def word_inverse(word: Sequence[str]) -> tuple[str, ...]:
@@ -138,16 +113,11 @@ def check_reduced(g: LabeledGraph) -> ReducedCheck:
     return ReducedCheck(ok=False, vertex=int(g.src[d]), darts=(earlier, d))
 
 
-def _out_maps(g: LabeledGraph) -> list[dict[str, int]]:
-    """Per-vertex map label -> dart; requires a reduced labeling.  The
-    labeling is reduced when every dart is labeled and no map is shorter
-    than its vertex's out-darts; else :func:`check_reduced` names the clash."""
-    labels, out, first = g.labels(), g.out.tolist(), g.first.tolist()
-    maps = [{labels[d]: d for d in out[first[u] : first[u + 1]]} for u in range(g.vertex_count)]
-    if None in labels or sum(map(len, maps)) < g.dart_count:
-        res = check_reduced(g)  # raises on an unlabeled dart
+def _require_reduced(g: LabeledGraph) -> None:
+    """Raise unless the labeling of ``g`` is reduced, naming its first clash."""
+    res = check_reduced(g)  # raises on an unlabeled dart
+    if not res.ok:
         raise InvalidInputError(f"labeling is not reduced at vertex {res.vertex} (darts {res.darts})")
-    return maps
 
 
 # -- pieces ----------------------------------------------------------------
@@ -174,8 +144,18 @@ class Piece:
     infinite: bool = False
 
 
-def _capped_out_maps(fam: GraphFamily, cap: int) -> list[list[dict[str, int]]]:
-    """Out-maps of a reduced family within the dart cap."""
+def _family_moves(
+    fam: GraphFamily, cap: int
+) -> tuple[tuple[str, ...], list[np.ndarray], list[dict[int, int]]]:
+    """The moves of a reduced family within the dart cap.
+
+    Returns the family's signed symbols (its sorted base symbols, then
+    their inverses, so codes c and c + k (mod 2k) are mutual inverses),
+    each component's label codes over them, and the moves of every
+    pointed vertex, numbered across the family, as code -> target in
+    out-dart order.  The labeling is reduced when every dart is labeled
+    and no vertex has fewer moves than out-darts; else the first component
+    that is not is named by :func:`check_reduced`."""
     if cap < 0:
         raise InvalidInputError(f"the dart cap must be nonnegative, got {cap}")
     total_darts = sum(g.dart_count for g in fam.components)
@@ -183,44 +163,44 @@ def _capped_out_maps(fam: GraphFamily, cap: int) -> list[list[dict[str, int]]]:
         raise CapExceededError(
             f"piece enumeration over {total_darts} darts exceeds the cap {cap}"
         )
-    return [_out_maps(g) for g in fam.components]
+    bases = sorted(set().union(*(g.alphabet for g in fam.components)))
+    symbols = (*bases, *map(inverse_label, bases))
+    codes: list[np.ndarray] = []
+    moves: list[dict[int, int]] = []
+    for g in fam.components:
+        c = g.codes
+        if g.symbols != symbols:
+            # -1 stays -1: it indexes the appended last entry
+            c = np.array([symbols.index(s) for s in g.symbols] + [-1])[c]
+        codes.append(c)
+        at, to, first = c[g.out].tolist(), (g.dst[g.out] + len(moves)).tolist(), g.first.tolist()
+        moves.extend(dict(zip(at[a:b], to[a:b])) for a, b in zip(first, first[1:]))
+    if sum(map(len, moves)) < total_darts or any(-1 in m for m in moves):
+        for g in fam.components:
+            _require_reduced(g)
+    return symbols, codes, moves
 
 
-def _family_moves(
-    fam: GraphFamily, maps: list[list[dict[str, int]]]
-) -> tuple[list[dict[str, int]], list[int]]:
-    """The moves of every pointed vertex, numbered across the family, as
-    label -> target in out-map order, and the component of each."""
-    moves: list[dict[str, int]] = []
-    comp: list[int] = []
-    for ci, g in enumerate(fam.components):
-        offset = len(moves)
-        dst = g.dst.tolist()
-        moves.extend({lab: offset + dst[d] for lab, d in out.items()} for out in maps[ci])
-        comp.extend([ci] * g.vertex_count)
-    return moves, comp
-
-
-#: a breadth-first tree of pair nodes: node -> (parent node, move label)
-_PairTree = dict[int, tuple[int, str]]
+#: a breadth-first tree of pair nodes: node -> (parent node, move code)
+_PairTree = dict[int, tuple[int, int]]
 
 
 def _walk_pair_component(
-    moves: list[dict[str, int]], root: int
-) -> tuple[_PairTree, Optional[tuple[int, str, int]], bool]:
+    moves: list[dict[int, int]], root: int
+) -> tuple[_PairTree, Optional[tuple[int, int, int]], bool]:
     """Breadth-first walk of the component of the pair node ``root``,
-    taking moves in out-map order.
+    taking the moves of :func:`_family_moves` in out-dart order.
 
     The pair of starts ``(a, b)`` is the node ``a * P + b`` for ``P``
     pointed vertices.  Returns the breadth-first tree as node -> (parent
-    node, label of the move from the parent), the root's parent being
-    -1; the first move ``(u, label, w)`` that closes a cycle, or None for
+    node, code of the move from the parent), the root's parent being
+    -1; the first move ``(u, code, w)`` that closes a cycle, or None for
     a tree; and whether the component's pairs are equivalent: each
     pair's starts carry the same labels and no start repeats in either
     coordinate (a uniform C_2n paired with C_n repeats in one only).
     """
     size = len(moves)
-    tree = {root: (-1, "")}
+    tree = {root: (-1, -1)}
     order = [root]
     closing = None
     same_labels = True
@@ -248,11 +228,12 @@ def _walk_pair_component(
 
 
 def _pair_components(
-    fam: GraphFamily, maps: list[list[dict[str, int]]]
-) -> Iterator[tuple[tuple[int, int], _PairTree, Optional[tuple[int, str, int]], bool]]:
+    fam: GraphFamily, cap: int
+) -> Iterator[tuple[tuple[int, int], _PairTree, Optional[tuple[int, int, int]], bool]]:
     """Components of the graph of simultaneous label moves between
-    distinct pointed starts, each walked once by
-    :func:`_walk_pair_component`.
+    distinct pointed starts of a reduced family within the dart cap, each
+    walked once by :func:`_walk_pair_component`; the family is checked
+    on the call, the components are walked as they are read.
 
     Nodes of distinct starts sharing a label are tried as roots in
     increasing order, so a component is entered at its smallest node.
@@ -262,25 +243,30 @@ def _pair_components(
     component touches and the walk's tree, closing move and equivalence
     flag.
     """
-    moves, comp = _family_moves(fam, maps)
+    _, _, moves = _family_moves(fam, cap)
+    comp = [ci for ci, g in enumerate(fam.components) for _ in range(g.vertex_count)]
     size = len(moves)
     # a pair node shares a label, so its starts are holders of one label
-    holders: dict[str, list[int]] = {}
+    holders: dict[int, list[int]] = {}
     for p, m in enumerate(moves):
-        for lab in m:
-            holders.setdefault(lab, []).append(p)
-    done: set[int] = set()
-    for a, m in enumerate(moves):
-        for b in sorted({b for lab in m for b in holders[lab]}):
-            root = a * size + b
-            if a == b or root in done:
-                continue
-            tree, closing, equivalent = _walk_pair_component(moves, root)
-            for u in tree:
-                x, y = divmod(u, size)
-                done.add(u)
-                done.add(y * size + x)
-            yield (comp[a], comp[b]), tree, closing, equivalent
+        for c in m:
+            holders.setdefault(c, []).append(p)
+
+    def walks():
+        done: set[int] = set()
+        for a, m in enumerate(moves):
+            for b in sorted({b for c in m for b in holders[c]}):
+                root = a * size + b
+                if a == b or root in done:
+                    continue
+                tree, closing, equivalent = _walk_pair_component(moves, root)
+                for u in tree:
+                    x, y = divmod(u, size)
+                    done.add(u)
+                    done.add(y * size + x)
+                yield (comp[a], comp[b]), tree, closing, equivalent
+
+    return walks()
 
 
 def _longest_path(tree: _PairTree) -> int:
@@ -296,18 +282,18 @@ def _longest_path(tree: _PairTree) -> int:
     return longest
 
 
-def _root_word(tree: _PairTree, v: int) -> tuple[str, ...]:
-    """Labels read along the tree path from the root to ``v``."""
+def _root_word(tree: _PairTree, v: int) -> tuple[int, ...]:
+    """Codes read along the tree path from the root to ``v``."""
     word = []
     while tree[v][0] >= 0:
-        v, lab = tree[v]
-        word.append(lab)
+        v, c = tree[v]
+        word.append(c)
     return tuple(reversed(word))
 
 
-def _legs(wx: tuple[str, ...], wy: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def _legs(wx: tuple[int, ...], wy: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Two root words cut at the last common node of their ends: the
-    moves out of a node carry distinct labels, so the words share
+    moves out of a node carry distinct codes, so the words share
     exactly the prefix read up to that node."""
     k = 0
     while k < min(len(wx), len(wy)) and wx[k] == wy[k]:
@@ -397,7 +383,7 @@ def _piece_analysis(fam: GraphFamily, cap: int) -> tuple[list[Piece], list[float
     off the graph of pointed pairs.
 
     Pointed vertices are numbered across the family, P of them, in an
-    out-table ``step`` of (vertex, signed label) -> target, the sink row
+    out-table ``step`` of (vertex, label code) -> target, the sink row
     P for no move.  The pair nodes (:func:`_pair_darts`) are numbered in
     the order of their keys x * P + y and split into components by root
     hooking.  A component is read when its smallest node is at most its
@@ -410,36 +396,32 @@ def _piece_analysis(fam: GraphFamily, cap: int) -> tuple[list[Piece], list[float
     word is then followed from all starts at once, and the smallest
     start of each class it is readable from is its occurrence there.
     """
-    maps = _capped_out_maps(fam, cap)
-    moves, comp = _family_moves(fam, maps)
-    size = len(moves)
-    comp_of = np.array(comp)
+    symbols, codes, moves = _family_moves(fam, cap)
+    size, width = len(moves), len(symbols)
     offsets = np.cumsum([0] + [g.vertex_count for g in fam.components])
+    comp_of = np.repeat(np.arange(len(fam)), np.diff(offsets))
     local = np.arange(size) - offsets[comp_of]
-    labels = sorted({lab for m in moves for lab in m})
-    column = {lab: c for c, lab in enumerate(labels)}
-    step = np.full((size + 1, len(labels)), size, dtype=np.int64)
-    dart_of = np.full((size + 1, len(labels)), -1, dtype=np.int64)
-    for g, offset in zip(fam.components, offsets):
-        cols = [column[lab] for lab in g.labels()]
-        step[offset + g.src, cols] = offset + g.dst
-        dart_of[offset + g.src, cols] = np.arange(g.dart_count)
+    step = np.full((size + 1, width), size, dtype=np.int64)
+    dart_of = np.full((size + 1, width), -1, dtype=np.int64)
+    for g, c, offset in zip(fam.components, codes, offsets):
+        step[offset + g.src, c] = offset + g.dst
+        dart_of[offset + g.src, c] = np.arange(g.dart_count)
     per_comp_max: list[float] = [0] * len(fam)
-    if not (np.count_nonzero(step[:size] < size, axis=0) > 1).any():
+    held = step[:size] < size
+    if not (np.count_nonzero(held, axis=0) > 1).any():
         # no two starts share a label, so there is no pair node
         return [], per_comp_max
 
-    inverse = np.array([column[inverse_label(lab)] for lab in labels])
-    forward = [c for c, lab in enumerate(labels) if not is_inverse_symbol(lab)]
-    nodes, src, dst, move = _pair_darts(step, forward)
+    inverse = (np.arange(width) + width // 2) % width
+    nodes, src, dst, move = _pair_darts(step, range(width // 2))
     n = len(nodes)
     nx, ny = np.divmod(nodes, size)
     root = component_roots(src, dst, n)
     kept = root <= root[np.searchsorted(nodes, ny * size + nx)]
     # a component is equivalent when every pair's starts carry the same
-    # labels and no start repeats in either coordinate
-    signature: dict[frozenset, int] = {}
-    carried = np.array([signature.setdefault(frozenset(m), len(signature)) for m in moves])
+    # labels (equal rows of ``held``) and no start repeats in either
+    # coordinate
+    carried = np.unique(held, axis=0, return_inverse=True)[1].reshape(-1)
     inequivalent = np.zeros(n, dtype=bool)
     inequivalent[root[carried[nx] != carried[ny]]] = True
     for coord in (nx, ny):
@@ -460,16 +442,17 @@ def _piece_analysis(fam: GraphFamily, cap: int) -> tuple[list[Piece], list[float
     for r in cyclic.tolist():
         # one period: down the tree to the closing move, across it, and
         # back up to the last common node of its two ends
-        tree, (u, lab, w), _ = _walk_pair_component(moves, int(nodes[r]))
+        tree, (u, c, w), _ = _walk_pair_component(moves, int(nodes[r]))
         to_u, to_w = _legs(_root_word(tree, u), _root_word(tree, w))
-        infinite_words.add(canonical_word(to_u + (lab,) + word_inverse(to_w)))
+        period = [*to_u, c, *(inverse[x] for x in reversed(to_w))]
+        infinite_words.add(canonical_word([symbols[x] for x in period]))
     finite_words: set[tuple[str, ...]] = set()
     longest = np.zeros(len(fam))
     # the paths come in increasing length, so the last length set is the longest
     for k, ends, rows in _leaf_paths(src, dst, move, inverse, read & is_tree[root]):
         longest[comp_of[nx[ends]]] = longest[comp_of[ny[ends]]] = k
         finite_words.update(
-            canonical_word([labels[c] for c in row]) for row in np.unique(rows, axis=0).tolist()
+            canonical_word([symbols[c] for c in row]) for row in np.unique(rows, axis=0).tolist()
         )
     longest[comp_of[nx[cyclic]]] = longest[comp_of[ny[cyclic]]] = math.inf
     per_comp_max = [x if math.isinf(x) else int(x) for x in longest.tolist()]
@@ -489,9 +472,9 @@ def _piece_analysis(fam: GraphFamily, cap: int) -> tuple[list[Piece], list[float
 
     pieces = []
     for w in sorted(keep) + sorted(infinite_words):
-        codes = [column[s] for s in w]
+        path = [symbols.index(s) for s in w]
         at = np.arange(size)
-        for c in codes:
+        for c in path:
             at = step[at, c]
         starts = np.flatnonzero(at < size)
         _, firsts = np.unique(class_of[starts], return_index=True)
@@ -500,7 +483,7 @@ def _piece_analysis(fam: GraphFamily, cap: int) -> tuple[list[Piece], list[float
         # the starts ascend, so each class's first is its smallest
         reps = np.sort(starts[firsts])
         at, walked = reps, []
-        for c in codes:
+        for c in path:
             walked.append(dart_of[at, c])
             at = step[at, c]
         infinite_word = w in infinite_words
@@ -509,8 +492,10 @@ def _piece_analysis(fam: GraphFamily, cap: int) -> tuple[list[Piece], list[float
                 word=w,
                 length=math.inf if infinite_word else len(w),
                 occurrences=tuple(
-                    PieceOccurrence(component=comp[p], start=int(local[p]), darts=tuple(ds))
-                    for p, ds in zip(reps.tolist(), np.stack(walked, axis=1).tolist())
+                    PieceOccurrence(component=ci, start=v, darts=tuple(ds))
+                    for ci, v, ds in zip(
+                        comp_of[reps].tolist(), local[reps].tolist(), np.stack(walked, axis=1).tolist()
+                    )
                 ),
                 components=tuple(np.unique(comp_of[starts]).tolist()),
                 infinite=infinite_word,
@@ -590,7 +575,7 @@ def check_small_cancellation(
     lam = Fraction(lam)
     if lam <= 0:
         raise InvalidInputError("lambda must be positive")
-    maps = _capped_out_maps(fam, cap)
+    walks = _pair_components(fam, cap)
     girths = tuple(girth(g) for g in fam.components) if girths is None else tuple(girths)
     if len(girths) != len(fam):
         raise InvalidInputError(f"{len(girths)} girths given for {len(fam)} components")
@@ -600,7 +585,7 @@ def check_small_cancellation(
         girths=girths,
         passed=all(
             equivalent or (closing is None and _longest_path(tree) < min(limits[ca], limits[cb]))
-            for (ca, cb), tree, closing, equivalent in _pair_components(fam, maps)
+            for (ca, cb), tree, closing, equivalent in walks
         ),
         family=fam,
         cap=cap,
@@ -616,7 +601,7 @@ class RandomLabelingOutcome:
     attempts: int
     family: Optional[GraphFamily]
     report: Optional[SmallCancellationReport]
-    alphabet: Alphabet
+    alphabet: tuple[str, ...]
 
 
 def _oriented(g: LabeledGraph, signed: np.ndarray, symbols: tuple[str, ...]) -> LabeledGraph:
@@ -650,7 +635,9 @@ def random_labeling(
     if max_attempts < 1:
         raise InvalidInputError(f"max_attempts must be at least 1, got {max_attempts}")
     lam = Fraction(lam)
-    alphabet = Alphabet.letters(alphabet_size)
+    if not 1 <= alphabet_size <= len(LETTERS):
+        raise InvalidInputError(f"letter alphabets support 1..{len(LETTERS)} symbols")
+    alphabet = tuple(LETTERS[:alphabet_size])
     girths = tuple(girth(g) for g in fam.components)
     for ci, gr in enumerate(girths):
         bound = math.inf if math.isinf(gr) else lam * gr
@@ -659,7 +646,6 @@ def random_labeling(
                 f"component {ci}: lambda*girth = {bound} is not > 1, no reduced "
                 "small-cancellation labeling can exist"
             )
-    symbols = alphabet.symbols
     width = 2 * alphabet_size
     comps = fam.components
     # the source of every dart of the family, numbered across the family
@@ -680,10 +666,10 @@ def random_labeling(
             rows = np.split(codes[row], dart_cuts)
             # each candidate shares the darts of the family and reads edge k
             # the other way round where s >= k, which is the same labeled graph
-            candidate = GraphFamily(tuple(g.relabel(r, symbols) for g, r in zip(comps, rows)))
+            candidate = GraphFamily(tuple(g.relabel(r, alphabet) for g, r in zip(comps, rows)))
             report = check_small_cancellation(candidate, lam, girths=girths)
             if report.passed:
-                family = GraphFamily(tuple(_oriented(g, r[0::2], symbols) for g, r in zip(comps, rows)))
+                family = GraphFamily(tuple(_oriented(g, r[0::2], alphabet) for g, r in zip(comps, rows)))
                 return RandomLabelingOutcome(
                     success=True,
                     attempts=start + int(row) + 1,
@@ -731,6 +717,6 @@ def graphical_presentation(fam: GraphFamily, rank_cap: int = PRESENTATION_RANK_C
             raise CapExceededError(
                 f"component {ci} has cycle rank {rank}, above the cap {rank_cap}"
             )
-        _out_maps(g)  # raises unless the labeling is reduced
+        _require_reduced(g)
         relators.extend(_component_relators(g))
     return Presentation(alphabet=alphabet, relators=tuple(relators))

@@ -41,7 +41,8 @@ from .errors import (
     InvalidInputError,
     VerificationError,
 )
-from .expander_zoo import FiniteGroupTable, right_orbit
+from .expander_zoo import FiniteGroupTable
+from .graph_core import component_roots
 from .wreath import RelativeSubset, WreathElement, WreathGroup, lamp_support, x_subset
 
 #: largest group order whose indexed table is built (kernels and replay)
@@ -348,7 +349,11 @@ def relative_poincare_constant(group: WreathGroup, sigma=None, x_set=None) -> Po
             f"character blocks of {storage} entries exceed the block cap {POINCARE_BLOCK_CAP}"
         )
     sigma_idx, x_idx = _canonical_subsets(group, sigma, x_set)
-    if not right_orbit(np.stack([_right_translation(group, y) for y in sigma_idx]), 0).all():
+    # the generating set connects the group when every element is in the
+    # component of element 0 over the darts x -> x y, y in sigma
+    steps = np.stack([_right_translation(group, y) for y in sigma_idx])
+    order = steps.shape[1]
+    if component_roots(np.tile(np.arange(order), len(steps)), steps.reshape(-1), order).any():
         raise DisconnectedGraphError(
             "the generating set does not connect the group; the rhs form is degenerate"
         )

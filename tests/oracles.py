@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from coarselab.graph_core import LabeledGraph, build_graph, source_rows
+from coarselab.graph_core import LabeledGraph, bfs_tree, build_graph, source_rows
 
 
 def edge_list(g: LabeledGraph) -> list[tuple[int, int, Optional[str]]]:
@@ -303,6 +303,33 @@ def lifted_character_residual(g: LabeledGraph) -> float:
     return worst
 
 
+def bfs_two_coloring(g: LabeledGraph) -> Optional[np.ndarray]:
+    """The breadth-first 2-coloring: the tree of ``bfs_tree`` from the
+    smallest vertex of each component colored by depth parity, its root
+    0; None when some dart joins two vertices of one color."""
+    color = [0] * g.vertex_count
+    src = g.src.tolist()
+    heads = np.unique(g.component_ids, return_index=True)[1]
+    for v, d in bfs_tree(g, *heads.tolist()).items():
+        color[v] = 0 if d < 0 else color[src[d]] ^ 1
+    color = np.array(color, dtype=np.int8)
+    return None if np.any(color[g.src] == color[g.dst]) else color
+
+
+def right_orbit(steps: np.ndarray, start: int) -> np.ndarray:
+    """Which elements right multiplication reaches from ``start``, as a
+    boolean mask, one frontier at a time: row k of ``steps`` is the
+    permutation x -> x s_k."""
+    seen = np.zeros(steps.shape[1], dtype=bool)
+    seen[start] = True
+    frontier = np.array([start])
+    while frontier.size:
+        reached = steps[:, frontier].reshape(-1)
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
+    return seen
+
+
 def naive_is_bipartite(g: LabeledGraph) -> bool:
     """Try every 2-coloring; a loop makes every coloring fail."""
     edges = [(u, v) for u, v, _ in edge_list(g)]
@@ -487,7 +514,8 @@ def follow_word(g, start, word):
 def walked_pieces(fam, cap):
     """Pieces and per-component longest piece from the breadth-first walk
     of every pair component, one dict step at a time: the leaf-to-leaf
-    words of every tree read off its root words, one period per cyclic
+    words of every tree read off its root words (the tree's move codes
+    spelled through the family's symbols), one period per cyclic
     component, maximality by a scan over every pair of words, and each
     word followed from each start in turn."""
     from collections import Counter
@@ -496,7 +524,7 @@ def walked_pieces(fam, cap):
     from coarselab.labelings import (
         Piece,
         PieceOccurrence,
-        _capped_out_maps,
+        _family_moves,
         _legs,
         _longest_path,
         _pair_components,
@@ -513,7 +541,11 @@ def walked_pieces(fam, cap):
                         return True
         return False
 
-    maps = _capped_out_maps(fam, cap)
+    symbols, _, _ = _family_moves(fam, cap)
+
+    def root_word(tree, u):
+        return tuple(symbols[c] for c in _root_word(tree, u))
+
     first = [0]
     for g in fam.components:
         first.append(first[-1] + g.vertex_count)
@@ -521,7 +553,7 @@ def walked_pieces(fam, cap):
     per_comp_max = [0] * len(fam.components)
     finite_words: set = set()
     infinite_words: set = set()
-    for touched, tree, closing, equivalent in _pair_components(fam, maps):
+    for touched, tree, closing, equivalent in _pair_components(fam, cap):
         if equivalent:
             for u in tree:
                 x, y = divmod(u, first[-1])
@@ -529,14 +561,14 @@ def walked_pieces(fam, cap):
                 class_of[y] = min(class_of[y], x)
             continue
         if closing is not None:
-            u, lab, w = closing
-            to_u, to_w = _legs(_root_word(tree, u), _root_word(tree, w))
-            infinite_words.add(canonical_word(to_u + (lab,) + word_inverse(to_w)))
+            u, c, w = closing
+            to_u, to_w = _legs(root_word(tree, u), root_word(tree, w))
+            infinite_words.add(canonical_word(to_u + (symbols[c],) + word_inverse(to_w)))
             best = math.inf
         else:
             children = Counter(up for up, _ in tree.values())
             leaves = [
-                _root_word(tree, u) for u, (up, _) in tree.items() if children[u] + (up >= 0) == 1
+                root_word(tree, u) for u, (up, _) in tree.items() if children[u] + (up >= 0) == 1
             ]
             for i, x in enumerate(leaves):
                 for y in leaves[i + 1 :]:

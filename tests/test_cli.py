@@ -14,6 +14,7 @@ import pytest
 
 import coarselab.cli as cli
 import coarselab.expander_zoo as expander_zoo
+import coarselab.labelings as labelings
 from coarselab.covers_walls import homology_cover, wall_pseudometric, walls_from_cover
 from coarselab.errors import CapExceededError, InvalidInputError, VerificationError
 from coarselab.expander_zoo import cayley_graph, lps_graph
@@ -338,6 +339,23 @@ class TestLabelingCommands:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == "" and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("size", ["0", "27"])
+    def test_label_rejects_an_alphabet_outside_the_letters(self, capsys, tmp_path, monkeypatch, size):
+        path = c6_file(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the alphabet check")
+
+        # refused before any girth is computed or any label drawn
+        monkeypatch.setattr(labelings, "girth", refuse)
+        monkeypatch.setattr(labelings.np.random, "default_rng", refuse)
+        code = cli.main(
+            ["label", path, "--random", "--alphabet", size, "--lambda", "1/4", "--seed", "1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "letter alphabets support 1..26 symbols" in captured.err
 
     def test_scipy_stays_unloaded(self, tmp_path, two_c8):
         # importing the CLI, and every command below, must not load scipy;

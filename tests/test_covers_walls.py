@@ -33,7 +33,7 @@ from coarselab.graph_core import (
     girth,
     xor_deck_gather,
 )
-from coarselab.labelings import _out_maps, _pair_components
+from coarselab.labelings import PIECE_DART_CAP, _pair_components
 
 from groups import cyclic_group
 from oracles import (
@@ -196,7 +196,7 @@ class TestIteratedCover:
         cover = iterate_homology_cover(base, 1).cover
         n = cover.vertex_count
         equivalent = set()
-        for _, tree, _, flag in _pair_components(GraphFamily((cover,)), [_out_maps(cover)]):
+        for _, tree, _, flag in _pair_components(GraphFamily((cover,)), PIECE_DART_CAP):
             if flag:
                 equivalent.update(divmod(u, n) for u in tree)
         assert all((0, t) in equivalent or (t, 0) in equivalent for t in range(1, n))

@@ -23,7 +23,7 @@ from coarselab.expander_zoo import (
 from coarselab.graph_core import adjacency_spectrum, build_graph, diameter, girth, two_coloring
 
 from groups import cyclic_group, symmetric_group
-from oracles import degrees, edge_list, naive_pgl2_mul_table
+from oracles import degrees, edge_list, naive_pgl2_mul_table, right_orbit
 
 
 def is_regular(g):
@@ -110,6 +110,24 @@ class TestFiniteGroupTable:
     def test_generators_must_generate(self):
         with pytest.raises(InvalidInputError, match="only reach 2 of 4 elements"):
             cyclic_group(4, generators=[2])
+
+    def test_generation_check_counts_the_right_orbit(self):
+        s4 = symmetric_group(4)
+        rng = random.Random(29)
+        reached = set()
+        for _ in range(60):
+            gens = {rng.randrange(s4.order) for _ in range(rng.randint(1, 3))} - {s4.identity}
+            if not gens:
+                continue
+            gens |= {s4.inverse(s) for s in gens}
+            want = int(right_orbit(s4.mul_table[:, sorted(gens)].T, s4.identity).sum())
+            if want == s4.order:
+                FiniteGroupTable(s4.mul_table, gens)
+            else:
+                with pytest.raises(InvalidInputError, match=f"only reach {want} of 24 elements"):
+                    FiniteGroupTable(s4.mul_table, gens)
+            reached.add(want)
+        assert {2, 3, 4, 24} <= reached
 
     def test_identity_is_not_a_generator(self):
         mul = [[(a + b) % 3 for b in range(3)] for a in range(3)]

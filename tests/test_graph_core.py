@@ -36,6 +36,7 @@ from groups import cyclic_group, symmetric_group
 from oracles import (
     all_character_blocks_spectrum,
     bfs_distances,
+    bfs_two_coloring,
     complete,
     degrees,
     dense_eigvalsh,
@@ -432,6 +433,30 @@ class TestSpectra:
         vals = adjacency_spectrum(build_graph(4, [(0, 1), (0, 2)])).eigenvalues
         assert vals[1:3] == (0.0, 0.0)
         assert all(math.copysign(1.0, x) > 0 for x in vals if x == 0.0)
+
+    def test_two_coloring_equals_the_breadth_first_coloring(self):
+        rng = random.Random(1733)
+        seen = set()
+        for _ in range(1000):
+            n = rng.randrange(1, 13)
+            side = [rng.randrange(2) for _ in range(n)]
+            bipartite = rng.random() < 0.6
+            edges = []
+            for _ in range(rng.randrange(0, 2 * n)):
+                u, v = rng.randrange(n), rng.randrange(n)
+                if not bipartite or side[u] != side[v]:
+                    edges.append((u, v))
+            if edges and rng.random() < 0.5:
+                edges.append(rng.choice(edges))
+            g = build_graph(n, edges)
+            color, want = two_coloring(g), bfs_two_coloring(g)
+            if want is None:
+                assert color is None
+                seen.add("loop" if any(u == v for u, v in edges) else "odd cycle")
+            else:
+                assert color.dtype == np.int8 and np.array_equal(color, want)
+                seen.add("several components" if not g.is_connected else "connected")
+        assert seen == {"loop", "odd cycle", "several components", "connected"}
 
     def test_odd_cycle_is_not_two_colorable(self):
         assert two_coloring(cycle(5)) is None

@@ -20,10 +20,8 @@ from coarselab.graph_core import GraphFamily, build_graph, girth, inverse_label,
 from coarselab.labelings import (
     LABEL_BATCH,
     PIECE_DART_CAP,
-    Alphabet,
     Presentation,
     SmallCancellationReport,
-    _out_maps,
     _pair_components,
     _piece_analysis,
     canonical_word,
@@ -61,17 +59,7 @@ def labeled_cycle(word):
     return build_graph(n, [(i, (i + 1) % n, word[i]) for i in range(n)])
 
 
-# -- alphabets and words ----------------------------------------------------
-
-
-def test_alphabet_letters_and_inverses():
-    al = Alphabet.letters(3)
-    assert al.symbols == ("a", "b", "c")
-    assert [inverse_label(s) for s in al.symbols] == ["a^-1", "b^-1", "c^-1"]
-    with pytest.raises(InvalidInputError):
-        Alphabet(("a", "a"))
-    with pytest.raises(InvalidInputError):
-        Alphabet(("a^-1",))
+# -- words -----------------------------------------------------------------
 
 
 def test_word_utilities():
@@ -402,11 +390,10 @@ def test_pair_walk_flags_exactly_the_equivalent_components():
     seeded = [random_reduced_family(rng) for _ in range(25)]
     shapes = set()
     for i, fam in enumerate(seeded + _symmetric_families()):
-        maps = [_out_maps(g) for g in fam.components]
         points = [(ci, v) for ci, g in enumerate(fam.components) for v in range(g.vertex_count)]
         naive = naive_pointed_classes(fam)
         flagged = set()
-        for _, tree, closing, equivalent in _pair_components(fam, maps):
+        for _, tree, closing, equivalent in _pair_components(fam, PIECE_DART_CAP):
             pairs = [divmod(u, len(points)) for u in tree]
             for x, y in pairs:
                 assert equivalent == (naive[points[x]] == naive[points[y]])
@@ -557,7 +544,7 @@ def test_bulk_pieces_equal_the_walked_pieces_on_labeled_covers():
     leaves = set()
     for fam in _cover_labelings():
         assert _assert_bulk_equals_walk(fam)
-        for _, tree, closing, equivalent in _pair_components(fam, [_out_maps(fam.components[0])]):
+        for _, tree, closing, equivalent in _pair_components(fam, PIECE_DART_CAP):
             if closing is None and not equivalent:
                 ups = [up for up, _ in tree.values()]
                 leaves.add(sum(1 for u in tree if ups.count(u) + (tree[u][0] >= 0) == 1))
@@ -613,7 +600,7 @@ def test_only_cyclic_components_take_the_breadth_first_walk(monkeypatch):
     cyclic = split_components(build_graph(7, LABELED_EDGES))
     expected = [
         tree for fam in (trees, cyclic)
-        for _, tree, closing, equivalent in _pair_components(fam, [_out_maps(g) for g in fam.components])
+        for _, tree, closing, equivalent in _pair_components(fam, PIECE_DART_CAP)
         if closing is not None and not equivalent
     ]
     monkeypatch.setattr(labelings, "_walk_pair_component", counted)

@@ -12,7 +12,7 @@ from coarselab.errors import (
     DisconnectedGraphError,
     InvalidInputError,
 )
-from coarselab.expander_zoo import FiniteGroupTable, cayley_graph, lps_graph, right_orbit
+from coarselab.expander_zoo import FiniteGroupTable, cayley_graph, lps_graph
 from coarselab.graph_core import build_graph
 from coarselab.poincare_lab import (
     POINCARE_BLOCK_CAP,
@@ -38,6 +38,7 @@ from oracles import (
     dense_poincare_constant,
     naive_poincare_constant,
     naive_wreath_table,
+    right_orbit,
 )
 from paper_checks import is_positive_definite, schoenberg_bound, schoenberg_transform
 
@@ -476,7 +477,7 @@ def test_block_cap_refuses_before_allocating(monkeypatch):
     def refuse(*args):
         raise AssertionError("work started above the block cap")
 
-    for name in ("_lamp_order", "_character_blocks", "right_orbit", "subset_indices"):
+    for name in ("_lamp_order", "_character_blocks", "component_roots", "subset_indices"):
         monkeypatch.setattr(poincare_lab, name, refuse)
     with pytest.raises(CapExceededError, match="block cap"):
         relative_poincare_constant(w_instance(14))
