@@ -107,6 +107,23 @@ def _edges_text(g: LabeledGraph, pad: str) -> str:
     return "[" + inner + ("," + inner).join(map(record.__mod__, rows)) + pad + "]"
 
 
+def _items(value, pad: str) -> list[str]:
+    """The items of a list as JSON, each item object written once.  A row
+    that a list holds many times, such as the support tuple that
+    ``wreath_cayley`` shares among the vertices of one lamp mask, costs one
+    lookup after the first.  The key is the object's identity, which the
+    list keeps alive: rows that compare equal but write different bytes,
+    (1,), (True,) and (1.0,), never share a text."""
+    memo = {}
+    out = []
+    for v in value:
+        text = memo.get(id(v))
+        if text is None:
+            text = memo[id(v)] = _text(v, pad)
+        out.append(text)
+    return out
+
+
 def _text(value, pad: str) -> str:
     """``value`` as JSON on a line whose indent is ``pad`` (a newline, then spaces)."""
     inner = pad + "  "
@@ -116,7 +133,7 @@ def _text(value, pad: str) -> str:
             return "[]"
         row = _scalar_row(value, sep)
         if row is None:
-            row = sep.join([_text(v, inner) for v in value])
+            row = sep.join(_items(value, inner))
         return "[" + inner + row + pad + "]"
     if isinstance(value, dict):
         if not value:

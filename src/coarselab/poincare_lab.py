@@ -20,7 +20,8 @@ tables.  Elements are numbered as in :func:`wreath_indexed_group`:
 sorted by (sorted lamp support, base element index), so element
 ``rank[mask] * |B| + b`` is (mask, b), bit q of ``mask`` set iff lamp q
 is lit.  The kernels of the randomized replay still read the indexed
-table of the group.
+table of the group; their CND test splits them over lamp characters
+too (see :func:`is_cnd`).
 
 Tolerance policy: eigenvalue comparisons use 1e-9 absolute margins;
 kernel preconditions scale the margin by the magnitude of the kernel.
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .expander_zoo import FiniteGroupTable
 from .graph_core import component_roots
-from .wreath import RelativeSubset, WreathElement, WreathGroup, lamp_support, x_subset
+from .wreath import RelativeSubset, WreathElement, WreathGroup, lamp_order, lamp_support, x_subset
 
 #: largest group order whose indexed table is built (kernels and replay)
 POINCARE_ORDER_CAP = 2048
@@ -68,7 +69,7 @@ GroupLike = Union[FiniteGroupTable, WreathGroup]
 def _lamp_order(nq: int) -> tuple[np.ndarray, np.ndarray]:
     """``masks[r]``, the lamp mask at position r of the support order,
     and its inverse ``rank[mask]``; both read-only."""
-    masks = np.array(sorted(range(1 << nq), key=lamp_support), dtype=np.int64)
+    masks = lamp_order(np.arange(1 << nq, dtype=np.uint64)[:, None])
     rank = np.argsort(masks)  # masks is a permutation of 0..2^nq - 1
     masks.flags.writeable = rank.flags.writeable = False
     return masks, rank
@@ -401,10 +402,29 @@ def relative_poincare_constant(group: WreathGroup, sigma=None, x_set=None) -> Po
 # -- conditionally negative definite kernels --------------------------------
 
 
-def _kernel_matrix(table, values: np.ndarray) -> np.ndarray:
-    # row y of mul_table[inv] is x -> inv(y) x, so transposing puts
-    # phi(inv(y) x) at position (x, y)
-    return values[table.mul_table[table.inv]].T
+def _cnd_blocks(psi: KernelFunction) -> np.ndarray:
+    """The kernel matrix M[x, y] = psi(y^-1 x), symmetrised, as its
+    (2^|Q|, |B|, |B|) stack of lamp-character blocks, block 0
+    double-centred (see :func:`is_cnd`).  A table group is one block."""
+    table = resolve_group(psi.group)
+    if isinstance(psi.group, WreathGroup):
+        rank, nb = _lamp_order(psi.group.Q.order)[1], psi.group.B.order
+    else:
+        rank, nb = np.zeros(1, dtype=np.int64), table.order
+    # F[m, b1, b2] = psi((0, b2)^-1 (m, b1)): elements 0..|B|-1 are (0, b)
+    gather = table.mul_table[table.inv[:nb]].reshape(nb, rank.size, nb)[:, rank]
+    blocks = psi.values[gather].transpose(1, 2, 0)
+    # the Walsh-Hadamard transform over the mask axis, one butterfly per lamp
+    half = 1
+    while half < rank.size:
+        pairs = blocks.reshape(-1, 2, half, nb, nb)
+        blocks = np.stack([pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]], axis=1)
+        half *= 2
+    blocks = blocks.reshape(rank.size, nb, nb)
+    blocks = (blocks + blocks.transpose(0, 2, 1)) / 2.0
+    blocks[0] -= blocks[0].mean(axis=0)[np.newaxis, :]
+    blocks[0] -= blocks[0].mean(axis=1)[:, np.newaxis]
+    return blocks
 
 
 def is_cnd(psi: KernelFunction, tol: float = EIG_TOL) -> bool:
@@ -412,10 +432,20 @@ def is_cnd(psi: KernelFunction, tol: float = EIG_TOL) -> bool:
     mean-zero vector c, sum of c_x c_y psi(y^-1 x) <= tol, tested as
     negative semidefiniteness on the mean-zero subspace.
 
-    The test reads the top eigenvalue of the double-centred matrix
-    P M P, P = I - J the projector onto mean-zero vectors: its spectrum
-    is that of M on the mean-zero subspace plus a 0 for the constants,
-    which never decides the comparison with tol >= 0.
+    The matrix M[x, y] = psi(y^-1 x) commutes with the left action
+    (m, b) -> (m ^ n, b) of the lamp group, so on a wreath group its
+    spectrum is the union of 2^|Q| blocks of size |B| x |B|, one per
+    lamp character chi_S(m) = (-1)^popcount(S & m):
+
+        block S = sum over m of chi_S(m) F[m],  F[m, b1, b2] = M[(m, b1), (0, b2)],
+
+    all formed at once by one Walsh-Hadamard transform over the mask
+    axis.  A table group is the one-block case, F = M.  The constants
+    lie in block 0 alone, so only block 0 is double-centred, P B_0 P with
+    P = I - J on R^|B|: its spectrum is that of B_0 on the mean-zero
+    vectors plus a 0 for the constants, which never decides the
+    comparison with tol >= 0.  The test reads the top eigenvalue over
+    all blocks.
 
     Preconditions psi(identity) = 0 and psi(g^-1) = psi(g) are enforced
     up to tol scaled by the kernel magnitude.
@@ -427,11 +457,7 @@ def is_cnd(psi: KernelFunction, tol: float = EIG_TOL) -> bool:
         raise InvalidInputError("kernel does not vanish at the identity")
     if float(np.abs(vals - vals[table.inv]).max()) > tol * scale:
         raise InvalidInputError("kernel is not symmetric under inversion")
-    M = _kernel_matrix(table, vals)
-    M = (M + M.T) / 2.0
-    M -= M.mean(axis=0)[np.newaxis, :]
-    M -= M.mean(axis=1)[:, np.newaxis]
-    top = float(np.linalg.eigvalsh(M)[-1])
+    top = float(np.linalg.eigvalsh(_cnd_blocks(psi))[:, -1].max())
     return top <= tol * scale
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import WREATH_VERTEX_CAP, CapExceededError, InvalidInputError, VerificationError
 from .expander_zoo import FiniteGroupTable, homomorphism_defect
 from .graph_core import LabeledGraph, build_graph
@@ -101,6 +103,42 @@ def lamp_support(mask: int) -> tuple[int, ...]:
     return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
 
 
+def support_key(words: np.ndarray) -> np.ndarray:
+    """The lit lamps of each mask row, ascending and padded with -1 to
+    the longest support, as an int64 (rows, width) array.
+
+    A row of ``words`` holds one mask as uint64 words, bit q of the mask
+    being bit q % 64 of word q // 64.  Lexsorting the columns, the first
+    one primary, orders the rows as ``lamp_support`` orders their masks:
+    the pad -1 puts a support before each of its extensions.
+    """
+    words = np.ascontiguousarray(words, dtype="<u8")
+    rows, lamps = np.nonzero(np.unpackbits(words.view(np.uint8), axis=1, bitorder="little"))
+    count = np.bincount(rows, minlength=len(words))
+    key = np.full((len(words), int(count.max(initial=0))), -1, dtype=np.int64)
+    key[rows, np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)] = lamps
+    return key
+
+
+def lamp_order(words: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
+    """The permutation sorting rows (mask, b) by (lamp_support(mask), b);
+    with no ``b`` the masks alone."""
+    key = support_key(words)
+    tie = np.zeros(len(words), dtype=np.int64) if b is None else b
+    return np.lexsort((tie, *key.T[::-1]))
+
+
+def _first_rows(rows: np.ndarray) -> np.ndarray:
+    """For each row of an integer array, the index of the first row equal to it."""
+    order = np.lexsort(rows.T)  # stable, so a run of equal rows starts at its first
+    ranked = rows[order]
+    start = np.ones(len(rows), dtype=bool)
+    start[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = np.empty_like(order)
+    first[order] = order[start][np.cumsum(start) - 1]
+    return first
+
+
 # -- Cayley graphs ----------------------------------------------------------
 
 
@@ -108,12 +146,12 @@ def lamp_support(mask: int) -> tuple[int, ...]:
 class WreathBall:
     """A Cayley graph of a wreath group, or a metric ball inside one.
 
-    ``elements[i]`` is the group element sitting at vertex ``i``;
-    ``complete`` says whether the whole group was enumerated.
+    The element at vertex ``i`` is read from the graph's annotations
+    ``vertex_supports[i]`` and ``vertex_b_names[i]``; ``complete`` says
+    whether the whole group was enumerated.
     """
 
     graph: LabeledGraph
-    elements: tuple[WreathElement, ...]
     radius: Optional[int]
     complete: bool
 
@@ -148,10 +186,13 @@ def wreath_cayley(
     numbering is deterministic.  Building the full graph requires
     2^|Q| * |B| <= cap.
 
-    The walk runs on integer codes (mask, b), bit q of ``mask`` set iff
-    lamp q is lit.  Right multiplication by a generator needs no general
-    law: delta flips the lamp at proj[b], and a base generator t sends b
-    to b t.  Masks are Python ints, so a ball accepts any |Q|.
+    The walk runs on rows (mask, b), the mask held as ceil(|Q| / 64)
+    uint64 words, so a ball accepts any |Q|.  Right multiplication by a
+    generator needs no general law: delta flips the lamp at proj[b], and
+    a base generator t sends b to b t.  The generating set is symmetric,
+    so a level's new rows are its products missing from it and from the
+    level before it.  Membership, and each edge's target, is read off
+    one stable lexsort of the rows (``_first_rows``); no Python set is built.
     """
     if radius is not None and radius < 0:
         raise InvalidInputError(f"radius must be nonnegative, got {radius}")
@@ -162,57 +203,73 @@ def wreath_cayley(
             f"full wreath Cayley graph has {W.order} vertices, above the cap {cap}"
         )
     pairs = _generator_pairs(W)
-    lamp = [1 << q for q in W.proj]
-    right = W.B.mul_table.T.tolist()  # right[t][b] = b t
-    steps = [right[t] for t in W.B.generators]
+    proj = np.asarray(W.proj)
+    word, bit = proj // 64, np.uint64(1) << (proj % 64).astype(np.uint64)
+    right = W.B.mul_table.astype(np.uint64)  # right[b, t] = b t
 
-    index = {(0, W.B.identity): 0}
-    supports: list[tuple[int, ...]] = [()]
-    frontier = list(index)
+    def flip(rows):
+        out = rows.copy()
+        b = rows[:, -1]
+        out[np.arange(len(rows)), word[b]] ^= bit[b]
+        return out
+
+    def step(rows, t):
+        out = rows.copy()
+        out[:, -1] = right[rows[:, -1], t]
+        return out
+
+    # a row is the mask's words, then b
+    rows = np.zeros((1, -(-W.Q.order // 64) + 1), dtype=np.uint64)
+    rows[0, -1] = W.B.identity
+    levels = [rows]
+    known = rows  # the frontier and the level before it
     depth = 0
-    while frontier and (radius is None or depth < radius):
-        found = {(mask ^ lamp[b], b) for mask, b in frontier}
-        found.update((mask, step[b]) for mask, b in frontier for step in steps)
-        # a support fixes its mask, so the mask never breaks a tie
-        level = sorted((lamp_support(mask), b, mask) for mask, b in found - index.keys())
-        frontier = [(mask, b) for _, b, mask in level]
-        for code in frontier:
-            index[code] = len(index)
-        supports.extend(support for support, _, _ in level)
-        if len(index) > cap:
+    while len(rows) and (radius is None or depth < radius):
+        found = np.concatenate([known, flip(rows)] + [step(rows, t) for t in W.B.generators])
+        new = found[len(known):][_first_rows(found)[len(known):] == np.arange(len(known), len(found))]
+        rows = new[lamp_order(new[:, :-1], new[:, -1])]
+        known = np.concatenate([levels[-1], rows])
+        levels.append(rows)
+        if sum(map(len, levels)) > cap:
             raise CapExceededError(f"ball enumeration passed the cap {cap}")
         depth += 1
 
+    rows = np.concatenate(levels)
+    n = len(rows)
     complete = radius is None
-    if complete and len(index) != W.order:
+    if complete and n != W.order:
         raise VerificationError(
-            f"enumerated {len(index)} elements, expected {W.order}; "
+            f"enumerated {n} elements, expected {W.order}; "
             "the generating set failed to generate"
         )
 
-    moves = [(right[t], base, W.B.inverse(t) == t) for t, base in pairs]
-    edges = []
-    for i, (mask, b) in enumerate(index):
-        j = index.get((mask ^ lamp[b], b))
-        # delta is an involution: one edge per unordered vertex pair
-        if j is not None and i < j:
-            edges.append((i, j, DELTA_LABEL))
-        for step, base, involution in moves:
-            j = index.get((mask, step[b]))
-            if j is not None and (i < j or not involution):
-                edges.append((i, j, base))
+    # one column per move, delta then one generator of each pair: the
+    # vertex a row reaches, or -1 outside the ball
+    moved = [flip(rows)] + [step(rows, t) for t, _ in pairs]
+    targets = _first_rows(np.concatenate([rows, *moved]))[n:].reshape(len(moved), n).T
+    targets[targets >= n] = -1
+    involution = np.array([True] + [W.B.inverse(t) == t for t, _ in pairs])
+    # an involution gives one edge per unordered vertex pair
+    keep = (targets >= 0) & ((np.arange(n)[:, None] < targets) | ~involution)
+    us, moves = np.nonzero(keep)
+    labels = [DELTA_LABEL] + [base for _, base in pairs]
+    first = _first_rows(rows[:, :-1])
+    support = {
+        i: lamp_support(int.from_bytes(rows[i, :-1].astype("<u8").tobytes(), "little"))
+        for i in np.flatnonzero(first == np.arange(n)).tolist()
+    }
+    names = [W.B.name(x) for x in range(W.B.order)]
     graph = build_graph(
-        len(index),
-        edges,
-        alphabet=[DELTA_LABEL] + [base for _, base in pairs],
+        n,
+        alphabet=labels,
         annotations={
             "construction": f"wreath Z/2 over Q of order {W.Q.order}, base order {W.B.order}",
-            "vertex_supports": tuple(supports),
-            "vertex_b_names": tuple(W.B.name(b) for _, b in index),
+            "vertex_supports": tuple(map(support.__getitem__, first.tolist())),
+            "vertex_b_names": tuple(map(names.__getitem__, rows[:, -1].tolist())),
         },
+        columns=(us.tolist(), targets[keep].tolist(), list(map(labels.__getitem__, moves.tolist()))),
     )
-    elements = tuple(WreathElement(frozenset(s), b) for s, (_, b) in zip(supports, index))
-    return WreathBall(graph=graph, elements=elements, radius=radius, complete=complete)
+    return WreathBall(graph=graph, radius=radius, complete=complete)
 
 
 # -- the relative subset X --------------------------------------------------

@@ -733,10 +733,25 @@ def naive_wreath_table(W):
 
 
 
+def ball_elements(W, ball):
+    """The group element at each vertex of a wreath ball, rebuilt from
+    its ``vertex_supports`` and ``vertex_b_names`` annotations."""
+    from coarselab.wreath import WreathElement
+
+    b_of = {W.B.name(b): b for b in range(W.B.order)}
+    assert len(b_of) == W.B.order, "base element names must be distinct"
+    ann = ball.graph.annotations
+    return tuple(
+        WreathElement(frozenset(support), b_of[name])
+        for support, name in zip(ann["vertex_supports"], ann["vertex_b_names"], strict=True)
+    )
+
+
 def naive_wreath_cayley(W, radius=None):
     """The wreath Cayley graph (or ball) by breadth-first search on
     frozenset elements, every product by the group law ``wreath_mul``;
-    levels are sorted by (sorted support, B-index)."""
+    levels are sorted by (sorted support, B-index).  Returns the ball and
+    the element at each vertex."""
     from coarselab.wreath import DELTA_LABEL, WreathBall, WreathElement
     from groups import wreath_mul
 
@@ -778,7 +793,7 @@ def naive_wreath_cayley(W, radius=None):
             "vertex_b_names": tuple(W.B.name(x.b) for x in order),
         },
     )
-    return WreathBall(graph=graph, elements=tuple(order), radius=radius, complete=radius is None)
+    return WreathBall(graph=graph, radius=radius, complete=radius is None), tuple(order)
 
 # -- metric diagnostics oracle -----------------------------------------------
 #
@@ -1008,6 +1023,25 @@ def dense_poincare_constant(table, sigma_members, x_members):
     eigvals, eigvecs = scipy.linalg.eigh(V.T @ A @ V, V.T @ B @ V)
     u = V @ eigvecs[:, -1]
     return float(eigvals[-1]), u / np.linalg.norm(u)
+
+
+def kernel_matrix(table, values):
+    """The translation matrix M[x, y] = values[y^-1 x] of a group table."""
+    # row y of mul_table[inv] is x -> inv(y) x
+    return values[table.mul_table[table.inv]].T
+
+
+def dense_cnd_spectrum(psi):
+    """The ascending spectrum of P M P, M the symmetrised translation
+    matrix of a kernel and P = I - J the projector onto mean-zero vectors,
+    from one dense eigensolve of the whole group."""
+    from coarselab.poincare_lab import resolve_group
+
+    M = kernel_matrix(resolve_group(psi.group), psi.values)
+    M = (M + M.T) / 2.0
+    M -= M.mean(axis=0)[np.newaxis, :]
+    M -= M.mean(axis=1)[:, np.newaxis]
+    return np.linalg.eigvalsh(M)
 
 
 # -- brute-force covering verification ---------------------------------------

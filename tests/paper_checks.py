@@ -24,9 +24,10 @@ from coarselab.errors import (
 from coarselab.expander_zoo import FiniteGroupTable, homomorphism_defect
 from coarselab.graph_core import GraphFamily, LabeledGraph, inverse_label
 from coarselab.labelings import Presentation, free_reduce, graphical_presentation
-from coarselab.poincare_lab import EIG_TOL, KernelFunction, _kernel_matrix, resolve_group
+from coarselab.poincare_lab import EIG_TOL, KernelFunction, resolve_group
 from coarselab.wreath import WreathElement, WreathGroup, lamp_support
 from groups import wreath_mul
+from oracles import kernel_matrix
 
 # -- coset enumeration -------------------------------------------------------
 
@@ -351,7 +352,7 @@ def is_positive_definite(phi: KernelFunction, tol: float = EIG_TOL) -> bool:
     """True iff the translation matrix phi(y^-1 x) is symmetric with
     smallest eigenvalue >= -tol."""
     table = resolve_group(phi.group)
-    M = _kernel_matrix(table, phi.values)
+    M = kernel_matrix(table, phi.values)
     scale = max(1.0, float(np.abs(M).max()))
     if float(np.abs(M - M.T).max()) > tol * scale:
         return False

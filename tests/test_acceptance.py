@@ -48,6 +48,7 @@ from coarselab.wreath import (
 
 from groups import cyclic_group, serialize_group_table, wreath_mul
 from oracles import (
+    ball_elements,
     degrees,
     graphs_equal,
     naive_coset_ball_replay,
@@ -202,8 +203,8 @@ def test_criterion_4_wreath_arithmetic():
     )
     small_ball = wreath_cayley(small)
     big_ball = wreath_cayley(big)
-    index = {x: i for i, x in enumerate(big_ball.elements)}
-    gm = {i: index[mapping[x]] for i, x in enumerate(small_ball.elements)}
+    index = {x: i for i, x in enumerate(ball_elements(big, big_ball))}
+    gm = {i: index[mapping[x]] for i, x in enumerate(ball_elements(small, small_ball))}
     assert verify_subgraph_embedding(gm, small_ball.graph, big_ball.graph)
     elapsed = time.monotonic() - start
     _pass(4, elapsed, 5, "24 elements, degree 3, involutive X, associative, embeds")

@@ -88,11 +88,13 @@ GOLDEN = {
     "wreath_s3.json": "0930ecbf6249f08a9211e4dabf9ade24fa53f864f6a296cec62220e96fb450c4",
     "wreath_sign.json": "f559c583fdb541cd3064b6a9d73247fa750a42c7abf447af3e1c16accafd6808",
     "wreath_z40_ball.json": "188681c0711696b0d66586cd713a6f06febfc009b1c2123e8b0e04fc1bf56ae0",
+    "wreath_z10.json": "8448f079fa0b0745cf009e51281672a43d46c2226ee069552507a70874938c96",
     "lps.json": "9098504eb631f4bce347eb07a2008d4136336d3b17773ceb5193f93127156d49",
     "lps_5_13.json": "b08777d28a4cd0d9118f9232ae77fb4c3cb667a3bb0e2a871cbf5758e056002b",
     "poincare_z4.json": "032669263f76573daf97c4f56a679ed8b6847c7e4b0380038952e3679e63ab36",
     "poincare_s3.json": "a522436a7308c779ea85cfe63b38cdf23c94a69a340fc8688439ae240b259a66",
     "poincare_z3_trials.json": "1a2b1064a442a63ff6ab5391e6beb02f661dd43381805d86ef9dffde923eeb1b",
+    "poincare_z6_trials.json": "eb21db34ed4d3f925ab4ab21d3570f057f13f2f32427713a289c213723921752",
     "moduli.csv": "3965abad660644a2603636bcdc85a5c21861ddfedbd9706ea2a81be00781a6dc",
     "weakembed.json": "d7004c39d04916acc54e39c232f567f6620d95cffc598b44c504d748c75a5f2c",
     "concentrate.json": "0f713f947163da770b4584cf853ecfc859194ab82ac0a682c75d53f2513507b1",
@@ -119,6 +121,8 @@ def write_inputs(work):
     (work / "z4.json").write_text(serialize_group_table(cyclic_group(4)))
     (work / "s3.json").write_text(serialize_group_table(symmetric_group(3)))
     (work / "z2.json").write_text(serialize_group_table(cyclic_group(2)))
+    (work / "z6.json").write_text(serialize_group_table(cyclic_group(6)))
+    (work / "z10.json").write_text(serialize_group_table(cyclic_group(10)))
     (work / "z40.json").write_text(serialize_group_table(cyclic_group(40)))
     k4_maps, k4_points = cover_maps(4, K4_EDGES)
     prism3_maps, _ = cover_maps(6, PRISM3_EDGES)
@@ -148,6 +152,9 @@ COMMANDS = [
     # a ball whose lamp masks do not fit in 32 bits
     ["wreath", "--q-table", "z40.json", "--b-table", "z40.json",
      "--proj", ",".join(map(str, range(40))), "--radius", "5", "--out", "wreath_z40_ball.json"],
+    # the benchmark's wreath graph: 10240 vertices of Z/10 wr Z/10
+    ["wreath", "--q-table", "z10.json", "--b-table", "z10.json",
+     "--proj", ",".join(map(str, range(10))), "--out", "wreath_z10.json"],
     ["lps", "--p", "13", "--q", "5", "--out", "lps.json"],
     # the benchmark's expander: 2184 vertices of PGL2(13)
     ["lps", "--p", "5", "--q", "13", "--out", "lps_5_13.json"],
@@ -158,6 +165,9 @@ COMMANDS = [
      "--proj", "0,1,2,3,4,5", "--out", "poincare_s3.json"],
     ["poincare", "--relative", "--q-table", "z3.json", "--b-table", "z3.json",
      "--proj", "0,1,2", "--trials", "6", "--seed", "5", "--out", "poincare_z3_trials.json"],
+    # the benchmark's replay: Z/6 wr Z/6, order 384
+    ["poincare", "--relative", "--q-table", "z6.json", "--b-table", "z6.json",
+     "--proj", "0,1,2,3,4,5", "--trials", "6", "--seed", "1", "--out", "poincare_z6_trials.json"],
     ["moduli", "family.json", "--out", "moduli.csv"],
     ["weakembed", "family.json", "--lipschitz", "1.0", "--out", "weakembed.json"],
     ["concentrate", "points.json", "--radius", "1.0", "--out", "concentrate.json"],

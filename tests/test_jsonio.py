@@ -151,10 +151,16 @@ class TestCanonicalWriter:
     """The template writer is held byte-equal to ``json.dumps``."""
 
     def test_scalars_and_containers(self):
+        # rows that compare equal but write different bytes: 1, true, 1.0; 0.0, -0.0
+        trap = [(1,), (True,), (1.0,), [1], (0.0,), (-0.0,), (1, True), (True, 1), (None,), ("1",)]
         for value in [
             {}, [], (), {"a": [], "b": {}, "c": ()}, [1, True, 1.0, None], [True, False],
             SPECIAL_FLOATS, [np.float64(x) for x in SPECIAL_FLOATS], 2**70, -0.0,
             {"\u00e9\x07": ["\u2713", 'q"\\', "\n\t"]}, ((1, 2), [], ((3,),)),
+            [(0, 2), (1,), (0, 2), (), (1,), [], (0, 2)], [[3, 4], (3, 4), [3, 4], (), [], (5,), [5]],
+            trap, trap * 3, [trap, trap, [trap]],
+            {"rows": [(q,) for q in range(5)] * 4 + [(1,), (True,), (1.0,)] * 2},
+            [(1, [2]), (1, [2]), (1, (2,)), [1, {"a": (1,)}], [1, {"a": (True,)}]],
         ]:
             assert canonical_json(value) == reference_json(value)
 

@@ -33,9 +33,11 @@ from coarselab.wreath import WreathGroup, x_subset
 
 from groups import cyclic_group, symmetric_group, wreath_mul
 from oracles import (
+    dense_cnd_spectrum,
     dense_form_matrix,
     dense_laplacian_lambda2,
     dense_poincare_constant,
+    kernel_matrix,
     naive_poincare_constant,
     naive_wreath_table,
     right_orbit,
@@ -582,6 +584,51 @@ def test_double_centring_decides_like_the_mean_zero_basis():
         expected = top <= 1e-8 * max(1.0, np.abs(vals).max())
         assert is_cnd(KernelFunction(G, vals), tol=1e-8) == expected
         verdicts.add(bool(expected))
+    assert verdicts == {True, False}
+
+
+def lamp_kernel_groups():
+    """Z/k wr Z/k for k = 2..6, S3 wr S3, and the sign quotient S3 -> Z/2."""
+    s3 = symmetric_group(3)
+    perms = sorted(itertools.permutations(range(3)))
+    sign = tuple(sum(a > b for a, b in itertools.combinations(p, 2)) % 2 for p in perms)
+    return [w_instance(k) for k in range(2, 7)] + [
+        WreathGroup(Q=s3, B=s3, proj=tuple(range(6))),
+        WreathGroup(Q=cyclic_group(2), B=s3, proj=sign),
+    ]
+
+
+def test_lamp_blocks_decide_like_the_mean_zero_basis():
+    """Random symmetric kernels, displacement kernels and displacement
+    kernels plus a symmetric perturbation of random size: the verdict on the lamp
+    character blocks is the verdict of the scipy mean-zero basis on the
+    whole group, and the block spectrum is the dense double-centred one."""
+    import scipy.linalg
+
+    import coarselab.poincare_lab as poincare_lab
+
+    rng = np.random.default_rng(53)
+    verdicts = set()
+    for trial, G in enumerate(lamp_kernel_groups() * 3):
+        table = resolve_group(G)
+        n = table.order
+        noise = rng.uniform(-0.3, 1.5, n)
+        noise = (noise + noise[table.inv]) / 2.0
+        f = rng.standard_normal((n, 2))
+        displacement = ((f[:, None, :] - f[table.mul_table]) ** 2).sum(axis=(0, 2))
+        displacement /= displacement.max()
+        vals = (noise, displacement, displacement + 10 ** rng.uniform(-3, 0) * noise)[trial % 3]
+        vals[table.identity] = 0.0
+        psi = KernelFunction(G, vals)
+        M = kernel_matrix(table, vals)
+        V = scipy.linalg.null_space(np.ones((1, n)))
+        top = scipy.linalg.eigvalsh(V.T @ ((M + M.T) / 2) @ V)[-1]
+        scale = max(1.0, np.abs(vals).max())
+        expected = top <= 1e-8 * scale
+        assert is_cnd(psi, tol=1e-8) == expected
+        verdicts.add(bool(expected))
+        blocks = np.sort(np.linalg.eigvalsh(poincare_lab._cnd_blocks(psi)), axis=None)
+        assert np.abs(blocks - dense_cnd_spectrum(psi)).max() <= 1e-9 * scale
     assert verdicts == {True, False}
 
 

@@ -4,6 +4,7 @@ import itertools
 import random
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from coarselab.errors import CapExceededError, InvalidInputError
@@ -13,11 +14,14 @@ from coarselab.wreath import (
     RelativeSubset,
     WreathElement,
     WreathGroup,
+    lamp_order,
+    lamp_support,
+    support_key,
     wreath_cayley,
     x_subset,
 )
 from groups import cyclic_group, symmetric_group, wreath_mul
-from oracles import degrees, edge_list, naive_wreath_cayley, wreath_inv
+from oracles import ball_elements, degrees, edge_list, naive_wreath_cayley, wreath_inv
 from paper_checks import subwreath_embed, verify_subgraph_embedding
 
 
@@ -183,7 +187,7 @@ def test_cayley_z2_is_an_eight_cycle():
     g = ball.graph
     assert ball.complete
     assert g.vertex_count == 8
-    assert len(ball.elements) == 8
+    assert len(ball_elements(w22(), ball)) == 8
     assert g.is_connected
     # two involutive generators: every vertex has degree 2, so a cycle
     assert degrees(g) == [2] * 8
@@ -202,8 +206,9 @@ def test_cayley_order_matches_bfs():
     for W in (w22(), w33()):
         ball = wreath_cayley(W)
         assert ball.complete
-        assert len(ball.elements) == W.order
-        assert len(set(ball.elements)) == W.order
+        elements = ball_elements(W, ball)
+        assert len(elements) == W.order
+        assert len(set(elements)) == W.order
 
 
 def test_radius_one_ball():
@@ -211,7 +216,7 @@ def test_radius_one_ball():
     assert not ball.complete
     assert ball.radius == 1
     assert ball.graph.vertex_count == 4
-    assert ball.elements[0] == w33().identity()
+    assert ball_elements(w33(), ball)[0] == w33().identity()
 
 
 def test_radius_zero_ball():
@@ -225,13 +230,13 @@ def test_ball_is_induced_subgraph_prefix():
     W = w33()
     full = wreath_cayley(W)
     ball = wreath_cayley(W, radius=1)
-    assert ball.elements == full.elements[:4]
+    assert ball_elements(W, ball) == ball_elements(W, full)[:4]
 
 
 def test_cayley_deterministic():
     a = wreath_cayley(w33())
     b = wreath_cayley(w33())
-    assert a.elements == b.elements
+    assert ball_elements(w33(), a) == ball_elements(w33(), b)
     assert list(edge_list(a.graph)) == list(edge_list(b.graph))
 
 
@@ -247,14 +252,14 @@ def test_cayley_vertex_annotations():
     assert len(ann["vertex_b_names"]) == 24
     assert ann["vertex_supports"][0] == ()
     assert ann["vertex_b_names"][0] == "0"
-    i = ball.elements.index(WreathElement(frozenset({0, 2}), 1))
+    i = ball_elements(w33(), ball).index(WreathElement(frozenset({0, 2}), 1))
     assert ann["vertex_supports"][i] == (0, 2)
     assert ann["vertex_b_names"][i] == "1"
 
 
 def test_index_of_missing_element():
     ball = wreath_cayley(w33(), radius=1)
-    assert WreathElement(frozenset({0, 1, 2}), 2) not in ball.elements
+    assert WreathElement(frozenset({0, 1, 2}), 2) not in ball_elements(w33(), ball)
 
 
 def test_generator_label_collision_rejected():
@@ -269,10 +274,11 @@ def test_vertex_transitive_by_left_translation():
     W = w33()
     ball = wreath_cayley(W)
     g = ball.graph
-    index = {x: i for i, x in enumerate(ball.elements)}
-    for a in ball.elements:
+    elements = ball_elements(W, ball)
+    index = {x: i for i, x in enumerate(elements)}
+    for a in elements:
         gm = {
-            i: index[wreath_mul(W, a, x)] for i, x in enumerate(ball.elements)
+            i: index[wreath_mul(W, a, x)] for i, x in enumerate(elements)
         }
         assert verify_subgraph_embedding(gm, g, g)
 
@@ -280,10 +286,11 @@ def test_vertex_transitive_by_left_translation():
 def test_edge_labels_encode_generators():
     W = w33()
     ball = wreath_cayley(W)
-    index = {x: i for i, x in enumerate(ball.elements)}
+    elements = ball_elements(W, ball)
+    index = {x: i for i, x in enumerate(elements)}
     t = WreathElement(frozenset(), 1)
     for u, v, lab in edge_list(ball.graph):
-        x, y = ball.elements[u], ball.elements[v]
+        x, y = elements[u], elements[v]
         if lab == DELTA_LABEL:
             assert wreath_mul(W, x, W.delta()) == y
         else:
@@ -369,13 +376,29 @@ def test_cayley_equals_the_group_law_walk():
         full = trial % 3 == 0
         W = random_wreath_group(rng, full)
         radius = None if full else rng.randrange(0, 6)
-        fast, slow = wreath_cayley(W, radius=radius), naive_wreath_cayley(W, radius=radius)
-        assert fast.elements == slow.elements
+        fast, (slow, slow_elements) = wreath_cayley(W, radius=radius), naive_wreath_cayley(W, radius=radius)
+        assert ball_elements(W, fast) == slow_elements
         assert list(edge_list(fast.graph)) == list(edge_list(slow.graph))
         assert fast.graph.annotations == slow.graph.annotations
         assert (fast.radius, fast.complete) == (slow.radius, slow.complete)
         wide_masks += W.Q.order >= 64
     assert wide_masks >= 5
+
+
+def test_support_key_orders_masks_like_lamp_support():
+    """The numpy support key sorts every mask of up to 12 lamps, and
+    masks of two 64-bit words, as ``sorted(key=lamp_support)`` does."""
+    for nq in range(1, 13):
+        masks = np.arange(1 << nq, dtype=np.uint64)[:, None]
+        assert lamp_order(masks).tolist() == sorted(range(1 << nq), key=lamp_support)
+    rng = random.Random(128)
+    wide = [rng.getrandbits(128) >> rng.randrange(129) for _ in range(600)]
+    wide += [0, 1, 1 << 63, 1 << 64, (1 << 64) + 1, 1 << 127, (1 << 128) - 1]
+    words = np.array([[m & ((1 << 64) - 1), m >> 64] for m in wide], dtype=np.uint64)
+    assert [wide[i] for i in lamp_order(words)] == sorted(wide, key=lamp_support)
+    assert [tuple(q for q in row if q >= 0) for row in support_key(words).tolist()] == list(
+        map(lamp_support, wide)
+    )
 
 
 # -- the subset X -----------------------------------------------------------
@@ -400,7 +423,7 @@ def test_right_multiplication_flips_one_lamp():
     # x.(delta_g, 1) flips exactly the lamp at proj(b).g, exhaustively
     W = w33()
     ball = wreath_cayley(W)
-    for x in ball.elements:
+    for x in ball_elements(W, ball):
         for g, d in enumerate(x_subset(W).elements):
             y = wreath_mul(W, x, d)
             assert y.b == x.b
@@ -441,9 +464,9 @@ def test_subwreath_z2_into_z6():
 
     g_small = wreath_cayley(small).graph
     big_ball = wreath_cayley(big)
-    index = {x: i for i, x in enumerate(big_ball.elements)}
+    index = {x: i for i, x in enumerate(ball_elements(big, big_ball))}
     gm = {
-        i: index[mapping[x]] for i, x in enumerate(wreath_cayley(small).elements)
+        i: index[mapping[x]] for i, x in enumerate(ball_elements(small, wreath_cayley(small)))
     }
     assert verify_subgraph_embedding(gm, g_small, big_ball.graph)
 
