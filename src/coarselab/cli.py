@@ -8,6 +8,11 @@ suppresses the summary, which is what makes shell pipelines work.
 
 Exit codes: 0 success, 2 invalid input, 3 a safety cap was exceeded,
 4 a mathematical verification failed (never an input problem).
+
+``run()`` is the process entry, for ``python -m coarselab.cli`` and the
+``coarselab`` console script alike: it freezes the import-time heap, then
+calls ``main()``.  Tests and in-process callers call ``main(argv)``, which
+leaves the garbage collector as it finds it.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
+import gc
 import math
 import sys
 from fractions import Fraction
@@ -740,5 +746,19 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> int:
+    """The process entry: ``main()`` on ``sys.argv`` with the import-time
+    heap frozen.
+
+    Importing numpy and the lab leaves about 22,000 objects tracked by the
+    garbage collector, and every full collection, the several at
+    interpreter exit included, rescans them all, 3 to 5 ms a time on one CPU.
+    ``gc.freeze()`` moves them to the permanent generation, which no
+    collection scans; flushes and atexit handlers still run as usual.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -44,6 +44,8 @@ def _load(data: Union[bytes, str]):
         return json.loads(data)
     except json.JSONDecodeError as e:
         raise InvalidInputError(f"not valid JSON: {e.msg} at line {e.lineno} column {e.colno}") from e
+    except RecursionError as e:
+        raise InvalidInputError("not valid JSON: nested too deeply") from e
 
 
 def _object(doc, where: str) -> dict:

@@ -112,9 +112,14 @@ def _graph_metric(g: LabeledGraph, role: str, x: np.ndarray, y: np.ndarray) -> n
 
 
 def _row_distances(pts: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Euclidean distance between the rows ``pts[x[k]]`` and ``pts[y[k]]``."""
-    diff = pts[x] - pts[y]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    """Euclidean distance between the rows ``pts[x[k]]`` and ``pts[y[k]]``;
+    a distance whose square overflows float64 is an input error."""
+    try:
+        with np.errstate(over="raise"):
+            diff = pts[x] - pts[y]
+            return np.sqrt(np.sum(diff * diff, axis=-1))
+    except FloatingPointError as e:
+        raise InvalidInputError("point distances overflow float64") from e
 
 
 def _pair_distances(entry: MapEntry) -> tuple[np.ndarray, np.ndarray]:

@@ -761,14 +761,19 @@ class TestExitCodes:
         assert "girth: 4" in out
 
 
+def source_env():
+    """This environment with the sources first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 def fresh_python(script, *args, cwd):
     """Run ``script`` in a new interpreter with the sources on its path;
     returns the JSON value it prints last on stderr."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", script, *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=source_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stderr.strip().splitlines()[-1])
@@ -797,6 +802,8 @@ def startup_inputs(tmp_path_factory):
     (work / "triangle.json").write_text(serialize_graph(build_graph(3, [(0, 1, "a"), (1, 2, "b"), (2, 0, "c")])))
     (work / "points.json").write_text(serialize_points(np.eye(3)))
     (work / "lps.json").write_text(serialize_graph(lps_graph(13, 5)[0]))
+    (work / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    (work / "far.json").write_text(serialize_points(np.array([[1e308], [-1e308]])))
     return work
 
 
@@ -860,6 +867,62 @@ class TestStartup:
         assert vertex_cap == 1 << 20
         assert "--cap CAP largest vertex count to enumerate (default 1048576)" in helps["wreath"]
         assert "--cap CAP largest vertex count to sweep (default 20)" in helps["cheeger"]
+
+
+#: Commands through the process entry, with the exit code each must give.
+PROCESS_EXITS = [
+    ("good", ["girth", "c6.json"], 0),
+    ("missing_input", ["girth", "absent.json"], 2),
+    ("deep_json", ["spectrum", "deep.json"], 2),
+    ("overflowing_points", ["concentrate", "far.json", "--radius", "1"], 2),
+    ("over_vertex_cap", ["cover", "k4.json", "--vertex-cap", "4"], 3),
+]
+
+#: Reports the freeze count a patched ``girth`` handler sees under
+#: ``cli.main`` and then under ``cli.run``, and the count after ``main``.
+FREEZE_PROBE = (
+    "import gc, json, sys\n"
+    "import coarselab.cli as cli\n"
+    "seen = []\n"
+    "def probe(args):\n"
+    "    seen.append(gc.get_freeze_count())\n"
+    "    return [], None\n"
+    "cli._cmd_girth = probe\n"
+    "assert cli.main(['girth']) == 0\n"
+    "after_main = gc.get_freeze_count()\n"
+    "sys.argv[1:] = ['girth']\n"
+    "assert cli.run() == 0\n"
+    "print(json.dumps([seen, after_main]), file=sys.stderr)\n"
+)
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("argv, code", [c[1:] for c in PROCESS_EXITS], ids=[c[0] for c in PROCESS_EXITS])
+    def test_exit_codes_through_python_m(self, startup_inputs, argv, code):
+        proc = subprocess.run(
+            [sys.executable, "-m", "coarselab.cli", *argv],
+            cwd=startup_inputs, env=source_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        if code:
+            assert proc.stdout == "" and proc.stderr.startswith("error:")
+        else:
+            assert proc.stderr == "" and "girth: 6" in proc.stdout
+
+    def test_run_freezes_the_import_heap_and_main_does_not(self, tmp_path):
+        seen, after_main = fresh_python(FREEZE_PROBE, cwd=tmp_path)
+        assert seen[0] == 0 and after_main == 0
+        assert seen[1] > 10_000
+
+    def test_the_console_script_is_the_process_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(SRC.parent / "pyproject.toml", "rb") as fh:
+            entry = tomllib.load(fh)["project"]["scripts"]["coarselab"]
+        assert entry == "coarselab.cli:run"
+        assert (SRC / "coarselab" / "cli.py").read_text().endswith(
+            'if __name__ == "__main__":\n    sys.exit(run())\n'
+        )
 
 
 def test_artifact_bytes_ignore_the_thread_count(tmp_path):

@@ -358,6 +358,11 @@ class TestGraphErrors:
         with pytest.raises(InvalidInputError, match="UTF-8"):
             parse_graph(b"\xff\xfe{}")
 
+    def test_nesting_deeper_than_the_decoder_is_invalid_input(self):
+        depth = 100_000
+        with pytest.raises(InvalidInputError, match="^not valid JSON: nested too deeply$"):
+            parse_graph("[" * depth + "]" * depth)
+
     def test_version_checked(self):
         doc = self.base()
         doc["format_version"] = "2"

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +414,22 @@ class TestBallConcentration:
             ball_concentration(np.array([[np.nan, 0.0]]), 1.0)
         with pytest.raises(InvalidInputError, match="nonnegative"):
             ball_concentration(np.zeros((2, 2)), -1.0)
+
+    @pytest.mark.parametrize("top", [1e308, 1e200], ids=["difference", "square"])
+    def test_overflowing_distances_are_invalid_input(self, top):
+        # every coordinate is finite, but the difference of the two points
+        # or its square is not; a warning raised as an error would escape
+        # as RuntimeWarning instead
+        pts = np.array([[top], [-top]])
+        family = MapFamily((MapEntry(np.array([[0.0, 1.0], [1.0, 0.0]]), pts, (0, 1)),) * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="^point distances overflow float64$"):
+                ball_concentration(pts, 1.0)
+            with pytest.raises(InvalidInputError, match="^point distances overflow float64$"):
+                compression_moduli(family)
+            with pytest.raises(InvalidInputError, match="^point distances overflow float64$"):
+                is_weak_embedding(family, 1.0)
 
 
 # -- agreement with the per-pair loops ---------------------------------------------
