@@ -433,7 +433,7 @@ def _cmd_poincare(args):
         raise InvalidInputError("only the relative inequality is implemented; pass --relative")
     W = _wreath_group(args)
     if args.trials:
-        poincare_lab.check_replay(args.trials, args.seed)
+        poincare_lab.check_replay(W, args.trials, args.seed)
     result = poincare_lab.relative_poincare_constant(W)
     doc = {
         "format_version": jsonio.FORMAT_VERSION,
@@ -450,8 +450,7 @@ def _cmd_poincare(args):
     ]
     if args.trials:
         report = poincare_lab.verify_relative_inequality(
-            W, None, None, result.constant, trials=args.trials, seed=args.seed,
-            witness=result.witness,
+            W, result.constant, result.witness, trials=args.trials, seed=args.seed
         )
         doc["verification"] = report.to_json_dict()
         lines.append(

@@ -71,21 +71,19 @@ class FiniteGroupTable:
         self.mul_table = table
 
         idx = np.arange(n)
-        identity = None
-        for e in range(n):
-            if np.array_equal(table[e], idx) and np.array_equal(table[:, e], idx):
-                identity = e
-                break
-        if identity is None:
+        # a row equal to idx has 0 in column 0
+        cand = np.flatnonzero(table[:, 0] == 0)
+        units = cand[(table[cand] == idx).all(axis=1) & (table[:, cand] == idx[:, None]).all(axis=0)]
+        if units.size == 0:
             raise InvalidInputError("table has no two-sided identity")
-        self.identity = identity
+        identity = self.identity = int(units[0])
 
-        inv = np.full(n, -1, dtype=np.int64)
-        for x in range(n):
-            hits = np.flatnonzero(table[x] == identity)
-            if hits.size != 1 or table[hits[0], x] != identity:
-                raise InvalidInputError(f"element {x} lacks a unique two-sided inverse")
-            inv[x] = hits[0]
+        # x is bad unless its row holds the identity once, at y with yx = 1
+        hits = table == identity
+        inv = hits.argmax(axis=1)
+        bad = np.flatnonzero((hits.sum(axis=1) != 1) | (table[inv, idx] != identity))
+        if bad.size:
+            raise InvalidInputError(f"element {bad[0]} lacks a unique two-sided inverse")
         self.inv = inv
 
         gens = tuple(dict.fromkeys(int(s) for s in generators))
@@ -127,12 +125,9 @@ class FiniteGroupTable:
                     raise InvalidInputError("multiplication table is not associative")
         else:
             rng = random.Random(12345)
-            for _ in range(1000):
-                a = rng.randrange(n)
-                b = rng.randrange(n)
-                c = rng.randrange(n)
-                if table[table[a, b], c] != table[a, table[b, c]]:
-                    raise InvalidInputError("multiplication table is not associative")
+            a, b, c = np.array([rng.randrange(n) for _ in range(3000)]).reshape(1000, 3).T
+            if (table[table[a, b], c] != table[a, table[b, c]]).any():
+                raise InvalidInputError("multiplication table is not associative")
 
     # -- accessors ---------------------------------------------------------
 

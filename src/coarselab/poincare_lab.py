@@ -1,9 +1,10 @@
 """Quadratic forms on finite groups, the optimal relative Poincare
 constant, and conditionally negative definite kernels.
 
-The central object is the pair of energy forms attached to a finite
-group W with a distinguished subset X and a symmetric generating set
-Sigma:
+The central object is the pair of energy forms attached to a wreath
+group W = Z/2 wr_Q B, with W's own symmetric generating set Sigma (the
+lamp flip delta, then the generators of B) and its own subset X (the
+|Q| single-lamp flips delta_q, q in Q):
 
     lhs(f) = (1/|X|) * sum over (x, y) in W x X of ||f(x) - f(xy)||^2
     rhs(f) =           sum over (x, s) in W x Sigma of ||f(x) - f(xs)||^2
@@ -12,12 +13,12 @@ The optimal constant C with lhs <= C * rhs for every Hilbert-valued f
 is computed exactly as a generalized eigenvalue: both forms decouple
 coordinatewise, so the vector-valued supremum equals the scalar one,
 and on the orthogonal complement of the constants the rhs form is
-positive definite whenever Sigma generates.
+positive definite, since Sigma generates W.
 
-For a wreath group Z/2 wr_Q B the forms are solved per lamp character
-(see :func:`relative_poincare_constant`), reading only the Q and B
-tables.  Elements are numbered as in :func:`wreath_indexed_group`:
-sorted by (sorted lamp support, base element index), so element
+The forms are solved per lamp character (see
+:func:`relative_poincare_constant`), reading only the Q and B tables.
+Elements are numbered as in :func:`wreath_indexed_group`: sorted by
+(sorted lamp support, base element index), so element
 ``rank[mask] * |B| + b`` is (mask, b), bit q of ``mask`` set iff lamp q
 is lit.  The kernels of the randomized replay still read the indexed
 table of the group; their CND test splits them over lamp characters
@@ -32,19 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import (
-    CapExceededError,
-    DisconnectedGraphError,
-    InvalidInputError,
-    VerificationError,
-)
+from .errors import CapExceededError, InvalidInputError, VerificationError
 from .expander_zoo import FiniteGroupTable
-from .graph_core import component_roots
-from .wreath import RelativeSubset, WreathElement, WreathGroup, lamp_order, lamp_support, x_subset
+from .wreath import WreathGroup, lamp_order, lamp_support
 
 #: largest group order whose indexed table is built (kernels and replay)
 POINCARE_ORDER_CAP = 2048
@@ -81,13 +76,20 @@ def _lamp_shifts(Q: FiniteGroupTable, mask: int) -> np.ndarray:
     return np.bitwise_or.reduce(1 << Q.mul_table[:, list(lamp_support(mask))], axis=1)
 
 
+def _check_table_cap(W: WreathGroup) -> None:
+    if W.order > POINCARE_ORDER_CAP:
+        raise CapExceededError(
+            f"wreath group of order {W.order} exceeds the table cap {POINCARE_ORDER_CAP}"
+        )
+
+
 @lru_cache(maxsize=16)
-def wreath_indexed_group(W: WreathGroup) -> tuple[FiniteGroupTable, tuple[WreathElement, ...]]:
+def wreath_indexed_group(W: WreathGroup) -> FiniteGroupTable:
     """Enumerate a WreathGroup into a FiniteGroupTable.
 
     Elements are sorted by (sorted support, base index), so position 0
-    is the identity.  The table's generator set is delta followed by
-    the base-group generators, and element names read ``support|b``.
+    is the identity, and the table's generator set is Sigma (see
+    :func:`_form_members`).
 
     The table is computed on integer codes: element
     ``rank[mask] * |B| + b`` is (mask, b).  The group law of
@@ -95,98 +97,47 @@ def wreath_indexed_group(W: WreathGroup) -> tuple[FiniteGroupTable, tuple[Wreath
     ``(m1, b1)(m2, b2) = (m1 ^ shifted[proj[b1], m2], b1 b2)``, which
     is computed for all pairs at once.
     """
-    if W.order > POINCARE_ORDER_CAP:
-        raise CapExceededError(
-            f"wreath group of order {W.order} exceeds the table cap {POINCARE_ORDER_CAP}"
-        )
+    _check_table_cap(W)
     nq, nb = W.Q.order, W.B.order
     masks, rank = _lamp_order(nq)
-    supports = [lamp_support(m) for m in masks.tolist()]
     # shifted[s, m]: the support m moved by left multiplication with s
     bits = np.arange(masks.size)[None, :] >> np.arange(nq)[:, None] & 1
     shifted = np.bitwise_or.reduce(bits[None] << W.Q.mul_table[:, :, None], axis=1)
-    # code[i, b1, j]: lamp part of (supports[i], b1)(supports[j], -) as rank * |B|
+    # code[i, b1, j]: lamp part of (masks[i], b1)(masks[j], -) as rank * |B|
     code = rank[masks[:, None, None] ^ shifted[np.asarray(W.proj)][:, masks][None]] * nb
     mul = (code[:, :, :, None] + W.B.mul_table[None, :, None, :]).reshape(W.order, W.order)
-    elems = tuple(WreathElement(frozenset(s), b) for s in supports for b in range(nb))
-    names = ["{" + ",".join(map(str, s)) + "}|" + W.B.name(b) for s in supports for b in range(nb)]
-    gens = tuple(int(rank[sum(1 << q for q in g.config)]) * nb + g.b for g in W.generators)
-    table = FiniteGroupTable(mul, generators=gens, element_names=names)
-    return table, elems
+    return FiniteGroupTable(mul, generators=_form_members(W)[0])
 
 
-def _wreath_index(W: WreathGroup, x: WreathElement) -> int:
-    nq, nb = W.Q.order, W.B.order
-    if not (0 <= x.b < nb) or any(not (0 <= q < nq) for q in x.config):
-        raise InvalidInputError(f"{x} is not an element of the group")
-    return int(_lamp_order(nq)[1][sum(1 << q for q in x.config)]) * nb + x.b
-
-
-def subset_indices(group: GroupLike, members) -> tuple[int, ...]:
-    """Element indices of the given members (element indices, wreath
-    elements, or a RelativeSubset), in the order of the indexed table."""
-    if isinstance(members, RelativeSubset):
-        members = members.elements
-    n = _order(group)
-    out = []
-    for m in members:
-        if isinstance(m, WreathElement):
-            if not isinstance(group, WreathGroup):
-                raise InvalidInputError("wreath elements given for a plain table group")
-            out.append(_wreath_index(group, m))
-        elif isinstance(m, (int, np.integer)):
-            if not (0 <= int(m) < n):
-                raise InvalidInputError(f"element index {m} out of range")
-            out.append(int(m))
-        else:
-            raise InvalidInputError(f"subset member {m!r} is not a group element")
-    if not out:
-        raise InvalidInputError("subset is empty")
-    return tuple(out)
-
-
-def _default_sigma(group: GroupLike):
-    if not group.generators:
-        raise InvalidInputError("group table carries no generating set")
-    return group.generators
-
-
-def _default_x(group: GroupLike):
-    if isinstance(group, WreathGroup):
-        return x_subset(group)
-    raise InvalidInputError("an explicit X subset is required for a table group")
+def _form_members(W: WreathGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Element indices of Sigma, delta then the generators of B, and of
+    X, delta_q for q in Q in order: element ``rank[mask] * |B| + b`` is
+    (mask, b), and the empty mask is element 0."""
+    if not isinstance(W, WreathGroup):
+        raise InvalidInputError("the relative forms are defined on wreath groups only")
+    nb, e = W.B.order, W.B.identity
+    rank = _lamp_order(W.Q.order)[1]
+    sigma = (int(rank[1 << W.Q.identity]) * nb + e, *W.B.generators)
+    return sigma, tuple(int(rank[1 << q]) * nb + e for q in range(W.Q.order))
 
 
 def resolve_group(group: GroupLike) -> FiniteGroupTable:
     """The canonical indexed multiplication table of a group given
     either as a table or as a wreath product."""
     if isinstance(group, WreathGroup):
-        return wreath_indexed_group(group)[0]
+        return wreath_indexed_group(group)
     if isinstance(group, FiniteGroupTable):
         return group
     raise InvalidInputError(f"not a group object: {type(group).__name__}")
 
 
-def _canonical_subsets(group: GroupLike, sigma, x_set):
-    """Index forms of Sigma (default: stored generators) and X (default:
-    the single-lamp subset of a wreath group)."""
-    if sigma is None:
-        sigma = _default_sigma(group)
-    if x_set is None:
-        x_set = _default_x(group)
-    return subset_indices(group, sigma), subset_indices(group, x_set)
-
-
-def _right_translation(group: GroupLike, y: int) -> np.ndarray:
-    """The permutation x -> index of x y.  A wreath group reads it from
-    lamp codes, (m, b)(m_y, b_y) = (m ^ shift(proj b, m_y), b b_y), with
-    no table."""
-    if isinstance(group, FiniteGroupTable):
-        return group.mul_table[:, y]
-    nb = group.B.order
-    masks, rank = _lamp_order(group.Q.order)
-    lamp = _lamp_shifts(group.Q, int(masks[y // nb]))[np.asarray(group.proj)]
-    perm = rank[masks[:, None] ^ lamp[None, :]] * nb + group.B.mul_table[:, y % nb][None, :]
+def _right_translation(W: WreathGroup, y: int) -> np.ndarray:
+    """The permutation x -> index of x y, read from lamp codes with no
+    table: (m, b)(m_y, b_y) = (m ^ shift(proj b, m_y), b b_y)."""
+    nb = W.B.order
+    masks, rank = _lamp_order(W.Q.order)
+    lamp = _lamp_shifts(W.Q, int(masks[y // nb]))[np.asarray(W.proj)]
+    perm = rank[masks[:, None] ^ lamp[None, :]] * nb + W.B.mul_table[:, y % nb][None, :]
     return perm.reshape(-1)
 
 
@@ -244,39 +195,28 @@ def _order(group: GroupLike) -> int:
     raise InvalidInputError(f"not a group object: {type(group).__name__}")
 
 
-def _function_on(group: GroupLike, f: GroupFunction) -> np.ndarray:
-    if f.values.shape[0] != _order(group):
-        raise InvalidInputError("function and group dimensions do not match")
-    return f.values
-
-
 # -- the two energy forms ----------------------------------------------------
 
 
-def _displacement_sum(group: GroupLike, vals: np.ndarray, members) -> float:
+def _displacement_sum(W: WreathGroup, vals: np.ndarray, members) -> float:
     total = 0.0
     for y in members:
-        diff = vals - vals[_right_translation(group, y)]
+        diff = vals - vals[_right_translation(W, y)]
         total += float(np.sum(diff * diff))
     return total
 
 
-def relative_form_lhs(group: GroupLike, x_set, f: GroupFunction) -> float:
-    """(1/|X|) * sum over (x, y) in W x X of ||f(x) - f(xy)||^2."""
-    vals = _function_on(group, f)
-    members = subset_indices(group, _default_x(group) if x_set is None else x_set)
-    return _displacement_sum(group, vals, members) / len(members)
+def relative_form_lhs(f: GroupFunction) -> float:
+    """(1/|X|) * sum over (x, y) in W x X of ||f(x) - f(xy)||^2, W the
+    wreath group of f."""
+    x_idx = _form_members(f.group)[1]
+    return _displacement_sum(f.group, f.values, x_idx) / len(x_idx)
 
 
-def relative_form_rhs(group: GroupLike, sigma, f: GroupFunction) -> float:
-    """Sum over (x, s) in W x Sigma of ||f(x) - f(xs)||^2.
-
-    Sigma is used exactly as given: s and s^-1 are counted separately
-    when both are listed, and no normalization is applied.
-    """
-    vals = _function_on(group, f)
-    members = subset_indices(group, _default_sigma(group) if sigma is None else sigma)
-    return _displacement_sum(group, vals, members)
+def relative_form_rhs(f: GroupFunction) -> float:
+    """Sum over (x, s) in W x Sigma of ||f(x) - f(xs)||^2, W the wreath
+    group of f, with no normalization."""
+    return _displacement_sum(f.group, f.values, _form_members(f.group)[0])
 
 
 def _character_blocks(W: WreathGroup, members) -> np.ndarray:
@@ -317,7 +257,7 @@ class PoincareResult:
     rhs_form: np.ndarray
 
 
-def relative_poincare_constant(group: WreathGroup, sigma=None, x_set=None) -> PoincareResult:
+def relative_poincare_constant(group: WreathGroup) -> PoincareResult:
     """The minimal C with lhs(f) <= C * rhs(f) for every f into any
     Hilbert space, on a wreath group Z/2 wr_Q B.
 
@@ -338,6 +278,12 @@ def relative_poincare_constant(group: WreathGroup, sigma=None, x_set=None) -> Po
     first entry above EIG_TOL made positive, lifted to chi_S(m) g(b) with
     unit norm.  It is re-evaluated through the public form operations and
     must reproduce the constant to 1e-9.
+
+    Sigma connects W, so the rhs form is positive definite off the
+    constants: B's generators reach all of B (FiniteGroupTable checks
+    it); proj is surjective (WreathGroup checks it); and conjugating
+    delta by (empty, b) flips the lamp at proj(b), so Sigma reaches every
+    lamp too.
     """
     if not isinstance(group, WreathGroup):
         raise InvalidInputError(
@@ -349,16 +295,7 @@ def relative_poincare_constant(group: WreathGroup, sigma=None, x_set=None) -> Po
         raise CapExceededError(
             f"character blocks of {storage} entries exceed the block cap {POINCARE_BLOCK_CAP}"
         )
-    sigma_idx, x_idx = _canonical_subsets(group, sigma, x_set)
-    # the generating set connects the group when every element is in the
-    # component of element 0 over the darts x -> x y, y in sigma
-    steps = np.stack([_right_translation(group, y) for y in sigma_idx])
-    order = steps.shape[1]
-    if component_roots(np.tile(np.arange(order), len(steps)), steps.reshape(-1), order).any():
-        raise DisconnectedGraphError(
-            "the generating set does not connect the group; the rhs form is degenerate"
-        )
-
+    sigma_idx, x_idx = _form_members(group)
     A = _character_blocks(group, x_idx) / len(x_idx)
     B = _character_blocks(group, sigma_idx)
     J = np.full((nb, nb), 1.0 / nb)
@@ -384,8 +321,8 @@ def relative_poincare_constant(group: WreathGroup, sigma=None, x_set=None) -> Po
 
     if abs(float(u.sum())) > 1e-9 * math.sqrt(u.size):
         raise VerificationError("witness is not orthogonal to constants")
-    lhs = relative_form_lhs(group, x_idx, witness)
-    rhs = relative_form_rhs(group, sigma_idx, witness)
+    lhs = relative_form_lhs(witness)
+    rhs = relative_form_rhs(witness)
     if abs(lhs - constant * rhs) > EIG_TOL * max(1.0, rhs):
         raise VerificationError(
             f"witness reproduces {lhs / rhs if rhs else math.nan:.12g}, "
@@ -461,7 +398,7 @@ def is_cnd(psi: KernelFunction, tol: float = EIG_TOL) -> bool:
     return top <= tol * scale
 
 
-def cnd_from_function(group: GroupLike, f: GroupFunction) -> KernelFunction:
+def cnd_from_function(f: GroupFunction) -> KernelFunction:
     """The kernel psi(w) = sum over x of ||f(x) - f(xw)||^2.
 
     This is the squared displacement of f under the right regular
@@ -469,8 +406,8 @@ def cnd_from_function(group: GroupLike, f: GroupFunction) -> KernelFunction:
     verified by is_cnd before it is returned.  The translates f(. w) are
     gathered for as many w at once as GATHER_CAP entries allow.
     """
-    table = resolve_group(group)
-    vals = _function_on(group, f)
+    table = resolve_group(f.group)
+    vals = f.values
     n = table.order
     right = table.mul_table.T  # right[w] is x -> x w
     psi = np.empty(n)
@@ -479,7 +416,7 @@ def cnd_from_function(group: GroupLike, f: GroupFunction) -> KernelFunction:
         diff = np.subtract(vals[np.newaxis], vals[right[w : w + step]], order="C")
         # one contiguous row per w sums in the order of the per-w loop
         psi[w : w + step] = np.sum((diff * diff).reshape(-1, vals.size), axis=1)
-    kern = KernelFunction(group, psi)
+    kern = KernelFunction(f.group, psi)
     if not is_cnd(kern, tol=1e-8):
         raise VerificationError("displacement kernel failed the negativity test")
     return kern
@@ -514,44 +451,40 @@ class RelativeInequalityReport:
         return asdict(self)
 
 
-def check_replay(trials: int, seed: int) -> None:
-    """Reject a replay that :func:`verify_relative_inequality` cannot run."""
+def check_replay(W: WreathGroup, trials: int, seed: int) -> None:
+    """Reject a replay that :func:`verify_relative_inequality` cannot run:
+    negative trials or seed, or a group above the table cap."""
     if trials < 0:
         raise InvalidInputError(f"trials must be nonnegative, got {trials}")
     if seed < 0:
         raise InvalidInputError(f"seed must be nonnegative, got {seed}")
+    _check_table_cap(W)
 
 
 def verify_relative_inequality(
-    group: GroupLike,
-    sigma,
-    x_set,
+    W: WreathGroup,
     constant: float,
+    witness: GroupFunction,
     trials: int = 200,
     seed: int = 0,
-    witness: Optional[GroupFunction] = None,
 ) -> RelativeInequalityReport:
     """Replay the inequality on random functions.
 
     Probes are a constant function (reported degenerate, its ratio is
-    0/0), the indicator of the identity, the eigensolver
-    witness (``witness`` when the caller already holds it, else solved
-    for here), and ``trials`` random functions of dimension cycling
+    0/0), the indicator of the identity (element 0), the eigensolver
+    ``witness``, and ``trials`` random functions of dimension cycling
     through 1, 2, 3.  For each probe the displacement kernel is also
     formed and the sup-over-X / sup-over-Sigma ratio recorded.
     """
     if not (constant > 0):
         raise InvalidInputError("the constant must be positive")
-    check_replay(trials, seed)
-    table = resolve_group(group)
-    n = table.order
-    sigma_idx, x_idx = _canonical_subsets(group, sigma, x_set)
+    sigma_idx, x_idx = _form_members(W)
+    check_replay(W, trials, seed)
+    n = W.order
 
     probes: list[np.ndarray] = [np.ones((n, 1)), np.zeros((n, 1))]
-    probes[1][table.identity, 0] = 1.0
-    if witness is None:
-        witness = relative_poincare_constant(group, sigma_idx, x_idx).witness
-    probes.append(_function_on(group, witness))
+    probes[1][0, 0] = 1.0
+    probes.append(witness.values)
     rng = np.random.default_rng(seed)
     for k in range(trials):
         probes.append(rng.standard_normal((n, 1 + k % 3)))
@@ -560,9 +493,9 @@ def verify_relative_inequality(
     worst_ratio = 0.0
     worst_sup = 0.0
     for raw in probes:
-        f = GroupFunction(group, raw)
-        lhs = relative_form_lhs(group, x_idx, f)
-        rhs = relative_form_rhs(group, sigma_idx, f)
+        f = GroupFunction(W, raw)
+        lhs = relative_form_lhs(f)
+        rhs = relative_form_rhs(f)
         slack = EIG_TOL * max(1.0, rhs)
         if rhs <= slack:
             degenerate += 1
@@ -571,7 +504,7 @@ def verify_relative_inequality(
         worst_ratio = max(worst_ratio, lhs / rhs)
         if lhs > constant * rhs + slack:
             violations += 1
-        psi = cnd_from_function(group, f).values
+        psi = cnd_from_function(f).values
         sup_x = float(psi[list(x_idx)].max())
         sup_sigma = float(psi[list(sigma_idx)].max())
         if sup_sigma > slack:

@@ -271,19 +271,3 @@ def wreath_cayley(
     )
     return WreathBall(graph=graph, radius=radius, complete=complete)
 
-
-# -- the relative subset X --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RelativeSubset:
-    """The |Q| single-lamp involutions (delta_g, 1_B), ordered by g."""
-
-    elements: tuple[WreathElement, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def x_subset(W: WreathGroup) -> RelativeSubset:
-    return RelativeSubset(tuple(W.delta(g) for g in range(W.Q.order)))

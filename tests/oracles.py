@@ -330,6 +330,56 @@ def right_orbit(steps: np.ndarray, start: int) -> np.ndarray:
     return seen
 
 
+def naive_table_error(mul, generators=()) -> Optional[str]:
+    """The message FiniteGroupTable raises on a square table of entries
+    in 0..n-1, or None, by its checks in their order, the identity, the
+    inverses and the random associativity triples element by element:
+    the identity is the first e whose row and column are 0..n-1; each x
+    needs one y in its row with xy = 1, and then yx = 1; above order 256
+    the triples are drawn a, b, c from random.Random(12345)."""
+    import random
+
+    table = np.asarray(mul, dtype=np.int64)
+    n = len(table)
+    idx = np.arange(n)
+    identity = next(
+        (e for e in range(n) if np.array_equal(table[e], idx) and np.array_equal(table[:, e], idx)),
+        None,
+    )
+    if identity is None:
+        return "table has no two-sided identity"
+    inv = []
+    for x in range(n):
+        hits = np.flatnonzero(table[x] == identity)
+        if hits.size != 1 or table[hits[0], x] != identity:
+            return f"element {x} lacks a unique two-sided inverse"
+        inv.append(int(hits[0]))
+    gens = tuple(dict.fromkeys(int(s) for s in generators))
+    for s in gens:
+        if not (0 <= s < n):
+            return "generator index out of range"
+        if s == identity:
+            return "identity is not allowed as a generator"
+        if inv[s] not in gens:
+            return f"generator set not closed under inverse (element {s})"
+    if n <= 256:
+        if any(not np.array_equal(table[table[:, s]], table[:, table[s]]) for s in gens or range(n)):
+            return "multiplication table is not associative"
+    else:
+        rng = random.Random(12345)
+        for _ in range(1000):
+            a = rng.randrange(n)
+            b = rng.randrange(n)
+            c = rng.randrange(n)
+            if table[table[a, b], c] != table[a, table[b, c]]:
+                return "multiplication table is not associative"
+    if gens:
+        reached = int(np.count_nonzero(right_orbit(table[:, list(gens)].T, identity)))
+        if reached != n:
+            return f"generators only reach {reached} of {n} elements"
+    return None
+
+
 def naive_is_bipartite(g: LabeledGraph) -> bool:
     """Try every 2-coloring; a loop makes every coloring fail."""
     edges = [(u, v) for u, v, _ in edge_list(g)]
@@ -713,13 +763,11 @@ def _wreath_key(x):
     return (tuple(sorted(x.config)), x.b)
 
 
-def naive_wreath_table(W):
-    """Multiplication table over the sorted element list, by direct
-    evaluation of the group law."""
+def wreath_elements(W):
+    """Every element of W, sorted by support, then B-index."""
     from coarselab.wreath import WreathElement
-    from groups import wreath_mul
 
-    elems = sorted(
+    return sorted(
         (
             WreathElement(frozenset(q for q in range(W.Q.order) if m >> q & 1), b)
             for m in range(1 << W.Q.order)
@@ -727,6 +775,14 @@ def naive_wreath_table(W):
         ),
         key=_wreath_key,
     )
+
+
+def naive_wreath_table(W):
+    """Multiplication table over the sorted element list, by direct
+    evaluation of the group law."""
+    from groups import wreath_mul
+
+    elems = wreath_elements(W)
     index = {x: i for i, x in enumerate(elems)}
     mul = [[index[wreath_mul(W, x, y)] for y in elems] for x in elems]
     return elems, index, mul

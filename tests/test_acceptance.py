@@ -36,15 +36,11 @@ from coarselab.poincare_lab import (
     is_cnd,
     relative_form_lhs,
     relative_form_rhs,
+    _form_members,
     relative_poincare_constant,
     resolve_group,
-    subset_indices,
 )
-from coarselab.wreath import (
-    WreathGroup,
-    wreath_cayley,
-    x_subset,
-)
+from coarselab.wreath import WreathGroup, wreath_cayley
 
 from groups import cyclic_group, serialize_group_table, wreath_mul
 from oracles import (
@@ -184,8 +180,8 @@ def test_criterion_4_wreath_arithmetic():
     assert ball.complete
     assert ball.graph.vertex_count == 2 ** 3 * 3 == 24
     assert degrees(ball.graph) == [3] * 24
-    for d in x_subset(W).elements:
-        assert wreath_mul(W, d, d) == W.identity()
+    for q in range(W.Q.order):
+        assert wreath_mul(W, W.delta(q), W.delta(q)) == W.identity()
     _, _, mul = naive_wreath_table(W)
     table = np.array(mul)
     # left[a, b, c] = (ab)c, right[a, b, c] = a(bc); all 24^3 triples
@@ -217,7 +213,7 @@ def test_criterion_5_relative_poincare():
         result = relative_poincare_constant(W)
         order = resolve_group(W).order
         _, index, mul = naive_wreath_table(W)
-        x_members = [index[d] for d in x_subset(W).elements]
+        x_members = [index[W.delta(q)] for q in range(W.Q.order)]
         sigma = [index[s] for s in W.generators]
         oracle = naive_poincare_constant(mul, x_members, sigma, samples=100000, seed=0)
         assert oracle <= result.constant + 1e-9
@@ -226,12 +222,12 @@ def test_criterion_5_relative_poincare():
         rng = np.random.default_rng(500 + n)
         for _ in range(1000):
             f = GroupFunction(W, rng.standard_normal((order, 3)))
-            lhs = relative_form_lhs(W, None, f)
-            rhs = relative_form_rhs(W, None, f)
+            lhs = relative_form_lhs(f)
+            rhs = relative_form_rhs(f)
             assert lhs <= result.constant * rhs + 1e-9 * max(1.0, rhs)
 
-        wl = relative_form_lhs(W, None, result.witness)
-        wr = relative_form_rhs(W, None, result.witness)
+        wl = relative_form_lhs(result.witness)
+        wr = relative_form_rhs(result.witness)
         assert wl > (result.constant / 2.0) * wr
 
     # constant trend over desk instances; boundedness is out of reach
@@ -279,7 +275,7 @@ def test_criterion_6_schoenberg_machinery():
         for trial in range(20):
             G = cyclic_group(4 + trial % 5)
             f = GroupFunction(G, nrng.standard_normal(G.order))
-            psi = cnd_from_function(G, f).values
+            psi = cnd_from_function(f).values
             sup_v = max(psi[s] for s in G.generators)
             if sup_v <= 1e-12:
                 continue
@@ -304,7 +300,7 @@ def test_criterion_7_corollary_replay():
     sigma_size = len(W.generators)
     radius = math.sqrt(2.0 * constant * sigma_size)
     table = resolve_group(W)
-    members = subset_indices(W, x_subset(W))
+    members = _form_members(W)[1]
     rng = np.random.default_rng(20260814)
     for _ in range(100):
         raw = rng.standard_normal((table.order, 3))

@@ -520,6 +520,28 @@ class TestGroupCommands:
         assert code == 2
         assert captured.out == "" and captured.err.startswith("error:")
 
+    def test_poincare_replay_above_the_table_cap_exits_before_the_solve(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import coarselab.poincare_lab as poincare_lab
+
+        def solve(*args, **kwargs):
+            raise AssertionError("the constant was solved before the table cap was checked")
+
+        monkeypatch.setattr(poincare_lab, "relative_poincare_constant", solve)
+        z9 = tmp_path / "z9.json"
+        z9.write_text(serialize_group_table(cyclic_group(9)))
+        out_path = tmp_path / "poincare.json"
+        code = cli.main(
+            ["poincare", "--relative", "--q-table", str(z9), "--b-table", str(z9),
+             "--proj", ",".join(map(str, range(9))), "--trials", "2", "--seed", "1",
+             "--out", str(out_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "wreath group of order 4608 exceeds the table cap 2048" in captured.err
+        assert captured.out == "" and not out_path.exists()
+
     def test_poincare_replay_solves_once(self, capsys, tmp_path, monkeypatch):
         import coarselab.poincare_lab as poincare_lab
 

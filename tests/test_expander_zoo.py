@@ -23,7 +23,7 @@ from coarselab.expander_zoo import (
 from coarselab.graph_core import adjacency_spectrum, build_graph, diameter, girth, two_coloring
 
 from groups import cyclic_group, symmetric_group
-from oracles import degrees, edge_list, naive_pgl2_mul_table, right_orbit
+from oracles import degrees, edge_list, naive_pgl2_mul_table, naive_table_error, right_orbit
 
 
 def is_regular(g):
@@ -97,6 +97,60 @@ class TestFiniteGroupTable:
         mul = [[2 * loop[x >> 1][y >> 1] + ((x ^ y) & 1) for y in range(10)] for x in range(10)]
         with pytest.raises(InvalidInputError, match="not associative"):
             FiniteGroupTable(mul, [1, 2, 4])
+
+    @pytest.mark.parametrize("order", [12, 24, 300, 384])
+    def test_checks_fail_like_the_loop_oracle(self, order):
+        """Seeded corruptions of a group table, relabelled so the identity
+        moves: the constructor passes or fails with the message of the
+        per-element loops, and finds the same identity and inverses."""
+        from coarselab.poincare_lab import resolve_group
+        from coarselab.wreath import WreathGroup
+
+        z6 = cyclic_group(6)
+        base = {
+            12: cyclic_group(12, generators=(1, 4)),
+            24: symmetric_group(4),
+            300: cyclic_group(300, generators=(1, 7)),
+            384: resolve_group(WreathGroup(Q=z6, B=z6, proj=tuple(range(6)))),
+        }[order]
+        rng = np.random.default_rng(order)
+        seen = set()
+        for trial in range(48):
+            perm = rng.permutation(order)
+            mul = np.empty_like(base.mul_table)
+            mul[np.ix_(perm, perm)] = perm[base.mul_table]
+            gens = [int(perm[s]) for s in base.generators]
+            x, y = rng.integers(order, size=2)
+            kind = trial % 6
+            if kind == 1:  # a few products overwritten
+                k = rng.integers(1, 4)
+                mul[rng.integers(order, size=k), rng.integers(order, size=k)] = rng.integers(order, size=k)
+            elif kind == 2:  # a second identity in a row
+                mul[x, y] = perm[0]
+            elif kind == 3:  # two rows exchanged
+                mul[[x, y]] = mul[[y, x]]
+            elif kind == 4:  # rows scrambled off the identity's column
+                for r in rng.choice(np.flatnonzero(perm != perm[0]), size=6, replace=False):
+                    keep = mul[r] == perm[0]
+                    cols = np.flatnonzero((np.arange(order) != perm[0]) & ~keep)
+                    mul[r, cols] = mul[r, rng.permutation(cols)]
+            elif kind == 5:  # a generator not closed under inverse
+                gens = gens[:1]
+            want = naive_table_error(mul, gens)
+            seen.add(want.split(" ")[0] if want else None)
+            if want is None:
+                table = FiniteGroupTable(mul, gens)
+                idx = np.arange(order)
+                assert table.identity == next(
+                    e for e in idx if (mul[e] == idx).all() and (mul[:, e] == idx).all()
+                )
+                assert (mul[idx, table.inv] == table.identity).all()
+                assert (mul[table.inv, idx] == table.identity).all()
+                continue
+            with pytest.raises(InvalidInputError) as err:
+                FiniteGroupTable(mul, gens)
+            assert str(err.value) == want
+        assert {None, "table", "element", "multiplication"} <= seen
 
     def test_no_identity_rejected(self):
         with pytest.raises(InvalidInputError):

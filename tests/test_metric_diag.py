@@ -31,8 +31,8 @@ from coarselab.metric_diag import (
     compression_moduli,
     is_weak_embedding,
 )
-from coarselab.poincare_lab import GroupFunction, resolve_group, subset_indices
-from coarselab.wreath import WreathGroup, x_subset
+from coarselab.poincare_lab import GroupFunction, _form_members, resolve_group
+from coarselab.wreath import WreathGroup
 from groups import cyclic_group
 from oracles import (
     naive_ball_concentration,
@@ -586,7 +586,7 @@ class TestCosetBallReplay:
         its points together, for every sampled 1-Lipschitz map."""
         W = lamp_group(3)
         table = resolve_group(W)
-        members = subset_indices(W, x_subset(W))
+        members = _form_members(W)[1]
         radius = math.sqrt(2 * DESK_CONSTANT_Z3 * 3)
         rng = np.random.default_rng(20250814)
         for _ in range(25):
@@ -597,7 +597,7 @@ class TestCosetBallReplay:
 
     def test_constant_map_captures_everything(self):
         W = lamp_group(2)
-        members = subset_indices(W, x_subset(W))
+        members = _form_members(W)[1]
         assert naive_coset_ball_replay(resolve_group(W), members, np.zeros((8, 2)), 0.0) == (0, 2)
 
     def test_table_group_with_explicit_subset(self):

@@ -7,11 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from coarselab.errors import (
-    CapExceededError,
-    DisconnectedGraphError,
-    InvalidInputError,
-)
+from coarselab.errors import CapExceededError, InvalidInputError
 from coarselab.expander_zoo import FiniteGroupTable, cayley_graph, lps_graph
 from coarselab.graph_core import build_graph
 from coarselab.poincare_lab import (
@@ -19,17 +15,17 @@ from coarselab.poincare_lab import (
     POINCARE_ORDER_CAP,
     GroupFunction,
     KernelFunction,
+    _form_members,
     cnd_from_function,
     is_cnd,
     relative_form_lhs,
     relative_form_rhs,
     relative_poincare_constant,
     resolve_group,
-    subset_indices,
     verify_relative_inequality,
     wreath_indexed_group,
 )
-from coarselab.wreath import WreathGroup, x_subset
+from coarselab.wreath import WreathGroup
 
 from groups import cyclic_group, symmetric_group, wreath_mul
 from oracles import (
@@ -41,6 +37,7 @@ from oracles import (
     naive_poincare_constant,
     naive_wreath_table,
     right_orbit,
+    wreath_elements,
 )
 from paper_checks import is_positive_definite, schoenberg_bound, schoenberg_transform
 
@@ -57,7 +54,7 @@ def w_instance(n):
 def desk_sums(W, fvals):
     """Literal double-loop evaluation of both displayed sums, d = 1."""
     elems, index, mul = naive_wreath_table(W)
-    X = [index[d] for d in x_subset(W).elements]
+    X = [index[W.delta(q)] for q in range(W.Q.order)]
     Sig = [index[s] for s in W.generators]
     lhs = sum(
         (fvals[x] - fvals[mul[x][y]]) ** 2 for x in range(len(elems)) for y in X
@@ -73,9 +70,8 @@ def desk_sums(W, fvals):
 
 def test_wreath_table_matches_naive():
     W = w_instance(3)
-    table, elems = wreath_indexed_group(W)
-    n_elems, _, n_mul = naive_wreath_table(W)
-    assert elems == tuple(n_elems)
+    table = wreath_indexed_group(W)
+    _, _, n_mul = naive_wreath_table(W)
     assert table.order == 24
     assert table.identity == 0
     assert table.mul_table.tolist() == n_mul
@@ -83,8 +79,8 @@ def test_wreath_table_matches_naive():
 
 def test_wreath_table_names_and_generators():
     W = w_instance(2)
-    table, elems = wreath_indexed_group(W)
-    assert table.name(0) == "{}|0"
+    table = wreath_indexed_group(W)
+    elems, _, _ = naive_wreath_table(W)
     assert len(table.generators) == 2
     for gi, g in zip(table.generators, W.generators):
         assert elems[gi] == g
@@ -116,19 +112,16 @@ def s3_sign():
     ids=["s3_sign", "s3_wr_s3", "z4_to_z2"],
 )
 def test_wreath_table_matches_naive_law(W):
-    table, elems = wreath_indexed_group(W)
-    n_elems, _, n_mul = naive_wreath_table(W)
-    assert elems == tuple(n_elems)
+    table = wreath_indexed_group(W)
+    _, _, n_mul = naive_wreath_table(W)
     assert table.mul_table.tolist() == n_mul
-    assert list(table.element_names) == [
-        "{" + ",".join(map(str, sorted(x.config))) + "}|" + W.B.name(x.b) for x in n_elems
-    ]
 
 
 def test_wreath_table_at_the_cap_matches_wreath_mul():
     W = w_instance(8)
-    table, elems = wreath_indexed_group(W)
+    table = wreath_indexed_group(W)
     assert table.order == POINCARE_ORDER_CAP
+    elems = wreath_elements(W)
     index = {x: i for i, x in enumerate(elems)}
     rng = random.Random(2048)
     for _ in range(2000):
@@ -165,8 +158,8 @@ def test_forms_vanish_on_constants():
     for n in (2, 3):
         W = w_instance(n)
         f = GroupFunction(W, np.full(W.order, 3.25))
-        assert relative_form_lhs(W, None, f) == 0.0
-        assert relative_form_rhs(W, None, f) == 0.0
+        assert relative_form_lhs(f) == 0.0
+        assert relative_form_rhs(f) == 0.0
 
 
 def test_forms_match_double_loop_on_indicator():
@@ -175,8 +168,8 @@ def test_forms_match_double_loop_on_indicator():
     fvals[0] = 1.0
     lhs_naive, rhs_naive = desk_sums(W, fvals)
     f = GroupFunction(W, np.array(fvals))
-    assert relative_form_lhs(W, None, f) == pytest.approx(lhs_naive, abs=1e-12)
-    assert relative_form_rhs(W, None, f) == pytest.approx(rhs_naive, abs=1e-12)
+    assert relative_form_lhs(f) == pytest.approx(lhs_naive, abs=1e-12)
+    assert relative_form_rhs(f) == pytest.approx(rhs_naive, abs=1e-12)
 
 
 def test_forms_match_double_loop_on_random():
@@ -185,18 +178,18 @@ def test_forms_match_double_loop_on_random():
     fvals = [rng.uniform(-1, 1) for _ in range(24)]
     lhs_naive, rhs_naive = desk_sums(W, fvals)
     f = GroupFunction(W, np.array(fvals))
-    assert relative_form_lhs(W, None, f) == pytest.approx(lhs_naive, rel=1e-12)
-    assert relative_form_rhs(W, None, f) == pytest.approx(rhs_naive, rel=1e-12)
+    assert relative_form_lhs(f) == pytest.approx(lhs_naive, rel=1e-12)
+    assert relative_form_rhs(f) == pytest.approx(rhs_naive, rel=1e-12)
 
 
 def test_form_homogeneity():
     W = w_instance(2)
     rng = np.random.default_rng(11)
     vals = rng.standard_normal(8)
-    base_l = relative_form_lhs(W, None, GroupFunction(W, vals))
-    base_r = relative_form_rhs(W, None, GroupFunction(W, vals))
-    scaled_l = relative_form_lhs(W, None, GroupFunction(W, 2.5 * vals))
-    scaled_r = relative_form_rhs(W, None, GroupFunction(W, 2.5 * vals))
+    base_l = relative_form_lhs(GroupFunction(W, vals))
+    base_r = relative_form_rhs(GroupFunction(W, vals))
+    scaled_l = relative_form_lhs(GroupFunction(W, 2.5 * vals))
+    scaled_r = relative_form_rhs(GroupFunction(W, 2.5 * vals))
     assert scaled_l == pytest.approx(2.5**2 * base_l, rel=1e-12)
     assert scaled_r == pytest.approx(2.5**2 * base_r, rel=1e-12)
 
@@ -205,43 +198,20 @@ def test_vector_form_is_coordinate_sum():
     W = w_instance(2)
     rng = np.random.default_rng(3)
     vals = rng.standard_normal((8, 3))
-    whole = relative_form_rhs(W, None, GroupFunction(W, vals))
+    whole = relative_form_rhs(GroupFunction(W, vals))
     per_coord = sum(
-        relative_form_rhs(W, None, GroupFunction(W, vals[:, j])) for j in range(3)
+        relative_form_rhs(GroupFunction(W, vals[:, j])) for j in range(3)
     )
     assert whole == pytest.approx(per_coord, rel=1e-12)
 
 
-def test_rhs_counts_generator_and_inverse_separately():
-    W = w_instance(3)
-    from coarselab.wreath import WreathElement
-
-    t = WreathElement(frozenset(), 1)
-    t_inv = WreathElement(frozenset(), 2)
-    rng = np.random.default_rng(8)
-    f = GroupFunction(W, rng.standard_normal(24))
-    both = relative_form_rhs(W, [t, t_inv], f)
-    assert both == pytest.approx(
-        relative_form_rhs(W, [t], f) + relative_form_rhs(W, [t_inv], f), rel=1e-12
-    )
-
-
 def test_form_errors():
-    W = w_instance(2)
+    # the forms read W from the function: a table group of the order of
+    # w_instance(2) is refused, not aligned by index
     f = GroupFunction(cyclic_group(8), np.arange(8.0))
-    # same length, different group object: accepted (values align by index)
-    assert relative_form_rhs(W, None, f) >= 0
-    g = GroupFunction(cyclic_group(4), np.arange(4.0))
-    with pytest.raises(InvalidInputError, match="do not match"):
-        relative_form_lhs(W, None, g)
-    with pytest.raises(InvalidInputError, match="empty"):
-        relative_form_lhs(W, [], GroupFunction(W, np.arange(8.0)))
-    with pytest.raises(InvalidInputError, match="not an element"):
-        from coarselab.wreath import WreathElement
-
-        relative_form_lhs(
-            W, [WreathElement(frozenset({7}), 0)], GroupFunction(W, np.arange(8.0))
-        )
+    for form in (relative_form_lhs, relative_form_rhs):
+        with pytest.raises(InvalidInputError, match="wreath groups only"):
+            form(f)
 
 
 # -- the optimal constant ----------------------------------------------------
@@ -260,7 +230,7 @@ def test_constant_desk_z3():
 def test_constant_matches_sampling_oracle():
     for W, expect in ((w_instance(2), DESK_CONSTANT_Z2), (w_instance(3), DESK_CONSTANT_Z3)):
         _, index, mul = naive_wreath_table(W)
-        X = [index[d] for d in x_subset(W).elements]
+        X = [index[W.delta(q)] for q in range(W.Q.order)]
         Sig = [index[s] for s in W.generators]
         oracle = naive_poincare_constant(mul, X, Sig, samples=20000, seed=0)
         assert oracle == pytest.approx(expect, abs=1e-9)
@@ -275,8 +245,8 @@ def test_witness_attains_constant():
         res = relative_poincare_constant(W)
         u = res.witness.values
         assert abs(float(u.sum())) < 1e-9
-        lhs = relative_form_lhs(W, None, res.witness)
-        rhs = relative_form_rhs(W, None, res.witness)
+        lhs = relative_form_lhs(res.witness)
+        rhs = relative_form_rhs(res.witness)
         assert lhs == pytest.approx(res.constant * rhs, abs=1e-9)
 
 
@@ -286,8 +256,8 @@ def test_random_vector_functions_never_violate():
     rng = np.random.default_rng(17)
     for _ in range(200):
         f = GroupFunction(W, rng.standard_normal((24, 3)))
-        lhs = relative_form_lhs(W, None, f)
-        rhs = relative_form_rhs(W, None, f)
+        lhs = relative_form_lhs(f)
+        rhs = relative_form_rhs(f)
         assert lhs <= res.constant * rhs + 1e-9 * max(1.0, rhs)
 
 
@@ -295,14 +265,14 @@ def test_table_group_path_agrees_with_wreath_path():
     # the dense solve on the indexed table is the oracle; the library
     # solves wreath groups only
     W = w_instance(2)
-    table, elems = wreath_indexed_group(W)
-    index = {x: i for i, x in enumerate(elems)}
-    X = [index[d] for d in x_subset(W).elements]
+    table = wreath_indexed_group(W)
+    _, index, _ = naive_wreath_table(W)
+    X = [index[W.delta(q)] for q in range(W.Q.order)]
     res_w = relative_poincare_constant(W)
     res_t, _ = dense_poincare_constant(table, table.generators, X)
     assert res_t == pytest.approx(res_w.constant, abs=1e-12)
     with pytest.raises(InvalidInputError, match="wreath groups only"):
-        relative_poincare_constant(table, sigma=None, x_set=X)
+        relative_poincare_constant(table)
 
 
 def test_degenerate_lamp_free_instance():
@@ -315,25 +285,16 @@ def test_degenerate_lamp_free_instance():
     assert res.constant <= 1.0 + 1e-9
 
 
-def test_disconnected_sigma_rejected():
-    W = w_instance(2)
-    with pytest.raises(DisconnectedGraphError, match="does not connect"):
-        relative_poincare_constant(W, sigma=[W.delta()])
-
-
-def test_trivial_group_rejected():
-    # every wreath group has order at least 2; the trivial group can only
-    # come as a table, which the solver rejects
-    with pytest.raises(InvalidInputError, match="wreath groups only"):
-        relative_poincare_constant(FiniteGroupTable([[0]]), sigma=[0], x_set=[0])
-
-
-def test_table_group_requires_explicit_x():
+def test_table_group_is_rejected():
     G = cyclic_group(4)
-    with pytest.raises(InvalidInputError, match="explicit X"):
-        relative_form_lhs(G, None, GroupFunction(G, np.arange(4.0)))
+    f = GroupFunction(G, np.arange(4.0))
+    for form in (relative_form_lhs, relative_form_rhs):
+        with pytest.raises(InvalidInputError, match="wreath groups only"):
+            form(f)
     with pytest.raises(InvalidInputError, match="wreath groups only"):
         relative_poincare_constant(G)
+    with pytest.raises(InvalidInputError, match="wreath groups only"):
+        verify_relative_inequality(G, 1.0, f)
 
 
 # -- character blocks against the dense oracle --------------------------------
@@ -376,47 +337,50 @@ def character_basis(W, elems):
 
 
 @pytest.mark.parametrize("name", sorted(block_groups()))
+def test_form_members_are_sigma_and_x(name):
+    W = block_groups()[name]
+    index = {x: i for i, x in enumerate(wreath_elements(W))}
+    sigma, x = _form_members(W)
+    assert sigma == tuple(index[s] for s in W.generators)
+    assert x == tuple(index[W.delta(q)] for q in range(W.Q.order))
+
+
+@pytest.mark.parametrize("name", sorted(block_groups()))
+def test_sigma_connects_w(name):
+    """Right translations by Sigma reach every element from the identity,
+    so the rhs form is positive definite off the constants: the solver
+    relies on this instead of a connectivity walk."""
+    W = block_groups()[name]
+    _, _, mul = naive_wreath_table(W)
+    sigma = _form_members(W)[0]
+    assert right_orbit(np.array(mul)[:, list(sigma)].T, 0).all()
+
+
+@pytest.mark.parametrize("name", sorted(block_groups()))
 def test_blocks_equal_the_dense_oracle(name):
     import scipy.linalg
 
     W = block_groups()[name]
-    table, elems = wreath_indexed_group(W)
+    table = wreath_indexed_group(W)
     n, nb = table.order, W.B.order
+    elems = wreath_elements(W)
+    index = {x: i for i, x in enumerate(elems)}
     E = character_basis(W, elems)
-    rng = random.Random(f"blocks:{name}")
-    cases = [(None, None)]
-    for _ in range(8):
-        sigma = rng.sample(range(1, n), rng.randint(1, 3))
-        if rng.random() < 0.5:
-            sigma += table.generators
-        x_set = rng.sample(range(n), rng.randint(1, 4))
-        # members given as wreath elements and as indices
-        cases.append(([elems[i] for i in sigma], x_set))
-        cases.append((sigma, [elems[i] for i in x_set]))
-    connected = disconnected = 0
-    for sigma, x_set in cases:
-        sig_idx = list(table.generators) if sigma is None else subset_indices(W, sigma)
-        x_idx = subset_indices(W, x_subset(W) if x_set is None else x_set)
-        if not right_orbit(table.mul_table[:, sig_idx].T, table.identity).all():
-            with pytest.raises(DisconnectedGraphError):
-                relative_poincare_constant(W, sigma, x_set)
-            disconnected += 1
-            continue
-        connected += 1
-        want, _ = dense_poincare_constant(table, sig_idx, x_idx)
-        res = relative_poincare_constant(W, sigma, x_set)
-        assert abs(res.constant - want) <= 1e-12 * max(1.0, want)
-        A = dense_form_matrix(table, x_idx) / len(x_idx)
-        B = dense_form_matrix(table, sig_idx)
-        u = res.witness.values[:, 0]
-        assert abs(np.linalg.norm(u) - 1.0) <= 1e-12 and abs(u.sum()) <= 1e-12
-        assert abs(u @ A @ u - want * (u @ B @ u)) <= 1e-12 * max(1.0, want)
-        # the stacked blocks are the dense forms in the character basis
-        for form, dense in ((res.lhs_form, A), (res.rhs_form, B)):
-            assert form.shape == (n, nb)
-            diag = scipy.linalg.block_diag(*form.reshape(-1, nb, nb))
-            assert np.abs(E.T @ dense @ E - diag).max() <= 1e-12
-    assert connected >= 3 and connected + disconnected == len(cases)
+    sig_idx = [index[s] for s in W.generators]
+    x_idx = [index[W.delta(q)] for q in range(W.Q.order)]
+    want, _ = dense_poincare_constant(table, sig_idx, x_idx)
+    res = relative_poincare_constant(W)
+    assert abs(res.constant - want) <= 1e-12 * max(1.0, want)
+    A = dense_form_matrix(table, x_idx) / len(x_idx)
+    B = dense_form_matrix(table, sig_idx)
+    u = res.witness.values[:, 0]
+    assert abs(np.linalg.norm(u) - 1.0) <= 1e-12 and abs(u.sum()) <= 1e-12
+    assert abs(u @ A @ u - want * (u @ B @ u)) <= 1e-12 * max(1.0, want)
+    # the stacked blocks are the dense forms in the character basis
+    for form, dense in ((res.lhs_form, A), (res.rhs_form, B)):
+        assert form.shape == (n, nb)
+        diag = scipy.linalg.block_diag(*form.reshape(-1, nb, nb))
+        assert np.abs(E.T @ dense @ E - diag).max() <= 1e-12
 
 
 @pytest.mark.parametrize("key", sorted(DENSE_CONSTANTS, key=str))
@@ -436,7 +400,7 @@ def test_witness_is_the_canonical_character_lift():
     for W in groups:
         res = relative_poincare_constant(W)
         nq, nb = W.Q.order, W.B.order
-        _, elems = wreath_indexed_group(W)
+        elems = wreath_elements(W)
         A = res.lhs_form.reshape(-1, nb, nb)
         B = res.rhs_form.reshape(-1, nb, nb)
         # top eigenvalue per mask; block 0 on the complement of the constants
@@ -479,7 +443,7 @@ def test_block_cap_refuses_before_allocating(monkeypatch):
     def refuse(*args):
         raise AssertionError("work started above the block cap")
 
-    for name in ("_lamp_order", "_character_blocks", "component_roots", "subset_indices"):
+    for name in ("_lamp_order", "_character_blocks", "_form_members"):
         monkeypatch.setattr(poincare_lab, name, refuse)
     with pytest.raises(CapExceededError, match="block cap"):
         relative_poincare_constant(w_instance(14))
@@ -535,7 +499,7 @@ def test_cnd_preconditions():
 
 def test_cnd_from_constant_function():
     G = cyclic_group(5)
-    psi = cnd_from_function(G, GroupFunction(G, np.full(5, 2.0)))
+    psi = cnd_from_function(GroupFunction(G, np.full(5, 2.0)))
     assert np.allclose(psi.values, 0.0)
 
 
@@ -543,7 +507,7 @@ def test_cnd_from_indicator_z3():
     G = cyclic_group(3)
     vals = np.zeros(3)
     vals[0] = 1.0
-    psi = cnd_from_function(G, GroupFunction(G, vals))
+    psi = cnd_from_function(GroupFunction(G, vals))
     assert psi.values[G.identity] == 0.0
     assert psi.values[1] == pytest.approx(2.0)
     assert psi.values[2] == pytest.approx(2.0)
@@ -553,7 +517,7 @@ def test_cnd_from_random_functions():
     rng = np.random.default_rng(29)
     for G in (cyclic_group(6), cyclic_group(8)):
         f = GroupFunction(G, rng.standard_normal((G.order, 2)))
-        psi = cnd_from_function(G, f)
+        psi = cnd_from_function(f)
         assert is_cnd(psi, tol=1e-8)
         assert np.allclose(psi.values, psi.values[G.inv])
 
@@ -565,7 +529,7 @@ def test_displacement_kernel_equals_the_per_element_loop():
         for d in (1, 2, 3):
             vals = rng.standard_normal((G.order, d))
             loop = [float(np.sum((vals - vals[table.mul_table[:, w]]) ** 2)) for w in range(G.order)]
-            assert np.array_equal(cnd_from_function(G, GroupFunction(G, vals)).values, loop)
+            assert np.array_equal(cnd_from_function(GroupFunction(G, vals)).values, loop)
 
 
 def test_double_centring_decides_like_the_mean_zero_basis():
@@ -635,7 +599,7 @@ def test_lamp_blocks_decide_like_the_mean_zero_basis():
 def test_cnd_from_function_on_wreath():
     W = w_instance(2)
     rng = np.random.default_rng(31)
-    psi = cnd_from_function(W, GroupFunction(W, rng.standard_normal(8)))
+    psi = cnd_from_function(GroupFunction(W, rng.standard_normal(8)))
     assert is_cnd(psi, tol=1e-8)
 
 
@@ -708,7 +672,7 @@ def test_schoenberg_chain_replay():
         for trial in range(20):
             G = cyclic_group(4 + trial % 5)
             f = GroupFunction(G, rng.standard_normal(G.order))
-            psi = cnd_from_function(G, f).values
+            psi = cnd_from_function(f).values
             sup_v = max(psi[s] for s in G.generators)
             if sup_v <= 1e-12:
                 continue
@@ -756,19 +720,19 @@ def test_spectral_gap_ramanujan_instance():
 
 def test_verify_at_exact_constant():
     W = w_instance(2)
-    C = relative_poincare_constant(W).constant
-    rep = verify_relative_inequality(W, None, None, C, trials=60, seed=3)
+    res = relative_poincare_constant(W)
+    rep = verify_relative_inequality(W, res.constant, res.witness, trials=60, seed=3)
     assert rep.ok
     assert rep.violations == 0
     assert rep.degenerate >= 1
-    assert rep.worst_ratio == pytest.approx(C, abs=1e-8)
+    assert rep.worst_ratio == pytest.approx(res.constant, abs=1e-8)
     assert rep.checked + rep.degenerate == 60 + 3
 
 
 def test_verify_at_half_constant_finds_witness():
     W = w_instance(2)
-    C = relative_poincare_constant(W).constant
-    rep = verify_relative_inequality(W, None, None, C / 2, trials=10, seed=3)
+    res = relative_poincare_constant(W)
+    rep = verify_relative_inequality(W, res.constant / 2, res.witness, trials=10, seed=3)
     assert not rep.ok
     assert rep.violations >= 1
 
@@ -777,9 +741,9 @@ def test_sup_ratio_diagnostic_exceeds_constant():
     # the sup-over-X form of the inequality needs a larger constant than
     # the mean-over-X display; the report keeps them separate
     W = w_instance(2)
-    C = relative_poincare_constant(W).constant
-    rep = verify_relative_inequality(W, None, None, C, trials=60, seed=3)
-    assert rep.worst_sup_ratio > C
+    res = relative_poincare_constant(W)
+    rep = verify_relative_inequality(W, res.constant, res.witness, trials=60, seed=3)
+    assert rep.worst_sup_ratio > res.constant
     assert rep.sup_ratio_violations > 0
     assert rep.ok
 
@@ -789,27 +753,26 @@ def test_verify_reuses_a_given_witness(monkeypatch):
 
     W = w_instance(3)
     res = relative_poincare_constant(W)
-    solved = verify_relative_inequality(W, None, None, res.constant, trials=5, seed=2)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the constant was solved a second time")
 
     monkeypatch.setattr(poincare_lab, "relative_poincare_constant", refuse)
-    given = verify_relative_inequality(
-        W, None, None, res.constant, trials=5, seed=2, witness=res.witness
-    )
-    assert given.to_json_dict() == solved.to_json_dict()
+    given = verify_relative_inequality(W, res.constant, res.witness, trials=5, seed=2)
+    # only the witness probe attains the constant
+    assert given.worst_ratio == pytest.approx(res.constant, abs=1e-9)
     assert given.checked + given.degenerate == 5 + 3
 
 
 def test_verify_rejects_bad_constant():
+    W = w_instance(2)
     with pytest.raises(InvalidInputError, match="positive"):
-        verify_relative_inequality(w_instance(2), None, None, 0.0)
+        verify_relative_inequality(W, 0.0, relative_poincare_constant(W).witness)
 
 
 def test_report_json_dict():
     W = w_instance(2)
-    rep = verify_relative_inequality(W, None, None, 2.0, trials=4, seed=1)
+    rep = verify_relative_inequality(W, 2.0, relative_poincare_constant(W).witness, trials=4, seed=1)
     d = rep.to_json_dict()
     assert d["constant"] == 2.0
     assert d["trials"] == 4
