@@ -158,10 +158,7 @@ def homomorphism_defect(
 # -- Cayley graphs ---------------------------------------------------------
 
 
-def cayley_graph(
-    group: FiniteGroupTable | _Pgl2,
-    labels: Optional[dict[int, str]] = None,
-) -> LabeledGraph:
+def cayley_graph(group: FiniteGroupTable | _Pgl2) -> LabeledGraph:
     """Cayley graph of a group on its stored symmetric generator set.
 
     Every element g and generator s contribute the dart g -> gs reading
@@ -171,32 +168,12 @@ def cayley_graph(
     involutive generator yields one undirected edge per unordered pair
     {g, gs}, never two.  Each pair's edges come from the one column
     ``group.right(s)``, checked to be undone by ``group.right(s^-1)``.
-
-    Parameters
-    ----------
-    labels : optional dict mapping a generator index to a base symbol.
-        Missing pairs are labeled ``s0, s1, ...`` in order of first
-        appearance in ``group.generators``.
+    The pairs read ``s0, s1, ...`` in order of first appearance in
+    ``group.generators``.
     """
     gens = group.generators
     if not gens:
         raise InvalidInputError("cayley_graph needs a nonempty generator set")
-    base_of: dict[int, str] = {}
-    auto = 0
-    for s in gens:
-        if s in base_of:
-            continue
-        t = group.inverse(s)
-        if labels and s in labels:
-            base = labels[s]
-        elif labels and t in labels and t != s:
-            base = labels[t]
-            s, t = t, s
-        else:
-            base = f"s{auto}"
-            auto += 1
-        base_of[s] = base
-        base_of[t] = base  # the pair shares one base symbol; direction disambiguates
 
     n = group.order
     every = np.arange(n)
@@ -209,10 +186,7 @@ def cayley_graph(
             continue
         emitted_pairs.add(pair)
         canon = pair[0]
-        base = base_of[canon]
-        alphabet.append(base)
-        if canon != s and canon != t:
-            raise InvalidInputError("generator pairing is inconsistent")
+        alphabet.append(f"s{len(alphabet)}")
         col = group.right(canon)
         if not np.array_equal(group.right(group.inverse(canon))[col], every):
             raise InvalidInputError(f"right product by generator {canon} is not undone by its inverse")
@@ -221,8 +195,6 @@ def cayley_graph(
         keep = every if s != t else np.flatnonzero(every < col)
         heads.append(keep)
         tails.append(col[keep])
-    if len(set(alphabet)) != len(alphabet):
-        raise InvalidInputError("duplicate base symbol across generator pairs")
     labels = [base for base, h in zip(alphabet, heads) for _ in range(h.size)]
     return build_graph(
         n, alphabet=alphabet, columns=(np.concatenate(heads).tolist(), np.concatenate(tails).tolist(), labels)
@@ -442,7 +414,6 @@ class LpsReport:
     girth: float
     girth_bound: float
     diameter: int
-    diam_over_log_n: float
     top_eigenvalue: float
     bottom_eigenvalue: float
     max_interior_abs: float
@@ -515,7 +486,6 @@ def verify_lps(g: LabeledGraph, params: LpsParams, group: _Pgl2) -> LpsReport:
         girth=gr,
         girth_bound=bound,
         diameter=dia,
-        diam_over_log_n=dia / math.log(expect_n) if connected else math.nan,
         top_eigenvalue=top,
         bottom_eigenvalue=bottom,
         max_interior_abs=max_interior,

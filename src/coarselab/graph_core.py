@@ -15,11 +15,11 @@ breadth-first walk over all (source, vertex) pairs at once
 (:func:`distance_matrix`, :func:`girth`).  Spectral quantities
 are computed with numpy/scipy and then verified against residual
 bounds, so a silently wrong eigensolve cannot leak into downstream
-certificates; a verified symmetry (a cyclic automorphism group, or the
-XOR deck action of a homology cover) splits the eigensolve into blocks.
-scipy is imported inside the only routes that call it (the ``eigh``
-and Lanczos routes of :func:`adjacency_spectrum`), so commands that never
-need it never load it.
+certificates; a verified symmetry (a cyclic automorphism group, the
+XOR deck action of a homology cover, or else the trivial group) splits
+the eigensolve into blocks.  scipy is imported inside the only route
+that calls it (the Lanczos route of :func:`adjacency_spectrum`), so
+commands that never need it never load it.
 """
 
 from __future__ import annotations
@@ -43,10 +43,13 @@ from .errors import (
 
 INVERSE_SUFFIX = "^-1"
 
-#: Largest vertex count for which the full spectrum is computed (from
-#: character blocks or a dense eigensolve); for an XOR lift, such as a
-#: homology cover, the largest base vertex count of its signed twist blocks.
+#: Largest vertex count for which the full spectrum is computed; for an
+#: XOR lift, such as a homology cover, the largest base vertex count.
 DENSE_SPECTRUM_CAP = 4096
+
+#: Most block entries solved at once past one block, so that a chunk's
+#: eigenvectors stay in cache (an LPS(5, 13) block has 156^2 = 24,336).
+BLOCK_CHUNK_ENTRIES = 2**15
 
 #: Largest vertex count for which all 2^n - 1 cuts are enumerated.
 CHEEGER_ENUM_CAP = 20
@@ -749,15 +752,15 @@ class SpectrumSummary:
 
     eigenvalues: tuple[float, ...]
     complete: bool
-    matrix: str
     residual: float
 
 
 def _verify_eigenpairs(av: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray, tol: float = 1e-8) -> float:
     """Residual max_i ||A v_i - lambda_i v_i|| / ||v_i||, given the
-    products ``av`` = A V from a sparse operator or a character block."""
-    resid = av - eigvecs * eigvals[np.newaxis, :]
-    norms = np.linalg.norm(resid, axis=0) / np.maximum(np.linalg.norm(eigvecs, axis=0), 1e-300)
+    products ``av`` = A V from a sparse operator, or a stack of them from
+    the blocks of :func:`_block_eigenpairs`."""
+    resid = av - eigvecs * eigvals[..., np.newaxis, :]
+    norms = np.linalg.norm(resid, axis=-2) / np.maximum(np.linalg.norm(eigvecs, axis=-2), 1e-300)
     worst = float(norms.max()) if norms.size else 0.0
     if worst > tol:
         raise VerificationError(f"eigenpair residual {worst:.3e} exceeds {tol:.1e}")
@@ -821,30 +824,90 @@ def _cyclic_symmetry(g: LabeledGraph) -> Optional[np.ndarray]:
     return powers[:m]
 
 
-def _character_eigenpairs(g: LabeledGraph) -> Optional[tuple[np.ndarray, float]]:
-    """All adjacency eigenvalues from the characters of the cyclic group
-    of :func:`_cyclic_symmetry`, with the worst residual; None when there
-    is no such group.
+def _block_eigenpairs(
+    g: LabeledGraph, orbit: np.ndarray, place: np.ndarray, character, twice: np.ndarray, dense_cap: int
+) -> tuple[np.ndarray, float]:
+    """All adjacency eigenvalues, descending, from one block per
+    character of a free abelian action, with the worst residual.
 
-    With r_j the smallest vertex of cycle j and x = h^k(r_j), J[x] = j
-    and K[x] = k, block c adds w^(cK[y]) to entry (J[y], j) for every
-    dart r_j -> y, where w = exp(2 pi i / m).  The isometry
-    L_c u[x] = w^(-cK[x]) u[J[x]] / sqrt(m) satisfies A L_c = L_c B_c
-    exactly, since :func:`_cyclic_symmetry` proves h a permutation that
-    maps the darts onto the darts with all cycles of length m.  So each
-    eigenpair is residual-checked on its block: B_c u is summed straight
-    from the head darts, row by row in one fixed order and never through
-    BLAS, so no thread count moves it.  Each row has d terms, d the
-    degree, since A is symmetric and commutes with h.  The block residual
-    differs from the exact residual of the lift L_c u by at most about
-    ||dB_c||_2 <= d (d + 45) / 2 * 2^-53: the rounding of the roots (the
-    angle 2 pi k / m is rounded three times, so each root is within
-    22 * 2^-53) and of the d-term sums.
+    Vertex x is ``place[x]`` steps along orbit ``orbit[x]``; block c adds
+    ``character(c, place[y])`` at entry (orbit[y], orbit[x]) for every
+    dart x -> y with ``place[x] == 0``, and its eigenvalues are listed
+    twice where ``twice[c]`` is set.  Chunks of blocks hold at most
+    ``dense_cap^2`` entries, as one dense solve at the cap does.  Each
+    eigenpair is residual-checked on its block, B u summed from the
+    darts in dart order one term rank at a time, never through BLAS, so
+    no thread count moves it.
+    """
+    b = int(orbit.max()) + 1
+    heads = place[g.src] == 0
+    rows, cols, ks = orbit[g.dst[heads]], orbit[g.src[heads]], place[g.dst[heads]]
+    # rows by term count, descending, so the rows with a t-th term are a
+    # prefix; terms[start[i] + t] is the t-th dart of the i-th such row
+    deg = np.bincount(rows, minlength=b)
+    by_deg = np.argsort(-deg, kind="stable")
+    pos = np.argsort(by_deg)
+    terms = np.argsort(pos[rows], kind="stable")
+    count = deg[by_deg]
+    start = np.cumsum(count) - count
+    step = max(1, min(dense_cap * dense_cap, BLOCK_CHUNK_ENTRIES) // (b * b))
+    vals, worst = [], 0.0
+    for lo in range(0, twice.size, step):
+        chars = np.arange(lo, min(lo + step, twice.size))[:, np.newaxis]
+        w = character(chars, ks)
+        blocks = np.zeros((chars.size, b, b), dtype=w.dtype)
+        np.add.at(blocks, (chars - lo, rows, cols), w)
+        val, vecs = np.linalg.eigh(blocks)
+        del blocks
+        # the t-th terms go through one reused buffer, freed before the
+        # check; mode="clip" lets take write into it (every index is in range)
+        bu, buf = np.zeros_like(vecs), np.empty_like(vecs)
+        for t in range(int(count[0])):
+            darts = terms[start[count > t] + t]
+            k = darts.size
+            np.take(vecs, cols[darts], axis=1, out=buf[:, :k], mode="clip")
+            bu[:, :k] += np.multiply(w[:, darts, np.newaxis], buf[:, :k], out=buf[:, :k])
+        del buf
+        bu = bu[:, pos]
+        worst = max(worst, _verify_eigenpairs(bu, val, vecs))
+        vals += [val.reshape(-1), val[twice[chars[:, 0]]].reshape(-1)]
+    return np.sort(np.concatenate(vals))[::-1], worst
 
-    Only the blocks c = 0 .. floor(m/2) are solved.  Block m - c is the
-    entrywise conjugate of block c, since w^((m-c)k) = conj(w^(ck)): it
-    has the same eigenvalues and conjugate eigenvectors with the same
-    residuals, so checking the solved blocks checks every eigenpair.
+
+def _xor_orbits(g: LabeledGraph, dense_cap: int):
+    """The deck orbits of an XOR lift, such as a homology cover; None
+    when :func:`xor_deck` finds none or its base exceeds ``dense_cap``.
+
+    Vertex (u, x) = u * 2^r + x is x along orbit u, and block c is the
+    signed base block A_c[u, v] = sum over base darts u -> v of
+    (-1)^popcount(c & f) (the r-fold form of Bilu-Linial 2-lifts).  The
+    lift check proves A L_c = L_c A_c exactly for the isometry
+    L_c w[(u, x)] = (-1)^popcount(c & x) w[u] / sqrt(2^r), whose ranges
+    are orthogonal and span the space, so each block residual is the
+    residual of its lifts.
+    """
+    lift = xor_deck(g)
+    if lift is None or lift.base_vertices > dense_cap:
+        return None
+    r = lift.deck_rank
+    v = np.arange(g.vertex_count)
+    return (v >> r, v & ((1 << r) - 1), lambda c, x: 1.0 - 2.0 * (np.bitwise_count(c & x) & 1),
+            np.zeros(1 << r, dtype=bool))
+
+
+def _cyclic_orbits(g: LabeledGraph):
+    """The orbits of the cyclic group of :func:`_cyclic_symmetry`; None
+    when there is none.
+
+    With r_j the smallest vertex of cycle j, x = h^k(r_j) is k along
+    orbit j, and block c reads w^(ck), w = exp(2 pi i / m).  The isometry
+    L_c u[x] = w^(-ck) u[j] / sqrt(m) satisfies A L_c = L_c B_c exactly,
+    since h is a checked automorphism with all cycles of length m, and
+    each row of B_c has d terms, d the degree.  So the block residual is
+    that of the lift L_c u up to ||dB_c||_2 <= d (d + 45) / 2 * 2^-53, the
+    rounding of the roots (each within 22 * 2^-53) and of the d-term sums.
+    Block m - c is the conjugate of block c, so only c = 0 .. floor(m/2)
+    are solved, and those with 0 < c < m/2 are listed twice.
     """
     powers = _cyclic_symmetry(g)
     if powers is None:
@@ -852,68 +915,18 @@ def _character_eigenpairs(g: LabeledGraph) -> Optional[tuple[np.ndarray, float]]
     m, n = powers.shape
     rep = powers.min(axis=0)
     heads = np.flatnonzero(rep == np.arange(n))
-    J = np.searchsorted(heads, rep)
     K = np.empty(n, dtype=np.int64)
     K[powers[:, heads]] = np.arange(m)[:, np.newaxis]
-    src, dst = g.src, g.dst
-    out = K[src] == 0
-    rows, cols, ks = J[dst[out]], J[src[out]], K[dst[out]]
     roots = np.exp(2j * np.pi * np.arange(m) / m)
-    solved = m // 2 + 1
-    chars = np.arange(solved)[:, np.newaxis]
-    blocks = np.zeros((solved, heads.size, heads.size), dtype=np.complex128)
-    np.add.at(blocks, (chars, rows, cols), roots[chars * ks % m])
-    vals, vecs = np.linalg.eigh(blocks)
-    # the terms of B_c u, grouped by row: d to a row, in dart order
-    by_row = np.argsort(rows, kind="stable").reshape(heads.size, -1)
-    cols, ks = cols[by_row], ks[by_row]
-    worst = 0.0
-    for c in range(solved):
-        bu = (roots[c * ks % m][:, :, np.newaxis] * vecs[c][cols]).sum(axis=1)
-        worst = max(worst, _verify_eigenpairs(bu, vals[c], vecs[c]))
-    # blocks c and m - c (0 < c < m/2) are conjugate, so each such block's
-    # eigenvalues appear twice
-    vals = np.concatenate([vals.reshape(-1), vals[1 : (m + 1) // 2].reshape(-1)])
-    return np.sort(vals)[::-1], worst
+    solved = np.arange(m // 2 + 1)
+    twice = (0 < solved) & (2 * solved < m)
+    return np.searchsorted(heads, rep), K, lambda c, k: roots[c * k % m], twice
 
 
-def _twist_eigenpairs(g: LabeledGraph, dense_cap: int) -> Optional[tuple[np.ndarray, float]]:
-    """All adjacency eigenvalues of an XOR lift, such as a homology
-    cover, from the 2^r signed base blocks of its largest deck rank r,
-    with the worst residual; None when :func:`xor_deck` finds no lift or
-    its base has more than ``dense_cap`` vertices.
-
-    Block chi is A_chi[u, v] = sum over base darts u -> v of
-    (-1)^popcount(chi & f), a loop counted twice as in
-    :func:`_adjacency_csr` (the r-fold form of Bilu-Linial 2-lifts).  The
-    lift check proves A L_chi = L_chi A_chi exactly for the isometry
-    L_chi w[(u, x)] = (-1)^popcount(chi & x) w[u] / sqrt(2^r), and the
-    ranges of the L_chi are orthogonal and span the whole space, so the
-    blocks hold every eigenvalue and each block residual equals the
-    residual of its lifts.  The blocks are solved ``dense_cap^2 // base^2`` at a
-    time, so no more entries are held than by one dense solve at the cap.
-    """
-    lift = xor_deck(g)
-    if lift is None or lift.base_vertices > dense_cap:
-        return None
-    b = lift.base_vertices
-    rows = np.concatenate([lift.base_src, lift.base_dst])
-    cols = np.concatenate([lift.base_dst, lift.base_src])
-    flips = np.concatenate([lift.flips, lift.flips])
-    step = max(1, dense_cap * dense_cap // (b * b))
-    vals, worst = [], 0.0
-    for lo in range(0, 1 << lift.deck_rank, step):
-        chars = np.arange(lo, min(lo + step, 1 << lift.deck_rank))[:, np.newaxis]
-        signs = 1.0 - 2.0 * (np.bitwise_count(chars & flips) & 1)
-        blocks = np.zeros((chars.size, b, b))
-        np.add.at(blocks, (chars - lo, rows, cols), signs)
-        w, vecs = np.linalg.eigh(blocks)
-        # one column per eigenpair: (base vertex, block * b + index)
-        worst = max(worst, _verify_eigenpairs(
-            np.concatenate(blocks @ vecs, axis=1), w.reshape(-1), np.concatenate(vecs, axis=1)
-        ))
-        vals.append(w.reshape(-1))
-    return np.sort(np.concatenate(vals))[::-1], worst
+def _trivial_orbits(n: int):
+    """Every vertex its own orbit: one block, the adjacency matrix."""
+    return (np.arange(n), np.zeros(n, dtype=np.int64), lambda c, k: np.ones((c.size, k.size)),
+            np.zeros(1, dtype=bool))
 
 
 def _extreme_eigs(mat: scipy.sparse.csr_matrix, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -939,43 +952,27 @@ def adjacency_spectrum(
 ) -> SpectrumSummary:
     """Adjacency eigenvalues, descending, with multiplicity.
 
-    A graph whose darts pass :func:`xor_deck`, such as a homology cover
-    or an iterated one, on at most ``dense_cap`` base vertices, gets its
-    whole spectrum from one signed base block per deck character
-    (:func:`_twist_eigenpairs`), whatever its own size; annotations play
-    no part.  Else,
-    up to ``dense_cap`` vertices the whole spectrum is computed: from
-    one Hermitian block per conjugate pair of characters of a cyclic
-    automorphism group when the labels give one (see
-    :func:`_cyclic_symmetry`), else by a symmetric eigensolve; every
-    eigenpair is residual-checked.  Above the cap only the ``extremes``
-    largest and smallest eigenvalues (at most half the vertices each, so
-    the two never overlap) are computed with a Lanczos iteration seeded
-    deterministically.  Only the ``eigh`` and Lanczos routes load scipy.
+    The whole spectrum comes from one block solve
+    (:func:`_block_eigenpairs`) over the orbits of, in order: the deck
+    group of an XOR lift, such as a homology cover or an iterated one, on
+    at most ``dense_cap`` base vertices, whatever its own size (read off
+    the darts, never the annotations); else, up to ``dense_cap``
+    vertices, the cyclic automorphism group the labels give, or the
+    trivial group.  Above the cap only the ``extremes`` largest and
+    smallest eigenvalues (at most half the vertices each, so the two never
+    overlap) are computed with a Lanczos iteration seeded
+    deterministically.  Only the Lanczos route loads scipy.
     """
     n = g.vertex_count
-    blocks = _twist_eigenpairs(g, dense_cap)
-    if blocks is None and n <= dense_cap:
-        blocks = _character_eigenpairs(g)
-    if blocks is not None:
-        vals, worst = blocks
-        complete = True
-    elif n <= dense_cap:
-        import scipy.linalg
-
-        adj = _adjacency_csr(g)
-        vals, vecs = scipy.linalg.eigh(adj.toarray())
-        vals, vecs = vals[::-1], vecs[:, ::-1]
-        worst = _verify_eigenpairs(adj @ vecs, vals, vecs)
-        complete = True
+    orbits = _xor_orbits(g, dense_cap)
+    if orbits is None and n <= dense_cap:
+        orbits = _cyclic_orbits(g) or _trivial_orbits(n)
+    if orbits is not None:
+        vals, worst = _block_eigenpairs(g, *orbits, dense_cap)
     else:
         top, bot, worst = _extreme_eigs(_adjacency_csr(g), min(extremes, n // 2), seed)
         vals = np.sort(np.concatenate([top, bot]))[::-1]
-        complete = False
     # adding +0.0 turns any -0.0 an eigensolver returns into 0.0
     return SpectrumSummary(
-        eigenvalues=tuple(float(x) for x in vals + 0.0),
-        complete=complete,
-        matrix="adjacency",
-        residual=worst,
+        eigenvalues=tuple(float(x) for x in vals + 0.0), complete=orbits is not None, residual=worst
     )

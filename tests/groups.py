@@ -12,7 +12,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from coarselab.errors import InvalidInputError
-from coarselab.expander_zoo import FiniteGroupTable
+from coarselab.expander_zoo import FiniteGroupTable, cayley_graph
+from coarselab.graph_core import LabeledGraph, build_graph
 from coarselab.jsonio import FORMAT_VERSION, canonical_json
 from coarselab.wreath import WreathElement, WreathGroup
 
@@ -56,6 +57,15 @@ def symmetric_group(n: int, generators: Optional[Sequence[tuple[int, ...]]] = No
         gen_idx.append(index[inverse])
     names = ["".join(map(str, p)) for p in elements]
     return FiniteGroupTable(mul, dict.fromkeys(gen_idx), names)
+
+
+def named_cayley_graph(group: FiniteGroupTable, *names: str) -> LabeledGraph:
+    """``cayley_graph(group)`` with its labels ``s0, s1, ...`` renamed to
+    ``names`` in order."""
+    g = cayley_graph(group)
+    rename = {f"s{k}": name for k, name in enumerate(names)}
+    labels = [rename.get(lab, lab) for lab in g.labels()[0::2]]
+    return build_graph(g.vertex_count, columns=(g.src[0::2].tolist(), g.dst[0::2].tolist(), labels))
 
 
 def group_document(table: FiniteGroupTable) -> dict:

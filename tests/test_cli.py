@@ -358,8 +358,8 @@ class TestLabelingCommands:
         assert "letter alphabets support 1..26 symbols" in captured.err
 
     def test_scipy_stays_unloaded(self, tmp_path, two_c8):
-        # importing the CLI, and every command below, must not load scipy;
-        # `spectrum` off the twist and character-block routes still does
+        # importing the CLI, and every command below, must not load scipy:
+        # only the Lanczos route of `spectrum`, above the dense cap, does
         _, _, labeled = two_c8
         (tmp_path / "z3.json").write_text(serialize_group_table(cyclic_group(3)))
         (tmp_path / "points.json").write_text(serialize_points(np.eye(3)))
@@ -382,6 +382,7 @@ class TestLabelingCommands:
             ["wreath", "--q-table", "z3.json", "--b-table", "z3.json", "--proj", "0,1,2",
              "--out", "-"],
             ["spectrum", "lps.json", "--out", "-"],
+            ["spectrum", k4_file(tmp_path), "--out", "-"],
             ["poincare", "--relative", "--q-table", "z3.json", "--b-table", "z3.json",
              "--proj", "0,1,2", "--out", "-"],
             ["poincare", "--relative", "--q-table", "z3.json", "--b-table", "z3.json",
@@ -951,13 +952,13 @@ def test_artifact_bytes_ignore_the_thread_count(tmp_path):
     """Artifacts are byte-identical at COARSE_LAB_THREADS=1 and =2:
     `poincare --relative` on Z/7 wr Z/7, with and without a replay,
     `wallmetric` on the 6-prism, `spectrum` on LPS(13, 5) and on
-    LPS(5, 13) (character blocks: the blocks of LPS(13, 5) have 20 rows,
-    too few for BLAS to thread, those of LPS(5, 13) 156, where a BLAS
-    block product moves the residual's last digits with the thread
-    count), and `spectrum` and `girth` on the K4 homology cover, on the
-    same cover with its annotation removed, and on the twice iterated
-    theta cover (signed twist blocks and fiber heads, read off the
-    darts).  The dense and Lanczos spectrum routes are left out until
+    LPS(5, 13) (cyclic character blocks of 20 and 156 rows), and
+    `spectrum` and `girth` on the K4 homology cover, on the same cover
+    with its annotation removed, and on the twice iterated theta cover
+    (signed twist blocks and fiber heads, read off the darts).  Every
+    block residual is summed from the darts in one fixed order, never
+    through BLAS.  The trivial-group block (one dense eigensolve of the
+    whole adjacency matrix) and the Lanczos route are left out until
     eigenvalues are written in a clustered format: a dense eigensolve
     still moves last digits with the thread count."""
     (tmp_path / "z7.json").write_text(serialize_group_table(cyclic_group(7)))

@@ -22,7 +22,7 @@ from coarselab.expander_zoo import (
 )
 from coarselab.graph_core import adjacency_spectrum, build_graph, diameter, girth, two_coloring
 
-from groups import cyclic_group, symmetric_group
+from groups import cyclic_group, named_cayley_graph, symmetric_group
 from oracles import degrees, edge_list, naive_pgl2_mul_table, naive_table_error, right_orbit
 
 
@@ -234,13 +234,13 @@ class TestCayleyGraph:
                 assert (x, grp.mul_table[x, s]) in darts
 
     def test_custom_labels(self):
-        g = cayley_graph(cyclic_group(4), labels={1: "t"})
+        g = named_cayley_graph(cyclic_group(4), "t")
         assert g.alphabet == {"t"}
 
     def test_label_orientation_consistent(self):
         # dart x -> x+1 must read the pair's base symbol, x -> x-1 its inverse
         grp = cyclic_group(5)
-        g = cayley_graph(grp, labels={1: "a"})
+        g = named_cayley_graph(grp, "a")
         for d in range(g.dart_count):
             u, v = g.src[d], g.dst[d]
             if (u + 1) % 5 == v:

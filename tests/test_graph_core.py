@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -512,21 +513,19 @@ def labeled_cayley_graphs() -> list[LabeledGraph]:
 class TestCharacterBlocks:
     """The spectrum of a graph whose labels give every vertex one out-dart
     per signed label comes from the characters of a cyclic automorphism
-    group read off its breadth-first tree; every other graph keeps the
-    dense routes."""
+    group read off its breadth-first tree; every other graph below the
+    cap takes the trivial group's one block, the adjacency matrix."""
 
     def test_labeled_cayley_spectra_match_dense_eigvalsh(self, monkeypatch):
-        import scipy.linalg
-
         graphs = labeled_cayley_graphs()
         lps = graphs[-2]
         graphs.append(jsonio.parse_graph(jsonio.serialize_graph(lps)))
         expected = [dense_eigvalsh(g) for g in graphs]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the dense route ran")
+            raise AssertionError("the trivial group's block ran")
 
-        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        monkeypatch.setattr(graph_core, "_trivial_orbits", refuse)
         orders = set()
         for g, want in zip(graphs, expected):
             spec = adjacency_spectrum(g)
@@ -610,7 +609,7 @@ class TestCharacterBlocks:
                 assert graph_core._cyclic_symmetry(g) is None, name
                 got = adjacency_spectrum(g)
                 with monkeypatch.context() as patch:
-                    patch.setattr(graph_core, "_character_eigenpairs", lambda g: None)
+                    patch.setattr(graph_core, "_cyclic_orbits", lambda g: None)
                     assert got == adjacency_spectrum(g), name
                 assert np.allclose(got.eigenvalues, dense_eigvalsh(g), atol=1e-9), name
 
@@ -644,15 +643,17 @@ class TestConjugateCharacterBlocks:
         verify = graph_core._verify_eigenpairs
 
         def record(av, vals, vecs, tol=1e-8):
-            checked.append(vals.size)
+            checked.append(vals.shape)
             return verify(av, vals, vecs, tol)
 
         monkeypatch.setattr(graph_core, "_verify_eigenpairs", record)
         spec = adjacency_spectrum(g)
         full = all_character_blocks_spectrum(g)
         vals = np.array(spec.eigenvalues)
-        # one residual check per solved block, every one of full size
-        assert checked == [g.vertex_count // m] * (m // 2 + 1)
+        # the residual checks cover every solved block once, each one of
+        # full size
+        assert sum(blocks for blocks, _ in checked) == m // 2 + 1
+        assert {rows for _, rows in checked} == {g.vertex_count // m}
         assert spec.complete and vals.size == g.vertex_count
         assert np.abs(vals - full).max() <= 1e-12
         assert cluster_sizes(vals) == cluster_sizes(full)
@@ -706,8 +707,6 @@ class TestTwistBlocks:
         ids=["k4", "petersen", "multi_k4", "loops_and_parallels"],
     )
     def test_twists_equal_dense_eigvalsh_and_every_lift_is_an_eigenpair(self, monkeypatch, cover):
-        import scipy.linalg
-
         g = cover()
         lift = graph_core.xor_deck(g)
         r, b, n = lift.deck_rank, lift.base_vertices, g.vertex_count
@@ -723,8 +722,8 @@ class TestTwistBlocks:
             raise AssertionError("another route ran")
 
         monkeypatch.setattr(graph_core, "_verify_eigenpairs", record)
-        monkeypatch.setattr(graph_core, "_character_eigenpairs", refuse)
-        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        monkeypatch.setattr(graph_core, "_cyclic_orbits", refuse)
+        monkeypatch.setattr(graph_core, "_trivial_orbits", refuse)
         spec = adjacency_spectrum(g)
         vals = np.array(spec.eigenvalues)
         assert spec.complete and vals.size == n and spec.residual <= 1e-12
@@ -732,8 +731,8 @@ class TestTwistBlocks:
         assert cluster_sizes(vals) == cluster_sizes(want)
         # lift each block eigenvector w of character chi to
         # v[(u, x)] = (-1)^popcount(chi & x) w[u] / sqrt(2^r)
-        block_vals = np.concatenate([v for v, _ in seen])
-        block_vecs = np.concatenate([w for _, w in seen], axis=1)
+        block_vals = np.concatenate([v.reshape(-1) for v, _ in seen])
+        block_vecs = np.concatenate([np.concatenate(w, axis=1) for _, w in seen], axis=1)
         assert block_vecs.shape == (b, n)
         chi = np.arange(n) // b
         x = np.arange(n) & ((1 << r) - 1)
@@ -775,7 +774,7 @@ class TestTwistBlocks:
         want = adjacency_spectrum(plain)
         lift = graph_core.xor_deck(plain)
         assert (lift.deck_rank, lift.base_vertices) == (rank, covering["base_vertices"])
-        assert graph_core._twist_eigenpairs(plain, graph_core.DENSE_SPECTRUM_CAP) is not None
+        assert graph_core._xor_orbits(plain, graph_core.DENSE_SPECTRUM_CAP) is not None
         for bad in ({**covering, "single_step": False}, {**covering, "single_step": 1},
                     {**covering, "deck_rank": rank + 1},
                     {**covering, "deck_rank": True}, {**covering, "deck_rank": str(rank)},
@@ -801,7 +800,7 @@ class TestTwistBlocks:
         lift = graph_core.xor_deck(cm.cover)
         assert lift.deck_rank == naive_xor_rank(cm.cover) == top.deck_rank
         assert lift.base_vertices == top.base.vertex_count
-        assert graph_core._twist_eigenpairs(cm.cover, graph_core.DENSE_SPECTRUM_CAP) is not None
+        assert graph_core._xor_orbits(cm.cover, graph_core.DENSE_SPECTRUM_CAP) is not None
         spec = adjacency_spectrum(cm.cover)
         assert spec.complete and len(spec.eigenvalues) == cm.cover.vertex_count
         assert np.abs(np.array(spec.eigenvalues) - dense_eigvalsh(cm.cover)).max() <= 1e-12
@@ -823,6 +822,130 @@ class TestTwistBlocks:
         chunked = adjacency_spectrum(g, dense_cap=30)
         assert sizes == [640] + [90] * 7 + [10]
         assert chunked.complete and chunked.eigenvalues == whole.eigenvalues
+
+
+def seeded_lifts() -> list[LabeledGraph]:
+    """XOR lifts of rank 1 to 3, with seeded flips, of seeded multigraphs
+    that may hold loops, parallel edges and isolated vertices."""
+    rng = random.Random(4099)
+    lifts = []
+    for _ in range(6):
+        rank = rng.randint(1, 3)
+        base = random_graph(rng, rng.randint(3, 12), rng.randint(4, 20))
+        edges = [(u, v) for u, v, _ in edge_list(base)]
+        flips = [rng.randrange(1 << rank) for _ in edges]
+        lifts.append(xor_lift_graph(base.vertex_count, edges, flips, rank))
+    return lifts
+
+
+BLOCK_ROUTE_GRAPHS = {
+    "lps_5_13": lambda: lps_graph(5, 13)[0],
+    "lps_13_5": lambda: lps_graph(13, 5)[0],
+    "z7": lambda: cayley_graph(cyclic_group(7, [1, 2])),
+    "k4_cover": lambda: annotated_cover(complete(4)),
+    "k6_cover": lambda: annotated_cover(complete(6)),
+    "petersen_cover": lambda: annotated_cover(petersen()),
+    "theta_twice": lambda: iterate_homology_cover(build_graph(2, [(0, 1), (0, 1), (0, 1)]), 2).cover,
+    "loops_and_parallels": lambda: xor_lift_graph(
+        3, [(0, 1), (0, 1), (0, 1), (1, 2), (2, 0), (0, 0), (2, 2)], [1, 1, 2, 0, 3, 0, 2], 2
+    ),
+    **{f"seeded_lift_{k}": (lambda k=k: seeded_lifts()[k]) for k in range(6)},
+}
+
+# sha256 of the float64 bytes of ``eigenvalues``, recorded when the
+# character, twist and dense routes were three separate eigensolves
+BLOCK_ROUTE_DIGESTS = {
+    "k4_cover": "2c5a32624cc2e2c3110a9e1a914cd6268ccbd559e305bedf3faef549b912d811",
+    "k6_cover": "2345d228750491883dd09cb3afc3c2aea2807d5c9a8ea819ece8ed971aa6c6a0",
+    "loops_and_parallels": "ef18005e7f9f0362f50cf8e68ee6aed12e41d8d00e99e534c5c7a9665bd55ab7",
+    "lps_13_5": "e9c30ebf3ea4be77aeadb526827039397d1345d32558cfec962dca246f7831ab",
+    "lps_5_13": "e4437a72dac522661cd9452ce4eb75e3c8e034f4c7c1e83975c31c955bf51c55",
+    "petersen_cover": "af1d7877e769a9beda5429a3606ed0a079fcd89d7660c7c37ec9a645c5b7baae",
+    "seeded_lift_0": "424bc8f56966ec2a450544f72bc017aa1cd8ffc80ba7ca3750cf42d884daafda",
+    "seeded_lift_1": "52e15c9975b991c5dab5c1d02917fae95c7c9e08c521a6b5630b0e1545da6422",
+    "seeded_lift_2": "3760a7e81c8c5c3e3ff9921f0a3f6581818b3e48aaded9c4a008eee181e65016",
+    "seeded_lift_3": "67bec59e489441e0d0218d454abdde3c0a2cecb091bb432a461c111d670e7bea",
+    "seeded_lift_4": "be215a48b586f53520599b021816850ee9804b01391ad879840db6ba6f324422",
+    "seeded_lift_5": "70cce1ce4199349e7728391305aa6318404a1aecab70e7159c7d840fabcf42af",
+    "theta_twice": "50e2bb59567ff15fb9efb7c34f7b909e99e87a47806c0f3a4ef9d61acf8b492a",
+    "z7": "e314a1d2c6718eb341616131fd552b71dbb4a90b006ecbd4dcc98bd6deff6036",
+}
+
+# ``residual`` as float.hex, recorded with the digests
+LPS_RESIDUALS = {
+    "lps_13_5": "0x1.2fae9c95de6a4p-47",
+    "lps_5_13": "0x1.2dd11f5af8827p-46",
+}
+
+
+class TestBlockRouteBytes:
+    """The block solve reproduces the bytes of the routes it replaced:
+    every eigenvalue on the character and twist routes, and the residual
+    of the two LPS graphs, whose blocks were always residual-checked in
+    one fixed order."""
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_ROUTE_GRAPHS))
+    def test_eigenvalue_bytes_are_pinned(self, name):
+        spec = adjacency_spectrum(BLOCK_ROUTE_GRAPHS[name]())
+        assert spec.complete
+        digest = hashlib.sha256(np.array(spec.eigenvalues).tobytes()).hexdigest()
+        assert digest == BLOCK_ROUTE_DIGESTS[name]
+        if name in LPS_RESIDUALS:
+            assert spec.residual.hex() == LPS_RESIDUALS[name]
+
+
+STAR_200 = [(0, k) for k in range(1, 201)]
+# a path with a loop at its end, a tripled edge and two isolated vertices
+UNEVEN = [(0, 1), (1, 2), (2, 2), (3, 4), (3, 4), (3, 4), (4, 0)]
+
+
+class TestUnevenRows:
+    """Blocks whose rows hold different numbers of terms (isolated
+    vertices, loops, parallel edges, a star) on the trivial and XOR
+    sources: each block residual is the sparse residual of its lifted
+    eigenpairs, and the eigenvalues are the dense ones."""
+
+    @pytest.mark.parametrize(
+        "graph, rank",
+        [(lambda: build_graph(201, STAR_200), 0), (lambda: build_graph(7, UNEVEN), 0),
+         (lambda: random_multigraph(random.Random(5), 41, 90), 0),
+         (lambda: xor_lift_graph(201, STAR_200, [k % 2 for k in range(200)], 1), 1),
+         (lambda: xor_lift_graph(7, UNEVEN, [0, 1, 2, 3, 1, 1, 2], 2), 2),
+         (lambda: xor_lift_graph(7, UNEVEN, [1, 0, 0, 0, 1, 0, 0], 1), 1)],
+        ids=["star", "uneven", "multigraph", "star_lift", "uneven_lift", "uneven_lift_1"],
+    )
+    def test_block_residual_is_the_sparse_residual(self, monkeypatch, graph, rank):
+        g = graph()
+        n = g.vertex_count
+        lift = graph_core.xor_deck(g)
+        assert (0 if lift is None else lift.deck_rank) == rank
+        assert graph_core._cyclic_symmetry(g) is None
+        seen = []
+        verify = graph_core._verify_eigenpairs
+
+        def record(av, vals, vecs, tol=1e-8):
+            seen.append((vals, vecs))
+            return verify(av, vals, vecs, tol)
+
+        monkeypatch.setattr(graph_core, "_verify_eigenpairs", record)
+        spec = adjacency_spectrum(g)
+        assert spec.complete
+        assert np.abs(np.array(spec.eigenvalues) - dense_eigvalsh(g)).max() <= 1e-12
+        # lift each block eigenvector w of character chi to
+        # v[(u, x)] = (-1)^popcount(chi & x) w[u] / sqrt(2^r); at r = 0 the
+        # one block is A and v = w
+        block_vals = np.concatenate([v.reshape(-1) for v, _ in seen])
+        block_vecs = np.concatenate([np.concatenate(w, axis=1) for _, w in seen], axis=1)
+        chi = np.arange(n) // (n >> rank)
+        x = np.arange(n) & ((1 << rank) - 1)
+        signs = 1.0 - 2.0 * (np.bitwise_count(x[:, None] & chi[None, :]) & 1)
+        lifted = signs * block_vecs[np.arange(n) >> rank] / math.sqrt(1 << rank)
+        adj = graph_core._adjacency_csr(g)
+        sparse = np.linalg.norm(adj @ lifted - lifted * block_vals, axis=0) / np.linalg.norm(lifted, axis=0)
+        # both sum at most d terms of a row in some order: ||A|| <= d, so
+        # each sum is off by at most d^2 2^-53 in norm
+        d = max(degrees(g))
+        assert abs(sparse.max() - spec.residual) <= (d + 1) ** 2 * 2.0**-52
 
 
 def seeded_covers():

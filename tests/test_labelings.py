@@ -33,7 +33,7 @@ from coarselab.labelings import (
     random_labeling,
     word_inverse,
 )
-from groups import cyclic_group
+from groups import cyclic_group, named_cayley_graph
 from oracles import (
     edge_list,
     follow_word,
@@ -813,7 +813,7 @@ def test_presentation_theta():
 
 def test_presentation_cayley_z4_defines_group_of_order_4():
     z4 = cyclic_group(4)
-    g = cayley_graph(z4, labels={1: "a"})
+    g = named_cayley_graph(z4, "a")
     pres = graphical_presentation(GraphFamily((g,)))
     assert coset_enumeration_order(pres) == z4.order == 4
 
@@ -860,7 +860,7 @@ def test_coset_enumeration_cap_on_free_group():
 
 
 def c3_cover():
-    base = cayley_graph(cyclic_group(3), labels={1: "a"})
+    base = named_cayley_graph(cyclic_group(3), "a")
     return homology_cover(base)
 
 
@@ -871,7 +871,7 @@ def test_check_label_preserving_cover_accepts_homology_cover():
 
 
 def test_check_label_preserving_cover_identity():
-    base = cayley_graph(cyclic_group(3), labels={1: "a"})
+    base = named_cayley_graph(cyclic_group(3), "a")
     ident = CoveringMap(
         base=base,
         cover=base,
